@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-save bench-compare check cover experiments fuzz loadtest clean
+.PHONY: all build test vet race race-delivery bench bench-smoke bench-save bench-compare check cover experiments fuzz loadtest clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -13,12 +13,20 @@ all: build test
 
 # The full pre-merge gate: build, vet and the race-enabled test suite
 # (the parallel solvers make -race load-bearing, not optional), plus a
-# smoke run of the sharded planning pipeline through the simulator.
-check:
+# smoke run of the sharded planning pipeline through the simulator and of
+# the repo benchmark.
+check: bench-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/qsubsim -exp sharding -shards 16 -aggregate
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is its own module, so
+# `go test ./...` never sees it: its tests check that BENCHMARK.json still
+# matches the benchmark's table and run all five workloads for 3 verified
+# cycles each.
+bench-smoke:
+	$(GO) test -C benchmark ./...
 
 # Focused vet + race leg for the sharded planning pipeline plus the
 # neighbor-pruned/anytime/incremental solver paths: fast enough for a

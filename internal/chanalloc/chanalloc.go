@@ -237,12 +237,27 @@ type remapSizer struct {
 
 func (r remapSizer) Size(i int) float64 { return r.inner.Sizer.Size(r.members[i]) }
 
+// remapScratch pools the translated index sets of MergedSize. A probe
+// cannot keep one on its stack, because the inner Sizer is an interface
+// and the slice escapes into the call, and the two climbs of BestOfBoth
+// probe concurrently, so the scratch is pooled, not a field.
+var remapScratch = sync.Pool{New: func() any {
+	buf := make([]int, 0, 32)
+	return &buf
+}}
+
+// MergedSize translates the set and asks the inner Sizer, which like
+// every Sizer does not retain its argument.
 func (r remapSizer) MergedSize(set []int) float64 {
-	mapped := make([]int, len(set))
-	for i, q := range set {
-		mapped[i] = r.members[q]
+	bp := remapScratch.Get().(*[]int)
+	mapped := (*bp)[:0]
+	for _, q := range set {
+		mapped = append(mapped, r.members[q])
 	}
-	return r.inner.Sizer.MergedSize(mapped)
+	size := r.inner.Sizer.MergedSize(mapped)
+	*bp = mapped[:0]
+	remapScratch.Put(bp)
+	return size
 }
 
 // Cost returns the total cost of an allocation: the sum over channels of

@@ -54,7 +54,8 @@ type Sizer interface {
 	Size(i int) float64
 	// MergedSize returns size(mrg(S)) for the set S of query indices.
 	// It must satisfy MergedSize([i]) == Size(i) and be monotone:
-	// adding queries never shrinks the merged size.
+	// adding queries never shrinks the merged size. It must not retain
+	// set: the solvers pass reused scratch slices.
 	MergedSize(set []int) float64
 }
 

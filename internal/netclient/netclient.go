@@ -105,7 +105,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	stats   Stats
-	lastSeq map[int]uint64 // per-channel high-water sequence numbers
+	lastSeq map[int]uint64 // high-water sequence number of the channel listened to
 }
 
 // New builds a resilient client. The extractor is created over
@@ -275,6 +275,12 @@ func (c *Client) runSession(ctx context.Context, sess Session) error {
 		switch {
 		case ev.Assigned != nil:
 			c.mu.Lock()
+			if prev := c.stats.Channel; prev != ev.Assigned.Channel {
+				// The channel being left keeps publishing without
+				// us: its mark would make a later return to it look
+				// like a gap.
+				delete(c.lastSeq, prev)
+			}
 			c.stats.Channel = ev.Assigned.Channel
 			c.mu.Unlock()
 		case ev.Answer != nil:

@@ -119,6 +119,70 @@ func TestGapTriggersRefresh(t *testing.T) {
 	}
 }
 
+// TestChannelReturnIsNotAGap: replans move a session from channel 0 to 1
+// and back while channel 0's sequence advances without it. Coming back is
+// not a missed message and must not request a refresh; a gap on the
+// channel being listened to still does.
+func TestChannelReturnIsNotAGap(t *testing.T) {
+	sess := &fakeSession{
+		closed: make(chan struct{}),
+		events: []daemon.Event{
+			{Assigned: &wire.Assigned{Channel: 0}},
+			answerEvent(0, 1),
+			answerEvent(0, 2),
+			{Assigned: &wire.Assigned{Channel: 1}},
+			answerEvent(1, 7),
+			answerEvent(1, 8),
+			{Assigned: &wire.Assigned{Channel: 0}},
+			answerEvent(0, 9), // channel 0 published 3..8 while we were away
+			answerEvent(0, 10),
+			{Assigned: &wire.Assigned{Channel: 0}}, // replan that keeps the channel
+			answerEvent(0, 11),
+			answerEvent(0, 14), // 12 and 13 lost: a real gap
+		},
+	}
+	// OnEvent runs on the client's goroutine right after the event was
+	// handled, so each snapshot is the state that event left behind.
+	var c *Client
+	after := make(chan Stats, len(sess.events))
+	c, err := New(Config{
+		ClientID:    1,
+		Queries:     []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
+		MaxAttempts: 1,
+		Dial:        func(string, int) (Session, error) { return sess, nil },
+		OnEvent:     func(daemon.Event) { after <- c.Stats() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
+
+	var st Stats
+	for i := 0; i < cap(after); i++ {
+		select {
+		case st = <-after:
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for scripted events")
+		}
+		if i == 10 && (st.GapRefreshes != 0 || st.Channel != 0 || st.LastSeq != 11) {
+			t.Fatalf("after moving 0→1→0: stats = %+v, want no gap refresh, channel 0, last seq 11", st)
+		}
+	}
+	cancel()
+	<-runDone
+	if st.GapRefreshes != 1 {
+		t.Fatalf("after a real gap on the current channel: GapRefreshes = %d, want 1", st.GapRefreshes)
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.refreshes != 1 {
+		t.Fatalf("session saw %d Refresh requests, want 1", sess.refreshes)
+	}
+}
+
 // TestBackoffGrowsAndCaps: the reconnect delay doubles per consecutive
 // failure, stays jittered within [d/2, d], and caps at MaxBackoff.
 func TestBackoffGrowsAndCaps(t *testing.T) {

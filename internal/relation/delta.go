@@ -69,11 +69,7 @@ func (r *Relation) Delta(sinceID uint64) *DeltaIndex {
 			}
 		}
 	}
-	for _, del := range r.delLog {
-		if del.seq > sinceID {
-			d.deleted = append(d.deleted, del.t)
-		}
-	}
+	d.deleted = r.deletedSince(sinceID)
 	d.buildGrid()
 	r.deltaBatch.Observe(float64(len(d.inserted)))
 	r.deltaDeleted.Add(uint64(len(d.deleted)))
@@ -112,11 +108,11 @@ func (d *DeltaIndex) buildGrid() {
 	d.cellStart, d.cellItems = start, items
 }
 
-// cellOf mirrors gridIndex.cellOf: positions outside the nominal bounds
-// land in the nearest boundary cell.
+// cellOf mirrors gridIndex.cellXY: positions outside the nominal bounds
+// land in the nearest boundary cell (gridCoord).
 func (d *DeltaIndex) cellOf(p geom.Point) int {
-	cx := clampInt(int(float64(d.nx)*(p.X-d.bounds.MinX)/d.bounds.Width()), 0, d.nx-1)
-	cy := clampInt(int(float64(d.ny)*(p.Y-d.bounds.MinY)/d.bounds.Height()), 0, d.ny-1)
+	cx := gridCoord(float64(d.nx)*(p.X-d.bounds.MinX)/d.bounds.Width(), d.nx)
+	cy := gridCoord(float64(d.ny)*(p.Y-d.bounds.MinY)/d.bounds.Height(), d.ny)
 	return cy*d.nx + cx
 }
 
@@ -150,10 +146,10 @@ func (d *DeltaIndex) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 		}
 		return buf
 	}
-	x0 := clampInt(int(float64(d.nx)*(br.MinX-d.bounds.MinX)/d.bounds.Width()), 0, d.nx-1)
-	x1 := clampInt(int(float64(d.nx)*(br.MaxX-d.bounds.MinX)/d.bounds.Width()), 0, d.nx-1)
-	y0 := clampInt(int(float64(d.ny)*(br.MinY-d.bounds.MinY)/d.bounds.Height()), 0, d.ny-1)
-	y1 := clampInt(int(float64(d.ny)*(br.MaxY-d.bounds.MinY)/d.bounds.Height()), 0, d.ny-1)
+	x0 := gridCoord(float64(d.nx)*(br.MinX-d.bounds.MinX)/d.bounds.Width(), d.nx)
+	x1 := gridCoord(float64(d.nx)*(br.MaxX-d.bounds.MinX)/d.bounds.Width(), d.nx)
+	y0 := gridCoord(float64(d.ny)*(br.MinY-d.bounds.MinY)/d.bounds.Height(), d.ny)
+	y1 := gridCoord(float64(d.ny)*(br.MaxY-d.bounds.MinY)/d.bounds.Height(), d.ny)
 	start := len(buf)
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {

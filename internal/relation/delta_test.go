@@ -184,3 +184,62 @@ func TestDeltaEmptyAndFullWatermark(t *testing.T) {
 		t.Fatalf("delta from 0 returned %d tuples, want %d", got, want)
 	}
 }
+
+// TestDeletedSinceLongJournal checks the binary-searched journal against
+// a linear filter at every kind of watermark over a long journal of
+// deletes interleaved with inserts (both advance the watermark), and
+// that restored ids, which jump the watermark, keep the journal ordered.
+func TestDeletedSinceLongJournal(t *testing.T) {
+	rel := MustNew(testBounds, 8, 8)
+	rng := rand.New(rand.NewSource(21))
+	type entry struct {
+		id   uint64
+		mark uint64 // watermark right after the delete
+	}
+	var journal []entry
+	var live []uint64
+	for k := 0; k < 6000; k++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(live))
+			rel.Delete(live[i])
+			journal = append(journal, entry{live[i], rel.MaxID()})
+			live = append(live[:i], live[i+1:]...)
+			continue
+		}
+		if k == 3000 {
+			rel.restore(Tuple{ID: rel.MaxID() + 1000, Pos: geom.Pt(1, 1)})
+			live = append(live, rel.MaxID())
+			continue
+		}
+		live = append(live, rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), nil))
+	}
+	if len(journal) < 1500 {
+		t.Fatalf("journal has only %d entries", len(journal))
+	}
+	marks := []uint64{0, 1, rel.MaxID() - 1, rel.MaxID(), rel.MaxID() + 5}
+	for k := 0; k < 200; k++ {
+		e := journal[rng.Intn(len(journal))]
+		marks = append(marks, e.mark-1, e.mark, e.mark+1)
+	}
+	for _, mark := range marks {
+		var want []uint64
+		for _, e := range journal {
+			if e.mark > mark {
+				want = append(want, e.id)
+			}
+		}
+		for name, got := range map[string][]Tuple{
+			"DeletedSince": rel.DeletedSince(mark),
+			"Delta":        rel.Delta(mark).Deleted(),
+		} {
+			if len(got) != len(want) {
+				t.Fatalf("%s(%d): %d tuples, want %d", name, mark, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i] {
+					t.Fatalf("%s(%d)[%d] = id %d, want %d", name, mark, i, got[i].ID, want[i])
+				}
+			}
+		}
+	}
+}

@@ -16,16 +16,24 @@ type Estimator interface {
 	SizeBytes(region geom.Region) float64
 }
 
-// Exact is an Estimator that counts the actual matching tuples. It is the
-// most precise and the most expensive; the experiment harness uses it so
-// heuristic-vs-optimal comparisons are not polluted by estimation error.
+// Exact is an Estimator that reports the actual size of the matching
+// tuples: rectangles from the grid index's byte aggregate plus a scan of
+// the rectangle's border cells (Relation.SizeBytesRect), other regions by
+// an index scan. It is the most precise and the most expensive; the
+// experiment harness uses it so heuristic-vs-optimal comparisons are not
+// polluted by estimation error.
 type Exact struct {
 	Rel *Relation
 }
 
-// SizeBytes returns the exact answer size by scanning the grid index.
+// SizeBytes returns the exact answer size (see Relation.SizeBytes).
 func (e Exact) SizeBytes(region geom.Region) float64 {
 	return float64(e.Rel.SizeBytes(region))
+}
+
+// SizeBytesRect is the RectSizer fast path (see Relation.SizeBytesRect).
+func (e Exact) SizeBytesRect(r geom.Rect) float64 {
+	return float64(e.Rel.SizeBytesRect(r))
 }
 
 // Uniform estimates sizes assuming tuples are uniformly distributed:
@@ -84,8 +92,8 @@ func BuildHistogram(rel *Relation, nx, ny int) (*Histogram, error) {
 		bytesInBucket: make([]float64, nx*ny),
 	}
 	for _, t := range rel.All() {
-		i := clampInt(int((t.Pos.X-h.bounds.MinX)/h.bounds.Width()*float64(nx)), 0, nx-1)
-		j := clampInt(int((t.Pos.Y-h.bounds.MinY)/h.bounds.Height()*float64(ny)), 0, ny-1)
+		i := gridCoord((t.Pos.X-h.bounds.MinX)/h.bounds.Width()*float64(nx), nx)
+		j := gridCoord((t.Pos.Y-h.bounds.MinY)/h.bounds.Height()*float64(ny), ny)
 		h.bytesInBucket[j*nx+i] += float64(t.Size())
 	}
 	return h, nil
@@ -125,10 +133,10 @@ func (h *Histogram) SizeBytesRect(r geom.Rect) float64 {
 func (h *Histogram) rectBytes(br geom.Rect) float64 {
 	bw := h.bounds.Width() / float64(h.nx)
 	bh := h.bounds.Height() / float64(h.ny)
-	i0 := clampInt(int((br.MinX-h.bounds.MinX)/bw), 0, h.nx-1)
-	i1 := clampInt(int((br.MaxX-h.bounds.MinX)/bw), 0, h.nx-1)
-	j0 := clampInt(int((br.MinY-h.bounds.MinY)/bh), 0, h.ny-1)
-	j1 := clampInt(int((br.MaxY-h.bounds.MinY)/bh), 0, h.ny-1)
+	i0 := gridCoord((br.MinX-h.bounds.MinX)/bw, h.nx)
+	i1 := gridCoord((br.MaxX-h.bounds.MinX)/bw, h.nx)
+	j0 := gridCoord((br.MinY-h.bounds.MinY)/bh, h.ny)
+	j1 := gridCoord((br.MaxY-h.bounds.MinY)/bh, h.ny)
 	total := 0.0
 	for j := j0; j <= j1; j++ {
 		for i := i0; i <= i1; i++ {
@@ -152,6 +160,7 @@ var (
 	_ Estimator = Exact{}
 	_ Estimator = Uniform{}
 	_ Estimator = (*Histogram)(nil)
+	_ RectSizer = Exact{}
 	_ RectSizer = Uniform{}
 	_ RectSizer = (*Histogram)(nil)
 )

@@ -168,7 +168,7 @@ func (r *Relation) restore(t Tuple) {
 	r.dead = append(r.dead, false)
 	r.byID[t.ID] = idx
 	r.live++
-	r.index.insert(idx, t.Pos)
+	r.index.insert(idx, t.Pos, t.Size())
 	if t.ID > r.nextID {
 		r.nextID = t.ID
 	}

@@ -120,11 +120,12 @@ func (r *Relation) Insert(pos geom.Point, payload []byte) uint64 {
 	r.nextID++
 	id := r.nextID
 	idx := len(r.tuples)
-	r.tuples = append(r.tuples, Tuple{ID: id, Pos: pos, Payload: payload})
+	t := Tuple{ID: id, Pos: pos, Payload: payload}
+	r.tuples = append(r.tuples, t)
 	r.dead = append(r.dead, false)
 	r.byID[id] = idx
 	r.live++
-	r.index.insert(idx, pos)
+	r.index.insert(idx, pos, t.Size())
 	return id
 }
 
@@ -143,8 +144,10 @@ func (r *Relation) Delete(id uint64) bool {
 	delete(r.byID, id)
 	r.dead[idx] = true
 	r.live--
+	t := r.tuples[idx]
+	r.index.remove(t.Pos, t.Size())
 	r.nextID++ // deletes advance the watermark too
-	r.delLog = append(r.delLog, deletion{t: r.tuples[idx], seq: r.nextID})
+	r.delLog = append(r.delLog, deletion{t: t, seq: r.nextID})
 	return true
 }
 
@@ -153,11 +156,21 @@ func (r *Relation) Delete(id uint64) bool {
 func (r *Relation) DeletedSince(mark uint64) []Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Tuple
-	for _, d := range r.delLog {
-		if d.seq > mark {
-			out = append(out, d.t)
-		}
+	return r.deletedSince(mark)
+}
+
+// deletedSince copies the journaled tuples past the watermark. Entries
+// are appended with increasing seq, so a binary search finds the first
+// one and the cost follows the period's deletes, not the journal's
+// length. Caller must hold at least a read lock.
+func (r *Relation) deletedSince(mark uint64) []Tuple {
+	first := sort.Search(len(r.delLog), func(i int) bool { return r.delLog[i].seq > mark })
+	if first == len(r.delLog) {
+		return nil
+	}
+	out := make([]Tuple, 0, len(r.delLog)-first)
+	for _, d := range r.delLog[first:] {
+		out = append(out, d.t)
 	}
 	return out
 }
@@ -169,16 +182,6 @@ func (r *Relation) InsertBatch(positions []geom.Point, payload []byte) []uint64 
 		ids[i] = r.Insert(p, payload)
 	}
 	return ids
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Search returns all tuples whose position lies inside the region, in
@@ -213,10 +216,63 @@ func (r *Relation) Count(region geom.Region) int {
 }
 
 // SizeBytes returns the total transmission size of all tuples inside the
-// region: the exact value of the paper's size(q).
+// region: the exact value of the paper's size(q). Rectangles take the
+// SizeBytesRect path.
 func (r *Relation) SizeBytes(region geom.Region) int {
+	if q, ok := region.(geom.Rect); ok {
+		return r.SizeBytesRect(q)
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.scanBytes(region)
+}
+
+// SizeBytesRect is SizeBytes for a rectangle without the Region boxing,
+// and on a grid-indexed relation without the scan of the rectangle's
+// inside: the cells strictly between the rectangle's first and last cell
+// column and row come from the index's byte aggregate, and only the ring
+// of cells holding the rectangle's border is scanned tuple by tuple, so a
+// probe costs O(perimeter) instead of O(area).
+//
+// The result is exact. cellXY is monotone in each coordinate, so a tuple
+// in a column strictly between the columns of q.MinX and q.MaxX has
+// q.MinX < x < q.MaxX, and likewise for rows: every live tuple of an
+// interior cell is inside q. The boundary cells of the grid, which also
+// hold the tuples outside the relation's bounds, are never interior
+// because the first and last column and row are clamped into the grid.
+func (r *Relation) SizeBytesRect(q geom.Rect) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	g, ok := r.index.(*gridIndex)
+	if !ok {
+		return r.scanBytes(q)
+	}
+	if q.Empty() {
+		return 0
+	}
+	i0, i1, j0, j1 := g.cellRange(q)
+	n := g.blockBytes(i0+1, i1-1, j0+1, j1-1)
+	for j := j0; j <= j1; j++ {
+		// The first and last row are scanned whole, the rows between
+		// them only at their two end columns.
+		step := 1
+		if j != j0 && j != j1 {
+			step = max(i1-i0, 1)
+		}
+		for i := i0; i <= i1; i += step {
+			for _, e := range g.cells[j*g.nx+i] {
+				if q.Contains(e.pos) && !r.dead[e.idx] {
+					n += e.size
+				}
+			}
+		}
+	}
+	return n
+}
+
+// scanBytes sums the sizes of the tuples inside the region by scanning
+// the index candidates. Caller must hold at least a read lock.
+func (r *Relation) scanBytes(region geom.Region) int {
 	n := 0
 	r.scan(region, func(t Tuple) { n += t.Size() })
 	return n
@@ -311,7 +367,7 @@ func (r *Relation) Compact() {
 	r.delLog = nil
 	for i, t := range tuples {
 		r.byID[t.ID] = i
-		index.insert(i, t.Pos)
+		index.insert(i, t.Pos, t.Size())
 	}
 	r.index = index
 }
