@@ -50,9 +50,12 @@ race:
 
 # Focused race leg for the delivery layer: the Publish/Cancel stress
 # test, session-lifecycle and reconnect paths run multiple times so the
-# scheduler explores more interleavings than one -race pass would.
+# scheduler explores more interleavings than one -race pass would. The
+# receive path's borrow rule (answers alias the connection's read buffer,
+# DESIGN.md §6) spans wire, daemon.Conn, netclient and the relay, so its
+# ownership tests in all four run here too.
 race-delivery:
-	$(GO) test -race -count=3 ./internal/multicast ./internal/daemon ./internal/netclient ./internal/netfault ./internal/client
+	$(GO) test -race -count=3 ./internal/multicast ./internal/wire ./internal/daemon ./internal/relay ./internal/netclient ./internal/netfault ./internal/client
 
 # Coverage report with a hard floor on internal/metrics (see
 # METRICS_COVER_FLOOR above). The full-repo profile is informational;
@@ -148,6 +151,10 @@ experiments:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalMessage -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalSubscribe -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelaySub -fuzztime 10s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayAck -fuzztime 10s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayCtl -fuzztime 10s
+	$(GO) test ./internal/wire -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
 

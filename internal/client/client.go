@@ -83,8 +83,10 @@ type Client struct {
 	entries []entry // sorted by entry.q.ID
 	cache   map[uint64]bool
 	caching bool
-	lastSeq uint64
-	stats   Stats
+	// Sequence high-water mark of the channel of the last message.
+	seqChannel int
+	lastSeq    uint64
+	stats      Stats
 	// resolved is Handle's per-message scratch mapping the header's
 	// query ids to entry indices (-1 when the id is not subscribed);
 	// reused across messages so steady-state handling does not allocate.
@@ -208,9 +210,29 @@ func (c *Client) RemoveQuery(id query.ID) {
 
 // Handle processes one message: filtering, extraction, accounting.
 func (c *Client) Handle(msg multicast.Message) {
+	var now int64
+	if msg.PublishedUnixNano != 0 {
+		now = time.Now().UnixNano()
+	}
+	c.HandleAt(&msg, now)
+}
+
+// HandleAt is Handle for a caller that has already read the clock for
+// this message: nowUnixNano is the local receive time, used only when the
+// message carries a publish timestamp. It retains no part of msg but the
+// payloads of the tuples it keeps.
+func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.MessagesSeen++
+	// Sequence numbers are per channel, and a channel the client left
+	// went on publishing without it: a message from another channel than
+	// the last one starts a new mark instead of being measured against
+	// the old one.
+	if msg.Channel != c.seqChannel {
+		c.seqChannel = msg.Channel
+		c.lastSeq = 0
+	}
 	if c.lastSeq != 0 && msg.Seq > c.lastSeq+1 {
 		c.stats.GapsDetected += int(msg.Seq - c.lastSeq - 1)
 	}
@@ -218,16 +240,15 @@ func (c *Client) Handle(msg multicast.Message) {
 		c.lastSeq = msg.Seq
 	}
 	if msg.PublishedUnixNano != 0 {
-		now := time.Now().UnixNano()
 		c.stats.LastPublishedUnixNano = msg.PublishedUnixNano
-		c.stats.LastHandledUnixNano = now
+		c.stats.LastHandledUnixNano = nowUnixNano
 		if c.mLatency != nil {
 			// Across a relay the publisher and receiver run on different
 			// clocks, so the delta can come out negative; a negative
 			// observation would land in bucket 0 and drive the
 			// histogram's Sum (and thus the mean) negative. Clamp to
 			// zero and count the clamp instead.
-			delta := float64(now-msg.PublishedUnixNano) / 1e9
+			delta := float64(nowUnixNano-msg.PublishedUnixNano) / 1e9
 			if delta < 0 {
 				delta = 0
 				c.mClockSkew.Inc()

@@ -96,6 +96,32 @@ func TestGapDetection(t *testing.T) {
 	}
 }
 
+// TestGapDetectionIsPerChannel: a replan moves the client between
+// channels whose counters are unrelated, so neither a channel that is far
+// ahead nor one that is far behind may be measured against the mark of
+// the channel just left — and a real hole on the current channel still
+// counts after either move.
+func TestGapDetectionIsPerChannel(t *testing.T) {
+	c := New(1, query.Range(1, geom.R(0, 0, 1, 1)))
+	step := func(channel int, seq uint64, wantGaps int) {
+		t.Helper()
+		c.Handle(multicast.Message{Channel: channel, Seq: seq})
+		if got := c.Stats().GapsDetected; got != wantGaps {
+			t.Fatalf("after channel %d seq %d: GapsDetected = %d, want %d", channel, seq, got, wantGaps)
+		}
+	}
+	step(0, 100, 0)
+	step(0, 101, 0)
+	step(1, 5000, 0) // A→B, B far ahead
+	step(1, 5001, 0)
+	step(0, 140, 0) // B→A, A far behind B, and ahead of where A was left
+	step(0, 141, 0)
+	step(0, 144, 2) // a real hole: 142 and 143
+	step(1, 3, 2)   // A→B again, now B far behind
+	step(1, 4, 2)
+	step(1, 6, 3) // and a hole there too
+}
+
 func TestCacheCountsDuplicates(t *testing.T) {
 	q := query.Range(1, geom.R(0, 0, 10, 10))
 	c := New(1, q)

@@ -2,7 +2,9 @@ package daemon
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 
 	"qsub/internal/multicast"
@@ -21,7 +23,8 @@ const connReadBuffer = 32 << 10
 type Conn struct {
 	conn     net.Conn
 	br       *bufio.Reader
-	rbuf     []byte            // reused frame payload buffer (see wire.ReadFrameAppend)
+	held     int               // bytes of br the last frame still occupies (see readFrame)
+	rbuf     []byte            // reused payload buffer for frames larger than br
 	ansMsg   multicast.Message // reused Answer event storage (see Next)
 	clientID int
 }
@@ -76,6 +79,7 @@ func (c *Conn) Refresh() error {
 }
 
 // Event is one server-pushed frame, decoded. Exactly one field is set.
+// An Answer is borrowed from the connection (see Next).
 type Event struct {
 	// Assigned is the channel assignment after a planning cycle.
 	Assigned *wire.Assigned
@@ -86,47 +90,89 @@ type Event struct {
 }
 
 // Next blocks for the next server-pushed event. It returns an error when
-// the connection ends or an unexpected frame arrives. Frames are read
-// through a buffered reader into one reused payload buffer, and the
-// Answer message is decoded into Conn-owned storage, so the steady-state
-// answer loop performs no per-frame allocations beyond the tuple slices
-// of non-empty messages (the Unmarshal functions copy every byte they
-// keep). Consequently an Event's Answer pointer is only valid until the
-// next call to Next; callers that retain the message past that must copy
-// it.
+// the connection ends or an unexpected frame arrives.
+//
+// Frames are parsed in place: a frame that fits the read buffer is
+// decoded from the buffer's own bytes, which are released on the next
+// call, and the Answer message is decoded into Conn-owned storage. So an
+// Event's Answer — the message and every slice in it, tuple payloads
+// included — is valid only until the next call to Next, and callers that
+// retain any of it past that must copy it. The one exception is a
+// message whose header addresses this connection's client id: its
+// payloads are copied into one block of their own, because that is the
+// only message an extractor for this client keeps tuples from. A listener
+// thus discards a message it does not want without allocating.
 func (c *Conn) Next() (Event, error) {
-	for {
-		ft, payload, err := wire.ReadFrameAppend(c.rbuf[:0], c.br)
-		c.rbuf = payload
+	ft, payload, err := c.readFrame()
+	if err != nil {
+		return Event{}, err
+	}
+	switch ft {
+	case wire.TypeAssigned:
+		a, err := wire.UnmarshalAssigned(payload)
 		if err != nil {
 			return Event{}, err
 		}
-		switch ft {
-		case wire.TypeAssigned:
-			a, err := wire.UnmarshalAssigned(payload)
-			if err != nil {
-				return Event{}, err
-			}
-			return Event{Assigned: &a}, nil
-		case wire.TypeAnswer:
-			m, err := wire.UnmarshalMessage(payload)
-			if err != nil {
-				return Event{}, err
-			}
-			c.ansMsg = m
-			return Event{Answer: &c.ansMsg}, nil
-		case wire.TypeError:
-			e, err := wire.UnmarshalError(payload)
-			if err != nil {
-				return Event{}, err
-			}
-			return Event{Err: &e}, nil
-		case wire.TypeBye:
-			return Event{}, fmt.Errorf("daemon: server said goodbye")
-		default:
-			return Event{}, fmt.Errorf("daemon: unexpected frame type %d", ft)
+		return Event{Assigned: &a}, nil
+	case wire.TypeAnswer:
+		m := &c.ansMsg
+		if err := wire.UnmarshalMessageInto(m, payload); err != nil {
+			return Event{}, err
 		}
+		if _, addressed := m.EntryFor(c.clientID); addressed {
+			wire.CopyPayloads(m)
+		}
+		return Event{Answer: m}, nil
+	case wire.TypeError:
+		e, err := wire.UnmarshalError(payload)
+		if err != nil {
+			return Event{}, err
+		}
+		return Event{Err: &e}, nil
+	case wire.TypeBye:
+		return Event{}, fmt.Errorf("daemon: server said goodbye")
+	default:
+		return Event{}, fmt.Errorf("daemon: unexpected frame type %d", ft)
 	}
+}
+
+// readFrame returns the next frame's type and payload. The payload lies
+// in the read buffer — consumed only by the following call, which is
+// what keeps it intact until then — or, for a frame larger than the
+// buffer, in c.rbuf. It fails the way wire.ReadFrameAppend does.
+func (c *Conn) readFrame() (uint8, []byte, error) {
+	_, _ = c.br.Discard(c.held) // cannot fail: these bytes were peeked
+	c.held = 0
+	hdr, err := c.br.Peek(wire.HeaderSize)
+	if err != nil {
+		return 0, nil, cutShort(err, len(hdr))
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > wire.MaxFrameSize {
+		return 0, nil, wire.ErrFrameTooLarge
+	}
+	size := wire.HeaderSize + int(n)
+	if size > c.br.Size() {
+		ft, payload, err := wire.ReadFrameAppend(c.rbuf[:0], c.br)
+		c.rbuf = payload
+		return ft, payload, err
+	}
+	frame, err := c.br.Peek(size)
+	if err != nil {
+		return 0, nil, cutShort(err, len(frame)-wire.HeaderSize)
+	}
+	c.held = size
+	return frame[4], frame[wire.HeaderSize:], nil
+}
+
+// cutShort turns the io.EOF of a Peek that got some of the header, or of
+// the payload, into io.ErrUnexpectedEOF, as io.ReadFull reports a stream
+// that ends inside either.
+func cutShort(err error, got int) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Close ends the session politely.

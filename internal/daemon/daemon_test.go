@@ -476,11 +476,31 @@ func TestDaemonReplansOnDrift(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a trace sink the test can read while the daemon still
+// writes: a cycle's write-stage event is recorded from a goroutine that
+// outlives RunCycle.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) snapshot() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
+}
+
 // TestDaemonTracing verifies the control-plane trace: subscription,
 // plan, publish and drift events land in order with plausible contents.
 func TestDaemonTracing(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	var buf bytes.Buffer
+	var buf lockedBuffer
 	d.Trace = trace.NewRecorder(&buf, func() int64 { return 42 })
 
 	conn, err := Dial(addr, 1)
@@ -499,7 +519,7 @@ func TestDaemonTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := trace.Read(&buf)
+	events, err := trace.Read(bytes.NewReader(buf.snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}

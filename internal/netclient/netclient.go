@@ -103,9 +103,11 @@ type Client struct {
 	cfg Config
 	ext *client.Client
 
-	mu      sync.Mutex
-	stats   Stats
-	lastSeq map[int]uint64 // high-water sequence number of the channel listened to
+	mu    sync.Mutex
+	stats Stats
+	// Sequence high-water mark (stats.LastSeq) belongs to seqChannel: a
+	// session listens on one channel at a time.
+	seqChannel int
 }
 
 // New builds a resilient client. The extractor is created over
@@ -126,10 +128,9 @@ func New(cfg Config) (*Client, error) {
 		}
 	}
 	c := &Client{
-		cfg:     cfg,
-		ext:     client.New(cfg.ClientID, cfg.Queries...),
-		stats:   Stats{Channel: -1},
-		lastSeq: make(map[int]uint64),
+		cfg:   cfg,
+		ext:   client.New(cfg.ClientID, cfg.Queries...),
+		stats: Stats{Channel: -1},
 	}
 	c.ext.SetLatencyHistogram(cfg.LatencyHist)
 	c.ext.SetClockSkewCounter(cfg.ClockSkew)
@@ -272,47 +273,61 @@ func (c *Client) runSession(ctx context.Context, sess Session) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case ev.Assigned != nil:
-			c.mu.Lock()
-			if prev := c.stats.Channel; prev != ev.Assigned.Channel {
-				// The channel being left keeps publishing without
-				// us: its mark would make a later return to it look
-				// like a gap.
-				delete(c.lastSeq, prev)
-			}
-			c.stats.Channel = ev.Assigned.Channel
-			c.mu.Unlock()
-		case ev.Answer != nil:
-			if c.noteSeq(ev.Answer.Channel, ev.Answer.Seq) {
-				c.logf("netclient: sequence gap on channel %d, requesting full refresh", ev.Answer.Channel)
-				if err := sess.Refresh(); err != nil {
-					return err
-				}
-			}
-			c.ext.Handle(*ev.Answer)
-		case ev.Err != nil:
-			return fmt.Errorf("netclient: server error: %s", ev.Err.Msg)
-		}
-		if c.cfg.OnEvent != nil {
-			c.cfg.OnEvent(ev)
+		if err := c.handle(sess, ev); err != nil {
+			return err
 		}
 	}
 }
 
-// noteSeq advances the per-channel sequence high-water mark and the
-// per-session receive bookkeeping, and reports whether a gap (missed
-// message) was detected.
-func (c *Client) noteSeq(channel int, seq uint64) bool {
+// handle processes one server-pushed event. An Answer is borrowed from
+// the session (see daemon.Conn.Next) and is done with when handle returns.
+func (c *Client) handle(sess Session, ev daemon.Event) error {
+	switch {
+	case ev.Assigned != nil:
+		c.mu.Lock()
+		if prev := c.stats.Channel; prev != ev.Assigned.Channel {
+			// The channel being left keeps publishing without us: its
+			// mark would make a later return to it look like a gap.
+			c.stats.LastSeq = 0
+		}
+		c.stats.Channel = ev.Assigned.Channel
+		c.mu.Unlock()
+	case ev.Answer != nil:
+		// One clock read per frame serves the session's staleness and
+		// the extractor's latency accounting.
+		now := time.Now().UnixNano()
+		if c.noteSeq(ev.Answer.Channel, ev.Answer.Seq, now) {
+			c.logf("netclient: sequence gap on channel %d, requesting full refresh", ev.Answer.Channel)
+			if err := sess.Refresh(); err != nil {
+				return err
+			}
+		}
+		c.ext.HandleAt(ev.Answer, now)
+	case ev.Err != nil:
+		return fmt.Errorf("netclient: server error: %s", ev.Err.Msg)
+	}
+	if c.cfg.OnEvent != nil {
+		c.cfg.OnEvent(ev)
+	}
+	return nil
+}
+
+// noteSeq advances the current channel's sequence high-water mark and the
+// per-session receive bookkeeping for a frame received at nowUnixNano,
+// and reports whether a gap (missed message) was detected.
+func (c *Client) noteSeq(channel int, seq uint64, nowUnixNano int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	last := c.lastSeq[channel]
+	if channel != c.seqChannel {
+		c.seqChannel = channel
+		c.stats.LastSeq = 0
+	}
+	last := c.stats.LastSeq
 	if seq > last {
-		c.lastSeq[channel] = seq
+		c.stats.LastSeq = seq
 	}
 	c.stats.Frames++
-	c.stats.LastSeq = c.lastSeq[channel]
-	c.stats.LastFrameUnixNano = time.Now().UnixNano()
+	c.stats.LastFrameUnixNano = nowUnixNano
 	gap := last != 0 && seq > last+1
 	if gap {
 		c.stats.GapRefreshes++

@@ -1,10 +1,13 @@
 package netclient
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -422,5 +425,143 @@ func TestLatencyHistogramAndStaleness(t *testing.T) {
 	ext := c.Extractor().Stats()
 	if ext.LastPublishedUnixNano != stampedAt || ext.LastHandledUnixNano == 0 {
 		t.Fatalf("extractor stats = %+v, want LastPublishedUnixNano %d", ext, stampedAt)
+	}
+}
+
+// ownedMsg is an answer of n 40-byte tuples inside (0,0)-(10,10) for one
+// client's query 1.
+func ownedMsg(clientID int, seq uint64, n int, fill byte) multicast.Message {
+	m := multicast.Message{Channel: 0, Seq: seq, PublishedUnixNano: 1_754_650_000_000_000_000 + int64(seq),
+		Header: []multicast.HeaderEntry{{ClientID: clientID, QueryIDs: []query.ID{1}}}}
+	for i := 0; i < n; i++ {
+		m.Tuples = append(m.Tuples, relation.Tuple{ID: seq*1000 + uint64(i), Pos: geom.Pt(5, 5),
+			Payload: bytes.Repeat([]byte{fill}, 40)})
+	}
+	return m
+}
+
+// TestAnswerSurvivesLaterFrames drives the runtime over a real socket: the
+// answer extracted from an addressed frame is still intact, read from
+// another goroutine, after many times the connection's read buffer of
+// other clients' frames went by (see daemon.Conn.Next for the rule).
+func TestAnswerSurvivesLaterFrames(t *testing.T) {
+	const me, other, fillers = 3, 4, 2000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	first, last := ownedMsg(me, 1, 3, 'P'), ownedMsg(me, fillers+2, 1, 'Z')
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		go io.Copy(io.Discard, conn) // Hello, Subscribe, Ready; ends with conn
+		stream := wire.AppendMessageFrame(nil, first)
+		for seq := uint64(2); seq < fillers+2; seq++ {
+			stream = wire.AppendMessageFrame(stream, ownedMsg(other, seq, 1+int(seq%4), byte(seq)))
+		}
+		stream = wire.AppendMessageFrame(stream, last)
+		conn.Write(stream) // an error shows as the client never seeing `last`
+		<-done
+	}()
+
+	seen := make(chan struct{})
+	c, err := New(Config{
+		Addr:     ln.Addr().String(),
+		ClientID: me,
+		Queries:  []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
+		OnEvent: func(ev daemon.Event) {
+			if ev.Answer != nil && ev.Answer.Seq == last.Seq {
+				close(seen)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- c.Run(ctx) }()
+	select {
+	case <-seen:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the last frame never arrived")
+	}
+	cancel()
+	<-ran
+	want := append(append([]relation.Tuple(nil), first.Tuples...), last.Tuples...)
+	if got := c.Extractor().Answer(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("answer changed under later frames:\n got %v\nwant %v", got, want)
+	}
+	if st := c.Stats(); st.Frames != fillers+2 || st.GapRefreshes != 0 {
+		t.Fatalf("stats = %+v, want %d frames and no gaps", st, fillers+2)
+	}
+}
+
+// loopConn is a connection that delivers the same byte stream for ever
+// and swallows writes.
+type loopConn struct {
+	net.Conn // nil: only Read, Write and Close are reached
+	stream   []byte
+	off      int
+}
+
+func (l *loopConn) Read(p []byte) (int, error) {
+	if l.off == len(l.stream) {
+		l.off = 0
+	}
+	n := copy(p, l.stream[l.off:])
+	l.off += n
+	return n, nil
+}
+func (l *loopConn) Write(p []byte) (int, error) { return len(p), nil }
+func (l *loopConn) Close() error                { return nil }
+
+// TestReceivePathAllocs pins what a frame costs a listener from socket
+// buffer to extractor: nothing for a frame addressed to someone else, one
+// block (the owned payloads) for one addressed to it.
+func TestReceivePathAllocs(t *testing.T) {
+	const me = 3
+	for _, tc := range []struct {
+		name string
+		to   int
+		max  float64
+	}{{"unaddressed", me + 1, 0}, {"addressed", me, 1}} {
+		var stream []byte
+		for seq := uint64(1); seq <= 64; seq++ {
+			stream = wire.AppendMessageFrame(stream, ownedMsg(tc.to, seq, 2, byte(seq)))
+		}
+		conn, err := daemon.NewConn(&loopConn{stream: stream}, me)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := metrics.NewRegistry().Histogram("lat", "", metrics.FineLatencyBuckets)
+		c, err := New(Config{ClientID: me, Queries: []query.Query{query.Range(1, geom.R(0, 0, 10, 10))}, LatencyHist: hist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := func() {
+			ev, err := conn.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.handle(conn, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 128; i++ {
+			frame() // warm the connection's storage and the answer map
+		}
+		if allocs := testing.AllocsPerRun(640, frame); allocs > tc.max {
+			t.Errorf("%s frame: %v allocs, want at most %v", tc.name, allocs, tc.max)
+		}
+		if st := c.Extractor().Stats(); st.MessagesSeen == 0 || (st.MessagesAddressed > 0) != (tc.to == me) || hist.Count() == 0 {
+			t.Errorf("%s: frames did not reach the extractor: %+v", tc.name, st)
+		}
 	}
 }

@@ -3,8 +3,11 @@ package relay
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"qsub/internal/cost"
 	"qsub/internal/daemon"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/netfault"
 	"qsub/internal/query"
 	"qsub/internal/relation"
@@ -331,6 +335,61 @@ func TestRelayMultiHopExactness(t *testing.T) {
 	}
 	if st := r2.Status(); st.Relay.Hop != 2 {
 		t.Errorf("second-tier relay reports hop %d, want 2", st.Relay.Hop)
+	}
+}
+
+// TestRelayedAnswerSurvivesLaterFrames: the receive path's borrow rule
+// (daemon.Conn.Next) holds for a client behind a relay. Its answer
+// arrives in the first cycle; twenty delta cycles then carry several
+// read buffers' worth of another client's tuples past it, and the answer
+// it extracted still equals the query run on the relation.
+func TestRelayedAnswerSurvivesLaterFrames(t *testing.T) {
+	root, rootAddr := startRoot(t, 1)
+	_, relayAddr, _ := startRelay(t, Config{Upstream: rootAddr, RelayID: 1 << 30, Logf: t.Logf})
+
+	rel := root.Server().Relation()
+	mine := query.Range(1, geom.R(0, 0, 100, 100))
+	for i := 0; i < 10; i++ {
+		rel.Insert(geom.Pt(10+float64(i), 20), []byte(fmt.Sprintf("kept tuple %d", i)))
+	}
+	want := mine.Answer(rel)
+
+	nc, err := netclient.New(netclient.Config{Addr: relayAddr, ClientID: 300, Queries: []query.Query{mine}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- nc.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-ran
+	}()
+	newSubscriber(t, relayAddr, 301, query.Range(2, geom.R(600, 600, 1000, 1000)))
+	waitForQueries(t, root, 2)
+
+	messages, delta := 0, false
+	for cycle := 0; cycle <= 20; cycle++ {
+		rep, err := root.RunCycle(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		messages += rep.Messages
+		delta = true
+		for i := 0; i < 20; i++ {
+			rel.Insert(geom.Pt(700+float64(i), 700+float64(cycle)), bytes.Repeat([]byte{byte(cycle)}, 400))
+		}
+	}
+	waitFor(t, "every frame to reach the relayed client", func() bool { return nc.Stats().Frames == messages })
+
+	got := nc.Extractor().Answer(mine.ID)
+	sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("relayed answer changed under later frames:\n got %v\nwant %v", got, want)
+	}
+	st := nc.Extractor().Stats()
+	if st.GapsDetected != 0 || st.FilteredBytes < 4*32<<10 {
+		t.Fatalf("extractor stats %+v: want no gaps and several read buffers of filtered payload", st)
 	}
 }
 

@@ -134,9 +134,10 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 // backing array when capacity allows. The returned payload aliases buf,
 // so steady-state readers can reuse one per-connection buffer —
 // `ft, payload, err := ReadFrameAppend(buf[:0], r); buf = payload` — and
-// read without allocating, provided the previous payload has been fully
-// decoded before the buffer is reused (the Unmarshal functions copy every
-// byte they keep, so decoding before the next read is always safe).
+// read without allocating, provided the previous payload is no longer
+// needed when the buffer is reused. Every Unmarshal function copies the
+// bytes it keeps except UnmarshalMessageInto, whose tuple payloads stay
+// slices of the payload it was given.
 func ReadFrameAppend(buf []byte, r io.Reader) (frameType uint8, payload []byte, err error) {
 	// The header is read into the reusable buffer too: a stack array
 	// would escape through the io.Reader parameter and cost one
@@ -288,18 +289,25 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
-func (d *decoder) bytes() []byte {
+// view returns the next length-prefixed byte string as a slice of the
+// input (nil when empty); bytes returns a copy of it.
+func (d *decoder) view() []byte {
 	n := d.u32()
 	if d.err != nil || uint32(len(d.buf)) < n {
 		d.fail()
 		return nil
 	}
-	v := append([]byte(nil), d.buf[:n]...)
+	if n == 0 {
+		return nil
+	}
+	v := d.buf[:n:n]
 	d.buf = d.buf[n:]
 	return v
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
+func (d *decoder) bytes() []byte { return append([]byte(nil), d.view()...) }
+
+func (d *decoder) str() string { return string(d.view()) }
 
 func (d *decoder) done() error {
 	if d.err != nil {
@@ -525,10 +533,57 @@ func MarshalMessageAppend(buf []byte, m multicast.Message) []byte {
 	return e.buf
 }
 
-// UnmarshalMessage decodes a multicast answer message.
+// UnmarshalMessage decodes a multicast answer message into storage of its
+// own: UnmarshalMessageInto a fresh Message, then CopyPayloads.
 func UnmarshalMessage(b []byte) (multicast.Message, error) {
-	d := decoder{buf: b}
 	var m multicast.Message
+	if err := UnmarshalMessageInto(&m, b); err != nil {
+		return m, err
+	}
+	CopyPayloads(&m)
+	return m, nil
+}
+
+// CopyPayloads moves every tuple payload of m into one freshly allocated
+// block, so that m no longer aliases the buffer it was decoded from.
+func CopyPayloads(m *multicast.Message) {
+	total := 0
+	for i := range m.Tuples {
+		total += len(m.Tuples[i].Payload)
+	}
+	if total == 0 {
+		return
+	}
+	block := make([]byte, 0, total)
+	for i := range m.Tuples {
+		if p := m.Tuples[i].Payload; len(p) > 0 {
+			start := len(block)
+			block = append(block, p...)
+			m.Tuples[i].Payload = block[start:len(block):len(block)]
+		}
+	}
+}
+
+// resize returns s with length n, keeping its backing array — and the
+// elements beyond its old length, whose own slices are reused in turn —
+// when the capacity allows. The result is never nil: an empty list
+// decodes to an empty slice whether or not there was storage to reuse.
+func resize[T any](s []T, n uint32) []T {
+	if s == nil || uint32(cap(s)) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// UnmarshalMessageInto decodes a multicast answer message into *m,
+// overwriting every field. It reuses the storage m already holds (Tuples,
+// Header, each entry's QueryIDs, Removed), and the tuple payloads it
+// produces are slices of b: the message borrows b and is valid only as
+// long as b is. Callers that keep payloads past that call CopyPayloads.
+// On error m is left in an unspecified state.
+func UnmarshalMessageInto(m *multicast.Message, b []byte) error {
+	d := decoder{buf: b}
+	m.Frame = nil
 	m.Channel = int(d.u32())
 	m.Seq = d.u64()
 	flag := d.u8()
@@ -536,6 +591,7 @@ func UnmarshalMessage(b []byte) (multicast.Message, error) {
 		d.err = fmt.Errorf("wire: unknown message flag bits %#x", flag&^flagKnown)
 	}
 	m.Delta = flag&flagDelta != 0
+	m.PublishedUnixNano = 0
 	if flag&flagTimestamp != 0 {
 		m.PublishedUnixNano = int64(d.u64())
 		if m.PublishedUnixNano == 0 && d.err == nil {
@@ -550,12 +606,12 @@ func UnmarshalMessage(b []byte) (multicast.Message, error) {
 		d.fail()
 	}
 	if d.err == nil {
-		m.Tuples = make([]relation.Tuple, nTuples)
+		m.Tuples = resize(m.Tuples, nTuples)
 		for i := range m.Tuples {
 			m.Tuples[i] = relation.Tuple{
 				ID:      d.u64(),
 				Pos:     geom.Pt(d.f64(), d.f64()),
-				Payload: d.bytes(),
+				Payload: d.view(),
 			}
 		}
 	}
@@ -564,17 +620,18 @@ func UnmarshalMessage(b []byte) (multicast.Message, error) {
 		d.fail()
 	}
 	if d.err == nil {
-		m.Header = make([]multicast.HeaderEntry, nHeader)
+		m.Header = resize(m.Header, nHeader)
 		for i := range m.Header {
-			m.Header[i].ClientID = int(int64(d.u64()))
+			h := &m.Header[i]
+			h.ClientID = int(int64(d.u64()))
 			nIDs := d.u32()
 			if uint64(len(d.buf)) < uint64(nIDs)*8 {
 				d.fail()
 				break
 			}
-			m.Header[i].QueryIDs = make([]query.ID, nIDs)
-			for j := range m.Header[i].QueryIDs {
-				m.Header[i].QueryIDs[j] = query.ID(d.u64())
+			h.QueryIDs = resize(h.QueryIDs, nIDs)
+			for j := range h.QueryIDs {
+				h.QueryIDs[j] = query.ID(d.u64())
 			}
 		}
 	}
@@ -582,11 +639,12 @@ func UnmarshalMessage(b []byte) (multicast.Message, error) {
 	if d.err == nil && uint64(len(d.buf)) < uint64(nRemoved)*8 {
 		d.fail()
 	}
+	m.Removed = m.Removed[:0]
 	if d.err == nil && nRemoved > 0 {
-		m.Removed = make([]uint64, nRemoved)
+		m.Removed = resize(m.Removed, nRemoved)
 		for i := range m.Removed {
 			m.Removed[i] = d.u64()
 		}
 	}
-	return m, d.done()
+	return d.done()
 }

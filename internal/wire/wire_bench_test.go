@@ -86,3 +86,84 @@ func BenchmarkMarshalMessageAppend(b *testing.B) {
 		buf = MarshalMessageAppend(buf[:0], m)
 	}
 }
+
+// TestUnmarshalMessageIntoBorrows pins the two halves of the receive
+// path's ownership rule: the decode-into form's payloads are slices of
+// the input and its warm steady state allocates nothing; CopyPayloads
+// detaches the message from the input with one allocation.
+func TestUnmarshalMessageIntoBorrows(t *testing.T) {
+	want := benchMsg()
+	data := MarshalMessage(want)
+	var m multicast.Message
+	if err := UnmarshalMessageInto(&m, data); err != nil {
+		t.Fatal(err)
+	}
+	if !messageEqual(want, m) {
+		t.Fatal("decode-into form mangled the message")
+	}
+	inInput := func(p []byte) bool {
+		for i := range data {
+			if &data[i] == &p[0] {
+				return true
+			}
+		}
+		return false
+	}
+	if !inInput(m.Tuples[0].Payload) || !inInput(m.Tuples[len(m.Tuples)-1].Payload) {
+		t.Fatal("decode-into payloads should alias the input")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := UnmarshalMessageInto(&m, data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("UnmarshalMessageInto into warm storage: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { CopyPayloads(&m) }); allocs != 1 {
+		t.Fatalf("CopyPayloads: %v allocs/op, want 1", allocs)
+	}
+	if inInput(m.Tuples[0].Payload) {
+		t.Fatal("CopyPayloads left a payload in the input")
+	}
+	// The copies are the message's own: the input may be overwritten, and
+	// appending to one payload does not run into its neighbour.
+	for i := range data {
+		data[i] = 0xAA
+	}
+	m.Tuples[0].Payload = append(m.Tuples[0].Payload, "overflow"...)
+	m.Tuples[0].Payload = m.Tuples[0].Payload[:len(want.Tuples[0].Payload)]
+	if !messageEqual(want, m) {
+		t.Fatal("owned message changed with the input or with an append")
+	}
+}
+
+// BenchmarkUnmarshalMessage compares the owning decoder with the
+// decode-into form a connection runs on every frame, on the one-tuple
+// frame of the fan-out workloads and on a 500-tuple merged answer.
+func BenchmarkUnmarshalMessage(b *testing.B) {
+	small := benchMsg()
+	small.Tuples, small.Removed = small.Tuples[:1], nil
+	for _, bc := range []struct {
+		name string
+		msg  multicast.Message
+	}{{"1tuple", small}, {"500tuples", benchMsg()}} {
+		data := MarshalMessage(bc.msg)
+		b.Run(bc.name+"/owning", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := UnmarshalMessage(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(bc.name+"/into", func(b *testing.B) {
+			var m multicast.Message
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := UnmarshalMessageInto(&m, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
