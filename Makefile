@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-smoke bench-save bench-compare check cover experiments fuzz loadtest clean
+.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair bench-save bench-compare check cover experiments fuzz loadtest clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -27,6 +27,20 @@ check: bench-smoke
 # cycles each.
 bench-smoke:
 	$(GO) test -C benchmark ./...
+
+# Paired before/after runs of the repo benchmark: both versions are
+# copied out and run alternately, and each end-to-end metric is printed
+# as median [q1, q3] per side with the ratio and the pairs won (see
+# scripts/benchpair.sh; BASE=HEAD is the A/A control). HEAD=. is the
+# working tree.
+#   make bench-pair BASE=HEAD~1 HEAD=. WORKLOAD=churn-sharded SEED=2
+BASE ?= HEAD~1
+HEAD ?= .
+WORKLOAD ?= churn-sharded
+SEED ?= 1
+PAIRS ?= 10
+bench-pair:
+	bash scripts/benchpair.sh $(BASE) $(HEAD) $(WORKLOAD) -seed $(SEED) -pairs $(PAIRS)
 
 # Focused vet + race leg for the sharded planning pipeline plus the
 # neighbor-pruned/anytime/incremental solver paths: fast enough for a

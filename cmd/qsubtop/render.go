@@ -89,8 +89,8 @@ func render(prev, cur *daemon.Status, elapsed time.Duration, topN int) string {
 	// Recent cycles from the pipeline ledger, newest last.
 	if n := len(cur.RecentCycles); n > 0 {
 		b.WriteString("recent cycles\n")
-		fmt.Fprintf(&b, "  %6s %-12s %6s %9s %10s %10s %10s %10s\n",
-			"cycle", "mode", "msgs", "bytes", "plan", "encode", "fanout", "write")
+		fmt.Fprintf(&b, "  %6s %-12s %9s %5s %6s %9s %10s %10s %10s %10s\n",
+			"cycle", "mode", "shards", "moved", "msgs", "bytes", "plan", "encode", "fanout", "write")
 		lo := n - 5
 		if lo < 0 {
 			lo = 0
@@ -107,8 +107,14 @@ func render(prev, cur *daemon.Status, elapsed time.Duration, topN int) string {
 			if rec.WritePending {
 				write = "pending"
 			}
-			fmt.Fprintf(&b, "  %6d %-12s %6d %9s %10s %10s %10s %10s\n",
-				rec.Cycle, mode, rec.Messages, byteCount(rec.PayloadBytes),
+			// solved/reused tasks of the sharded planner, "-" when the
+			// cycle ran no sharded plan.
+			shards := "-"
+			if rec.ShardsSolved+rec.ShardsReused > 0 {
+				shards = fmt.Sprintf("%d/%d", rec.ShardsSolved, rec.ShardsReused)
+			}
+			fmt.Fprintf(&b, "  %6d %-12s %9s %5d %6d %9s %10s %10s %10s %10s\n",
+				rec.Cycle, mode, shards, rec.SessionsMoved, rec.Messages, byteCount(rec.PayloadBytes),
 				secs(rec.PlanSeconds), secs(rec.EncodeSeconds), secs(rec.FanoutSeconds), write)
 		}
 		b.WriteString("\n")

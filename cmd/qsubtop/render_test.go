@@ -113,6 +113,26 @@ func TestRenderPendingWrite(t *testing.T) {
 	}
 }
 
+// TestRenderShardsAndMoved pins the planner columns of the cycle table:
+// tasks solved/reused beside the mode, "-" for a cycle that ran no
+// sharded plan, and the sessions the plan moved.
+func TestRenderShardsAndMoved(t *testing.T) {
+	cur := statusFixture(2, 1)
+	cur.RecentCycles[1].Mode = "incremental"
+	cur.RecentCycles[1].ShardsSolved, cur.RecentCycles[1].ShardsReused = 12, 100
+	cur.RecentCycles[1].SessionsMoved = 3
+	out := render(nil, cur, 0, 5)
+	for _, want := range []string{
+		"shards moved",
+		"full/sharded         -     0",
+		"incremental/sharded    12/100     3",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render output missing %q\n---\n%s", want, out)
+		}
+	}
+}
+
 // TestRenderRelayStatus pins the relay stanza: pointed at a relay tier,
 // qsubtop shows the upstream link and the ingest rate next to the
 // downstream fan-out throughput.

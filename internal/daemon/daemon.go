@@ -160,6 +160,15 @@ func (s *session) noteWrite(track *atomic.Uint64, nowNano int64, seq uint64) {
 	s.lastWriteNano.Store(nowNano)
 }
 
+// boundTo reports whether the session's current attachment is already
+// on the channel. (An evicted or failed attachment is not rebound: its
+// forwarder closes the connection and the session is torn down.)
+func (s *session) boundTo(channel int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sub != nil && s.sub.Channel() == channel
+}
+
 // trackQuery records a successfully registered query id. It reports
 // false when the session is already being torn down, in which case the
 // caller must release the registration itself.
@@ -514,8 +523,10 @@ func (d *Daemon) Replans() int {
 // false, per-period deltas when true). The plan is recomputed — and every
 // connected client re-informed of its channel assignment — only when
 // subscriptions changed since the last cycle or the drift monitor reports
-// that the cached plan's size estimates no longer match reality. In
-// delta mode, a pending client refresh request (gap recovery) turns this
+// that the cached plan's size estimates no longer match reality. A
+// session the new plan leaves on its channel keeps its subscription and
+// forwarder; only a moved or not yet attached one is bound. In delta
+// mode, a pending client refresh request (gap recovery) turns this
 // cycle's publish into full answers.
 func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 	d.ensureEncoder()
@@ -538,11 +549,9 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 		var fresh *server.Cycle
 		var err error
 		planStart := time.Now()
-		incBefore := d.metrics.PlansIncremental.Load()
-		budgetBefore := d.metrics.PlanBudgetExhausted.Load()
 		if cy != nil && !drifted {
-			// Subscription churn with still-valid size estimates: splice
-			// the changed queries into the live plan (§11 incremental
+			// Subscription churn with still-valid size estimates: solve
+			// again only around the changed queries (§11 incremental
 			// replan). Only drift — stale estimates — escalates to a
 			// full re-solve.
 			fresh, err = d.srv.Replan(cy)
@@ -550,14 +559,15 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 			fresh, err = d.srv.Plan()
 		}
 		rec.PlanSeconds = time.Since(planStart).Seconds()
-		if d.metrics.PlansIncremental.Load() > incBefore {
-			rec.Mode = "incremental"
-		} else {
-			rec.Mode = "full"
-		}
-		rec.BudgetExhausted = d.metrics.PlanBudgetExhausted.Load() > budgetBefore
 		if err != nil {
 			return server.Report{}, err
+		}
+		if fresh == cy {
+			rec.Mode = "unchanged" // the changes cancelled out: Replan kept the cycle
+		} else {
+			rec.Mode = fresh.Info.Mode
+			rec.ShardsSolved, rec.ShardsReused = fresh.Info.ShardsSolved, fresh.Info.ShardsReused
+			rec.BudgetExhausted = fresh.Info.BudgetExhausted
 		}
 		cy = fresh
 		d.planMu.Lock()
@@ -588,16 +598,22 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 			if !ok {
 				continue // no subscriptions this cycle
 			}
-			if err := d.bind(sess, ch); err != nil {
-				d.logf("daemon: bind client %d: %v", sess.clientID, err)
-				continue
+			if !sess.boundTo(ch) {
+				if err := d.bind(sess, ch); err != nil {
+					d.logf("daemon: bind client %d: %v", sess.clientID, err)
+					continue
+				}
+				rec.SessionsMoved++
 			}
+			// Sent on every replan even to a session that stays put: the
+			// plan's costs changed.
 			sess.send(wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
 				Channel:       ch,
 				EstimatedCost: cy.EstimatedCost,
 				InitialCost:   cy.InitialCost,
 			}))
 		}
+		d.metrics.SessionsMoved.Add(uint64(rec.SessionsMoved))
 		// Clients subscribed through a relay have no multicast binding
 		// here — the relay's channel feeds carry their frames — but they
 		// still need their channel assignment. It travels wrapped on the

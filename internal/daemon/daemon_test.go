@@ -319,6 +319,75 @@ func TestDaemonDeltaCycles(t *testing.T) {
 	}
 }
 
+// TestDaemonRefreshBetweenDeltasShipsRemovals: in delta mode a client's
+// Refresh turns the next cycle into a full publish. A tuple deleted
+// between the last delta and that full publish must still leave the
+// client's view: the full publish moves the delta watermark past the
+// delete, so the delta after it will not announce the removal.
+func TestDaemonRefreshBetweenDeltasShipsRemovals(t *testing.T) {
+	d, addr := startDaemon(t, 1)
+	conn, err := Dial(addr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	q := query.Range(1, geom.R(0, 0, 1000, 1000))
+	if err := conn.Subscribe(q); err != nil {
+		t.Fatal(err)
+	}
+	waitForSubscriptions(t, d, 1)
+	rel := d.Server().Relation()
+
+	if _, err := d.RunCycle(true); err != nil {
+		t.Fatal(err)
+	}
+	doomed := q.Answer(rel)[0].ID
+	rel.Delete(doomed)
+	rel.Insert(geom.Pt(500, 500), []byte("new"))
+	if err := conn.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for forced := false; !forced; {
+		d.planMu.Lock()
+		forced = d.refreshForce
+		d.planMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never saw the Refresh")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rep, err := d.RunCycle(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(q.Answer(rel)); rep.Tuples != want {
+		t.Fatalf("refresh cycle shipped %d tuples, want the full answer of %d", rep.Tuples, want)
+	}
+	if _, err := d.RunCycle(true); err != nil {
+		t.Fatal(err)
+	}
+
+	c := client.New(2, q)
+	answers := 0
+	drainUntil(t, conn, 5*time.Second, func(ev Event) bool {
+		if ev.Answer != nil {
+			c.Handle(*ev.Answer)
+			answers++
+		}
+		return answers == 3
+	})
+	got, want := c.Answer(1), q.Answer(rel)
+	if len(got) != len(want) {
+		t.Fatalf("client view has %d tuples, database has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID == doomed || got[i].ID != want[i].ID {
+			t.Fatalf("client view holds tuple %d, database %d (deleted: %d)", got[i].ID, want[i].ID, doomed)
+		}
+	}
+}
+
 // waitForSubscriptions polls until the server sees n subscribed queries.
 func waitForSubscriptions(t *testing.T, d *Daemon, n int) {
 	t.Helper()
@@ -473,6 +542,12 @@ func TestDaemonReplansOnDrift(t *testing.T) {
 	}
 	if d.Replans() < 2 {
 		t.Fatalf("drift never triggered a re-plan (replans=%d)", d.Replans())
+	}
+	// Stale estimates are the one thing a replan may not inherit: the
+	// drift replan is a full Plan, and says so.
+	recs := d.RecentCycles()
+	if rec := recs[len(recs)-1]; rec.Mode != "full" {
+		t.Fatalf("drift replan recorded mode %q, want full", rec.Mode)
 	}
 }
 

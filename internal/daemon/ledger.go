@@ -29,8 +29,10 @@ type CycleRecord struct {
 	// StartUnixNano is when the cycle began.
 	StartUnixNano int64 `json:"startUnixNano"`
 	// Mode says how the plan was obtained: "cached" (no replan),
-	// "incremental" (churn splice into the live plan) or "full"
-	// (complete re-solve).
+	// "unchanged" (a replan found the subscriptions as they were),
+	// "incremental" (allocation inherited, solved only around the churn)
+	// or "full" (complete re-solve). The planner reports it on the cycle
+	// it returns (server.PlanInfo), as it does the three fields below.
 	Mode string `json:"mode"`
 	// Sharded marks plans produced by the sharded pipeline.
 	Sharded bool `json:"sharded,omitempty"`
@@ -38,6 +40,14 @@ type CycleRecord struct {
 	Delta bool `json:"delta,omitempty"`
 	// BudgetExhausted marks plans cut short by the anytime budget.
 	BudgetExhausted bool `json:"budgetExhausted,omitempty"`
+	// ShardsSolved and ShardsReused count the sharded planner's
+	// (channel, shard) tasks solved by this cycle's plan and taken over
+	// from the previous one.
+	ShardsSolved int `json:"shardsSolved,omitempty"`
+	ShardsReused int `json:"shardsReused,omitempty"`
+	// SessionsMoved counts the sessions this cycle's plan bound to a
+	// channel they were not already attached to.
+	SessionsMoved int `json:"sessionsMoved,omitempty"`
 
 	// Publish volume, as in server.Report.
 	Messages     int `json:"messages"`

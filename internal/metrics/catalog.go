@@ -55,6 +55,8 @@ type Catalog struct {
 	PlansTotal          *Counter
 	PlansIncremental    *Counter
 	PlanBudgetExhausted *Counter
+	PlanShardsSolved    *Counter
+	PlanShardsReused    *Counter
 	PlanSeconds         *Histogram
 	PublishesTotal      *Counter
 	PublishDeltas       *Counter
@@ -90,6 +92,7 @@ type Catalog struct {
 	// daemon session lifecycle. SessionsExpired is the aggregate;
 	// the Idle/Write splits attribute each expiry to its cause.
 	SessionsEvicted      *Counter
+	SessionsMoved        *Counter
 	SessionsSuperseded   *Counter
 	SessionsExpired      *Counter
 	SessionsExpiredIdle  *Counter
@@ -161,6 +164,8 @@ func NewCatalog(channels int) *Catalog {
 		PlansTotal:          r.Counter("qsub_plans_total", "multicast plans computed"),
 		PlansIncremental:    r.Counter("qsub_plans_incremental_total", "plans produced by churn-incremental replan"),
 		PlanBudgetExhausted: r.Counter("qsub_plan_budget_exhausted_total", "plans cut short by the anytime budget (best-so-far returned)"),
+		PlanShardsSolved:    r.Counter("qsub_plan_shards_solved_total", "(channel, shard) tasks the sharded planner solved"),
+		PlanShardsReused:    r.Counter("qsub_plan_shards_reused_total", "(channel, shard) tasks an incremental replan took over from the previous plan"),
 		PlanSeconds:         r.Histogram("qsub_plan_seconds", "wall time of server.Plan", LatencyBuckets),
 		PublishesTotal:      r.Counter("qsub_publishes_total", "publish cycles (full and delta)"),
 		PublishDeltas:       r.Counter("qsub_publish_deltas_total", "delta publish cycles"),
@@ -187,6 +192,7 @@ func NewCatalog(channels int) *Catalog {
 		FanoutFlushes:       r.Counter("qsub_fanout_flushes_total", "socket flushes by session forwarders; frames-written over this is the achieved write coalescing factor"),
 
 		SessionsEvicted:      r.Counter("qsub_sessions_evicted_total", "daemon sessions dropped as slow consumers"),
+		SessionsMoved:        r.Counter("qsub_sessions_moved_total", "sessions a replan bound to a channel they were not already on"),
 		SessionsSuperseded:   r.Counter("qsub_sessions_superseded_total", "daemon sessions replaced by a reconnect with the same client id"),
 		SessionsExpired:      r.Counter("qsub_sessions_expired_total", "daemon sessions dropped on read-idle or write deadline expiry"),
 		SessionsExpiredIdle:  r.Counter("qsub_sessions_expired_idle_total", "daemon sessions dropped because no frame arrived within the read-idle timeout"),

@@ -78,8 +78,13 @@ func (m *DriftMonitor) Drift() float64 {
 
 // EstimatedTransmitBytes returns the plan's predicted payload volume per
 // full publish: the sum of the estimated sizes of every merged region in
-// the cycle. Use it as the estimate input to a DriftMonitor.
+// the cycle. Use it as the estimate input to a DriftMonitor. The sharded
+// planner already sized those regions task by task and its sum is
+// returned as is — unless splitting then dropped transmission sets.
 func (s *Server) EstimatedTransmitBytes(cy *Cycle) float64 {
+	if cy.shard != nil && !s.cfg.Split {
+		return cy.shard.TransmitBytes
+	}
 	total := 0.0
 	for _, plan := range cy.ChannelPlans {
 		for _, set := range plan {

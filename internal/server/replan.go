@@ -1,12 +1,13 @@
 package server
 
 import (
-	"errors"
+	"reflect"
 	"sort"
 	"time"
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
+	"qsub/internal/geom"
 	"qsub/internal/query"
 )
 
@@ -18,54 +19,52 @@ type subKey struct {
 	id    query.ID
 }
 
+// sameRegion compares two query footprints; rectangles, the common case,
+// without reflection.
+func sameRegion(a, b geom.Region) bool {
+	ra, aok := a.(geom.Rect)
+	rb, bok := b.(geom.Rect)
+	if aok || bok {
+		return aok && bok && ra == rb
+	}
+	return reflect.DeepEqual(a, b)
+}
+
 // Replan refreshes a previous cycle after subscription churn (§11)
-// instead of re-solving from scratch. The current subscriptions are
-// diffed against prev on (owner, query id); departed queries are
-// spliced out of their merged sets, new ones are spliced in on their
-// owner's channel, and a neighbor-scoped local repair runs around the
-// changed queries (core.Incremental). Sizes and costs are recomputed
-// against the current estimator with a fresh memo, and the refreshed
-// cycle's EstimatedCost/InitialCost follow the same per-path
-// conventions as Plan, so savings reports stay comparable.
+// instead of planning from scratch: it inherits prev's channel
+// allocation and solves again only around what changed. The current
+// subscriptions are diffed against prev on (owner, query id).
 //
-// Replan falls back to a full Plan whenever the incremental path does
-// not apply: nil prev, sharded planning, Config.FullReplan, a changed
-// channel count, a changed client set on a multi-channel network
-// (channel allocation would have to rerun), or churn touching more
-// than a quarter of the previous cycle, where local repair would grind
-// through most of the instance anyway. When nothing changed at all,
-// prev is returned unmodified; gradual estimator drift under an
-// unchanged subscription set is the drift monitor's job, which
-// escalates to Plan.
+// On the sharded path the (channel, shard) tasks whose input changed are
+// re-solved and every other task is taken over from prev (shard.Plan
+// with Problem.Prev); a joined client is placed under the kept shard →
+// channel map. On the unsharded path departed queries are spliced out
+// of their merged sets, new ones are spliced in on their owner's
+// channel, and a neighbor-scoped local repair runs around the changed
+// queries (core.Incremental), with sizes and costs recomputed against
+// the current estimator on a fresh memo. Either way the refreshed
+// cycle's EstimatedCost/InitialCost follow the same per-path conventions
+// as Plan, so savings reports stay comparable, and what was not solved
+// again keeps the size estimates it was solved under: gradual estimator
+// drift is the drift monitor's job, which escalates to Plan.
+//
+// Replan plans in full (Info.Mode says which happened) when there is
+// nothing to inherit from: nil prev, a changed channel count, on the
+// unsharded path a changed client set on a multi-channel network
+// (channel allocation would have to rerun), or when the changes absorbed
+// since the last full plan, this one included, exceed a quarter of the
+// previous cycle — local repair would grind through most of the
+// instance, and an allocation inherited that often has decayed. When
+// nothing changed at all, prev is returned unmodified.
 func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
-	if prev == nil || s.cfg.FullReplan || s.cfg.Sharding.Enabled {
-		return s.Plan()
+	snap, err := s.snapshot()
+	if err != nil {
+		return nil, err
 	}
-
-	// Snapshot in Plan's canonical order: clients ascending, each
-	// client's subscriptions in registration order.
-	s.mu.Lock()
-	clients := make([]int, 0, len(s.subs))
-	for id := range s.subs {
-		clients = append(clients, id)
-	}
-	sort.Ints(clients)
-	var qs []query.Query
-	var owners []int
-	for _, id := range clients {
-		for _, q := range s.subs[id] {
-			qs = append(qs, q)
-			owners = append(owners, id)
-		}
-	}
-	s.mu.Unlock()
-
-	if len(qs) == 0 {
-		return nil, errors.New("server: no subscriptions to plan")
-	}
+	clients, qs, owners := snap.clients, snap.qs, snap.owners
 	channels := s.net.Channels()
-	if len(prev.ChannelPlans) != channels {
-		return s.Plan()
+	if prev == nil || len(prev.ChannelPlans) != channels {
+		return s.plan(snap)
 	}
 
 	// Diff the subscription sets. prevToUnion maps every previous query
@@ -79,9 +78,11 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 	for i := range prevToUnion {
 		prevToUnion[i] = -1
 	}
+	// A subscription that kept its id but changed its region is a
+	// departure plus an arrival.
 	var added []int // current indices not in prev
 	for i, q := range qs {
-		if p, ok := prevIdx[subKey{owners[i], q.ID}]; ok {
+		if p, ok := prevIdx[subKey{owners[i], q.ID}]; ok && sameRegion(prev.Queries[p].Region, q.Region) {
 			prevToUnion[p] = i
 		} else {
 			added = append(added, i)
@@ -96,8 +97,12 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 	if len(added) == 0 && len(removed) == 0 {
 		return prev, nil
 	}
-	if 4*(len(added)+len(removed)) > len(prev.Queries) {
-		return s.Plan()
+	churn := prev.churn + len(added) + len(removed)
+	if 4*churn > len(prev.Queries) {
+		return s.plan(snap)
+	}
+	if s.cfg.Sharding.Enabled {
+		return s.planSharded(snap, prev, churn)
 	}
 
 	single := channels == 1 || len(clients) == 1
@@ -106,18 +111,17 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 		// set must be stable; a joined or departed client reruns the
 		// §8 allocation via the full path.
 		if len(prev.ClientChannel) != len(clients) {
-			return s.Plan()
+			return s.plan(snap)
 		}
 		for _, id := range clients {
 			if _, ok := prev.ClientChannel[id]; !ok {
-				return s.Plan()
+				return s.plan(snap)
 			}
 		}
 	}
 
 	cat := s.cfg.Metrics
-	planStart := time.Now()
-	budget := core.NewBudget(s.cfg.PlanBudget, s.cfg.PlanMaxSteps)
+	start, budget := time.Now(), s.newBudget()
 
 	// Union instance: current queries first (so surviving plan sets
 	// index straight into the new cycle), departed queries appended at
@@ -134,14 +138,8 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 	memo := cost.NewMemo(base.Sizer, base.N)
 	if cat != nil {
 		memo.SetMetrics(cat.MemoHits, cat.MemoMisses, cat.MemoContended)
-		base.Metrics = &core.SolverMetrics{
-			HeapPops:        cat.SolverHeapPops,
-			Merges:          cat.SolverMerges,
-			Restarts:        cat.SolverRestarts,
-			Components:      cat.SolverComponents,
-			ConvergenceCost: cat.SolverConvergenceCost,
-		}
 	}
+	base.Metrics = s.solverMetrics()
 	base.Sizer = memo
 	base.Budget = budget
 
@@ -150,6 +148,7 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 		Owners:        owners,
 		ClientChannel: make(map[int]int, len(clients)),
 		ChannelPlans:  make([]core.Plan, channels),
+		churn:         churn,
 	}
 	for _, id := range clients {
 		if single {
@@ -257,15 +256,5 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 		}
 	}
 
-	s.applySplit(cy, len(clients))
-	cy.publishPlans(s.cfg.Procedure)
-	if cat != nil {
-		cat.PlansTotal.Inc()
-		cat.PlansIncremental.Inc()
-		cat.PlanSeconds.Observe(time.Since(planStart).Seconds())
-		if budget.Exhausted() {
-			cat.PlanBudgetExhausted.Inc()
-		}
-	}
-	return cy, nil
+	return s.finishPlan(start, budget, cy, PlanInfo{Mode: ModeIncremental}), nil
 }

@@ -158,9 +158,52 @@ func TestReplanMultiChannelKeepsAssignment(t *testing.T) {
 	}
 }
 
+// TestReplanSameIDNewRegion: a client that drops a subscription and
+// registers another under the same query id has changed its
+// subscriptions; the replan must plan the new region, not hand back the
+// previous cycle.
+func TestReplanSameIDNewRegion(t *testing.T) {
+	rel, net := buildWorld(t, 1, 400, 6)
+	s, err := New(rel, net, Config{Model: testModel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 8; q++ {
+		if err := s.Subscribe(1, query.Range(query.ID(q+1), geom.RectWH(float64(q*100), 100, 60, 60))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cy, err := s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := geom.RectWH(500, 700, 60, 60)
+	s.Unsubscribe(1, 3)
+	if err := s.Subscribe(1, query.Range(3, moved)); err != nil {
+		t.Fatal(err)
+	}
+	cy2, err := s.Replan(cy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cy2 == cy || cy2.Info.Mode != ModeIncremental {
+		t.Fatalf("replan after a region change returned prev or mode %q", cy2.Info.Mode)
+	}
+	if err := ValidateCycle(cy2, 1); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, q := range cy2.Queries {
+		found = found || q.ID == 3 && q.Region == geom.Region(moved)
+	}
+	if !found {
+		t.Fatal("the re-registered query's new region is not in the cycle")
+	}
+}
+
 // TestReplanFallsBackToFullPlan enumerates the escalation cases: a new
-// client on a multi-channel network, heavy churn, and FullReplan all
-// bypass the incremental path but still produce valid cycles.
+// client on a multi-channel network, heavy churn and a nil previous cycle
+// all bypass the incremental path but still produce valid cycles.
 func TestReplanFallsBackToFullPlan(t *testing.T) {
 	rel, net := buildWorld(t, 3, 400, 3)
 	cat := metrics.NewCatalog(3)
@@ -222,40 +265,6 @@ func TestReplanFallsBackToFullPlan(t *testing.T) {
 	}
 	if err := ValidateCycle(cy4, 3); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReplanFullReplanAblation pins the Config.FullReplan escape hatch:
-// churn replans still work, but never through the incremental path.
-func TestReplanFullReplanAblation(t *testing.T) {
-	rel, net := buildWorld(t, 1, 300, 4)
-	cat := metrics.NewCatalog(1)
-	s, err := New(rel, net, Config{Model: testModel, Metrics: cat, FullReplan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Subscribe(1, query.Range(1, geom.RectWH(100, 100, 60, 60))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Subscribe(1, query.Range(2, geom.RectWH(130, 120, 60, 60))); err != nil {
-		t.Fatal(err)
-	}
-	cy, err := s.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Subscribe(1, query.Range(3, geom.RectWH(160, 140, 60, 60))); err != nil {
-		t.Fatal(err)
-	}
-	cy2, err := s.Replan(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateCycle(cy2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := cat.PlansIncremental.Load(); got != 0 {
-		t.Fatalf("FullReplan produced an incremental plan (%d)", got)
 	}
 }
 

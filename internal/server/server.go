@@ -81,10 +81,6 @@ type Config struct {
 	// is plan-identical to them. Ignored for an explicitly configured
 	// Algorithm (set PairMerge.Neighbors directly instead).
 	Neighbors int
-	// FullReplan forces Replan to re-solve from scratch every cycle,
-	// disabling the churn-incremental path. Kept as an ablation and as
-	// the quality oracle the incremental soak tests compare against.
-	FullReplan bool
 	// NoDeltaIndex disables the delta-indexed publish path: PublishDelta
 	// re-executes every merged query against the full relation and
 	// filters by watermark afterwards, making per-cycle cost scale with
@@ -219,6 +215,14 @@ type Cycle struct {
 	// InitialCost is the model cost without any merging, for savings
 	// reports.
 	InitialCost float64
+	// Info says how Plan or Replan obtained this cycle.
+	Info PlanInfo
+
+	// What the next Replan inherits: the sharded planner's result (nil
+	// on the unsharded path), and the subscription changes absorbed since
+	// the last full plan (the quarter rule's count).
+	shard *shard.Result
+	churn int
 
 	// msgPlans is the publish schedule: one entry per transmitted merged
 	// set, carrying everything about the message that is invariant
@@ -226,6 +230,25 @@ type Cycle struct {
 	// times). Built once, lazily, under msgOnce.
 	msgOnce  sync.Once
 	msgPlans []msgPlan
+}
+
+// Plan modes reported in PlanInfo.Mode.
+const (
+	ModeFull        = "full"        // allocation and every merge solved from the subscriptions
+	ModeIncremental = "incremental" // previous allocation inherited, solved only around the churn
+)
+
+// PlanInfo records, on the cycle it produced, what a Plan or Replan did.
+// (A Replan that found nothing changed returns the previous cycle
+// itself, with the info of the plan that built it.)
+type PlanInfo struct {
+	Mode string
+	// ShardsSolved and ShardsReused count the sharded planner's
+	// (channel, shard) tasks solved this time and taken over from the
+	// previous cycle; both are 0 on the unsharded path.
+	ShardsSolved, ShardsReused int
+	// BudgetExhausted marks a plan cut short by the anytime budget.
+	BudgetExhausted bool
 }
 
 // msgPlan precomputes the cycle-invariant parts of one published message:
@@ -297,54 +320,108 @@ func compactInts(xs []int) []int {
 	return out
 }
 
+// snapshot is the subscription registry flattened in the planners'
+// canonical order: clients ascending, each client's subscriptions in
+// registration order.
+type snapshot struct {
+	clients        []int
+	qs             []query.Query
+	owners         []int
+	clientQueryIdx [][]int // per client (as in clients), its indices into qs
+}
+
+func (s *Server) snapshot() (snapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var snap snapshot
+	for id := range s.subs {
+		snap.clients = append(snap.clients, id)
+	}
+	sort.Ints(snap.clients)
+	snap.clientQueryIdx = make([][]int, len(snap.clients))
+	for ci, id := range snap.clients {
+		for _, q := range s.subs[id] {
+			snap.clientQueryIdx[ci] = append(snap.clientQueryIdx[ci], len(snap.qs))
+			snap.qs = append(snap.qs, q)
+			snap.owners = append(snap.owners, id)
+		}
+	}
+	if len(snap.qs) == 0 {
+		return snap, errors.New("server: no subscriptions to plan")
+	}
+	return snap, nil
+}
+
+// newBudget is one plan's anytime budget. It spans the whole cycle:
+// merging across every channel (and every shard) draws from the same
+// step/deadline pool, so PlanBudget bounds the cycle, not each sub-solve.
+func (s *Server) newBudget() *core.Budget {
+	return core.NewBudget(s.cfg.PlanBudget, s.cfg.PlanMaxSteps)
+}
+
+// finishPlan ends every Plan and Replan: it applies splitting,
+// materializes the publish schedule (regions, addressed sets, headers:
+// invariant across publish rounds) and records what the plan did on the
+// cycle and the catalog.
+func (s *Server) finishPlan(start time.Time, budget *core.Budget, cy *Cycle, info PlanInfo) *Cycle {
+	s.applySplit(cy, len(cy.ClientChannel))
+	cy.publishPlans(s.cfg.Procedure)
+	info.BudgetExhausted = budget.Exhausted()
+	cy.Info = info
+	if cat := s.cfg.Metrics; cat != nil {
+		cat.PlansTotal.Inc()
+		if info.Mode == ModeIncremental {
+			cat.PlansIncremental.Inc()
+		}
+		cat.PlanShardsSolved.Add(uint64(info.ShardsSolved))
+		cat.PlanShardsReused.Add(uint64(info.ShardsReused))
+		cat.PlanSeconds.Observe(time.Since(start).Seconds())
+		if info.BudgetExhausted {
+			cat.PlanBudgetExhausted.Inc()
+		}
+	}
+	return cy
+}
+
+// solverMetrics returns the catalog's solver instruments, nil when the
+// server runs uninstrumented.
+func (s *Server) solverMetrics() *core.SolverMetrics {
+	cat := s.cfg.Metrics
+	if cat == nil {
+		return nil
+	}
+	return &core.SolverMetrics{
+		HeapPops:        cat.SolverHeapPops,
+		Merges:          cat.SolverMerges,
+		Restarts:        cat.SolverRestarts,
+		Components:      cat.SolverComponents,
+		ConvergenceCost: cat.SolverConvergenceCost,
+	}
+}
+
 // Plan snapshots the current subscriptions, runs channel allocation and
 // query merging, and returns the cycle. Clients should subscribe to their
 // assigned channels before Publish is called.
 func (s *Server) Plan() (*Cycle, error) {
-	s.mu.Lock()
-	clients := make([]int, 0, len(s.subs))
-	for id := range s.subs {
-		clients = append(clients, id)
+	snap, err := s.snapshot()
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(clients)
-	var qs []query.Query
-	var owners []int
-	clientQueryIdx := make([][]int, len(clients))
-	for ci, id := range clients {
-		for _, q := range s.subs[id] {
-			clientQueryIdx[ci] = append(clientQueryIdx[ci], len(qs))
-			qs = append(qs, q)
-			owners = append(owners, id)
-		}
-	}
-	s.mu.Unlock()
+	return s.plan(snap)
+}
 
-	if len(qs) == 0 {
-		return nil, errors.New("server: no subscriptions to plan")
-	}
-
-	cat := s.cfg.Metrics
-	planStart := time.Now()
-	// The anytime budget spans the whole cycle: merging across every
-	// channel (and every shard) draws from the same step/deadline pool,
-	// so PlanBudget bounds the cycle, not each sub-solve.
-	budget := core.NewBudget(s.cfg.PlanBudget, s.cfg.PlanMaxSteps)
-	donePlan := func() {
-		if cat != nil {
-			cat.PlansTotal.Inc()
-			cat.PlanSeconds.Observe(time.Since(planStart).Seconds())
-			if budget.Exhausted() {
-				cat.PlanBudgetExhausted.Inc()
-			}
-		}
-	}
-
+// plan is the full plan of a snapshot: nothing is inherited.
+func (s *Server) plan(snap snapshot) (*Cycle, error) {
 	if s.cfg.Sharding.Enabled {
-		return s.planSharded(qs, owners, clients, clientQueryIdx, budget, donePlan)
+		return s.planSharded(snap, nil, 0)
 	}
+	clients, qs := snap.clients, snap.qs
+	start, budget := time.Now(), s.newBudget()
+	cat := s.cfg.Metrics
 
 	inst := core.NewGeomInstance(s.cfg.Model, qs, s.cfg.Procedure, s.cfg.Estimator)
 	inst.Budget = budget
+	inst.Metrics = s.solverMetrics()
 	// One concurrency-safe merged-size cache for the whole replan cycle:
 	// the channel-allocation hill climb re-merges overlapping client
 	// subsets dozens of times, and the parallel solvers probe the same
@@ -353,18 +430,11 @@ func (s *Server) Plan() (*Cycle, error) {
 	memo := cost.NewMemo(inst.Sizer, inst.N)
 	if cat != nil {
 		memo.SetMetrics(cat.MemoHits, cat.MemoMisses, cat.MemoContended)
-		inst.Metrics = &core.SolverMetrics{
-			HeapPops:        cat.SolverHeapPops,
-			Merges:          cat.SolverMerges,
-			Restarts:        cat.SolverRestarts,
-			Components:      cat.SolverComponents,
-			ConvergenceCost: cat.SolverConvergenceCost,
-		}
 	}
 	inst.Sizer = memo
 	cy := &Cycle{
 		Queries:       qs,
-		Owners:        owners,
+		Owners:        snap.owners,
 		ClientChannel: make(map[int]int, len(clients)),
 		ChannelPlans:  make([]core.Plan, s.net.Channels()),
 		InitialCost:   inst.InitialCost(),
@@ -377,15 +447,12 @@ func (s *Server) Plan() (*Cycle, error) {
 		plan := s.cfg.Algorithm.Solve(inst)
 		cy.ChannelPlans[0] = plan
 		cy.EstimatedCost = inst.Cost(plan)
-		s.applySplit(cy, len(clients))
-		cy.publishPlans(s.cfg.Procedure)
-		donePlan()
-		return cy, nil
+		return s.finishPlan(start, budget, cy, PlanInfo{Mode: ModeFull}), nil
 	}
 
 	prob := &chanalloc.Problem{
 		Inst:        inst,
-		Clients:     clientQueryIdx,
+		Clients:     snap.clientQueryIdx,
 		Channels:    s.net.Channels(),
 		Merger:      s.cfg.Algorithm,
 		Parallelism: s.cfg.Parallelism,
@@ -417,30 +484,28 @@ func (s *Server) Plan() (*Cycle, error) {
 	// would mix §4 and §7 cost models.
 	noMerge := &chanalloc.Problem{
 		Inst:     inst,
-		Clients:  clientQueryIdx,
+		Clients:  snap.clientQueryIdx,
 		Channels: s.net.Channels(),
 		Merger:   core.NoMerge{},
 	}
 	cy.InitialCost = chanalloc.Cost(noMerge, alloc)
-	s.applySplit(cy, len(clients))
-	// Materialize the publish schedule (regions, addressed sets,
-	// headers) at plan time: it is invariant across publish rounds.
-	cy.publishPlans(s.cfg.Procedure)
-	donePlan()
-	return cy, nil
+	return s.finishPlan(start, budget, cy, PlanInfo{Mode: ModeFull}), nil
 }
 
-// planSharded is Plan's sharded pipeline: aggregation, Morton-sharded
-// concurrent solving and traffic-weighted channel balancing, all inside
-// internal/shard. The resulting cycle has the same invariants as the
-// global path (every query in exactly one plan set, on its owner's
-// channel), so splitting and publish-plan materialization apply
-// unchanged.
-func (s *Server) planSharded(qs []query.Query, owners, clients []int, clientQueryIdx [][]int, budget *core.Budget, donePlan func()) (*Cycle, error) {
-	cat := s.cfg.Metrics
+// planSharded plans a snapshot through the sharded pipeline:
+// aggregation, Morton-sharded concurrent solving and traffic-weighted
+// channel balancing, all inside internal/shard. The resulting cycle has
+// the same invariants as the global path (every query in exactly one
+// plan set, on its owner's channel), so splitting and publish-plan
+// materialization apply unchanged. With prev set it is an incremental
+// replan (see shard.Plan) that has absorbed churn subscription changes
+// since the last full plan.
+func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, error) {
+	start, budget := time.Now(), s.newBudget()
 	prob := &shard.Problem{
-		Queries:     qs,
-		Clients:     clientQueryIdx,
+		Queries:     snap.qs,
+		Clients:     snap.clientQueryIdx,
+		ClientIDs:   snap.clients,
 		Channels:    s.net.Channels(),
 		Model:       s.cfg.Model,
 		Procedure:   s.cfg.Procedure,
@@ -448,39 +513,41 @@ func (s *Server) planSharded(qs []query.Query, owners, clients []int, clientQuer
 		Algorithm:   s.cfg.Algorithm,
 		Parallelism: s.cfg.Parallelism,
 		Budget:      budget,
+		Metrics:     s.solverMetrics(),
 		Config:      s.cfg.Sharding,
 	}
-	if cat != nil {
+	if prev != nil {
+		prob.Prev = prev.shard
+	}
+	if cat := s.cfg.Metrics; cat != nil {
 		prob.MemoHits = cat.MemoHits
 		prob.MemoMisses = cat.MemoMisses
 		prob.MemoContended = cat.MemoContended
-		prob.Metrics = &core.SolverMetrics{
-			HeapPops:        cat.SolverHeapPops,
-			Merges:          cat.SolverMerges,
-			Restarts:        cat.SolverRestarts,
-			Components:      cat.SolverComponents,
-			ConvergenceCost: cat.SolverConvergenceCost,
-		}
 	}
 	res, err := shard.Plan(prob)
 	if err != nil {
 		return nil, fmt.Errorf("server: sharded planning: %w", err)
 	}
 	cy := &Cycle{
-		Queries:       qs,
-		Owners:        owners,
-		ClientChannel: make(map[int]int, len(clients)),
+		Queries:       snap.qs,
+		Owners:        snap.owners,
+		ClientChannel: make(map[int]int, len(snap.clients)),
 		ChannelPlans:  res.ChannelPlans,
 		EstimatedCost: res.EstimatedCost,
 		InitialCost:   res.InitialCost,
+		shard:         res,
 	}
-	for ci, id := range clients {
+	for ci, id := range snap.clients {
 		cy.ClientChannel[id] = res.ClientChannel[ci]
 	}
-	s.applySplit(cy, len(clients))
-	cy.publishPlans(s.cfg.Procedure)
-	donePlan()
-	return cy, nil
+	// What the planner did decides the mode, not what was asked of it: it
+	// ignores a previous result it cannot inherit from.
+	info := PlanInfo{Mode: ModeFull, ShardsReused: res.Stats.Reused, ShardsSolved: res.Stats.Shards - res.Stats.Reused}
+	if res.Stats.Incremental {
+		info.Mode = ModeIncremental
+		cy.churn = churn
+	}
+	return s.finishPlan(start, budget, cy, info), nil
 }
 
 // applySplit runs the §11 query-splitting refinement over every channel
@@ -537,20 +604,34 @@ type Report struct {
 
 // Publish executes the cycle's merged queries against the relation and
 // publishes one message per merged set on the owning channel, with the
-// §3.1 header addressing each subscribed client.
+// §3.1 header addressing each subscribed client. It advances the delta
+// watermark like PublishDelta does, so a delta published next carries
+// the inserts and the removal notices of the period since this publish —
+// and because that delta will not look behind this publish, the full
+// answers carry the removal notices of the period they close: a client
+// adds a full answer to its view, it does not replace the view with it.
 func (s *Server) Publish(cy *Cycle) (Report, error) {
-	return s.publish(cy, 0, false)
+	return s.publish(cy, s.advanceWatermark(), false)
 }
 
-// PublishDelta publishes only tuples inserted since the previous delta
-// cycle (future work §11: continuous queries as objects-per-period). The
-// first call behaves like Publish; later calls ship the per-period delta.
+// PublishDelta publishes only tuples inserted since the previous publish
+// (future work §11: continuous queries as objects-per-period). With
+// nothing published before it behaves like Publish; later calls ship the
+// per-period delta.
 func (s *Server) PublishDelta(cy *Cycle) (Report, error) {
+	return s.publish(cy, s.advanceWatermark(), true)
+}
+
+// advanceWatermark moves the delta watermark to the relation's current
+// high-water id — read before the round's queries execute, so a tuple
+// written meanwhile is shipped again rather than lost — and returns the
+// previous one.
+func (s *Server) advanceWatermark() uint64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	since := s.delivered
 	s.delivered = s.rel.MaxID()
-	s.mu.Unlock()
-	return s.publish(cy, since, true)
+	return since
 }
 
 // pubScratch holds the per-publish-round bookkeeping slices whose
@@ -562,7 +643,6 @@ func (s *Server) PublishDelta(cy *Cycle) (Report, error) {
 type pubScratch struct {
 	results [][]relation.Tuple
 	removed [][]uint64
-	regions []geom.Region
 	// msgs stages the round's messages so they publish as channel runs
 	// via PublishBatch. The Message values hold escaping pointers, but
 	// ring pushes and channel sends copy the value, so the outer array is
@@ -577,12 +657,10 @@ func getPubScratch(n int) *pubScratch {
 	if cap(sc.results) < n {
 		sc.results = make([][]relation.Tuple, n)
 		sc.removed = make([][]uint64, n)
-		sc.regions = make([]geom.Region, n)
 		sc.msgs = make([]multicast.Message, n)
 	}
 	sc.results = sc.results[:n]
 	sc.removed = sc.removed[:n]
-	sc.regions = sc.regions[:n]
 	sc.msgs = sc.msgs[:n]
 	return sc
 }
@@ -591,7 +669,6 @@ func putPubScratch(sc *pubScratch) {
 	for i := range sc.results {
 		sc.results[i] = nil
 		sc.removed[i] = nil
-		sc.regions[i] = nil
 		sc.msgs[i] = multicast.Message{}
 	}
 	pubScratchPool.Put(sc)
@@ -607,17 +684,21 @@ func putPubScratch(sc *pubScratch) {
 // probe a per-cycle relation.DeltaIndex over just the tuples inserted
 // since the watermark, so the round costs O(update volume) instead of
 // O(region size); Config.NoDeltaIndex restores the full-search ablation,
-// which the equivalence tests pin bit-identical. Deleted tuples are
-// snapshotted once per round and matched against every merged region in
-// one pass.
+// which the equivalence tests pin bit-identical. Tuples deleted since the
+// watermark are snapshotted once per round, delta or full, and matched
+// against every merged region in one pass.
 func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) {
 	cat := s.cfg.Metrics
 	pubStart := time.Now()
 	plans := cy.publishPlans(s.cfg.Procedure)
 	useDelta := delta && sinceID > 0
 	var di *relation.DeltaIndex
+	var deleted []relation.Tuple
 	if useDelta {
 		di = s.rel.Delta(sinceID)
+		deleted = di.Deleted()
+	} else if sinceID > 0 {
+		deleted = s.rel.DeletedSince(sinceID)
 	}
 
 	sc := getPubScratch(len(plans))
@@ -669,12 +750,15 @@ func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) 
 	close(next)
 	wg.Wait()
 
-	if useDelta && len(di.Deleted()) > 0 {
-		regions := sc.regions
+	if len(deleted) > 0 {
 		for i := range plans {
-			regions[i] = plans[i].region
+			region := plans[i].region
+			for _, dt := range deleted {
+				if region.Contains(dt.Pos) {
+					removed[i] = append(removed[i], dt.ID)
+				}
+			}
 		}
-		di.MatchDeletedAppend(regions, removed)
 	}
 
 	var rep Report

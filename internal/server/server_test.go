@@ -554,6 +554,117 @@ func TestDeltaShipsRemovals(t *testing.T) {
 	}
 }
 
+// TestFullPublishAdvancesDeltaWatermark: a full Publish establishes the
+// delta watermark, so the delta published after it carries exactly the
+// period since — the inserts, and the removal notice of a tuple the full
+// answers still held — instead of shipping full answers without any
+// removals. With nothing published before, PublishDelta still behaves
+// like Publish.
+func TestFullPublishAdvancesDeltaWatermark(t *testing.T) {
+	rel, net := buildWorld(t, 1, 0, 1)
+	defer net.Close()
+	s, _ := New(rel, net, Config{Model: testModel})
+	q := query.Range(1, geom.R(0, 0, 500, 500))
+	s.Subscribe(1, q)
+	c := client.New(1, q)
+	sub, _ := net.Subscribe(0, 64)
+	done := make(chan struct{})
+	go func() { c.Consume(sub); close(done) }()
+
+	doomed := rel.Insert(geom.Pt(100, 100), []byte("doomed"))
+	rel.Insert(geom.Pt(200, 200), []byte("stay"))
+	cy, err := s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := s.Publish(cy); err != nil || rep.Tuples != 2 {
+		t.Fatalf("full publish shipped %d tuples (%v), want 2", rep.Tuples, err)
+	}
+
+	rel.Delete(doomed)
+	rel.Insert(geom.Pt(300, 300), []byte("new"))
+	rep, err := s.PublishDelta(cy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tuples != 1 {
+		t.Fatalf("first delta after a full publish shipped %d tuples, want the 1 inserted since", rep.Tuples)
+	}
+	sub.Cancel()
+	<-done
+	got, want := c.Answer(1), q.Answer(rel)
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("client view has %d tuples, database has %d (want 2)", len(got), len(want))
+	}
+	for _, tu := range got {
+		if tu.ID == doomed {
+			t.Fatal("tuple deleted after the full publish is still in the client view")
+		}
+	}
+
+	// Never published: the first delta ships the full answers.
+	rel2, net2 := buildWorld(t, 1, 0, 1)
+	defer net2.Close()
+	s2, _ := New(rel2, net2, Config{Model: testModel})
+	s2.Subscribe(1, q)
+	rel2.Insert(geom.Pt(100, 100), []byte("a"))
+	rel2.Insert(geom.Pt(200, 200), []byte("b"))
+	cy2, err := s2.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := s2.PublishDelta(cy2); err != nil || rep.Tuples != 2 {
+		t.Fatalf("first delta of a fresh server shipped %d tuples (%v), want 2", rep.Tuples, err)
+	}
+}
+
+// TestFullPublishBetweenDeltasShipsRemovals: delta → delete → full (the
+// publish a client's Refresh forces in delta mode) → delta. The full
+// publish moves the watermark past the delete, so it has to announce the
+// removal itself: the client unions a full answer into its view, and the
+// next delta no longer looks that far back.
+func TestFullPublishBetweenDeltasShipsRemovals(t *testing.T) {
+	rel, net := buildWorld(t, 1, 0, 1)
+	defer net.Close()
+	s, _ := New(rel, net, Config{Model: testModel})
+	q := query.Range(1, geom.R(0, 0, 500, 500))
+	s.Subscribe(1, q)
+	c := client.New(1, q)
+	sub, _ := net.Subscribe(0, 64)
+	done := make(chan struct{})
+	go func() { c.Consume(sub); close(done) }()
+
+	doomed := rel.Insert(geom.Pt(100, 100), []byte("doomed"))
+	rel.Insert(geom.Pt(200, 200), []byte("stay"))
+	cy, err := s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PublishDelta(cy); err != nil {
+		t.Fatal(err)
+	}
+	rel.Delete(doomed)
+	rel.Delete(rel.Insert(geom.Pt(150, 150), []byte("never seen")))
+	rel.Insert(geom.Pt(300, 300), []byte("new"))
+	if rep, err := s.Publish(cy); err != nil || rep.Tuples != 2 {
+		t.Fatalf("full publish shipped %d tuples (%v), want 2", rep.Tuples, err)
+	}
+	if rep, err := s.PublishDelta(cy); err != nil || rep.Tuples != 0 {
+		t.Fatalf("delta after the full publish shipped %d tuples (%v), want 0", rep.Tuples, err)
+	}
+	sub.Cancel()
+	<-done
+	got, want := c.Answer(1), q.Answer(rel)
+	if len(got) != len(want) || len(got) != 2 {
+		t.Fatalf("client view has %d tuples, database has %d (want 2)", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID {
+			t.Fatalf("client view holds tuple %d, database %d", got[i].ID, want[i].ID)
+		}
+	}
+}
+
 func TestValidateCycleOnAllPlans(t *testing.T) {
 	for _, channels := range []int{1, 3} {
 		rel, net := buildWorld(t, channels, 800, int64(channels))

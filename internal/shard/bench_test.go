@@ -7,6 +7,7 @@ import (
 	"qsub/internal/core"
 	"qsub/internal/cost"
 	"qsub/internal/query"
+	"qsub/internal/relation"
 	"qsub/internal/workload"
 )
 
@@ -84,6 +85,50 @@ func BenchmarkAggregate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Aggregate(qs, 0)
 			}
+		})
+	}
+}
+
+// BenchmarkShardReplanChurn is the churn-sharded planning step on its
+// own: 400 clustered queries of 100 clients, 8 channels, 16 shard cells,
+// aggregation, exact sizes over 40k tuples, and 2% of the subscriptions
+// swapped before every plan. "full" plans each population from scratch,
+// as every sharded replan did before tasks were reusable; "incremental"
+// hands the previous result in as Problem.Prev.
+func BenchmarkShardReplanChurn(b *testing.B) {
+	est := relation.Exact{Rel: frozenRelation(1, 40000)}
+	for _, incremental := range []bool{false, true} {
+		name := "full"
+		if incremental {
+			name = "incremental"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := newPopulation(1, 100, 4)
+			prev, err := Plan(w.problem(8, est, nil))
+			if err != nil {
+				b.Fatal(err)
+			}
+			solved := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ids := w.ids()
+				for k := 0; k < 8; k++ {
+					id := ids[w.rng.Intn(len(ids))]
+					w.subs[id][w.rng.Intn(len(w.subs[id]))] = w.gen.Queries(1)[0]
+				}
+				p := w.problem(8, est, nil)
+				if incremental {
+					p.Prev = prev
+				}
+				b.StartTimer()
+				if prev, err = Plan(p); err != nil {
+					b.Fatal(err)
+				}
+				solved += prev.Stats.Shards - prev.Stats.Reused
+			}
+			b.ReportMetric(float64(solved)/float64(b.N), "solved/op")
 		})
 	}
 }

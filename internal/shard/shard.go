@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,6 +89,18 @@ type Problem struct {
 	// per-shard memoized sizers; any may be nil.
 	MemoHits, MemoMisses, MemoContended *metrics.Counter
 
+	// ClientIDs[i] is an identity for Clients[i] that is stable from one
+	// plan to the next. Prev requires it. A plan without it records no
+	// client, so a replan from its result places every client anew.
+	ClientIDs []int
+	// Prev, when set, makes this an incremental replan after
+	// subscription churn: the channel allocation of Prev is inherited
+	// and only the (channel, shard) tasks whose input changed are solved
+	// again (see Plan). Prev must come from a Plan under the same
+	// policies (Config, Procedure, Algorithm); a different channel or
+	// shard count is planned in full.
+	Prev *Result
+
 	Config Config
 }
 
@@ -100,8 +113,15 @@ type Stats struct {
 	Reps int
 	// Collapsed counts subscriptions absorbed into a representative.
 	Collapsed int
-	// Shards is the number of non-empty shards solved.
+	// Shards is the number of non-empty (channel, shard) tasks.
 	Shards int
+	// Incremental reports that the plan inherited from Problem.Prev. It
+	// is false without Prev and with a Prev of another channel or shard
+	// count, which is ignored: the allocation is new and every task solved.
+	Incremental bool
+	// Reused counts the tasks an incremental replan took over from
+	// Problem.Prev unsolved; the other Shards − Reused were solved.
+	Reused int
 	// MaxShardReps is the largest shard's representative count — the
 	// effective n of the most expensive per-shard solve.
 	MaxShardReps int
@@ -123,30 +143,84 @@ type Result struct {
 	// InitialCost is the no-merging cost under the same channel
 	// assignment.
 	InitialCost float64
-	Stats       Stats
+	// TransmitBytes is the predicted payload volume of one full publish:
+	// the estimated size of every stitched set's merged region.
+	TransmitBytes float64
+	Stats         Stats
+
+	// What a later replan inherits (Problem.Prev): the solved tasks it
+	// may reuse, the allocation, and the singleton sizes already probed.
+	tasks         map[taskKey]*solved
+	shardChannel  []int
+	clientChannel map[int]int
+	sized         map[geom.Rect]float64
 }
+
+// taskKey names one task across plans: a channel and a Z-order cell.
+type taskKey struct{ ch, cell int }
 
 // task is one independent per-shard solve: a channel, that channel's
 // cost model (K6-adjusted), the shard's representative queries, and the
 // original query indices each representative stands for.
 type task struct {
-	ch         int
+	key        taskKey
 	queries    []query.Query
 	memberSets [][]int
 	model      cost.Model
+	// rects are the representatives' regions when every one is a
+	// rectangle, nil otherwise; with model they are the task's input
+	// signature.
+	rects []geom.Rect
+	// out is the task's outcome, solved now or taken over from the
+	// previous result; plan is out.plan expanded to original query
+	// indices through memberSets.
+	out  *solved
+	plan core.Plan
 }
 
-// taskResult carries one solved shard back: the plan expanded to
-// original query indices and its model cost.
-type taskResult struct {
-	plan core.Plan
-	cost float64
+// solved is the outcome of one task in task-local indices, so it stays
+// valid for any later task with the same signature whatever the query
+// numbering: the plan, its model cost and its predicted transmit bytes.
+// The plan and the cost follow from the signature alone. The bytes are
+// sized from the members' own regions, which the signature determines
+// only while every representative is its one member or the merge
+// procedure is the bounding rectangle; a reuse outside that sizes its
+// sets again (see Plan).
+type solved struct {
+	model cost.Model
+	rects []geom.Rect
+	plan  core.Plan
+	cost  float64
+	bytes float64
+}
+
+// matches reports whether t poses exactly the problem s answered. Tasks
+// with a non-rectangular region have no signature and never match.
+func (s *solved) matches(t *task) bool {
+	return s != nil && t.rects != nil && s.model == t.model && slices.Equal(s.rects, t.rects)
 }
 
 // Plan runs the pipeline: aggregate → shard → solve → stitch. It is
 // deterministic for a fixed problem at any Parallelism: shards are
 // solved independently on per-shard memoized sizers and stitched in
 // shard-index order.
+//
+// With Problem.Prev set it replans incrementally. Clients known to Prev
+// keep their channel and a joined client follows the majority of its
+// weight under Prev's shard → channel map; aggregation and sharding are
+// rebuilt from the current subscriptions; a task whose signature (its
+// K6-adjusted model and its representative rectangles, in order) equals
+// that of Prev's task for the same channel and cell takes over that
+// task's plan, cost and transmit bytes, with the members expanded from
+// the current indices, and only the remaining tasks are solved (the
+// transmit bytes are sized again where the members, not the signature,
+// decide them: aggregation under a procedure other than the bounding
+// rectangle). A reused task and a singleton size Prev already probed
+// keep the estimates they were computed under; a caller whose estimates
+// have drifted plans without Prev. Tasks with a non-rectangular region
+// and solves cut short by an exhausted Budget are never reused, and a
+// Prev of another channel or shard count is ignored
+// (Stats.Incremental).
 func Plan(p *Problem) (*Result, error) {
 	n := len(p.Queries)
 	if n == 0 {
@@ -157,6 +231,9 @@ func Plan(p *Problem) (*Result, error) {
 	}
 	if len(p.Clients) == 0 {
 		return nil, errors.New("shard: no clients")
+	}
+	if (p.ClientIDs != nil || p.Prev != nil) && len(p.ClientIDs) != len(p.Clients) {
+		return nil, fmt.Errorf("shard: %d client ids for %d clients", len(p.ClientIDs), len(p.Clients))
 	}
 	for c, qs := range p.Clients {
 		for _, q := range qs {
@@ -177,6 +254,18 @@ func Plan(p *Problem) (*Result, error) {
 	if algo == nil {
 		algo = core.PairMerge{}
 	}
+	// See solved: whether a reused task's transmit bytes still hold.
+	_, boundsOnly := proc.(query.BoundingRect)
+	bytesFollowRects := boundsOnly || !p.Config.Aggregate
+	numShards := p.Config.shards()
+	prev := p.Prev
+	if prev != nil && (len(prev.ChannelPlans) != channels || channels > 1 && len(prev.shardChannel) != numShards) {
+		prev = nil
+	}
+	incremental := prev != nil
+	if !incremental {
+		prev = &Result{} // nothing to inherit: every lookup below misses
+	}
 
 	// Workload geometry shared by every stage: query bounding rects and
 	// the global bounds normalizing every Morton code, so shard cells
@@ -190,24 +279,38 @@ func Plan(p *Problem) (*Result, error) {
 
 	// Singleton sizes drive channel balancing and the no-merge
 	// baseline. The global instance's sizer is the same one the
-	// unsharded path estimates with.
+	// unsharded path estimates with; a rectangle the previous result
+	// sized is not probed again.
 	ginst := core.NewGeomInstance(p.Model, p.Queries, proc, p.Estimator)
 	sizes := make([]float64, n)
-	for i := range sizes {
-		sizes[i] = ginst.Sizer.Size(i)
+	sized := make(map[geom.Rect]float64, n)
+	for i, q := range p.Queries {
+		r, isRect := q.Region.(geom.Rect)
+		size, known := prev.sized[r]
+		if !isRect || !known {
+			size = ginst.Sizer.Size(i)
+		}
+		sizes[i] = size
+		if isRect {
+			sized[r] = size
+		}
 	}
 
 	res := &Result{
 		ClientChannel: make([]int, len(p.Clients)),
 		ChannelPlans:  make([]core.Plan, channels),
-		Stats:         Stats{Queries: n},
+		Stats:         Stats{Queries: n, Incremental: incremental},
+		tasks:         make(map[taskKey]*solved),
+		sized:         sized,
 	}
 
 	// Stage 0 — channel assignment. One channel trivially takes every
 	// client. Otherwise shards are balanced across channels by traffic
 	// weight (LPT) and each client follows the channels holding the
 	// majority of its subscribed weight, so the per-channel solves below
-	// stay client-disjoint (a client listens to exactly one channel).
+	// stay client-disjoint (a client listens to exactly one channel). A
+	// replan keeps the previous shard → channel map and every known
+	// client's channel, so only a joined client is placed.
 	listeners := make([]int, channels)
 	chQIdx := make([][]int, channels)
 	if channels == 1 {
@@ -219,25 +322,36 @@ func Plan(p *Problem) (*Result, error) {
 		chQIdx[0] = all
 	} else {
 		shardOf := make([]int, n)
-		numShards := p.Config.shards()
-		shardWeight := make([]float64, numShards)
 		for i := range p.Queries {
 			shardOf[i] = rectShard(rects[i], bounds, p.Config.ShardBits)
-			shardWeight[shardOf[i]] += sizes[i]
 		}
-		shardChannel := chanalloc.BalanceWeights(shardWeight, channels)
+		shardChannel := prev.shardChannel
+		if shardChannel == nil {
+			shardWeight := make([]float64, numShards)
+			for i := range p.Queries {
+				shardWeight[shardOf[i]] += sizes[i]
+			}
+			shardChannel = chanalloc.BalanceWeights(shardWeight, channels)
+		}
+		res.shardChannel = shardChannel
+		res.clientChannel = make(map[int]int, len(p.Clients))
 		chWeight := make([]float64, channels)
 		for ci, qs := range p.Clients {
-			for ch := range chWeight {
-				chWeight[ch] = 0
+			best, kept := 0, false
+			if incremental {
+				best, kept = prev.clientChannel[p.ClientIDs[ci]]
 			}
-			for _, q := range qs {
-				chWeight[shardChannel[shardOf[q]]] += sizes[q]
-			}
-			best := 0
-			for ch := 1; ch < channels; ch++ {
-				if chWeight[ch] > chWeight[best] {
-					best = ch
+			if !kept {
+				for ch := range chWeight {
+					chWeight[ch] = 0
+				}
+				for _, q := range qs {
+					chWeight[shardChannel[shardOf[q]]] += sizes[q]
+				}
+				for ch := 1; ch < channels; ch++ {
+					if chWeight[ch] > chWeight[best] {
+						best = ch
+					}
 				}
 			}
 			res.ClientChannel[ci] = best
@@ -246,14 +360,19 @@ func Plan(p *Problem) (*Result, error) {
 				chQIdx[best] = append(chQIdx[best], q)
 			}
 		}
+		for ci, id := range p.ClientIDs {
+			res.clientChannel[id] = res.ClientChannel[ci]
+		}
 		for ch := range chQIdx {
 			sort.Ints(chQIdx[ch])
 		}
 	}
 
 	// Stages 1–2 — per-channel aggregation and sharding, flattened into
-	// one task list the worker pool drains.
+	// one task list; the tasks the previous result does not answer go to
+	// the worker pool.
 	var tasks []task
+	var unsolved []int
 	for ch := 0; ch < channels; ch++ {
 		if len(chQIdx[ch]) == 0 {
 			continue
@@ -285,20 +404,41 @@ func Plan(p *Problem) (*Result, error) {
 			model.KM += model.K6 * float64(listeners[ch])
 		}
 
-		for _, repIdx := range shardReps(agg.Reps, bounds, p.Config.ShardBits) {
-			tq := make([]query.Query, len(repIdx))
+		groups, cells := shardReps(agg.Reps, bounds, p.Config.ShardBits)
+		for gi, repIdx := range groups {
+			t := task{
+				key:        taskKey{ch, cells[gi]},
+				queries:    make([]query.Query, len(repIdx)),
+				memberSets: make([][]int, len(repIdx)),
+				model:      model,
+				rects:      make([]geom.Rect, len(repIdx)),
+			}
 			for j, ri := range repIdx {
 				if p.Config.Aggregate {
-					tq[j] = query.Range(0, agg.Reps[ri].Rect)
+					t.queries[j] = query.Range(0, agg.Reps[ri].Rect)
 				} else {
-					tq[j] = p.Queries[agg.Reps[ri].Members[0]]
+					t.queries[j] = p.Queries[agg.Reps[ri].Members[0]]
+				}
+				t.memberSets[j] = agg.Reps[ri].Members
+				if r, ok := t.queries[j].Region.(geom.Rect); !ok {
+					t.rects = nil
+				} else if t.rects != nil {
+					t.rects[j] = r
 				}
 			}
-			members := make([][]int, len(repIdx))
-			for j, ri := range repIdx {
-				members[j] = agg.Reps[ri].Members
+			if old := prev.tasks[t.key]; old.matches(&t) {
+				t.out, t.plan = old, expand(old.plan, t.memberSets)
+				if !bytesFollowRects {
+					again := *old
+					again.bytes = transmitBytes(t.plan, p.Queries, proc, p.Estimator)
+					t.out = &again
+				}
+				res.tasks[t.key] = t.out
+				res.Stats.Reused++
+			} else {
+				unsolved = append(unsolved, len(tasks))
 			}
-			tasks = append(tasks, task{ch: ch, queries: tq, memberSets: members, model: model})
+			tasks = append(tasks, t)
 			if len(repIdx) > res.Stats.MaxShardReps {
 				res.Stats.MaxShardReps = len(repIdx)
 			}
@@ -306,16 +446,15 @@ func Plan(p *Problem) (*Result, error) {
 	}
 	res.Stats.Shards = len(tasks)
 
-	// Stage 3 — solve every shard concurrently on a per-shard memoized
-	// sizer. Results land in indexed slots, so the stitch below is
+	// Stage 3 — solve the shards concurrently on a per-shard memoized
+	// sizer. Results land in the tasks' own slots, so the stitch below is
 	// deterministic at any parallelism.
-	results := make([]taskResult, len(tasks))
 	workers := p.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
+	if workers > len(unsolved) {
+		workers = len(unsolved)
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -324,22 +463,32 @@ func Plan(p *Problem) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for ti := range next {
-				results[ti] = solveShard(&tasks[ti], proc, p.Estimator, algo, p)
+				solveShard(&tasks[ti], proc, algo, p)
 			}
 		}()
 	}
-	for ti := range tasks {
+	for _, ti := range unsolved {
 		next <- ti
 	}
 	close(next)
 	wg.Wait()
 
 	// Stage 4 — stitch: concatenate shard plans per channel (task order
-	// is channel-major, shard-ascending) and sum costs.
+	// is channel-major, shard-ascending) and sum costs. A solve that ran
+	// to completion on a task with a signature is kept for the next
+	// replan; once the shared budget has tripped, any of this round's
+	// solves may have been cut short.
+	keep := !p.Budget.Exhausted()
+	for _, ti := range unsolved {
+		if t := &tasks[ti]; keep && t.rects != nil {
+			res.tasks[t.key] = t.out
+		}
+	}
 	for ti := range tasks {
-		ch := tasks[ti].ch
-		res.ChannelPlans[ch] = append(res.ChannelPlans[ch], results[ti].plan...)
-		res.EstimatedCost += results[ti].cost
+		t := &tasks[ti]
+		res.ChannelPlans[t.key.ch] = append(res.ChannelPlans[t.key.ch], t.plan...)
+		res.EstimatedCost += t.out.cost
+		res.TransmitBytes += t.out.bytes
 	}
 	if channels > 1 {
 		for ch := 0; ch < channels; ch++ {
@@ -372,26 +521,49 @@ func Plan(p *Problem) (*Result, error) {
 }
 
 // solveShard runs the merging algorithm on one shard's representative
-// instance (fresh per-shard cost.Memo) and expands the plan back to
-// original query indices.
-func solveShard(t *task, proc query.MergeProcedure, est relation.Estimator, algo core.Algorithm, p *Problem) taskResult {
-	inst := core.NewGeomInstance(t.model, t.queries, proc, est)
+// instance (fresh per-shard cost.Memo), expands the plan back to
+// original query indices and predicts the bytes its merged regions
+// transmit — sized as the server publishes them, from the original
+// member queries.
+func solveShard(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
+	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
 	memo := cost.NewMemo(inst.Sizer, inst.N)
 	memo.SetMetrics(p.MemoHits, p.MemoMisses, p.MemoContended)
 	inst.Sizer = memo
 	inst.Budget = p.Budget
 	inst.Metrics = p.Metrics
 	plan := algo.Solve(inst)
-	c := inst.Cost(plan)
+	t.plan = expand(plan, t.memberSets)
+	t.out = &solved{model: t.model, rects: t.rects, plan: plan, cost: inst.Cost(plan),
+		bytes: transmitBytes(t.plan, p.Queries, proc, p.Estimator)}
+}
+
+// transmitBytes predicts the payload of one full publish of the plan's
+// sets: the estimated size of each set's merged region.
+func transmitBytes(plan core.Plan, qs []query.Query, proc query.MergeProcedure, est relation.Estimator) float64 {
+	total := 0.0
+	var members []query.Query
+	for _, set := range plan {
+		members = members[:0]
+		for _, q := range set {
+			members = append(members, qs[q])
+		}
+		total += est.SizeBytes(proc.Merge(members))
+	}
+	return total
+}
+
+// expand maps a task-local plan to original query indices.
+func expand(plan core.Plan, memberSets [][]int) core.Plan {
 	out := make(core.Plan, len(plan))
 	for si, set := range plan {
 		var expanded []int
 		for _, local := range set {
-			expanded = append(expanded, t.memberSets[local]...)
+			expanded = append(expanded, memberSets[local]...)
 		}
 		out[si] = expanded
 	}
-	return taskResult{plan: out, cost: c}
+	return out
 }
 
 // rectShard returns the Z-order cell of a rectangle's center.
@@ -414,29 +586,30 @@ func clampBits(b int) int {
 }
 
 // shardReps groups representative indices by the Z-order cell of their
-// rectangle centers, returning the non-empty groups in ascending cell
-// order (each group's members stay in ascending rep order).
-func shardReps(reps []Rep, bounds geom.Rect, bits int) [][]int {
+// rectangle centers, returning the non-empty groups and their cells in
+// ascending cell order (each group's members stay in ascending rep
+// order).
+func shardReps(reps []Rep, bounds geom.Rect, bits int) (groups [][]int, cells []int) {
 	if clampBits(bits) == 0 {
 		all := make([]int, len(reps))
 		for i := range all {
 			all[i] = i
 		}
-		return [][]int{all}
+		return [][]int{all}, []int{0}
 	}
 	byCell := make(map[int][]int)
 	for ri := range reps {
 		cell := rectShard(reps[ri].Rect, bounds, bits)
 		byCell[cell] = append(byCell[cell], ri)
 	}
-	cells := make([]int, 0, len(byCell))
+	cells = make([]int, 0, len(byCell))
 	for cell := range byCell {
 		cells = append(cells, cell)
 	}
 	sort.Ints(cells)
-	out := make([][]int, len(cells))
+	groups = make([][]int, len(cells))
 	for i, cell := range cells {
-		out[i] = byCell[cell]
+		groups[i] = byCell[cell]
 	}
-	return out
+	return groups, cells
 }

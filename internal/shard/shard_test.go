@@ -110,48 +110,53 @@ func TestPlanExactCover(t *testing.T) {
 		{500, 25, 4, Config{Enabled: true, ShardBits: 5, Aggregate: true}},
 		{300, 12, 2, Config{Enabled: true, ShardBits: 0, Aggregate: false}},
 	} {
-		p, qs := testProblem(tc.n, tc.p, tc.channels, tc.cfg, core.PairMerge{})
+		p, _ := testProblem(tc.n, tc.p, tc.channels, tc.cfg, core.PairMerge{})
 		res, err := Plan(p)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		owner := make([]int, len(qs))
-		for i := range owner {
-			owner[i] = -1
-		}
-		for ch, plan := range res.ChannelPlans {
-			for _, set := range plan {
-				for _, q := range set {
-					if q < 0 || q >= len(qs) {
-						t.Fatalf("%+v: query index %d out of range", tc, q)
-					}
-					if owner[q] != -1 {
-						t.Fatalf("%+v: query %d appears on channels %d and %d", tc, q, owner[q], ch)
-					}
-					owner[q] = ch
-				}
-			}
-		}
-		for q, ch := range owner {
-			if ch == -1 {
-				t.Fatalf("%+v: query %d missing from every plan", tc, q)
-			}
-		}
-		// Every client's queries must ride the client's single channel.
-		for ci, subs := range p.Clients {
-			ch := res.ClientChannel[ci]
-			if ch < 0 || ch >= tc.channels {
-				t.Fatalf("%+v: client %d on invalid channel %d", tc, ci, ch)
-			}
-			for _, q := range subs {
-				if owner[q] != ch {
-					t.Fatalf("%+v: client %d listens on channel %d but query %d is published on %d",
-						tc, ci, ch, q, owner[q])
-				}
-			}
-		}
+		checkExactCover(t, p, res)
 		if res.EstimatedCost <= 0 || res.InitialCost <= 0 {
 			t.Fatalf("%+v: non-positive costs %+v", tc, res)
+		}
+	}
+}
+
+// checkExactCover fails the test unless every query index of the problem
+// lands in exactly one plan set, on the channel its client listens to.
+func checkExactCover(t *testing.T, p *Problem, res *Result) {
+	t.Helper()
+	owner := make([]int, len(p.Queries))
+	for i := range owner {
+		owner[i] = -1
+	}
+	for ch, plan := range res.ChannelPlans {
+		for _, set := range plan {
+			for _, q := range set {
+				if q < 0 || q >= len(owner) {
+					t.Fatalf("query index %d out of range", q)
+				}
+				if owner[q] != -1 {
+					t.Fatalf("query %d appears on channels %d and %d", q, owner[q], ch)
+				}
+				owner[q] = ch
+			}
+		}
+	}
+	for q, ch := range owner {
+		if ch == -1 {
+			t.Fatalf("query %d missing from every plan", q)
+		}
+	}
+	for ci, subs := range p.Clients {
+		ch := res.ClientChannel[ci]
+		if ch < 0 || ch >= len(res.ChannelPlans) {
+			t.Fatalf("client %d on invalid channel %d", ci, ch)
+		}
+		for _, q := range subs {
+			if owner[q] != ch {
+				t.Fatalf("client %d listens on channel %d but query %d is published on %d", ci, ch, q, owner[q])
+			}
 		}
 	}
 }
@@ -203,5 +208,16 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := Plan(&Problem{Queries: qs, Estimator: est, Clients: [][]int{{0, 9}}}); err == nil {
 		t.Fatal("no error for out-of-range client subscription")
+	}
+	one := [][]int{{0, 1, 2, 3}}
+	if _, err := Plan(&Problem{Queries: qs, Estimator: est, Clients: one, ClientIDs: []int{1, 2}}); err == nil {
+		t.Fatal("no error for two client ids naming one client")
+	}
+	prev, err := Plan(&Problem{Queries: qs, Estimator: est, Clients: one})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Plan(&Problem{Queries: qs, Estimator: est, Clients: one, Prev: prev}); err == nil {
+		t.Fatal("no error for a replan that does not say who its clients are")
 	}
 }
