@@ -43,14 +43,16 @@ bench-pair:
 	bash scripts/benchpair.sh $(BASE) $(HEAD) $(WORKLOAD) -seed $(SEED) -pairs $(PAIRS)
 
 # Focused vet + race leg for the sharded planning pipeline plus the
-# neighbor-pruned/anytime/incremental solver paths: fast enough for a
-# pre-push hook, strict enough to catch data races in the per-shard
-# worker pool and the budget's atomic step accounting.
+# neighbor-pruned/anytime/incremental solver paths and the rank-table
+# size path with its pooled solver workspace: fast enough for a pre-push
+# hook, strict enough to catch data races in the per-shard worker pool,
+# the budget's atomic step accounting and the engines two concurrent
+# climbs take from one pool.
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan' \
-		./internal/core ./internal/chanalloc ./internal/server
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace' \
+		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:
 	$(GO) build ./...
@@ -169,6 +171,7 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayAck -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayCtl -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzReadFrame -fuzztime 10s
+	$(GO) test ./internal/relation -fuzz FuzzRankTable -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
 

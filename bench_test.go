@@ -197,14 +197,13 @@ func BenchmarkPairMergeNaive(b *testing.B) {
 }
 
 // BenchmarkPairMergeHeap measures the heap-driven engine (the default)
-// at the sizes the solver-engine rewrite targets. Identical to running
-// PairMerge{}; the explicit flag names the configuration under test.
+// at the sizes the solver-engine rewrite targets.
 func BenchmarkPairMergeHeap(b *testing.B) {
 	for _, n := range []int{100, 200, 500} {
 		inst := benchInstance(n, int64(n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.PairMerge{HeapProfit: true}.Solve(inst)
+				core.PairMerge{}.Solve(inst)
 			}
 		})
 	}

@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"qsub/internal/core"
+	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
 )
@@ -215,7 +216,11 @@ func subInstance(inst *core.Instance, members []int) *core.Instance {
 		Budget:  inst.Budget,
 		Metrics: inst.Metrics,
 	}
-	sub.Sizer = remapSizer{inner: inst, members: members}
+	if r, ok := inst.Sizer.(restricter); ok {
+		sub.Sizer = r.Restrict(members)
+	} else {
+		sub.Sizer = remapSizer{inner: inst, members: members}
+	}
 	if inst.Centers != nil {
 		centers := make([]geom.Point, len(members))
 		for i, q := range members {
@@ -227,6 +232,13 @@ func subInstance(inst *core.Instance, members []int) *core.Instance {
 		sub.Overlap = func(i, j int) float64 { return inst.Overlap(members[i], members[j]) }
 	}
 	return sub
+}
+
+// restricter is a sizer that can size a sub-instance itself, in the
+// sub-instance's own indices (the rank-table sizer of a geographic
+// instance); every other sizer is wrapped in a remapSizer.
+type restricter interface {
+	Restrict(members []int) cost.Sizer
 }
 
 // remapSizer translates sub-instance query indices to global indices.

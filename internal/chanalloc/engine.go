@@ -18,6 +18,7 @@ package chanalloc
 import (
 	"sync"
 
+	"qsub/internal/core"
 	"qsub/internal/cost"
 )
 
@@ -126,7 +127,7 @@ func (p *Problem) engine() *engine {
 			}
 			eng.qsets[c] = s
 		}
-		eng.cache = newGroupCache(len(cost.NewQSet(p.Inst.N)))
+		eng.cache = newGroupCache(cost.QSetWords(p.Inst.N))
 		p.eng = eng
 	})
 	return p.eng
@@ -229,6 +230,9 @@ func solveGroupCost(p *Problem, members []int, listeners int) float64 {
 	}
 	sub := subInstance(p.Inst, members)
 	sub.Model.KM += sub.Model.K6 * float64(listeners)
-	plan := p.merger().Solve(sub)
-	return sub.Cost(plan) + p.Inst.Model.KD
+	merger := p.merger()
+	if pm, ok := merger.(core.PairMerge); ok {
+		return pm.SolveCost(sub) + p.Inst.Model.KD // the same cost, no plan built
+	}
+	return sub.Cost(merger.Solve(sub)) + p.Inst.Model.KD
 }

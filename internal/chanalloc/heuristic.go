@@ -16,6 +16,7 @@ package chanalloc
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -271,8 +272,12 @@ func hillClimbCtx(ctx *evalCtx, alloc Allocation) Allocation {
 		groups[ch] = append(groups[ch], client)
 	}
 	costs := make([]float64, p.Channels)
+	empty := 0
 	for ch := range groups {
 		costs[ch] = ctx.groupCostClients(groups[ch])
+		if len(groups[ch]) == 0 {
+			empty++
+		}
 	}
 	for {
 		// One climb iteration probes O(clients·channels) moves; charge
@@ -286,7 +291,7 @@ func hillClimbCtx(ctx *evalCtx, alloc Allocation) Allocation {
 		var bestFromCost, bestToCost float64
 		for client := range alloc {
 			from := alloc[client]
-			if len(groups[from]) == 1 && emptyChannels(groups) >= p.Channels-1 {
+			if len(groups[from]) == 1 && empty >= p.Channels-1 {
 				// Moving a lone client between otherwise empty
 				// channels is a no-op.
 				continue
@@ -309,32 +314,19 @@ func hillClimbCtx(ctx *evalCtx, alloc Allocation) Allocation {
 			return alloc
 		}
 		from := alloc[bestClient]
-		groups[from] = without(groups[from], bestClient)
+		if len(groups[bestTo]) == 0 {
+			empty--
+		}
+		at := slices.Index(groups[from], bestClient)
+		groups[from] = slices.Delete(groups[from], at, at+1)
 		groups[bestTo] = append(groups[bestTo], bestClient)
+		if len(groups[from]) == 0 {
+			empty++
+		}
 		costs[from] = bestFromCost
 		costs[bestTo] = bestToCost
 		alloc[bestClient] = bestTo
 	}
-}
-
-func without(clients []int, drop int) []int {
-	out := make([]int, 0, len(clients))
-	for _, c := range clients {
-		if c != drop {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func emptyChannels(groups [][]int) int {
-	n := 0
-	for _, g := range groups {
-		if len(g) == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Strategy names the initial-distribution variants compared in Fig 18.

@@ -1,0 +1,74 @@
+package chanalloc
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"qsub/internal/core"
+	"qsub/internal/cost"
+	"qsub/internal/geom"
+	"qsub/internal/query"
+	"qsub/internal/relation"
+)
+
+// probeExact is relation.Exact under another type: its instances size
+// every merged set with an estimator probe behind a memo, and their
+// sub-instances translate indices through a remapSizer.
+type probeExact struct{ relation.Exact }
+
+// TestRankTableRestrictedViewMatchesRemap runs the §8.2 heuristic over
+// the same clients twice: on an instance sized from the rank table, whose
+// per-channel sub-instances are restricted views of it solved on pooled
+// engines, and on one sized by probes through remapSizer. Allocation,
+// cost and per-channel plans must agree to the bit, at Parallelism 1 and
+// with BestOfBoth's two climbs running concurrently (the -race leg).
+func TestRankTableRestrictedViewMatchesRemap(t *testing.T) {
+	model := cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rel := relation.MustNew(geom.R(0, 0, 1000, 1000), 32, 32)
+		for k := 0; k < 4000; k++ {
+			rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), make([]byte, 16))
+		}
+		qs := make([]query.Query, 40)
+		for i := range qs {
+			x, y := 100+rng.Float64()*300, 100+rng.Float64()*300
+			qs[i] = query.Range(query.ID(i+1), geom.RectWH(x, y, 20+rng.Float64()*60, 20+rng.Float64()*60))
+		}
+		clients := make([][]int, 20)
+		for c := range clients {
+			clients[c] = []int{2 * c, 2*c + 1, rng.Intn(len(qs))} // a shared query now and then
+		}
+		problem := func(est relation.Estimator, parallelism int) *Problem {
+			inst := core.NewGeomInstance(model, qs, query.BoundingRect{}, est)
+			inst.CacheSizes(nil, nil, nil)
+			return &Problem{Inst: inst, Clients: clients, Channels: 3, Merger: core.PairMerge{}, Parallelism: parallelism}
+		}
+		exact := relation.Exact{Rel: rel}
+		want := problem(probeExact{exact}, 1)
+		if _, ok := want.Inst.Sizer.(restricter); ok {
+			t.Fatal("the probe instance got a table")
+		}
+		wantAlloc, wantCost, err := Heuristic(want, BestOfBoth, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parallelism := range []int{1, 2} {
+			got := problem(exact, parallelism)
+			if _, ok := got.Inst.Sizer.(restricter); !ok {
+				t.Fatalf("the exact instance is sized by %T, not a table", got.Inst.Sizer)
+			}
+			alloc, c, err := Heuristic(got, BestOfBoth, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c != wantCost || !allocsEqual(alloc, wantAlloc) {
+				t.Fatalf("seed %d parallelism %d: table %v cost %v, remap %v cost %v", seed, parallelism, alloc, c, wantAlloc, wantCost)
+			}
+			if gotPlans, wantPlans := Plans(got, alloc), Plans(want, wantAlloc); !reflect.DeepEqual(gotPlans, wantPlans) {
+				t.Fatalf("seed %d parallelism %d: plans differ:\n%v\n%v", seed, parallelism, gotPlans, wantPlans)
+			}
+		}
+	}
+}

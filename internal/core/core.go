@@ -19,9 +19,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"qsub/internal/cost"
@@ -68,13 +69,13 @@ func (p Plan) Clone() Plan {
 // that equivalent plans compare equal. It returns the plan for chaining.
 func (p Plan) Normalize() Plan {
 	for _, set := range p {
-		sort.Ints(set)
+		slices.Sort(set)
 	}
-	sort.Slice(p, func(i, j int) bool {
-		if len(p[i]) == 0 || len(p[j]) == 0 {
-			return len(p[i]) > len(p[j])
+	slices.SortFunc(p, func(a, b []int) int {
+		if len(a) == 0 || len(b) == 0 {
+			return cmp.Compare(len(b), len(a))
 		}
-		return p[i][0] < p[j][0]
+		return cmp.Compare(a[0], b[0])
 	})
 	return p
 }

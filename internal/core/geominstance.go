@@ -5,6 +5,7 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/metrics"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 )
@@ -52,11 +53,12 @@ func NewGeomInstance(model cost.Model, qs []query.Query, proc query.MergeProcedu
 // the merge procedure is the bounding rectangle and every footprint is an
 // axis-aligned rectangle, merged sizes reduce to a rectangle union fed to
 // the estimator's RectSizer fast path — no Region boxing, no member
-// slice, no allocation per probe. Otherwise the general path materializes
-// the member queries from a pool and runs the full merge procedure; merge
-// procedures do not retain their argument, so the pool is sound, and both
-// paths are safe for the concurrent solvers (parallel DirectedSearch
-// restarts and Clustering components).
+// slice, no allocation per probe — or, under the exact estimator, to a
+// lookup in a rank-space table of the relation (see rectSizer). Otherwise
+// the general path materializes the member queries from a pool and runs
+// the full merge procedure; merge procedures do not retain their argument,
+// so the pool is sound, and every path is safe for the concurrent solvers
+// (parallel DirectedSearch restarts and Clustering components).
 func geomSizer(qs []query.Query, proc query.MergeProcedure, est relation.Estimator) cost.Sizer {
 	if _, isBR := proc.(query.BoundingRect); isBR {
 		if rs, ok := est.(relation.RectSizer); ok {
@@ -71,16 +73,11 @@ func geomSizer(qs []query.Query, proc query.MergeProcedure, est relation.Estimat
 				rects[i] = r
 			}
 			if allRect {
-				return cost.Func{
-					SizeFn: func(i int) float64 { return rs.SizeBytesRect(rects[i]) },
-					MergedFn: func(set []int) float64 {
-						out := geom.EmptyRect()
-						for _, q := range set {
-							out = out.Union(rects[q])
-						}
-						return rs.SizeBytesRect(out)
-					},
+				s := &rectSizer{rects: rects, rs: rs}
+				if exact, ok := est.(relation.Exact); ok && len(qs) >= tableMinQueries && len(qs) <= tableMaxQueries {
+					s.rel = exact.Rel
 				}
+				return s
 			}
 		}
 	}
@@ -102,6 +99,101 @@ func geomSizer(qs []query.Query, proc query.MergeProcedure, est relation.Estimat
 			return size
 		},
 	}
+}
+
+// The window of instance sizes whose merged sizes come from a rank table
+// (relation.RankTable) instead of one estimator probe each. Building the
+// table is one pass over the tuples under the instance's bounding box; a
+// probe scans the border ring of one candidate rectangle, a fixed share
+// of those tuples, so the number of probes that pay for the pass does not
+// depend on the relation's size, and an exact PairMerge asks for at least
+// n(n-1)/2. Measured for one such solve on the plan-paper relation
+// (BenchmarkRankTableCrossover; EXPERIMENTS.md, "Exact size(mrg(S)) in
+// O(1)"), probes are cheaper up to about 12 queries and the table from 16
+// on, with 20k tuples and with 100k. The upper end bounds the table's
+// memory: 2n coordinates per axis are 4n pieces, 16n² prefix sums of 8
+// bytes, 8 MiB at n = 256 — and past that size the planners prune
+// candidates to O(n·k) probes or shard.
+const (
+	tableMinQueries = 16
+	tableMaxQueries = 256
+)
+
+// rectSizer sizes rectangle queries merged by bounding rectangle. Sizes
+// of single queries are estimator probes. So are merged sizes, unless the
+// estimator is exact and the instance is inside the table window (rel is
+// set): then the first merged size builds the relation's rank table over
+// the queries and every merged size is four loads from it. The table is a
+// snapshot of the relation at that moment, as a cost.Memo's entries are of
+// the moments they were probed. The table is built on the first merged
+// size, not with the instance, because some callers build an instance to
+// read single sizes only.
+type rectSizer struct {
+	rects []geom.Rect
+	rs    relation.RectSizer
+
+	rel   *relation.Relation
+	once  sync.Once
+	table *relation.RankTable // nil when the relation declines (R-tree index, NaN edge)
+}
+
+func (s *rectSizer) Size(i int) float64 { return s.rs.SizeBytesRect(s.rects[i]) }
+
+func (s *rectSizer) MergedSize(set []int) float64 {
+	if len(set) == 1 {
+		return s.Size(set[0])
+	}
+	if t := s.rankTable(); t != nil {
+		return t.MergedSize(set)
+	}
+	out := geom.EmptyRect()
+	for _, q := range set {
+		out = out.Union(s.rects[q])
+	}
+	return s.rs.SizeBytesRect(out)
+}
+
+func (s *rectSizer) rankTable() *relation.RankTable {
+	if s.rel == nil {
+		return nil
+	}
+	s.once.Do(func() { s.table = s.rel.NewRankTable(s.rects) })
+	return s.table
+}
+
+// tableSizer is an instance's sizer once CacheSizes has built the rank
+// table: single and merged sizes both come from the table, so they
+// describe one moment of the relation, and nothing is probed, locked or
+// looked up in a map.
+type tableSizer struct {
+	*relation.RankTable
+	lookups *metrics.Counter // fed by the pair-merge engines, see pmEngine.release
+}
+
+// Restrict returns the sizer of the sub-instance whose query i is query
+// members[i] of this one. It indexes the shared table directly, where a
+// sub-instance of any other sizer translates every set it asks about.
+func (t tableSizer) Restrict(members []int) cost.Sizer {
+	return tableSizer{RankTable: t.Sub(members), lookups: t.lookups}
+}
+
+// CacheSizes makes merged sizes cheap to ask for again, for a caller about
+// to run a solver on the instance. An instance whose merged sizes can come
+// from a rank table gets the table, built now; any other gets a cost.Memo
+// around its sizer. The counters may be nil. hits counts the merged sizes
+// answered without an estimator probe — per lookup by a memo, per solve
+// by the pair-merge engines on a table (other solvers' table lookups go
+// uncounted) — and misses the probes, which a table never makes.
+func (inst *Instance) CacheSizes(hits, misses, contended *metrics.Counter) {
+	if rs, ok := inst.Sizer.(*rectSizer); ok {
+		if t := rs.rankTable(); t != nil {
+			inst.Sizer = tableSizer{RankTable: t, lookups: hits}
+			return
+		}
+	}
+	memo := cost.NewMemo(inst.Sizer, inst.N)
+	memo.SetMetrics(hits, misses, contended)
+	inst.Sizer = memo
 }
 
 // MergedRegions materializes the merged query footprint of every set in

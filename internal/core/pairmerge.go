@@ -1,6 +1,10 @@
 package core
 
-import "qsub/internal/cost"
+import (
+	"sync"
+
+	"qsub/internal/cost"
+)
 
 // QSet is the bitset query-set representation shared across the solver
 // engine (see cost.QSet): []uint64 words with a single-word fast path for
@@ -35,6 +39,8 @@ type QSet = cost.QSet
 // Two ablation engines are kept for the benchmarks: TableScan is the
 // previous implementation (Profit Table with a full scan per iteration),
 // NaiveRecompute additionally recomputes every delta on every iteration.
+// The heap engines run on pooled working state (pmEngine), so a solve
+// allocates its result and nothing else.
 //
 // All engines honor Instance.Budget: when it trips they stop generating
 // candidates, finish nothing speculative, and return the (always valid)
@@ -46,11 +52,6 @@ type PairMerge struct {
 	// TableScan keeps the Profit Table but selects the best pair with a
 	// full O(n²) scan per iteration (ablation; the pre-heap engine).
 	TableScan bool
-	// HeapProfit explicitly selects the heap-driven engine. The zero
-	// value already uses the heap; the flag exists so the ablation
-	// benchmarks name the configuration under test, and it wins when set
-	// alongside an ablation flag.
-	HeapProfit bool
 	// Neighbors, when positive, restricts candidate pairs to each
 	// query's ±Neighbors Z-order window. Requires Instance.Centers;
 	// without centers the full heap engine runs. 0 means exact
@@ -66,18 +67,43 @@ func (pm PairMerge) Solve(inst *Instance) Plan {
 	if inst.N == 0 {
 		return Plan{}
 	}
-	if (pm.NaiveRecompute || pm.TableScan) && !pm.HeapProfit {
+	if pm.NaiveRecompute || pm.TableScan {
 		return pm.solveTable(inst)
 	}
+	e := pm.run(inst)
+	defer e.release()
+	return e.plan()
+}
+
+// SolveCost returns inst.Cost(pm.Solve(inst)), to the bit, without
+// building the plan: what channel allocation asks of a merger hundreds of
+// times per plan.
+func (pm PairMerge) SolveCost(inst *Instance) float64 {
+	if inst.N == 0 {
+		return 0
+	}
+	if pm.NaiveRecompute || pm.TableScan {
+		return inst.Cost(pm.solveTable(inst))
+	}
+	e := pm.run(inst)
+	defer e.release()
+	return e.cost()
+}
+
+// run solves the instance on a pooled engine, which the caller releases.
+func (pm PairMerge) run(inst *Instance) *pmEngine {
+	e := startEngine(inst)
 	// The pruned engine deliberately takes the instance's sizer as-is
 	// (no forced memo wrap): wrapping only one engine could let a
 	// bitset-keyed cache return a value computed from a different
 	// member ordering than the raw path would use, breaking the
 	// bit-identity pin against solveHeap for order-sensitive sizers.
 	if pm.Neighbors > 0 && len(inst.Centers) == inst.N {
-		return pm.solveNeighbors(inst)
+		e.solveNeighbors(pm.Neighbors)
+	} else {
+		e.solveHeap()
 	}
-	return pm.solveHeap(inst)
+	return e
 }
 
 // pmEntry is one candidate merge in the profit heap: the Δ-cost and
@@ -163,101 +189,209 @@ type hSet struct {
 	merged float64
 }
 
+// pmEngine is the working state of one heap-driven merge — the sets, their
+// alive flags, the candidate heap, one []uint64 backing every set's
+// bitset, and the scratch buffers — kept in a pool between solves: channel
+// allocation solves hundreds of small instances per plan, and allocating
+// this state afresh for each was most of a plan's garbage. What a solve
+// returns (plan or cost) never aliases the engine's memory.
+type pmEngine struct {
+	inst  *Instance
+	sets  []hSet
+	alive []bool
+	live  int // number of alive sets
+	heap  []pmEntry
+	words []uint64 // bitset of set id is words[id*w : (id+1)*w], w words per set
+	w     int
+
+	scratch []int // probe unions; member lists in plan and cost
+	first   []int // plan and cost: first[q] is the alive set whose smallest member is q, or -1
+
+	// Neighbor-pruned engine only: the live set owning each query, the
+	// per-merge dedupe marks (see solveNeighbors) and the merged set's
+	// members.
+	setOf, mark, members []int
+
+	pops, merges, probes uint64
+}
+
+var pmEngines = sync.Pool{New: func() any { return new(pmEngine) }}
+
+// grown returns s with length n, reallocating only when the capacity is
+// short; the contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// startEngine takes an engine from the pool and sets it up with the instance's
+// singletons. The caller hands it back with release.
+func startEngine(inst *Instance) *pmEngine {
+	e := pmEngines.Get().(*pmEngine)
+	n := inst.N
+	e.inst, e.live, e.w = inst, n, cost.QSetWords(n)
+	e.pops, e.merges, e.probes = 0, 0, 0
+	// A solve creates at most n-1 merged sets on top of the n singletons.
+	e.words = grown(e.words, 2*n*e.w)
+	clear(e.words[:n*e.w])
+	e.sets = grown(e.sets, 2*n)[:n]
+	e.alive = grown(e.alive, 2*n)[:n]
+	for i := range e.sets {
+		qs := e.qset(i)
+		qs.Add(i)
+		e.sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(i)}
+		e.alive[i] = true
+	}
+	e.heap = e.heap[:0]
+	e.scratch = grown(e.scratch, n)[:0]
+	return e
+}
+
+// release reports the solve's counts and returns the engine to the pool.
+func (e *pmEngine) release() {
+	if sm := e.inst.Metrics; sm != nil {
+		sm.HeapPops.Add(e.pops)
+		sm.Merges.Add(e.merges)
+	}
+	// A table sizer has its lookups counted here, once per solve, from
+	// the engine's own count: a shared counter bumped per lookup by the
+	// two concurrent climbs of BestOfBoth cost more than the lookups.
+	if ts, ok := e.inst.Sizer.(tableSizer); ok {
+		ts.lookups.Add(e.probes)
+	}
+	e.inst = nil
+	pmEngines.Put(e)
+}
+
+func (e *pmEngine) qset(id int) QSet { return e.words[id*e.w : (id+1)*e.w : (id+1)*e.w] }
+
+// probe computes the Δ-cost and merged size of merging sets a and b. The
+// member sets are disjoint, so the union's indices are the two index
+// lists concatenated into the reused scratch buffer; Sizer
+// implementations must not retain the slice (none do).
+func (e *pmEngine) probe(a, b int) (d, rm float64) {
+	sa, sb := &e.sets[a], &e.sets[b]
+	e.scratch = sa.qs.AppendIndices(e.scratch[:0])
+	e.scratch = sb.qs.AppendIndices(e.scratch)
+	e.probes++
+	rm = e.inst.Sizer.MergedSize(e.scratch)
+	return cost.PairDelta(e.inst.Model, sa.count, sa.merged, sb.count, sb.merged, rm), rm
+}
+
+// merge retires both endpoints of the popped entry and appends their
+// union as a new set, whose id it returns.
+func (e *pmEngine) merge(top pmEntry) int {
+	e.merges++
+	id := len(e.sets)
+	qs := e.qset(id)
+	copy(qs, e.sets[top.a].qs)
+	qs.Or(e.sets[top.b].qs)
+	e.sets = append(e.sets, hSet{qs: qs, count: e.sets[top.a].count + e.sets[top.b].count, merged: top.rm})
+	e.alive[top.a], e.alive[top.b] = false, false
+	e.alive = append(e.alive, true)
+	e.live--
+	return id
+}
+
+// pop removes the best candidate and reports whether it is still live:
+// an entry with a retired endpoint is discarded (lazy invalidation).
+func (e *pmEngine) pop() (pmEntry, bool) {
+	top := pmHeapPop(&e.heap)
+	e.pops++
+	return top, e.alive[top.a] && e.alive[top.b]
+}
+
+// normalized calls fn with the members of every alive set, each in
+// ascending order and the sets ordered by their smallest member: the
+// order of Plan.Normalize. The slice is scratch, valid during the call.
+func (e *pmEngine) normalized(fn func(set []int)) {
+	e.first = grown(e.first, e.inst.N)
+	for q := range e.first {
+		e.first[q] = -1
+	}
+	for id, ok := range e.alive {
+		if ok {
+			e.first[e.sets[id].qs.First()] = id
+		}
+	}
+	for _, id := range e.first {
+		if id >= 0 {
+			e.scratch = e.sets[id].qs.AppendIndices(e.scratch[:0])
+			fn(e.scratch)
+		}
+	}
+}
+
+// plan materializes the alive sets as a normalized plan in memory of its
+// own: one block for all members, each set a capacity-limited slice of it.
+func (e *pmEngine) plan() Plan {
+	plan := make(Plan, 0, e.live)
+	block := make([]int, 0, e.inst.N)
+	e.normalized(func(set []int) {
+		at := len(block)
+		block = append(block, set...)
+		plan = append(plan, block[at:len(block):len(block)])
+	})
+	return plan
+}
+
+// cost returns what Instance.Cost(e.plan()) would, summing the same set
+// costs in the same order, without building the plan.
+func (e *pmEngine) cost() float64 {
+	total := 0.0
+	e.normalized(func(set []int) {
+		total += cost.SetCost(e.inst.Model, e.inst.Sizer, set)
+	})
+	return total
+}
+
 // solveHeap is the default engine: an indexed max-heap over pair deltas
 // with lazy invalidation.
-func (pm PairMerge) solveHeap(inst *Instance) Plan {
-	n := inst.N
-	sets := make([]hSet, n, 2*n)
-	for i := 0; i < n; i++ {
-		qs := cost.NewQSet(n)
-		qs.Add(i)
-		sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(i)}
-	}
-	alive := make([]bool, n, 2*n)
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveCount := n
-
-	// probe computes the Δ-cost and merged size of merging sets a and b.
-	// The member sets are disjoint, so the union's indices are the two
-	// index lists concatenated into the reused scratch buffer; Sizer
-	// implementations must not retain the slice (none do).
-	scratch := make([]int, 0, n)
-	probe := func(a, b int) (float64, float64) {
-		sa, sb := &sets[a], &sets[b]
-		scratch = sa.qs.AppendIndices(scratch[:0])
-		scratch = sb.qs.AppendIndices(scratch)
-		rm := inst.Sizer.MergedSize(scratch)
-		d := cost.PairDelta(inst.Model, sa.count, sa.merged, sb.count, sb.merged, rm)
-		return d, rm
-	}
+func (e *pmEngine) solveHeap() {
+	n, budget := e.inst.N, e.inst.Budget
 
 	// Seed the heap with every positive pair delta. Non-positive deltas
 	// can never become the best move (entries are immutable), so they are
 	// dropped here instead of occupying heap slots. A budget trip leaves
 	// a partial seed: the merge loop then works only the pairs probed so
 	// far, which still yields a valid (if less merged) partition.
-	budget := inst.Budget
-	h := make([]pmEntry, 0, n*(n-1)/2)
 seed:
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if !budget.Step(1) {
 				break seed
 			}
-			if d, rm := probe(i, j); d > 0 {
-				h = append(h, pmEntry{d: d, rm: rm, a: i, b: j})
+			if d, rm := e.probe(i, j); d > 0 {
+				e.heap = append(e.heap, pmEntry{d: d, rm: rm, a: i, b: j})
 			}
 		}
 	}
-	pmHeapInit(h)
+	pmHeapInit(e.heap)
 
-	var pops, merges uint64
-	for aliveCount > 1 && len(h) > 0 {
+	for e.live > 1 && len(e.heap) > 0 {
 		if !budget.Step(1) {
 			break
 		}
-		e := pmHeapPop(&h)
-		pops++
-		if !alive[e.a] || !alive[e.b] {
-			continue // lazy invalidation: a retired endpoint
+		top, ok := e.pop()
+		if !ok {
+			continue
 		}
-		merges++
-		// Merge: retire both endpoints, append the union as a new set,
-		// and push its deltas against every survivor.
-		qs := sets[e.a].qs.Clone()
-		qs.Or(sets[e.b].qs)
-		id := len(sets)
-		sets = append(sets, hSet{qs: qs, count: sets[e.a].count + sets[e.b].count, merged: e.rm})
-		alive[e.a], alive[e.b] = false, false
-		alive = append(alive, true)
-		aliveCount--
+		// Push the new set's deltas against every survivor.
+		id := e.merge(top)
 		for other := 0; other < id; other++ {
-			if !alive[other] {
+			if !e.alive[other] {
 				continue
 			}
 			if !budget.Step(1) {
 				break
 			}
-			if d, rm := probe(other, id); d > 0 {
-				pmHeapPush(&h, pmEntry{d: d, rm: rm, a: other, b: id})
+			if d, rm := e.probe(other, id); d > 0 {
+				pmHeapPush(&e.heap, pmEntry{d: d, rm: rm, a: other, b: id})
 			}
 		}
 	}
-
-	if sm := inst.Metrics; sm != nil {
-		sm.HeapPops.Add(pops)
-		sm.Merges.Add(merges)
-	}
-
-	plan := make(Plan, 0, aliveCount)
-	for id, ok := range alive {
-		if ok {
-			plan = append(plan, sets[id].qs.AppendIndices(make([]int, 0, sets[id].count)))
-		}
-	}
-	return plan.Normalize()
 }
 
 // solveNeighbors is the neighbor-pruned engine: identical merge loop to
@@ -273,57 +407,25 @@ seed:
 // pushes before each pop — which matches the full engine's exactly.
 // At k < n the engine explores a subset of the full engine's candidates,
 // trading a few percent of plan quality for the quadratic term.
-func (pm PairMerge) solveNeighbors(inst *Instance) Plan {
-	n := inst.N
-	k := pm.Neighbors
-	ni := NewNeighborIndex(inst.Centers)
-	budget := inst.Budget
-
-	sets := make([]hSet, n, 2*n)
-	for i := 0; i < n; i++ {
-		qs := cost.NewQSet(n)
-		qs.Add(i)
-		sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(i)}
-	}
-	alive := make([]bool, n, 2*n)
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveCount := n
+func (e *pmEngine) solveNeighbors(k int) {
+	n, budget := e.inst.N, e.inst.Budget
+	ni := NewNeighborIndex(e.inst.Centers)
 
 	// setOf maps each query to the id of the live set containing it, so
 	// a merged set's neighborhood — the sets owning queries near its
 	// members — resolves in O(window) without scanning all survivors.
-	setOf := make([]int, n)
-	for i := range setOf {
-		setOf[i] = i
-	}
-
-	scratch := make([]int, 0, n)
-	probe := func(a, b int) (float64, float64) {
-		sa, sb := &sets[a], &sets[b]
-		scratch = sa.qs.AppendIndices(scratch[:0])
-		scratch = sb.qs.AppendIndices(scratch)
-		rm := inst.Sizer.MergedSize(scratch)
-		d := cost.PairDelta(inst.Model, sa.count, sa.merged, sb.count, sb.merged, rm)
-		return d, rm
+	e.setOf = grown(e.setOf, n)
+	for i := range e.setOf {
+		e.setOf[i] = i
 	}
 
 	// Seed with each query's ±k curve window. The window relation is
 	// symmetric, so keeping only j > i covers each unordered pair once;
 	// at k ≥ n this enumerates exactly the full engine's i<j pairs.
-	h := make([]pmEntry, 0, n*min(k, n))
 seed:
 	for i := 0; i < n; i++ {
 		p := ni.pos[i]
-		lo, hi := p-k, p+k
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n-1 {
-			hi = n - 1
-		}
-		for rank := lo; rank <= hi; rank++ {
+		for rank := max(p-k, 0); rank <= min(p+k, n-1); rank++ {
 			j := ni.order[rank]
 			if j <= i {
 				continue
@@ -331,64 +433,48 @@ seed:
 			if !budget.Step(1) {
 				break seed
 			}
-			if d, rm := probe(i, j); d > 0 {
-				h = append(h, pmEntry{d: d, rm: rm, a: i, b: j})
+			if d, rm := e.probe(i, j); d > 0 {
+				e.heap = append(e.heap, pmEntry{d: d, rm: rm, a: i, b: j})
 			}
 		}
 	}
-	pmHeapInit(h)
+	pmHeapInit(e.heap)
 
-	var pops, merges uint64
 	// mark/epoch dedupe neighbor sets per merge without clearing: a set
 	// id is probed at most once per epoch. Ids stay below 2n−1.
-	mark := make([]int, 2*n)
+	e.mark = grown(e.mark, 2*n)
+	clear(e.mark)
 	epoch := 0
-	members := make([]int, 0, n)
-	for aliveCount > 1 && len(h) > 0 {
+	for e.live > 1 && len(e.heap) > 0 {
 		if !budget.Step(1) {
 			break
 		}
-		e := pmHeapPop(&h)
-		pops++
-		if !alive[e.a] || !alive[e.b] {
-			continue // lazy invalidation: a retired endpoint
+		top, ok := e.pop()
+		if !ok {
+			continue
 		}
-		merges++
-		qs := sets[e.a].qs.Clone()
-		qs.Or(sets[e.b].qs)
-		id := len(sets)
-		sets = append(sets, hSet{qs: qs, count: sets[e.a].count + sets[e.b].count, merged: e.rm})
-		alive[e.a], alive[e.b] = false, false
-		alive = append(alive, true)
-		aliveCount--
-		members = qs.AppendIndices(members[:0])
-		for _, q := range members {
-			setOf[q] = id
+		id := e.merge(top)
+		e.members = e.sets[id].qs.AppendIndices(e.members[:0])
+		for _, q := range e.members {
+			e.setOf[q] = id
 		}
 		// Regenerate candidates lazily from the merged set's
 		// neighborhood: every live set owning a query within ±k of any
 		// member. At k ≥ n that is every survivor, as in solveHeap.
 		epoch++
-		for _, q := range members {
+		for _, q := range e.members {
 			p := ni.pos[q]
-			lo, hi := p-k, p+k
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > n-1 {
-				hi = n - 1
-			}
-			for rank := lo; rank <= hi; rank++ {
-				sid := setOf[ni.order[rank]]
-				if sid == id || mark[sid] == epoch {
+			for rank := max(p-k, 0); rank <= min(p+k, n-1); rank++ {
+				sid := e.setOf[ni.order[rank]]
+				if sid == id || e.mark[sid] == epoch {
 					continue
 				}
-				mark[sid] = epoch
+				e.mark[sid] = epoch
 				if !budget.Step(1) {
 					break
 				}
-				if d, rm := probe(sid, id); d > 0 {
-					pmHeapPush(&h, pmEntry{d: d, rm: rm, a: sid, b: id})
+				if d, rm := e.probe(sid, id); d > 0 {
+					pmHeapPush(&e.heap, pmEntry{d: d, rm: rm, a: sid, b: id})
 				}
 			}
 			if budget.Exhausted() {
@@ -396,19 +482,6 @@ seed:
 			}
 		}
 	}
-
-	if sm := inst.Metrics; sm != nil {
-		sm.HeapPops.Add(pops)
-		sm.Merges.Add(merges)
-	}
-
-	plan := make(Plan, 0, aliveCount)
-	for id, ok := range alive {
-		if ok {
-			plan = append(plan, sets[id].qs.AppendIndices(make([]int, 0, sets[id].count)))
-		}
-	}
-	return plan.Normalize()
 }
 
 // pmSet is one live set during the table-driven merge along with its

@@ -48,16 +48,6 @@ func TestHeapPairMergeMatchesTableAbstract(t *testing.T) {
 	}
 }
 
-func TestHeapProfitFlagWinsOverAblations(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	inst := randomInstance(rng, 12, paperModel)
-	def := PairMerge{}.Solve(inst)
-	forced := PairMerge{HeapProfit: true, TableScan: true, NaiveRecompute: true}.Solve(inst)
-	if !reflect.DeepEqual(def, forced) {
-		t.Fatalf("HeapProfit did not override the ablation flags:\n%v\nvs\n%v", def, forced)
-	}
-}
-
 func TestDirectedSearchParallelismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, n := range []int{8, 20, 70} {

@@ -13,10 +13,10 @@ import "math/bits"
 // operands of the binary operations must come from the same instance.
 type QSet []uint64
 
-// qsetWords returns the number of 64-bit words needed for n queries.
+// QSetWords returns the number of 64-bit words needed for n queries.
 // Every instance gets at least one word so the single-word fast path is
 // always available.
-func qsetWords(n int) int {
+func QSetWords(n int) int {
 	w := (n + 63) / 64
 	if w < 1 {
 		w = 1
@@ -26,7 +26,7 @@ func qsetWords(n int) int {
 
 // NewQSet returns an empty set sized for queries 0..n-1.
 func NewQSet(n int) QSet {
-	return make(QSet, qsetWords(n))
+	return make(QSet, QSetWords(n))
 }
 
 // QSetOf returns the set {set...} sized for queries 0..n-1.
@@ -109,6 +109,16 @@ func (s QSet) Equal(t QSet) bool {
 		}
 	}
 	return true
+}
+
+// First returns the smallest member, or -1 for the empty set.
+func (s QSet) First() int {
+	for wi, w := range s {
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // AppendIndices appends the members in ascending order to buf and returns

@@ -88,7 +88,7 @@ func NewMemo(inner Sizer, n int) *Memo {
 	m := &Memo{
 		inner: inner,
 		n:     n,
-		words: qsetWords(n),
+		words: QSetWords(n),
 		sizes: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {

@@ -29,7 +29,9 @@ var (
 type Catalog struct {
 	Registry *Registry
 
-	// cost.Memo: merged-size cache behavior.
+	// Merged sizes asked of a plan's size cache: a cost.Memo, or the
+	// rank table that replaces it on exact rectangle instances (every
+	// lookup a hit, counted once per pair-merge solve).
 	MemoHits      *Counter
 	MemoMisses    *Counter
 	MemoContended *Counter
@@ -145,7 +147,7 @@ func NewCatalog(channels int) *Catalog {
 	return &Catalog{
 		Registry: r,
 
-		MemoHits:      r.Counter("qsub_memo_hits_total", "merged-size memo cache hits"),
+		MemoHits:      r.Counter("qsub_memo_hits_total", "merged sizes answered without an estimator probe (memo hits, rank-table lookups)"),
 		MemoMisses:    r.Counter("qsub_memo_misses_total", "merged-size memo cache misses (sizes computed)"),
 		MemoContended: r.Counter("qsub_memo_contended_total", "memo shard lock acquisitions that had to wait"),
 

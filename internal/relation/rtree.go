@@ -51,10 +51,16 @@ func newGridIndex(bounds geom.Rect, nx, ny int) *gridIndex {
 // bounds land in the nearest boundary cell. Each coordinate's mapping is
 // monotone non-decreasing, which is what makes blockBytes exact for the
 // interior of a rectangle (see Relation.SizeBytesRect).
-func (g *gridIndex) cellXY(p geom.Point) (i, j int) {
-	i = gridCoord((p.X-g.bounds.MinX)/g.bounds.Width()*float64(g.nx), g.nx)
-	j = gridCoord((p.Y-g.bounds.MinY)/g.bounds.Height()*float64(g.ny), g.ny)
-	return i, j
+func (g *gridIndex) cellXY(p geom.Point) (i, j int) { return g.col(p.X), g.row(p.Y) }
+
+// col returns the cell column of the coordinate x.
+func (g *gridIndex) col(x float64) int {
+	return gridCoord((x-g.bounds.MinX)/g.bounds.Width()*float64(g.nx), g.nx)
+}
+
+// row returns the cell row of the coordinate y.
+func (g *gridIndex) row(y float64) int {
+	return gridCoord((y-g.bounds.MinY)/g.bounds.Height()*float64(g.ny), g.ny)
 }
 
 // gridCoord truncates the scaled coordinate v to a cell index clamped to

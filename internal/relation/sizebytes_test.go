@@ -284,24 +284,73 @@ func TestSizeBytesRectConcurrent(t *testing.T) {
 
 var sizeSink int
 
-// BenchmarkExactSizeBytes compares the aggregate path with the scan it
-// replaced, on the relation of the plan-paper workload (20k uniform
-// tuples, 64×64 grid), for rectangles 1, 10 and 30 cells wide.
-func BenchmarkExactSizeBytes(b *testing.B) {
-	bounds := geom.R(0, 0, 1000, 1000)
-	rel := MustNew(bounds, 64, 64)
-	rng := rand.New(rand.NewSource(1))
+// paperRelation is the relation of the plan-paper workload: n uniform
+// tuples with 16-byte payloads on a 64×64 grid over 1000×1000.
+func paperRelation(rng *rand.Rand, n int) *Relation {
+	rel := MustNew(geom.R(0, 0, 1000, 1000), 64, 64)
 	payload := make([]byte, 16)
-	for k := 0; k < 20000; k++ {
+	for k := 0; k < n; k++ {
 		rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), payload)
 	}
-	cell := bounds.Width() / 64
+	return rel
+}
+
+// paperRects draws n query rectangles the way the plan-paper workload
+// does (workload.DefaultConfig, which this package cannot import): 70% in
+// four clusters with a normal spread of 40 around a uniform origin, the
+// rest uniform, extents 20–80.
+func paperRects(rng *rand.Rand, n int) []geom.Rect {
+	clamp := func(v float64) float64 { return math.Max(0, math.Min(1000, v)) }
+	clustered := (7*n + 5) / 10
+	perCluster := max((clustered+2)/4, 1)
+	rects := make([]geom.Rect, n)
+	var origin geom.Point
+	for i := range rects {
+		c := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		if i < clustered {
+			if i%perCluster == 0 {
+				origin = c
+			}
+			c = geom.Pt(clamp(origin.X+rng.NormFloat64()*40), clamp(origin.Y+rng.NormFloat64()*40))
+		}
+		w, h := 20+rng.Float64()*60, 20+rng.Float64()*60
+		rects[i] = geom.R(clamp(c.X-w/2), clamp(c.Y-h/2), clamp(c.X+w/2), clamp(c.Y+h/2))
+	}
+	return rects
+}
+
+// BenchmarkExactSizeBytes compares the aggregate path with the scan it
+// replaced, on the relation of the plan-paper workload (20k uniform
+// tuples, 64×64 grid), for rectangles 1, 10 and 30 cells wide — and, as
+// pair-bbox, for what exact PairMerge asks in place: the bounding
+// rectangle of every pair of a 48-query plan-paper population, most of
+// which span clusters and have a border ring of hundreds of cells.
+func BenchmarkExactSizeBytes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rel := paperRelation(rng, 20000)
+	cell := rel.Bounds().Width() / 64
+	type leg struct {
+		name string
+		qs   []geom.Rect
+	}
+	var legs []leg
 	for _, cells := range []int{1, 10, 30} {
 		w := float64(cells) * cell
 		qs := make([]geom.Rect, 256)
 		for k := range qs {
 			qs[k] = geom.RectWH(rng.Float64()*(1000-w), rng.Float64()*(1000-w), w, w)
 		}
+		legs = append(legs, leg{fmt.Sprintf("%d-cell-wide", cells), qs})
+	}
+	var pairs []geom.Rect
+	population := paperRects(rng, 48)
+	for i, a := range population {
+		for _, c := range population[:i] {
+			pairs = append(pairs, a.Union(c))
+		}
+	}
+	legs = append(legs, leg{"pair-bbox", pairs})
+	for _, l := range legs {
 		for _, path := range []struct {
 			name string
 			size func(geom.Rect) int
@@ -309,9 +358,9 @@ func BenchmarkExactSizeBytes(b *testing.B) {
 			{"aggregate", rel.SizeBytesRect},
 			{"scan", func(q geom.Rect) int { return scanSize(rel, q) }},
 		} {
-			b.Run(fmt.Sprintf("%d-cell-wide/%s", cells, path.name), func(b *testing.B) {
+			b.Run(l.name+"/"+path.name, func(b *testing.B) {
 				for k := 0; k < b.N; k++ {
-					sizeSink += path.size(qs[k%len(qs)])
+					sizeSink += path.size(l.qs[k%len(l.qs)])
 				}
 			})
 		}

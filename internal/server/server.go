@@ -422,16 +422,17 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 	inst := core.NewGeomInstance(s.cfg.Model, qs, s.cfg.Procedure, s.cfg.Estimator)
 	inst.Budget = budget
 	inst.Metrics = s.solverMetrics()
-	// One concurrency-safe merged-size cache for the whole replan cycle:
-	// the channel-allocation hill climb re-merges overlapping client
-	// subsets dozens of times, and the parallel solvers probe the same
-	// unions from several goroutines. Built fresh per Plan call because
-	// the estimator reflects the current relation contents.
-	memo := cost.NewMemo(inst.Sizer, inst.N)
+	// Merged sizes are asked for again and again within one plan: the
+	// channel-allocation hill climb re-merges overlapping client subsets
+	// dozens of times, and the parallel solvers probe the same unions
+	// from several goroutines. The table or memo behind them is built
+	// fresh per Plan call because the estimator reflects the current
+	// relation contents.
 	if cat != nil {
-		memo.SetMetrics(cat.MemoHits, cat.MemoMisses, cat.MemoContended)
+		inst.CacheSizes(cat.MemoHits, cat.MemoMisses, cat.MemoContended)
+	} else {
+		inst.CacheSizes(nil, nil, nil)
 	}
-	inst.Sizer = memo
 	cy := &Cycle{
 		Queries:       qs,
 		Owners:        snap.owners,
@@ -567,6 +568,8 @@ func (s *Server) applySplit(cy *Cycle, numClients int) {
 	for _, c := range cy.ClientChannel {
 		listeners[c]++
 	}
+	// One instance prices every channel's plan; only the model differs.
+	inst := core.NewGeomInstance(s.cfg.Model, cy.Queries, s.cfg.Procedure, s.cfg.Estimator)
 	for ch, plan := range cy.ChannelPlans {
 		if len(plan) < 2 {
 			continue
@@ -579,7 +582,7 @@ func (s *Server) applySplit(cy *Cycle, numClients int) {
 		} else {
 			model.KM += model.K6 * float64(numClients)
 		}
-		inst := core.NewGeomInstance(model, cy.Queries, s.cfg.Procedure, s.cfg.Estimator)
+		inst.Model = model
 		before := inst.Cost(plan)
 		cp := core.SplitQueries(model, cy.Queries, s.cfg.Procedure, s.cfg.Estimator, plan)
 		if len(cp.Covered) == 0 {

@@ -521,15 +521,13 @@ func Plan(p *Problem) (*Result, error) {
 }
 
 // solveShard runs the merging algorithm on one shard's representative
-// instance (fresh per-shard cost.Memo), expands the plan back to
+// instance (sizes cached per shard), expands the plan back to
 // original query indices and predicts the bytes its merged regions
 // transmit — sized as the server publishes them, from the original
 // member queries.
 func solveShard(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
 	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
-	memo := cost.NewMemo(inst.Sizer, inst.N)
-	memo.SetMetrics(p.MemoHits, p.MemoMisses, p.MemoContended)
-	inst.Sizer = memo
+	inst.CacheSizes(p.MemoHits, p.MemoMisses, p.MemoContended)
 	inst.Budget = p.Budget
 	inst.Metrics = p.Metrics
 	plan := algo.Solve(inst)
