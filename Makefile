@@ -14,10 +14,12 @@ all: build test
 # The full pre-merge gate: build, vet and the race-enabled test suite
 # (the parallel solvers make -race load-bearing, not optional), plus a
 # smoke run of the sharded planning pipeline through the simulator and of
-# the repo benchmark.
+# the repo benchmark. The benchmark is its own module, so a root-module
+# API change that breaks it is only caught by vetting it here.
 check: bench-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/qsubsim -exp sharding -shards 16 -aggregate
 
@@ -71,7 +73,7 @@ race:
 # DESIGN.md §6) spans wire, daemon.Conn, netclient and the relay, so its
 # ownership tests in all four run here too.
 race-delivery:
-	$(GO) test -race -count=3 ./internal/multicast ./internal/wire ./internal/daemon ./internal/relay ./internal/netclient ./internal/netfault ./internal/client
+	$(GO) test -race -count=3 ./internal/multicast ./internal/fanout ./internal/wire ./internal/daemon ./internal/relay ./internal/netclient ./internal/netfault ./internal/client
 
 # Coverage report with a hard floor on internal/metrics (see
 # METRICS_COVER_FLOOR above). The full-repo profile is informational;
@@ -89,16 +91,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short-mode fan-out load harness: 500 real TCP sessions through the
-# split-process driver, shared path and per-session-encode ablation,
-# sanity-gating the delivery fabric on every CI run without the full
-# 10k-session measurement (that lives in `make bench-save`). The second
+# split-process driver, sanity-gating the delivery fabric on every CI run
+# without the full 10k-session measurement (that lives in `make
+# bench-save`). The second
 # run gates end-to-end latency: publish→receive p99 must be nonzero
 # (frames carried timestamps) and under a deliberately generous 2s
 # ceiling — a sanity floor, not a performance target. The third run is
 # the relay smoke leg: one root → 2 relays → 500 sessions, exercising
 # the hierarchical tier's exact-delivery cross-checks end to end.
 loadtest:
-	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -mode both
+	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -latency -assert-p99 2s
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -relays 2
 
@@ -132,9 +134,9 @@ bench-save:
 		-bench 'BenchmarkSolverScaleFull|BenchmarkSolverScalePruned|BenchmarkSolverScaleBudget|BenchmarkReplanChurn' \
 		-benchmem -benchtime 2x . \
 		| $(GO) run ./cmd/benchjson -o BENCH_solvers_scale.json
-	{ $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -mode both -latency; \
+	{ $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -latency; \
 	  $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -relays 2 -latency; \
-	  $(GO) run ./cmd/qsubload -sessions 10000 -channels 64 -cycles 3 -timeout 10m -mode both -latency; } \
+	  $(GO) run ./cmd/qsubload -sessions 10000 -channels 64 -cycles 3 -timeout 10m -latency; } \
 		> /tmp/qsubload-fanout.txt
 	grep '^BenchmarkFanout' /tmp/qsubload-fanout.txt \
 		| $(GO) run ./cmd/benchjson -o BENCH_fanout.json

@@ -66,7 +66,7 @@ func runRelay(args relayArgs) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("qsubd: relay admin endpoint on http://%s (/metrics, /healthz, /statusz)", aln.Addr())
+		log.Printf("qsubd: relay admin endpoint on http://%s (/metrics, /healthz, /statusz, /buildinfo, /debug/pprof)", aln.Addr())
 		go func() {
 			if err := (&http.Server{Handler: r.AdminMux()}).Serve(aln); err != nil {
 				log.Printf("qsubd: admin endpoint: %v", err)

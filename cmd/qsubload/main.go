@@ -10,9 +10,8 @@
 //
 // Usage:
 //
-//	qsubload -sessions 10000 -channels 64            # shared-frame fabric
-//	qsubload -sessions 10000 -mode both              # shared + ablation, report speedup
-//	qsubload -sessions 500 -split=false -mode ablation
+//	qsubload -sessions 10000 -channels 64            # root → sessions
+//	qsubload -sessions 500 -split=false              # everything in one process
 //	qsubload -sessions 2000 -relays 2                # two-tier: root → 2 relays → sessions
 package main
 
@@ -34,7 +33,6 @@ func main() {
 		sessions  = flag.Int("sessions", 10000, "concurrent netclient sessions (one subscription each)")
 		channels  = flag.Int("channels", 64, "multicast channels")
 		cycles    = flag.Int("cycles", 3, "measured delta cycles after the bootstrap cycle")
-		mode      = flag.String("mode", "shared", "delivery path under test: shared, ablation (per-session encode) or both")
 		relays    = flag.Int("relays", 0, "insert a relay tier of this many relays between the daemon and the sessions (0 = sessions dial the daemon directly)")
 		split     = flag.Bool("split", true, "run the daemon in a child process (halves the per-process fd load)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-phase timeout")
@@ -61,7 +59,6 @@ func main() {
 	}
 
 	if *serve {
-		cfg.PerSessionEncode = *mode == "ablation"
 		if *profile != "" {
 			f, err := os.Create(*profile)
 			if err != nil {
@@ -73,8 +70,7 @@ func main() {
 		// Best effort: raise the daemon child's scheduling priority so
 		// the measured fan-out wall time reflects the delivery engine's
 		// own work rather than CPU contention with the client half on
-		// small hosts. Both modes get the same boost, so the comparison
-		// stays fair; failure (no privilege) is ignored.
+		// small hosts. Failure (no privilege) is ignored.
 		elevate()
 		if err := loadtest.ServeProtocol(cfg, os.Stdin, os.Stdout); err != nil {
 			log.Fatalf("qsubload: serve: %v", err)
@@ -82,51 +78,24 @@ func main() {
 		return
 	}
 
-	var modes []bool // PerSessionEncode per run
-	switch *mode {
-	case "shared":
-		modes = []bool{false}
-	case "ablation":
-		modes = []bool{true}
-	case "both":
-		modes = []bool{false, true}
-	default:
-		log.Fatalf("qsubload: unknown -mode %q (want shared, ablation or both)", *mode)
+	res, err := run(cfg, *split, *profile)
+	if err != nil {
+		log.Fatalf("qsubload: %v", err)
 	}
-
-	results := make([]loadtest.Result, 0, len(modes))
-	for _, perSession := range modes {
-		runCfg := cfg
-		runCfg.PerSessionEncode = perSession
-		res, err := run(runCfg, *split, *profile)
-		if err != nil {
-			log.Fatalf("qsubload: %v", err)
-		}
-		fmt.Println(res.BenchLine())
-		if *latency || *assertP99 > 0 {
-			fmt.Println(res.LatencyBenchLine())
-		}
-		if res.Flushes > 0 {
-			fmt.Printf("# %s: %.1f frames per socket flush\n", res.Mode(), float64(res.Frames)/float64(res.Flushes))
-		}
-		if *assertP99 > 0 {
-			if res.LatencyP99 <= 0 {
-				log.Fatalf("qsubload: publish→receive p99 is zero — frames arrived unstamped (%d samples)", res.LatencySamples)
-			}
-			if res.LatencyP99 >= *assertP99 {
-				log.Fatalf("qsubload: publish→receive p99 %s breaches the %s ceiling", res.LatencyP99, *assertP99)
-			}
-		}
-		results = append(results, res)
+	fmt.Println(res.BenchLine())
+	if *latency || *assertP99 > 0 {
+		fmt.Println(res.LatencyBenchLine())
 	}
-	if len(results) == 2 {
-		shared, ablation := results[0], results[1]
-		fmt.Printf("# fan-out wall time per cycle: shared %s, per-session-encode %s → %.1fx speedup\n",
-			time.Duration(shared.Wall.Nanoseconds()/int64(shared.Cycles)),
-			time.Duration(ablation.Wall.Nanoseconds()/int64(ablation.Cycles)),
-			float64(ablation.Wall)/float64(shared.Wall))
-		fmt.Printf("# encodes per cycle: shared %.0f, per-session-encode %.0f\n",
-			shared.EncodesPerCycle(), ablation.EncodesPerCycle())
+	if res.Flushes > 0 {
+		fmt.Printf("# %.1f frames per socket flush\n", float64(res.Frames)/float64(res.Flushes))
+	}
+	if *assertP99 > 0 {
+		if res.LatencyP99 <= 0 {
+			log.Fatalf("qsubload: publish→receive p99 is zero — frames arrived unstamped (%d samples)", res.LatencySamples)
+		}
+		if res.LatencyP99 >= *assertP99 {
+			log.Fatalf("qsubload: publish→receive p99 %s breaches the %s ceiling", res.LatencyP99, *assertP99)
+		}
 	}
 }
 
@@ -147,18 +116,13 @@ func run(cfg loadtest.Config, split bool, profile string) (loadtest.Result, erro
 	if err != nil {
 		return loadtest.Result{}, err
 	}
-	mode := "shared"
-	if cfg.PerSessionEncode {
-		mode = "ablation"
-	}
 	args := []string{"-serve",
 		"-sessions", strconv.Itoa(cfg.Sessions),
 		"-channels", strconv.Itoa(cfg.Channels),
 		"-cycles", strconv.Itoa(cfg.Cycles),
-		"-mode", mode,
 		"-timeout", cfg.Timeout.String()}
 	if profile != "" {
-		args = append(args, "-cpuprofile", profile+"."+mode)
+		args = append(args, "-cpuprofile", profile)
 	}
 	cmd := exec.Command(self, args...)
 	cmd.Stderr = os.Stderr

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qsub/internal/daemon"
+	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 )
 
@@ -41,7 +42,7 @@ func statusFixture(cycles uint64, deliveries uint64) *daemon.Status {
 		Channels: 4, Sessions: 2, Replans: 1,
 		Plan:         &daemon.PlanSummary{Queries: 10, MergedSets: 4, EstimatedCost: 100, InitialCost: 400},
 		RecentCycles: recs,
-		Laggards: []daemon.SessionLag{
+		Laggards: []fanout.SessionLag{
 			{ClientID: 7, Channel: 2, SeqLag: 3, QueueDepth: 7, StalenessMs: 150},
 			{ClientID: 4, Channel: 1, SeqLag: 0, QueueDepth: 0, StalenessMs: 20},
 		},

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"runtime/debug"
 
+	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 )
 
@@ -46,8 +47,8 @@ type Status struct {
 	// the most recent cycles, oldest first.
 	RecentCycles []CycleRecord `json:"recentCycles,omitempty"`
 	// Laggards are the laggiest sessions, worst first (at most
-	// statusLaggards entries).
-	Laggards []SessionLag `json:"laggards,omitempty"`
+	// StatusLaggards entries).
+	Laggards []fanout.SessionLag `json:"laggards,omitempty"`
 	// Build identifies the running binary.
 	Build *BuildInfo `json:"build,omitempty"`
 	// Relay describes this process's upstream link when it runs as a
@@ -76,8 +77,8 @@ type RelayInfo struct {
 	Clients int `json:"clients"`
 }
 
-// statusLaggards bounds the laggard list embedded in /statusz.
-const statusLaggards = 10
+// StatusLaggards bounds the laggard list embedded in /statusz.
+const StatusLaggards = 10
 
 // BuildInfo identifies the running binary for /buildinfo and /statusz.
 type BuildInfo struct {
@@ -121,12 +122,10 @@ func (d *Daemon) Status() Status {
 		Channels:     d.net.Channels(),
 		Metrics:      d.metrics.Snapshot(),
 		RecentCycles: d.ledger.recent(),
-		Laggards:     d.TopLaggards(statusLaggards),
+		Laggards:     d.hub.TopLaggards(StatusLaggards),
 		Build:        ReadBuild(),
 	}
-	d.mu.Lock()
-	st.Sessions = len(d.sessions)
-	d.mu.Unlock()
+	st.Sessions = d.hub.Len()
 	d.planMu.Lock()
 	st.Replans = d.replans
 	if cy := d.cycle; cy != nil {
@@ -145,10 +144,29 @@ func (d *Daemon) Status() Status {
 	return st
 }
 
+// RecentCycles returns the pipeline ledger's retained records, oldest
+// first.
+func (d *Daemon) RecentCycles() []CycleRecord { return d.ledger.recent() }
+
 // AdminMux builds the admin HTTP handler. The caller owns the listener
 // and server lifecycle (see cmd/qsubd's -admin flag); handlers stay
 // valid until the daemon is closed.
 func (d *Daemon) AdminMux() *http.ServeMux {
+	return NewAdminMux(d.Status, d.metrics.Registry, d.logf)
+}
+
+// NewAdminMux builds the admin handler of a process — root daemon or
+// relay — from the function that collects its /statusz document and the
+// registry behind /metrics.
+func NewAdminMux(status func() Status, reg *metrics.Registry, logf func(format string, args ...any)) *http.ServeMux {
+	writeJSON := func(w http.ResponseWriter, path string, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			logf("admin: %s write: %v", path, err)
+		}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -156,26 +174,12 @@ func (d *Daemon) AdminMux() *http.ServeMux {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := d.metrics.Registry.WritePrometheus(w); err != nil {
-			d.logf("daemon: /metrics write: %v", err)
+		if err := reg.WritePrometheus(w); err != nil {
+			logf("admin: /metrics write: %v", err)
 		}
 	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(d.Status()); err != nil {
-			d.logf("daemon: /statusz write: %v", err)
-		}
-	})
-	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ReadBuild()); err != nil {
-			d.logf("daemon: /buildinfo write: %v", err)
-		}
-	})
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, "/statusz", status()) })
+	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, "/buildinfo", ReadBuild()) })
 	// net/http/pprof only self-registers on http.DefaultServeMux; the
 	// admin mux is private, so the routes are installed explicitly.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -5,12 +5,14 @@
 // cycle, and receives the merged answers of its channel as TypeAnswer
 // frames — the deployable version of the BADD dissemination loop (§2).
 //
-// The delivery layer is built to degrade gracefully under slow, dead and
-// reconnecting clients: per-session bounded multicast queues with a
-// slow-consumer policy (default: evict), read-idle and per-frame write
-// deadlines, a supersede rule so a reconnecting client id replaces its
-// half-open predecessor, and context-based graceful shutdown that drains
-// forwarders before closing connections.
+// The delivery side of every connection — direct client or relay feed —
+// is a fanout.Session: one bounded queue and one writer per connection,
+// control frames in-band with the answers. It degrades gracefully under
+// slow, dead and reconnecting clients: a slow-consumer policy on the
+// queue (default: evict), read-idle and per-flush write deadlines, a
+// supersede rule so a reconnecting client id replaces its half-open
+// predecessor, and context-based graceful shutdown that drains the
+// writers before closing connections.
 package daemon
 
 import (
@@ -18,12 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
@@ -39,13 +41,6 @@ const (
 	DefaultSubscriberBuffer = 256
 )
 
-// maxFanoutBatch caps how many queued frames a forwarder coalesces into
-// one vectored flush. 256 frames stays well under typical iovec limits
-// (IOV_MAX is 1024; net.Buffers chunks internally anyway) while
-// amortizing the per-flush deadline and syscall cost ~256x for deep
-// queues.
-const maxFanoutBatch = 256
-
 // Daemon is the network front end of a subscription server. Plans are
 // cached across cycles and recomputed only when subscriptions changed or
 // the drift monitor reports that database churn invalidated the cost
@@ -55,15 +50,19 @@ type Daemon struct {
 	net     *multicast.Network
 	metrics *metrics.Catalog
 
-	mu       sync.Mutex
-	sessions map[int]*session
-	closed   bool
+	// hub holds the delivery side of every connection (see
+	// internal/fanout).
+	hub *fanout.Hub
 
-	// relayMu guards the downstream-client routing table: clients that
-	// subscribed through a relay session, keyed by their global id (see
-	// relay.go).
-	relayMu      sync.Mutex
-	relayClients map[int]*relayClient
+	// mu guards the client registry: every client id with a registration
+	// at this daemon, the session that owns it (its own connection, or
+	// the relay feed it is routed through; nil for subscriptions restored
+	// from a file) and the query ids it registered. The owner check on
+	// every control frame is the supersede rule: a late frame or teardown
+	// from a session that no longer owns an id cannot touch its
+	// successor's registrations.
+	mu      sync.Mutex
+	clients map[int]*registration
 
 	planMu       sync.Mutex
 	cycle        *server.Cycle
@@ -95,13 +94,6 @@ type Daemon struct {
 	// queue is full (default multicast.Evict: the session is dropped and
 	// counted, and the publish cycle never blocks). Set before Serve.
 	SlowPolicy multicast.Policy
-	// PerSessionEncode disables the encode-once fabric and restores the
-	// pre-fabric delivery path: every forwarder re-marshals each message
-	// itself and writes it as its own frame, so a cycle at N subscribers
-	// costs N encodes and N frame-sized writes. Kept as the benchmark
-	// ablation/oracle for the shared-frame fast path; both paths put
-	// byte-identical frames on the wire. Set before the first cycle.
-	PerSessionEncode bool
 	// Now supplies publish timestamps and staleness clocks in UnixNano;
 	// nil uses the wall clock. Tests inject a fixed clock so published
 	// byte streams stay deterministic. Set before the first cycle.
@@ -128,106 +120,16 @@ func (d *Daemon) clockNano() int64 {
 	return time.Now().UnixNano()
 }
 
-// session is one connected TCP client.
-type session struct {
-	clientID int
-	conn     net.Conn
-
-	writeMu      sync.Mutex // serializes frames onto conn
-	writeTimeout time.Duration
-
-	mu      sync.Mutex
-	sub     *multicast.Subscription // current channel attachment
-	fwdDone chan struct{}           // closed when the current forwarder exits
-	queries map[query.ID]struct{}   // query ids this session registered
-	relay   bool                    // upgraded into a relay feed (see relay.go)
-	feeds   []*relayFeed            // relay-mode channel attachments
-	gone    bool                    // dropped or superseded; bind must not attach
-
-	// Lag bookkeeping, updated lock-free by the forwarder after each
-	// successful write: the newest delivered sequence number and when
-	// it went out. The per-cycle watermark pass (see lag.go) reads
-	// them to compute seq lag and staleness per session.
-	lastSeq       atomic.Uint64
-	lastWriteNano atomic.Int64
+// registration is one registry entry (see Daemon.mu).
+type registration struct {
+	owner   *fanout.Session
+	queries map[query.ID]struct{}
 }
 
-// noteWrite records a successful frame write for lag accounting. track
-// is the sequence watermark the write advances: the session's own for a
-// direct client, the feed's for one of a relay session's channel feeds.
-func (s *session) noteWrite(track *atomic.Uint64, nowNano int64, seq uint64) {
-	track.Store(seq)
-	s.lastWriteNano.Store(nowNano)
-}
-
-// boundTo reports whether the session's current attachment is already
-// on the channel. (An evicted or failed attachment is not rebound: its
-// forwarder closes the connection and the session is torn down.)
-func (s *session) boundTo(channel int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sub != nil && s.sub.Channel() == channel
-}
-
-// trackQuery records a successfully registered query id. It reports
-// false when the session is already being torn down, in which case the
-// caller must release the registration itself.
-func (s *session) trackQuery(id query.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gone {
-		return false
-	}
-	if s.queries == nil {
-		s.queries = make(map[query.ID]struct{})
-	}
-	s.queries[id] = struct{}{}
-	return true
-}
-
-func (s *session) untrackQuery(id query.ID) {
-	s.mu.Lock()
-	delete(s.queries, id)
-	s.mu.Unlock()
-}
-
-// takeTeardown flips the session into the gone state and hands the
-// caller everything that needs releasing: the current subscription, the
-// forwarder join channel, the relay channel feeds and the tracked query
-// ids.
-func (s *session) takeTeardown() (sub *multicast.Subscription, fwdDone chan struct{}, feeds []*relayFeed, ids []query.ID) {
-	s.mu.Lock()
-	s.gone = true
-	sub, s.sub = s.sub, nil
-	fwdDone, s.fwdDone = s.fwdDone, nil
-	feeds, s.feeds = s.feeds, nil
-	ids = make([]query.ID, 0, len(s.queries))
-	for id := range s.queries {
-		ids = append(ids, id)
-	}
-	s.queries = nil
-	s.mu.Unlock()
-	return sub, fwdDone, feeds, ids
-}
-
-// releaseTeardown cancels and joins everything takeTeardown returned
-// that is attached to the delivery layer: subscriptions are canceled,
-// the connection is closed (unblocking forwarders stuck in writes), and
-// every forwarder is joined.
-func releaseTeardown(conn net.Conn, sub *multicast.Subscription, fwdDone chan struct{}, feeds []*relayFeed) {
-	if sub != nil {
-		sub.Cancel()
-	}
-	for _, f := range feeds {
-		f.sub.Cancel()
-	}
-	conn.Close()
-	if fwdDone != nil {
-		<-fwdDone
-	}
-	for _, f := range feeds {
-		<-f.done
-	}
+// direct reports whether the client is its owner's own connection rather
+// than one routed through a relay feed.
+func direct(owner *fanout.Session, id int) bool {
+	return owner.ClientID == id && !owner.IsFeed()
 }
 
 // New creates a daemon over a relation with the given channel count and
@@ -247,17 +149,18 @@ func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Daemon{
-		srv:          srv,
-		net:          mnet,
-		metrics:      cfg.Metrics,
-		sessions:     make(map[int]*session),
-		relayClients: make(map[int]*relayClient),
+	d := &Daemon{
+		srv:     srv,
+		net:     mnet,
+		metrics: cfg.Metrics,
+		clients: make(map[int]*registration),
 
 		WriteTimeout:     DefaultWriteTimeout,
 		SubscriberBuffer: DefaultSubscriberBuffer,
 		SlowPolicy:       multicast.Evict,
-	}, nil
+	}
+	d.hub = fanout.NewHub(cfg.Metrics, d.clockNano, d.logf)
+	return d, nil
 }
 
 // Metrics returns the daemon's instrument catalog (never nil).
@@ -279,8 +182,8 @@ func (d *Daemon) logf(format string, args ...any) {
 
 // Serve accepts connections until ctx is canceled, the listener fails,
 // or Close is called. Cancellation shuts down gracefully: the listener
-// closes, every session's forwarder is canceled and drained, each
-// session receives a Bye frame, and connections are closed.
+// closes, every session's queue is closed behind a Bye frame and drained
+// by its writer, and connections are closed.
 func (d *Daemon) Serve(ctx context.Context, ln net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -301,10 +204,7 @@ func (d *Daemon) Serve(ctx context.Context, ln net.Listener) error {
 				d.Shutdown()
 				return nil
 			}
-			d.mu.Lock()
-			closed := d.closed
-			d.mu.Unlock()
-			if closed {
+			if d.hub.Closed() {
 				return nil
 			}
 			return err
@@ -348,8 +248,11 @@ func (d *Daemon) readFrame(conn net.Conn) (uint8, []byte, error) {
 // full cycle's burst per session; the kernel allocates it only as used.
 const sessionSendBuffer = 256 << 10
 
-// handle runs one client session: Hello, then subscription management
-// until Bye or disconnect.
+// handle runs one session: Hello, then control frames until Bye or
+// disconnect. A client speaks the query protocol for itself; a session
+// that sends RelaySub becomes a relay feed (relay.go) and from then on
+// speaks only RelayCtl — its downstream clients' control frames, wrapped
+// — and Refresh.
 func (d *Daemon) handle(conn net.Conn) error {
 	defer conn.Close()
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -366,126 +269,232 @@ func (d *Daemon) handle(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	sess := &session{clientID: hello.ClientID, conn: conn, writeTimeout: d.WriteTimeout}
-
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return errors.New("daemon: closed")
+	sess, err := d.hub.Open(conn, hello.ClientID, fanout.Limits{
+		Buffer: d.SubscriberBuffer, Policy: d.SlowPolicy, WriteTimeout: d.WriteTimeout})
+	if err != nil {
+		return err
 	}
-	old := d.sessions[hello.ClientID]
-	d.sessions[hello.ClientID] = sess
-	d.metrics.SessionsConnected.Set(int64(len(d.sessions)))
-	d.mu.Unlock()
-	if old != nil {
-		// Supersede rule: a reconnecting client id replaces its
-		// (typically half-open) predecessor instead of being rejected.
-		d.supersede(old)
-	}
-	defer d.dropSession(sess)
+	defer func() {
+		sess.Close()
+		d.release(sess)
+	}()
+	d.claim(sess, hello.ClientID)
 
 	for {
 		ft, payload, err := d.readFrame(conn)
 		if err != nil {
 			return err
 		}
-		switch ft {
-		case wire.TypeSubscribe:
-			sub, err := wire.UnmarshalSubscribe(payload)
-			if err != nil {
-				return err
-			}
-			if err := d.srv.Subscribe(sess.clientID, sub.Query); err != nil {
-				sess.sendError(err.Error())
-			} else if !sess.trackQuery(sub.Query.ID) {
-				// Torn down between registration and tracking (a
-				// supersede racing a late frame): release immediately.
-				d.srv.Unsubscribe(sess.clientID, sub.Query.ID)
-				return errors.New("daemon: session superseded")
-			} else {
-				d.markDirty()
-				d.record(trace.Event{Kind: trace.KindSubscribe,
-					ClientID: sess.clientID, QueryID: uint64(sub.Query.ID)})
-			}
-		case wire.TypeUnsubscribe:
-			unsub, err := wire.UnmarshalUnsubscribe(payload)
-			if err != nil {
-				return err
-			}
-			if !d.srv.Unsubscribe(sess.clientID, unsub.ID) {
-				sess.sendError(fmt.Sprintf("no subscription with id %d", unsub.ID))
-			} else {
-				sess.untrackQuery(unsub.ID)
-				d.markDirty()
-				d.record(trace.Event{Kind: trace.KindUnsubscribe,
-					ClientID: sess.clientID, QueryID: uint64(unsub.ID)})
-			}
-		case wire.TypeRelaySub:
-			// The session upgrades into a relay feed: it stops speaking
-			// the query protocol and instead receives every answer frame
-			// of its channel set for downstream re-fan-out (relay.go).
-			rs, err := wire.UnmarshalRelaySub(payload)
-			if err != nil {
-				return err
-			}
-			return d.handleRelay(sess, rs)
-		case wire.TypeReady:
-			// Ready is a synchronization hint: clients send it after
-			// their subscriptions so the operator (or test) knows a
-			// cycle can run. The daemon itself plans on RunCycle.
-		case wire.TypeRefresh:
-			// Gap recovery: the client missed messages and wants full
-			// answers instead of a delta on the next cycle.
-			d.planMu.Lock()
-			d.refreshForce = true
-			d.planMu.Unlock()
-			d.logf("daemon: client %d requested a full refresh", sess.clientID)
-		case wire.TypeBye:
+		feed := sess.IsFeed()
+		switch {
+		case ft == wire.TypeBye:
 			return nil
+		case ft == wire.TypeRelaySub && !feed:
+			var rs wire.RelaySub
+			if rs, err = wire.UnmarshalRelaySub(payload); err == nil {
+				err = d.upgradeFeed(sess, rs)
+			}
+		case ft == wire.TypeRelayCtl && feed:
+			// RelayCtl is a privilege: only a feed speaks for other ids,
+			// and never for its own.
+			var rc wire.RelayCtl
+			if rc, err = wire.UnmarshalRelayCtl(payload); err == nil && rc.ClientID == sess.ClientID {
+				err = fmt.Errorf("daemon: relay %d wrapped a frame for its own id", sess.ClientID)
+			}
+			if err == nil {
+				err = d.control(sess, rc.ClientID, rc.Inner, rc.Payload)
+			}
+		case ft == wire.TypeRefresh || !feed && (ft == wire.TypeSubscribe || ft == wire.TypeUnsubscribe || ft == wire.TypeReady):
+			err = d.control(sess, sess.ClientID, ft, payload)
 		default:
-			return fmt.Errorf("daemon: unexpected frame type %d", ft)
+			err = fmt.Errorf("daemon: unexpected frame type %d (relay feed: %v)", ft, feed)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// supersede tears down a predecessor session synchronously so its
-// replacement starts from a clean registry: cancel its channel
-// attachment, close its connection (unblocking any in-flight write),
-// join its forwarder and release its queries.
-func (d *Daemon) supersede(old *session) {
-	sub, fwdDone, feeds, ids := old.takeTeardown()
-	releaseTeardown(old.conn, sub, fwdDone, feeds)
-	for _, id := range ids {
-		d.srv.Unsubscribe(old.clientID, id)
+// control applies one control frame on behalf of client id: a direct
+// session's own frame, the inner frame of a relay's RelayCtl, or (owner
+// nil) a line of a subscription file. Frames for an id the sender does
+// not own are ignored — its successor's registrations are not the
+// sender's to change — except that a direct session learns it was
+// superseded and ends.
+func (d *Daemon) control(owner *fanout.Session, id int, ft uint8, payload []byte) error {
+	switch ft {
+	case wire.TypeHello:
+		// A relay announces a downstream client. The inner payload
+		// carries the same id as the wrapper; the wrapper is
+		// authoritative.
+		d.claim(owner, id)
+	case wire.TypeSubscribe, wire.TypeUnsubscribe:
+		return d.changeSubscription(owner, id, ft, payload)
+	case wire.TypeReady:
+		// Ready is a synchronization hint: clients send it after their
+		// subscriptions so the operator (or test) knows a cycle can run.
+		// The daemon itself plans on RunCycle.
+	case wire.TypeRefresh:
+		// Gap recovery: the client (or a relay that lost its upstream
+		// stream) missed messages and wants full answers instead of a
+		// delta on the next cycle.
+		d.planMu.Lock()
+		d.refreshForce = true
+		d.planMu.Unlock()
+		d.logf("daemon: client %d requested a full refresh", id)
+	case wire.TypeBye:
+		d.release(owner, id)
+	default:
+		return fmt.Errorf("daemon: unsupported control frame type %d for client %d", ft, id)
 	}
-	if len(ids) > 0 {
-		d.markDirty()
-	}
-	d.releaseRelayClients(old)
-	d.metrics.SessionsSuperseded.Inc()
-	d.logf("daemon: client %d superseded by a new connection", old.clientID)
+	return nil
 }
 
-// dropSession removes a finished session and releases its queries so the
-// next cycle stops addressing a gone client. Query ids are tracked on
-// the session at Subscribe/Unsubscribe time, so teardown needs no
-// throwaway plan and cannot leak subscriptions when planning would fail.
-func (d *Daemon) dropSession(sess *session) {
+// changeSubscription registers or removes one query of client id. The
+// owner check, the server's registry and the client's entry change in one
+// critical section, so a supersede can never land between them.
+func (d *Daemon) changeSubscription(owner *fanout.Session, id int, ft uint8, payload []byte) error {
+	var q query.Query
+	var qid query.ID
+	kind := trace.KindSubscribe
+	if ft == wire.TypeSubscribe {
+		sub, err := wire.UnmarshalSubscribe(payload)
+		if err != nil {
+			return err
+		}
+		q, qid = sub.Query, sub.Query.ID
+	} else {
+		unsub, err := wire.UnmarshalUnsubscribe(payload)
+		if err != nil {
+			return err
+		}
+		qid, kind = unsub.ID, trace.KindUnsubscribe
+	}
 	d.mu.Lock()
-	if d.sessions[sess.clientID] == sess {
-		delete(d.sessions, sess.clientID)
+	c := d.clients[id]
+	if c == nil && ft == wire.TypeSubscribe {
+		// Implicit claim: a restored subscription, or a relay that
+		// skipped the Hello.
+		c = &registration{owner: owner, queries: make(map[query.ID]struct{})}
+		d.clients[id] = c
 	}
-	d.metrics.SessionsConnected.Set(int64(len(d.sessions)))
+	owned := c != nil && c.owner == owner
+	var err error
+	switch {
+	case !owned:
+	case ft == wire.TypeSubscribe:
+		if err = d.srv.Subscribe(id, q); err == nil {
+			c.queries[qid] = struct{}{}
+		}
+	case d.srv.Unsubscribe(id, qid):
+		delete(c.queries, qid)
+	default:
+		err = fmt.Errorf("no subscription with id %d", qid)
+	}
 	d.mu.Unlock()
-	sub, fwdDone, feeds, ids := sess.takeTeardown()
-	releaseTeardown(sess.conn, sub, fwdDone, feeds)
-	for _, id := range ids {
-		d.srv.Unsubscribe(sess.clientID, id)
+	switch {
+	case !owned:
+		return d.disowned(owner, id)
+	case err != nil && owner == nil:
+		return err
+	case err != nil:
+		d.reply(owner, id, wire.TypeError, wire.MarshalError(wire.Error{Msg: err.Error()}))
+	default:
+		d.markDirty()
+		d.record(trace.Event{Kind: kind, ClientID: id, QueryID: uint64(qid)})
 	}
-	if len(ids) > 0 {
+	return nil
+}
+
+// disowned is the outcome of a frame for a client id its sender does not
+// own: nothing for a relay (the client moved on), the end of the session
+// for a direct client (its id was taken over), an error for a
+// subscription file (its client is connected and speaks for itself).
+func (d *Daemon) disowned(owner *fanout.Session, id int) error {
+	switch {
+	case owner == nil:
+		return fmt.Errorf("daemon: client %d has a live session", id)
+	case direct(owner, id):
+		return errors.New("daemon: session superseded")
+	}
+	return nil
+}
+
+// reply queues a frame for client id on its owner's session, in-band
+// with the answers around it: as is for a direct client, wrapped in
+// RelayCtl for one behind a relay.
+func (d *Daemon) reply(owner *fanout.Session, id int, ft uint8, payload []byte) {
+	if !direct(owner, id) {
+		ft, payload = wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{ClientID: id, Inner: ft, Payload: payload})
+	}
+	owner.Push(ft, payload)
+}
+
+// claim registers client id under owner, starting from a clean slate:
+// whatever the id had registered before — under a half-open predecessor
+// connection, another relay, or a restored subscription file — is
+// released first, and a predecessor connection of that id is torn down
+// (the supersede rule: a reconnecting client id replaces its
+// predecessor instead of being rejected).
+func (d *Daemon) claim(owner *fanout.Session, id int) {
+	d.mu.Lock()
+	old := d.clients[id]
+	released := d.unregister(id, old)
+	d.clients[id] = &registration{owner: owner, queries: make(map[query.ID]struct{})}
+	d.mu.Unlock()
+	if released > 0 {
 		d.markDirty()
 	}
-	d.releaseRelayClients(sess)
+	if old != nil && old.owner != nil && old.owner != owner && old.owner.ClientID == id {
+		old.owner.Close()
+		d.release(old.owner)
+		d.metrics.SessionsSuperseded.Inc()
+		d.logf("daemon: client %d superseded by a new connection", id)
+	}
+}
+
+// unregister unsubscribes every query of one registry entry and reports
+// how many there were. Callers hold d.mu.
+func (d *Daemon) unregister(id int, c *registration) int {
+	if c == nil {
+		return 0
+	}
+	for qid := range c.queries {
+		d.srv.Unsubscribe(id, qid)
+	}
+	return len(c.queries)
+}
+
+// release drops the registrations owner holds — for the named client ids
+// (a wrapped Bye), or for every client it owns (the session ended) — so
+// the next cycle stops addressing gone clients. Ids owner does not own
+// are left alone. A relay re-registers its clients wholesale after it
+// reconnects, so a relay blip costs one unsubscribe/resubscribe churn and
+// one replan — the same contract direct sessions have.
+func (d *Daemon) release(owner *fanout.Session, ids ...int) {
+	d.mu.Lock()
+	if len(ids) == 0 {
+		if owner.IsFeed() {
+			for id, c := range d.clients {
+				if c.owner == owner {
+					ids = append(ids, id)
+				}
+			}
+		} else {
+			ids = []int{owner.ClientID}
+		}
+	}
+	released := 0
+	for _, id := range ids {
+		if c := d.clients[id]; c != nil && c.owner == owner {
+			released += d.unregister(id, c)
+			delete(d.clients, id)
+		}
+	}
+	d.mu.Unlock()
+	if released > 0 {
+		d.markDirty()
+	}
 }
 
 // record emits one trace event when tracing is enabled.
@@ -524,8 +533,8 @@ func (d *Daemon) Replans() int {
 // connected client re-informed of its channel assignment — only when
 // subscriptions changed since the last cycle or the drift monitor reports
 // that the cached plan's size estimates no longer match reality. A
-// session the new plan leaves on its channel keeps its subscription and
-// forwarder; only a moved or not yet attached one is bound. In delta
+// session the new plan leaves on its channel keeps its attachment; only a
+// moved or not yet attached one is bound. In delta
 // mode, a pending client refresh request (gap recovery) turns this
 // cycle's publish into full answers.
 func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
@@ -587,54 +596,45 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 			EstimatedCost: fresh.EstimatedCost, InitialCost: fresh.InitialCost,
 			Metrics: d.traceSnapshot()})
 
+		// Every registered client is told its channel, in-band on the
+		// session that owns it: after whatever the session still has
+		// queued from the old plan and ahead of this cycle's answer
+		// frames, so a client — or the relay that rebinds it on seeing
+		// the wrapped frame — switches channel exactly between the two. A
+		// direct client's own queue moves here; a relayed client has no
+		// binding at this tier, its relay's feed carries its frames.
 		d.mu.Lock()
-		sessions := make([]*session, 0, len(d.sessions))
-		for _, s := range d.sessions {
-			sessions = append(sessions, s)
+		owners := make(map[int]*fanout.Session, len(d.clients))
+		for id, c := range d.clients {
+			if c.owner != nil {
+				owners[id] = c.owner
+			}
 		}
 		d.mu.Unlock()
-		for _, sess := range sessions {
-			ch, ok := cy.ClientChannel[sess.clientID]
+		for id, owner := range owners {
+			ch, ok := cy.ClientChannel[id]
 			if !ok {
 				continue // no subscriptions this cycle
 			}
-			if !sess.boundTo(ch) {
-				if err := d.bind(sess, ch); err != nil {
-					d.logf("daemon: bind client %d: %v", sess.clientID, err)
+			if direct(owner, id) {
+				moved, err := owner.Bind(d.net, ch)
+				if err != nil {
+					d.logf("daemon: bind client %d: %v", id, err)
 					continue
 				}
-				rec.SessionsMoved++
+				if moved {
+					rec.SessionsMoved++
+				}
 			}
 			// Sent on every replan even to a session that stays put: the
 			// plan's costs changed.
-			sess.send(wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
+			d.reply(owner, id, wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
 				Channel:       ch,
 				EstimatedCost: cy.EstimatedCost,
 				InitialCost:   cy.InitialCost,
 			}))
 		}
 		d.metrics.SessionsMoved.Add(uint64(rec.SessionsMoved))
-		// Clients subscribed through a relay have no multicast binding
-		// here — the relay's channel feeds carry their frames — but they
-		// still need their channel assignment. It travels wrapped on the
-		// owning relay session, ahead of this cycle's answer frames on
-		// the same TCP stream, so the relay rebinds the client before
-		// any frame of the new assignment arrives.
-		for _, rt := range d.relayRoutes() {
-			ch, ok := cy.ClientChannel[rt.id]
-			if !ok {
-				continue
-			}
-			rt.owner.send(wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{
-				ClientID: rt.id,
-				Inner:    wire.TypeAssigned,
-				Payload: wire.MarshalAssigned(wire.Assigned{
-					Channel:       ch,
-					EstimatedCost: cy.EstimatedCost,
-					InitialCost:   cy.InitialCost,
-				}),
-			}))
-		}
 	}
 
 	// Gap recovery turns a delta cycle into full answers once, so
@@ -683,25 +683,20 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 			Metrics: d.traceSnapshot()})
 	}
 	d.finishCycle(rec, d.metrics.FanoutDeliveries.Load())
-	d.updateLagWatermarks()
+	d.hub.UpdateLagWatermarks()
 	return rep, nil
 }
 
 // ensureEncoder installs the encode-once hook on the multicast network
-// before the first publish cycle (unless the per-session ablation is
-// selected): each published message is marshalled into a complete
-// TypeAnswer frame exactly once, and every forwarder writes that shared
-// immutable slice directly.
+// before the first publish cycle: each published message is marshalled
+// into a complete TypeAnswer frame exactly once, and every session's
+// writer writes that shared immutable slice directly.
 func (d *Daemon) ensureEncoder() {
 	d.encOnce.Do(func() {
 		if !d.DisableTimestamps {
 			// Stamp publishes at seq assignment so every frame carries
-			// its publish time for end-to-end latency accounting. Both
-			// fan-out paths stamp: the ablation must stay byte-comparable.
+			// its publish time for end-to-end latency accounting.
 			d.net.SetClock(d.clockNano)
-		}
-		if d.PerSessionEncode {
-			return
 		}
 		d.net.SetEncoder(func(m multicast.Message) []byte {
 			t0 := time.Now()
@@ -712,248 +707,21 @@ func (d *Daemon) ensureEncoder() {
 	})
 }
 
-// bind attaches the session to the channel, replacing any previous
-// attachment, and starts the forwarder goroutine that turns multicast
-// messages into TypeAnswer frames. The old forwarder is canceled and
-// joined before the new subscription is installed, so a rebound session
-// can never interleave frames from two channels.
-func (d *Daemon) bind(sess *session, channel int) error {
-	sess.mu.Lock()
-	old, oldDone := sess.sub, sess.fwdDone
-	sess.sub, sess.fwdDone = nil, nil
-	sess.mu.Unlock()
-	if old != nil {
-		old.Cancel()
-	}
-	if oldDone != nil {
-		<-oldDone
-	}
-
-	// The shared-frame path consumes through a batch ring subscription
-	// (one queue swap per forwarder wakeup instead of one channel
-	// receive per frame); the per-session-encode ablation keeps the
-	// pre-fabric channel subscription so it measures the old delivery
-	// stack end to end.
-	var sub *multicast.Subscription
-	var err error
-	if d.PerSessionEncode {
-		sub, err = d.net.SubscribeWith(channel, d.SubscriberBuffer, d.SlowPolicy)
-	} else {
-		sub, err = d.net.SubscribeBatch(channel, d.SubscriberBuffer, d.SlowPolicy)
-	}
-	if err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	sess.mu.Lock()
-	if sess.gone {
-		// The session was dropped while we were joining; don't leak a
-		// subscription nobody will ever cancel.
-		sess.mu.Unlock()
-		sub.Cancel()
-		return errors.New("daemon: session gone")
-	}
-	sess.sub, sess.fwdDone = sub, done
-	sess.mu.Unlock()
-
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer close(done)
-		werr := d.forward(sess, sub, &sess.lastSeq)
-		if werr != nil {
-			sub.Cancel()
-		}
-		// An eviction can land while the forwarder is blocked in a
-		// write, so the evicted check must cover both exit paths.
-		switch {
-		case sub.Evicted():
-			d.metrics.SessionsEvicted.Inc()
-			d.logf("daemon: client %d evicted as a slow consumer on channel %d", sess.clientID, sub.Channel())
-			sess.sendError(fmt.Sprintf("evicted: delivery queue full on channel %d", sub.Channel()))
-			// The session cannot make progress without its answer
-			// stream; closing the conn lets the read loop tear the
-			// whole session down.
-			sess.conn.Close()
-		case werr != nil:
-			var ne net.Error
-			if errors.As(werr, &ne) && ne.Timeout() {
-				d.metrics.SessionsExpired.Inc()
-				d.metrics.SessionsExpiredWrite.Inc()
-			}
-			sess.conn.Close()
-		}
-	}()
-	return nil
-}
-
-// forward pumps the subscription's multicast messages onto the session
-// socket until the subscription ends (cancel, eviction, shutdown) or a
-// write fails. It returns the write error, if any; the caller owns
-// cancellation and teardown.
-func (d *Daemon) forward(sess *session, sub *multicast.Subscription, track *atomic.Uint64) error {
-	if d.PerSessionEncode {
-		return d.forwardPerSession(sess, sub, track)
-	}
-	return d.forwardShared(sess, sub, track)
-}
-
-// forwardPerSession is the ablation path: re-marshal every message in
-// this forwarder and write it as its own frame. One encode buffer per
-// forwarder — send finishes the write before returning, so the buffer is
-// reusable and steady state allocates nothing (but costs one encode and
-// one frame-sized write per subscriber per message).
-func (d *Daemon) forwardPerSession(sess *session, sub *multicast.Subscription, track *atomic.Uint64) error {
-	var buf []byte
-	for msg := range sub.C {
-		buf = wire.MarshalMessageAppend(buf[:0], msg)
-		d.metrics.FanoutEncodes.Inc()
-		d.metrics.FanoutBytes.Add(uint64(len(buf)) + wire.HeaderSize)
-		if err := sess.send(wire.TypeAnswer, buf); err != nil {
-			return err
-		}
-		d.metrics.FanoutFramesWritten.Inc()
-		d.metrics.FanoutFlushes.Inc()
-		sess.noteWrite(track, d.clockNano(), msg.Seq)
-	}
-	return nil
-}
-
-// forwardShared is the encode-once fast path: each delivered message
-// carries the shared immutable frame the publish cycle encoded, and the
-// forwarder writes that slice directly — no decode, no re-encode. The
-// subscription is a batch ring (see multicast.SubscribeBatch), so one
-// NextBatch call swaps out everything queued since the last wakeup;
-// frames are then coalesced (up to maxFanoutBatch) into vectored
-// flushes, so a deep queue costs one syscall per batch instead of two
-// per frame. The batch only ever holds aliases; frame bytes are never
-// copied or mutated here (net.Buffers consumes the slice headers, not
-// the shared arrays they point to).
-func (d *Daemon) forwardShared(sess *session, sub *multicast.Subscription, track *atomic.Uint64) error {
-	batch := make(net.Buffers, 0, maxFanoutBatch)
-	var fbuf []byte // frames for messages published before the encoder was installed
-	for {
-		msgs, ok := sub.NextBatch()
-		for len(msgs) > 0 {
-			n := len(msgs)
-			if n > maxFanoutBatch {
-				n = maxFanoutBatch
-			}
-			batch, fbuf = batch[:0], fbuf[:0]
-			var batchBytes uint64
-			shared := 0
-			for _, msg := range msgs[:n] {
-				frame := msg.Frame
-				if frame == nil {
-					// Rare pre-encoder publish: frame it locally.
-					// Appending at the tail keeps frames already batched
-					// valid even when the buffer grows (they stay on the
-					// old backing array).
-					start := len(fbuf)
-					fbuf = wire.AppendMessageFrame(fbuf, msg)
-					frame = fbuf[start:]
-					d.metrics.FanoutEncodes.Inc()
-				} else {
-					shared++
-				}
-				batch = append(batch, frame)
-				batchBytes += uint64(len(frame))
-			}
-			lastSeq := msgs[n-1].Seq
-			msgs = msgs[n:]
-			d.metrics.FanoutFramesShared.Add(uint64(shared))
-			d.metrics.FanoutBytes.Add(batchBytes)
-			if err := sess.sendBatch(batch); err != nil {
-				return err
-			}
-			d.metrics.FanoutFramesWritten.Add(uint64(len(batch)))
-			d.metrics.FanoutFlushes.Inc()
-			sess.noteWrite(track, d.clockNano(), lastSeq)
-		}
-		if !ok {
-			return nil
-		}
-	}
-}
-
-// sendBatch flushes a batch of ready-to-write frames to the session's
-// connection under a single write deadline. On TCP connections
-// net.Buffers turns the batch into one writev; other conns degrade to
-// sequential writes, still under one deadline and one lock acquisition.
-func (s *session) sendBatch(bufs net.Buffers) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.writeTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
-	_, err := bufs.WriteTo(s.conn)
-	return err
-}
-
-// send writes one frame to the session's connection under the
-// daemon's write deadline.
-func (s *session) send(frameType uint8, payload []byte) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.writeTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
-	return wire.WriteFrame(s.conn, frameType, payload)
-}
-
-func (s *session) sendError(msg string) {
-	if err := s.send(wire.TypeError, wire.MarshalError(wire.Error{Msg: msg})); err != nil {
-		log.Printf("daemon: sending error frame: %v", err)
-	}
-}
-
-// Close shuts the daemon down immediately: the multicast network closes
-// (ending all forwarders) and every session connection is closed.
+// Close shuts the daemon down immediately: every session's queue and
+// connection is closed and the multicast network with them.
 func (d *Daemon) Close() { d.shutdown(false) }
 
-// Shutdown shuts the daemon down gracefully: every session's forwarder
-// is canceled and joined (draining already-queued answers, bounded by
-// the write deadline), each session receives a Bye frame, and only then
-// are connections closed. Serve calls it on context cancellation.
+// Shutdown shuts the daemon down gracefully: every session is sent a Bye
+// behind the answers it still has queued, its writer drains them (bounded
+// by the write deadline), and only then are connections closed. Serve
+// calls it on context cancellation.
 func (d *Daemon) Shutdown() { d.shutdown(true) }
 
 func (d *Daemon) shutdown(graceful bool) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	if !d.hub.Close(graceful) {
 		return
 	}
-	d.closed = true
-	sessions := make([]*session, 0, len(d.sessions))
-	for _, s := range d.sessions {
-		sessions = append(sessions, s)
-	}
-	d.mu.Unlock()
-	if graceful {
-		for _, s := range sessions {
-			s.mu.Lock()
-			sub, done, feeds := s.sub, s.fwdDone, s.feeds
-			s.sub, s.fwdDone, s.feeds = nil, nil, nil
-			s.mu.Unlock()
-			if sub != nil {
-				sub.Cancel() // forwarder drains buffered answers, then exits
-			}
-			for _, f := range feeds {
-				f.sub.Cancel()
-			}
-			if done != nil {
-				<-done
-			}
-			for _, f := range feeds {
-				<-f.done
-			}
-			s.send(wire.TypeBye, nil) // best-effort farewell
-		}
-	}
 	d.net.Close()
-	for _, s := range sessions {
-		s.conn.Close()
-	}
 	d.wg.Wait()
 }
 
@@ -983,7 +751,9 @@ func (d *Daemon) SaveSubscriptions(w io.Writer) error {
 }
 
 // LoadSubscriptions restores a registry written by SaveSubscriptions. It
-// returns the number of subscriptions restored. The plan is marked dirty
+// returns the number of subscriptions restored; they belong to no session
+// until their client says Hello, which starts it from a clean slate like
+// any reconnect (control). The plan is marked dirty
 // whenever anything was restored — including when an error cuts the
 // restore short mid-file — so the next cycle never publishes a plan that
 // predates the partial restore.
@@ -1015,11 +785,7 @@ func (d *Daemon) LoadSubscriptions(r io.Reader) (restored int, err error) {
 			if !haveClient {
 				return restored, fmt.Errorf("daemon: subscribe before hello in subscription file")
 			}
-			sub, err := wire.UnmarshalSubscribe(payload)
-			if err != nil {
-				return restored, err
-			}
-			if err := d.srv.Subscribe(clientID, sub.Query); err != nil {
+			if err := d.control(nil, clientID, wire.TypeSubscribe, payload); err != nil {
 				return restored, err
 			}
 			restored++

@@ -28,12 +28,15 @@ type fanoutCfg struct {
 }
 
 // fanoutWorld is the outcome of one daemon run: the exact bytes each
-// client read off its socket, plus the fan-out counter values.
+// client read off its socket, what a tap on each channel of the same
+// network saw published, plus the fan-out counter values.
 type fanoutWorld struct {
 	streams  map[int][]byte
-	messages int // sum of Report.Messages across cycles
+	taps     [][]multicast.Message // per channel, in publish order
+	messages int                   // sum of Report.Messages across cycles
 	encodes  uint64
 	shared   uint64
+	written  uint64
 	delivers uint64
 	bytes    uint64
 }
@@ -41,10 +44,11 @@ type fanoutWorld struct {
 // runFanoutWorld builds a deterministic daemon world (seeded relation,
 // sequentially registered subscriptions, fixed solver seed), runs one
 // full cycle plus three delta cycles with seeded churn, shuts down
-// gracefully, and returns the raw per-client wire streams. Two calls
-// with the same cfg differ only in the perSession ablation flag, so
-// their streams must be byte-identical.
-func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
+// gracefully, and returns the raw per-client wire streams next to the
+// reference: a channel-mode subscription on every channel of the same
+// network, which receives each published message as a value — sequence
+// number and stamp assigned — through none of the session machinery.
+func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 	t.Helper()
 	bounds := geom.R(0, 0, 1000, 1000)
 	var rel *relation.Relation
@@ -68,15 +72,13 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.PerSessionEncode = perSession
 	d.SlowPolicy = cfg.policy
-	// Byte-identical streams require identical publish timestamps, so
-	// both worlds run on the same fixed clock. The stamping path itself
-	// still runs — frames carry the timestamp field in both worlds.
+	// A fixed clock keeps the run reproducible. The stamping path itself
+	// still runs — frames carry the timestamp field.
 	d.Now = func() int64 { return 1_700_000_000_000_000_000 }
 	// Buffers are deep enough that no policy ever actually drops or
 	// evicts: the policies' enqueue paths run, but the streams stay
-	// deterministic and comparable.
+	// complete and comparable.
 	d.SubscriberBuffer = 4096
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -88,8 +90,24 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 		ln.Close()
 	}()
 
+	out := fanoutWorld{streams: make(map[int][]byte), taps: make([][]multicast.Message, cfg.channels)}
+	var tapping sync.WaitGroup
+	for ch := 0; ch < cfg.channels; ch++ {
+		tap, err := d.Network().SubscribeWith(ch, 4096, multicast.Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tapping.Add(1)
+		go func() {
+			defer tapping.Done()
+			for msg := range tap.C { // until the daemon closes its network
+				out.taps[ch] = append(out.taps[ch], msg)
+			}
+		}()
+	}
+
 	// Register clients strictly sequentially so the subscription
-	// registry — and therefore the plan — is identical across worlds.
+	// registry — and therefore the plan — is the same on every run.
 	const clients = 6
 	conns := make([]net.Conn, clients)
 	for i := 0; i < clients; i++ {
@@ -118,7 +136,6 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 
 	// Capture each client's raw byte stream until the daemon's graceful
 	// Bye (or close).
-	out := fanoutWorld{streams: make(map[int][]byte)}
 	var mu sync.Mutex
 	var readers sync.WaitGroup
 	for i, conn := range conns {
@@ -159,21 +176,26 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 	}
 	d.Shutdown()
 	readers.Wait()
+	tapping.Wait()
 
 	cat := d.Metrics()
 	out.encodes = cat.FanoutEncodes.Load()
 	out.shared = cat.FanoutFramesShared.Load()
+	out.written = cat.FanoutFramesWritten.Load()
 	out.delivers = cat.FanoutDeliveries.Load()
 	out.bytes = cat.FanoutBytes.Load()
 	return out
 }
 
-// TestFanoutWireEquivalence pins the tentpole's correctness half: the
-// shared-frame fast path and the per-session-encode ablation put
-// byte-identical streams on every client socket, across grid and R-tree
-// relations, single and multi channel, and all three slow-consumer
-// policies — while the fan-out counters confirm the fast path really
-// encoded once per message (vs once per delivery in the ablation).
+// TestFanoutWireEquivalence pins the encode-once fabric's correctness:
+// every client socket carries exactly one Assigned, then byte for byte
+// the frames a per-message encoder would have produced for its channel —
+// each message the reference tap received, framed on its own with
+// wire.AppendMessageFrame — then Bye, across grid and R-tree relations,
+// single and multi channel, and all three slow-consumer policies; while
+// the fan-out counters confirm the fabric encoded once per message and
+// count answer frames only (the in-band Assigned and Bye are not
+// qsub_fanout_* frames).
 func TestFanoutWireEquivalence(t *testing.T) {
 	scenarios := []fanoutCfg{
 		{rtree: false, channels: 1, policy: multicast.Block},
@@ -185,56 +207,60 @@ func TestFanoutWireEquivalence(t *testing.T) {
 	for _, cfg := range scenarios {
 		name := fmt.Sprintf("rtree=%v/channels=%d/policy=%d", cfg.rtree, cfg.channels, cfg.policy)
 		t.Run(name, func(t *testing.T) {
-			sharedW := runFanoutWorld(t, cfg, false)
-			ablation := runFanoutWorld(t, cfg, true)
+			w := runFanoutWorld(t, cfg)
 
-			if len(sharedW.streams) != len(ablation.streams) {
-				t.Fatalf("client count differs: %d vs %d", len(sharedW.streams), len(ablation.streams))
+			tapped := 0
+			for _, msgs := range w.taps {
+				tapped += len(msgs)
 			}
-			for id, got := range sharedW.streams {
-				want, ok := ablation.streams[id]
-				if !ok {
-					t.Fatalf("client %d missing from ablation world", id)
+			if tapped != w.messages || tapped == 0 {
+				t.Fatalf("reference taps saw %d messages, cycles published %d", tapped, w.messages)
+			}
+			var answerFrames, answerBytes uint64
+			for id, got := range w.streams {
+				// The stream opens with the client's one Assigned (the plan
+				// is computed once); that names the channel whose messages
+				// must follow.
+				ft, payload, err := wire.ReadFrame(bytes.NewReader(got))
+				if err != nil || ft != wire.TypeAssigned {
+					t.Fatalf("client %d: stream opens with frame type %d (%v), want Assigned", id, ft, err)
 				}
+				a, err := wire.UnmarshalAssigned(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := wire.AppendFrame(nil, wire.TypeAssigned, payload)
+				for _, msg := range w.taps[a.Channel] {
+					msg.Frame = nil // the reference encodes for itself
+					want = wire.AppendMessageFrame(want, msg)
+					answerFrames++
+				}
+				answerBytes += uint64(len(want) - wire.HeaderSize - len(payload))
+				want = wire.AppendFrame(want, wire.TypeBye, nil)
 				if !bytes.Equal(got, want) {
 					i := 0
 					for i < len(got) && i < len(want) && got[i] == want[i] {
 						i++
 					}
-					t.Fatalf("client %d streams differ at byte %d (shared %d bytes, ablation %d bytes)",
+					t.Fatalf("client %d stream differs from the per-message reference at byte %d (socket %d bytes, reference %d bytes)",
 						id, i, len(got), len(want))
-				}
-				if len(got) == 0 {
-					t.Fatalf("client %d received an empty stream", id)
 				}
 			}
 
-			if sharedW.messages != ablation.messages {
-				t.Fatalf("cycles published %d vs %d messages", sharedW.messages, ablation.messages)
+			// Exactly one encode per published message; every answer frame
+			// written was the shared one; the taps' deliveries are the
+			// only ones no session writer wrote.
+			if w.encodes != uint64(w.messages) {
+				t.Errorf("encoded %d frames for %d messages, want one encode per message", w.encodes, w.messages)
 			}
-			// Fast path: exactly one encode per published message, every
-			// delivery reused a shared frame. Ablation: one encode per
-			// delivery, nothing shared.
-			if sharedW.encodes != uint64(sharedW.messages) {
-				t.Errorf("shared world encoded %d frames for %d messages, want one encode per message",
-					sharedW.encodes, sharedW.messages)
+			if w.shared != answerFrames || w.written != answerFrames {
+				t.Errorf("%d shared-frame writes, %d frames written, clients read %d answer frames", w.shared, w.written, answerFrames)
 			}
-			if sharedW.shared != sharedW.delivers {
-				t.Errorf("shared world: %d shared-frame writes for %d deliveries", sharedW.shared, sharedW.delivers)
+			if w.delivers != answerFrames+uint64(tapped) {
+				t.Errorf("%d deliveries, want %d to sessions + %d to the taps", w.delivers, answerFrames, tapped)
 			}
-			if ablation.encodes != ablation.delivers {
-				t.Errorf("ablation world encoded %d frames for %d deliveries, want one per delivery",
-					ablation.encodes, ablation.delivers)
-			}
-			if ablation.shared != 0 {
-				t.Errorf("ablation world reported %d shared frames, want 0", ablation.shared)
-			}
-			if sharedW.bytes != ablation.bytes {
-				t.Errorf("fan-out bytes differ: shared %d, ablation %d", sharedW.bytes, ablation.bytes)
-			}
-			if sharedW.delivers > uint64(sharedW.messages) && sharedW.encodes >= ablation.encodes {
-				t.Errorf("fan-out with %d deliveries should encode fewer frames than the ablation (%d vs %d)",
-					sharedW.delivers, sharedW.encodes, ablation.encodes)
+			if w.bytes != answerBytes {
+				t.Errorf("qsub_fanout_bytes_total = %d, clients read %d bytes of answer frames", w.bytes, answerBytes)
 			}
 		})
 	}

@@ -2,7 +2,7 @@
 // id and replan mode with per-stage wall time, kept in a bounded ring
 // for /statusz and mirrored into trace events and the
 // qsub_cycle_stage_seconds histogram vec. The plan, encode and fanout
-// stages are measured inline; the write stage — forwarders draining the
+// stages are measured inline; the write stage — session writers draining the
 // cycle's frames to the kernel — completes after RunCycle returns, so a
 // short-lived finalizer goroutine watches the frames-written counter
 // reach the cycle's delivery target and stamps the record when it does.
@@ -19,7 +19,7 @@ import (
 const ledgerCapacity = 64
 
 // writeStageDeadline caps how long a cycle's finalizer waits for the
-// forwarders to drain before recording the write stage as incomplete.
+// session writers to drain before recording the write stage as incomplete.
 const writeStageDeadline = 30 * time.Second
 
 // CycleRecord is one pipeline-ledger entry.
@@ -61,7 +61,7 @@ type CycleRecord struct {
 	EncodeSeconds float64 `json:"encodeSeconds"`
 	FanoutSeconds float64 `json:"fanoutSeconds"`
 	WriteSeconds  float64 `json:"writeSeconds"`
-	// WritePending is true until the forwarders have drained the
+	// WritePending is true until the session writers have drained the
 	// cycle's frames (or the finalizer gave up at its deadline).
 	WritePending bool `json:"writePending,omitempty"`
 }
@@ -115,7 +115,7 @@ func (l *cycleLedger) recent() []CycleRecord {
 }
 
 // finishCycle records the completed publish stages, then watches the
-// forwarders drain the cycle's frames to finish the write stage. The
+// session writers drain the cycle's frames to finish the write stage. The
 // frames-written counter is monotone and shared across cycles, so the
 // target is its absolute value once this cycle's deliveries are all
 // enqueued; reaching it means every frame up to and including this
@@ -158,10 +158,7 @@ func (d *Daemon) finishCycle(rec CycleRecord, writeTarget uint64) {
 				finish(true)
 				return
 			}
-			d.mu.Lock()
-			closed := d.closed
-			d.mu.Unlock()
-			if closed {
+			if d.hub.Closed() {
 				break
 			}
 			time.Sleep(500 * time.Microsecond)

@@ -135,7 +135,7 @@ func TestLagWatermarksAndRestartReset(t *testing.T) {
 	if got := d.metrics.SessionsConnected.Load(); got != 2 {
 		t.Errorf("sessions-connected gauge %d, want 2", got)
 	}
-	lags := d.TopLaggards(10)
+	lags := d.hub.TopLaggards(10)
 	if len(lags) != 2 {
 		t.Fatalf("laggard sweep found %d sessions, want 2", len(lags))
 	}
@@ -168,7 +168,7 @@ func TestLagWatermarksAndRestartReset(t *testing.T) {
 		t.Errorf("fresh daemon lag histogram count %d, want 0", got)
 	}
 	// And with no sessions, the watermark pass holds the gauges at zero.
-	fresh.updateLagWatermarks()
+	fresh.hub.UpdateLagWatermarks()
 	if got := fresh.metrics.SessionMaxStaleMs.Load(); got != 0 {
 		t.Errorf("empty watermark pass set staleness gauge to %d", got)
 	}

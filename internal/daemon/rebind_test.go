@@ -10,7 +10,6 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
-	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/server"
@@ -52,22 +51,14 @@ func (c *rebindClient) drain() {
 	}
 }
 
-// attachment is what makes a session's delivery path this one and not a
-// replacement: its subscription and its forwarder's join channel, both
-// created by bind and by nothing else.
-type attachment struct {
-	sub  *multicast.Subscription
-	done chan struct{}
-}
-
-func attachments(d *Daemon) map[int]attachment {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int]attachment, len(d.sessions))
-	for id, s := range d.sessions {
-		s.mu.Lock()
-		out[id] = attachment{s.sub, s.fwdDone}
-		s.mu.Unlock()
+// bindings returns the channel every session's queue is attached to. (A
+// session's queue and writer are its own for the connection's lifetime,
+// so there is nothing else a rebind could replace; TestSessionMoves in
+// internal/fanout pins that a move starts and joins no goroutine.)
+func bindings(d *Daemon) map[int]int {
+	out := make(map[int]int)
+	for _, l := range d.hub.TopLaggards(0) {
+		out[l.ClientID] = l.Channel
 	}
 	return out
 }
@@ -162,9 +153,9 @@ func lastRecord(d *Daemon) CycleRecord {
 
 // TestReplanLeavesUnmovedSessionsBound pins stable binding: the first
 // plan binds every session once; an incremental replan that moves no
-// client performs no bind at all — same subscription, same forwarder —
-// yet every session is sent the new Assigned, and the frames each client
-// sees on its channel stay consecutive across the replans.
+// client performs no bind at all, yet every session is sent the new
+// Assigned, and the frames each client sees on its channel stay
+// consecutive across the replans.
 func TestReplanLeavesUnmovedSessionsBound(t *testing.T) {
 	const n = 12
 	d, clients := startRebindWorld(t, n)
@@ -174,7 +165,7 @@ func TestReplanLeavesUnmovedSessionsBound(t *testing.T) {
 	if rec := lastRecord(d); rec.Mode != "full" || rec.SessionsMoved != n || rec.ShardsSolved == 0 || rec.ShardsReused != 0 {
 		t.Fatalf("first cycle %+v, want a full plan binding all %d sessions", rec, n)
 	}
-	bound := attachments(d)
+	bound := bindings(d)
 
 	for round := 1; round <= 3; round++ {
 		// One client swaps one subscription for a shifted copy.
@@ -200,11 +191,11 @@ func TestReplanLeavesUnmovedSessionsBound(t *testing.T) {
 		if rec.ShardsReused == 0 || rec.ShardsSolved > rec.ShardsReused {
 			t.Fatalf("round %d: %d tasks solved, %d reused", round, rec.ShardsSolved, rec.ShardsReused)
 		}
-		if now := attachments(d); len(now) != n {
+		if now := bindings(d); len(now) != n {
 			t.Fatalf("round %d: %d sessions", round, len(now))
 		} else {
-			for id, a := range now {
-				if a != bound[id] {
+			for id, ch := range now {
+				if ch != bound[id] {
 					t.Fatalf("round %d: session %d was rebound though it did not move", round, id)
 				}
 			}
@@ -228,15 +219,14 @@ func TestReplanLeavesUnmovedSessionsBound(t *testing.T) {
 }
 
 // TestReplanRebindsMovedSessionOnce forces a full plan that changes the
-// allocation: the sessions whose channel changed — and only those — get
-// a new attachment, one each, on the assigned channel.
+// allocation: the sessions whose channel changed — and only those — are
+// re-attached, once each, to the assigned channel.
 func TestReplanRebindsMovedSessionOnce(t *testing.T) {
 	const n = 12
 	d, clients := startRebindWorld(t, n)
 	if _, err := d.RunCycle(true); err != nil {
 		t.Fatal(err)
 	}
-	bound := attachments(d)
 	d.planMu.Lock()
 	before := d.cycle.ClientChannel
 	d.planMu.Unlock()
@@ -283,17 +273,14 @@ func TestReplanRebindsMovedSessionOnce(t *testing.T) {
 	d.planMu.Lock()
 	after := d.cycle.ClientChannel
 	d.planMu.Unlock()
-	now := attachments(d)
+	now := bindings(d)
 	moved := 0
 	for id, ch := range after {
-		switch {
-		case ch != before[id]:
+		if ch != before[id] {
 			moved++
-			if now[id] == bound[id] || now[id].sub.Channel() != ch {
-				t.Fatalf("session %d moved from channel %d to %d but is attached to %d", id, before[id], ch, now[id].sub.Channel())
-			}
-		case now[id] != bound[id]:
-			t.Fatalf("session %d stayed on channel %d and was rebound", id, ch)
+		}
+		if now[id] != ch {
+			t.Fatalf("session %d (channel %d before) is assigned channel %d but attached to %d", id, before[id], ch, now[id])
 		}
 	}
 	if moved == 0 {

@@ -14,9 +14,7 @@
 // workload shape — the sharded planner is free to merge queries within
 // a shard, and the accounting stays exact either way. Counting frames
 // against that exact expectation is what lets the driver detect cycle
-// completion without guessing with sleeps, and makes the per-cycle
-// fan-out work identical between the shared-frame and
-// per-session-encode runs being compared.
+// completion without guessing with sleeps.
 //
 // Fan-out wall time is measured publish start → last answer frame
 // handed to the kernel (the daemon's frames-written counter), because
@@ -74,9 +72,6 @@ type Config struct {
 	// Cycles is the number of measured delta cycles after the
 	// bootstrap full cycle (default 3).
 	Cycles int
-	// PerSessionEncode selects the ablation daemon (see
-	// daemon.PerSessionEncode) instead of the shared-frame fabric.
-	PerSessionEncode bool
 	// Relays, when positive, inserts a relay tier between the daemon and
 	// the sessions: that many internal/relay instances run in the driver
 	// process, each feeding from the daemon as one privileged session,
@@ -139,7 +134,7 @@ type ServerStats struct {
 	FramesShared uint64
 	Bytes        uint64
 	Deliveries   uint64
-	// FramesWritten counts answer frames the forwarders handed to the
+	// FramesWritten counts answer frames the session writers handed to the
 	// kernel — the fan-out flush-complete signal the driver's wall clock
 	// stops on.
 	FramesWritten uint64
@@ -221,7 +216,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.PerSessionEncode = cfg.PerSessionEncode
 	d.SlowPolicy = multicast.Block
 	d.SubscriberBuffer = cfg.SubscriberBuffer
 	d.WriteTimeout = cfg.Timeout
@@ -262,7 +256,7 @@ func (s *Server) Bootstrap() error {
 // time in-process: publish start → frames-written caught up with the
 // cycle's deliveries. The delivery counter is final the moment RunCycle
 // returns (sends happen inside Publish), so the flush target is exact;
-// the forwarders only lag it by their in-flight queues.
+// the session writers only lag it by their in-flight queues.
 func (s *Server) Cycle() (time.Duration, error) {
 	cat := s.Daemon.Metrics()
 	baseWritten := cat.FanoutFramesWritten.Load()
@@ -311,7 +305,6 @@ func (s *Server) Close() error {
 // over the measured window (bootstrap excluded).
 type Result struct {
 	Sessions, Channels, Cycles int
-	PerSessionEncode           bool
 	// Relays is the relay-tier width (0 = sessions dialed the daemon
 	// directly). With relays, Wall and the percentiles cover the full
 	// two-hop delivery, and the bench name gains a /relays=N segment so
@@ -324,8 +317,8 @@ type Result struct {
 	// Frames is the total answer frames received in the measured window.
 	Frames uint64
 	// Messages is the total messages published in the measured window,
-	// from the daemon's per-channel counters. On the shared-frame path
-	// Encodes == Messages — the encode-once contract.
+	// from the daemon's per-channel counters. Encodes == Messages — the
+	// encode-once contract.
 	Messages uint64
 	// Wall is the summed fan-out wall time of the measured cycles:
 	// publish start → last answer frame handed to the kernel. Session
@@ -365,19 +358,13 @@ func (r Result) BytesPerCycle() float64 {
 	return float64(r.FanoutBytes) / float64(r.Cycles)
 }
 
-// Mode names the delivery path under test.
-func (r Result) Mode() string {
-	if r.PerSessionEncode {
-		return "per-session-encode"
-	}
-	return "shared"
-}
-
 // benchName builds the bench identifier shared by BenchLine and
 // LatencyBenchLine. Relay runs get their own /relays=N name segment so
-// benchjson never compares them against direct-deployment baselines.
+// benchjson never compares them against direct-deployment baselines;
+// mode=shared is the row name the committed BENCH_fanout.json baselines
+// carry.
 func (r Result) benchName(prefix string) string {
-	name := fmt.Sprintf("%s/sessions=%d/channels=%d/mode=%s", prefix, r.Sessions, r.Channels, r.Mode())
+	name := fmt.Sprintf("%s/sessions=%d/channels=%d/mode=shared", prefix, r.Sessions, r.Channels)
 	if r.Relays > 0 {
 		name += fmt.Sprintf("/relays=%d", r.Relays)
 	}
@@ -728,9 +715,19 @@ func Run(ctl Control, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	relayWrittenBase, relayIngestBase := relayWritten(), relayIngested()
-	base, err := ctl.Stats()
-	if err != nil {
+	// The root's writers do the same: the base is only taken once they
+	// have counted every bootstrap frame, or the window would open with
+	// frames of the bootstrap still to be counted into it.
+	var base ServerStats
+	var statsErr error
+	if err := waitFor("root bootstrap flush", func() bool {
+		base, statsErr = ctl.Stats()
+		return statsErr != nil || base.FramesWritten == base.Deliveries
+	}); err != nil {
 		return Result{}, err
+	}
+	if statsErr != nil {
+		return Result{}, statsErr
 	}
 
 	hist.Reset()
@@ -818,28 +815,27 @@ func Run(ctl Control, cfg Config) (Result, error) {
 
 	frames := want - bootFrames
 	res := Result{
-		Sessions:         cfg.Sessions,
-		Channels:         cfg.Channels,
-		Cycles:           cfg.Cycles,
-		PerSessionEncode: cfg.PerSessionEncode,
-		Relays:           cfg.Relays,
-		FramesPerCycle:   frames / uint64(cfg.Cycles),
-		Frames:           frames,
-		Messages:         end.messages() - base.messages(),
-		Wall:             wall,
-		FramesPerSec:     float64(frames) / wall.Seconds(),
-		P50:              hist.Percentile(0.50),
-		P99:              hist.Percentile(0.99),
-		LatencyP50:       e2e.Percentile(0.50),
-		LatencyP90:       e2e.Percentile(0.90),
-		LatencyP99:       e2e.Percentile(0.99),
-		LatencyMax:       e2e.Max(),
-		LatencySamples:   e2e.count.Load(),
-		Encodes:          end.Encodes - base.Encodes,
-		FramesShared:     end.FramesShared - base.FramesShared,
-		FanoutBytes:      end.Bytes - base.Bytes,
-		Deliveries:       end.Deliveries - base.Deliveries,
-		Flushes:          end.Flushes - base.Flushes,
+		Sessions:       cfg.Sessions,
+		Channels:       cfg.Channels,
+		Cycles:         cfg.Cycles,
+		Relays:         cfg.Relays,
+		FramesPerCycle: frames / uint64(cfg.Cycles),
+		Frames:         frames,
+		Messages:       end.messages() - base.messages(),
+		Wall:           wall,
+		FramesPerSec:   float64(frames) / wall.Seconds(),
+		P50:            hist.Percentile(0.50),
+		P99:            hist.Percentile(0.99),
+		LatencyP50:     e2e.Percentile(0.50),
+		LatencyP90:     e2e.Percentile(0.90),
+		LatencyP99:     e2e.Percentile(0.99),
+		LatencyMax:     e2e.Max(),
+		LatencySamples: e2e.count.Load(),
+		Encodes:        end.Encodes - base.Encodes,
+		FramesShared:   end.FramesShared - base.FramesShared,
+		FanoutBytes:    end.Bytes - base.Bytes,
+		Deliveries:     end.Deliveries - base.Deliveries,
+		Flushes:        end.Flushes - base.Flushes,
 	}
 	return res, nil
 }

@@ -190,8 +190,8 @@ func NewCatalog(channels int) *Catalog {
 		FanoutEncodes:       r.Counter("qsub_fanout_encodes_total", "wire frames encoded for fan-out (once per message per cycle on the shared-frame path)"),
 		FanoutFramesShared:  r.Counter("qsub_fanout_frames_shared_total", "per-session frame writes that reused a shared encode-once frame"),
 		FanoutBytes:         r.Counter("qsub_fanout_bytes_total", "frame bytes written to session sockets by the fan-out path"),
-		FanoutFramesWritten: r.Counter("qsub_fanout_frames_written_total", "answer frames handed to the kernel by session forwarders (deliveries lag this only by in-flight queues)"),
-		FanoutFlushes:       r.Counter("qsub_fanout_flushes_total", "socket flushes by session forwarders; frames-written over this is the achieved write coalescing factor"),
+		FanoutFramesWritten: r.Counter("qsub_fanout_frames_written_total", "answer frames handed to the kernel by session writers (deliveries lag this only by in-flight queues; in-band control frames are not counted)"),
+		FanoutFlushes:       r.Counter("qsub_fanout_flushes_total", "socket flushes by session writers; frames-written over this is the achieved write coalescing factor"),
 
 		SessionsEvicted:      r.Counter("qsub_sessions_evicted_total", "daemon sessions dropped as slow consumers"),
 		SessionsMoved:        r.Counter("qsub_sessions_moved_total", "sessions a replan bound to a channel they were not already on"),

@@ -73,10 +73,11 @@ type Message struct {
 	// ready-to-write byte slice produced by the network's Encoder (see
 	// SetEncoder) exactly once per Publish, after Seq assignment. Every
 	// subscriber of the channel receives the same backing array, so the
-	// slice is strictly read-only once Publish has run — forwarders,
+	// slice is strictly read-only once Publish has run — session writers,
 	// eviction drains and late readers all alias it. Nil when no encoder
-	// is installed (in-process simulation, or the per-session-encode
-	// ablation), in which case delivery layers encode per session.
+	// is installed (in-process simulation). A message a relay publishes on
+	// its local network arrives with Frame already set — the upstream's
+	// bytes — and is delivered as is.
 	Frame []byte
 }
 
@@ -282,8 +283,7 @@ func (n *Network) Channels() int { return n.channels }
 // counts message copies handed to subscribers, dropped counts copies
 // suppressed by loss injection or the DropNewest policy, evicted counts
 // slow-consumer evictions, encodes counts wire encodes performed by the
-// encode-once hook (see SetEncoder; the per-session ablation counts its
-// own encodes into the same instrument). Any may be nil. Call before
+// encode-once hook (see SetEncoder). Any may be nil. Call before
 // concurrent publishing.
 func (n *Network) SetMetrics(deliveries, dropped, evicted, encodes *metrics.Counter) {
 	n.mDeliveries = deliveries
@@ -340,11 +340,10 @@ const (
 	sendGone                   // subscription canceled
 )
 
-// Subscription is one client's attachment to a channel. Messages arrive
+// Subscription is one listener's attachment to a channel. Messages arrive
 // on C; Cancel detaches and closes C. Subscriptions created with
-// SubscribeBatch have no C: their messages arrive in batches through
-// NextBatch, which replaces the per-delivery channel send with a
-// mutex-guarded ring append — the high-fan-out delivery path.
+// SubscribeBatch have no C: they own a Queue of their own, their messages
+// arrive in batches through NextBatch, and Cancel closes that queue.
 type Subscription struct {
 	// C delivers the channel's messages in publish order. Nil for batch
 	// subscriptions (see SubscribeBatch / NextBatch).
@@ -354,8 +353,9 @@ type Subscription struct {
 	channel int
 	policy  Policy
 	ch      chan Message
-	// ring replaces ch as the delivery queue for batch subscriptions.
-	ring *msgRing
+	// ring replaces ch as the delivery queue: the subscription is one of
+	// the queue's channel attachments (see Network.Attach).
+	ring *Queue
 	// done closes when Cancel runs, releasing publishers blocked in a
 	// backpressure send before ch itself is closed.
 	done chan struct{}
@@ -365,8 +365,8 @@ type Subscription struct {
 	// under mu with closed false, or registered in inflight while closed
 	// was false. Cancel flips closed under mu, wakes blocked senders via
 	// done, waits out inflight, and only then closes ch — so a send on a
-	// closed channel is impossible by construction. (Batch subscriptions
-	// gate through the ring's own mutex instead.)
+	// closed channel is impossible by construction. (Queue attachments
+	// gate through the queue's own mutex instead.)
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup
@@ -374,98 +374,232 @@ type Subscription struct {
 	evicted atomic.Bool
 }
 
-// msgRing is the delivery queue of a batch subscription: a bounded
-// double-buffered slice queue. Producers append one message at a time
-// under mu; the single consumer swaps the whole queue out per NextBatch
-// call, so steady state moves messages without per-delivery channel
-// operations, allocations or copying. The wake and space channels carry
-// at most one token each: wake parks the consumer when the queue is
-// empty, space parks Block-policy publishers when it is full.
-type msgRing struct {
+// Queue is the bounded delivery queue a connection owns for its whole
+// life: a double-buffered slice queue with one consumer. Producers append
+// under mu; the consumer swaps the whole queue out per Next call, so
+// steady state moves messages without per-delivery channel operations,
+// allocations or copying. The wake and space channels carry at most one
+// token each: wake parks the consumer when the queue is empty, space
+// parks producers waiting for room when it is full.
+//
+// A queue receives what is published on the channels it is attached to
+// (Network.Attach: one channel for a client, a set for a relay feed; a
+// move is a second Attach on the same queue, which keeps what is already
+// queued and its consumer) and what its owner pushes itself (Push:
+// control frames that must leave in order with the answers around them).
+// It holds buffer messages per attached channel; what happens when it is
+// full is its Policy.
+type Queue struct {
 	mu     sync.Mutex
 	buf    []Message
 	spare  []Message // previous batch, reused on the next swap
+	per    int       // capacity per attached channel
 	cap    int
 	closed bool
 	wake   chan struct{}
 	space  chan struct{}
+	// done closes with the queue, releasing producers parked for space.
+	done chan struct{}
+	once sync.Once
+
+	policy  Policy
+	evicted atomic.Bool
+
+	// net and subs are the queue's attachment — one Subscription in the
+	// subscriber list of each attached channel — written under net.mu
+	// and mu together.
+	net  *Network
+	subs []*Subscription
 }
 
-// push appends one message under the ring's send gate. The wake token is
+// NewQueue creates a detached queue holding up to buffer messages per
+// attached channel (at least 1; a detached queue holds buffer).
+func NewQueue(buffer int, policy Policy) *Queue {
+	if buffer < 1 {
+		buffer = 1
+	}
+	// buf and spare grow with use to the depth the consumer actually
+	// lets build up, which is what a connection holds for its lifetime;
+	// buffer is the bound, rarely the need.
+	return &Queue{
+		per:    buffer,
+		cap:    buffer,
+		wake:   make(chan struct{}, 1),
+		space:  make(chan struct{}, 1),
+		done:   make(chan struct{}),
+		policy: policy,
+	}
+}
+
+// push appends one message under the queue's send gate. The wake token is
 // only sent on the empty→non-empty transition: a consumer parks only
 // after observing an empty queue under mu, so whichever producer makes
 // it non-empty again is guaranteed to leave a token behind.
-func (r *msgRing) push(msg Message) sendResult {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+func (q *Queue) push(msg Message) sendResult {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
 		return sendGone
 	}
-	if len(r.buf) >= r.cap {
-		r.mu.Unlock()
+	if len(q.buf) >= q.cap {
+		q.mu.Unlock()
 		return sendFull
 	}
-	r.buf = append(r.buf, msg)
-	first := len(r.buf) == 1
-	r.mu.Unlock()
+	q.buf = append(q.buf, msg)
+	first := len(q.buf) == 1
+	q.mu.Unlock()
 	if first {
 		select {
-		case r.wake <- struct{}{}:
+		case q.wake <- struct{}{}:
 		default:
 		}
 	}
 	return sendOK
 }
 
-// close marks the ring finished and wakes a parked consumer so it can
-// observe the closed state. Buffered messages stay readable.
-func (r *msgRing) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	select {
-	case r.wake <- struct{}{}:
-	default:
+// pushWait is push with backpressure: it loops on the space token — the
+// consumer releases one per drain — re-attempting the gated push each
+// time, until the message is queued or the queue closes.
+func (q *Queue) pushWait(msg Message) sendResult {
+	for {
+		if res := q.push(msg); res != sendFull {
+			return res
+		}
+		select {
+		case <-q.space:
+		case <-q.done:
+			return sendGone
+		}
 	}
 }
 
-// Channel returns the channel index the subscription listens on.
-func (s *Subscription) Channel() int { return s.channel }
+// Push queues a message that was not published on a channel — a control
+// frame the queue's owner wants written in order with the answers around
+// it. The message is queued as given (no sequence number, no stamp, no
+// delivery counters). Control frames are never dropped: a full queue is
+// evicted under the Evict policy and makes Push wait for room under Block
+// and DropNewest. Push reports false when the queue is, or became, closed.
+func (q *Queue) Push(msg Message) bool {
+	res := q.push(msg)
+	if res == sendFull {
+		if q.policy == Evict {
+			q.evict()
+			return false
+		}
+		res = q.pushWait(msg)
+	}
+	return res == sendOK
+}
 
-// Depth returns the number of messages currently queued and not yet
-// consumed — the ring length for batch subscriptions, the channel
-// backlog otherwise. It is a racy instantaneous read meant for lag
-// gauges, not for flow control.
-func (s *Subscription) Depth() int {
-	if s == nil {
-		return 0
+// evict closes the queue as a slow consumer's and counts the eviction on
+// the network it is attached to; it reports whether this call was the one
+// that did (a queue on several channels can be found full by several
+// publishes at once).
+func (q *Queue) evict() bool {
+	if !q.evicted.CompareAndSwap(false, true) { // before Close: the consumer sees why
+		return false
 	}
-	if s.ring != nil {
-		s.ring.mu.Lock()
-		d := len(s.ring.buf)
-		s.ring.mu.Unlock()
-		return d
+	q.mu.Lock()
+	n := q.net
+	q.mu.Unlock()
+	q.Close()
+	if n != nil {
+		n.slowEvictions.Add(1)
+		n.mEvicted.Inc()
 	}
-	return len(s.ch)
+	return true
+}
+
+// Evicted reports whether the queue was closed by the Evict policy (as
+// opposed to Close or the network closing).
+func (q *Queue) Evicted() bool { return q.evicted.Load() }
+
+// Close detaches the queue and marks it finished. Messages already
+// queued stay readable; a parked consumer wakes to observe the end, and
+// producers parked for room are released. Close is idempotent and safe
+// to call concurrently with Publish and Push.
+func (q *Queue) Close() {
+	q.once.Do(func() {
+		q.mu.Lock()
+		q.closed = true
+		n := q.net
+		q.mu.Unlock()
+		select {
+		case q.wake <- struct{}{}:
+		default:
+		}
+		close(q.done)
+		if n != nil {
+			n.mu.Lock()
+			n.reattach(q)
+			n.mu.Unlock()
+		}
+	})
+}
+
+// Depth returns the number of messages queued and not yet consumed. It
+// is an instantaneous read meant for lag gauges, not for flow control.
+func (q *Queue) Depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.buf)
+}
+
+// Next returns everything queued since the last call, blocking until at
+// least one message is queued or the queue is closed. It swaps the whole
+// queue out in one mutex-guarded exchange, so a deep queue costs one
+// wakeup regardless of depth. The returned slice is owned by the queue
+// and valid only until the next call. When ok is false the queue is
+// finished and the slice holds its final messages, possibly none. Next
+// must only be called from a single consumer goroutine.
+func (q *Queue) Next() (batch []Message, ok bool) {
+	for {
+		q.mu.Lock()
+		if len(q.buf) > 0 {
+			out := q.buf
+			q.buf = q.spare[:0]
+			q.spare = out
+			closed := q.closed
+			q.mu.Unlock()
+			// The queue just went empty: hand the space token to at most
+			// one producer parked in a backpressure wait.
+			select {
+			case q.space <- struct{}{}:
+			default:
+			}
+			return out, !closed
+		}
+		if q.closed {
+			q.mu.Unlock()
+			return nil, false
+		}
+		q.mu.Unlock()
+		<-q.wake
+	}
 }
 
 // Evicted reports whether the subscription was canceled by the Evict
 // slow-consumer policy (as opposed to an explicit Cancel or network
 // Close). Consumers see the eviction as their range loop over C ending;
 // Evicted tells them why.
-func (s *Subscription) Evicted() bool { return s.evicted.Load() }
+func (s *Subscription) Evicted() bool {
+	if s.ring != nil {
+		return s.ring.Evicted()
+	}
+	return s.evicted.Load()
+}
 
-// Cancel detaches the subscription and closes its message channel.
-// Messages already buffered remain readable. Cancel is idempotent and
-// safe to call concurrently with Publish from any goroutine.
+// Cancel detaches the subscription and closes its message channel (for a
+// batch subscription, its queue). Messages already buffered remain
+// readable. Cancel is idempotent and safe to call concurrently with
+// Publish from any goroutine.
 func (s *Subscription) Cancel() {
+	if s.ring != nil {
+		s.ring.Close()
+		return
+	}
 	s.once.Do(func() {
 		s.net.detach(s)
-		if s.ring != nil {
-			s.ring.close()
-			close(s.done) // release publishers blocked waiting for space
-			return
-		}
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
@@ -475,42 +609,9 @@ func (s *Subscription) Cancel() {
 	})
 }
 
-// NextBatch returns the next batch of messages delivered to a batch
-// subscription (see SubscribeBatch), blocking until at least one message
-// is queued or the subscription ends. It swaps the whole delivery queue
-// out in one mutex-guarded exchange, so a deep queue costs one wakeup
-// regardless of depth. The returned slice is owned by the subscription
-// and valid only until the next NextBatch call. When ok is false the
-// subscription is finished (Cancel, eviction or network Close) and the
-// returned slice holds its final messages, possibly none. NextBatch
-// must only be called from a single consumer goroutine; it panics on
-// channel-mode subscriptions.
-func (s *Subscription) NextBatch() (batch []Message, ok bool) {
-	r := s.ring
-	for {
-		r.mu.Lock()
-		if len(r.buf) > 0 {
-			out := r.buf
-			r.buf = r.spare[:0]
-			r.spare = out
-			closed := r.closed
-			r.mu.Unlock()
-			// The queue just went empty: hand the space token to at most
-			// one publisher parked in a backpressure wait.
-			select {
-			case r.space <- struct{}{}:
-			default:
-			}
-			return out, !closed
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return nil, false
-		}
-		r.mu.Unlock()
-		<-r.wake
-	}
-}
+// NextBatch is Queue.Next on a batch subscription's queue (see
+// SubscribeBatch); it panics on channel-mode subscriptions.
+func (s *Subscription) NextBatch() (batch []Message, ok bool) { return s.ring.Next() }
 
 // trySend attempts a non-blocking delivery under the send gate.
 func (s *Subscription) trySend(msg Message) sendResult {
@@ -534,22 +635,12 @@ func (s *Subscription) trySend(msg Message) sendResult {
 
 // blockingSend waits for buffer space (backpressure); cancellation
 // releases it. For channel subscriptions the send itself happens outside
-// mu but is covered by inflight, which Cancel drains before closing ch.
-// For batch subscriptions it loops on the ring's space token — the
-// consumer releases one token per drain — re-attempting the gated push
-// each time, so the send-on-closed guarantee holds without a WaitGroup.
+// mu but is covered by inflight, which Cancel drains before closing ch;
+// queue attachments wait on the queue (see Queue.pushWait), so the
+// send-on-closed guarantee holds without a WaitGroup.
 func (s *Subscription) blockingSend(msg Message) sendResult {
 	if s.ring != nil {
-		for {
-			select {
-			case <-s.ring.space:
-			case <-s.done:
-				return sendGone
-			}
-			if res := s.ring.push(msg); res != sendFull {
-				return res
-			}
-		}
+		return s.ring.pushWait(msg)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -570,17 +661,79 @@ func (s *Subscription) blockingSend(msg Message) sendResult {
 // detach removes the subscription from its channel's subscriber list.
 func (n *Network) detach(s *Subscription) {
 	n.mu.Lock()
+	n.remove(s)
+	n.mu.Unlock()
+}
+
+// add and remove install a fresh subscriber-list snapshot for the
+// subscription's channel (see the subs field). Callers hold n.mu.
+func (n *Network) add(s *Subscription) {
+	subs := n.subs[s.channel]
+	next := make([]*Subscription, 0, len(subs)+1)
+	next = append(next, subs...)
+	n.subs[s.channel] = append(next, s)
+}
+
+func (n *Network) remove(s *Subscription) {
 	subs := n.subs[s.channel]
 	for i, sub := range subs {
 		if sub == s {
 			next := make([]*Subscription, 0, len(subs)-1)
 			next = append(next, subs[:i]...)
-			next = append(next, subs[i+1:]...)
-			n.subs[s.channel] = next
-			break
+			n.subs[s.channel] = append(next, subs[i+1:]...)
+			return
 		}
 	}
-	n.mu.Unlock()
+}
+
+// Attach makes the queue a listener of exactly the given channels,
+// replacing whatever it was attached to in one step: from the next
+// publish on, the queue receives those channels' messages and no others,
+// behind everything already queued. No channels detaches it. The queue's
+// capacity becomes its buffer per attached channel, so a feed of several
+// channels holds what one queue per channel would. A queue attaches to
+// one network in its life.
+func (n *Network) Attach(q *Queue, channels ...int) error {
+	for _, ch := range channels {
+		if ch < 0 || ch >= n.channels {
+			return fmt.Errorf("multicast: channel %d outside [0,%d)", ch, n.channels)
+		}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return fmt.Errorf("multicast: network closed")
+	}
+	return n.reattach(q, channels...)
+}
+
+// reattach is Attach under n.mu; Queue.Close calls it with no channels.
+func (n *Network) reattach(q *Queue, channels ...int) error {
+	q.mu.Lock()
+	if q.net != nil && q.net != n {
+		q.mu.Unlock()
+		return fmt.Errorf("multicast: queue belongs to another network")
+	}
+	if q.closed && len(channels) > 0 {
+		q.mu.Unlock()
+		return fmt.Errorf("multicast: queue closed")
+	}
+	q.net = n
+	q.cap = q.per * max(1, len(channels))
+	old := q.subs
+	q.subs = make([]*Subscription, len(channels))
+	for i, ch := range channels {
+		q.subs[i] = &Subscription{net: n, channel: ch, policy: q.policy, ring: q}
+	}
+	subs := q.subs
+	q.mu.Unlock()
+	for _, s := range old {
+		n.remove(s)
+	}
+	for _, s := range subs {
+		n.add(s)
+	}
+	return nil
 }
 
 // Subscribe attaches a listener to the channel with the given delivery
@@ -615,20 +768,17 @@ func (n *Network) SubscribeWith(channel, buffer int, policy Policy) (*Subscripti
 		ch:      ch,
 		done:    make(chan struct{}),
 	}
-	subs := n.subs[channel]
-	next := make([]*Subscription, 0, len(subs)+1)
-	next = append(next, subs...)
-	next = append(next, sub)
-	n.subs[channel] = next
+	n.add(sub)
 	return sub, nil
 }
 
-// SubscribeBatch attaches a batch-mode listener: messages are consumed
-// through NextBatch instead of C (which is nil), and each delivery is a
-// mutex-guarded ring append rather than a channel send. This is the
-// high-fan-out path the daemon's shared-frame forwarders use — with
-// thousands of subscribers per publish, the ring cuts the per-delivery
-// cost to a fraction of a channel operation and lets the consumer drain
+// SubscribeBatch attaches a batch-mode listener: a queue of its own,
+// attached to the one channel (see Queue and Attach — the form a caller
+// uses when it does not keep the queue across moves). Messages are
+// consumed through NextBatch instead of C (which is nil), and each
+// delivery is a mutex-guarded append rather than a channel send: with
+// thousands of subscribers per publish, that cuts the per-delivery cost
+// to a fraction of a channel operation and lets the consumer drain
 // arbitrarily deep queues in one swap. Policies, eviction, loss
 // injection and the crash-proof cancellation guarantees behave exactly
 // as with SubscribeWith. buffer is clamped to at least 1 (a batch
@@ -637,33 +787,14 @@ func (n *Network) SubscribeBatch(channel, buffer int, policy Policy) (*Subscript
 	if channel < 0 || channel >= n.channels {
 		return nil, fmt.Errorf("multicast: channel %d outside [0,%d)", channel, n.channels)
 	}
-	if buffer < 1 {
-		buffer = 1
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil, fmt.Errorf("multicast: network closed")
 	}
-	sub := &Subscription{
-		net:     n,
-		channel: channel,
-		policy:  policy,
-		ring: &msgRing{
-			buf:   make([]Message, 0, buffer),
-			spare: make([]Message, 0, buffer),
-			cap:   buffer,
-			wake:  make(chan struct{}, 1),
-			space: make(chan struct{}, 1),
-		},
-		done: make(chan struct{}),
-	}
-	subs := n.subs[channel]
-	next := make([]*Subscription, 0, len(subs)+1)
-	next = append(next, subs...)
-	next = append(next, sub)
-	n.subs[channel] = next
-	return sub, nil
+	q := NewQueue(buffer, policy)
+	n.reattach(q, channel)
+	return q.subs[0], nil // stable under n.mu
 }
 
 // Publish places the message on its channel: one payload charge on the
@@ -906,7 +1037,7 @@ func (n *Network) PublishBatch(msgs []Message) error {
 			case Block:
 				select {
 				case <-r.space:
-				case <-sub.done:
+				case <-r.done:
 					break run // canceled while waiting
 				}
 			case DropNewest:
@@ -936,10 +1067,16 @@ func (n *Network) PublishBatch(msgs []Message) error {
 // policy, counting and reporting each eviction.
 func (n *Network) evictAll(evicted []*Subscription) {
 	for _, sub := range evicted {
-		sub.evicted.Store(true) // before Cancel: consumers see why C closed
-		sub.Cancel()
-		n.slowEvictions.Add(1)
-		n.mEvicted.Inc()
+		if sub.ring != nil {
+			if !sub.ring.evict() {
+				continue
+			}
+		} else {
+			sub.evicted.Store(true) // before Cancel: consumers see why C closed
+			sub.Cancel()
+			n.slowEvictions.Add(1)
+			n.mEvicted.Inc()
+		}
 		if n.onEvict != nil {
 			n.onEvict(sub)
 		}

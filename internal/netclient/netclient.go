@@ -188,7 +188,7 @@ func (c *Client) Run(ctx context.Context) error {
 			if c.cfg.MaxAttempts > 0 && failures >= c.cfg.MaxAttempts {
 				return fmt.Errorf("netclient: giving up after %d dial failures: %w", failures, err)
 			}
-			delay := c.backoff(failures, rng)
+			delay := Backoff(c.cfg.MinBackoff, c.cfg.MaxBackoff, failures, rng)
 			c.logf("netclient: dial %s: %v (retrying in %s)", c.cfg.Addr, err, delay)
 			select {
 			case <-ctx.Done():
@@ -205,7 +205,7 @@ func (c *Client) Run(ctx context.Context) error {
 		}
 		// The session ended abnormally; back off one step and reconnect.
 		failures = 1
-		delay := c.backoff(failures, rng)
+		delay := Backoff(c.cfg.MinBackoff, c.cfg.MaxBackoff, failures, rng)
 		c.logf("netclient: session ended: %v (reconnecting in %s)", err, delay)
 		select {
 		case <-ctx.Done():
@@ -215,16 +215,18 @@ func (c *Client) Run(ctx context.Context) error {
 	}
 }
 
-// backoff returns the delay before attempt n (1-based): exponential from
-// MinBackoff, capped at MaxBackoff, with equal jitter (half fixed, half
-// random) so synchronized clients fan out.
-func (c *Client) backoff(n int, rng *rand.Rand) time.Duration {
-	d := c.cfg.MinBackoff
-	for i := 1; i < n && d < c.cfg.MaxBackoff; i++ {
+// Backoff returns the delay before reconnect attempt n (1-based):
+// exponential from min, capped at max, with equal jitter (half fixed,
+// half random) so synchronized peers fan out. It is the one backoff rule
+// of every reconnect loop: a client's session and a relay's upstream
+// link.
+func Backoff(min, max time.Duration, n int, rng *rand.Rand) time.Duration {
+	d := min
+	for i := 1; i < n && d < max; i++ {
 		d *= 2
 	}
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
+	if d > max {
+		d = max
 	}
 	half := d / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))

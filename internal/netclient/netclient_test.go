@@ -186,27 +186,29 @@ func TestChannelReturnIsNotAGap(t *testing.T) {
 	}
 }
 
-// TestBackoffGrowsAndCaps: the reconnect delay doubles per consecutive
-// failure, stays jittered within [d/2, d], and caps at MaxBackoff.
+// TestBackoffGrowsAndCaps: the reconnect delay (the one rule netclient
+// sessions and the relay's upstream link share) doubles per consecutive
+// failure, stays jittered within [d/2, d] — both bounds reached, never
+// crossed — and caps at the maximum.
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	c, err := New(Config{
-		ClientID:   1,
-		Queries:    []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
-		MinBackoff: 100 * time.Millisecond,
-		MaxBackoff: 800 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const base, limit = 100 * time.Millisecond, 800 * time.Millisecond
 	rng := rand.New(rand.NewSource(7))
 	wantFull := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		800 * time.Millisecond, 800 * time.Millisecond, // capped
 	}
 	for i, full := range wantFull {
-		got := c.backoff(i+1, rng)
-		if got < full/2 || got > full {
-			t.Fatalf("backoff(%d) = %s, want within [%s, %s]", i+1, got, full/2, full)
+		lo, hi := full, time.Duration(0)
+		for draw := 0; draw < 2000; draw++ {
+			got := Backoff(base, limit, i+1, rng)
+			if got < full/2 || got > full {
+				t.Fatalf("Backoff(%d) = %s, want within [%s, %s]", i+1, got, full/2, full)
+			}
+			lo, hi = min(lo, got), max(hi, got)
+		}
+		// 2000 draws over a uniform half-width land within 2% of each end.
+		if slack := full / 100; lo > full/2+slack || hi < full-slack {
+			t.Fatalf("Backoff(%d) drew from [%s, %s], want the whole of [%s, %s]", i+1, lo, hi, full/2, full)
 		}
 	}
 }

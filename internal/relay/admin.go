@@ -1,44 +1,44 @@
-// Relay admin endpoint: the same read-only views a root daemon serves
-// (/metrics, /healthz, /statusz), with the /statusz document carrying a
-// relay stanza instead of a plan summary, so qsubtop pointed at a relay
-// shows the upstream link next to the fan-out throughput.
+// Relay admin endpoint: the same handler a root daemon serves
+// (daemon.NewAdminMux), with the /statusz document carrying a relay
+// stanza instead of a plan summary, so qsubtop pointed at a relay shows
+// the upstream link next to the fan-out throughput.
 package relay
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"qsub/internal/daemon"
 )
 
 // Status collects the relay's /statusz document. It reuses the daemon's
-// Status type — channel count, session count, metrics snapshot — with
-// the Relay stanza filled and no plan (relays do not plan).
+// Status type — channel count, session count, laggards, metrics snapshot
+// — with the Relay stanza filled and no plan (relays do not plan). A
+// relay has no publish cycle to hang the lag sweep on, so the fleet lag
+// gauges are refreshed here, by the reader.
 func (r *Relay) Status() daemon.Status {
+	r.hub.UpdateLagWatermarks()
 	st := daemon.Status{
-		Metrics: r.metrics.Snapshot(),
-		Build:   daemon.ReadBuild(),
+		Sessions: r.hub.Len(),
+		Laggards: r.hub.TopLaggards(daemon.StatusLaggards),
+		Metrics:  r.metrics.Snapshot(),
+		Build:    daemon.ReadBuild(),
 	}
-	r.smu.Lock()
-	st.Sessions = len(r.sessions)
-	r.smu.Unlock()
-
 	r.mu.Lock()
 	info := &daemon.RelayInfo{
-		Upstream:   r.cfg.Upstream,
-		Hop:        r.hop,
-		Connected:  r.connected,
-		Reconnects: uint64(r.connects - 1),
-		Clients:    len(r.routes),
+		Upstream:  r.cfg.Upstream,
+		Hop:       r.hop,
+		Connected: r.connected,
+		Clients:   len(r.routes),
 	}
-	if r.connects == 0 {
-		info.Reconnects = 0
+	if r.connects > 0 {
+		info.Reconnects = uint64(r.connects - 1)
 	}
-	st.Channels = r.upChannels
+	if r.net != nil {
+		st.Channels = r.net.Channels()
+	}
+	info.Channels = st.Channels
 	if len(r.cfg.Channels) > 0 {
 		info.Channels = len(r.cfg.Channels)
-	} else {
-		info.Channels = r.upChannels
 	}
 	r.mu.Unlock()
 	st.Relay = info
@@ -47,24 +47,5 @@ func (r *Relay) Status() daemon.Status {
 
 // AdminMux builds the relay's admin HTTP handler.
 func (r *Relay) AdminMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.metrics.Registry.WritePrometheus(w); err != nil {
-			r.logf("relay: /metrics write: %v", err)
-		}
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r.Status()); err != nil {
-			r.logf("relay: /statusz write: %v", err)
-		}
-	})
-	return mux
+	return daemon.NewAdminMux(r.Status, r.metrics.Registry, r.logf)
 }

@@ -11,10 +11,17 @@
 // query protocol to the relay; the relay wraps each control frame in
 // TypeRelayCtl and forwards it upstream, where the root registers the
 // subscription under the client's global id and plans it like any direct
-// client's. Channel assignments come back the same way — wrapped on the
-// relay session, ahead of the cycle's answer frames on the same TCP
-// stream — so the relay rebinds the client before the first frame of the
-// new assignment arrives.
+// client's. Channel assignments come back the same way — wrapped in the
+// relay session's queue, behind the last frames of the old plan and ahead
+// of the cycle's answer frames on the same TCP stream — so the relay
+// rebinds the client exactly between the two.
+//
+// The data plane is the same component the root uses: every downstream
+// session is a fanout.Session (one queue, one writer, control in-band)
+// on a local multicast.Network with the upstream's channel count, and an
+// upstream answer frame is published on it verbatim. Slow consumers,
+// write deadlines, the eviction Error frame and the lag sweep therefore
+// behave at a relay exactly as they do at the root.
 //
 // The upstream link is resilient the way netclient sessions are:
 // exponential backoff with equal jitter, and on every reconnect the
@@ -35,7 +42,10 @@ import (
 	"sync"
 	"time"
 
+	"qsub/internal/fanout"
 	"qsub/internal/metrics"
+	"qsub/internal/multicast"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/wire"
 )
@@ -45,11 +55,6 @@ const (
 	DefaultWriteTimeout     = 10 * time.Second
 	DefaultSubscriberBuffer = 256
 )
-
-// maxWriteBatch caps how many queued frames a downstream writer
-// coalesces into one vectored flush (same rationale as the daemon's
-// maxFanoutBatch).
-const maxWriteBatch = 256
 
 // connReadBuffer sizes the buffered readers on both the upstream feed
 // and downstream session connections.
@@ -98,67 +103,33 @@ type Config struct {
 // living behind a further downstream relay), and — for direct clients —
 // the raw Subscribe payloads to replay after an upstream reconnect.
 type route struct {
-	sess   *dsession
+	sess   *fanout.Session
 	direct bool
 	subs   map[query.ID][]byte
-}
-
-// dsession is one downstream session: a direct client or a downstream
-// relay. Frames fan out through a bounded queue drained by a dedicated
-// writer goroutine; enqueue order is write order, so a wrapped Assigned
-// always precedes the answer frames that follow it upstream.
-type dsession struct {
-	clientID int
-	conn     net.Conn
-
-	relay bool     // downstream relay feed (RelaySub received)
-	mask  []uint64 // downstream relay's channel mask
-
-	out  chan []byte
-	quit chan struct{} // closed at teardown; writer exits
-	done chan struct{} // closed when the writer exited
-
-	// channel is the session's current binding, -1 when unbound;
-	// guarded by the relay's fanMu.
-	channel int
-}
-
-// enqueue queues one ready-to-write frame, reporting false when the
-// session's queue is full (the caller evicts).
-func (s *dsession) enqueue(frame []byte) bool {
-	select {
-	case s.out <- frame:
-		return true
-	default:
-		return false
-	}
 }
 
 // Relay is a running relay tier process.
 type Relay struct {
 	cfg     Config
 	metrics *metrics.Catalog
+	// hub holds the delivery side of every downstream session — a direct
+	// client or a downstream relay (see internal/fanout).
+	hub *fanout.Hub
 
 	// mu guards the routing table and the upstream connection's control
 	// writes. Registration and forwarding happen under one critical
 	// section, so a reconnect replay can neither miss nor double-send a
 	// registration.
-	mu         sync.Mutex
-	routes     map[int]*route
-	uconn      net.Conn
-	connected  bool
-	hop        int
-	upChannels int
-	connects   int
-
-	// fanMu guards the data-plane fan-out tables.
-	fanMu     sync.Mutex
-	byChannel map[int][]*dsession
-	feeds     []*dsession
-
-	smu      sync.Mutex
-	sessions map[*dsession]struct{}
-	closed   bool
+	mu        sync.Mutex
+	routes    map[int]*route
+	uconn     net.Conn
+	connected bool
+	hop       int
+	connects  int
+	// net is the local fabric the downstream sessions' queues attach to:
+	// as many channels as the upstream network has, so nil before the
+	// first RelayAck. Written by the upstream read loop only.
+	net *multicast.Network
 
 	wg sync.WaitGroup
 }
@@ -188,13 +159,9 @@ func New(cfg Config) (*Relay, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewCatalog(0)
 	}
-	return &Relay{
-		cfg:       cfg,
-		metrics:   cfg.Metrics,
-		routes:    make(map[int]*route),
-		byChannel: make(map[int][]*dsession),
-		sessions:  make(map[*dsession]struct{}),
-	}, nil
+	r := &Relay{cfg: cfg, metrics: cfg.Metrics, routes: make(map[int]*route)}
+	r.hub = fanout.NewHub(cfg.Metrics, func() int64 { return time.Now().UnixNano() }, r.logf)
+	return r, nil
 }
 
 // Metrics returns the relay's instrument catalog (never nil).
@@ -243,27 +210,13 @@ func (r *Relay) Run(ctx context.Context, ln net.Listener) error {
 	}()
 
 	err := r.runUpstream(ctx)
-	r.shutdown()
+	r.hub.Close(false)
 	ln.Close()
 	r.wg.Wait()
 	if ctx.Err() != nil {
 		return nil
 	}
 	return err
-}
-
-// shutdown tears down every downstream session.
-func (r *Relay) shutdown() {
-	r.smu.Lock()
-	r.closed = true
-	sessions := make([]*dsession, 0, len(r.sessions))
-	for s := range r.sessions {
-		sessions = append(sessions, s)
-	}
-	r.smu.Unlock()
-	for _, s := range sessions {
-		s.conn.Close()
-	}
 }
 
 // ---- upstream feed ----
@@ -286,7 +239,7 @@ func (r *Relay) runUpstream(ctx context.Context) error {
 			if r.cfg.MaxAttempts > 0 && failures >= r.cfg.MaxAttempts {
 				return fmt.Errorf("relay: giving up after %d upstream dial failures: %w", failures, err)
 			}
-			delay := r.backoff(failures, rng)
+			delay := netclient.Backoff(r.cfg.MinBackoff, r.cfg.MaxBackoff, failures, rng)
 			r.logf("relay: upstream %s: %v (retrying in %s)", r.cfg.Upstream, err, delay)
 			select {
 			case <-ctx.Done():
@@ -313,7 +266,7 @@ func (r *Relay) runUpstream(ctx context.Context) error {
 			return nil
 		}
 		failures = 1
-		delay := r.backoff(failures, rng)
+		delay := netclient.Backoff(r.cfg.MinBackoff, r.cfg.MaxBackoff, failures, rng)
 		r.logf("relay: upstream feed ended: %v (reconnecting in %s)", err, delay)
 		select {
 		case <-ctx.Done():
@@ -321,19 +274,6 @@ func (r *Relay) runUpstream(ctx context.Context) error {
 		case <-time.After(delay):
 		}
 	}
-}
-
-// backoff mirrors netclient's: exponential with equal jitter.
-func (r *Relay) backoff(n int, rng *rand.Rand) time.Duration {
-	d := r.cfg.MinBackoff
-	for i := 1; i < n && d < r.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > r.cfg.MaxBackoff {
-		d = r.cfg.MaxBackoff
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
 // connectUpstream dials the upstream, performs the relay handshake and
@@ -402,11 +342,10 @@ func (r *Relay) detachUpstream(conn net.Conn) {
 		r.connected = false
 	}
 	r.mu.Unlock()
-	r.fanMu.Lock()
-	feeds := append([]*dsession(nil), r.feeds...)
-	r.fanMu.Unlock()
-	for _, s := range feeds {
-		s.conn.Close()
+	for _, s := range r.hub.Sessions() {
+		if s.IsFeed() {
+			s.Abort()
+		}
 	}
 }
 
@@ -431,11 +370,9 @@ func (r *Relay) serveUpstream(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			r.mu.Lock()
-			r.connected = true
-			r.hop = ack.Hop
-			r.upChannels = ack.Channels
-			r.mu.Unlock()
+			if err := r.establish(ack); err != nil {
+				return err
+			}
 			r.metrics.RelayHop.Set(int64(ack.Hop))
 			r.logf("relay: feed established at hop %d (%d upstream channels)", ack.Hop, ack.Channels)
 		case wire.TypeRelayCtl:
@@ -443,7 +380,7 @@ func (r *Relay) serveUpstream(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			r.routeCtl(rc)
+			r.routeCtl(rc, payload)
 		case wire.TypeError:
 			e, err := wire.UnmarshalError(payload)
 			if err != nil {
@@ -458,53 +395,51 @@ func (r *Relay) serveUpstream(conn net.Conn) error {
 	}
 }
 
-// frameFor builds a complete wire frame (header + payload copy) ready to
-// enqueue. Downstream writers share the returned slice; it is immutable
-// from here on.
-func frameFor(frameType uint8, payload []byte) []byte {
-	frame := make([]byte, wire.HeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	frame[4] = frameType
-	copy(frame[wire.HeaderSize:], payload)
-	return frame
+// establish records an acknowledged upstream feed and makes the local
+// fabric match the upstream's channel count. A reconnect that finds a
+// different count (the upstream was reconfigured) closes every downstream
+// session — their bindings are channel numbers of the old network — and
+// builds a fresh fabric for them to redial into.
+func (r *Relay) establish(ack wire.RelayAck) error {
+	old, fabric := r.net, r.net
+	if old == nil || old.Channels() != ack.Channels {
+		var err error
+		if fabric, err = multicast.NewNetwork(ack.Channels); err != nil {
+			return fmt.Errorf("relay: upstream acknowledged %d channels: %w", ack.Channels, err)
+		}
+		fabric.SetMetrics(r.metrics.FanoutDeliveries, r.metrics.FanoutDropped, r.metrics.FanoutEvictions, nil)
+	}
+	r.mu.Lock()
+	r.net, r.connected, r.hop = fabric, true, ack.Hop
+	r.mu.Unlock()
+	if old != nil && old != fabric {
+		r.logf("relay: upstream now has %d channels (was %d), dropping downstream sessions", ack.Channels, old.Channels())
+		for _, s := range r.hub.Sessions() {
+			s.Abort()
+		}
+		old.Close()
+	}
+	return nil
 }
 
-// ingest fans one upstream answer frame out to every downstream session
-// bound to (or masked onto) its channel. The frame bytes are copied out
-// of the read buffer exactly once and shared by every queue — the relay
-// never decodes the message, it routes on the payload's leading channel
-// field alone.
+// ingest publishes one upstream answer frame on its channel of the local
+// fabric, which queues it for every downstream session bound to (or
+// masked onto) that channel. The frame bytes are copied out of the read
+// buffer exactly once and shared by every queue — the relay never decodes
+// the message, it routes on the payload's leading channel field alone.
+// Before the first RelayAck there is no fabric and nobody bound: the
+// frame is counted and dropped.
 func (r *Relay) ingest(payload []byte) {
-	channel := int(binary.BigEndian.Uint32(payload[:4]))
-	frame := frameFor(wire.TypeAnswer, payload)
+	frame := wire.AppendFrame(nil, wire.TypeAnswer, payload)
 	r.metrics.RelayFrames.Inc()
 	r.metrics.RelayBytes.Add(uint64(len(frame)))
-
-	r.fanMu.Lock()
-	defer r.fanMu.Unlock()
-	for _, s := range r.byChannel[channel] {
-		r.deliverLocked(s, frame, channel)
-	}
-	for _, s := range r.feeds {
-		if wire.MaskHas(s.mask, channel) {
-			r.deliverLocked(s, frame, channel)
-		}
-	}
-}
-
-// deliverLocked enqueues one frame, evicting the session if its queue is
-// full (the reader loop then tears it down like any dead connection).
-// Callers hold fanMu.
-func (r *Relay) deliverLocked(s *dsession, frame []byte, channel int) {
-	if s.enqueue(frame) {
-		r.metrics.FanoutDeliveries.Inc()
-		r.metrics.FanoutFramesShared.Inc()
+	if r.net == nil {
 		return
 	}
-	r.metrics.FanoutDropped.Inc()
-	r.metrics.SessionsEvicted.Inc()
-	r.logf("relay: client %d evicted as a slow consumer on channel %d", s.clientID, channel)
-	s.conn.Close()
+	channel := int(binary.BigEndian.Uint32(payload[:4]))
+	if err := r.net.Publish(multicast.Message{Channel: channel, Frame: frame}); err != nil {
+		r.logf("relay: upstream answer frame dropped: %v", err)
+	}
 }
 
 // routeCtl dispatches one wrapped control frame from upstream to the
@@ -514,7 +449,7 @@ func (r *Relay) deliverLocked(s *dsession, frame []byte, channel int) {
 // Either way the frame travels through the session's ordered queue, so
 // an Assigned never overtakes — or is overtaken by — the answer frames
 // around it.
-func (r *Relay) routeCtl(rc wire.RelayCtl) {
+func (r *Relay) routeCtl(rc wire.RelayCtl, raw []byte) {
 	r.mu.Lock()
 	rt := r.routes[rc.ClientID]
 	r.mu.Unlock()
@@ -522,77 +457,38 @@ func (r *Relay) routeCtl(rc wire.RelayCtl) {
 		return // client disconnected while the frame was in flight
 	}
 	if !rt.direct {
-		r.deliver(rt.sess, frameFor(wire.TypeRelayCtl, wire.MarshalRelayCtl(rc)), -1)
+		rt.sess.Push(wire.TypeRelayCtl, raw)
 		return
 	}
 	if rc.Inner == wire.TypeAssigned {
+		// The move happens here, on the upstream read loop, between the
+		// last answer frame of the old plan and the first of the new one:
+		// the root queued them around the Assigned in that order.
 		a, err := wire.UnmarshalAssigned(rc.Payload)
+		if err == nil && r.net == nil {
+			err = errors.New("no upstream feed acknowledged")
+		}
+		if err == nil {
+			_, err = rt.sess.Bind(r.net, a.Channel)
+		}
 		if err != nil {
-			r.logf("relay: bad assigned frame for client %d: %v", rc.ClientID, err)
+			r.logf("relay: assignment for client %d dropped: %v", rc.ClientID, err)
 			return
 		}
-		r.rebind(rt.sess, a.Channel)
 	}
-	r.deliver(rt.sess, frameFor(rc.Inner, rc.Payload), -1)
-}
-
-// deliver is deliverLocked for callers not holding fanMu.
-func (r *Relay) deliver(s *dsession, frame []byte, channel int) {
-	r.fanMu.Lock()
-	r.deliverLocked(s, frame, channel)
-	r.fanMu.Unlock()
-}
-
-// rebind moves a direct session to a channel. Rebinding happens on the
-// upstream read loop before the Assigned frame is enqueued, and the
-// root orders each Assigned ahead of the cycle's answer frames on the
-// feed connection — so by the time the first new-channel frame reaches
-// ingest, the binding already points at the session.
-func (r *Relay) rebind(s *dsession, channel int) {
-	r.fanMu.Lock()
-	defer r.fanMu.Unlock()
-	if s.channel == channel {
-		return
-	}
-	if s.channel >= 0 {
-		r.byChannel[s.channel] = removeSession(r.byChannel[s.channel], s)
-	}
-	s.channel = channel
-	if channel >= 0 {
-		r.byChannel[channel] = append(r.byChannel[channel], s)
-	}
-}
-
-func removeSession(list []*dsession, s *dsession) []*dsession {
-	for i, v := range list {
-		if v == s {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
+	rt.sess.Push(rc.Inner, rc.Payload)
 }
 
 // forwardCtlLocked wraps one control frame for clientID and writes it
-// upstream. Callers hold r.mu; a nil upstream connection silently drops
-// the frame — the registration is in the routing table and the next
-// reconnect replays it.
+// upstream. Callers hold r.mu.
 func (r *Relay) forwardCtlLocked(clientID int, inner uint8, payload []byte) {
-	if r.uconn == nil {
-		return
-	}
-	if r.cfg.WriteTimeout > 0 {
-		r.uconn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	}
-	if err := wire.WriteFrame(r.uconn, wire.TypeRelayCtl,
-		wire.MarshalRelayCtl(wire.RelayCtl{ClientID: clientID, Inner: inner, Payload: payload})); err != nil {
-		r.logf("relay: upstream ctl write: %v", err)
-		r.uconn.Close() // the feed loop notices and reconnects
-	}
+	r.forwardRawLocked(wire.MarshalRelayCtl(wire.RelayCtl{ClientID: clientID, Inner: inner, Payload: payload}))
 }
 
 // forwardRawLocked writes an already-wrapped RelayCtl payload upstream
-// verbatim (multi-hop forwarding). Callers hold r.mu.
+// (verbatim, for multi-hop forwarding). Callers hold r.mu; a nil upstream
+// connection silently drops the frame — the registration is in the
+// routing table and the next reconnect replays it.
 func (r *Relay) forwardRawLocked(payload []byte) {
 	if r.uconn == nil {
 		return
@@ -602,7 +498,7 @@ func (r *Relay) forwardRawLocked(payload []byte) {
 	}
 	if err := wire.WriteFrame(r.uconn, wire.TypeRelayCtl, payload); err != nil {
 		r.logf("relay: upstream ctl write: %v", err)
-		r.uconn.Close()
+		r.uconn.Close() // the feed loop notices and reconnects
 	}
 }
 
@@ -628,39 +524,26 @@ func (r *Relay) handle(conn net.Conn) error {
 		return err
 	}
 
-	s := &dsession{
-		clientID: hello.ClientID,
-		conn:     conn,
-		channel:  -1,
-		out:      make(chan []byte, r.cfg.SubscriberBuffer),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+	// A downstream session that cannot keep up is evicted, exactly like
+	// a slow consumer on the root daemon's default policy.
+	s, err := r.hub.Open(conn, hello.ClientID, fanout.Limits{
+		Buffer: r.cfg.SubscriberBuffer, Policy: multicast.Evict, WriteTimeout: r.cfg.WriteTimeout})
+	if err != nil {
+		return err
 	}
-	r.smu.Lock()
-	if r.closed {
-		r.smu.Unlock()
-		return errors.New("relay: closed")
-	}
-	r.sessions[s] = struct{}{}
-	r.metrics.SessionsConnected.Set(int64(len(r.sessions)))
-	r.smu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.writer(s)
-	}()
 	defer r.dropSession(s)
 
 	// Route and announce the client upstream. A reconnecting client id
-	// re-homes its route (the relay-side supersede; the root's own
-	// supersede rule does not fire because the relay session persists).
+	// takes its route over from its predecessor session and starts from a
+	// clean slate, as the root does on the Hello forwarded here (the
+	// relay-side supersede; the root's own does not fire because the
+	// relay session persists).
+	rt := &route{sess: s, direct: true, subs: make(map[query.ID][]byte)}
 	r.mu.Lock()
-	rt := r.routes[hello.ClientID]
-	if rt == nil || !rt.direct {
-		rt = &route{direct: true, subs: make(map[query.ID][]byte)}
-		r.routes[hello.ClientID] = rt
+	if old := r.routes[hello.ClientID]; old != nil && old.direct {
+		old.sess.Abort()
 	}
-	rt.sess = s
+	r.routes[hello.ClientID] = rt
 	r.forwardCtlLocked(hello.ClientID, wire.TypeHello, wire.MarshalHello(wire.Hello{ClientID: hello.ClientID}))
 	r.mu.Unlock()
 
@@ -672,29 +555,10 @@ func (r *Relay) handle(conn net.Conn) error {
 			return err
 		}
 		switch ft {
-		case wire.TypeSubscribe:
-			sub, err := wire.UnmarshalSubscribe(payload)
-			if err != nil {
+		case wire.TypeSubscribe, wire.TypeUnsubscribe, wire.TypeReady, wire.TypeRefresh:
+			if err := r.forwardClient(rt, ft, payload); err != nil {
 				return err
 			}
-			raw := append([]byte(nil), payload...)
-			r.mu.Lock()
-			rt.subs[sub.Query.ID] = raw
-			r.forwardCtlLocked(s.clientID, wire.TypeSubscribe, raw)
-			r.mu.Unlock()
-		case wire.TypeUnsubscribe:
-			unsub, err := wire.UnmarshalUnsubscribe(payload)
-			if err != nil {
-				return err
-			}
-			r.mu.Lock()
-			delete(rt.subs, unsub.ID)
-			r.forwardCtlLocked(s.clientID, wire.TypeUnsubscribe, append([]byte(nil), payload...))
-			r.mu.Unlock()
-		case wire.TypeReady, wire.TypeRefresh:
-			r.mu.Lock()
-			r.forwardCtlLocked(s.clientID, ft, nil)
-			r.mu.Unlock()
 		case wire.TypeRelaySub:
 			rs, err := wire.UnmarshalRelaySub(payload)
 			if err != nil {
@@ -711,7 +575,6 @@ func (r *Relay) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			raw := append([]byte(nil), payload...)
 			r.mu.Lock()
 			switch rc.Inner {
 			case wire.TypeHello:
@@ -721,7 +584,7 @@ func (r *Relay) handle(conn net.Conn) error {
 					delete(r.routes, rc.ClientID)
 				}
 			}
-			r.forwardRawLocked(raw)
+			r.forwardRawLocked(payload) // written before the read buffer is reused
 			r.mu.Unlock()
 		case wire.TypeBye:
 			return nil
@@ -731,107 +594,72 @@ func (r *Relay) handle(conn net.Conn) error {
 	}
 }
 
-// upgradeFeed turns a downstream session into a relay feed of its own:
-// acknowledge one hop further from the root, and fan every masked
-// channel's frames into its queue. Masks are relative to the root's
-// channel space, which every tier shares.
-func (r *Relay) upgradeFeed(s *dsession, rs wire.RelaySub) error {
+// forwardClient records one control frame of a directly connected client
+// in its route (the subscriptions to replay after an upstream reconnect)
+// and forwards it upstream. A session whose client id has since been
+// taken over by a reconnect no longer speaks for it: its late frames must
+// not reach the successor's registrations, and the session ends.
+func (r *Relay) forwardClient(rt *route, ft uint8, payload []byte) error {
+	var id query.ID
+	switch ft {
+	case wire.TypeSubscribe:
+		sub, err := wire.UnmarshalSubscribe(payload)
+		if err != nil {
+			return err
+		}
+		id = sub.Query.ID
+	case wire.TypeUnsubscribe:
+		unsub, err := wire.UnmarshalUnsubscribe(payload)
+		if err != nil {
+			return err
+		}
+		id = unsub.ID
+	}
 	r.mu.Lock()
-	hop, channels := r.hop, r.upChannels
+	defer r.mu.Unlock()
+	if r.routes[rt.sess.ClientID] != rt {
+		return errors.New("relay: session superseded")
+	}
+	switch ft {
+	case wire.TypeSubscribe:
+		rt.subs[id] = append([]byte(nil), payload...)
+	case wire.TypeUnsubscribe:
+		delete(rt.subs, id)
+	}
+	r.forwardCtlLocked(rt.sess.ClientID, ft, payload)
+	return nil
+}
+
+// upgradeFeed turns a downstream session into a relay feed of its own:
+// attach its queue to every masked channel and acknowledge one hop
+// further from the root, behind nothing and ahead of every frame
+// published from here on. Masks are relative to the root's channel
+// space, which every tier shares. A relay that has no acknowledged
+// upstream feed yet cannot say how many channels there are; the
+// downstream relay is turned away and retries.
+func (r *Relay) upgradeFeed(s *fanout.Session, rs wire.RelaySub) error {
+	r.mu.Lock()
+	hop, fabric := r.hop, r.net
 	r.mu.Unlock()
-	s.relay = true
-	if len(rs.Mask) > 0 {
-		s.mask = append([]uint64(nil), rs.Mask...)
+	if fabric == nil {
+		return errors.New("relay: downstream relay before the first upstream RelayAck")
 	}
-	r.fanMu.Lock()
-	r.feeds = append(r.feeds, s)
-	r.fanMu.Unlock()
-	r.metrics.RelaySessions.Add(1)
-	return s.write(r.cfg.WriteTimeout, wire.TypeRelayAck,
-		wire.MarshalRelayAck(wire.RelayAck{Hop: hop + 1, Channels: channels}))
+	channels := wire.MaskChannels(rs.Mask, fabric.Channels())
+	if len(channels) == 0 {
+		return fmt.Errorf("relay: downstream relay %d subscribed an empty channel set", s.ClientID)
+	}
+	if err := s.Feed(fabric, channels); err != nil {
+		return err
+	}
+	s.Push(wire.TypeRelayAck, wire.MarshalRelayAck(wire.RelayAck{Hop: hop + 1, Channels: fabric.Channels()}))
+	return nil
 }
 
-// write sends one frame directly on the session connection, bypassing
-// the queue (used only for the RelayAck handshake, before any frame can
-// be queued for the session).
-func (s *dsession) write(timeout time.Duration, frameType uint8, payload []byte) error {
-	if timeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	return wire.WriteFrame(s.conn, frameType, payload)
-}
-
-// writer drains the session queue, coalescing bursts into vectored
-// flushes. It owns all post-handshake writes on the connection, so
-// queued frames go out in exactly enqueue order.
-func (r *Relay) writer(s *dsession) {
-	defer close(s.done)
-	batch := make(net.Buffers, 0, maxWriteBatch)
-	for {
-		var frame []byte
-		select {
-		case <-s.quit:
-			return
-		case frame = <-s.out:
-		}
-		batch = batch[:0]
-		batch = append(batch, frame)
-		var batchBytes uint64
-		batchBytes += uint64(len(frame))
-	fill:
-		for len(batch) < maxWriteBatch {
-			select {
-			case f := <-s.out:
-				batch = append(batch, f)
-				batchBytes += uint64(len(f))
-			default:
-				break fill
-			}
-		}
-		if err := r.flush(s, batch); err != nil {
-			s.conn.Close() // the session reader notices and tears down
-			return
-		}
-		r.metrics.FanoutFramesWritten.Add(uint64(len(batch)))
-		r.metrics.FanoutBytes.Add(batchBytes)
-		r.metrics.FanoutFlushes.Inc()
-	}
-}
-
-// flush writes one coalesced batch under the write deadline. The batch
-// is passed by value because net.Buffers.WriteTo consumes the slice it
-// is invoked on; the caller's copy stays intact for accounting and
-// reuse.
-func (r *Relay) flush(s *dsession, batch net.Buffers) error {
-	if r.cfg.WriteTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	}
-	_, err := batch.WriteTo(s.conn)
-	return err
-}
-
-// dropSession tears one downstream session down: unbind it, release its
-// routes (announcing Bye upstream for every client it carried, so the
-// root unsubscribes them), and join its writer.
-func (r *Relay) dropSession(s *dsession) {
-	r.smu.Lock()
-	delete(r.sessions, s)
-	r.metrics.SessionsConnected.Set(int64(len(r.sessions)))
-	r.smu.Unlock()
-
-	r.fanMu.Lock()
-	if s.channel >= 0 {
-		r.byChannel[s.channel] = removeSession(r.byChannel[s.channel], s)
-		s.channel = -1
-	}
-	if s.relay {
-		r.feeds = removeSession(r.feeds, s)
-	}
-	r.fanMu.Unlock()
-	if s.relay {
-		r.metrics.RelaySessions.Add(-1)
-	}
-
+// dropSession tears one downstream session down: close its queue and
+// connection and join its writer, then release its routes (announcing Bye
+// upstream for every client it carried, so the root unsubscribes them).
+func (r *Relay) dropSession(s *fanout.Session) {
+	s.Close()
 	r.mu.Lock()
 	for id, rt := range r.routes {
 		if rt.sess != s {
@@ -841,8 +669,4 @@ func (r *Relay) dropSession(s *dsession) {
 		r.forwardCtlLocked(id, wire.TypeBye, nil)
 	}
 	r.mu.Unlock()
-
-	s.conn.Close()
-	close(s.quit)
-	<-s.done
 }

@@ -114,6 +114,7 @@ type subscriber struct {
 	answers []byte // concatenated answer frames, header included
 	frames  int
 	errs    int
+	lastErr string // payload of the newest Error frame
 	done    chan struct{}
 }
 
@@ -123,6 +124,13 @@ func newSubscriber(t *testing.T, addr string, clientID int, q query.Query) *subs
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newSubscriberOn(t, conn, clientID, q)
+}
+
+// newSubscriberOn is newSubscriber over a connection the caller dialed
+// (and may have wrapped for fault injection).
+func newSubscriberOn(t *testing.T, conn net.Conn, clientID int, q query.Query) *subscriber {
+	t.Helper()
 	t.Cleanup(func() { conn.Close() })
 	if err := wire.WriteFrame(conn, wire.TypeHello, wire.MarshalHello(wire.Hello{ClientID: clientID})); err != nil {
 		t.Fatal(err)
@@ -158,6 +166,7 @@ func newSubscriber(t *testing.T, addr string, clientID int, q query.Query) *subs
 			case wire.TypeError:
 				s.mu.Lock()
 				s.errs++
+				s.lastErr = string(payload)
 				s.mu.Unlock()
 			}
 		}

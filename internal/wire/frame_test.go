@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"qsub/internal/multicast"
 )
 
 // TestAppendMessageFrameMatchesWriteFrame pins the encode-once contract:
 // the frame bytes AppendMessageFrame produces are exactly what
 // WriteFrame(w, TypeAnswer, MarshalMessage(m)) would have put on the
-// wire, so the shared-frame and per-session-encode paths are
-// byte-identical by construction.
+// wire, so the shared frame is byte-identical to a per-message encode by
+// construction.
 func TestAppendMessageFrameMatchesWriteFrame(t *testing.T) {
 	m := benchMsg()
 	var legacy bytes.Buffer
@@ -21,6 +23,24 @@ func TestAppendMessageFrameMatchesWriteFrame(t *testing.T) {
 	if !bytes.Equal(legacy.Bytes(), framed) {
 		t.Fatalf("AppendMessageFrame differs from WriteFrame+MarshalMessage: %d vs %d bytes",
 			len(framed), legacy.Len())
+	}
+	// A fresh frame is sized before it is written: one allocation, no
+	// spare capacity, whatever optional parts the message has.
+	for name, mutate := range map[string]func(*multicast.Message){
+		"as is":     func(*multicast.Message) {},
+		"stamped":   func(m *multicast.Message) { m.PublishedUnixNano = 1_700_000_000_000_000_000 },
+		"removals":  func(m *multicast.Message) { m.Removed = []uint64{1, 2, 3} },
+		"no tuples": func(m *multicast.Message) { m.Tuples = nil },
+		"empty":     func(m *multicast.Message) { *m = multicast.Message{} },
+	} {
+		v := benchMsg()
+		mutate(&v)
+		if frame := AppendMessageFrame(nil, v); len(frame) != HeaderSize+messageSize(v) || len(frame) != HeaderSize+len(MarshalMessage(v)) {
+			t.Errorf("%s: frame of %d bytes, sized as %d, payload %d", name, len(frame), HeaderSize+messageSize(v), len(MarshalMessage(v)))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { AppendMessageFrame(nil, v) }); allocs != 1 && !raceEnabled {
+			t.Errorf("%s: a fresh frame took %v allocations, want 1", name, allocs)
+		}
 	}
 	// Appending after a prefix preserves both.
 	prefix := []byte{1, 2, 3}
@@ -58,9 +78,9 @@ func TestNewMessageFrameAccessors(t *testing.T) {
 	}
 }
 
-// TestAppendMessageFrameZeroAlloc pins the ablation path's buffer-reuse
-// contract: once the buffer has grown to frame size, per-session
-// steady-state framing allocates nothing.
+// TestAppendMessageFrameZeroAlloc pins the buffer-reuse contract: once
+// the buffer has grown to frame size, steady-state framing into it
+// allocates nothing.
 func TestAppendMessageFrameZeroAlloc(t *testing.T) {
 	m := benchMsg()
 	buf := AppendMessageFrame(nil, m)

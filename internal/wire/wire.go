@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"qsub/internal/geom"
 	"qsub/internal/multicast"
@@ -125,6 +126,17 @@ func WriteFrame(w io.Writer, frameType uint8, payload []byte) error {
 	return err
 }
 
+// AppendFrame appends one complete frame — header and payload — to buf
+// and returns the extended slice: the in-memory form of WriteFrame, for
+// frames that travel through a delivery queue before they reach a socket.
+// buf grows at most once, to the exact size when it was nil.
+func AppendFrame(buf []byte, frameType uint8, payload []byte) []byte {
+	buf = slices.Grow(buf, HeaderSize+len(payload))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, frameType)
+	return append(buf, payload...)
+}
+
 // ReadFrame reads one frame from r into a fresh payload slice.
 func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	return ReadFrameAppend(nil, r)
@@ -189,10 +201,14 @@ func NewMessageFrame(m multicast.Message) Frame {
 // AppendMessageFrame appends a complete TypeAnswer frame — 5-byte header
 // plus MarshalMessageAppend payload — to buf and returns the extended
 // slice. Like MarshalMessageAppend it reuses buf's backing array when
-// capacity allows, so per-session (ablation) encoders stay
+// capacity allows, so an encoder that keeps its buffer stays
 // allocation-free in steady state.
 func AppendMessageFrame(buf []byte, m multicast.Message) []byte {
 	start := len(buf)
+	// One allocation of the exact size when buf has no room (the
+	// encode-once hook passes nil: every frame is a fresh slice), instead
+	// of append doubling its way there through four smaller ones.
+	buf = slices.Grow(buf, HeaderSize+messageSize(m))
 	buf = append(buf, 0, 0, 0, 0, TypeAnswer)
 	buf = MarshalMessageAppend(buf, m)
 	binary.BigEndian.PutUint32(buf[start:start+4], uint32(len(buf)-start-5))
@@ -489,6 +505,21 @@ const (
 
 	flagKnown = flagDelta | flagTimestamp
 )
+
+// messageSize is len(MarshalMessageAppend(nil, m)).
+func messageSize(m multicast.Message) int {
+	n := 4 + 8 + 1 + 4 + 4 + 4 + 8*len(m.Removed)
+	if m.PublishedUnixNano != 0 {
+		n += 8
+	}
+	for i := range m.Tuples {
+		n += 8 + 8 + 8 + 4 + len(m.Tuples[i].Payload)
+	}
+	for i := range m.Header {
+		n += 8 + 4 + 8*len(m.Header[i].QueryIDs)
+	}
+	return n
+}
 
 // MarshalMessageAppend appends the encoding of a multicast answer message
 // to buf and returns the extended slice. The returned slice aliases buf's
