@@ -106,32 +106,35 @@ loadtest:
 
 # Runs the solver-engine, channel-allocation and dissemination-engine
 # benchmarks and records them as JSON for committing alongside the code
-# (see DESIGN.md "Solver engine" and "Dissemination engine").
+# (see DESIGN.md "Solver engine" and "Dissemination engine"). Every -bench
+# pattern lists whole top-level benchmark names, anchored, so a benchmark
+# whose name only begins like a recorded one is not recorded by accident;
+# -run '^$$' runs no tests.
 bench-save:
-	$(GO) test -run - \
-		-bench 'BenchmarkPairMerge$$|BenchmarkPairMergeHeap|BenchmarkPairMergeTable|BenchmarkPairMergeNaive|BenchmarkDirectedSearchParallel|BenchmarkClusteringParallel' \
+	$(GO) test -run '^$$' \
+		-bench '^(BenchmarkPairMerge|BenchmarkPairMergeHeap|BenchmarkDirectedSearchParallel|BenchmarkClusteringParallel)$$' \
 		-benchmem -benchtime 2x . \
 		| $(GO) run ./cmd/benchjson -o BENCH_solvers.json
-	$(GO) test -run - \
-		-bench 'BenchmarkInitialDistribution|BenchmarkHillClimb|BenchmarkHeuristic|BenchmarkMultiStart' \
+	$(GO) test -run '^$$' \
+		-bench '^(BenchmarkInitialDistribution|BenchmarkHillClimb|BenchmarkHeuristic|BenchmarkMultiStart)$$' \
 		-benchmem -benchtime 1x ./internal/chanalloc \
 		| $(GO) run ./cmd/benchjson -o BENCH_chanalloc.json
-	{ $(GO) test -run - \
-		-bench 'BenchmarkPublishFull|BenchmarkPublishDelta' \
+	{ $(GO) test -run '^$$' \
+		-bench '^(BenchmarkPublishDeltaMetrics|BenchmarkPublishFull|BenchmarkPublishDelta)$$' \
 		-benchmem -benchtime 2x ./internal/server; \
-	  $(GO) test -run - \
-		-bench 'BenchmarkClientHandle' \
+	  $(GO) test -run '^$$' \
+		-bench '^BenchmarkClientHandle$$' \
 		-benchmem -benchtime 200x ./internal/client; \
-	  $(GO) test -run - \
-		-bench 'BenchmarkMarshalMessage' \
+	  $(GO) test -run '^$$' \
+		-bench '^(BenchmarkMarshalMessage|BenchmarkMarshalMessageAppend)$$' \
 		-benchmem -benchtime 500x ./internal/wire; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_publish.json
-	$(GO) test -run - \
-		-bench 'BenchmarkShardPlan|BenchmarkAggregate' \
+	$(GO) test -run '^$$' \
+		-bench '^(BenchmarkShardPlan|BenchmarkShardPlanMultiChannel|BenchmarkAggregate)$$' \
 		-benchmem -benchtime 1x ./internal/shard \
 		| $(GO) run ./cmd/benchjson -o BENCH_sharding.json
-	$(GO) test -run - \
-		-bench 'BenchmarkSolverScaleFull|BenchmarkSolverScalePruned|BenchmarkSolverScaleBudget|BenchmarkReplanChurn' \
+	$(GO) test -run '^$$' \
+		-bench '^(BenchmarkSolverScaleFull|BenchmarkSolverScalePruned|BenchmarkSolverScaleBudget|BenchmarkReplanChurn)$$' \
 		-benchmem -benchtime 2x . \
 		| $(GO) run ./cmd/benchjson -o BENCH_solvers_scale.json
 	{ $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -latency; \

@@ -183,19 +183,6 @@ func BenchmarkPairMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkPairMergeNaive is the Profit Table ablation: every pair delta
-// recomputed on every iteration.
-func BenchmarkPairMergeNaive(b *testing.B) {
-	for _, n := range []int{10, 25, 50, 100} {
-		inst := benchInstance(n, int64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.PairMerge{NaiveRecompute: true}.Solve(inst)
-			}
-		})
-	}
-}
-
 // BenchmarkPairMergeHeap measures the heap-driven engine (the default)
 // at the sizes the solver-engine rewrite targets.
 func BenchmarkPairMergeHeap(b *testing.B) {
@@ -204,19 +191,6 @@ func BenchmarkPairMergeHeap(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.PairMerge{}.Solve(inst)
-			}
-		})
-	}
-}
-
-// BenchmarkPairMergeTable is the pre-heap ablation: Profit Table with a
-// full O(n²) scan per iteration (the seed engine).
-func BenchmarkPairMergeTable(b *testing.B) {
-	for _, n := range []int{100, 200} {
-		inst := benchInstance(n, int64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.PairMerge{TableScan: true}.Solve(inst)
 			}
 		})
 	}

@@ -1,10 +1,9 @@
 package chanalloc
 
 // Micro-benchmarks for the channel-allocation engine at client counts
-// well past the exhaustive-feasible range, plus ablation variants so the
-// speedup of the heap + group-cost cache stays measurable. Every
-// iteration builds a fresh Problem: the cache is per-Problem, so reusing
-// one would measure pure cache hits instead of an allocator run.
+// well past the exhaustive-feasible range. Every iteration builds a fresh
+// Problem: the cache is per-Problem, so reusing one would measure pure
+// cache hits instead of an allocator run.
 
 import (
 	"math/rand"
@@ -55,16 +54,6 @@ func BenchmarkInitialDistribution(b *testing.B) {
 	})
 }
 
-func BenchmarkInitialDistributionTableScan(b *testing.B) {
-	benchSizes(b, func(b *testing.B, clients int) {
-		mk := benchProblem(clients, func(p *Problem) { p.TableScan = true })
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			InitialDistribution(mk())
-		}
-	})
-}
-
 func BenchmarkHillClimb(b *testing.B) {
 	benchSizes(b, func(b *testing.B, clients int) {
 		mk := benchProblem(clients, nil)
@@ -76,37 +65,9 @@ func BenchmarkHillClimb(b *testing.B) {
 	})
 }
 
-func BenchmarkHillClimbNaiveRecompute(b *testing.B) {
-	benchSizes(b, func(b *testing.B, clients int) {
-		mk := benchProblem(clients, func(p *Problem) { p.NaiveRecompute = true })
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := mk()
-			HillClimb(p, RandomDistribution(p, 1))
-		}
-	})
-}
-
 func BenchmarkHeuristic(b *testing.B) {
 	benchSizes(b, func(b *testing.B, clients int) {
 		mk := benchProblem(clients, nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := Heuristic(mk(), SmartInit, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkHeuristicAblation is the pre-engine configuration (full table
-// rescans, no cache) — the before side of the headline speedup.
-func BenchmarkHeuristicAblation(b *testing.B) {
-	benchSizes(b, func(b *testing.B, clients int) {
-		mk := benchProblem(clients, func(p *Problem) {
-			p.TableScan = true
-			p.NaiveRecompute = true
-		})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := Heuristic(mk(), SmartInit, 1); err != nil {

@@ -14,11 +14,11 @@
 // All allocators run on a shared engine (see engine.go): client groups
 // are cost.QSet bitsets, per-channel merged costs are memoized in a
 // sharded group-cost cache keyed by (query union, listener count), the
-// Fig 14 greedy selects pairs through a lazy max-heap, and hill climbing
-// evaluates a move by recomputing only the two touched channels against
-// cached group costs. The pre-engine scan-based implementations survive
-// as named ablations (TableScan, NaiveRecompute), mirroring the solver
-// engine's PairMerge ablation flags.
+// Fig 14 greedy selects pairs through the candidate heap and pair
+// generator of internal/core (the ones Pair Merging uses), and hill
+// climbing evaluates a move by recomputing only the two touched channels
+// against cached group costs. The paper's table scan and the uncached
+// cost path live on only as oracles in the tests.
 package chanalloc
 
 import (
@@ -80,22 +80,10 @@ type Problem struct {
 	// pair, reproducing the exact greedy. When Merger is nil, the
 	// default per-channel PairMerge inherits the value too.
 	Neighbors int
-	// Restarts is the number of MultiStart restarts; zero means the
-	// default of 8.
-	Restarts int
 
 	// Metrics optionally instruments the allocators; nil runs
 	// uninstrumented. Set before the first allocator call.
 	Metrics *AllocMetrics
-
-	// TableScan makes InitialDistribution select pairs by rescanning
-	// the full pair table every step instead of popping the lazy
-	// max-heap (ablation; the pre-engine Fig 14 loop).
-	TableScan bool
-	// NaiveRecompute disables the group-cost cache: every probe re-runs
-	// the merging algorithm on the channel's queries (ablation; the
-	// pre-engine cost path).
-	NaiveRecompute bool
 
 	engOnce sync.Once
 	eng     *engine

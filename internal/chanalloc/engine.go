@@ -188,29 +188,25 @@ func (ctx *evalCtx) unionWith(clients []int, add int) cost.QSet {
 }
 
 // groupCost returns the merged channel cost of a group described by its
-// query union and listener count, consulting the shared cache unless the
-// NaiveRecompute ablation disables it. The qs argument may be (and
-// usually is) the context's scratch bitset; it is not retained.
+// query union and listener count, consulting the shared cache first. The
+// qs argument may be (and usually is) the context's scratch bitset; it is
+// not retained.
 func (ctx *evalCtx) groupCost(qs cost.QSet, listeners int) float64 {
 	if qs.Empty() {
 		return 0
 	}
-	if !ctx.p.NaiveRecompute {
-		if v, ok := ctx.eng.cache.get(qs, listeners); ok {
-			if am := ctx.p.Metrics; am != nil {
-				am.GroupCacheHits.Inc()
-			}
-			return v
+	if v, ok := ctx.eng.cache.get(qs, listeners); ok {
+		if am := ctx.p.Metrics; am != nil {
+			am.GroupCacheHits.Inc()
 		}
+		return v
 	}
 	if am := ctx.p.Metrics; am != nil {
 		am.GroupCacheMisses.Inc()
 	}
 	ctx.members = qs.AppendIndices(ctx.members[:0])
 	v := solveGroupCost(ctx.p, ctx.members, listeners)
-	if !ctx.p.NaiveRecompute {
-		ctx.eng.cache.put(qs, listeners, v)
-	}
+	ctx.eng.cache.put(qs, listeners, v)
 	return v
 }
 

@@ -7,74 +7,18 @@ package chanalloc
 //
 // Both phases run on the engine of engine.go: pairing gains and move
 // probes resolve through the shared group-cost cache, the Fig 14 greedy
-// selects pairs by popping a lazy max-heap (the pairmerge.go pattern)
-// instead of rescanning the full pair table, and hill climbing
-// re-evaluates only the two channels a move touches. The pre-engine
-// selection loop survives behind the TableScan ablation flag and yields
-// bit-identical allocations.
+// selects pairs from the solver layer's candidate heap and pair generator
+// (core.CandidateHeap, core.Pairs — the ones Pair Merging uses), and hill
+// climbing re-evaluates only the two channels a move touches.
 
 import (
 	"math"
 	"runtime"
 	"slices"
 	"sync"
+
+	"qsub/internal/core"
 )
-
-// idEntry is one candidate pair in the Fig 14 gain heap. Entries are
-// immutable; invalidation is lazy (an entry whose endpoint has been
-// allocated is discarded when popped).
-type idEntry struct {
-	gain float64
-	a, b int
-}
-
-// idLess orders the heap: larger gain first, ties broken by smaller
-// client ids. This reproduces the table scan's "first strictly greater"
-// rule exactly — the table holds pairs in (a, b) lexicographic order and
-// keeps the earliest maximum — so heap and scan pick identical pairs.
-func idLess(x, y idEntry) bool {
-	if x.gain != y.gain {
-		return x.gain > y.gain
-	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
-}
-
-func idHeapInit(h []idEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		idSiftDown(h, i)
-	}
-}
-
-func idHeapPop(h *[]idEntry) idEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	idSiftDown(s[:last], 0)
-	return top
-}
-
-func idSiftDown(h []idEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(h) && idLess(h[l], h[best]) {
-			best = l
-		}
-		if r < len(h) && idLess(h[r], h[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
 
 // InitialDistribution is the Fig 14 greedy: compute the pairing gain
 // Cost_Δ = Cost{ca} + Cost{cb} − Cost{ca,cb} for every client pair, then
@@ -82,25 +26,24 @@ func idSiftDown(h []idEntry, i int) {
 // current channel, drop all pairs touching them, and advance the channel
 // round-robin. Leftover clients are assigned round-robin.
 //
-// The default engine keeps the pairs in a max-heap with lazy
-// invalidation, so each step is O(log n) instead of an O(n²) table
-// rescan; the TableScan ablation keeps the original loop. Unlike the
-// merge heap of PairMerge, non-positive gains are kept: Fig 14 pairs
-// clients until the table is empty regardless of sign.
+// The pairs come from core.Pairs and wait in a core.CandidateHeap: each
+// step pops the best pair in O(log n) and discards it if an endpoint is
+// already allocated (lazy invalidation), instead of rescanning the table.
+// The heap breaks ties by smaller client ids, which is the paper's table
+// scan keeping the earliest maximum, so the allocation is the scan's.
+// Unlike Pair Merging, every gain enters the heap and a pop never pushes:
+// Fig 14 pairs clients until the table is empty regardless of sign.
 //
-// With Problem.Neighbors set (and instance centers available) the pair
-// table is pruned to each client's ±k Z-order window over client
-// centroids — O(n·k) gain probes instead of O(n²) — and the leftover
-// round-robin pass guarantees a complete allocation regardless of how
-// much the window (or an exhausted budget) cut away.
+// With Problem.Neighbors set (and instance centers available) the pairs
+// are pruned to each client's ±k Z-order window over client centroids —
+// O(n·k) gain probes instead of O(n²) — and the leftover round-robin pass
+// guarantees a complete allocation regardless of how much the window (or
+// an exhausted budget) cut away.
 func InitialDistribution(p *Problem) Allocation {
 	return initialDistributionCtx(p.newCtx())
 }
 
 func initialDistributionCtx(ctx *evalCtx) Allocation {
-	if ctx.p.TableScan {
-		return initialDistributionScan(ctx)
-	}
 	p := ctx.p
 	n := len(p.Clients)
 	alloc := make(Allocation, n)
@@ -113,120 +56,27 @@ func initialDistributionCtx(ctx *evalCtx) Allocation {
 		pair[0] = c
 		single[c] = ctx.groupCostClients(pair[:1])
 	}
-	budget := p.Inst.Budget
-	var h []idEntry
-	if ni := p.clientIndex(); ni != nil {
-		// Neighbor-pruned seeding. The window relation is symmetric, so
-		// keeping only b > a covers each unordered pair once; at
-		// k ≥ n it enumerates exactly the full table.
-		k := p.Neighbors
-		h = make([]idEntry, 0, n*min(k, n))
-	seedPruned:
-		for a := 0; a < n; a++ {
-			pair[0] = a
-			pos := ni.Rank(a)
-			lo, hi := pos-k, pos+k
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > n-1 {
-				hi = n - 1
-			}
-			for rank := lo; rank <= hi; rank++ {
-				b := ni.At(rank)
-				if b <= a {
-					continue
-				}
-				if !budget.Step(1) {
-					break seedPruned
-				}
-				pair[1] = b
-				joint := ctx.groupCostClients(pair[:2])
-				h = append(h, idEntry{gain: single[a] + single[b] - joint, a: a, b: b})
-			}
-		}
-	} else {
-		h = make([]idEntry, 0, n*(n-1)/2)
-	seedFull:
-		for a := 0; a < n; a++ {
-			pair[0] = a
-			for b := a + 1; b < n; b++ {
-				if !budget.Step(1) {
-					break seedFull
-				}
-				pair[1] = b
-				joint := ctx.groupCostClients(pair[:2])
-				h = append(h, idEntry{gain: single[a] + single[b] - joint, a: a, b: b})
-			}
-		}
+	ni := p.clientIndex()
+	size := n * (n - 1) / 2
+	if ni != nil {
+		size = n * min(p.Neighbors, n)
 	}
-	idHeapInit(h)
+	h := make(core.CandidateHeap, 0, size)
+	pairs := core.NewPairs(n, ni, p.Neighbors, p.Inst.Budget)
+	for a, b, ok := pairs.Next(); ok; a, b, ok = pairs.Next() {
+		pair[0], pair[1] = a, b
+		joint := ctx.groupCostClients(pair[:2])
+		h = append(h, core.Candidate{Profit: single[a] + single[b] - joint, A: a, B: b})
+	}
+	h.Init()
 	cch := 0
 	for len(h) > 0 {
-		e := idHeapPop(&h)
-		if alloc[e.a] >= 0 || alloc[e.b] >= 0 {
+		e := h.Pop()
+		if alloc[e.A] >= 0 || alloc[e.B] >= 0 {
 			continue // lazy invalidation: an already-allocated endpoint
 		}
-		alloc[e.a], alloc[e.b] = cch, cch
+		alloc[e.A], alloc[e.B] = cch, cch
 		cch = (cch + 1) % p.Channels
-	}
-	for c := 0; c < n; c++ {
-		if alloc[c] < 0 {
-			alloc[c] = cch
-			cch = (cch + 1) % p.Channels
-		}
-	}
-	return alloc
-}
-
-// initialDistributionScan is the TableScan ablation: the pre-engine
-// Fig 14 loop with a full pair-table rescan per step. Costs still
-// resolve through the evaluation context so the NaiveRecompute flag
-// composes independently.
-func initialDistributionScan(ctx *evalCtx) Allocation {
-	p := ctx.p
-	n := len(p.Clients)
-	alloc := make(Allocation, n)
-	for i := range alloc {
-		alloc[i] = -1
-	}
-	single := make([]float64, n)
-	pair := [2]int{}
-	for c := range p.Clients {
-		pair[0] = c
-		single[c] = ctx.groupCostClients(pair[:1])
-	}
-	type triple struct {
-		a, b int
-		gain float64
-	}
-	var pairs []triple
-	for a := 0; a < n; a++ {
-		pair[0] = a
-		for b := a + 1; b < n; b++ {
-			pair[1] = b
-			joint := ctx.groupCostClients(pair[:2])
-			pairs = append(pairs, triple{a, b, single[a] + single[b] - joint})
-		}
-	}
-	cch := 0
-	for len(pairs) > 0 {
-		bestIdx := 0
-		for i, t := range pairs {
-			if t.gain > pairs[bestIdx].gain {
-				bestIdx = i
-			}
-		}
-		t := pairs[bestIdx]
-		alloc[t.a], alloc[t.b] = cch, cch
-		cch = (cch + 1) % p.Channels
-		kept := pairs[:0]
-		for _, u := range pairs {
-			if u.a != t.a && u.a != t.b && u.b != t.a && u.b != t.b {
-				kept = append(kept, u)
-			}
-		}
-		pairs = kept
 	}
 	for c := 0; c < n; c++ {
 		if alloc[c] < 0 {
@@ -339,8 +189,8 @@ const (
 	RandomInit
 	// BestOfBoth runs both seeds and keeps the cheaper result.
 	BestOfBoth
-	// MultiStartInit runs the smart seed plus Restarts−1 random seeds on
-	// a bounded worker pool and keeps the cheapest local minimum.
+	// MultiStartInit runs the smart seed plus seven random seeds on a
+	// bounded worker pool and keeps the cheapest local minimum.
 	MultiStartInit
 )
 
@@ -368,9 +218,15 @@ func (p *Problem) parallelism() int {
 	return p.Parallelism
 }
 
-// MultiStart runs Restarts hill climbs — the first from the Fig 14 smart
-// distribution, the rest from independent random distributions — on a
-// bounded worker pool and returns the cheapest local minimum.
+// multiStartRestarts is how many climbs MultiStart runs: the smart seed
+// plus seven random ones. No workload, experiment or caller needs another
+// count, so it is a constant, not an option.
+const multiStartRestarts = 8
+
+// MultiStart runs multiStartRestarts hill climbs — the first from the
+// Fig 14 smart distribution, the rest from independent random
+// distributions — on a bounded worker pool and returns the cheapest local
+// minimum.
 //
 // Each restart derives its RNG from (seed, restart index) via splitmix64
 // and the winner is chosen by (cost, restart index), so a fixed seed
@@ -381,10 +237,7 @@ func MultiStart(p *Problem, seed int64) (Allocation, float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err
 	}
-	t := p.Restarts
-	if t <= 0 {
-		t = 8
-	}
+	t := multiStartRestarts
 	allocs := make([]Allocation, t)
 	costs := make([]float64, t)
 	runOne := func(run int) {

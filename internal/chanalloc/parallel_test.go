@@ -2,9 +2,10 @@ package chanalloc
 
 // Equivalence and determinism tests for the channel-allocation engine:
 // the heap-driven greedy and cached delta-cost climb must produce
-// bit-identical allocations to the scan-based ablations, fixed-seed
-// multi-start must be invariant under Parallelism, and the group-cost
-// cache must cut merge solves by the margin the engine promises.
+// bit-identical allocations to the oracles of oracle_test.go (the paper's
+// table scan and uncached channel costs), fixed-seed multi-start must be
+// invariant under Parallelism, and the group-cost cache must cut merge
+// solves by the margin the engine promises.
 
 import (
 	"math/rand"
@@ -16,8 +17,8 @@ import (
 )
 
 // variant clones the Problem's inputs into a fresh Problem (fresh cache,
-// fresh ablation flags); Problems carry a sync.Once so they cannot be
-// copied by value.
+// fresh settings); Problems carry a sync.Once so they cannot be copied by
+// value.
 func variant(p *Problem, mutate func(*Problem)) *Problem {
 	v := &Problem{
 		Inst:     p.Inst,
@@ -63,8 +64,9 @@ func adversarialProblems() map[string]*Problem {
 
 // TestEngineMatchesAblations pins the engine's core equivalence claim:
 // heap selection and cached delta-cost probes change how costs are
-// found, never their values, so allocations are identical to the
-// scan-based ablations on random and adversarial problems.
+// found, never their values, so allocations and costs are bit-identical
+// to the table-scan and uncached-cost oracles on random and adversarial
+// problems, for every strategy at Parallelism 1 and 2.
 func TestEngineMatchesAblations(t *testing.T) {
 	probs := adversarialProblems()
 	rng := rand.New(rand.NewSource(99))
@@ -74,50 +76,45 @@ func TestEngineMatchesAblations(t *testing.T) {
 
 		for name, base := range probs {
 			engine := variant(base, nil)
-			ablations := map[string]*Problem{
-				"table-scan":      variant(base, func(p *Problem) { p.TableScan = true }),
-				"naive-recompute": variant(base, func(p *Problem) { p.NaiveRecompute = true }),
-				"seed-behavior": variant(base, func(p *Problem) {
-					p.TableScan = true
-					p.NaiveRecompute = true
-				}),
-			}
-
-			wantInit := InitialDistribution(engine)
-			for abName, ab := range ablations {
-				if got := InitialDistribution(ab); !allocsEqual(got, wantInit) {
-					t.Fatalf("%s: InitialDistribution %s = %v, engine = %v", name, abName, got, wantInit)
-				}
+			if got, want := InitialDistribution(engine), scanInitialDistribution(base); !allocsEqual(got, want) {
+				t.Fatalf("%s: InitialDistribution = %v, table scan = %v", name, got, want)
 			}
 
 			start := RandomDistribution(engine, int64(i))
-			wantClimb := HillClimb(engine, start)
-			for abName, ab := range ablations {
-				if got := HillClimb(ab, start); !allocsEqual(got, wantClimb) {
-					t.Fatalf("%s: HillClimb %s = %v, engine = %v", name, abName, got, wantClimb)
-				}
+			if got, want := HillClimb(engine, start), oracleClimb(base, start); !allocsEqual(got, want) {
+				t.Fatalf("%s: HillClimb = %v, uncached climb = %v", name, got, want)
 			}
 
 			for _, s := range []Strategy{SmartInit, RandomInit, BestOfBoth, MultiStartInit} {
-				wantA, wantC, err := Heuristic(variant(base, nil), s, int64(i))
-				if err != nil {
-					t.Fatalf("%s: engine Heuristic(%v): %v", name, s, err)
-				}
-				for abName, mutate := range map[string]func(*Problem){
-					"table-scan":      func(p *Problem) { p.TableScan = true },
-					"naive-recompute": func(p *Problem) { p.NaiveRecompute = true },
-				} {
-					gotA, gotC, err := Heuristic(variant(base, mutate), s, int64(i))
+				wantA, wantC := oracleHeuristic(base, s, int64(i))
+				for _, par := range []int{1, 2} {
+					gotA, gotC, err := Heuristic(variant(base, func(p *Problem) { p.Parallelism = par }), s, int64(i))
 					if err != nil {
-						t.Fatalf("%s: %s Heuristic(%v): %v", name, abName, s, err)
+						t.Fatalf("%s: Heuristic(%v): %v", name, s, err)
 					}
 					if gotC != wantC || !allocsEqual(gotA, wantA) {
-						t.Fatalf("%s: Heuristic(%v) %s = %v cost %v, engine = %v cost %v",
-							name, s, abName, gotA, gotC, wantA, wantC)
+						t.Fatalf("%s: Heuristic(%v) at Parallelism %d = %v cost %v, oracle = %v cost %v",
+							name, s, par, gotA, gotC, wantA, wantC)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestInitialDistributionTiesMatchScan pins the candidate heap's tie rule
+// to the scan's "first strictly greater" rule: four clients with one
+// subscription, so every pair has the same gain. The scan pairs (0, 1)
+// onto channel 0 first, then (2, 3) onto channel 1; so must the heap.
+func TestInitialDistributionTiesMatchScan(t *testing.T) {
+	rects := []geom.Rect{geom.R(0, 0, 10, 10), geom.R(2, 2, 8, 8)}
+	p := newProblem(testModel, rects, [][]int{{0, 1}, {0, 1}, {0, 1}, {0, 1}}, 3)
+	want := Allocation{0, 0, 1, 1}
+	if got := scanInitialDistribution(p); !allocsEqual(got, want) {
+		t.Fatalf("table scan = %v, want %v", got, want)
+	}
+	if got := InitialDistribution(p); !allocsEqual(got, want) {
+		t.Fatalf("InitialDistribution = %v, table scan %v", got, want)
 	}
 }
 
@@ -190,41 +187,41 @@ func (cs *countingSizer) MergedSize(set []int) float64 {
 
 // TestGroupCostCacheCutsSolves pins the headline acceptance criterion:
 // the cached engine issues at least 5x fewer merge-size probes than the
-// uncached scan path on the multi-start workload, where restarts climb
+// uncached oracle on the multi-start workload, where restarts climb
 // through heavily overlapping channel groups and the shared cache
 // collapses the repeats (runs sequentially so the counts are stable).
 func TestGroupCostCacheCutsSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := randomProblem(rng, 10, 12, 3, testModel)
 
-	run := func(mutate func(*Problem)) int64 {
-		p := variant(base, mutate)
-		p.Parallelism = 1
-		if mutate != nil {
-			mutate(p)
-		}
+	// counted returns a fresh copy of base whose sizer counts probes.
+	counted := func() (*Problem, *countingSizer) {
+		p := variant(base, func(p *Problem) { p.Parallelism = 1 })
 		cs := &countingSizer{inner: p.Inst.Sizer}
 		inst := *p.Inst
 		inst.Sizer = cs
 		p.Inst = &inst
-		if _, _, err := Heuristic(p, MultiStartInit, 1); err != nil {
-			t.Fatalf("Heuristic: %v", err)
-		}
-		return cs.calls.Load()
+		return p, cs
 	}
-
-	engine := run(nil)
-	seedLike := run(func(p *Problem) {
-		p.TableScan = true
-		p.NaiveRecompute = true
-	})
+	p, cs := counted()
+	wantA, wantC, err := Heuristic(p, MultiStartInit, 1)
+	if err != nil {
+		t.Fatalf("Heuristic: %v", err)
+	}
+	engine := cs.calls.Load()
+	p, cs = counted()
+	gotA, gotC := oracleHeuristic(p, MultiStartInit, 1)
+	uncached := cs.calls.Load()
+	if gotC != wantC || !allocsEqual(gotA, wantA) {
+		t.Fatalf("engine %v cost %v, uncached oracle %v cost %v", wantA, wantC, gotA, gotC)
+	}
 	if engine == 0 {
 		t.Fatal("engine issued no merge-size probes")
 	}
-	if seedLike < 5*engine {
+	if uncached < 5*engine {
 		t.Fatalf("cache cut merge probes only %.1fx (engine %d, uncached %d), want >= 5x",
-			float64(seedLike)/float64(engine), engine, seedLike)
+			float64(uncached)/float64(engine), engine, uncached)
 	}
-	t.Logf("merge-size probes: engine %d, uncached scan %d (%.1fx)",
-		engine, seedLike, float64(seedLike)/float64(engine))
+	t.Logf("merge-size probes: engine %d, uncached oracle %d (%.1fx)",
+		engine, uncached, float64(uncached)/float64(engine))
 }

@@ -53,11 +53,14 @@ func NewBudget(d time.Duration, maxSteps int64) *Budget {
 // Step records n units of solver work and reports whether the budget
 // still has room. The first call that exceeds a limit flips the sticky
 // exhausted flag and returns false; callers stop generating new work and
-// fall through to returning their best-so-far plan.
+// fall through to returning their best-so-far plan. The nil check is all
+// an unbudgeted solve pays: Step inlines into the per-pair loops, step
+// does not.
 func (b *Budget) Step(n int64) bool {
-	if b == nil {
-		return true
-	}
+	return b == nil || b.step(n)
+}
+
+func (b *Budget) step(n int64) bool {
 	if b.exhausted.Load() {
 		return false
 	}

@@ -195,7 +195,7 @@ func TestHeuristicsBoundedByOptimalAndInitial(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	algos := []Algorithm{
 		PairMerge{},
-		PairMerge{NaiveRecompute: true},
+		profitTable{naive: true},
 		DirectedSearch{T: 4, Seed: 1},
 		Clustering{},
 		Clustering{ExactThreshold: 6},
@@ -227,9 +227,9 @@ func TestPairMergeProfitTableMatchesNaive(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		inst := randomInstance(rng, n, paperModel)
 		a := inst.Cost(PairMerge{}.Solve(inst))
-		b := inst.Cost(PairMerge{NaiveRecompute: true}.Solve(inst))
+		b := inst.Cost(profitTable{naive: true}.Solve(inst))
 		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("profit-table cost %g != naive cost %g", a, b)
+			t.Fatalf("heap cost %g != naive profit-table cost %g", a, b)
 		}
 	}
 }

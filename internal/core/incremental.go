@@ -271,14 +271,7 @@ func (inc *Incremental) candidateIndices(changed []int) []int {
 	inc.window = inc.window[:0]
 	for _, q := range changed {
 		inc.window = append(inc.window, q)
-		p := inc.ni.pos[q]
-		lo, hi := p-inc.k, p+inc.k
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(inc.ni.order)-1 {
-			hi = len(inc.ni.order) - 1
-		}
+		lo, hi := inc.ni.window(q, inc.k)
 		for rank := lo; rank <= hi; rank++ {
 			if r := inc.ni.order[rank]; r != q {
 				inc.window = append(inc.window, r)

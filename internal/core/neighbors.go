@@ -74,30 +74,11 @@ func NewNeighborIndex(centers []geom.Point) *NeighborIndex {
 	return idx
 }
 
-// Len returns the number of indexed queries.
-func (ni *NeighborIndex) Len() int { return len(ni.order) }
-
-// At returns the query at the given curve rank.
-func (ni *NeighborIndex) At(rank int) int { return ni.order[rank] }
-
-// Rank returns query q's position in curve order.
-func (ni *NeighborIndex) Rank(q int) int { return ni.pos[q] }
-
-// Window calls fn for every query within the ±k curve window around q,
-// excluding q itself. k >= Len() visits every other query.
-func (ni *NeighborIndex) Window(q, k int, fn func(r int)) {
+// window returns the first and last curve rank of the ±k window around
+// query q, clamped to the curve; order[lo..hi] includes q itself. With
+// k ≥ n it spans every query. Pairs walks it to seed the greedy heaps,
+// and the pruned solvers walk it to find a changed set's neighborhood.
+func (ni *NeighborIndex) window(q, k int) (lo, hi int) {
 	p := ni.pos[q]
-	lo, hi := p-k, p+k
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(ni.order)-1 {
-		hi = len(ni.order) - 1
-	}
-	for rank := lo; rank <= hi; rank++ {
-		if rank == p {
-			continue
-		}
-		fn(ni.order[rank])
-	}
+	return max(p-k, 0), min(p+k, len(ni.order)-1)
 }

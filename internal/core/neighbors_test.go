@@ -31,39 +31,78 @@ func randomRects(rng *rand.Rand, n int, span float64) []geom.Rect {
 	return rects
 }
 
+// collectPairs drains a generator.
+func collectPairs(g Pairs) [][2]int {
+	var out [][2]int
+	for a, b, ok := g.Next(); ok; a, b, ok = g.Next() {
+		out = append(out, [2]int{a, b})
+	}
+	return out
+}
+
+// TestNeighborIndexWindow pins the pair generator over a curve index: the
+// ±k windows yield exactly the pairs at most k ranks apart, each once as
+// (a, b) with a < b, at most 2k partners per query, so at k ≥ n they are
+// the full triangle's pairs; a budget stops the generator for good.
 func TestNeighborIndexWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rects := randomRects(rng, 25, 100)
 	ni := NewNeighborIndex(centersOf(rects))
-	if ni.Len() != 25 {
-		t.Fatalf("Len = %d, want 25", ni.Len())
+	n := len(ni.order)
+	if n != 25 {
+		t.Fatalf("indexed %d queries, want 25", n)
 	}
-	for q := 0; q < ni.Len(); q++ {
-		if ni.At(ni.Rank(q)) != q {
-			t.Fatalf("At(Rank(%d)) = %d", q, ni.At(ni.Rank(q)))
+	for q := 0; q < n; q++ {
+		if ni.order[ni.pos[q]] != q {
+			t.Fatalf("order[pos[%d]] = %d", q, ni.order[ni.pos[q]])
 		}
 	}
-	// A ±k window visits at most 2k distinct queries, never q itself,
-	// and with k ≥ n it visits every other query exactly once.
+	full := collectPairs(NewPairs(n, nil, 0, nil))
+	if len(full) != n*(n-1)/2 {
+		t.Fatalf("full triangle has %d pairs, want %d", len(full), n*(n-1)/2)
+	}
+	for i := 1; i < len(full); i++ {
+		if p, q := full[i-1], full[i]; p[0] > q[0] || p[0] == q[0] && p[1] >= q[1] {
+			t.Fatalf("full triangle out of order at %d: %v then %v", i, p, q)
+		}
+	}
 	for _, k := range []int{1, 3, 25, 100} {
-		for q := 0; q < ni.Len(); q++ {
-			seen := map[int]bool{}
-			ni.Window(q, k, func(r int) {
-				if r == q {
-					t.Fatalf("window(%d, %d) visited q itself", q, k)
-				}
-				if seen[r] {
-					t.Fatalf("window(%d, %d) visited %d twice", q, k, r)
-				}
-				seen[r] = true
-			})
-			if len(seen) > 2*k {
-				t.Fatalf("window(%d, %d) visited %d queries, want <= %d", q, k, len(seen), 2*k)
+		got := collectPairs(NewPairs(n, ni, k, nil))
+		seen := map[[2]int]bool{}
+		partners := make([]int, n)
+		for _, p := range got {
+			a, b := p[0], p[1]
+			if a >= b || seen[p] {
+				t.Fatalf("k=%d: pair %v repeated or not ascending", k, p)
 			}
-			if k >= ni.Len() && len(seen) != ni.Len()-1 {
-				t.Fatalf("full window(%d, %d) visited %d of %d", q, k, len(seen), ni.Len()-1)
+			if d := ni.pos[a] - ni.pos[b]; d > k || d < -k {
+				t.Fatalf("k=%d: pair %v is %d ranks apart", k, p, d)
+			}
+			seen[p] = true
+			partners[a]++
+			partners[b]++
+		}
+		want := 0
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if d := ni.pos[a] - ni.pos[b]; d <= k && d >= -k {
+					want++
+				}
+			}
+			if partners[a] > 2*k {
+				t.Fatalf("k=%d: query %d has %d partners", k, a, partners[a])
 			}
 		}
+		if len(got) != want {
+			t.Fatalf("k=%d: %d pairs, the window holds %d", k, len(got), want)
+		}
+		if k >= n && len(got) != len(full) {
+			t.Fatalf("k=%d: %d window pairs, the full triangle has %d", k, len(got), len(full))
+		}
+	}
+	g := NewPairs(n, ni, 3, NewBudget(0, 7))
+	if got := collectPairs(g); len(got) != 6 {
+		t.Fatalf("a 7-step budget yielded %d pairs, want 6", len(got))
 	}
 }
 
@@ -74,9 +113,9 @@ func TestNeighborIndexDuplicateCentersDeterministic(t *testing.T) {
 	centers := []geom.Point{geom.Pt(5, 5), geom.Pt(5, 5), geom.Pt(5, 5), geom.Pt(1, 1)}
 	ni := NewNeighborIndex(centers)
 	for q := 1; q < 3; q++ {
-		if ni.Rank(q) != ni.Rank(q-1)+1 {
+		if ni.pos[q] != ni.pos[q-1]+1 {
 			t.Fatalf("duplicate centers not index-ordered: ranks %d=%d %d=%d",
-				q-1, ni.Rank(q-1), q, ni.Rank(q))
+				q-1, ni.pos[q-1], q, ni.pos[q])
 		}
 	}
 }

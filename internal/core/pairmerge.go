@@ -20,42 +20,36 @@ type QSet = cost.QSet
 //
 // until no merge reduces total cost.
 //
-// The default engine keeps the pair deltas in an indexed max-heap with
-// lazy invalidation: popping the top yields the best live pair in
+// The paper keeps the deltas in a Profit Table and scans it for the best
+// pair every iteration. This engine keeps them in the shared
+// CandidateHeap instead, seeded from the shared Pairs generator with
+// every positive pair delta: popping the top yields the best live pair in
 // O(log n), entries referencing merged-away sets are discarded as they
-// surface, and a merge pushes only the new set's deltas against the
-// survivors. One iteration is O(n log n) instead of the O(n²) Profit
-// Table scan, and probe unions run through a reused scratch buffer
-// instead of allocating a fresh []int per delta.
+// surface (lazy invalidation), and a merge pushes only the new set's
+// deltas against the survivors. One iteration is O(n log n) instead of
+// the table's O(n²), and probe unions run through a reused scratch buffer
+// instead of allocating a fresh []int per delta. Equal deltas pop by
+// smaller set ids, the order in which the paper's scan meets the
+// singleton pairs; the tests pin that against a Profit Table oracle of
+// their own.
 //
-// Setting Neighbors > 0 on an instance with Centers switches to the
-// neighbor-pruned engine: the heap is seeded only with pairs inside each
-// query's ±k Z-order window (see NeighborIndex), and a merge regenerates
-// candidates from the merged set's neighborhood instead of against every
-// survivor. Candidate generation drops from O(n²) to O(n·k); at k ≥ n
-// the window covers every pair and the engine produces bit-identical
-// plans to the full heap, which the equivalence tests pin.
+// Setting Neighbors > 0 on an instance with Centers prunes the candidates:
+// the heap is seeded only with pairs inside each query's ±k Z-order window
+// (see NeighborIndex), and a merge regenerates candidates from the merged
+// set's neighborhood instead of against every survivor. Candidate
+// generation drops from O(n²) to O(n·k); at k ≥ n the window covers every
+// pair and the plan is bit-identical to the unpruned one, which the
+// equivalence tests pin.
 //
-// Two ablation engines are kept for the benchmarks: TableScan is the
-// previous implementation (Profit Table with a full scan per iteration),
-// NaiveRecompute additionally recomputes every delta on every iteration.
-// The heap engines run on pooled working state (pmEngine), so a solve
-// allocates its result and nothing else.
-//
-// All engines honor Instance.Budget: when it trips they stop generating
-// candidates, finish nothing speculative, and return the (always valid)
-// partition reached so far.
+// A solve runs on pooled working state (pmEngine), so it allocates its
+// result and nothing else. It honors Instance.Budget: when the budget
+// trips it stops generating candidates, finishes nothing speculative, and
+// returns the (always valid) partition reached so far.
 type PairMerge struct {
-	// NaiveRecompute recomputes every pair delta on every iteration
-	// instead of maintaining the Profit Table (ablation).
-	NaiveRecompute bool
-	// TableScan keeps the Profit Table but selects the best pair with a
-	// full O(n²) scan per iteration (ablation; the pre-heap engine).
-	TableScan bool
 	// Neighbors, when positive, restricts candidate pairs to each
 	// query's ±Neighbors Z-order window. Requires Instance.Centers;
-	// without centers the full heap engine runs. 0 means exact
-	// (unpruned). Ignored by the table ablation engines.
+	// without centers every pair is a candidate. 0 means exact
+	// (unpruned).
 	Neighbors int
 }
 
@@ -66,9 +60,6 @@ func (PairMerge) Name() string { return "pair-merge" }
 func (pm PairMerge) Solve(inst *Instance) Plan {
 	if inst.N == 0 {
 		return Plan{}
-	}
-	if pm.NaiveRecompute || pm.TableScan {
-		return pm.solveTable(inst)
 	}
 	e := pm.run(inst)
 	defer e.release()
@@ -82,9 +73,6 @@ func (pm PairMerge) SolveCost(inst *Instance) float64 {
 	if inst.N == 0 {
 		return 0
 	}
-	if pm.NaiveRecompute || pm.TableScan {
-		return inst.Cost(pm.solveTable(inst))
-	}
 	e := pm.run(inst)
 	defer e.release()
 	return e.cost()
@@ -93,90 +81,18 @@ func (pm PairMerge) SolveCost(inst *Instance) float64 {
 // run solves the instance on a pooled engine, which the caller releases.
 func (pm PairMerge) run(inst *Instance) *pmEngine {
 	e := startEngine(inst)
-	// The pruned engine deliberately takes the instance's sizer as-is
-	// (no forced memo wrap): wrapping only one engine could let a
+	// The pruned solve deliberately takes the instance's sizer as-is
+	// (no forced memo wrap): wrapping only one configuration could let a
 	// bitset-keyed cache return a value computed from a different
 	// member ordering than the raw path would use, breaking the
-	// bit-identity pin against solveHeap for order-sensitive sizers.
+	// bit-identity pin against the unpruned solve for order-sensitive
+	// sizers.
+	var ni *NeighborIndex
 	if pm.Neighbors > 0 && len(inst.Centers) == inst.N {
-		e.solveNeighbors(pm.Neighbors)
-	} else {
-		e.solveHeap()
+		ni = NewNeighborIndex(inst.Centers)
 	}
+	e.solve(ni, pm.Neighbors)
 	return e
-}
-
-// pmEntry is one candidate merge in the profit heap: the Δ-cost and
-// merged size of merging set ids a and b. Entries are immutable;
-// invalidation is lazy (an entry whose endpoint has since been merged
-// away is discarded when popped).
-type pmEntry struct {
-	d    float64
-	rm   float64
-	a, b int
-}
-
-// pmLess orders the heap: larger Δ first, ties broken by smaller set ids
-// so the pop order — and therefore the plan — is deterministic.
-func pmLess(x, y pmEntry) bool {
-	if x.d != y.d {
-		return x.d > y.d
-	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
-}
-
-// pmHeapInit heapifies the backing slice in place.
-func pmHeapInit(h []pmEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		pmSiftDown(h, i)
-	}
-}
-
-// pmHeapPush appends the entry and restores the heap invariant.
-func pmHeapPush(h *[]pmEntry, e pmEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pmLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// pmHeapPop removes and returns the top entry.
-func pmHeapPop(h *[]pmEntry) pmEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	pmSiftDown(s[:last], 0)
-	return top
-}
-
-func pmSiftDown(h []pmEntry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(h) && pmLess(h[l], h[best]) {
-			best = l
-		}
-		if r < len(h) && pmLess(h[r], h[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
 }
 
 // hSet is one set during the heap-driven merge: its member bitset, member
@@ -200,17 +116,18 @@ type pmEngine struct {
 	sets  []hSet
 	alive []bool
 	live  int // number of alive sets
-	heap  []pmEntry
+	heap  CandidateHeap
 	words []uint64 // bitset of set id is words[id*w : (id+1)*w], w words per set
 	w     int
 
 	scratch []int // probe unions; member lists in plan and cost
 	first   []int // plan and cost: first[q] is the alive set whose smallest member is q, or -1
 
-	// Neighbor-pruned engine only: the live set owning each query, the
-	// per-merge dedupe marks (see solveNeighbors) and the merged set's
-	// members.
+	// Pruned solve only: the live set owning each query, the per-merge
+	// dedupe marks and their epoch (see startNeighbors), and the merged
+	// set's members.
 	setOf, mark, members []int
+	epoch                int
 
 	pops, merges, probes uint64
 }
@@ -282,14 +199,14 @@ func (e *pmEngine) probe(a, b int) (d, rm float64) {
 
 // merge retires both endpoints of the popped entry and appends their
 // union as a new set, whose id it returns.
-func (e *pmEngine) merge(top pmEntry) int {
+func (e *pmEngine) merge(top Candidate) int {
 	e.merges++
 	id := len(e.sets)
 	qs := e.qset(id)
-	copy(qs, e.sets[top.a].qs)
-	qs.Or(e.sets[top.b].qs)
-	e.sets = append(e.sets, hSet{qs: qs, count: e.sets[top.a].count + e.sets[top.b].count, merged: top.rm})
-	e.alive[top.a], e.alive[top.b] = false, false
+	copy(qs, e.sets[top.A].qs)
+	qs.Or(e.sets[top.B].qs)
+	e.sets = append(e.sets, hSet{qs: qs, count: e.sets[top.A].count + e.sets[top.B].count, merged: top.Size})
+	e.alive[top.A], e.alive[top.B] = false, false
 	e.alive = append(e.alive, true)
 	e.live--
 	return id
@@ -297,10 +214,10 @@ func (e *pmEngine) merge(top pmEntry) int {
 
 // pop removes the best candidate and reports whether it is still live:
 // an entry with a retired endpoint is discarded (lazy invalidation).
-func (e *pmEngine) pop() (pmEntry, bool) {
-	top := pmHeapPop(&e.heap)
+func (e *pmEngine) pop() (Candidate, bool) {
+	top := e.heap.Pop()
 	e.pops++
-	return top, e.alive[top.a] && e.alive[top.b]
+	return top, e.alive[top.A] && e.alive[top.B]
 }
 
 // normalized calls fn with the members of every alive set, each in
@@ -347,28 +264,35 @@ func (e *pmEngine) cost() float64 {
 	return total
 }
 
-// solveHeap is the default engine: an indexed max-heap over pair deltas
-// with lazy invalidation.
-func (e *pmEngine) solveHeap() {
-	n, budget := e.inst.N, e.inst.Budget
-
-	// Seed the heap with every positive pair delta. Non-positive deltas
-	// can never become the best move (entries are immutable), so they are
-	// dropped here instead of occupying heap slots. A budget trip leaves
-	// a partial seed: the merge loop then works only the pairs probed so
-	// far, which still yields a valid (if less merged) partition.
-seed:
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !budget.Step(1) {
-				break seed
-			}
-			if d, rm := e.probe(i, j); d > 0 {
-				e.heap = append(e.heap, pmEntry{d: d, rm: rm, a: i, b: j})
-			}
+// solve is the merge loop: seed the heap with every positive pair delta
+// the generator yields (the full triangle, or the ±k windows of ni), then
+// pop the best live pair, merge it, and push the new set's deltas.
+//
+// Non-positive deltas can never become the best move (entries are
+// immutable), so they are dropped instead of occupying heap slots. A
+// budget trip during seeding leaves a partial seed: the merge loop then
+// works only the pairs probed so far, which still yields a valid (if less
+// merged) partition.
+//
+// Pruned and unpruned solves are one loop, so at k ≥ n they coincide: the
+// windows cover every pair, probes run in the same smaller-id-first
+// orientation (floating-point sums are order-sensitive), and the heap
+// order is strict over the unique entries, so the pop sequence depends
+// only on the multiset of pushes before each pop. At k < n the solve
+// explores a subset of the candidates, trading a few percent of plan
+// quality for the quadratic term.
+func (e *pmEngine) solve(ni *NeighborIndex, k int) {
+	budget := e.inst.Budget
+	pairs := NewPairs(e.inst.N, ni, k, budget)
+	for a, b, ok := pairs.Next(); ok; a, b, ok = pairs.Next() {
+		if d, rm := e.probe(a, b); d > 0 {
+			e.heap = append(e.heap, Candidate{Profit: d, Size: rm, A: a, B: b})
 		}
 	}
-	pmHeapInit(e.heap)
+	e.heap.Init()
+	if ni != nil {
+		e.startNeighbors()
+	}
 
 	for e.live > 1 && len(e.heap) > 0 {
 		if !budget.Step(1) {
@@ -378,207 +302,74 @@ seed:
 		if !ok {
 			continue
 		}
-		// Push the new set's deltas against every survivor.
 		id := e.merge(top)
-		for other := 0; other < id; other++ {
-			if !e.alive[other] {
-				continue
-			}
-			if !budget.Step(1) {
-				break
-			}
-			if d, rm := e.probe(other, id); d > 0 {
-				pmHeapPush(&e.heap, pmEntry{d: d, rm: rm, a: other, b: id})
-			}
+		if ni == nil {
+			e.pushSurvivors(id)
+		} else {
+			e.pushNeighbors(ni, k, id)
 		}
 	}
 }
 
-// solveNeighbors is the neighbor-pruned engine: identical merge loop to
-// solveHeap, but candidate pairs come from the ±k Z-order windows of a
-// NeighborIndex over Instance.Centers instead of full enumeration —
-// O(n·k) seed probes and O(|merged|·k) regeneration probes per merge
-// instead of O(n²) and O(n).
-//
-// Equivalence at k ≥ n: the window relation covers every pair, probes
-// run in the same smaller-id-first orientation (floating-point sums are
-// order-sensitive), and pmLess is a strict total order over the unique
-// entries, so the heap's pop sequence depends only on the multiset of
-// pushes before each pop — which matches the full engine's exactly.
-// At k < n the engine explores a subset of the full engine's candidates,
-// trading a few percent of plan quality for the quadratic term.
-func (e *pmEngine) solveNeighbors(k int) {
-	n, budget := e.inst.N, e.inst.Budget
-	ni := NewNeighborIndex(e.inst.Centers)
+// pushSurvivors pushes the new set's deltas against every live set.
+func (e *pmEngine) pushSurvivors(id int) {
+	for other := 0; other < id; other++ {
+		if !e.alive[other] {
+			continue
+		}
+		if !e.inst.Budget.Step(1) {
+			return
+		}
+		if d, rm := e.probe(other, id); d > 0 {
+			e.heap.Push(Candidate{Profit: d, Size: rm, A: other, B: id})
+		}
+	}
+}
 
-	// setOf maps each query to the id of the live set containing it, so
-	// a merged set's neighborhood — the sets owning queries near its
-	// members — resolves in O(window) without scanning all survivors.
+// startNeighbors sets up the pruned solve's state. setOf maps each query
+// to the id of the live set containing it, so a merged set's
+// neighborhood — the sets owning queries near its members — resolves in
+// O(window) without scanning all survivors. mark/epoch dedupe neighbor
+// sets per merge without clearing: a set id is probed at most once per
+// epoch. Ids stay below 2n−1.
+func (e *pmEngine) startNeighbors() {
+	n := e.inst.N
 	e.setOf = grown(e.setOf, n)
 	for i := range e.setOf {
 		e.setOf[i] = i
 	}
-
-	// Seed with each query's ±k curve window. The window relation is
-	// symmetric, so keeping only j > i covers each unordered pair once;
-	// at k ≥ n this enumerates exactly the full engine's i<j pairs.
-seed:
-	for i := 0; i < n; i++ {
-		p := ni.pos[i]
-		for rank := max(p-k, 0); rank <= min(p+k, n-1); rank++ {
-			j := ni.order[rank]
-			if j <= i {
-				continue
-			}
-			if !budget.Step(1) {
-				break seed
-			}
-			if d, rm := e.probe(i, j); d > 0 {
-				e.heap = append(e.heap, pmEntry{d: d, rm: rm, a: i, b: j})
-			}
-		}
-	}
-	pmHeapInit(e.heap)
-
-	// mark/epoch dedupe neighbor sets per merge without clearing: a set
-	// id is probed at most once per epoch. Ids stay below 2n−1.
 	e.mark = grown(e.mark, 2*n)
 	clear(e.mark)
-	epoch := 0
-	for e.live > 1 && len(e.heap) > 0 {
-		if !budget.Step(1) {
-			break
-		}
-		top, ok := e.pop()
-		if !ok {
-			continue
-		}
-		id := e.merge(top)
-		e.members = e.sets[id].qs.AppendIndices(e.members[:0])
-		for _, q := range e.members {
-			e.setOf[q] = id
-		}
-		// Regenerate candidates lazily from the merged set's
-		// neighborhood: every live set owning a query within ±k of any
-		// member. At k ≥ n that is every survivor, as in solveHeap.
-		epoch++
-		for _, q := range e.members {
-			p := ni.pos[q]
-			for rank := max(p-k, 0); rank <= min(p+k, n-1); rank++ {
-				sid := e.setOf[ni.order[rank]]
-				if sid == id || e.mark[sid] == epoch {
-					continue
-				}
-				e.mark[sid] = epoch
-				if !budget.Step(1) {
-					break
-				}
-				if d, rm := e.probe(sid, id); d > 0 {
-					pmHeapPush(&e.heap, pmEntry{d: d, rm: rm, a: sid, b: id})
-				}
+	e.epoch = 0
+}
+
+// pushNeighbors regenerates candidates lazily from the merged set's
+// neighborhood: every live set owning a query within ±k of any member.
+// At k ≥ n that is every survivor, as in pushSurvivors.
+func (e *pmEngine) pushNeighbors(ni *NeighborIndex, k, id int) {
+	e.members = e.sets[id].qs.AppendIndices(e.members[:0])
+	for _, q := range e.members {
+		e.setOf[q] = id
+	}
+	e.epoch++
+	budget := e.inst.Budget
+	for _, q := range e.members {
+		lo, hi := ni.window(q, k)
+		for rank := lo; rank <= hi; rank++ {
+			sid := e.setOf[ni.order[rank]]
+			if sid == id || e.mark[sid] == e.epoch {
+				continue
 			}
-			if budget.Exhausted() {
+			e.mark[sid] = e.epoch
+			if !budget.Step(1) {
 				break
 			}
-		}
-	}
-}
-
-// pmSet is one live set during the table-driven merge along with its
-// cached merged size.
-type pmSet struct {
-	queries []int
-	merged  float64
-}
-
-// solveTable is the Profit Table ablation engine: pair deltas cached in a
-// triangular table (unless NaiveRecompute), best pair found by a full
-// scan each iteration.
-func (pm PairMerge) solveTable(inst *Instance) Plan {
-	n := inst.N
-	sets := make([]*pmSet, n)
-	for i := 0; i < n; i++ {
-		sets[i] = &pmSet{queries: []int{i}, merged: inst.Sizer.Size(i)}
-	}
-
-	delta := func(a, b *pmSet) (float64, []int) {
-		union := make([]int, 0, len(a.queries)+len(b.queries))
-		union = append(union, a.queries...)
-		union = append(union, b.queries...)
-		rm := inst.Sizer.MergedSize(union)
-		d := inst.Model.KM +
-			inst.Model.KT*(a.merged+b.merged-rm) +
-			inst.Model.KU*(float64(len(a.queries))*a.merged+float64(len(b.queries))*b.merged-float64(len(union))*rm)
-		return d, union
-	}
-
-	// profit[i][j] (i < j) caches Δ-cost of merging sets i and j; valid
-	// bits are invalidated when either endpoint changes.
-	type entry struct {
-		d     float64
-		union []int
-		valid bool
-	}
-	profit := make([][]entry, len(sets))
-	for i := range profit {
-		profit[i] = make([]entry, len(sets))
-	}
-
-	for len(sets) > 1 {
-		// One iteration scans up to len(sets)² pairs; charge the budget
-		// proportionally so deadlines trip between iterations.
-		if !inst.Budget.Step(int64(len(sets))) {
-			break
-		}
-		bestI, bestJ := -1, -1
-		bestD := 0.0
-		var bestUnion []int
-		for i := 0; i < len(sets); i++ {
-			for j := i + 1; j < len(sets); j++ {
-				var d float64
-				var union []int
-				if !pm.NaiveRecompute && profit[i][j].valid {
-					d, union = profit[i][j].d, profit[i][j].union
-				} else {
-					d, union = delta(sets[i], sets[j])
-					if !pm.NaiveRecompute {
-						profit[i][j] = entry{d: d, union: union, valid: true}
-					}
-				}
-				if d > bestD {
-					bestD, bestI, bestJ, bestUnion = d, i, j, union
-				}
+			if d, rm := e.probe(sid, id); d > 0 {
+				e.heap.Push(Candidate{Profit: d, Size: rm, A: sid, B: id})
 			}
 		}
-		if bestI < 0 {
-			break // no positive entry in the profit table
-		}
-		// Replace set bestI with the union, drop set bestJ by moving
-		// the last set into its slot, and invalidate affected entries.
-		sets[bestI] = &pmSet{queries: bestUnion, merged: inst.Sizer.MergedSize(bestUnion)}
-		last := len(sets) - 1
-		sets[bestJ] = sets[last]
-		sets = sets[:last]
-		if !pm.NaiveRecompute {
-			for k := 0; k < len(sets); k++ {
-				// Entries touching the merged slot bestI are stale.
-				lo, hi := min(k, bestI), max(k, bestI)
-				profit[lo][hi].valid = false
-				// Entries touching slot bestJ now describe the
-				// moved set, so they are stale too.
-				if bestJ < len(sets) {
-					lo, hi = min(k, bestJ), max(k, bestJ)
-					profit[lo][hi].valid = false
-				}
-				// Entries that referred to the moved set at its
-				// old position (last) are out of range now.
-			}
+		if budget.Exhausted() {
+			return
 		}
 	}
-
-	plan := make(Plan, len(sets))
-	for i, s := range sets {
-		plan[i] = s.queries
-	}
-	return plan.Normalize()
 }

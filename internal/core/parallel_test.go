@@ -8,7 +8,7 @@ import (
 )
 
 // This file pins the solver-engine rewrite to the seed behavior: the
-// heap-driven Pair Merging engine must match the Profit Table ablation,
+// heap-driven Pair Merging engine must match the Profit Table oracle,
 // and the parallel DirectedSearch/Clustering paths must return the exact
 // plan the sequential paths return for the same seed, at any
 // Parallelism.
@@ -25,7 +25,7 @@ func TestHeapPairMergeMatchesTableGeometric(t *testing.T) {
 		n := 3 + rng.Intn(38) // up to 40 queries
 		inst := randomInstance(rng, n, paperModel)
 		heap := inst.Cost(PairMerge{}.Solve(inst))
-		table := inst.Cost(PairMerge{TableScan: true}.Solve(inst))
+		table := inst.Cost(profitTable{}.Solve(inst))
 		if !relClose(heap, table) {
 			t.Fatalf("n=%d trial=%d: heap cost %g != table cost %g", n, trial, heap, table)
 		}
@@ -40,7 +40,7 @@ func TestHeapPairMergeMatchesTableAbstract(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			inst := randomAbstractInstance(rng, n, paperModel)
 			heap := inst.Cost(PairMerge{}.Solve(inst))
-			table := inst.Cost(PairMerge{TableScan: true}.Solve(inst))
+			table := inst.Cost(profitTable{}.Solve(inst))
 			if !relClose(heap, table) {
 				t.Fatalf("n=%d trial=%d: heap cost %g != table cost %g", n, trial, heap, table)
 			}

@@ -17,7 +17,8 @@ import (
 // TestWorkspaceSolveCostEqualsCostOfSolve pins SolveCost to the bit: it
 // sums the set costs Instance.Cost would, in the same order, on geometric
 // and on order-sensitive abstract sizers, past one bitset word, with the
-// pruned engine, under step budgets and on the table ablations.
+// pruned engine and under step budgets. The Profit Table oracles run
+// under the same budgets and must return partitions too.
 func TestWorkspaceSolveCostEqualsCostOfSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 60; trial++ {
@@ -34,7 +35,13 @@ func TestWorkspaceSolveCostEqualsCostOfSolve(t *testing.T) {
 		if trial%3 == 0 {
 			steps = int64(1 + rng.Intn(n*n))
 		}
-		for _, pm := range []PairMerge{{}, {Neighbors: 1 + rng.Intn(n)}, {TableScan: true}, {NaiveRecompute: true}} {
+		for _, pt := range []profitTable{{}, {naive: true}} {
+			inst.Budget = NewBudget(0, steps)
+			if plan := pt.Solve(inst); !plan.IsPartition(n) {
+				t.Fatalf("trial %d n=%d %s budget %d: %v is not a partition", trial, n, pt.Name(), steps, plan)
+			}
+		}
+		for _, pm := range []PairMerge{{}, {Neighbors: 1 + rng.Intn(n)}} {
 			inst.Budget = NewBudget(0, steps)
 			plan := pm.Solve(inst)
 			inst.Budget = NewBudget(0, steps)

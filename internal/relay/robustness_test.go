@@ -506,7 +506,10 @@ func TestRelayAdminSurface(t *testing.T) {
 
 	// The client stops reading. Its answer is too fat for the sockets:
 	// the writer parks in the first cycle's frame, the next cycles' wait
-	// in the queue behind it.
+	// in the queue behind it. The writer swaps out everything queued when
+	// it wakes, so the later cycles run only once it holds the first
+	// frame; otherwise a slow wake-up takes all three in one batch and
+	// leaves the queue empty.
 	slow.StallReads()
 	rel := root.Server().Relation()
 	fat := bytes.Repeat([]byte("x"), 16<<10)
@@ -516,6 +519,11 @@ func TestRelayAdminSurface(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		if _, err := root.RunCycle(false); err != nil {
 			t.Fatal(err)
+		}
+		if cycle == 0 {
+			waitFor(t, "the writer to take the first frame", func() bool {
+				return rl.Status().Metrics.Counters["qsub_fanout_bytes_total"] > 0
+			})
 		}
 	}
 	waitFor(t, "the lag to show in /statusz", func() bool {

@@ -24,9 +24,9 @@ type deltaWorldCfg struct {
 
 // buildDeltaWorld creates one relation+network+server, populates it with
 // a deterministic tuple set, and registers deterministic subscriptions.
-// Two calls with the same cfg/seed produce twin worlds whose plans are
-// identical, differing only in Config.NoDeltaIndex.
-func buildDeltaWorld(t *testing.T, cfg deltaWorldCfg, noIndex bool) (*Server, *relation.Relation, *multicast.Network) {
+// Two calls with the same cfg produce twin worlds whose plans are
+// identical.
+func buildDeltaWorld(t *testing.T, cfg deltaWorldCfg) (*Server, *relation.Relation, *multicast.Network) {
 	t.Helper()
 	bounds := geom.R(0, 0, 1000, 1000)
 	var rel *relation.Relation
@@ -48,11 +48,10 @@ func buildDeltaWorld(t *testing.T, cfg deltaWorldCfg, noIndex bool) (*Server, *r
 		t.Fatal(err)
 	}
 	s, err := New(rel, net, Config{
-		Model:        testModel,
-		Split:        cfg.split,
-		Seed:         42,
-		Strategy:     chanalloc.BestOfBoth,
-		NoDeltaIndex: noIndex,
+		Model:    testModel,
+		Split:    cfg.split,
+		Seed:     42,
+		Strategy: chanalloc.BestOfBoth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +92,27 @@ func capture(msg multicast.Message) capturedMsg {
 	}
 }
 
+// asDelta is the oracle for one message of the indexed delta path: a full
+// answer of the twin world cut to the tuples past the watermark and
+// flagged as a delta. A full publish already carries the removal notices
+// of the period it closes, so those stay as they are.
+func asDelta(msg multicast.Message, since uint64) multicast.Message {
+	var kept []relation.Tuple
+	for _, t := range msg.Tuples {
+		if t.ID > since {
+			kept = append(kept, t)
+		}
+	}
+	msg.Tuples, msg.Delta = kept, true
+	return msg
+}
+
 // TestDeltaPublishEquivalence pins the delta-indexed publish path
-// bit-identical to the full-search ablation: same Reports, same
-// per-channel message streams (tuples, headers, removal notices), and
-// same client answers/stats, across grid and R-tree relations, single
-// and multi channel, split on and off.
+// bit-identical to a full search filtered by the watermark: a twin world
+// publishes full answers, the test cuts them down with asDelta, and the
+// Reports, per-channel message streams (tuples, headers, removal notices)
+// and client answers/stats must match, across grid and R-tree relations,
+// single and multi channel, split on and off.
 func TestDeltaPublishEquivalence(t *testing.T) {
 	scenarios := []deltaWorldCfg{
 		{rtree: false, channels: 1, split: false},
@@ -118,9 +133,9 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 				msgs    [][]capturedMsg
 				clients map[int]*client.Client
 			}
-			mkWorld := func(noIndex bool) *world {
+			mkWorld := func() *world {
 				w := &world{clients: map[int]*client.Client{}}
-				w.s, w.rel, w.net = buildDeltaWorld(t, cfg, noIndex)
+				w.s, w.rel, w.net = buildDeltaWorld(t, cfg)
 				cy, err := w.s.Plan()
 				if err != nil {
 					t.Fatal(err)
@@ -147,7 +162,7 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 				}
 				return w
 			}
-			a, b := mkWorld(false), mkWorld(true)
+			a, b := mkWorld(), mkWorld()
 			defer a.net.Close()
 			defer b.net.Close()
 
@@ -162,11 +177,19 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 					w.rel.Delete(all[rng.Intn(len(all))].ID)
 				}
 			}
-			drain := func(w *world) {
+			// drain hands every queued message, passed through cut, to
+			// the world's capture and clients, and returns the Report a
+			// publish of exactly those messages makes.
+			drain := func(w *world, cut func(multicast.Message) multicast.Message) Report {
+				var rep Report
 				for ch, sub := range w.subs {
 					for drained := false; !drained; {
 						select {
 						case msg := <-sub.C:
+							msg = cut(msg)
+							rep.Messages++
+							rep.Tuples += len(msg.Tuples)
+							rep.PayloadBytes += msg.PayloadBytes()
 							w.msgs[ch] = append(w.msgs[ch], capture(msg))
 							for _, c := range w.clients {
 								c.Handle(msg)
@@ -176,30 +199,31 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 						}
 					}
 				}
+				return rep
 			}
+			same := func(msg multicast.Message) multicast.Message { return msg }
 			publishBoth := func(delta bool, tag string) {
 				var ra, rb Report
 				var err error
+				cut := same
 				if delta {
 					if ra, err = a.s.PublishDelta(a.cy); err != nil {
 						t.Fatal(err)
 					}
-					if rb, err = b.s.PublishDelta(b.cy); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					if ra, err = a.s.Publish(a.cy); err != nil {
-						t.Fatal(err)
-					}
-					if rb, err = b.s.Publish(b.cy); err != nil {
-						t.Fatal(err)
-					}
+					since := b.s.delivered
+					cut = func(msg multicast.Message) multicast.Message { return asDelta(msg, since) }
+				} else if ra, err = a.s.Publish(a.cy); err != nil {
+					t.Fatal(err)
 				}
-				if ra != rb {
-					t.Fatalf("%s: reports differ: indexed %+v, fullscan %+v", tag, ra, rb)
+				if _, err = b.s.Publish(b.cy); err != nil {
+					t.Fatal(err)
 				}
-				drain(a)
-				drain(b)
+				if got := drain(a, same); got != ra {
+					t.Fatalf("%s: indexed report %+v, its messages add up to %+v", tag, ra, got)
+				}
+				if rb = drain(b, cut); ra != rb {
+					t.Fatalf("%s: reports differ: indexed %+v, filtered full %+v", tag, ra, rb)
+				}
 			}
 
 			publishBoth(true, "first delta (full bootstrap)")
@@ -216,7 +240,7 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 				}
 				for i := range a.msgs[ch] {
 					if !reflect.DeepEqual(a.msgs[ch][i], b.msgs[ch][i]) {
-						t.Fatalf("channel %d message %d differs:\nindexed:  %+v\nfullscan: %+v",
+						t.Fatalf("channel %d message %d differs:\nindexed:  %+v\nfiltered: %+v",
 							ch, i, a.msgs[ch][i], b.msgs[ch][i])
 					}
 				}
@@ -243,7 +267,7 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 // churn and delta cycles, every client's accumulated view equals the
 // database answer exactly (delta messages carry removal notices).
 func TestDeltaPublishMatchesDatabase(t *testing.T) {
-	s, rel, net := buildDeltaWorld(t, deltaWorldCfg{channels: 1}, false)
+	s, rel, net := buildDeltaWorld(t, deltaWorldCfg{channels: 1})
 	defer net.Close()
 	cy, err := s.Plan()
 	if err != nil {
@@ -305,7 +329,7 @@ func TestDeltaPublishMatchesDatabase(t *testing.T) {
 // -race: subscriptions churn concurrently with continuous delta publishes
 // against a fixed planned cycle.
 func TestConcurrentSubscribePublishDelta(t *testing.T) {
-	s, rel, net := buildDeltaWorld(t, deltaWorldCfg{channels: 2}, false)
+	s, rel, net := buildDeltaWorld(t, deltaWorldCfg{channels: 2})
 	defer net.Close()
 	cy, err := s.Plan()
 	if err != nil {

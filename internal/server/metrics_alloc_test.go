@@ -14,7 +14,7 @@ import (
 // accounting, U(Q,M) scan — runs on every call.
 func publishDeltaAllocs(t *testing.T, cat *metrics.Catalog) float64 {
 	t.Helper()
-	s, _, cy := benchWorld(t, 5000, 40, 2, 1, false)
+	s, _, cy := benchWorld(t, 5000, 40, 2, 1)
 	s.cfg.Metrics = cat
 	// First call establishes the delta watermark; second warms the
 	// scratch pools so the measured runs are pure steady state.
@@ -52,7 +52,7 @@ func TestPublishDeltaMetricsZeroExtraAllocs(t *testing.T) {
 func BenchmarkPublishDeltaMetrics(b *testing.B) {
 	for _, instrumented := range []bool{false, true} {
 		b.Run(fmt.Sprintf("metrics=%t", instrumented), func(b *testing.B) {
-			s, _, cy := benchWorld(b, 10000, 40, 2, 1, false)
+			s, _, cy := benchWorld(b, 10000, 40, 2, 1)
 			if instrumented {
 				s.cfg.Metrics = metrics.NewCatalog(1)
 			}

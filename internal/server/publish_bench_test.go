@@ -15,7 +15,7 @@ import (
 // benchWorld builds a populated relation, a network with no subscribers
 // (publish cost without delivery fan-out), and a planned server with
 // nClients clients of nQueries queries each.
-func benchWorld(b testing.TB, nTuples, nClients, nQueries, channels int, noDeltaIndex bool) (*Server, *relation.Relation, *Cycle) {
+func benchWorld(b testing.TB, nTuples, nClients, nQueries, channels int) (*Server, *relation.Relation, *Cycle) {
 	b.Helper()
 	bounds := geom.R(0, 0, 1000, 1000)
 	rel := relation.MustNew(bounds, 32, 32)
@@ -27,7 +27,7 @@ func benchWorld(b testing.TB, nTuples, nClients, nQueries, channels int, noDelta
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(rel, net, Config{Model: cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}, NoDeltaIndex: noDeltaIndex})
+	s, err := New(rel, net, Config{Model: cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func benchWorld(b testing.TB, nTuples, nClients, nQueries, channels int, noDelta
 func BenchmarkPublishFull(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
-			s, _, cy := benchWorld(b, n, 40, 2, 1, false)
+			s, _, cy := benchWorld(b, n, 40, 2, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -68,39 +68,33 @@ func BenchmarkPublishFull(b *testing.B) {
 }
 
 // BenchmarkPublishDelta measures a continuous cycle: deltaFrac of the
-// relation is inserted between cycles, then PublishDelta ships it. The
-// "indexed" variants probe the per-cycle relation.DeltaIndex; the
-// "fullscan" variants are the Config.NoDeltaIndex ablation (re-search the
-// whole relation, filter by watermark), i.e. the pre-engine behavior.
+// relation is inserted between cycles, then PublishDelta ships it by
+// probing the per-cycle relation.DeltaIndex. The rows keep their
+// "indexed" path segment so they line up with the committed ones.
 func BenchmarkPublishDelta(b *testing.B) {
-	for _, path := range []struct {
-		name    string
-		noIndex bool
-	}{{"indexed", false}, {"fullscan", true}} {
-		for _, n := range []int{10000, 100000} {
-			for _, deltaFrac := range []float64{0.01, 0.20} {
-				b.Run(fmt.Sprintf("%s/tuples=%d/delta=%g", path.name, n, deltaFrac), func(b *testing.B) {
-					s, rel, cy := benchWorld(b, n, 40, 2, 1, path.noIndex)
-					// First delta call establishes the watermark.
+	for _, n := range []int{10000, 100000} {
+		for _, deltaFrac := range []float64{0.01, 0.20} {
+			b.Run(fmt.Sprintf("indexed/tuples=%d/delta=%g", n, deltaFrac), func(b *testing.B) {
+				s, rel, cy := benchWorld(b, n, 40, 2, 1)
+				// First delta call establishes the watermark.
+				if _, err := s.PublishDelta(cy); err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(99))
+				batch := int(float64(n) * deltaFrac)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for j := 0; j < batch; j++ {
+						rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("payload"))
+					}
+					b.StartTimer()
 					if _, err := s.PublishDelta(cy); err != nil {
 						b.Fatal(err)
 					}
-					rng := rand.New(rand.NewSource(99))
-					batch := int(float64(n) * deltaFrac)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						for j := 0; j < batch; j++ {
-							rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("payload"))
-						}
-						b.StartTimer()
-						if _, err := s.PublishDelta(cy); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -54,9 +54,6 @@ type Config struct {
 	// restarts, best-of-both's two climbs). Zero means GOMAXPROCS; a
 	// fixed Seed plans the same cycle at any setting.
 	Parallelism int
-	// Restarts is the multi-start restart count (0 = the chanalloc
-	// default of 8); only used with chanalloc.MultiStartInit.
-	Restarts int
 	// Sharding selects the sharded planning pipeline (internal/shard):
 	// subscription aggregation, Morton-sharded concurrent solving, and
 	// traffic-weighted channel balancing. Disabled by default; with
@@ -81,13 +78,6 @@ type Config struct {
 	// is plan-identical to them. Ignored for an explicitly configured
 	// Algorithm (set PairMerge.Neighbors directly instead).
 	Neighbors int
-	// NoDeltaIndex disables the delta-indexed publish path: PublishDelta
-	// re-executes every merged query against the full relation and
-	// filters by watermark afterwards, making per-cycle cost scale with
-	// region size instead of update volume. Kept as an ablation and as
-	// the correctness oracle the equivalence tests pin the delta index
-	// against.
-	NoDeltaIndex bool
 	// Metrics optionally instruments the whole stack the server drives:
 	// memo hit rates, solver and allocator work, plan/publish latency,
 	// per-channel traffic, realized U(Q,M) and delta batch sizes. Nil
@@ -457,7 +447,6 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 		Channels:    s.net.Channels(),
 		Merger:      s.cfg.Algorithm,
 		Parallelism: s.cfg.Parallelism,
-		Restarts:    s.cfg.Restarts,
 		Neighbors:   s.cfg.Neighbors,
 	}
 	if cat != nil {
@@ -686,10 +675,10 @@ func putPubScratch(sc *pubScratch) {
 // In continuous mode (delta with an established watermark) the queries
 // probe a per-cycle relation.DeltaIndex over just the tuples inserted
 // since the watermark, so the round costs O(update volume) instead of
-// O(region size); Config.NoDeltaIndex restores the full-search ablation,
-// which the equivalence tests pin bit-identical. Tuples deleted since the
-// watermark are snapshotted once per round, delta or full, and matched
-// against every merged region in one pass.
+// O(region size); the equivalence tests pin it bit-identical to a full
+// search filtered by the watermark. Tuples deleted since the watermark are
+// snapshotted once per round, delta or full, and matched against every
+// merged region in one pass.
 func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) {
 	cat := s.cfg.Metrics
 	pubStart := time.Now()
@@ -727,23 +716,12 @@ func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) 
 			for idx := range next {
 				region := plans[idx].region
 				start := len(tupleBuf)
-				if useDelta && !s.cfg.NoDeltaIndex {
+				if useDelta {
 					tupleBuf = di.SearchAppend(region, tupleBuf)
 				} else {
 					tupleBuf = s.rel.SearchAppend(region, tupleBuf)
 				}
-				tuples := tupleBuf[start:len(tupleBuf):len(tupleBuf)]
-				if useDelta && s.cfg.NoDeltaIndex {
-					// Ablation: full search, then watermark filter.
-					kept := tuples[:0]
-					for _, t := range tuples {
-						if t.ID > sinceID {
-							kept = append(kept, t)
-						}
-					}
-					tuples = kept
-				}
-				results[idx] = tuples
+				results[idx] = tupleBuf[start:len(tupleBuf):len(tupleBuf)]
 			}
 		}()
 	}

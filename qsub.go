@@ -46,7 +46,6 @@ import (
 	"qsub/internal/experiment"
 	"qsub/internal/geom"
 	"qsub/internal/interval"
-	"qsub/internal/kdim"
 	"qsub/internal/multicast"
 	"qsub/internal/netclient"
 	"qsub/internal/query"
@@ -303,7 +302,7 @@ func AllocHeuristic(p *AllocProblem, s AllocStrategy, seed int64) (Allocation, f
 }
 
 // AllocMultiStart runs the parallel multi-start hill climb: the Fig 14
-// smart seed plus Restarts-1 random seeds, cheapest local minimum wins.
+// smart seed plus seven random seeds, cheapest local minimum wins.
 // A fixed seed yields the same allocation at any Parallelism.
 func AllocMultiStart(p *AllocProblem, seed int64) (Allocation, float64, error) {
 	return chanalloc.MultiStart(p, seed)
@@ -512,21 +511,6 @@ func NewRelationLogger(rel *Relation, w io.Writer) (*RelationLogger, error) {
 // tail; it returns the number of inserts applied.
 func ReplayLog(rel *Relation, r io.Reader) (int, error) {
 	return relation.Replay(rel, r)
-}
-
-// K-dimensional range queries (arbitrary ordered-attribute schemas, §2).
-type (
-	// Box is a k-dimensional range selection.
-	Box = kdim.Box
-)
-
-// NewBox validates and constructs a k-dimensional box.
-func NewBox(min, max []float64) (Box, error) { return kdim.NewBox(min, max) }
-
-// NewKDimInstance builds a merging instance over k-dimensional boxes with
-// size = volume × density and bounding-box merging.
-func NewKDimInstance(model Model, boxes []Box, density float64) (*Instance, error) {
-	return kdim.Instance(model, boxes, density)
 }
 
 // DriftMonitor closes the loop between size estimates and published
