@@ -48,12 +48,13 @@ bench-pair:
 # neighbor-pruned/anytime/incremental solver paths and the rank-table
 # size path with its pooled solver workspace: fast enough for a pre-push
 # hook, strict enough to catch data races in the per-shard worker pool,
-# the budget's atomic step accounting and the engines two concurrent
-# climbs take from one pool.
+# the budget's atomic step accounting, the engines two concurrent climbs
+# take from one pool and the singleton-pair table their in-place group
+# solves read at once.
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace' \
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:

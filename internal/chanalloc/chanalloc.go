@@ -170,94 +170,40 @@ func channelQueries(p *Problem, clients []int) []int {
 
 // ChannelCost merges the queries of the given clients with the problem's
 // merging algorithm and returns the resulting cost, including the K_D
-// per-channel maintenance charge when the channel is non-empty. The
-// per-merged-query constant is K_M + K_6·(listeners on this channel):
-// clients only filter the messages of the channel they listen to, which is
-// what couples channel allocation to merging (§7.2).
+// per-channel maintenance charge when the channel is non-empty, and the
+// plan in the instance's query indices.
 func ChannelCost(p *Problem, clients []int) (float64, core.Plan) {
 	qs := channelQueries(p, clients)
 	if len(qs) == 0 {
 		return 0, nil
 	}
-	sub := subInstance(p.Inst, qs)
-	sub.Model.KM += sub.Model.K6 * float64(len(clients))
-	plan := p.merger().Solve(sub)
-	c := sub.Cost(plan) + p.Inst.Model.KD
-	// Map plan back to global query indices.
-	global := make(core.Plan, len(plan))
-	for i, set := range plan {
-		global[i] = make([]int, len(set))
-		for j, q := range set {
-			global[i][j] = qs[q]
-		}
-	}
-	return c, global
-}
-
-// subInstance restricts the merging instance to the given queries,
-// carrying the budget and (remapped) centers through so the per-channel
-// merger stays anytime- and pruning-capable.
-func subInstance(inst *core.Instance, members []int) *core.Instance {
-	sub := &core.Instance{
-		N:       len(members),
-		Model:   inst.Model,
-		Budget:  inst.Budget,
-		Metrics: inst.Metrics,
-	}
-	if r, ok := inst.Sizer.(restricter); ok {
-		sub.Sizer = r.Restrict(members)
+	model, merger := channelModel(p, len(clients)), p.merger()
+	var plan core.Plan
+	if pm, ok := merger.(core.PairMerge); ok {
+		plan = pm.GroupPlan(p.Inst, qs, model)
 	} else {
-		sub.Sizer = remapSizer{inner: inst, members: members}
-	}
-	if inst.Centers != nil {
-		centers := make([]geom.Point, len(members))
-		for i, q := range members {
-			centers[i] = inst.Centers[q]
+		sub := p.Inst.Sub(qs)
+		sub.Model = model
+		local := merger.Solve(sub)
+		plan = make(core.Plan, len(local))
+		for i, set := range local {
+			plan[i] = make([]int, len(set))
+			for j, q := range set {
+				plan[i][j] = qs[q]
+			}
 		}
-		sub.Centers = centers
 	}
-	if inst.Overlap != nil {
-		sub.Overlap = func(i, j int) float64 { return inst.Overlap(members[i], members[j]) }
-	}
-	return sub
+	return cost.PlanCost(model, p.Inst.Sizer, plan) + p.Inst.Model.KD, plan
 }
 
-// restricter is a sizer that can size a sub-instance itself, in the
-// sub-instance's own indices (the rank-table sizer of a geographic
-// instance); every other sizer is wrapped in a remapSizer.
-type restricter interface {
-	Restrict(members []int) cost.Sizer
-}
-
-// remapSizer translates sub-instance query indices to global indices.
-type remapSizer struct {
-	inner   *core.Instance
-	members []int
-}
-
-func (r remapSizer) Size(i int) float64 { return r.inner.Sizer.Size(r.members[i]) }
-
-// remapScratch pools the translated index sets of MergedSize. A probe
-// cannot keep one on its stack, because the inner Sizer is an interface
-// and the slice escapes into the call, and the two climbs of BestOfBoth
-// probe concurrently, so the scratch is pooled, not a field.
-var remapScratch = sync.Pool{New: func() any {
-	buf := make([]int, 0, 32)
-	return &buf
-}}
-
-// MergedSize translates the set and asks the inner Sizer, which like
-// every Sizer does not retain its argument.
-func (r remapSizer) MergedSize(set []int) float64 {
-	bp := remapScratch.Get().(*[]int)
-	mapped := (*bp)[:0]
-	for _, q := range set {
-		mapped = append(mapped, r.members[q])
-	}
-	size := r.inner.Sizer.MergedSize(mapped)
-	*bp = mapped[:0]
-	remapScratch.Put(bp)
-	return size
+// channelModel is the cost model of a channel with the given number of
+// listeners: the per-merged-query constant is K_M + K_6·listeners, because
+// clients only filter the messages of the channel they listen to, which is
+// what couples channel allocation to merging (§7.2).
+func channelModel(p *Problem, listeners int) cost.Model {
+	m := p.Inst.Model
+	m.KM += m.K6 * float64(listeners)
+	return m
 }
 
 // Cost returns the total cost of an allocation: the sum over channels of

@@ -3,7 +3,6 @@ package chanalloc
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"qsub/internal/core"
@@ -405,43 +404,6 @@ func TestHeuristicHandlesManyClients(t *testing.T) {
 		}
 		if c <= 0 {
 			t.Fatalf("%v: suspicious non-positive cost %g", s, c)
-		}
-	}
-}
-
-// TestRemapSizerMergedSizeDoesNotAllocate pins the pooled translation
-// buffer: a sub-instance probe allocates nothing, from several goroutines
-// at once (BestOfBoth climbs concurrently) and for sets longer than the
-// pooled capacity once the pool has grown.
-func TestRemapSizerMergedSizeDoesNotAllocate(t *testing.T) {
-	p := randomProblem(rand.New(rand.NewSource(9)), 80, 10, 2, testModel)
-	members := make([]int, 0, 60)
-	for q := 79; q >= 20; q-- {
-		members = append(members, q)
-	}
-	sub := subInstance(p.Inst, members)
-	for _, set := range [][]int{{4}, {0, 7, 31}, rand.New(rand.NewSource(1)).Perm(60)} {
-		mapped := make([]int, len(set))
-		for i, q := range set {
-			mapped[i] = members[q]
-		}
-		want := p.Inst.Sizer.MergedSize(mapped)
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := 0; k < 200; k++ {
-					if got := sub.Sizer.MergedSize(set); got != want {
-						t.Errorf("MergedSize(%v) = %v, want %v", set, got, want)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if allocs := testing.AllocsPerRun(200, func() { sub.Sizer.MergedSize(set) }); allocs != 0 {
-			t.Errorf("MergedSize over %d queries: %v allocs per probe, want 0", len(set), allocs)
 		}
 	}
 }

@@ -219,16 +219,17 @@ func (ctx *evalCtx) groupCostClients(clients []int) float64 {
 // ascending) query indices of one channel and returns its cost: the
 // merged plan cost under the per-listener filtering model plus the K_D
 // channel maintenance charge. This is the cost half of ChannelCost; the
-// plan is not materialized.
+// plan is not materialized, and Pair Merging solves the group in place.
 func solveGroupCost(p *Problem, members []int, listeners int) float64 {
 	if len(members) == 0 {
 		return 0
 	}
-	sub := subInstance(p.Inst, members)
-	sub.Model.KM += sub.Model.K6 * float64(listeners)
+	model := channelModel(p, listeners)
 	merger := p.merger()
 	if pm, ok := merger.(core.PairMerge); ok {
-		return pm.SolveCost(sub) + p.Inst.Model.KD // the same cost, no plan built
+		return pm.GroupCost(p.Inst, members, model) + p.Inst.Model.KD
 	}
+	sub := p.Inst.Sub(members)
+	sub.Model = model
 	return sub.Cost(merger.Solve(sub)) + p.Inst.Model.KD
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"qsub/internal/cost"
-	"qsub/internal/geom"
 )
 
 // Clustering is the divide-and-conquer algorithm of §6.3. It computes a
@@ -128,7 +127,7 @@ func (c Clustering) Solve(inst *Instance) Plan {
 			subPlans[ci] = Plan{members}
 			return
 		}
-		sub := subInstance(inst, members)
+		sub := inst.Sub(members)
 		var subPlan Plan
 		if c.ExactThreshold > 0 && len(members) <= c.ExactThreshold {
 			subPlan = Partition{}.Solve(sub)
@@ -183,36 +182,4 @@ func runIndexed(n, workers int, fn func(int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// subInstance restricts the instance to the given queries, re-indexed
-// 0..len(members)-1.
-func subInstance(inst *Instance, members []int) *Instance {
-	sub := &Instance{
-		N:       len(members),
-		Model:   inst.Model,
-		Budget:  inst.Budget,
-		Metrics: inst.Metrics,
-		Sizer: cost.Func{
-			SizeFn: func(i int) float64 { return inst.Sizer.Size(members[i]) },
-			MergedFn: func(set []int) float64 {
-				mapped := make([]int, len(set))
-				for i, q := range set {
-					mapped[i] = members[q]
-				}
-				return inst.Sizer.MergedSize(mapped)
-			},
-		},
-	}
-	if inst.Centers != nil {
-		centers := make([]geom.Point, len(members))
-		for i, q := range members {
-			centers[i] = inst.Centers[q]
-		}
-		sub.Centers = centers
-	}
-	if inst.Overlap != nil {
-		sub.Overlap = func(i, j int) float64 { return inst.Overlap(members[i], members[j]) }
-	}
-	return sub
 }

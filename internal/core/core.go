@@ -24,6 +24,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
@@ -180,6 +181,66 @@ func memoized(inst *Instance) *Instance {
 		Budget:  inst.Budget,
 		Metrics: inst.Metrics,
 	}
+}
+
+// Sub returns the instance restricted to the given queries: query i of
+// the result is query members[i] of inst. It shares inst's model, budget
+// and metrics and sizes through inst's sizer, translating every set it asks
+// about in a pooled buffer; centers are gathered, so a solver on it stays
+// anytime- and pruning-capable. members must not change while the result
+// is in use. A pair-merge solve of a group needs none of this: see
+// PairMerge.GroupPlan.
+func (inst *Instance) Sub(members []int) *Instance {
+	sub := &Instance{
+		N:       len(members),
+		Model:   inst.Model,
+		Sizer:   subSizer{inner: inst.Sizer, members: members},
+		Budget:  inst.Budget,
+		Metrics: inst.Metrics,
+	}
+	if inst.Centers != nil {
+		sub.Centers = make([]geom.Point, len(members))
+		for i, q := range members {
+			sub.Centers[i] = inst.Centers[q]
+		}
+	}
+	if inst.Overlap != nil {
+		sub.Overlap = func(i, j int) float64 { return inst.Overlap(members[i], members[j]) }
+	}
+	return sub
+}
+
+// subSizer is the sizer of a sub-instance: it translates local indices to
+// the parent's.
+type subSizer struct {
+	inner   cost.Sizer
+	members []int
+}
+
+func (s subSizer) Size(i int) float64 { return s.inner.Size(s.members[i]) }
+
+// subScratch pools the translated index sets of MergedSize. A probe cannot
+// keep one on its stack, because the inner Sizer is an interface and the
+// slice escapes into the call, and sub-instances are solved concurrently
+// (Clustering components, the two climbs of channel allocation's
+// BestOfBoth), so the scratch is pooled, not a field.
+var subScratch = sync.Pool{New: func() any {
+	buf := make([]int, 0, 32)
+	return &buf
+}}
+
+// MergedSize translates the set and asks the inner Sizer, which like
+// every Sizer does not retain its argument.
+func (s subSizer) MergedSize(set []int) float64 {
+	bp := subScratch.Get().(*[]int)
+	mapped := (*bp)[:0]
+	for _, q := range set {
+		mapped = append(mapped, s.members[q])
+	}
+	size := s.inner.MergedSize(mapped)
+	*bp = mapped[:0]
+	subScratch.Put(bp)
+	return size
 }
 
 // InitialCost returns the cost of answering every query separately

@@ -108,12 +108,14 @@ func geomSizer(qs []query.Query, proc query.MergeProcedure, est relation.Estimat
 // of those tuples, so the number of probes that pay for the pass does not
 // depend on the relation's size, and an exact PairMerge asks for at least
 // n(n-1)/2. Measured for one such solve on the plan-paper relation
-// (BenchmarkRankTableCrossover; EXPERIMENTS.md, "Exact size(mrg(S)) in
-// O(1)"), probes are cheaper up to about 12 queries and the table from 16
-// on, with 20k tuples and with 100k. The upper end bounds the table's
-// memory: 2n coordinates per axis are 4n pieces, 16n² prefix sums of 8
-// bytes, 8 MiB at n = 256 — and past that size the planners prune
-// candidates to O(n·k) probes or shard.
+// (BenchmarkRankTableCrossover; EXPERIMENTS.md, "Channel groups solved in
+// place"), probes are cheaper below 12 queries, tie with the table at 12
+// on 20k tuples and lose there on 100k, and the table wins from 16 on
+// with both. The upper end bounds the table's
+// memory: 2n cuts per axis are at most (2n+1)² prefix sums of 8 bytes,
+// 2 MiB at n = 256, plus n² singleton-pair sizes of 8 bytes, 512 KiB —
+// and past that size the planners prune candidates to O(n·k) probes or
+// shard.
 const (
 	tableMinQueries = 16
 	tableMaxQueries = 256
@@ -164,30 +166,38 @@ func (s *rectSizer) rankTable() *relation.RankTable {
 // tableSizer is an instance's sizer once CacheSizes has built the rank
 // table: single and merged sizes both come from the table, so they
 // describe one moment of the relation, and nothing is probed, locked or
-// looked up in a map.
+// looked up in a map. pairs[i*n+j], i < j, is the merged size of queries
+// i and j, read once from the table: most of a pair-merge solve's probes
+// are of two singletons, and channel allocation re-solves overlapping
+// groups hundreds of times per plan, so the engines read those from here
+// (see pmEngine.probe). The entries below the diagonal stay zero.
 type tableSizer struct {
 	*relation.RankTable
+	pairs   []float64
 	lookups *metrics.Counter // fed by the pair-merge engines, see pmEngine.release
-}
-
-// Restrict returns the sizer of the sub-instance whose query i is query
-// members[i] of this one. It indexes the shared table directly, where a
-// sub-instance of any other sizer translates every set it asks about.
-func (t tableSizer) Restrict(members []int) cost.Sizer {
-	return tableSizer{RankTable: t.Sub(members), lookups: t.lookups}
 }
 
 // CacheSizes makes merged sizes cheap to ask for again, for a caller about
 // to run a solver on the instance. An instance whose merged sizes can come
-// from a rank table gets the table, built now; any other gets a cost.Memo
-// around its sizer. The counters may be nil. hits counts the merged sizes
-// answered without an estimator probe — per lookup by a memo, per solve
-// by the pair-merge engines on a table (other solvers' table lookups go
-// uncounted) — and misses the probes, which a table never makes.
+// from a rank table gets the table and its singleton-pair sizes, built
+// now; any other gets a cost.Memo around its sizer. The counters may be
+// nil. hits counts the merged sizes answered without an estimator probe —
+// per lookup by a memo, per solve by the pair-merge engines on a table
+// (other solvers' table lookups go uncounted) — and misses the probes,
+// which a table never makes.
 func (inst *Instance) CacheSizes(hits, misses, contended *metrics.Counter) {
 	if rs, ok := inst.Sizer.(*rectSizer); ok {
 		if t := rs.rankTable(); t != nil {
-			inst.Sizer = tableSizer{RankTable: t, lookups: hits}
+			n := inst.N
+			pairs := make([]float64, n*n)
+			set := []int{0, 0}
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					set[0], set[1] = i, j
+					pairs[i*n+j] = t.MergedSize(set)
+				}
+			}
+			inst.Sizer = tableSizer{RankTable: t, pairs: pairs, lookups: hits}
 			return
 		}
 	}

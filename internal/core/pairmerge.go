@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"qsub/internal/cost"
+	"qsub/internal/geom"
 )
 
 // QSet is the bitset query-set representation shared across the solver
@@ -45,6 +46,11 @@ type QSet = cost.QSet
 // result and nothing else. It honors Instance.Budget: when the budget
 // trips it stops generating candidates, finishes nothing speculative, and
 // returns the (always valid) partition reached so far.
+//
+// GroupCost and GroupPlan solve a group of an instance's queries in place,
+// as channel allocation does for every candidate channel (§7.2): the same
+// engine on the parent instance, its sizes, budget and metrics, with the
+// group's queries as the solve's local indices.
 type PairMerge struct {
 	// Neighbors, when positive, restricts candidate pairs to each
 	// query's ±Neighbors Z-order window. Requires Instance.Centers;
@@ -61,26 +67,52 @@ func (pm PairMerge) Solve(inst *Instance) Plan {
 	if inst.N == 0 {
 		return Plan{}
 	}
-	e := pm.run(inst)
+	e := pm.run(inst, nil, inst.Model)
 	defer e.release()
 	return e.plan()
 }
 
 // SolveCost returns inst.Cost(pm.Solve(inst)), to the bit, without
-// building the plan: what channel allocation asks of a merger hundreds of
-// times per plan.
+// building the plan.
 func (pm PairMerge) SolveCost(inst *Instance) float64 {
 	if inst.N == 0 {
 		return 0
 	}
-	e := pm.run(inst)
+	e := pm.run(inst, nil, inst.Model)
 	defer e.release()
 	return e.cost()
 }
 
-// run solves the instance on a pooled engine, which the caller releases.
-func (pm PairMerge) run(inst *Instance) *pmEngine {
-	e := startEngine(inst)
+// GroupPlan solves the sub-instance of the given queries of inst under
+// model and returns its plan in inst's indices: what pm.Solve returns on
+// inst.Sub(members) with that model, each set mapped through members. It
+// builds no sub-instance and does not retain members.
+func (pm PairMerge) GroupPlan(inst *Instance, members []int, model cost.Model) Plan {
+	if len(members) == 0 {
+		return Plan{}
+	}
+	e := pm.run(inst, members, model)
+	defer e.release()
+	return e.plan()
+}
+
+// GroupCost returns the cost of GroupPlan(inst, members, model) under
+// model, to the bit, without building the plan: what channel allocation
+// asks of a merger hundreds of times per plan. A warm unpruned solve
+// allocates nothing.
+func (pm PairMerge) GroupCost(inst *Instance, members []int, model cost.Model) float64 {
+	if len(members) == 0 {
+		return 0
+	}
+	e := pm.run(inst, members, model)
+	defer e.release()
+	return e.cost()
+}
+
+// run solves the queries members of inst (all of them when members is
+// nil) under model on a pooled engine, which the caller releases.
+func (pm PairMerge) run(inst *Instance, members []int, model cost.Model) *pmEngine {
+	e := startEngine(inst, members, model)
 	// The pruned solve deliberately takes the instance's sizer as-is
 	// (no forced memo wrap): wrapping only one configuration could let a
 	// bitset-keyed cache return a value computed from a different
@@ -89,7 +121,15 @@ func (pm PairMerge) run(inst *Instance) *pmEngine {
 	// sizers.
 	var ni *NeighborIndex
 	if pm.Neighbors > 0 && len(inst.Centers) == inst.N {
-		ni = NewNeighborIndex(inst.Centers)
+		centers := inst.Centers
+		if members != nil {
+			e.centers = grown(e.centers, e.n)
+			for i, q := range members {
+				e.centers[i] = inst.Centers[q]
+			}
+			centers = e.centers
+		}
+		ni = NewNeighborIndex(centers)
 	}
 	e.solve(ni, pm.Neighbors)
 	return e
@@ -108,11 +148,23 @@ type hSet struct {
 // pmEngine is the working state of one heap-driven merge — the sets, their
 // alive flags, the candidate heap, one []uint64 backing every set's
 // bitset, and the scratch buffers — kept in a pool between solves: channel
-// allocation solves hundreds of small instances per plan, and allocating
+// allocation solves hundreds of small groups per plan, and allocating
 // this state afresh for each was most of a plan's garbage. What a solve
 // returns (plan or cost) never aliases the engine's memory.
+//
+// The engine works in local indices 0..n-1. Local query i is query
+// global[i] of the instance, or query i when global is nil (the solve
+// covers the whole instance); sizes are asked for, and plans returned, in
+// the instance's indices.
 type pmEngine struct {
-	inst  *Instance
+	inst   *Instance
+	model  cost.Model
+	global []int // the caller's members; nil for the identity
+	n      int
+	// pairs is the instance's table of singleton-pair merged sizes (see
+	// tableSizer), nil when its sizer has none.
+	pairs []float64
+
 	sets  []hSet
 	alive []bool
 	live  int // number of alive sets
@@ -120,8 +172,9 @@ type pmEngine struct {
 	words []uint64 // bitset of set id is words[id*w : (id+1)*w], w words per set
 	w     int
 
-	scratch []int // probe unions; member lists in plan and cost
-	first   []int // plan and cost: first[q] is the alive set whose smallest member is q, or -1
+	scratch []int        // probe unions; member lists in plan and cost
+	first   []int        // plan and cost: first[q] is the alive set whose smallest member is q, or -1
+	centers []geom.Point // a pruned group solve's centers
 
 	// Pruned solve only: the live set owning each query, the per-merge
 	// dedupe marks and their epoch (see startNeighbors), and the merged
@@ -143,12 +196,21 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// startEngine takes an engine from the pool and sets it up with the instance's
-// singletons. The caller hands it back with release.
-func startEngine(inst *Instance) *pmEngine {
+// startEngine takes an engine from the pool and sets it up with the
+// singletons of the queries members of inst (all of them when members is
+// nil). The caller hands it back with release.
+func startEngine(inst *Instance, members []int, model cost.Model) *pmEngine {
 	e := pmEngines.Get().(*pmEngine)
 	n := inst.N
-	e.inst, e.live, e.w = inst, n, cost.QSetWords(n)
+	if members != nil {
+		n = len(members)
+	}
+	e.inst, e.model, e.global, e.n = inst, model, members, n
+	e.pairs = nil
+	if ts, ok := inst.Sizer.(tableSizer); ok {
+		e.pairs = ts.pairs
+	}
+	e.live, e.w = n, cost.QSetWords(n)
 	e.pops, e.merges, e.probes = 0, 0, 0
 	// A solve creates at most n-1 merged sets on top of the n singletons.
 	e.words = grown(e.words, 2*n*e.w)
@@ -158,7 +220,7 @@ func startEngine(inst *Instance) *pmEngine {
 	for i := range e.sets {
 		qs := e.qset(i)
 		qs.Add(i)
-		e.sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(i)}
+		e.sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(e.id(i))}
 		e.alive[i] = true
 	}
 	e.heap = e.heap[:0]
@@ -178,23 +240,53 @@ func (e *pmEngine) release() {
 	if ts, ok := e.inst.Sizer.(tableSizer); ok {
 		ts.lookups.Add(e.probes)
 	}
-	e.inst = nil
+	e.inst, e.global, e.pairs = nil, nil, nil
 	pmEngines.Put(e)
+}
+
+// id returns the instance index of local query q.
+func (e *pmEngine) id(q int) int {
+	if e.global == nil {
+		return q
+	}
+	return e.global[q]
+}
+
+// appendIDs appends the members of qs to buf as instance indices, in
+// ascending local order.
+func (e *pmEngine) appendIDs(buf []int, qs QSet) []int {
+	at := len(buf)
+	buf = qs.AppendIndices(buf)
+	if e.global != nil {
+		for k, q := range buf[at:] {
+			buf[at+k] = e.global[q]
+		}
+	}
+	return buf
 }
 
 func (e *pmEngine) qset(id int) QSet { return e.words[id*e.w : (id+1)*e.w : (id+1)*e.w] }
 
-// probe computes the Δ-cost and merged size of merging sets a and b. The
-// member sets are disjoint, so the union's indices are the two index
-// lists concatenated into the reused scratch buffer; Sizer
+// probe computes the Δ-cost and merged size of merging sets a and b. Two
+// singletons read their merged size from the pair table when there is
+// one. Otherwise the member sets are disjoint, so the union's indices are
+// the two index lists concatenated into the reused scratch buffer; Sizer
 // implementations must not retain the slice (none do).
 func (e *pmEngine) probe(a, b int) (d, rm float64) {
 	sa, sb := &e.sets[a], &e.sets[b]
-	e.scratch = sa.qs.AppendIndices(e.scratch[:0])
-	e.scratch = sb.qs.AppendIndices(e.scratch)
 	e.probes++
-	rm = e.inst.Sizer.MergedSize(e.scratch)
-	return cost.PairDelta(e.inst.Model, sa.count, sa.merged, sb.count, sb.merged, rm), rm
+	if e.pairs != nil && a < e.n && b < e.n {
+		i, j := e.id(a), e.id(b)
+		if i > j {
+			i, j = j, i
+		}
+		rm = e.pairs[i*e.inst.N+j]
+	} else {
+		e.scratch = e.appendIDs(e.scratch[:0], sa.qs)
+		e.scratch = e.appendIDs(e.scratch, sb.qs)
+		rm = e.inst.Sizer.MergedSize(e.scratch)
+	}
+	return cost.PairDelta(e.model, sa.count, sa.merged, sb.count, sb.merged, rm), rm
 }
 
 // merge retires both endpoints of the popped entry and appends their
@@ -220,11 +312,12 @@ func (e *pmEngine) pop() (Candidate, bool) {
 	return top, e.alive[top.A] && e.alive[top.B]
 }
 
-// normalized calls fn with the members of every alive set, each in
-// ascending order and the sets ordered by their smallest member: the
-// order of Plan.Normalize. The slice is scratch, valid during the call.
+// normalized calls fn with the members of every alive set as instance
+// indices, each set in ascending local order and the sets ordered by their
+// smallest local member: the order of Plan.Normalize on the local plan.
+// The slice is scratch, valid during the call.
 func (e *pmEngine) normalized(fn func(set []int)) {
-	e.first = grown(e.first, e.inst.N)
+	e.first = grown(e.first, e.n)
 	for q := range e.first {
 		e.first[q] = -1
 	}
@@ -235,17 +328,17 @@ func (e *pmEngine) normalized(fn func(set []int)) {
 	}
 	for _, id := range e.first {
 		if id >= 0 {
-			e.scratch = e.sets[id].qs.AppendIndices(e.scratch[:0])
+			e.scratch = e.appendIDs(e.scratch[:0], e.sets[id].qs)
 			fn(e.scratch)
 		}
 	}
 }
 
-// plan materializes the alive sets as a normalized plan in memory of its
-// own: one block for all members, each set a capacity-limited slice of it.
+// plan materializes the alive sets as a plan in memory of its own: one
+// block for all members, each set a capacity-limited slice of it.
 func (e *pmEngine) plan() Plan {
 	plan := make(Plan, 0, e.live)
-	block := make([]int, 0, e.inst.N)
+	block := make([]int, 0, e.n)
 	e.normalized(func(set []int) {
 		at := len(block)
 		block = append(block, set...)
@@ -254,12 +347,12 @@ func (e *pmEngine) plan() Plan {
 	return plan
 }
 
-// cost returns what Instance.Cost(e.plan()) would, summing the same set
-// costs in the same order, without building the plan.
+// cost returns what cost.PlanCost(e.model, sizer, e.plan()) would, summing
+// the same set costs in the same order, without building the plan.
 func (e *pmEngine) cost() float64 {
 	total := 0.0
 	e.normalized(func(set []int) {
-		total += cost.SetCost(e.inst.Model, e.inst.Sizer, set)
+		total += cost.SetCost(e.model, e.inst.Sizer, set)
 	})
 	return total
 }
@@ -283,7 +376,7 @@ func (e *pmEngine) cost() float64 {
 // quality for the quadratic term.
 func (e *pmEngine) solve(ni *NeighborIndex, k int) {
 	budget := e.inst.Budget
-	pairs := NewPairs(e.inst.N, ni, k, budget)
+	pairs := NewPairs(e.n, ni, k, budget)
 	for a, b, ok := pairs.Next(); ok; a, b, ok = pairs.Next() {
 		if d, rm := e.probe(a, b); d > 0 {
 			e.heap = append(e.heap, Candidate{Profit: d, Size: rm, A: a, B: b})
@@ -333,7 +426,7 @@ func (e *pmEngine) pushSurvivors(id int) {
 // sets per merge without clearing: a set id is probed at most once per
 // epoch. Ids stay below 2n−1.
 func (e *pmEngine) startNeighbors() {
-	n := e.inst.N
+	n := e.n
 	e.setOf = grown(e.setOf, n)
 	for i := range e.setOf {
 		e.setOf[i] = i

@@ -97,6 +97,44 @@ func TestWorkspacePlansDoNotAliasPool(t *testing.T) {
 	}
 }
 
+// TestInstanceSubMergedSizeDoesNotAllocate pins the pooled translation
+// buffer of a sub-instance: a probe allocates nothing, from several
+// goroutines at once (Clustering components and BestOfBoth's climbs solve
+// sub-instances concurrently) and for sets longer than the pooled
+// capacity once the pool has grown.
+func TestInstanceSubMergedSizeDoesNotAllocate(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(9)), 80, paperModel)
+	members := make([]int, 0, 60)
+	for q := 79; q >= 20; q-- {
+		members = append(members, q)
+	}
+	sub := inst.Sub(members)
+	for _, set := range [][]int{{4}, {0, 7, 31}, rand.New(rand.NewSource(1)).Perm(60)} {
+		mapped := make([]int, len(set))
+		for i, q := range set {
+			mapped[i] = members[q]
+		}
+		want := inst.Sizer.MergedSize(mapped)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 200; k++ {
+					if got := sub.Sizer.MergedSize(set); got != want {
+						t.Errorf("MergedSize(%v) = %v, want %v", set, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if allocs := testing.AllocsPerRun(200, func() { sub.Sizer.MergedSize(set) }); allocs != 0 {
+			t.Errorf("MergedSize over %d queries: %v allocs per probe, want 0", len(set), allocs)
+		}
+	}
+}
+
 // rankTableWorld is n clustered rectangle queries over a relation of
 // 3000 tuples, some of them exactly on query edges.
 func rankTableWorld(rng *rand.Rand, rel *relation.Relation, n int) []query.Query {
@@ -120,8 +158,9 @@ type probeExact struct{ relation.Exact }
 // TestRankTableInstance checks who gets a rank table and that it changes
 // no size: inside the window CacheSizes installs the table, outside it, on
 // an R-tree relation and on polygons a memo; every sampled subset sizes
-// the same as on the probe path; a pair-merge solve reports its lookups
-// once, as hits, and no miss.
+// the same as on the probe path, and so does a sub-instance's; a pair-merge
+// solve, of the whole instance or of a group, reports its lookups once, as
+// hits, and no miss.
 func TestRankTableInstance(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
 	rtree, err := relation.NewRTree(bounds, 8)
@@ -189,13 +228,15 @@ func TestRankTableInstance(t *testing.T) {
 				t.Fatalf("a solve of %d queries on the table counted %d hits, %d misses", tc.n, hits.Load(), misses.Load())
 			}
 			before := hits.Load()
-			sub := inst.Sizer.(tableSizer).Restrict([]int{5, 2, 9})
-			if got, want := sub.MergedSize([]int{0, 2}), probe.Sizer.MergedSize([]int{5, 9}); got != want {
-				t.Fatalf("restricted MergedSize = %v, probe path %v", got, want)
+			members := []int{5, 2, 9}
+			if got, want := inst.Sub(members).Sizer.MergedSize([]int{0, 2}), probe.Sizer.MergedSize([]int{5, 9}); got != want {
+				t.Fatalf("sub-instance MergedSize = %v, probe path %v", got, want)
 			}
-			PairMerge{}.SolveCost(&Instance{N: 3, Model: paperModel, Sizer: sub})
+			if got, want := (PairMerge{}).GroupCost(inst, members, paperModel), (PairMerge{}).GroupCost(probe, members, paperModel); got != want {
+				t.Fatalf("group cost on the table %v, probe path %v", got, want)
+			}
 			if hits.Load() != before+3 {
-				t.Fatalf("a 3-query solve on a restricted table counted %d lookups, want its 3 pair probes", hits.Load()-before)
+				t.Fatalf("a 3-query group solve on the table counted %d lookups, want its 3 pair probes", hits.Load()-before)
 			}
 		})
 	}

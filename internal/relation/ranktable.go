@@ -14,14 +14,15 @@ import (
 //
 // The bounding rectangle of a set of rectangles takes each of its four
 // edges from one of the members, so every rectangle the table can be
-// asked about has its edges among the list's distinct coordinates, at
-// most 2n per axis. Each axis is cut at those coordinates into pieces:
-// piece 2k is the single coordinate k, piece 2k+1 the open interval
-// between coordinates k and k+1. A closed rectangle is then a whole
-// number of pieces on each axis — from the point piece of its lower edge
-// to the point piece of its upper edge — so a 2-D prefix sum of the live
-// bytes per piece pair gives its size exactly, tuples on an edge
-// included.
+// asked about has its edges among the list's edges. Each axis is cut into
+// half-open pieces at every lower edge and just above every upper edge,
+// at math.Nextafter(upper, +Inf): for floats, x ≤ b exactly when
+// x < Nextafter(b, +Inf), so a closed rectangle is a whole number of
+// pieces on each axis — from the cut at its lower edge to the cut above
+// its upper edge — and a 2-D prefix sum of the live bytes per piece pair
+// gives its size exactly, tuples on an edge included. n rectangles make at
+// most 2n cuts per axis, 2n+1 prefix lines. The last piece runs to +Inf
+// inclusive, which is where an upper edge of +Inf ends.
 //
 // A table is a snapshot: it does not follow inserts and deletes made
 // after it was built. It is immutable and safe for concurrent use.
@@ -48,31 +49,31 @@ var noRankRect = rankRect{x0: math.MaxInt32, x1: -1, y0: math.MaxInt32, y1: -1}
 func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 	xs := make([]float64, 0, 2*len(rects))
 	ys := make([]float64, 0, 2*len(rects))
+	box := geom.EmptyRect()
 	for _, q := range rects {
 		if math.IsNaN(q.MinX) || math.IsNaN(q.MaxX) || math.IsNaN(q.MinY) || math.IsNaN(q.MaxY) {
 			return nil
 		}
 		if !q.Empty() {
-			xs = append(xs, q.MinX, q.MaxX)
-			ys = append(ys, q.MinY, q.MaxY)
+			xs = appendCuts(xs, q.MinX, q.MaxX)
+			ys = appendCuts(ys, q.MinY, q.MaxY)
+			box = box.Union(q)
 		}
 	}
 	slices.Sort(xs)
 	slices.Sort(ys)
 	xs, ys = slices.Compact(xs), slices.Compact(ys)
 
-	t := &RankTable{stride: max(2*len(xs), 1), rects: make([]rankRect, len(rects))}
-	t.prefix = make([]int64, t.stride*max(2*len(ys), 1))
+	t := &RankTable{stride: len(xs) + 1, rects: make([]rankRect, len(rects))}
+	t.prefix = make([]int64, t.stride*(len(ys)+1))
 	for i, q := range rects {
 		if q.Empty() {
 			t.rects[i] = noRankRect
 			continue
 		}
-		// Coordinate k is piece 2k: the block starts at prefix column
-		// 2k and ends after the upper edge's point piece, at 2k+1.
 		t.rects[i] = rankRect{
-			x0: int32(2 * rankOf(xs, q.MinX)), x1: int32(2*rankOf(xs, q.MaxX) + 1),
-			y0: int32(2 * rankOf(ys, q.MinY)), y1: int32(2*rankOf(ys, q.MaxY) + 1),
+			x0: int32(rankOf(xs, q.MinX)), x1: int32(upperRank(xs, q.MaxX)),
+			y0: int32(rankOf(ys, q.MinY)), y1: int32(upperRank(ys, q.MaxY)),
 		}
 	}
 
@@ -85,7 +86,6 @@ func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 	if len(xs) == 0 {
 		return t // nothing but empty rectangles
 	}
-	box := geom.Rect{MinX: xs[0], MinY: ys[0], MaxX: xs[len(xs)-1], MaxY: ys[len(ys)-1]}
 	ax, ay := newRankAxis(xs), newRankAxis(ys)
 	i0, i1, j0, j1 := g.cellRange(box)
 	for j := j0; j <= j1; j++ {
@@ -111,14 +111,33 @@ func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 	return t
 }
 
-// rankOf returns the index of v in the sorted distinct coordinates.
-func rankOf(coords []float64, v float64) int {
-	k, _ := slices.BinarySearch(coords, v)
+// appendCuts appends the cuts of the closed interval [lo, hi]: lo and the
+// first float above hi. An upper edge of +Inf has no float above it and
+// cuts nothing; its interval ends with the last piece.
+func appendCuts(cuts []float64, lo, hi float64) []float64 {
+	if math.IsInf(hi, 1) {
+		return append(cuts, lo)
+	}
+	return append(cuts, lo, math.Nextafter(hi, math.Inf(1)))
+}
+
+// rankOf returns the index of v in the sorted distinct cuts.
+func rankOf(cuts []float64, v float64) int {
+	k, _ := slices.BinarySearch(cuts, v)
 	return k
 }
 
-// rankAxis ranks tuple coordinates among the sorted distinct coordinates
-// of one axis. It lays slots of equal width over the coordinates' span,
+// upperRank returns the prefix line above the upper edge hi: the rank of
+// its cut, or past the last piece for +Inf.
+func upperRank(cuts []float64, hi float64) int {
+	if math.IsInf(hi, 1) {
+		return len(cuts)
+	}
+	return rankOf(cuts, math.Nextafter(hi, math.Inf(1)))
+}
+
+// rankAxis ranks tuple coordinates among the sorted distinct cuts of one
+// axis. It lays slots of equal width over the cuts' span,
 // many more than there are coordinates: the slot of a value is monotone in
 // the value, so a coordinate in an earlier slot is below it and one in a
 // later slot above it, and only the coordinates of the value's own slot —
@@ -148,25 +167,22 @@ func newRankAxis(coords []float64) rankAxis {
 	return a
 }
 
-// slot is monotone non-decreasing in v, like gridCoord it is built on: a
-// span that is zero or infinite puts every value in slot 0.
+// slot is monotone non-decreasing in v, like gridCoord it is built on: an
+// infinite span puts every value in slot 0, a zero one (a single cut)
+// every value above the cut in the last slot.
 func (a *rankAxis) slot(v float64) int {
 	return gridCoord((v-a.min)*a.scale, len(a.first)-1)
 }
 
-// piece returns the piece holding v, which lies between the first and
-// last coordinate: 2k when v is coordinate k, 2k-1 when it falls in the
-// open interval below coordinate k.
+// piece returns the piece holding v, which is at least the first cut: the
+// index of the last cut at or below v.
 func (a *rankAxis) piece(v float64) int {
 	s := a.slot(v)
 	k, hi := int(a.first[s]), int(a.first[s+1])
-	for k < hi && a.coords[k] < v {
+	for k < hi && a.coords[k] <= v {
 		k++
 	}
-	if k < hi && a.coords[k] == v {
-		return 2 * k
-	}
-	return 2*k - 1
+	return k - 1
 }
 
 // Size returns the size in bytes of rectangle i.
@@ -190,16 +206,4 @@ func (t *RankTable) block(r rankRect) float64 {
 	}
 	p, lo, hi := t.prefix, int(r.y0)*t.stride, int(r.y1)*t.stride
 	return float64(p[hi+int(r.x1)] - p[lo+int(r.x1)] - p[hi+int(r.x0)] + p[lo+int(r.x0)])
-}
-
-// Sub returns the table restricted to the given rectangles: rectangle i
-// of the result is rectangle members[i] of t. It shares t's prefix sums
-// and gathers only the rank rectangles, so a sub-instance of a solver
-// indexes it directly instead of translating every set it asks about.
-func (t *RankTable) Sub(members []int) *RankTable {
-	s := &RankTable{prefix: t.prefix, stride: t.stride, rects: make([]rankRect, len(members))}
-	for i, q := range members {
-		s.rects[i] = t.rects[q]
-	}
-	return s
 }

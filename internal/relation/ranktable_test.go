@@ -9,9 +9,10 @@ import (
 	"qsub/internal/geom"
 )
 
-// checkRankTable compares the table of rects, and a restricted view of it,
-// with SizeBytesRect of the union over singletons, pairs, random subsets
-// and the whole list.
+// checkRankTable compares the table of rects with SizeBytesRect of the
+// union over singletons, pairs, random subsets in random order and the
+// whole list, and checks the table's size: at most 2n+1 prefix lines per
+// axis.
 func checkRankTable(t *testing.T, rel *Relation, rects []geom.Rect, rng *rand.Rand, stage string) *RankTable {
 	t.Helper()
 	table := rel.NewRankTable(rects)
@@ -19,6 +20,7 @@ func checkRankTable(t *testing.T, rel *Relation, rects []geom.Rect, rng *rand.Ra
 		t.Fatalf("%s: no table for %v", stage, rects)
 	}
 	n := len(rects)
+	checkPieces(t, table, n)
 	check := func(set []int) {
 		t.Helper()
 		union := geom.EmptyRect()
@@ -32,18 +34,11 @@ func checkRankTable(t *testing.T, rel *Relation, rects []geom.Rect, rng *rand.Ra
 		if got := table.MergedSize(set); got != want {
 			t.Fatalf("%s: MergedSize(%v) = %v, SizeBytesRect(%v) = %v\nrects %v", stage, set, got, union, want, rects)
 		}
-		// The same set through a view that holds its members in
-		// another order, plus a bystander.
-		members := append([]int(nil), set...)
-		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-		members = append(members, rng.Intn(n))
-		local := make([]int, len(set))
-		for i := range local {
-			local[i] = i
-		}
-		sub := table.Sub(members)
-		if got := sub.MergedSize(local); got != want {
-			t.Fatalf("%s: Sub(%v).MergedSize(%v) = %v, want %v", stage, members, local, got, want)
+		// The same set in another order.
+		shuffled := append([]int(nil), set...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := table.MergedSize(shuffled); got != want {
+			t.Fatalf("%s: MergedSize(%v) = %v, want %v", stage, shuffled, got, want)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -64,6 +59,16 @@ func checkRankTable(t *testing.T, rel *Relation, rects []geom.Rect, rng *rand.Ra
 	return table
 }
 
+// checkPieces fails unless the table of n rectangles has at most 2n+1
+// prefix lines per axis: one cut per lower edge and one above each upper
+// edge.
+func checkPieces(t *testing.T, table *RankTable, n int) {
+	t.Helper()
+	if cols, rows := table.stride, len(table.prefix)/table.stride; cols > 2*n+1 || rows > 2*n+1 {
+		t.Fatalf("%d rectangles make %d×%d prefix lines, more than %d per axis", n, cols, rows, 2*n+1)
+	}
+}
+
 // sharedEdgeRects draws n rectangles of every shape randomRect knows and
 // then makes a third of them reuse edges of the others, so coordinates
 // repeat across the list: equal edges, abutting rectangles, duplicates.
@@ -77,7 +82,7 @@ func sharedEdgeRects(rng *rand.Rand, n, nx int, pts []Tuple) []geom.Rect {
 		if a.Empty() {
 			continue
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			*b = a // duplicate
 		case 1:
@@ -86,14 +91,32 @@ func sharedEdgeRects(rng *rand.Rand, n, nx int, pts []Tuple) []geom.Rect {
 			b.MinY, b.MaxY = a.MinY, a.MaxY // same rows
 		case 3:
 			b.MinX, b.MaxX = a.MinX, a.MinX // zero width on a's left edge
+		case 4:
+			// Signed zeros: −0 and +0 are one coordinate.
+			b.MinX, b.MaxX = math.Copysign(0, -1), max(b.MaxX, 0)
+			b.MinY, b.MaxY = min(b.MinY, 0), 0
+		case 5:
+			// Infinite edges: open to one side.
+			b.MaxX, b.MinY = math.Inf(1), math.Inf(-1)
 		}
 	}
 	return rects
 }
 
+// mid returns the midpoint of [lo, hi], or 50 when that is NaN (the
+// interval runs from −Inf to +Inf).
+func mid(lo, hi float64) float64 {
+	if m := (lo + hi) / 2; !math.IsNaN(m) {
+		return m
+	}
+	return 50
+}
+
 // TestRankTableMatchesSizeBytesRect is the seeded differential test of
 // the rank table: over several grids, with tuples on grid lines, on
-// rectangle edges, outside the bounds and at ±Inf, after deletes and after
+// rectangle edges and one float past them, at ±0, outside the bounds and
+// at ±Inf, with signed-zero, infinite and zero-width edges, after deletes
+// and after
 // Compact, every sampled subset's table size equals SizeBytesRect of the
 // union — and a table built earlier keeps answering for the relation as
 // it was (the snapshot rule).
@@ -111,13 +134,24 @@ func TestRankTableMatchesSizeBytesRect(t *testing.T) {
 					want = append(want, before.Size(i))
 				}
 
-				// Put tuples exactly on rectangle edges and corners,
-				// delete a fifth of what is there.
+				// Put tuples exactly on rectangle edges and corners and
+				// on the floats just outside them, where the cuts are,
+				// plus some at ±0; delete a fifth of what is there.
+				up, down := math.Inf(1), math.Inf(-1)
 				for _, q := range rects {
 					if !q.Empty() && rng.Intn(2) == 0 {
-						ids = append(ids, rel.Insert(geom.Pt(q.MinX, q.MaxY), make([]byte, rng.Intn(9))))
-						ids = append(ids, rel.Insert(geom.Pt(q.MaxX, (q.MinY+q.MaxY)/2), nil))
+						midX, midY := mid(q.MinX, q.MaxX), mid(q.MinY, q.MaxY)
+						for _, p := range []geom.Point{
+							{X: q.MinX, Y: q.MaxY}, {X: q.MaxX, Y: midY},
+							{X: math.Nextafter(q.MaxX, up), Y: midY}, {X: math.Nextafter(q.MinX, down), Y: midY},
+							{X: midX, Y: math.Nextafter(q.MaxY, up)}, {X: midX, Y: math.Nextafter(q.MinY, down)},
+						} {
+							ids = append(ids, rel.Insert(p, make([]byte, rng.Intn(9))))
+						}
 					}
+				}
+				for _, p := range []geom.Point{{X: 0, Y: 0}, {X: math.Copysign(0, -1), Y: 50}, {X: 50, Y: math.Copysign(0, -1)}} {
+					ids = append(ids, rel.Insert(p, make([]byte, 1+rng.Intn(9))))
 				}
 				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 				for _, id := range ids[:len(ids)/5] {
@@ -171,16 +205,33 @@ var fuzzCoords = [16]float64{
 	math.Inf(-1), -1e30, -20, 0, 12.5, 13, 25, 40, 50, 62.5, 75, 99.5, 100, 130, 1e30, math.Inf(1),
 }
 
+// fuzzNudge moves the coordinate v of tuple k onto the float just above
+// or below it, or a zero onto −0, so tuples land exactly on rectangle
+// edges and on the cuts one float past them.
+func fuzzNudge(v float64, k int) float64 {
+	switch k % 4 {
+	case 1:
+		return math.Nextafter(v, math.Inf(1))
+	case 2:
+		return math.Nextafter(v, math.Inf(-1))
+	case 3:
+		return math.Copysign(v, -1) * math.Copysign(1, v) // −0 for 0, v otherwise
+	}
+	return v
+}
+
 // FuzzRankTable decodes a rectangle list and a tuple list from the input
 // (two bytes per rectangle, one per tuple, a nibble per coordinate) and
 // checks every singleton, every pair and the whole list against
 // SizeBytesRect. Reversed edges give empty rectangles, equal ones
-// zero-width rectangles; a tuple byte's neighbour decides whether it is
-// deleted again.
+// zero-width rectangles, and every odd rectangle has its zero edges at −0;
+// tuple coordinates are nudged by fuzzNudge; a tuple byte's neighbour
+// decides whether it is deleted again.
 func FuzzRankTable(f *testing.F) {
 	f.Add([]byte{4, 0x36, 0x38, 0x6a, 0x8c, 0x33, 0x77, 0x11, 0x36, 0x6a, 0x38, 0xff, 0x00})
 	f.Add([]byte{2, 0x0f, 0x0f, 0xc3, 0x3c, 0x44, 0xcc})
 	f.Add([]byte{0, 0x55})
+	f.Add([]byte{3, 0x3c, 0x3c, 0x33, 0x33, 0xf3, 0x0c, 0x33, 0x33, 0x33, 0x33, 0xcc, 0xcc, 0xcc, 0xcc, 0xff, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -189,14 +240,21 @@ func FuzzRankTable(f *testing.F) {
 		data = data[1:]
 		var rects []geom.Rect
 		for ; n > 0 && len(data) >= 2; n, data = n-1, data[2:] {
+			edge := func(c byte) float64 {
+				if v := fuzzCoords[c]; v != 0 || len(rects)%2 == 0 {
+					return v
+				}
+				return math.Copysign(0, -1)
+			}
 			rects = append(rects, geom.Rect{
-				MinX: fuzzCoords[data[0]>>4], MaxX: fuzzCoords[data[0]&15],
-				MinY: fuzzCoords[data[1]>>4], MaxY: fuzzCoords[data[1]&15],
+				MinX: edge(data[0] >> 4), MaxX: edge(data[0] & 15),
+				MinY: edge(data[1] >> 4), MaxY: edge(data[1] & 15),
 			})
 		}
 		rel := MustNew(testBounds, 8, 8)
 		for k, b := range data {
-			id := rel.Insert(geom.Pt(fuzzCoords[b>>4], fuzzCoords[b&15]), make([]byte, k%5))
+			p := geom.Pt(fuzzNudge(fuzzCoords[b>>4], k), fuzzNudge(fuzzCoords[b&15], k/4))
+			id := rel.Insert(p, make([]byte, k%5))
 			if k+1 < len(data) && data[k+1]%4 == 0 {
 				rel.Delete(id)
 			}
@@ -205,6 +263,7 @@ func FuzzRankTable(f *testing.F) {
 		if table == nil {
 			t.Fatalf("no table for %v", rects)
 		}
+		checkPieces(t, table, len(rects))
 		all := make([]int, len(rects))
 		whole := geom.EmptyRect()
 		for i, a := range rects {

@@ -252,6 +252,23 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 	}
 }
 
+// TestPlanPaperAllocs pins the allocation budget of one Server.Plan on the
+// plan-paper world: channel allocation solves its groups in place on
+// pooled engines, so what is left is the plan's own state and results.
+func TestPlanPaperAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s := paperWorld(t, 24, 3, 20000, shard.Config{}, nil)
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.Plan(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1000 {
+		t.Fatalf("Plan made %v allocations, want at most 1000", allocs)
+	}
+}
+
 // BenchmarkPlanPaper is one Server.Plan under the plan-paper workload's
 // configuration, with the default Exact estimator.
 func BenchmarkPlanPaper(b *testing.B) {
