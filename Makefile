@@ -50,11 +50,12 @@ bench-pair:
 # hook, strict enough to catch data races in the per-shard worker pool,
 # the budget's atomic step accounting, the engines two concurrent climbs
 # take from one pool and the singleton-pair table their in-place group
-# solves read at once.
+# solves read at once, the disjoint-pair bound's sets, and the NaN-region
+# refusal in front of all of them.
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub' \
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub|DisjointBound|NaNRegion' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:

@@ -46,7 +46,7 @@ func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 		problem := func(est relation.Estimator, parallelism int) (*Problem, *metrics.Counter) {
 			inst := core.NewGeomInstance(model, qs, query.BoundingRect{}, est)
 			misses := new(metrics.Counter)
-			inst.CacheSizes(nil, misses, nil)
+			inst.CacheSizes(nil, nil, misses, nil)
 			return &Problem{Inst: inst, Clients: clients, Channels: 3, Merger: core.PairMerge{}, Parallelism: parallelism}, misses
 		}
 		exact := relation.Exact{Rel: rel}

@@ -74,8 +74,11 @@ func geomSizer(qs []query.Query, proc query.MergeProcedure, est relation.Estimat
 			}
 			if allRect {
 				s := &rectSizer{rects: rects, rs: rs}
-				if exact, ok := est.(relation.Exact); ok && len(qs) >= tableMinQueries && len(qs) <= tableMaxQueries {
-					s.rel = exact.Rel
+				if exact, ok := est.(relation.Exact); ok {
+					s.exact = true
+					if len(qs) >= tableMinQueries && len(qs) <= tableMaxQueries {
+						s.rel = exact.Rel
+					}
 				}
 				return s
 			}
@@ -133,6 +136,10 @@ const (
 type rectSizer struct {
 	rects []geom.Rect
 	rs    relation.RectSizer
+	// exact reports that rs counts the bytes of the tuples inside a closed
+	// rectangle (relation.Exact), so sizes add up over disjoint rectangles
+	// (see disjointRects).
+	exact bool
 
 	rel   *relation.Relation
 	once  sync.Once
@@ -180,12 +187,15 @@ type tableSizer struct {
 // CacheSizes makes merged sizes cheap to ask for again, for a caller about
 // to run a solver on the instance. An instance whose merged sizes can come
 // from a rank table gets the table and its singleton-pair sizes, built
-// now; any other gets a cost.Memo around its sizer. The counters may be
-// nil. hits counts the merged sizes answered without an estimator probe —
-// per lookup by a memo, per solve by the pair-merge engines on a table
-// (other solvers' table lookups go uncounted) — and misses the probes,
-// which a table never makes.
-func (inst *Instance) CacheSizes(hits, misses, contended *metrics.Counter) {
+// now; any other gets a cost.Memo around its sizer. sizes, when not nil,
+// holds the single sizes the caller has already probed from the same
+// estimator at the same moment (NaN where it has not), and the memo takes
+// it over instead of probing them again (cost.NewMemoSizes); a table
+// ignores it. The counters may be nil. hits counts the merged sizes
+// answered without an estimator probe — per lookup by a memo, per solve by
+// the pair-merge engines on a table (other solvers' table lookups go
+// uncounted) — and misses the probes, which a table never makes.
+func (inst *Instance) CacheSizes(sizes []float64, hits, misses, contended *metrics.Counter) {
 	if rs, ok := inst.Sizer.(*rectSizer); ok {
 		if t := rs.rankTable(); t != nil {
 			n := inst.N
@@ -201,9 +211,31 @@ func (inst *Instance) CacheSizes(hits, misses, contended *metrics.Counter) {
 			return
 		}
 	}
-	memo := cost.NewMemo(inst.Sizer, inst.N)
+	var memo *cost.Memo
+	if sizes != nil {
+		memo = cost.NewMemoSizes(inst.Sizer, sizes)
+	} else {
+		memo = cost.NewMemo(inst.Sizer, inst.N)
+	}
 	memo.SetMetrics(hits, misses, contended)
 	inst.Sizer = memo
+}
+
+// disjointRects returns the query rectangles of a sizer whose sizes add up
+// over disjoint rectangles, and nil for any other sizer. That is an exact
+// estimator sizing rectangle queries merged by bounding rectangle, probed
+// or behind a memo: a set's merged size is the bytes of the tuples inside
+// its bounding rectangle, so two sets whose rectangles share no point
+// count no tuple twice, and their union's rectangle holds both. A
+// tableSizer is not one: its pair sizes are already lookups.
+func disjointRects(s cost.Sizer) []geom.Rect {
+	if m, ok := s.(*cost.Memo); ok {
+		s = m.Inner()
+	}
+	if rs, ok := s.(*rectSizer); ok && rs.exact {
+		return rs.rects
+	}
+	return nil
 }
 
 // MergedRegions materializes the merged query footprint of every set in

@@ -136,13 +136,16 @@ func (pm PairMerge) run(inst *Instance, members []int, model cost.Model) *pmEngi
 }
 
 // hSet is one set during the heap-driven merge: its member bitset, member
-// count and cached merged size. Sets are identified by a stable id (index
-// into the sets slice); merging two sets retires both ids and appends a
-// new one, which is what makes stale heap entries detectable.
+// count, cached merged size and, when the engine applies the disjoint
+// bound, the bounding rectangle of its members. Sets are identified by a
+// stable id (index into the sets slice); merging two sets retires both ids
+// and appends a new one, which is what makes stale heap entries
+// detectable.
 type hSet struct {
 	qs     QSet
 	count  int
 	merged float64
+	rect   geom.Rect
 }
 
 // pmEngine is the working state of one heap-driven merge — the sets, their
@@ -164,6 +167,9 @@ type pmEngine struct {
 	// pairs is the instance's table of singleton-pair merged sizes (see
 	// tableSizer), nil when its sizer has none.
 	pairs []float64
+	// rects are the instance's query rectangles when the disjoint bound
+	// applies (see probe), nil otherwise.
+	rects []geom.Rect
 
 	sets  []hSet
 	alive []bool
@@ -206,9 +212,12 @@ func startEngine(inst *Instance, members []int, model cost.Model) *pmEngine {
 		n = len(members)
 	}
 	e.inst, e.model, e.global, e.n = inst, model, members, n
-	e.pairs = nil
+	e.pairs, e.rects = nil, nil
 	if ts, ok := inst.Sizer.(tableSizer); ok {
 		e.pairs = ts.pairs
+	} else if model.KT >= 0 && model.KU >= 0 {
+		// The bound needs PairDelta non-increasing in the merged size.
+		e.rects = disjointRects(inst.Sizer)
 	}
 	e.live, e.w = n, cost.QSetWords(n)
 	e.pops, e.merges, e.probes = 0, 0, 0
@@ -221,6 +230,9 @@ func startEngine(inst *Instance, members []int, model cost.Model) *pmEngine {
 		qs := e.qset(i)
 		qs.Add(i)
 		e.sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(e.id(i))}
+		if e.rects != nil {
+			e.sets[i].rect = e.rects[e.id(i)]
+		}
 		e.alive[i] = true
 	}
 	e.heap = e.heap[:0]
@@ -240,7 +252,7 @@ func (e *pmEngine) release() {
 	if ts, ok := e.inst.Sizer.(tableSizer); ok {
 		ts.lookups.Add(e.probes)
 	}
-	e.inst, e.global, e.pairs = nil, nil, nil
+	e.inst, e.global, e.pairs, e.rects = nil, nil, nil, nil
 	pmEngines.Put(e)
 }
 
@@ -272,8 +284,21 @@ func (e *pmEngine) qset(id int) QSet { return e.words[id*e.w : (id+1)*e.w : (id+
 // one. Otherwise the member sets are disjoint, so the union's indices are
 // the two index lists concatenated into the reused scratch buffer; Sizer
 // implementations must not retain the slice (none do).
+//
+// Where sizes add up over disjoint rectangles (e.rects, see
+// disjointRects), a pair whose rectangles share no point is first checked
+// against the §6.3 argument of cost.MergeEligible: their merged rectangle
+// holds the tuples of both, so Rm ≥ Ra + Rb, and PairDelta does not grow
+// with Rm (in floating point too, for KT, KU ≥ 0). When the Δ-cost at
+// Rm = Ra + Rb is not positive the pair can never be pushed, and probe
+// returns that bound unprobed, with rm 0.
 func (e *pmEngine) probe(a, b int) (d, rm float64) {
 	sa, sb := &e.sets[a], &e.sets[b]
+	if e.rects != nil && disjoint(sa.rect, sb.rect) {
+		if d = cost.PairDelta(e.model, sa.count, sa.merged, sb.count, sb.merged, sa.merged+sb.merged); d <= 0 {
+			return d, 0
+		}
+	}
 	e.probes++
 	if e.pairs != nil && a < e.n && b < e.n {
 		i, j := e.id(a), e.id(b)
@@ -297,11 +322,19 @@ func (e *pmEngine) merge(top Candidate) int {
 	qs := e.qset(id)
 	copy(qs, e.sets[top.A].qs)
 	qs.Or(e.sets[top.B].qs)
-	e.sets = append(e.sets, hSet{qs: qs, count: e.sets[top.A].count + e.sets[top.B].count, merged: top.Size})
+	e.sets = append(e.sets, hSet{qs: qs, count: e.sets[top.A].count + e.sets[top.B].count, merged: top.Size,
+		rect: e.sets[top.A].rect.Union(e.sets[top.B].rect)})
 	e.alive[top.A], e.alive[top.B] = false, false
 	e.alive = append(e.alive, true)
 	e.live--
 	return id
+}
+
+// disjoint reports whether the closed rectangles a and b share no point.
+// A NaN edge makes every comparison false, so such a pair is never
+// reported disjoint.
+func disjoint(a, b geom.Rect) bool {
+	return a.MaxX < b.MinX || b.MaxX < a.MinX || a.MaxY < b.MinY || b.MaxY < a.MinY
 }
 
 // pop removes the best candidate and reports whether it is still live:

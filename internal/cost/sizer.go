@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"sync"
 
 	"qsub/internal/metrics"
@@ -85,14 +86,29 @@ type memoShard struct {
 // the single-word fast path, larger instances fall back to multi-word
 // bitset keys transparently.
 func NewMemo(inner Sizer, n int) *Memo {
+	sizes := make([]float64, n)
+	for i := range sizes {
+		sizes[i] = math.NaN()
+	}
+	return NewMemoSizes(inner, sizes)
+}
+
+// NewMemoSizes is NewMemo for a caller that has already probed singleton
+// sizes of the same moment of the estimator: sizes[i] is inner.Size(i), or
+// NaN where the caller has not probed it. The memo takes the slice over and
+// probes only the NaN entries.
+func NewMemoSizes(inner Sizer, sizes []float64) *Memo {
+	for i, s := range sizes {
+		if math.IsNaN(s) {
+			sizes[i] = inner.Size(i)
+		}
+	}
+	n := len(sizes)
 	m := &Memo{
 		inner: inner,
 		n:     n,
 		words: QSetWords(n),
-		sizes: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		m.sizes[i] = inner.Size(i)
+		sizes: sizes,
 	}
 	for s := range m.shards {
 		if m.words == 1 {
@@ -141,6 +157,9 @@ func (m *Memo) lock(sh *memoShard) {
 
 // Size returns the cached singleton size.
 func (m *Memo) Size(i int) float64 { return m.sizes[i] }
+
+// Inner returns the wrapped Sizer.
+func (m *Memo) Inner() Sizer { return m.inner }
 
 // MergedSize returns the cached merged size for the set, computing and
 // storing it on first use. It is safe for concurrent use; two goroutines

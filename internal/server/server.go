@@ -12,7 +12,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -134,8 +136,16 @@ func (s *Server) Relation() *relation.Relation { return s.rel }
 func (s *Server) ShardingEnabled() bool { return s.cfg.Sharding.Enabled }
 
 // Subscribe registers queries for a client. Query ids must be unique per
-// client.
+// client. A region with a NaN coordinate refuses the whole call before
+// anything is registered: math.Min and Max carry a NaN into every bounding
+// rectangle it is merged with, so one such region would corrupt the merged
+// answers of other clients. ±Inf is accepted.
 func (s *Server) Subscribe(clientID int, qs ...query.Query) error {
+	for _, q := range qs {
+		if hasNaN(q.Region) {
+			return fmt.Errorf("server: query %d of client %d has a NaN coordinate", q.ID, clientID)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, q := range qs {
@@ -147,6 +157,27 @@ func (s *Server) Subscribe(clientID int, qs ...query.Query) error {
 		s.subs[clientID] = append(s.subs[clientID], q)
 	}
 	return nil
+}
+
+// hasNaN reports whether any coordinate of the region is NaN: a
+// rectangle's edges, a polygon's vertices, a union's rectangles; another
+// region type through its bounding rectangle.
+func hasNaN(region geom.Region) bool {
+	nan := func(r geom.Rect) bool {
+		return math.IsNaN(r.MinX) || math.IsNaN(r.MinY) || math.IsNaN(r.MaxX) || math.IsNaN(r.MaxY)
+	}
+	switch r := region.(type) {
+	case geom.Polygon:
+		for _, p := range r {
+			if math.IsNaN(p.X) || math.IsNaN(p.Y) {
+				return true
+			}
+		}
+		return false
+	case geom.Union:
+		return slices.ContainsFunc(r, nan)
+	}
+	return nan(region.BoundingRect())
 }
 
 // SubscriptionCount returns the number of registered (client, query)
@@ -419,9 +450,9 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 	// fresh per Plan call because the estimator reflects the current
 	// relation contents.
 	if cat != nil {
-		inst.CacheSizes(cat.MemoHits, cat.MemoMisses, cat.MemoContended)
+		inst.CacheSizes(nil, cat.MemoHits, cat.MemoMisses, cat.MemoContended)
 	} else {
-		inst.CacheSizes(nil, nil, nil)
+		inst.CacheSizes(nil, nil, nil, nil)
 	}
 	cy := &Cycle{
 		Queries:       qs,

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"qsub/internal/client"
+	"qsub/internal/geom"
+	"qsub/internal/query"
 	"qsub/internal/shard"
 	"qsub/internal/workload"
 )
@@ -83,6 +86,57 @@ func TestShardedEquivalenceAblation(t *testing.T) {
 		if !reflect.DeepEqual(got.ChannelCovered, want.ChannelCovered) {
 			t.Fatalf("split=%v: split-covered sets differ", split)
 		}
+	}
+}
+
+// TestNaNRegionRefused: one client's region with a NaN coordinate must not
+// reach the planner, where a NaN edge spreads into the bounding rectangle
+// of every merge it joins and other clients' answers lose tuples. Under
+// the unsharded, one-shard and sharded aggregated planners, every kind of
+// NaN-bearing region is refused with nothing of the call registered, an
+// infinite edge is accepted, and the honest clients' answers equal direct
+// evaluation.
+func TestNaNRegionRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]geom.Region{
+		"MinX": geom.R(nan, 100, 300, 300), "MinY": geom.R(100, nan, 300, 300),
+		"MaxX": geom.R(100, 100, nan, 300), "MaxY": geom.R(100, 100, 300, nan),
+		"polygon": geom.Polygon{geom.Pt(0, 0), geom.Pt(500, 0), geom.Pt(nan, 500)},
+		"union":   geom.Union{geom.R(0, 0, 10, 10), geom.R(20, 20, 30, nan)},
+	}
+	for name, sharding := range map[string]shard.Config{
+		"unsharded": {},
+		"one-shard": {Enabled: true},
+		"sharded":   {Enabled: true, ShardBits: 3, Aggregate: true},
+	} {
+		rel, net := buildWorld(t, 3, 2000, 21)
+		s, err := New(rel, net, Config{Model: testModel, Sharding: sharding})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := subscribeWorkload(t, 23, 48, 6, 0.4, s)
+		for edge, region := range bad {
+			ok := query.Range(1, geom.R(0, 0, 50, 50))
+			if err := s.Subscribe(99, ok, query.Query{ID: 2, Region: region}); err == nil {
+				t.Fatalf("%s: a region with a NaN %s was accepted", name, edge)
+			}
+		}
+		if n := s.SubscriptionCount(); n != 48 {
+			t.Fatalf("%s: %d subscriptions registered, want the 48 honest ones", name, n)
+		}
+		if err := s.Subscribe(98, query.Range(1, geom.R(900, 900, inf, inf))); err != nil {
+			t.Fatalf("%s: an infinite edge was refused: %v", name, err)
+		}
+		clients[98] = client.New(98)
+		runCycle(t, s, clients)
+		for id, c := range clients {
+			for _, q := range c.Queries() {
+				if got, want := len(c.Answer(q.ID)), len(q.Answer(rel)); got != want {
+					t.Fatalf("%s: client %d query %d extracted %d tuples, want %d", name, id, q.ID, got, want)
+				}
+			}
+		}
+		net.Close()
 	}
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -171,6 +172,9 @@ type task struct {
 	// rectangle, nil otherwise; with model they are the task's input
 	// signature.
 	rects []geom.Rect
+	// sizes, on a task to be solved, are the representatives' single
+	// sizes this plan has already probed, NaN where it has not.
+	sizes []float64
 	// out is the task's outcome, solved now or taken over from the
 	// previous result; plan is out.plan expanded to original query
 	// indices through memberSets.
@@ -221,7 +225,11 @@ func (s *solved) matches(t *task) bool {
 // and solves cut short by an exhausted Budget are never reused, and a
 // Prev of another channel or shard count is ignored
 // (Stats.Incremental).
-func Plan(p *Problem) (*Result, error) {
+func Plan(p *Problem) (*Result, error) { return plan(p, solveShard) }
+
+// plan is Plan with the per-task solve as a parameter, so a test can pin
+// solveShard against a reference solve.
+func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *Problem)) (*Result, error) {
 	n := len(p.Queries)
 	if n == 0 {
 		return nil, errors.New("shard: no queries to plan")
@@ -278,17 +286,22 @@ func Plan(p *Problem) (*Result, error) {
 	}
 
 	// Singleton sizes drive channel balancing and the no-merge
-	// baseline. The global instance's sizer is the same one the
-	// unsharded path estimates with; a rectangle the previous result
-	// sized is not probed again.
-	ginst := core.NewGeomInstance(p.Model, p.Queries, proc, p.Estimator)
+	// baseline; a rectangle the previous result sized is not probed
+	// again. probed marks the sizes probed by this plan, the only ones a
+	// task may take over: Prev's may be of another moment of the relation.
+	rs, _ := p.Estimator.(relation.RectSizer)
 	sizes := make([]float64, n)
+	probed := make([]bool, n)
 	sized := make(map[geom.Rect]float64, n)
 	for i, q := range p.Queries {
 		r, isRect := q.Region.(geom.Rect)
 		size, known := prev.sized[r]
-		if !isRect || !known {
-			size = ginst.Sizer.Size(i)
+		switch {
+		case isRect && known:
+		case isRect && rs != nil:
+			size, probed[i] = rs.SizeBytesRect(r), true
+		default:
+			size, probed[i] = p.Estimator.SizeBytes(q.Region), true
 		}
 		sizes[i] = size
 		if isRect {
@@ -436,6 +449,17 @@ func Plan(p *Problem) (*Result, error) {
 				res.tasks[t.key] = t.out
 				res.Stats.Reused++
 			} else {
+				// A representative standing for one query whose region it
+				// is has the size stage 0 probed.
+				t.sizes = make([]float64, len(repIdx))
+				for j, ri := range repIdx {
+					t.sizes[j] = math.NaN()
+					if m := agg.Reps[ri].Members; len(m) == 1 && probed[m[0]] {
+						if r, ok := p.Queries[m[0]].Region.(geom.Rect); !p.Config.Aggregate || ok && r == agg.Reps[ri].Rect {
+							t.sizes[j] = sizes[m[0]]
+						}
+					}
+				}
 				unsolved = append(unsolved, len(tasks))
 			}
 			tasks = append(tasks, t)
@@ -463,7 +487,7 @@ func Plan(p *Problem) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for ti := range next {
-				solveShard(&tasks[ti], proc, algo, p)
+				solve(&tasks[ti], proc, algo, p)
 			}
 		}()
 	}
@@ -521,19 +545,25 @@ func Plan(p *Problem) (*Result, error) {
 }
 
 // solveShard runs the merging algorithm on one shard's representative
-// instance (sizes cached per shard), expands the plan back to
-// original query indices and predicts the bytes its merged regions
-// transmit — sized as the server publishes them, from the original
-// member queries.
+// instance (sizes cached per shard, the single sizes stage 0 probed taken
+// over), expands the plan back to original query indices and predicts the
+// bytes its merged regions transmit, as the server publishes them. Under
+// the bounding rectangle with rectangle representatives those regions are
+// the rectangles the solve has sized, so the bytes are read back from the
+// instance; otherwise they are sized from the original member queries.
 func solveShard(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
 	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
-	inst.CacheSizes(p.MemoHits, p.MemoMisses, p.MemoContended)
+	inst.CacheSizes(t.sizes, p.MemoHits, p.MemoMisses, p.MemoContended)
 	inst.Budget = p.Budget
 	inst.Metrics = p.Metrics
 	plan := algo.Solve(inst)
 	t.plan = expand(plan, t.memberSets)
-	t.out = &solved{model: t.model, rects: t.rects, plan: plan, cost: inst.Cost(plan),
-		bytes: transmitBytes(t.plan, p.Queries, proc, p.Estimator)}
+	t.out = &solved{model: t.model, rects: t.rects, plan: plan, cost: inst.Cost(plan)}
+	if _, boundsOnly := proc.(query.BoundingRect); boundsOnly && t.rects != nil {
+		t.out.bytes = cost.TransmitSize(inst.Sizer, plan)
+	} else {
+		t.out.bytes = transmitBytes(t.plan, p.Queries, proc, p.Estimator)
+	}
 }
 
 // transmitBytes predicts the payload of one full publish of the plan's
