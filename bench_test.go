@@ -427,6 +427,15 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 	}
 }
 
+// discard consumes the subscription until it ends.
+func discard(sub *Subscription) {
+	for {
+		if _, ok := sub.NextBatch(); !ok {
+			return
+		}
+	}
+}
+
 // BenchmarkMulticastFanout measures raw publish/deliver throughput.
 func BenchmarkMulticastFanout(b *testing.B) {
 	net, err := NewNetwork(1)
@@ -442,11 +451,10 @@ func BenchmarkMulticastFanout(b *testing.B) {
 			b.Fatal(err)
 		}
 		wg.Add(1)
-		go func(sub *Subscription) {
+		go func() {
 			defer wg.Done()
-			for range sub.C {
-			}
-		}(sub)
+			discard(sub)
+		}()
 	}
 	msg := Message{Channel: 0, Tuples: []Tuple{{ID: 1, Pos: Pt(1, 1)}}}
 	b.ResetTimer()
@@ -633,10 +641,7 @@ func BenchmarkSchedulerTick(b *testing.B) {
 		}
 	}
 	sub, _ := net.Subscribe(0, 4096)
-	go func() {
-		for range sub.C {
-		}
-	}()
+	go discard(sub)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sched.Tick(false); err != nil {
@@ -723,10 +728,7 @@ func BenchmarkDeltaWithDeletions(b *testing.B) {
 		b.Fatal(err)
 	}
 	sub, _ := net.Subscribe(0, 65536)
-	go func() {
-		for range sub.C {
-		}
-	}()
+	go discard(sub)
 	if _, err := srv.PublishDelta(cy); err != nil { // baseline full delta
 		b.Fatal(err)
 	}

@@ -66,7 +66,6 @@ func main() {
 		relayID       = flag.Int("relay-id", 1<<30, "client id the relay introduces its upstream feed session with (shares the client id space)")
 		relayChannels = flag.String("relay-channels", "", "comma-separated channel numbers to subscribe upstream (empty = all channels)")
 
-		noStamps   = flag.Bool("no-timestamps", false, "do not stamp answer frames with a publish timestamp (reverts to the pre-timestamp wire format, disabling client latency tracking)")
 		readIdle   = flag.Duration("read-idle", 5*time.Minute, "drop a session that sends no frame for this long (0 disables)")
 		writeTO    = flag.Duration("write-timeout", daemon.DefaultWriteTimeout, "per-frame write deadline for session connections (0 disables)")
 		subBuffer  = flag.Int("sub-buffer", daemon.DefaultSubscriberBuffer, "per-session delivery queue depth")
@@ -131,7 +130,6 @@ func main() {
 		log.Fatal(err)
 	}
 	d.Logf = log.Printf
-	d.DisableTimestamps = *noStamps
 	d.ReadIdleTimeout = *readIdle
 	d.WriteTimeout = *writeTO
 	d.SubscriberBuffer = *subBuffer

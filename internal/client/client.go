@@ -337,12 +337,18 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
 	c.stats.IrrelevantBytes += payload - relevant
 }
 
-// Consume drains the subscription until it is cancelled or its channel
+// Consume drains the subscription until it is cancelled or its network
 // closed, handling every message. It is intended to run on its own
 // goroutine.
 func (c *Client) Consume(sub *multicast.Subscription) {
-	for msg := range sub.C {
-		c.Handle(msg)
+	for {
+		batch, ok := sub.NextBatch()
+		for _, msg := range batch {
+			c.Handle(msg)
+		}
+		if !ok {
+			return
+		}
 	}
 }
 

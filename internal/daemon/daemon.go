@@ -98,12 +98,6 @@ type Daemon struct {
 	// nil uses the wall clock. Tests inject a fixed clock so published
 	// byte streams stay deterministic. Set before the first cycle.
 	Now func() int64
-	// DisableTimestamps turns off publish-timestamp stamping entirely,
-	// shrinking answer frames by 9 bytes and reverting them to the
-	// pre-timestamp wire format. Set before the first cycle.
-	DisableTimestamps bool
-
-	encOnce sync.Once // installs the multicast encoder on the first cycle
 
 	// ledger is the cycle pipeline ledger (see ledger.go); encodeNanos
 	// accumulates encode-once marshalling time for the current cycle's
@@ -160,6 +154,17 @@ func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, erro
 		SlowPolicy:       multicast.Evict,
 	}
 	d.hub = fanout.NewHub(cfg.Metrics, d.clockNano, d.logf)
+	// Every published message is stamped at seq assignment, for
+	// end-to-end latency accounting, and marshalled into a complete
+	// TypeAnswer frame exactly once; each session's writer writes that
+	// shared immutable slice directly.
+	mnet.SetClock(d.clockNano)
+	mnet.SetEncoder(func(m multicast.Message) []byte {
+		t0 := time.Now()
+		buf := wire.AppendMessageFrame(nil, m)
+		d.encodeNanos.Add(time.Since(t0).Nanoseconds())
+		return buf
+	})
 	return d, nil
 }
 
@@ -538,7 +543,6 @@ func (d *Daemon) Replans() int {
 // mode, a pending client refresh request (gap recovery) turns this
 // cycle's publish into full answers.
 func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
-	d.ensureEncoder()
 	rec := CycleRecord{
 		Cycle:         d.ledger.begin(),
 		StartUnixNano: d.clockNano(),
@@ -685,26 +689,6 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 	d.finishCycle(rec, d.metrics.FanoutDeliveries.Load())
 	d.hub.UpdateLagWatermarks()
 	return rep, nil
-}
-
-// ensureEncoder installs the encode-once hook on the multicast network
-// before the first publish cycle: each published message is marshalled
-// into a complete TypeAnswer frame exactly once, and every session's
-// writer writes that shared immutable slice directly.
-func (d *Daemon) ensureEncoder() {
-	d.encOnce.Do(func() {
-		if !d.DisableTimestamps {
-			// Stamp publishes at seq assignment so every frame carries
-			// its publish time for end-to-end latency accounting.
-			d.net.SetClock(d.clockNano)
-		}
-		d.net.SetEncoder(func(m multicast.Message) []byte {
-			t0 := time.Now()
-			buf := wire.AppendMessageFrame(nil, m)
-			d.encodeNanos.Add(time.Since(t0).Nanoseconds())
-			return buf
-		})
-	})
 }
 
 // Close shuts the daemon down immediately: every session's queue and

@@ -45,7 +45,7 @@ type fanoutWorld struct {
 // sequentially registered subscriptions, fixed solver seed), runs one
 // full cycle plus three delta cycles with seeded churn, shuts down
 // gracefully, and returns the raw per-client wire streams next to the
-// reference: a channel-mode subscription on every channel of the same
+// reference: a SubscribeBatch queue on every channel of the same
 // network, which receives each published message as a value — sequence
 // number and stamp assigned — through none of the session machinery.
 func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
@@ -93,15 +93,19 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 	out := fanoutWorld{streams: make(map[int][]byte), taps: make([][]multicast.Message, cfg.channels)}
 	var tapping sync.WaitGroup
 	for ch := 0; ch < cfg.channels; ch++ {
-		tap, err := d.Network().SubscribeWith(ch, 4096, multicast.Block)
+		tap, err := d.Network().SubscribeBatch(ch, 4096, multicast.Block)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tapping.Add(1)
 		go func() {
 			defer tapping.Done()
-			for msg := range tap.C { // until the daemon closes its network
-				out.taps[ch] = append(out.taps[ch], msg)
+			for { // until the daemon closes its network
+				batch, ok := tap.NextBatch()
+				out.taps[ch] = append(out.taps[ch], batch...)
+				if !ok {
+					return
+				}
 			}
 		}()
 	}

@@ -219,41 +219,3 @@ func TestStatuszAndBuildinfo(t *testing.T) {
 		t.Errorf("implausible build info: %+v", bi)
 	}
 }
-
-// TestDisableTimestamps pins the opt-out: with DisableTimestamps set,
-// published frames revert to the pre-timestamp encoding and clients see
-// a zero PublishedUnixNano.
-func TestDisableTimestamps(t *testing.T) {
-	d, addr := startDaemon(t, 1)
-	d.DisableTimestamps = true
-	conn, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Subscribe(query.Range(1, geom.R(0, 0, 900, 900))); err != nil {
-		t.Fatal(err)
-	}
-	waitForSubscriptions(t, d, 1)
-	if _, err := d.RunCycle(false); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for {
-		ev, err := conn.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Answer != nil {
-			if ev.Answer.PublishedUnixNano != 0 {
-				t.Fatalf("timestamps disabled but frame stamped %d", ev.Answer.PublishedUnixNano)
-			}
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("no answer frame before deadline")
-		default:
-		}
-	}
-}

@@ -15,6 +15,12 @@
 // consumer policy; whichever way a queue ends (teardown, eviction, write
 // failure), the writer flushes what it can and closes the connection.
 //
+// Framing contract: every message published on a network that a session
+// attaches to carries its frame — the root's network encodes each message
+// once as it is published (multicast.Network.SetEncoder, installed by
+// daemon.New), and a relay publishes the upstream's frames as they
+// arrived. The writer only ever writes those bytes; it never encodes.
+//
 // Accounting rule: the qsub_fanout_* frame counters (FramesWritten,
 // FramesShared, Bytes) count answer frames only, so FramesWritten equals
 // FanoutDeliveries at quiescence on every tier; control frames ride the
@@ -294,35 +300,20 @@ func (s *Session) write() {
 func (s *Session) drain() error {
 	m := s.hub.metrics
 	batch := make(net.Buffers, 0, maxBatch)
-	var fbuf []byte // frames for messages published before the encoder was installed
 	for {
 		msgs, ok := s.q.Next()
 		for len(msgs) > 0 {
 			n := min(len(msgs), maxBatch)
-			batch, fbuf = batch[:0], fbuf[:0]
-			var answers, shared, bytes uint64
+			batch = batch[:0]
+			var answers, bytes uint64
 			for i := range msgs[:n] {
-				msg := &msgs[i]
-				frame := msg.Frame
-				if msg.Channel != control {
+				if msgs[i].Channel != control {
 					answers++
-					if frame == nil {
-						// Rare pre-encoder publish: frame it locally.
-						// Appending at the tail keeps frames already batched
-						// valid even when the buffer grows (they stay on the
-						// old backing array).
-						start := len(fbuf)
-						fbuf = wire.AppendMessageFrame(fbuf, *msg)
-						frame = fbuf[start:]
-						m.FanoutEncodes.Inc()
-					} else {
-						shared++
-					}
-					bytes += uint64(len(frame))
+					bytes += uint64(len(msgs[i].Frame))
 				}
-				batch = append(batch, frame)
+				batch = append(batch, msgs[i].Frame)
 			}
-			m.FanoutFramesShared.Add(shared)
+			m.FanoutFramesShared.Add(answers)
 			m.FanoutBytes.Add(bytes)
 			if err := s.flush(batch); err != nil {
 				return err

@@ -84,17 +84,17 @@ func TestInBandOrder(t *testing.T) {
 			}
 			publish := func(channel, n int) {
 				msg := answer(channel, n)
-				tap, err := w.net.SubscribeWith(channel, 1, multicast.Block)
+				tap, err := w.net.SubscribeBatch(channel, 1, multicast.Block)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := w.net.Publish(msg); err != nil {
 					t.Fatal(err)
 				}
-				got := <-tap.C
+				got, _ := tap.NextBatch()
 				tap.Cancel()
 				if channel == ch {
-					want = append(want, got.Frame...)
+					want = append(want, got[0].Frame...)
 					answers++
 				}
 			}

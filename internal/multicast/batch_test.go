@@ -1,6 +1,9 @@
 package multicast
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,9 +32,6 @@ func TestBatchSubscriptionDeliversInOrder(t *testing.T) {
 	sub, err := n.SubscribeBatch(1, 8, Block)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sub.C != nil {
-		t.Fatal("batch subscription must have a nil C")
 	}
 	const total = 20
 	done := make(chan []Message)
@@ -177,116 +177,209 @@ func TestBatchDropNewestPolicy(t *testing.T) {
 	}
 }
 
-// TestBatchPublishCancelStress races concurrent publishers against
-// cancellation, mirroring the channel-mode stress test: no send after
-// close, no deadlock, every publisher released.
-func TestBatchPublishCancelStress(t *testing.T) {
-	n, err := NewNetwork(1)
-	if err != nil {
-		t.Fatal(err)
+// runMessages builds total messages for channel ch whose one tuple id is
+// the message's position in the run.
+func runMessages(ch, total int) []Message {
+	msgs := make([]Message, total)
+	for i := range msgs {
+		msgs[i] = Message{Channel: ch, Tuples: []relation.Tuple{{ID: uint64(i), Payload: make([]byte, i%5)}}}
 	}
-	const subs = 8
-	var wg sync.WaitGroup
-	for i := 0; i < subs; i++ {
-		sub, err := n.SubscribeBatch(0, 4, Block)
+	return msgs
+}
+
+// publishAll publishes msgs as one PublishBatch run, or one by one with
+// Publish.
+func publishAll(t *testing.T, n *Network, msgs []Message, batch bool) {
+	t.Helper()
+	if batch {
+		if err := n.PublishBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, m := range msgs {
+		if err := n.Publish(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sameStream compares two delivered streams by seq and tuple id.
+func sameStream(t *testing.T, name string, got, want []Message) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d messages, want %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Seq != want[i].Seq || got[i].Tuples[0].ID != want[i].Tuples[0].ID {
+			t.Fatalf("%s: message %d = seq %d tuple %d, want seq %d tuple %d",
+				name, i, got[i].Seq, got[i].Tuples[0].ID, want[i].Seq, want[i].Tuples[0].ID)
+		}
+	}
+}
+
+// TestPublishBatchEquivalence pins the one delivery loop: a run published
+// with PublishBatch and the same messages published one at a time with
+// Publish (runs of one) leave every queue subscriber the same stream
+// (order, seqs, tuples), the same eviction state and the same stats under
+// each policy. Block subscribers drain concurrently, so a run parks on a
+// full queue and resumes; Evict and DropNewest subscribers drain only
+// afterwards, so the 3- and 8-message queues fill and the 64-message one
+// never does. Under seeded loss both forms drop exactly the copies a
+// replay of the seeded draws predicts: one row per target per call,
+// target-major.
+func TestPublishBatchEquivalence(t *testing.T) {
+	const total = 50
+	buffers := []int{3, 8, 64}
+	for _, policy := range []Policy{Block, Evict, DropNewest} {
+		t.Run(policy.String(), func(t *testing.T) {
+			run := func(batch bool) ([][]Message, []bool, Stats) {
+				n, err := NewNetwork(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs := make([]*Subscription, len(buffers))
+				for i, b := range buffers {
+					if subs[i], err = n.SubscribeBatch(1, b, policy); err != nil {
+						t.Fatal(err)
+					}
+				}
+				streams := make([][]Message, len(subs))
+				var wg sync.WaitGroup
+				if policy == Block {
+					for i, sub := range subs {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							streams[i] = drainAll(sub)
+						}()
+					}
+				}
+				publishAll(t, n, runMessages(1, total), batch)
+				st := n.Stats()
+				n.Close()
+				wg.Wait()
+				evicted := make([]bool, len(subs))
+				for i, sub := range subs {
+					if policy != Block {
+						streams[i] = drainAll(sub)
+					}
+					evicted[i] = sub.Evicted()
+				}
+				return streams, evicted, st
+			}
+			streamsB, evictedB, stB := run(true)
+			streamsP, evictedP, stP := run(false)
+			if stB != stP {
+				t.Errorf("stats differ: batch %+v, per-message %+v", stB, stP)
+			}
+			if !slices.Equal(evictedB, evictedP) {
+				t.Errorf("evictions differ: batch %v, per-message %v", evictedB, evictedP)
+			}
+			for i := range buffers {
+				sameStream(t, fmt.Sprintf("buffer %d", buffers[i]), streamsB[i], streamsP[i])
+			}
+			if policy != Block && (len(streamsB[2]) != total || evictedB[2]) {
+				t.Errorf("the 64-message queue got %d messages, evicted %t; want all %d", len(streamsB[2]), evictedB[2], total)
+			}
+		})
+	}
+	t.Run("loss", func(t *testing.T) {
+		const seed, rate, targets = 7, 0.3, 3
+		for _, batch := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(seed))
+			drop := make([][]bool, targets) // [target][message]
+			for ti := range drop {
+				drop[ti] = make([]bool, total)
+			}
+			if batch {
+				for ti := range drop {
+					for i := range drop[ti] {
+						drop[ti][i] = rng.Float64() < rate
+					}
+				}
+			} else {
+				for i := 0; i < total; i++ {
+					for ti := range drop {
+						drop[ti][i] = rng.Float64() < rate
+					}
+				}
+			}
+			n, err := NewNetwork(2, WithLoss(rate, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs := make([]*Subscription, targets)
+			for i := range subs {
+				if subs[i], err = n.SubscribeBatch(1, total, Block); err != nil {
+					t.Fatal(err)
+				}
+			}
+			msgs := runMessages(1, total)
+			publishAll(t, n, msgs, batch)
+			st := n.Stats()
+			n.Close()
+			var delivered, bytes uint64
+			for ti, sub := range subs {
+				var want []Message
+				for i, d := range drop[ti] {
+					if !d {
+						want = append(want, Message{Seq: uint64(i + 1), Tuples: msgs[i].Tuples})
+						bytes += uint64(msgs[i].PayloadBytes())
+					}
+				}
+				delivered += uint64(len(want))
+				sameStream(t, fmt.Sprintf("batch=%t target %d", batch, ti), drainAll(sub), want)
+			}
+			if st.Deliveries != delivered || st.Dropped != targets*total-delivered || st.PayloadBytesDelivered != bytes {
+				t.Errorf("batch=%t: Deliveries %d, Dropped %d, PayloadBytesDelivered %d; want %d, %d, %d",
+					batch, st.Deliveries, st.Dropped, st.PayloadBytesDelivered, delivered, targets*total-delivered, bytes)
+			}
+		}
+	})
+}
+
+// TestPublishWakesParkedConsumer: a consumer parked on an empty queue is
+// woken by the run that makes it non-empty, a run of one included,
+// without waiting for the queue to close.
+func TestPublishWakesParkedConsumer(t *testing.T) {
+	for _, size := range []int{1, 4} {
+		n, err := NewNetwork(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(2)
+		sub, err := n.SubscribeBatch(0, 8, Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan int)
 		go func() {
-			defer wg.Done()
-			drainAll(sub)
-		}()
-		go func() {
-			defer wg.Done()
-			time.Sleep(time.Duration(i%4) * time.Millisecond)
-			sub.Cancel()
-		}()
-	}
-	var pubs sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		pubs.Add(1)
-		go func() {
-			defer pubs.Done()
-			for i := 0; i < 200; i++ {
-				if err := n.Publish(Message{Channel: 0}); err != nil {
-					t.Error(err)
+			for {
+				batch, ok := sub.NextBatch()
+				if len(batch) > 0 || !ok {
+					got <- len(batch)
+				}
+				if !ok {
 					return
 				}
 			}
 		}()
-	}
-	pubs.Wait()
-	n.Close()
-	wg.Wait()
-}
-
-// TestPublishBatchEquivalence pins PublishBatch as observably equivalent
-// to per-message Publish: same streams (order, seqs, payloads) for both
-// ring-mode and channel-mode subscribers, same stats.
-func TestPublishBatchEquivalence(t *testing.T) {
-	const total = 50
-	run := func(batch bool) ([]Message, []Message, Stats) {
-		n, err := NewNetwork(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ringSub, err := n.SubscribeBatch(1, 8, Block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chanSub, err := n.SubscribeWith(1, 8, Block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ringDone := make(chan []Message)
-		go func() { ringDone <- drainAll(ringSub) }()
-		chanDone := make(chan []Message)
-		go func() {
-			var got []Message
-			for m := range chanSub.C {
-				got = append(got, m)
-			}
-			chanDone <- got
-		}()
-		msgs := make([]Message, total)
-		for i := range msgs {
-			msgs[i] = Message{Channel: 1, Tuples: []relation.Tuple{{ID: uint64(i)}}}
-		}
-		if batch {
-			if err := n.PublishBatch(msgs); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for _, m := range msgs {
-				if err := n.Publish(m); err != nil {
-					t.Fatal(err)
+		for round := 0; round < 3; round++ {
+			time.Sleep(5 * time.Millisecond) // let the consumer park
+			publishAll(t, n, runMessages(0, size), size > 1)
+			received := 0
+			for received < size {
+				select {
+				case k := <-got:
+					received += k
+				case <-time.After(5 * time.Second):
+					t.Fatalf("run of %d, round %d: parked consumer never woke", size, round)
 				}
 			}
 		}
-		st := n.Stats()
 		n.Close()
-		return <-ringDone, <-chanDone, st
+		<-got
 	}
-	ringB, chanB, stB := run(true)
-	ringP, chanP, stP := run(false)
-	if stB != stP {
-		t.Errorf("stats differ: batch %+v, per-message %+v", stB, stP)
-	}
-	check := func(name string, got, want []Message) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: got %d messages, want %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Seq != want[i].Seq || got[i].Tuples[0].ID != want[i].Tuples[0].ID {
-				t.Fatalf("%s: message %d = seq %d tuple %d, want seq %d tuple %d",
-					name, i, got[i].Seq, got[i].Tuples[0].ID, want[i].Seq, want[i].Tuples[0].ID)
-			}
-		}
-	}
-	check("ring subscriber", ringB, ringP)
-	check("channel subscriber", chanB, chanP)
 }
 
 // TestPublishBatchSeqContinuity pins that Publish and PublishBatch share

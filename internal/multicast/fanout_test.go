@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"qsub/internal/metrics"
+	"qsub/internal/relation"
 )
 
 // fakeFrame builds a deterministic stand-in wire frame: channel, seq and
@@ -64,7 +65,7 @@ func TestEncodeOncePerPublish(t *testing.T) {
 	shared := make(map[uint64]*byte)
 	for _, sub := range subs {
 		sub.Cancel()
-		for msg := range sub.C {
+		for _, msg := range drainAll(sub) {
 			if len(msg.Frame) == 0 {
 				t.Fatalf("message seq %d delivered without a frame", msg.Seq)
 			}
@@ -140,7 +141,7 @@ func TestSharedFrameImmutableUnderStress(t *testing.T) {
 	var subs []*Subscription
 	for ch := 0; ch < channels; ch++ {
 		for i, p := range []Policy{policies[0], policies[1], policies[2], policies[1]} {
-			sub, err := net.SubscribeWith(ch, 2+i, p)
+			sub, err := net.SubscribeBatch(ch, 2+i, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,12 +151,18 @@ func TestSharedFrameImmutableUnderStress(t *testing.T) {
 			consumers.Add(1)
 			go func(sub *Subscription) {
 				defer consumers.Done()
-				for msg := range sub.C {
-					snapMu.Lock()
-					want := snaps[[2]uint64{uint64(msg.Channel), msg.Seq}]
-					snapMu.Unlock()
-					if !bytes.Equal(msg.Frame, want) {
-						mismatches.Add(1)
+				for {
+					batch, ok := sub.NextBatch()
+					for _, msg := range batch {
+						snapMu.Lock()
+						want := snaps[[2]uint64{uint64(msg.Channel), msg.Seq}]
+						snapMu.Unlock()
+						if !bytes.Equal(msg.Frame, want) {
+							mismatches.Add(1)
+						}
+					}
+					if !ok {
+						return
 					}
 				}
 			}(sub)
@@ -196,42 +203,92 @@ func TestSharedFrameImmutableUnderStress(t *testing.T) {
 	}
 }
 
-// TestPublishFrameMetricsAllocFree pins the PR 4 contract extended to
-// the fan-out instruments: enabling the encodes counter (and the rest of
-// the metrics) adds zero allocations to a Publish that attaches a
-// shared frame.
-func TestPublishFrameMetricsAllocFree(t *testing.T) {
-	run := func(withMetrics bool) float64 {
-		net, err := NewNetwork(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withMetrics {
-			reg := metrics.NewRegistry()
-			net.SetMetrics(
-				reg.Counter("deliveries", ""), reg.Counter("dropped", ""),
-				reg.Counter("evicted", ""), reg.Counter("encodes", ""))
-		}
-		// Precomputed frame: the encoder itself is allocation-free, so
-		// the measurement isolates Publish + instrument overhead.
-		frame := []byte{1, 2, 3, 4}
-		net.SetEncoder(func(Message) []byte { return frame })
-		sub, err := net.SubscribeWith(0, 1, DropNewest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := Message{Channel: 0}
-		return testing.AllocsPerRun(100, func() {
-			if err := net.Publish(msg); err != nil {
-				t.Fatal(err)
-			}
-			<-sub.C // drain so the buffer never overflows
-		})
+// allocNetwork builds a network for the allocation pins: an
+// allocation-free encoder (one precomputed frame), optionally every
+// fan-out metric and a fixed clock, and the given number of Block-policy
+// queue subscribers.
+func allocNetwork(t *testing.T, subscribers int, withMetrics, withClock bool) (*Network, []*Subscription) {
+	t.Helper()
+	net, err := NewNetwork(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base, instrumented := run(false), run(true)
-	if instrumented != base {
-		t.Fatalf("Publish with fan-out metrics: %v allocs/op, uninstrumented %v — instrumentation must be allocation-free",
-			instrumented, base)
+	if withMetrics {
+		reg := metrics.NewRegistry()
+		net.SetMetrics(
+			reg.Counter("deliveries", ""), reg.Counter("dropped", ""),
+			reg.Counter("evicted", ""), reg.Counter("encodes", ""))
+	}
+	if withClock {
+		net.SetClock(func() int64 { return 1234567890 })
+	}
+	frame := []byte{1, 2, 3, 4}
+	net.SetEncoder(func(Message) []byte { return frame })
+	subs := make([]*Subscription, subscribers)
+	for i := range subs {
+		if subs[i], err = net.SubscribeBatch(0, 64, Block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return net, subs
+}
+
+// publishAllocs reports the allocations of one warm publish: op publishes
+// and every subscriber drains, so the queues never fill and their two
+// buffers are already grown when measuring starts.
+func publishAllocs(subs []*Subscription, op func()) float64 {
+	step := func() {
+		op()
+		for _, sub := range subs {
+			sub.NextBatch()
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(200, step)
+}
+
+// TestPublishFrameMetricsAllocFree pins the zero-allocation publish: a
+// warm Publish of one framed message to 1 or 32 queue subscribers
+// allocates nothing, with and without the fan-out metrics and the clock.
+func TestPublishFrameMetricsAllocFree(t *testing.T) {
+	for _, subscribers := range []int{1, 32} {
+		for _, withMetrics := range []bool{false, true} {
+			for _, withClock := range []bool{false, true} {
+				net, subs := allocNetwork(t, subscribers, withMetrics, withClock)
+				msg := Message{Channel: 0, Tuples: []relation.Tuple{{ID: 1, Payload: []byte("x")}}}
+				allocs := publishAllocs(subs, func() {
+					if err := net.Publish(msg); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("Publish to %d subscribers (metrics %t, clock %t): %v allocs/op, want 0",
+						subscribers, withMetrics, withClock, allocs)
+				}
+			}
+		}
+	}
+}
+
+// TestPublishBatchAllocFree pins the run form of the same loop: a warm
+// PublishBatch of 8 framed messages to queue subscribers allocates
+// nothing, with and without the fan-out metrics and the clock.
+func TestPublishBatchAllocFree(t *testing.T) {
+	for _, withMetrics := range []bool{false, true} {
+		for _, withClock := range []bool{false, true} {
+			net, subs := allocNetwork(t, 4, withMetrics, withClock)
+			msgs := runMessages(0, 8)
+			allocs := publishAllocs(subs, func() {
+				if err := net.PublishBatch(msgs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("PublishBatch of 8 (metrics %t, clock %t): %v allocs/op, want 0", withMetrics, withClock, allocs)
+			}
+		}
 	}
 }
 
@@ -242,56 +299,45 @@ func ExampleNetwork_SetEncoder() {
 	})
 	sub, _ := net.Subscribe(0, 1)
 	net.Publish(Message{Channel: 0})
-	msg := <-sub.C
-	fmt.Println(string(msg.Frame))
+	batch, _ := sub.NextBatch()
+	fmt.Println(string(batch[0].Frame))
 	// Output: frame(seq=1)
 }
 
 // TestPublishClockStampAllocFree pins the timestamp half of the
-// zero-alloc contract: installing a publish clock stamps every message
-// at seq assignment without adding a single allocation, and the stamp
-// reaches subscribers (and the encoder) intact.
+// zero-alloc contract: with a publish clock installed, every message is
+// stamped at seq assignment without a single allocation, and the stamp
+// reaches queue subscribers (and the encoder) intact; without one,
+// messages stay unstamped.
 func TestPublishClockStampAllocFree(t *testing.T) {
-	run := func(withClock bool) float64 {
-		net, err := NewNetwork(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, withClock := range []bool{false, true} {
+		net, subs := allocNetwork(t, 1, false, withClock)
 		var stamped int64
-		if withClock {
-			net.SetClock(func() int64 { return 1234567890 })
-		}
 		frame := []byte{1, 2, 3, 4}
 		net.SetEncoder(func(m Message) []byte {
 			stamped = m.PublishedUnixNano
 			return frame
 		})
-		sub, err := net.SubscribeWith(0, 1, DropNewest)
-		if err != nil {
-			t.Fatal(err)
+		want := int64(0)
+		if withClock {
+			want = 1234567890
 		}
 		msg := Message{Channel: 0}
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := net.Publish(msg); err != nil {
 				t.Fatal(err)
 			}
-			got := <-sub.C
-			if withClock && got.PublishedUnixNano != 1234567890 {
-				t.Fatalf("delivered stamp %d, want 1234567890", got.PublishedUnixNano)
-			}
-			if !withClock && got.PublishedUnixNano != 0 {
-				t.Fatalf("no clock installed but message stamped %d", got.PublishedUnixNano)
+			batch, _ := subs[0].NextBatch()
+			if len(batch) != 1 || batch[0].PublishedUnixNano != want {
+				t.Fatalf("delivered %v, want one message stamped %d", batch, want)
 			}
 		})
-		if withClock && stamped != 1234567890 {
-			t.Fatalf("encoder saw stamp %d, want 1234567890", stamped)
+		if stamped != want {
+			t.Fatalf("encoder saw stamp %d, want %d", stamped, want)
 		}
-		return allocs
-	}
-	base, stamped := run(false), run(true)
-	if stamped != base {
-		t.Fatalf("Publish with clock: %v allocs/op, unstamped %v — stamping must be allocation-free",
-			stamped, base)
+		if allocs != 0 {
+			t.Fatalf("Publish (clock %t): %v allocs/op, want 0", withClock, allocs)
+		}
 	}
 }
 
@@ -312,12 +358,16 @@ func TestPublishBatchStampsWholeRun(t *testing.T) {
 	if err := net.PublishBatch(msgs); err != nil {
 		t.Fatal(err)
 	}
-	first := (<-sub.C).PublishedUnixNano
+	got := take(sub)
+	if len(got) != len(msgs) {
+		t.Fatalf("received %d messages, want %d", len(got), len(msgs))
+	}
+	first := got[0].PublishedUnixNano
 	if first == 0 {
 		t.Fatal("batch message unstamped")
 	}
 	for i := 1; i < len(msgs); i++ {
-		if got := (<-sub.C).PublishedUnixNano; got != first {
+		if got := got[i].PublishedUnixNano; got != first {
 			t.Fatalf("batch message %d stamped %d, first was %d — one clock read per batch", i, got, first)
 		}
 	}

@@ -4,27 +4,31 @@
 // client, the query identifiers whose answers the message contains (the
 // extractor being the original query itself for selection queries).
 //
-// Clients subscribe to exactly one channel and receive every message
-// published on it, concurrently, each on its own goroutine-friendly Go
-// channel. The network keeps exact byte accounting (payload bytes sent,
-// delivered, and per-delivery fan-out) so experiments can compare measured
-// traffic against the cost model's size(M) and U(Q,M) predictions.
-// Optional random loss injection exercises client-side gap detection.
+// Every listener is a Queue: a bounded slice queue with one consumer,
+// attached to one channel (a client) or to a set of channels (a relay
+// feed), which receives every message published on them in publish order.
+// Publish and PublishBatch run one delivery loop — Publish is the run of
+// one — that assigns sequence numbers, stamps and encodes each message
+// once, and appends it to every listener of its channel under the
+// listener's own lock. The network keeps exact byte accounting (payload
+// bytes sent, delivered, and per-delivery fan-out) so experiments can
+// compare measured traffic against the cost model's size(M) and U(Q,M)
+// predictions. Optional random loss injection exercises client-side gap
+// detection.
 //
-// Delivery is crash-proof under concurrent cancellation: every
-// subscription carries a send gate (a mutex plus a closed flag) that
-// Publish checks before touching the subscriber's channel, so Cancel and
-// Close can never race a publish into a send on a closed channel. What
-// happens when a subscriber's buffer is full is a per-subscription
-// Policy: Block (backpressure, the simulator default), Evict (cancel the
-// slow consumer so one stalled client never holds up a publish cycle),
-// or DropNewest (skip the message for that subscriber, surfacing as a
-// sequence gap).
+// Delivery is crash-proof under concurrent cancellation: a queue's mutex
+// and closed flag are its one send gate, checked under the mutex before
+// every append, and closing the queue releases producers parked for room.
+// What happens when a queue is full is its Policy: Block (backpressure,
+// the simulator default), Evict (close the slow consumer's queue so one
+// stalled client never holds up a publish cycle), or DropNewest (skip the
+// message for that listener, surfacing as a sequence gap).
 package multicast
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -149,7 +153,7 @@ const (
 	// drains (or is canceled). One stalled subscriber stalls the cycle,
 	// but no data is lost — the in-process simulator default.
 	Block Policy = iota
-	// Evict cancels the slow subscriber and counts it in
+	// Evict closes the slow subscriber's queue and counts it in
 	// Stats.SlowEvictions, so a publish cycle always completes. The
 	// daemon's delivery layer uses this by default.
 	Evict
@@ -190,17 +194,16 @@ func ParsePolicy(s string) (Policy, error) {
 type Network struct {
 	channels int
 	lossRate float64
-	policy   Policy // default for Subscribe
 
 	mu     sync.Mutex
 	rng    *rand.Rand
 	seqs   []uint64
 	closed bool
-	// subs holds each channel's subscriber list as an immutable
-	// snapshot: Subscribe, Cancel and Close install freshly built slices
-	// and never mutate one in place, so Publish can deliver from the
-	// snapshot it read under mu without copying it per message.
-	subs [][]*Subscription
+	// subs holds each channel's listener list as an immutable snapshot:
+	// Attach and Close install freshly built slices and never mutate one
+	// in place, so a publish can deliver from the snapshot it read under
+	// mu without copying it per message.
+	subs [][]*Queue
 
 	messagesPublished     atomic.Uint64
 	payloadBytesSent      atomic.Uint64
@@ -228,10 +231,6 @@ type Network struct {
 	// PublishedUnixNano once per Publish/PublishBatch call (see
 	// SetClock).
 	nowNano func() int64
-
-	// onEvict, when set, observes each slow-consumer eviction after the
-	// subscription has been canceled (see SetEvictHandler).
-	onEvict func(*Subscription)
 }
 
 // channelCounters holds the per-channel slice of the traffic counters.
@@ -253,12 +252,6 @@ func WithLoss(rate float64, seed int64) Option {
 	}
 }
 
-// WithPolicy sets the slow-consumer policy Subscribe attaches to new
-// subscriptions (SubscribeWith overrides it per subscription).
-func WithPolicy(p Policy) Option {
-	return func(n *Network) { n.policy = p }
-}
-
 // NewNetwork creates a network with the given number of channels.
 func NewNetwork(channels int, opts ...Option) (*Network, error) {
 	if channels < 1 {
@@ -267,7 +260,7 @@ func NewNetwork(channels int, opts ...Option) (*Network, error) {
 	n := &Network{
 		channels:   channels,
 		seqs:       make([]uint64, channels),
-		subs:       make([][]*Subscription, channels),
+		subs:       make([][]*Queue, channels),
 		perChannel: make([]channelCounters, channels),
 	}
 	for _, o := range opts {
@@ -325,62 +318,13 @@ func (n *Network) CurrentSeq(channel int) uint64 {
 	return n.seqs[channel]
 }
 
-// SetEvictHandler registers a callback observing slow-consumer
-// evictions. It is called from inside Publish, once per evicted
-// subscription, after the subscription has been canceled. Call before
-// concurrent publishing.
-func (n *Network) SetEvictHandler(h func(*Subscription)) { n.onEvict = h }
-
-// sendResult is the outcome of one delivery attempt.
-type sendResult int
-
-const (
-	sendOK   sendResult = iota // delivered
-	sendFull                   // buffer full, subscription still live
-	sendGone                   // subscription canceled
-)
-
-// Subscription is one listener's attachment to a channel. Messages arrive
-// on C; Cancel detaches and closes C. Subscriptions created with
-// SubscribeBatch have no C: they own a Queue of their own, their messages
-// arrive in batches through NextBatch, and Cancel closes that queue.
-type Subscription struct {
-	// C delivers the channel's messages in publish order. Nil for batch
-	// subscriptions (see SubscribeBatch / NextBatch).
-	C <-chan Message
-
-	net     *Network
-	channel int
-	policy  Policy
-	ch      chan Message
-	// ring replaces ch as the delivery queue: the subscription is one of
-	// the queue's channel attachments (see Network.Attach).
-	ring *Queue
-	// done closes when Cancel runs, releasing publishers blocked in a
-	// backpressure send before ch itself is closed.
-	done chan struct{}
-	once sync.Once
-
-	// mu and closed form the send gate: every send on ch happens either
-	// under mu with closed false, or registered in inflight while closed
-	// was false. Cancel flips closed under mu, wakes blocked senders via
-	// done, waits out inflight, and only then closes ch — so a send on a
-	// closed channel is impossible by construction. (Queue attachments
-	// gate through the queue's own mutex instead.)
-	mu       sync.Mutex
-	closed   bool
-	inflight sync.WaitGroup
-
-	evicted atomic.Bool
-}
-
-// Queue is the bounded delivery queue a connection owns for its whole
-// life: a double-buffered slice queue with one consumer. Producers append
-// under mu; the consumer swaps the whole queue out per Next call, so
-// steady state moves messages without per-delivery channel operations,
-// allocations or copying. The wake and space channels carry at most one
-// token each: wake parks the consumer when the queue is empty, space
-// parks producers waiting for room when it is full.
+// Queue is the bounded delivery queue of one listener: a double-buffered
+// slice queue with one consumer. Producers append under mu; the consumer
+// swaps the whole queue out per Next call, so steady state moves messages
+// without per-delivery channel operations, allocations or copying. The
+// wake and space channels carry at most one token each: wake parks the
+// consumer when the queue is empty, space parks producers waiting for
+// room when it is full.
 //
 // A queue receives what is published on the channels it is attached to
 // (Network.Attach: one channel for a client, a set for a relay feed; a
@@ -405,11 +349,11 @@ type Queue struct {
 	policy  Policy
 	evicted atomic.Bool
 
-	// net and subs are the queue's attachment — one Subscription in the
-	// subscriber list of each attached channel — written under net.mu
-	// and mu together.
-	net  *Network
-	subs []*Subscription
+	// net and channels are the queue's attachment — it is in the
+	// listener list of each of these channels — written under net.mu and
+	// mu together.
+	net      *Network
+	channels []int
 }
 
 // NewQueue creates a detached queue holding up to buffer messages per
@@ -431,48 +375,6 @@ func NewQueue(buffer int, policy Policy) *Queue {
 	}
 }
 
-// push appends one message under the queue's send gate. The wake token is
-// only sent on the empty→non-empty transition: a consumer parks only
-// after observing an empty queue under mu, so whichever producer makes
-// it non-empty again is guaranteed to leave a token behind.
-func (q *Queue) push(msg Message) sendResult {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return sendGone
-	}
-	if len(q.buf) >= q.cap {
-		q.mu.Unlock()
-		return sendFull
-	}
-	q.buf = append(q.buf, msg)
-	first := len(q.buf) == 1
-	q.mu.Unlock()
-	if first {
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
-	}
-	return sendOK
-}
-
-// pushWait is push with backpressure: it loops on the space token — the
-// consumer releases one per drain — re-attempting the gated push each
-// time, until the message is queued or the queue closes.
-func (q *Queue) pushWait(msg Message) sendResult {
-	for {
-		if res := q.push(msg); res != sendFull {
-			return res
-		}
-		select {
-		case <-q.space:
-		case <-q.done:
-			return sendGone
-		}
-	}
-}
-
 // Push queues a message that was not published on a channel — a control
 // frame the queue's owner wants written in order with the answers around
 // it. The message is queued as given (no sequence number, no stamp, no
@@ -480,24 +382,51 @@ func (q *Queue) pushWait(msg Message) sendResult {
 // evicted under the Evict policy and makes Push wait for room under Block
 // and DropNewest. Push reports false when the queue is, or became, closed.
 func (q *Queue) Push(msg Message) bool {
-	res := q.push(msg)
-	if res == sendFull {
+	for {
+		q.mu.Lock()
+		switch {
+		case q.closed:
+			q.mu.Unlock()
+			return false
+		case len(q.buf) < q.cap:
+			q.buf = append(q.buf, msg)
+			first := len(q.buf) == 1
+			q.mu.Unlock()
+			if first {
+				q.signal()
+			}
+			return true
+		}
+		q.mu.Unlock()
 		if q.policy == Evict {
 			q.evict()
 			return false
 		}
-		res = q.pushWait(msg)
+		select {
+		case <-q.space:
+		case <-q.done:
+			return false
+		}
 	}
-	return res == sendOK
+}
+
+// signal leaves the wake token for a consumer parked on an empty queue.
+// Producers send it only on the empty→non-empty transition: a consumer
+// parks only after observing an empty queue under mu, so whichever
+// producer makes it non-empty again is guaranteed to leave a token behind.
+func (q *Queue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
 }
 
 // evict closes the queue as a slow consumer's and counts the eviction on
-// the network it is attached to; it reports whether this call was the one
-// that did (a queue on several channels can be found full by several
-// publishes at once).
-func (q *Queue) evict() bool {
+// the network it is attached to, once however many publishes find it full
+// at the same time (a queue on several channels can be).
+func (q *Queue) evict() {
 	if !q.evicted.CompareAndSwap(false, true) { // before Close: the consumer sees why
-		return false
+		return
 	}
 	q.mu.Lock()
 	n := q.net
@@ -507,7 +436,6 @@ func (q *Queue) evict() bool {
 		n.slowEvictions.Add(1)
 		n.mEvicted.Inc()
 	}
-	return true
 }
 
 // Evicted reports whether the queue was closed by the Evict policy (as
@@ -524,10 +452,7 @@ func (q *Queue) Close() {
 		q.closed = true
 		n := q.net
 		q.mu.Unlock()
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
+		q.signal()
 		close(q.done)
 		if n != nil {
 			n.mu.Lock()
@@ -578,111 +503,108 @@ func (q *Queue) Next() (batch []Message, ok bool) {
 	}
 }
 
-// Evicted reports whether the subscription was canceled by the Evict
-// slow-consumer policy (as opposed to an explicit Cancel or network
-// Close). Consumers see the eviction as their range loop over C ending;
-// Evicted tells them why.
-func (s *Subscription) Evicted() bool {
-	if s.ring != nil {
-		return s.ring.Evicted()
-	}
-	return s.evicted.Load()
-}
+// tally accumulates one publish's delivery counts across its listeners.
+type tally struct{ delivered, bytes, overflow uint64 }
 
-// Cancel detaches the subscription and closes its message channel (for a
-// batch subscription, its queue). Messages already buffered remain
-// readable. Cancel is idempotent and safe to call concurrently with
-// Publish from any goroutine.
-func (s *Subscription) Cancel() {
-	if s.ring != nil {
-		s.ring.Close()
-		return
-	}
-	s.once.Do(func() {
-		s.net.detach(s)
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		close(s.done)     // release publishers blocked in backpressure
-		s.inflight.Wait() // no sender is touching ch anymore
-		close(s.ch)
-	})
-}
-
-// NextBatch is Queue.Next on a batch subscription's queue (see
-// SubscribeBatch); it panics on channel-mode subscriptions.
-func (s *Subscription) NextBatch() (batch []Message, ok bool) { return s.ring.Next() }
-
-// trySend attempts a non-blocking delivery under the send gate.
-func (s *Subscription) trySend(msg Message) sendResult {
-	if s.ring != nil {
-		return s.ring.push(msg)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return sendGone
-	}
-	select {
-	case s.ch <- msg:
-		s.mu.Unlock()
-		return sendOK
-	default:
-	}
-	s.mu.Unlock()
-	return sendFull
-}
-
-// blockingSend waits for buffer space (backpressure); cancellation
-// releases it. For channel subscriptions the send itself happens outside
-// mu but is covered by inflight, which Cancel drains before closing ch;
-// queue attachments wait on the queue (see Queue.pushWait), so the
-// send-on-closed guarantee holds without a WaitGroup.
-func (s *Subscription) blockingSend(msg Message) sendResult {
-	if s.ring != nil {
-		return s.ring.pushWait(msg)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return sendGone
-	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-	select {
-	case s.ch <- msg:
-		return sendOK
-	case <-s.done:
-		return sendGone
-	}
-}
-
-// detach removes the subscription from its channel's subscriber list.
-func (n *Network) detach(s *Subscription) {
-	n.mu.Lock()
-	n.remove(s)
-	n.mu.Unlock()
-}
-
-// add and remove install a fresh subscriber-list snapshot for the
-// subscription's channel (see the subs field). Callers hold n.mu.
-func (n *Network) add(s *Subscription) {
-	subs := n.subs[s.channel]
-	next := make([]*Subscription, 0, len(subs)+1)
-	next = append(next, subs...)
-	n.subs[s.channel] = append(next, s)
-}
-
-func (n *Network) remove(s *Subscription) {
-	subs := n.subs[s.channel]
-	for i, sub := range subs {
-		if sub == s {
-			next := make([]*Subscription, 0, len(subs)-1)
-			next = append(next, subs[:i]...)
-			n.subs[s.channel] = append(next, subs[i+1:]...)
+// publish appends a run of published messages to the queue under as few
+// lock acquisitions as its space allows and applies the queue's policy
+// whenever it is full. drop, when non-nil, marks the copies loss injection
+// suppresses. payload is the run's payload size; the copies that do not
+// land are subtracted from it, so delivered bytes cost nothing per copy.
+func (q *Queue) publish(msgs []Message, drop []bool, payload uint64, t *tally) {
+	t.bytes += payload
+	i := 0
+	for i < len(msgs) {
+		q.mu.Lock()
+		if q.closed {
+			q.mu.Unlock()
+			break
+		}
+		wasEmpty := len(q.buf) == 0
+		for ; i < len(msgs); i++ {
+			if drop != nil && drop[i] {
+				t.bytes -= uint64(msgs[i].PayloadBytes()) // lost copies need no room
+				continue
+			}
+			if len(q.buf) >= q.cap {
+				break
+			}
+			q.buf = append(q.buf, msgs[i])
+			t.delivered++
+		}
+		nonEmpty := len(q.buf) > 0
+		q.mu.Unlock()
+		if wasEmpty && nonEmpty {
+			q.signal()
+		}
+		if i == len(msgs) {
 			return
 		}
+		// Full at message i: the policy decides whether the run goes on.
+		switch q.policy {
+		case Block:
+			select {
+			case <-q.space:
+				continue
+			case <-q.done: // closed while waiting
+			}
+		case DropNewest:
+			t.overflow++
+			t.bytes -= uint64(msgs[i].PayloadBytes())
+			i++ // later messages try again
+			continue
+		case Evict:
+			q.evict()
+		}
+		break
+	}
+	t.bytes -= runPayload(msgs[i:]) // never reached the queue
+}
+
+// runPayload is the payload size of a run of messages.
+func runPayload(msgs []Message) uint64 {
+	var p uint64
+	for i := range msgs {
+		p += uint64(msgs[i].PayloadBytes())
+	}
+	return p
+}
+
+// Subscription is a listener that owns its queue: SubscribeBatch attaches
+// a queue of its own to one channel, for callers that neither move it nor
+// push into it. Messages arrive in batches through NextBatch; Cancel
+// closes the queue.
+type Subscription struct{ q *Queue }
+
+// NextBatch is Queue.Next on the subscription's queue.
+func (s *Subscription) NextBatch() (batch []Message, ok bool) { return s.q.Next() }
+
+// Cancel detaches the subscription and closes its queue. Messages already
+// queued remain readable. Cancel is idempotent and safe to call
+// concurrently with Publish from any goroutine.
+func (s *Subscription) Cancel() { s.q.Close() }
+
+// Evicted reports whether the subscription was closed by the Evict
+// slow-consumer policy (as opposed to an explicit Cancel or network
+// Close). Consumers see the eviction as NextBatch reporting the end;
+// Evicted tells them why.
+func (s *Subscription) Evicted() bool { return s.q.Evicted() }
+
+// add and remove install a fresh listener-list snapshot for the channel
+// (see the subs field). Callers hold n.mu.
+func (n *Network) add(ch int, q *Queue) {
+	subs := n.subs[ch]
+	next := make([]*Queue, 0, len(subs)+1)
+	next = append(next, subs...)
+	n.subs[ch] = append(next, q)
+}
+
+func (n *Network) remove(ch int, q *Queue) {
+	subs := n.subs[ch]
+	if i := slices.Index(subs, q); i >= 0 {
+		next := make([]*Queue, 0, len(subs)-1)
+		next = append(next, subs[:i]...)
+		n.subs[ch] = append(next, subs[i+1:]...)
 	}
 }
 
@@ -720,184 +642,59 @@ func (n *Network) reattach(q *Queue, channels ...int) error {
 	}
 	q.net = n
 	q.cap = q.per * max(1, len(channels))
-	old := q.subs
-	q.subs = make([]*Subscription, len(channels))
-	for i, ch := range channels {
-		q.subs[i] = &Subscription{net: n, channel: ch, policy: q.policy, ring: q}
-	}
-	subs := q.subs
+	old := q.channels
+	q.channels = slices.Clone(channels)
 	q.mu.Unlock()
-	for _, s := range old {
-		n.remove(s)
+	for _, ch := range old {
+		n.remove(ch, q)
 	}
-	for _, s := range subs {
-		n.add(s)
+	for _, ch := range channels {
+		n.add(ch, q)
 	}
 	return nil
 }
 
-// Subscribe attaches a listener to the channel with the given delivery
-// buffer and the network's default slow-consumer policy (Block unless
-// WithPolicy configured otherwise).
+// Subscribe attaches a Block-policy listener to the channel:
+// SubscribeBatch(channel, buffer, Block).
 func (n *Network) Subscribe(channel, buffer int) (*Subscription, error) {
-	return n.SubscribeWith(channel, buffer, n.policy)
+	return n.SubscribeBatch(channel, buffer, Block)
 }
 
-// SubscribeWith attaches a listener with an explicit slow-consumer
-// policy. Under Block, Publish waits when the subscriber's buffer is
-// full; under Evict or DropNewest, Publish never blocks on this
-// subscriber.
-func (n *Network) SubscribeWith(channel, buffer int, policy Policy) (*Subscription, error) {
-	if channel < 0 || channel >= n.channels {
-		return nil, fmt.Errorf("multicast: channel %d outside [0,%d)", channel, n.channels)
-	}
-	if buffer < 0 {
-		buffer = 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, fmt.Errorf("multicast: network closed")
-	}
-	ch := make(chan Message, buffer)
-	sub := &Subscription{
-		C:       ch,
-		net:     n,
-		channel: channel,
-		policy:  policy,
-		ch:      ch,
-		done:    make(chan struct{}),
-	}
-	n.add(sub)
-	return sub, nil
-}
-
-// SubscribeBatch attaches a batch-mode listener: a queue of its own,
-// attached to the one channel (see Queue and Attach — the form a caller
-// uses when it does not keep the queue across moves). Messages are
-// consumed through NextBatch instead of C (which is nil), and each
-// delivery is a mutex-guarded append rather than a channel send: with
-// thousands of subscribers per publish, that cuts the per-delivery cost
-// to a fraction of a channel operation and lets the consumer drain
-// arbitrarily deep queues in one swap. Policies, eviction, loss
-// injection and the crash-proof cancellation guarantees behave exactly
-// as with SubscribeWith. buffer is clamped to at least 1 (a batch
-// subscription has no rendezvous mode).
+// SubscribeBatch attaches a listener with a queue of its own to the one
+// channel (see Queue and Attach — the form a caller uses when it does not
+// keep the queue across moves). Messages are consumed through NextBatch,
+// which drains arbitrarily deep queues in one swap. Under Block, a
+// publish waits when the queue is full; under Evict or DropNewest, a
+// publish never blocks on this listener. buffer is clamped to at least 1.
 func (n *Network) SubscribeBatch(channel, buffer int, policy Policy) (*Subscription, error) {
-	if channel < 0 || channel >= n.channels {
-		return nil, fmt.Errorf("multicast: channel %d outside [0,%d)", channel, n.channels)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, fmt.Errorf("multicast: network closed")
-	}
 	q := NewQueue(buffer, policy)
-	n.reattach(q, channel)
-	return q.subs[0], nil // stable under n.mu
+	if err := n.Attach(q, channel); err != nil {
+		return nil, err
+	}
+	return &Subscription{q}, nil
 }
 
-// Publish places the message on its channel: one payload charge on the
-// wire, one delivery per current subscriber. The message's Seq field is
-// assigned by the network. Publish blocks only on Block-policy
-// subscribers with full buffers; Evict and DropNewest subscribers can
-// never stall a publish cycle.
+// Publish places the message on its channel: it is PublishBatch's run of
+// one, and like it allocates nothing of its own.
 func (n *Network) Publish(msg Message) error {
-	if msg.Channel < 0 || msg.Channel >= n.channels {
-		return fmt.Errorf("multicast: channel %d outside [0,%d)", msg.Channel, n.channels)
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return fmt.Errorf("multicast: network closed")
-	}
-	n.seqs[msg.Channel]++
-	msg.Seq = n.seqs[msg.Channel]
-	// Subscriber lists are immutable snapshots (see the subs field), so
-	// the steady-state publish path delivers without copying the list.
-	targets := n.subs[msg.Channel]
-	var drop []bool
-	if n.lossRate > 0 {
-		drop = make([]bool, len(targets))
-		for i := range targets {
-			drop[i] = n.rng.Float64() < n.lossRate
-		}
-	}
-	n.mu.Unlock()
-
-	if n.nowNano != nil {
-		msg.PublishedUnixNano = n.nowNano()
-	}
-	if n.encoder != nil && len(targets) > 0 {
-		// Encode once per publish: every subscriber below receives this
-		// same immutable frame. Encoding happens after seq assignment
-		// and timestamping (the frame carries both) and outside the
-		// network lock.
-		msg.Frame = n.encoder(msg)
-		n.mEncodes.Inc()
-	}
-
-	payload := uint64(msg.PayloadBytes())
-	n.messagesPublished.Add(1)
-	n.payloadBytesSent.Add(payload)
-	n.headerBytesSent.Add(uint64(msg.HeaderBytes()))
-	n.perChannel[msg.Channel].messages.Add(1)
-	n.perChannel[msg.Channel].payload.Add(payload)
-	var delivered, droppedCount uint64
-	var evicted []*Subscription
-	for i, sub := range targets {
-		if drop != nil && drop[i] {
-			n.dropped.Add(1)
-			droppedCount++
-			continue
-		}
-		res := sub.trySend(msg)
-		if res == sendFull {
-			switch sub.policy {
-			case Block:
-				res = sub.blockingSend(msg)
-			case DropNewest:
-				n.overflowDrops.Add(1)
-				droppedCount++
-				continue
-			case Evict:
-				evicted = append(evicted, sub)
-				continue
-			}
-		}
-		if res != sendOK {
-			continue // canceled between snapshot and delivery
-		}
-		n.deliveries.Add(1)
-		n.payloadBytesDelivered.Add(payload)
-		delivered++
-	}
-	n.evictAll(evicted)
-	if delivered > 0 {
-		n.mDeliveries.Add(delivered)
-	}
-	if droppedCount > 0 {
-		n.mDropped.Add(droppedCount)
-	}
-	return nil
+	run := [1]Message{msg}
+	return n.PublishBatch(run[:])
 }
 
 // PublishBatch publishes a run of messages that all travel on the same
-// channel. It is observably equivalent to calling Publish on each
-// message in order, but amortizes the per-subscriber synchronization
-// across the run: sequence numbers are assigned under one network lock,
-// and each batch-mode subscriber's ring is locked once per stretch of
-// available space instead of once per message. With thousands of
-// subscribers and a hundred-odd messages per channel per cycle, the
-// per-delivery mutex round-trip is the dominant publish-side cost this
-// removes. Channel-mode subscribers receive the run as ordinary
-// per-message sends.
+// channel: one payload charge on the wire per message, one delivery per
+// message and current listener, in run order. The network assigns each
+// message's Seq under one lock, then stamps (SetClock) and encodes
+// (SetEncoder) it, writing all three back into msgs. Each listener's
+// queue is locked once per stretch of available space instead of once
+// per message: with thousands of listeners and a hundred-odd messages per
+// channel per cycle, the per-delivery mutex round-trip is the dominant
+// publish-side cost this removes. A publish blocks only on Block-policy
+// listeners with full queues; Evict and DropNewest listeners can never
+// stall a publish cycle.
 func (n *Network) PublishBatch(msgs []Message) error {
-	switch len(msgs) {
-	case 0:
+	if len(msgs) == 0 {
 		return nil
-	case 1:
-		return n.Publish(msgs[0])
 	}
 	ch := msgs[0].Channel
 	if ch < 0 || ch >= n.channels {
@@ -918,24 +715,20 @@ func (n *Network) PublishBatch(msgs []Message) error {
 		msgs[i].Seq = n.seqs[ch]
 	}
 	targets := n.subs[ch]
-	// drop is the loss matrix, one contiguous row per target.
+	// Loss is drawn here, with the seqs, one contiguous row per target
+	// (target-major), and every drawn drop counts as one.
 	var drop []bool
+	var lost uint64
 	if n.lossRate > 0 && len(targets) > 0 {
 		drop = make([]bool, len(targets)*len(msgs))
 		for i := range drop {
-			drop[i] = n.rng.Float64() < n.lossRate
+			if drop[i] = n.rng.Float64() < n.lossRate; drop[i] {
+				lost++
+			}
 		}
 	}
 	n.mu.Unlock()
 
-	payloads := make([]uint64, len(msgs))
-	var sentPayload, sentHeader uint64
-	for i := range msgs {
-		p := uint64(msgs[i].PayloadBytes())
-		payloads[i] = p
-		sentPayload += p
-		sentHeader += uint64(msgs[i].HeaderBytes())
-	}
 	if n.nowNano != nil {
 		// One clock read stamps the whole run: the batch shares a
 		// publish instant, which is what latency accounting compares
@@ -946,141 +739,44 @@ func (n *Network) PublishBatch(msgs []Message) error {
 		}
 	}
 	if n.encoder != nil && len(targets) > 0 {
+		// Encode once per message, after seq assignment and stamping (the
+		// frame carries both): every listener receives this same
+		// immutable frame.
 		for i := range msgs {
 			msgs[i].Frame = n.encoder(msgs[i])
 		}
 		n.mEncodes.Add(uint64(len(msgs)))
 	}
+	payload := runPayload(msgs)
+	var header uint64
+	for i := range msgs {
+		header += uint64(msgs[i].HeaderBytes())
+	}
 	n.messagesPublished.Add(uint64(len(msgs)))
-	n.payloadBytesSent.Add(sentPayload)
-	n.headerBytesSent.Add(sentHeader)
+	n.payloadBytesSent.Add(payload)
+	n.headerBytesSent.Add(header)
 	n.perChannel[ch].messages.Add(uint64(len(msgs)))
-	n.perChannel[ch].payload.Add(sentPayload)
+	n.perChannel[ch].payload.Add(payload)
 
-	var delivered, deliveredBytes, lossDrops, overflow uint64
-	var evicted []*Subscription
-	for ti, sub := range targets {
-		var dropRow []bool
+	var t tally
+	for ti, q := range targets {
+		var row []bool
 		if drop != nil {
-			dropRow = drop[ti*len(msgs) : (ti+1)*len(msgs)]
+			row = drop[ti*len(msgs) : (ti+1)*len(msgs)]
 		}
-		if sub.ring == nil {
-			// Channel-mode subscriber: per-message sends, as in Publish. A
-			// canceled or evicted subscriber ends its run early — the
-			// remaining messages could not land anyway.
-			for i := range msgs {
-				if dropRow != nil && dropRow[i] {
-					lossDrops++
-					continue
-				}
-				res := sub.trySend(msgs[i])
-				if res == sendFull {
-					switch sub.policy {
-					case Block:
-						res = sub.blockingSend(msgs[i])
-					case DropNewest:
-						overflow++
-						continue
-					case Evict:
-						evicted = append(evicted, sub)
-						res = sendGone
-					}
-				}
-				if res != sendOK {
-					break
-				}
-				delivered++
-				deliveredBytes += payloads[i]
-			}
-			continue
-		}
-		// Batch-mode subscriber: append the whole run under as few ring
-		// lock acquisitions as buffer space allows.
-		r := sub.ring
-		i := 0
-	run:
-		for i < len(msgs) {
-			r.mu.Lock()
-			if r.closed {
-				r.mu.Unlock()
-				break
-			}
-			wasEmpty := len(r.buf) == 0
-			for i < len(msgs) {
-				if dropRow != nil && dropRow[i] {
-					lossDrops++ // loss drops need no buffer space
-					i++
-					continue
-				}
-				if len(r.buf) >= r.cap {
-					break
-				}
-				r.buf = append(r.buf, msgs[i])
-				delivered++
-				deliveredBytes += payloads[i]
-				i++
-			}
-			nonEmpty := len(r.buf) > 0
-			r.mu.Unlock()
-			if wasEmpty && nonEmpty {
-				select {
-				case r.wake <- struct{}{}:
-				default:
-				}
-			}
-			if i >= len(msgs) {
-				break
-			}
-			// Ring full mid-run: apply the slow-consumer policy, then
-			// re-acquire and continue the run.
-			switch sub.policy {
-			case Block:
-				select {
-				case <-r.space:
-				case <-r.done:
-					break run // canceled while waiting
-				}
-			case DropNewest:
-				overflow++
-				i++ // this message is dropped; later ones re-attempt
-			case Evict:
-				evicted = append(evicted, sub)
-				break run
-			}
-		}
+		q.publish(msgs, row, payload, &t)
 	}
-	n.deliveries.Add(delivered)
-	n.payloadBytesDelivered.Add(deliveredBytes)
-	n.dropped.Add(lossDrops)
-	n.overflowDrops.Add(overflow)
-	n.evictAll(evicted)
-	if delivered > 0 {
-		n.mDeliveries.Add(delivered)
+	n.deliveries.Add(t.delivered)
+	n.payloadBytesDelivered.Add(t.bytes)
+	n.dropped.Add(lost)
+	n.overflowDrops.Add(t.overflow)
+	if t.delivered > 0 {
+		n.mDeliveries.Add(t.delivered)
 	}
-	if dc := lossDrops + overflow; dc > 0 {
+	if dc := lost + t.overflow; dc > 0 {
 		n.mDropped.Add(dc)
 	}
 	return nil
-}
-
-// evictAll cancels subscribers whose buffers were full under the Evict
-// policy, counting and reporting each eviction.
-func (n *Network) evictAll(evicted []*Subscription) {
-	for _, sub := range evicted {
-		if sub.ring != nil {
-			if !sub.ring.evict() {
-				continue
-			}
-		} else {
-			sub.evicted.Store(true) // before Cancel: consumers see why C closed
-			sub.Cancel()
-			n.slowEvictions.Add(1)
-			n.mEvicted.Inc()
-		}
-		if n.onEvict != nil {
-			n.onEvict(sub)
-		}
-	}
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -1109,7 +805,7 @@ func (n *Network) ChannelStats() []struct{ Messages, PayloadBytes uint64 } {
 	return out
 }
 
-// Close cancels every subscription and rejects further publishes.
+// Close closes every listener's queue and rejects further publishes.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -1117,12 +813,12 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
-	var all []*Subscription
+	var all []*Queue
 	for _, subs := range n.subs {
 		all = append(all, subs...)
 	}
 	n.mu.Unlock()
-	for _, sub := range all {
-		sub.Cancel()
+	for _, q := range all {
+		q.Close()
 	}
 }

@@ -3,6 +3,7 @@ package multicast
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"qsub/internal/geom"
 	"qsub/internal/query"
@@ -19,6 +20,16 @@ func testMessage(ch int, payloads ...int) Message {
 		})
 	}
 	return msg
+}
+
+// take returns what the subscription has queued, without waiting for
+// more.
+func take(sub *Subscription) []Message {
+	if sub.q.Depth() == 0 {
+		return nil
+	}
+	batch, _ := sub.NextBatch()
+	return append([]Message(nil), batch...)
 }
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -44,7 +55,11 @@ func TestPublishDeliversToSubscribers(t *testing.T) {
 	if err := n.Publish(testMessage(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	msg := <-sub.C
+	got := take(sub)
+	if len(got) != 1 {
+		t.Fatalf("received %d messages, want 1", len(got))
+	}
+	msg := got[0]
 	if msg.Seq != 1 {
 		t.Fatalf("Seq = %d, want 1", msg.Seq)
 	}
@@ -59,11 +74,11 @@ func TestChannelIsolation(t *testing.T) {
 	sub0, _ := n.Subscribe(0, 4)
 	sub1, _ := n.Subscribe(1, 4)
 	n.Publish(testMessage(0, 1))
-	<-sub0.C
-	select {
-	case msg := <-sub1.C:
-		t.Fatalf("channel 1 received foreign message %v", msg)
-	default:
+	if got := take(sub0); len(got) != 1 {
+		t.Fatalf("channel 0 received %d messages, want 1", len(got))
+	}
+	if got := take(sub1); len(got) != 0 {
+		t.Fatalf("channel 1 received foreign messages %v", got)
 	}
 }
 
@@ -75,14 +90,11 @@ func TestSeqPerChannel(t *testing.T) {
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(1, 1))
-	if m := <-s0.C; m.Seq != 1 {
-		t.Fatalf("first message on ch0 Seq = %d", m.Seq)
+	if m := take(s0); len(m) != 2 || m[0].Seq != 1 || m[1].Seq != 2 {
+		t.Fatalf("ch0 received %v, want seqs 1, 2", m)
 	}
-	if m := <-s0.C; m.Seq != 2 {
-		t.Fatalf("second message on ch0 Seq = %d", m.Seq)
-	}
-	if m := <-s1.C; m.Seq != 1 {
-		t.Fatalf("first message on ch1 Seq = %d (sequences are per channel)", m.Seq)
+	if m := take(s1); len(m) != 1 || m[0].Seq != 1 {
+		t.Fatalf("ch1 received %v, want seq 1 (sequences are per channel)", m)
 	}
 }
 
@@ -104,8 +116,9 @@ func TestStatsAccounting(t *testing.T) {
 	b, _ := n.Subscribe(0, 4)
 	msg := testMessage(0, 6) // payload 24+6 = 30
 	n.Publish(msg)
-	<-a.C
-	<-b.C
+	if a.q.Depth() != 1 || b.q.Depth() != 1 {
+		t.Fatalf("queued %d and %d copies, want 1 each", a.q.Depth(), b.q.Depth())
+	}
 	st := n.Stats()
 	if st.MessagesPublished != 1 {
 		t.Fatalf("MessagesPublished = %d", st.MessagesPublished)
@@ -129,8 +142,8 @@ func TestCancelStopsDelivery(t *testing.T) {
 	defer n.Close()
 	sub, _ := n.Subscribe(0, 4)
 	sub.Cancel()
-	if _, ok := <-sub.C; ok {
-		t.Fatal("cancelled subscription channel should be closed")
+	if got, ok := sub.NextBatch(); ok || len(got) != 0 {
+		t.Fatal("cancelled subscription should be finished and empty")
 	}
 	// Publishing afterwards must not block or deliver.
 	if err := n.Publish(testMessage(0, 1)); err != nil {
@@ -145,8 +158,8 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	n, _ := NewNetwork(1)
 	sub, _ := n.Subscribe(0, 4)
 	n.Close()
-	if _, ok := <-sub.C; ok {
-		t.Fatal("close should close subscription channels")
+	if _, ok := sub.NextBatch(); ok {
+		t.Fatal("close should close subscription queues")
 	}
 	if err := n.Publish(testMessage(0, 1)); err == nil {
 		t.Fatal("publish after close should fail")
@@ -163,10 +176,8 @@ func TestLossInjectionDropsAndCounts(t *testing.T) {
 	sub, _ := n.Subscribe(0, 4)
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(0, 1))
-	select {
-	case msg := <-sub.C:
-		t.Fatalf("lossy network delivered %v", msg)
-	default:
+	if got := take(sub); len(got) != 0 {
+		t.Fatalf("lossy network delivered %v", got)
 	}
 	st := n.Stats()
 	if st.Dropped != 2 || st.Deliveries != 0 {
@@ -190,9 +201,10 @@ func TestConcurrentPublishAndConsume(t *testing.T) {
 		wg.Add(1)
 		go func(ch int, sub *Subscription) {
 			defer wg.Done()
-			for range sub.C {
-				received[ch]++
-				if received[ch] == perChannel {
+			for received[ch] < perChannel {
+				batch, ok := sub.NextBatch()
+				received[ch] += len(batch)
+				if !ok {
 					return
 				}
 			}
@@ -264,18 +276,20 @@ func TestSubscribeDuringTraffic(t *testing.T) {
 	n.Publish(testMessage(0, 1))
 	late, _ := n.Subscribe(0, 16)
 	n.Publish(testMessage(0, 1))
-	if got := len(early.C); got != 2 {
+	if got := early.q.Depth(); got != 2 {
 		t.Fatalf("early subscriber buffered %d messages, want 2", got)
 	}
-	if got := len(late.C); got != 1 {
+	if got := late.q.Depth(); got != 1 {
 		t.Fatalf("late subscriber buffered %d messages, want 1 (no replay)", got)
 	}
 	// The late subscriber's first message exposes the missed sequence.
-	if msg := <-late.C; msg.Seq != 2 {
+	if msg := take(late)[0]; msg.Seq != 2 {
 		t.Fatalf("late subscriber sees Seq %d, want 2", msg.Seq)
 	}
 }
 
+// TestNegativeBufferClamped: a buffer below 1 holds one message, so a
+// second Block publish waits for the consumer.
 func TestNegativeBufferClamped(t *testing.T) {
 	n, _ := NewNetwork(1)
 	defer n.Close()
@@ -283,12 +297,22 @@ func TestNegativeBufferClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Message, 1)
-	go func() { done <- <-sub.C }()
 	if err := n.Publish(testMessage(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	blocked := make(chan error)
+	go func() { blocked <- n.Publish(testMessage(0, 1)) }()
+	select {
+	case <-blocked:
+		t.Fatal("second publish into a one-message buffer did not wait")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := take(sub); len(got) != 1 {
+		t.Fatalf("queued %d messages, want 1", len(got))
+	}
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestChannelStats(t *testing.T) {

@@ -11,27 +11,24 @@ func testMsg(channel int) Message {
 }
 
 // TestEvictPolicy: a subscriber that stops draining is evicted at the
-// publish that finds its buffer full — the publish completes immediately
-// instead of blocking, the eviction is counted, and the subscriber's
-// channel closes after the buffered backlog.
+// publish that finds its queue full — the publish completes immediately
+// instead of blocking, the eviction is counted, the message that found
+// it full is not delivered, and the queue ends after the backlog that fit.
 func TestEvictPolicy(t *testing.T) {
 	n, err := NewNetwork(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	var evicted []*Subscription
-	n.SetEvictHandler(func(s *Subscription) { evicted = append(evicted, s) })
-
-	stalled, err := n.SubscribeWith(0, 1, Evict)
+	stalled, err := n.SubscribeBatch(0, 1, Evict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := n.SubscribeWith(0, 4, Evict)
+	healthy, err := n.SubscribeBatch(0, 4, Evict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First publish fills the stalled subscriber's 1-slot buffer; the
+	// First publish fills the stalled subscriber's 1-slot queue; the
 	// second finds it full and must evict rather than block.
 	for i := 0; i < 2; i++ {
 		if err := n.Publish(testMsg(0)); err != nil {
@@ -42,27 +39,30 @@ func TestEvictPolicy(t *testing.T) {
 	if st.SlowEvictions != 1 {
 		t.Fatalf("SlowEvictions = %d, want 1", st.SlowEvictions)
 	}
-	if !stalled.Evicted() {
-		t.Fatal("stalled subscription not marked evicted")
+	if st.Deliveries != 3 {
+		t.Fatalf("Deliveries = %d, want 3 (2 healthy + the 1 that fit before eviction)", st.Deliveries)
 	}
-	if len(evicted) != 1 || evicted[0] != stalled {
-		t.Fatalf("evict handler saw %v, want the stalled subscription", evicted)
+	if !stalled.Evicted() || healthy.Evicted() {
+		t.Fatalf("evicted: stalled %t, healthy %t; want true, false", stalled.Evicted(), healthy.Evicted())
 	}
-	// The backlog that fit the buffer is still delivered, then C closes.
-	if _, ok := <-stalled.C; !ok {
-		t.Fatal("buffered message should survive eviction")
+	// The backlog that fit the queue is still delivered, then it ends.
+	if got := drainAll(stalled); len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("evicted subscription drained %v, want only seq 1", got)
 	}
-	if _, ok := <-stalled.C; ok {
-		t.Fatal("evicted subscription's channel should close after its backlog")
+	// A later publish neither reaches the evicted queue nor evicts again.
+	if err := n.Publish(testMsg(0)); err != nil {
+		t.Fatal(err)
 	}
-	// The healthy subscriber saw both messages.
-	if got := len(healthy.C); got != 2 {
-		t.Fatalf("healthy subscriber has %d buffered messages, want 2", got)
+	if st := n.Stats(); st.SlowEvictions != 1 || st.Deliveries != 4 {
+		t.Fatalf("after eviction: SlowEvictions %d, Deliveries %d; want 1, 4", st.SlowEvictions, st.Deliveries)
 	}
-	healthy.Cancel()
+	// The healthy subscriber saw all three messages.
+	if got := take(healthy); len(got) != 3 {
+		t.Fatalf("healthy subscriber has %d queued messages, want 3", len(got))
+	}
 }
 
-// TestDropNewestPolicy: a full buffer drops the incoming copy (counted,
+// TestDropNewestPolicy: a full queue drops the incoming copy (counted,
 // surfacing to clients as a sequence gap) but keeps the subscription.
 func TestDropNewestPolicy(t *testing.T) {
 	n, err := NewNetwork(1)
@@ -70,7 +70,7 @@ func TestDropNewestPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	sub, err := n.SubscribeWith(0, 1, DropNewest)
+	sub, err := n.SubscribeBatch(0, 1, DropNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,24 +80,25 @@ func TestDropNewestPolicy(t *testing.T) {
 		}
 	}
 	st := n.Stats()
-	if st.OverflowDrops != 2 {
-		t.Fatalf("OverflowDrops = %d, want 2", st.OverflowDrops)
+	if st.OverflowDrops != 2 || st.Deliveries != 1 {
+		t.Fatalf("OverflowDrops = %d, Deliveries = %d; want 2, 1", st.OverflowDrops, st.Deliveries)
+	}
+	if one := testMsg(0); st.PayloadBytesDelivered != uint64(one.PayloadBytes()) {
+		t.Fatalf("PayloadBytesDelivered = %d, want one message's %d", st.PayloadBytesDelivered, one.PayloadBytes())
 	}
 	if st.SlowEvictions != 0 || sub.Evicted() {
 		t.Fatal("DropNewest must not evict")
 	}
 	// The first message survived; its seq is 1 and the next delivered
 	// message (after draining) exposes the gap to the client.
-	msg := <-sub.C
-	if msg.Seq != 1 {
-		t.Fatalf("kept message seq = %d, want 1", msg.Seq)
+	if got := take(sub); len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("kept %v, want only seq 1", got)
 	}
 	if err := n.Publish(testMsg(0)); err != nil {
 		t.Fatal(err)
 	}
-	msg = <-sub.C
-	if msg.Seq != 4 {
-		t.Fatalf("post-drop message seq = %d, want 4 (seqs 2,3 dropped)", msg.Seq)
+	if got := take(sub); len(got) != 1 || got[0].Seq != 4 {
+		t.Fatalf("post-drop messages %v, want seq 4 (seqs 2,3 dropped)", got)
 	}
 	sub.Cancel()
 }

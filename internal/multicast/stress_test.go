@@ -5,11 +5,16 @@ import (
 	"testing"
 )
 
-// TestPublishCancelStress hammers Publish against concurrent Cancel and
-// Close. Against the pre-gate delivery path (send on sub.ch after
-// releasing n.mu, close(s.ch) in Cancel) this crashed within a few
-// hundred iterations with "send on closed channel"; the per-subscription
-// send gate must keep it silent under -race.
+// TestPublishCancelStress races Block-policy publishers — single messages
+// and runs — against Cancel and Close. Every queue holds one message and
+// its consumer stops after a few batches, so publishers park on full
+// queues and only Cancel or Close can release them. Each subscription is
+// canceled twice while publishes are in flight (idempotence). On odd
+// rounds the network also closes mid-publish; on even rounds it closes
+// only after every publisher returned, which each must do without error
+// once Cancel has released it. Under -race (make race-delivery) the
+// queue's send gate must keep it silent: no append after close, no
+// deadlock, no publisher left parked.
 func TestPublishCancelStress(t *testing.T) {
 	const (
 		rounds      = 200
@@ -22,54 +27,65 @@ func TestPublishCancelStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
+		closeEarly := round%2 == 1
+		var wg, pubs sync.WaitGroup
 		subs := make([]*Subscription, subscribers)
 		for i := range subs {
-			sub, err := n.Subscribe(i%2, 1)
+			sub, err := n.SubscribeBatch(i%2, 1, Block)
 			if err != nil {
 				t.Fatal(err)
 			}
 			subs[i] = sub
 			wg.Add(1)
-			go func(sub *Subscription) { // consumer: drains a little, then stops
+			go func() { // consumer: drains a little, then stops
 				defer wg.Done()
 				for j := 0; j < 3; j++ {
-					if _, ok := <-sub.C; !ok {
+					if _, ok := sub.NextBatch(); !ok {
 						return
 					}
 				}
-			}(sub)
+			}()
 		}
 		for p := 0; p < publishers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
+			pubs.Add(1)
+			go func() {
+				defer pubs.Done()
 				for j := 0; j < messages; j++ {
-					n.Publish(testMessage(p % 2)) // errors after Close are fine
+					var err error
+					if p%2 == 0 {
+						err = n.Publish(testMessage(p % 2))
+					} else {
+						err = n.PublishBatch([]Message{testMessage(p % 2), testMessage(p % 2), testMessage(p % 2)})
+					}
+					if err != nil && !closeEarly {
+						t.Errorf("publish before Close: %v", err)
+						return
+					}
 				}
-			}(p)
+			}()
 		}
-		// Cancel every subscription while publishes are in flight, twice
-		// each to exercise idempotence, then close the whole network.
 		for _, sub := range subs {
 			wg.Add(1)
-			go func(sub *Subscription) {
+			go func() {
 				defer wg.Done()
 				sub.Cancel()
 				sub.Cancel()
-			}(sub)
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.Close()
-		}()
+		if closeEarly {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n.Close()
+			}()
+		}
+		pubs.Wait()
+		n.Close()
 		wg.Wait()
 		// Drain whatever was delivered before cancellation so nothing
 		// leaks between rounds.
 		for _, sub := range subs {
-			for range sub.C {
-			}
+			drainAll(sub)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 				rel     *relation.Relation
 				net     *multicast.Network
 				cy      *Cycle
-				subs    []*multicast.Subscription
+				queues  []*multicast.Queue
 				msgs    [][]capturedMsg
 				clients map[int]*client.Client
 			}
@@ -146,11 +146,11 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 				w.cy = cy
 				w.msgs = make([][]capturedMsg, cfg.channels)
 				for ch := 0; ch < cfg.channels; ch++ {
-					sub, err := w.net.Subscribe(ch, 4096)
-					if err != nil {
+					q := multicast.NewQueue(4096, multicast.Block)
+					if err := w.net.Attach(q, ch); err != nil {
 						t.Fatal(err)
 					}
-					w.subs = append(w.subs, sub)
+					w.queues = append(w.queues, q)
 				}
 				for i, owner := range cy.Owners {
 					c := w.clients[owner]
@@ -182,20 +182,15 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 			// publish of exactly those messages makes.
 			drain := func(w *world, cut func(multicast.Message) multicast.Message) Report {
 				var rep Report
-				for ch, sub := range w.subs {
-					for drained := false; !drained; {
-						select {
-						case msg := <-sub.C:
-							msg = cut(msg)
-							rep.Messages++
-							rep.Tuples += len(msg.Tuples)
-							rep.PayloadBytes += msg.PayloadBytes()
-							w.msgs[ch] = append(w.msgs[ch], capture(msg))
-							for _, c := range w.clients {
-								c.Handle(msg)
-							}
-						default:
-							drained = true
+				for ch, q := range w.queues {
+					for _, msg := range queued(q) {
+						msg = cut(msg)
+						rep.Messages++
+						rep.Tuples += len(msg.Tuples)
+						rep.PayloadBytes += msg.PayloadBytes()
+						w.msgs[ch] = append(w.msgs[ch], capture(msg))
+						for _, c := range w.clients {
+							c.Handle(msg)
 						}
 					}
 				}
@@ -304,7 +299,7 @@ func TestDeltaPublishMatchesDatabase(t *testing.T) {
 		}
 	}
 	sub.Cancel()
-	for msg := range sub.C {
+	for _, msg := range drained(sub) {
 		for _, c := range clients {
 			c.Handle(msg)
 		}
@@ -335,7 +330,7 @@ func TestConcurrentSubscribePublishDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := net.Subscribe(0, 0)
+	sub, err := net.Subscribe(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +339,7 @@ func TestConcurrentSubscribePublishDelta(t *testing.T) {
 	wg.Add(1)
 	go func() { // drainer
 		defer wg.Done()
-		for range sub.C {
-		}
+		drained(sub)
 	}()
 	wg.Add(1)
 	go func() { // subscription churn

@@ -78,10 +78,7 @@ func TestDriftDetectsDatabaseChurn(t *testing.T) {
 
 	m := &DriftMonitor{Threshold: 0.5}
 	sub, _ := net.Subscribe(0, 1024)
-	go func() {
-		for range sub.C {
-		}
-	}()
+	go drained(sub)
 	// Cycle 1: database matches the estimate; no drift.
 	rep, err := srv.Publish(cy)
 	if err != nil {

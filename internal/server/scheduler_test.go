@@ -119,7 +119,7 @@ func TestSchedulerEndToEndDelivery(t *testing.T) {
 	sub, _ := net.Subscribe(0, 64)
 	done := make(chan struct{})
 	go func() {
-		for msg := range sub.C {
+		for _, msg := range drained(sub) {
 			c1.Handle(msg)
 			c2.Handle(msg)
 		}

@@ -18,6 +18,28 @@ import (
 
 var testModel = cost.Model{KM: 200, KT: 1, KU: 1, K6: 2}
 
+// drained returns every message the subscription delivers until it ends
+// (after Cancel or Close).
+func drained(sub *multicast.Subscription) []multicast.Message {
+	var out []multicast.Message
+	for {
+		batch, ok := sub.NextBatch()
+		out = append(out, batch...)
+		if !ok {
+			return out
+		}
+	}
+}
+
+// queued returns what q holds now, without waiting for more.
+func queued(q *multicast.Queue) []multicast.Message {
+	if q.Depth() == 0 {
+		return nil
+	}
+	batch, _ := q.Next()
+	return batch
+}
+
 // buildWorld creates a populated relation and a network.
 func buildWorld(t *testing.T, channels int, nTuples int, seed int64) (*relation.Relation, *multicast.Network) {
 	t.Helper()

@@ -119,7 +119,7 @@ func TestSoakDynamicSystem(t *testing.T) {
 		}
 		for i, sub := range attached {
 			sub.Cancel()
-			for msg := range sub.C {
+			for _, msg := range drained(sub) {
 				clients[i].Handle(msg)
 			}
 		}
@@ -194,7 +194,7 @@ func TestSoakDeltaWithRemovals(t *testing.T) {
 		}
 	}
 	sub.Cancel()
-	for msg := range sub.C {
+	for _, msg := range drained(sub) {
 		c1.Handle(msg)
 		c2.Handle(msg)
 	}

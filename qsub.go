@@ -197,19 +197,6 @@ type (
 	Subscription = multicast.Subscription
 	// NetworkOption configures a network.
 	NetworkOption = multicast.Option
-	// SlowPolicy decides what a publish does when a subscriber's
-	// delivery buffer is full.
-	SlowPolicy = multicast.Policy
-)
-
-// Slow-consumer policies.
-const (
-	// SlowBlock applies backpressure (the simulator default).
-	SlowBlock = multicast.Block
-	// SlowEvict cancels the slow subscriber so the cycle never stalls.
-	SlowEvict = multicast.Evict
-	// SlowDrop skips the delivery, surfacing as a sequence gap.
-	SlowDrop = multicast.DropNewest
 )
 
 // NewNetwork creates a multicast network with the given channel count.
@@ -219,9 +206,6 @@ func NewNetwork(channels int, opts ...NetworkOption) (*Network, error) {
 
 // WithLoss injects random delivery loss for failure testing.
 func WithLoss(rate float64, seed int64) NetworkOption { return multicast.WithLoss(rate, seed) }
-
-// WithSlowPolicy sets the network-wide default slow-consumer policy.
-func WithSlowPolicy(p SlowPolicy) NetworkOption { return multicast.WithPolicy(p) }
 
 // Server and client runtimes.
 type (

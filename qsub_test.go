@@ -193,13 +193,26 @@ func TestFacadeScheduler(t *testing.T) {
 	if len(rep.Fired) != 1 || rep.Fired[0] != 2 {
 		t.Fatalf("tick 2 fired %v, want [2]", rep.Fired)
 	}
-	select {
-	case msg := <-sub.C:
-		if len(msg.Tuples) != 1 {
-			t.Fatalf("message has %d tuples, want 1", len(msg.Tuples))
+	net.Close()
+	got := drain(sub)
+	if len(got) != 1 {
+		t.Fatalf("%d messages published, want 1", len(got))
+	}
+	if len(got[0].Tuples) != 1 {
+		t.Fatalf("message has %d tuples, want 1", len(got[0].Tuples))
+	}
+}
+
+// drain returns every message the subscription delivers until it ends
+// (after Cancel or Close).
+func drain(sub *Subscription) []Message {
+	var out []Message
+	for {
+		batch, ok := sub.NextBatch()
+		out = append(out, batch...)
+		if !ok {
+			return out
 		}
-	default:
-		t.Fatal("no message published")
 	}
 }
 
@@ -350,7 +363,7 @@ func TestGrandTour(t *testing.T) {
 		}
 	}
 	sub.Cancel()
-	for msg := range sub.C {
+	for _, msg := range drain(sub) {
 		for _, c := range clients {
 			c.Handle(msg)
 		}
