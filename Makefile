@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair bench-save bench-compare check cover experiments fuzz loadtest clean
+.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair bench-save bench-compare check cover experiments fuzz loadtest loc clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -181,6 +181,12 @@ fuzz:
 	$(GO) test ./internal/relation -fuzz FuzzRankTable -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
+
+# Root-module non-test Go lines: the one count every CHANGES.md entry and
+# ROADMAP re-anchor cites. The benchmark module and the benchmark's build
+# directory are not part of the root module.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

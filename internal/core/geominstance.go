@@ -143,7 +143,7 @@ type rectSizer struct {
 
 	rel   *relation.Relation
 	once  sync.Once
-	table *relation.RankTable // nil when the relation declines (R-tree index, NaN edge)
+	table *relation.RankTable // nil when the relation declines (a NaN edge)
 }
 
 func (s *rectSizer) Size(i int) float64 { return s.rs.SizeBytesRect(s.rects[i]) }

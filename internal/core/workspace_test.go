@@ -156,17 +156,13 @@ func rankTableWorld(rng *rand.Rand, rel *relation.Relation, n int) []query.Query
 type probeExact struct{ relation.Exact }
 
 // TestRankTableInstance checks who gets a rank table and that it changes
-// no size: inside the window CacheSizes installs the table, outside it, on
-// an R-tree relation and on polygons a memo; every sampled subset sizes
+// no size: inside the window CacheSizes installs the table, outside it and
+// on polygons a memo; every sampled subset sizes
 // the same as on the probe path, and so does a sub-instance's; a pair-merge
 // solve, of the whole instance or of a group, reports its lookups once, as
 // hits, and no miss.
 func TestRankTableInstance(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
-	rtree, err := relation.NewRTree(bounds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
 		rel   *relation.Relation
@@ -177,7 +173,6 @@ func TestRankTableInstance(t *testing.T) {
 		{"window-low", relation.MustNew(bounds, 32, 32), tableMinQueries, true},
 		{"too-small", relation.MustNew(bounds, 32, 32), tableMinQueries - 1, false},
 		{"too-large", relation.MustNew(bounds, 32, 32), tableMaxQueries + 1, false},
-		{"rtree", rtree, 30, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(63))

@@ -22,7 +22,6 @@ import (
 
 // fanoutCfg parameterizes one wire-equivalence scenario.
 type fanoutCfg struct {
-	rtree    bool
 	channels int
 	policy   multicast.Policy
 }
@@ -51,16 +50,7 @@ type fanoutWorld struct {
 func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 	t.Helper()
 	bounds := geom.R(0, 0, 1000, 1000)
-	var rel *relation.Relation
-	var err error
-	if cfg.rtree {
-		rel, err = relation.NewRTree(bounds, 8)
-	} else {
-		rel, err = relation.New(bounds, 16, 16)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := relation.MustNew(bounds, 16, 16)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 1500; i++ {
 		rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("payload"))
@@ -195,21 +185,21 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 // every client socket carries exactly one Assigned, then byte for byte
 // the frames a per-message encoder would have produced for its channel —
 // each message the reference tap received, framed on its own with
-// wire.AppendMessageFrame — then Bye, across grid and R-tree relations,
-// single and multi channel, and all three slow-consumer policies; while
+// wire.AppendMessageFrame — then Bye, single and multi channel, under all
+// three slow-consumer policies; while
 // the fan-out counters confirm the fabric encoded once per message and
 // count answer frames only (the in-band Assigned and Bye are not
 // qsub_fanout_* frames).
 func TestFanoutWireEquivalence(t *testing.T) {
 	scenarios := []fanoutCfg{
-		{rtree: false, channels: 1, policy: multicast.Block},
-		{rtree: true, channels: 1, policy: multicast.Evict},
-		{rtree: false, channels: 3, policy: multicast.Block},
-		{rtree: false, channels: 3, policy: multicast.DropNewest},
-		{rtree: true, channels: 3, policy: multicast.Evict},
+		{channels: 1, policy: multicast.Block},
+		{channels: 1, policy: multicast.Evict},
+		{channels: 3, policy: multicast.Block},
+		{channels: 3, policy: multicast.DropNewest},
+		{channels: 3, policy: multicast.Evict},
 	}
 	for _, cfg := range scenarios {
-		name := fmt.Sprintf("rtree=%v/channels=%d/policy=%d", cfg.rtree, cfg.channels, cfg.policy)
+		name := fmt.Sprintf("channels=%d/policy=%d", cfg.channels, cfg.policy)
 		t.Run(name, func(t *testing.T) {
 			w := runFanoutWorld(t, cfg)
 

@@ -20,7 +20,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -456,11 +455,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms[key] = hs
 	}
 	return s
-}
-
-// MarshalJSONIndent renders the snapshot as indented JSON.
-func (s *Snapshot) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // WritePrometheus renders every instrument in the Prometheus text

@@ -155,7 +155,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	cat.ChannelMessages.At(1).Add(2)
 	cat.PlanSeconds.Observe(0.002)
 	snap := cat.Snapshot()
-	data, err := snap.MarshalJSONIndent()
+	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

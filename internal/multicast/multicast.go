@@ -214,8 +214,6 @@ type Network struct {
 	slowEvictions         atomic.Uint64
 	overflowDrops         atomic.Uint64
 
-	perChannel []channelCounters
-
 	// Optional nil-safe fan-out instrumentation (see SetMetrics),
 	// additive to the built-in atomic counters above.
 	mDeliveries *metrics.Counter
@@ -231,12 +229,6 @@ type Network struct {
 	// PublishedUnixNano once per Publish/PublishBatch call (see
 	// SetClock).
 	nowNano func() int64
-}
-
-// channelCounters holds the per-channel slice of the traffic counters.
-type channelCounters struct {
-	messages atomic.Uint64
-	payload  atomic.Uint64
 }
 
 // Option configures a Network.
@@ -258,10 +250,9 @@ func NewNetwork(channels int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("multicast: need at least one channel, got %d", channels)
 	}
 	n := &Network{
-		channels:   channels,
-		seqs:       make([]uint64, channels),
-		subs:       make([][]*Queue, channels),
-		perChannel: make([]channelCounters, channels),
+		channels: channels,
+		seqs:     make([]uint64, channels),
+		subs:     make([][]*Queue, channels),
 	}
 	for _, o := range opts {
 		o(n)
@@ -755,8 +746,6 @@ func (n *Network) PublishBatch(msgs []Message) error {
 	n.messagesPublished.Add(uint64(len(msgs)))
 	n.payloadBytesSent.Add(payload)
 	n.headerBytesSent.Add(header)
-	n.perChannel[ch].messages.Add(uint64(len(msgs)))
-	n.perChannel[ch].payload.Add(payload)
 
 	var t tally
 	for ti, q := range targets {
@@ -791,18 +780,6 @@ func (n *Network) Stats() Stats {
 		SlowEvictions:         n.slowEvictions.Load(),
 		OverflowDrops:         n.overflowDrops.Load(),
 	}
-}
-
-// ChannelStats returns the per-channel published message and payload
-// counts, indexed by channel — the load-balance view the §8 allocator is
-// trying to shape.
-func (n *Network) ChannelStats() []struct{ Messages, PayloadBytes uint64 } {
-	out := make([]struct{ Messages, PayloadBytes uint64 }, n.channels)
-	for i := range out {
-		out[i].Messages = n.perChannel[i].messages.Load()
-		out[i].PayloadBytes = n.perChannel[i].payload.Load()
-	}
-	return out
 }
 
 // Close closes every listener's queue and rejects further publishes.

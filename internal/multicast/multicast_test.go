@@ -314,18 +314,3 @@ func TestNegativeBufferClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestChannelStats(t *testing.T) {
-	n, _ := NewNetwork(3)
-	defer n.Close()
-	n.Publish(testMessage(0, 4))
-	n.Publish(testMessage(2, 1))
-	n.Publish(testMessage(2, 1))
-	st := n.ChannelStats()
-	if st[0].Messages != 1 || st[1].Messages != 0 || st[2].Messages != 2 {
-		t.Fatalf("per-channel messages = %+v", st)
-	}
-	if st[0].PayloadBytes != 28 {
-		t.Fatalf("channel 0 payload = %d, want 28", st[0].PayloadBytes)
-	}
-}

@@ -137,18 +137,6 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Staleness returns how long ago the last answer frame arrived, or 0
-// before any frame.
-func (c *Client) Staleness() time.Duration {
-	c.mu.Lock()
-	last := c.stats.LastFrameUnixNano
-	c.mu.Unlock()
-	if last == 0 {
-		return 0
-	}
-	return time.Duration(time.Now().UnixNano() - last)
-}
-
 // Extractor exposes the underlying answer extractor.
 func (c *Client) Extractor() *client.Client { return c.ext }
 

@@ -31,9 +31,8 @@ func (r *Relation) SetDeltaMetrics(batch *metrics.Histogram, deleted *metrics.Co
 // returns: it is safe for concurrent use by the publish worker pool and
 // stays valid across later relation mutations.
 type DeltaIndex struct {
-	since    uint64
-	inserted []Tuple // live tuples with ID > since, ascending id
-	deleted  []Tuple // journaled deletions with seq > since, deletion order
+	inserted []Tuple // live tuples past the watermark, ascending id
+	deleted  []Tuple // journaled deletions past the watermark, deletion order
 
 	// Transient uniform grid over inserted in counting-sort (CSR)
 	// layout — cell c's tuple indices are cellItems[cellStart[c]:
@@ -59,7 +58,7 @@ const deltaGridMinBatch = 64
 func (r *Relation) Delta(sinceID uint64) *DeltaIndex {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	d := &DeltaIndex{since: sinceID, bounds: r.bounds}
+	d := &DeltaIndex{bounds: r.bounds}
 	first := sort.Search(len(r.tuples), func(i int) bool { return r.tuples[i].ID > sinceID })
 	if n := len(r.tuples) - first; n > 0 {
 		d.inserted = make([]Tuple, 0, n)
@@ -115,13 +114,6 @@ func (d *DeltaIndex) cellOf(p geom.Point) int {
 	cy := gridCoord(float64(d.ny)*(p.Y-d.bounds.MinY)/d.bounds.Height(), d.ny)
 	return cy*d.nx + cx
 }
-
-// Since returns the watermark the snapshot was taken against.
-func (d *DeltaIndex) Since() uint64 { return d.since }
-
-// Inserted returns the snapshot's inserted tuples in ascending id order.
-// The slice is owned by the index; callers must not modify it.
-func (d *DeltaIndex) Inserted() []Tuple { return d.inserted }
 
 // Deleted returns the snapshot's deleted tuples in deletion order. The
 // slice is owned by the index; callers must not modify it.
@@ -192,21 +184,4 @@ func (d *DeltaIndex) MatchDeletedAppend(regions []geom.Region, out [][]uint64) [
 		}
 	}
 	return out
-}
-
-// SearchDeltaAppend appends every live tuple with id greater than sinceID
-// lying inside the region to buf, in ascending id order. It is the
-// one-shot form of Delta().SearchAppend for callers probing a single
-// region; servers probing many merged regions per cycle should build one
-// DeltaIndex and share it.
-func (r *Relation) SearchDeltaAppend(region geom.Region, sinceID uint64, buf []Tuple) []Tuple {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	first := sort.Search(len(r.tuples), func(i int) bool { return r.tuples[i].ID > sinceID })
-	for i := first; i < len(r.tuples); i++ {
-		if !r.dead[i] && region.Contains(r.tuples[i].Pos) {
-			buf = append(buf, r.tuples[i])
-		}
-	}
-	return buf
 }

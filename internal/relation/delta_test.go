@@ -8,21 +8,10 @@ import (
 	"qsub/internal/geom"
 )
 
-// deltaWorld builds a relation (grid or rtree backed) with n tuples and
-// some churn past the watermark: returns the relation and the watermark.
-func deltaWorld(t *testing.T, rtree bool, nBefore, nAfter, nDeleted int, seed int64) (*Relation, uint64) {
-	t.Helper()
-	bounds := geom.R(0, 0, 100, 100)
-	var rel *Relation
-	var err error
-	if rtree {
-		rel, err = NewRTree(bounds, 8)
-	} else {
-		rel, err = New(bounds, 8, 8)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+// deltaWorld builds an 8 × 8 grid relation with n tuples and some churn
+// past the watermark: returns the relation and the watermark.
+func deltaWorld(nBefore, nAfter, nDeleted int, seed int64) (*Relation, uint64) {
+	rel := MustNew(geom.R(0, 0, 100, 100), 8, 8)
 	rng := rand.New(rand.NewSource(seed))
 	insert := func(n int) []uint64 {
 		ids := make([]uint64, n)
@@ -63,43 +52,33 @@ func naiveDeltaSearch(rel *Relation, region geom.Region, mark uint64) []Tuple {
 }
 
 func TestDeltaIndexSearchMatchesFilteredFullSearch(t *testing.T) {
-	for _, backend := range []struct {
-		name  string
-		rtree bool
-	}{{"grid", false}, {"rtree", true}} {
-		t.Run(backend.name, func(t *testing.T) {
-			// Both regimes: below and above the transient-grid cutover.
-			for _, nAfter := range []int{deltaGridMinBatch - 10, 500} {
-				rel, mark := deltaWorld(t, backend.rtree, 800, nAfter, 60, int64(nAfter))
-				di := rel.Delta(mark)
-				rng := rand.New(rand.NewSource(7))
-				for trial := 0; trial < 50; trial++ {
-					x, y := rng.Float64()*90, rng.Float64()*90
-					region := geom.R(x, y, x+rng.Float64()*40, y+rng.Float64()*40)
-					want := naiveDeltaSearch(rel, region, mark)
-					got := di.SearchAppend(region, nil)
-					if len(got) != len(want) {
-						t.Fatalf("nAfter=%d trial %d: %d tuples, want %d", nAfter, trial, len(got), len(want))
-					}
-					for i := range got {
-						if got[i].ID != want[i].ID {
-							t.Fatalf("nAfter=%d trial %d pos %d: id %d, want %d (id order broken)",
-								nAfter, trial, i, got[i].ID, want[i].ID)
-						}
-					}
-					// The one-shot convenience must agree too.
-					oneShot := rel.SearchDeltaAppend(region, mark, nil)
-					if !reflect.DeepEqual(oneShot, got) {
-						t.Fatalf("nAfter=%d trial %d: SearchDeltaAppend disagrees with DeltaIndex", nAfter, trial)
+	t.Run("grid", func(t *testing.T) {
+		// Both regimes: below and above the transient-grid cutover.
+		for _, nAfter := range []int{deltaGridMinBatch - 10, 500} {
+			rel, mark := deltaWorld(800, nAfter, 60, int64(nAfter))
+			di := rel.Delta(mark)
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 50; trial++ {
+				x, y := rng.Float64()*90, rng.Float64()*90
+				region := geom.R(x, y, x+rng.Float64()*40, y+rng.Float64()*40)
+				want := naiveDeltaSearch(rel, region, mark)
+				got := di.SearchAppend(region, nil)
+				if len(got) != len(want) {
+					t.Fatalf("nAfter=%d trial %d: %d tuples, want %d", nAfter, trial, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].ID != want[i].ID {
+						t.Fatalf("nAfter=%d trial %d pos %d: id %d, want %d (id order broken)",
+							nAfter, trial, i, got[i].ID, want[i].ID)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestDeltaIndexSearchAppendPreservesPrefix(t *testing.T) {
-	rel, mark := deltaWorld(t, false, 100, 200, 0, 3)
+	rel, mark := deltaWorld(100, 200, 0, 3)
 	di := rel.Delta(mark)
 	prefix := []Tuple{{ID: 9999}}
 	out := di.SearchAppend(geom.R(0, 0, 100, 100), prefix)
@@ -114,7 +93,7 @@ func TestDeltaIndexSearchAppendPreservesPrefix(t *testing.T) {
 }
 
 func TestDeltaIndexDeleted(t *testing.T) {
-	rel, _ := deltaWorld(t, false, 50, 0, 0, 1)
+	rel, _ := deltaWorld(50, 0, 0, 1)
 	mark := rel.MaxID()
 	all := rel.All()
 	// Delete three known tuples past the watermark.
@@ -153,12 +132,12 @@ func TestDeltaIndexDeleted(t *testing.T) {
 }
 
 func TestDeltaIndexSnapshotIsolation(t *testing.T) {
-	rel, mark := deltaWorld(t, false, 100, 300, 0, 5)
+	rel, mark := deltaWorld(100, 300, 0, 5)
 	di := rel.Delta(mark)
 	nBefore := len(di.SearchAppend(geom.R(0, 0, 100, 100), nil))
 	// Mutations after the snapshot must not leak into it.
 	rel.Insert(geom.Pt(50, 50), []byte("late"))
-	for _, t2 := range di.Inserted()[:5] {
+	for _, t2 := range rel.InsertedSince(mark)[:5] {
 		rel.Delete(t2.ID)
 	}
 	rel.Compact()
@@ -166,13 +145,10 @@ func TestDeltaIndexSnapshotIsolation(t *testing.T) {
 	if nBefore != nAfter {
 		t.Fatalf("snapshot changed after relation mutations: %d -> %d", nBefore, nAfter)
 	}
-	if di.Since() != mark {
-		t.Fatalf("Since() = %d, want %d", di.Since(), mark)
-	}
 }
 
 func TestDeltaEmptyAndFullWatermark(t *testing.T) {
-	rel, _ := deltaWorld(t, false, 200, 0, 0, 2)
+	rel, _ := deltaWorld(200, 0, 0, 2)
 	// Watermark at MaxID: nothing inserted since.
 	di := rel.Delta(rel.MaxID())
 	if got := di.SearchAppend(geom.R(0, 0, 100, 100), nil); len(got) != 0 {

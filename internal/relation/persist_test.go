@@ -2,7 +2,9 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -111,94 +113,44 @@ func TestSnapshotDetectsTruncation(t *testing.T) {
 	}
 }
 
-func TestLoggerReplay(t *testing.T) {
-	rel := MustNew(testBounds, 8, 8)
-	var log bytes.Buffer
-	logger, err := NewLogger(rel, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		if _, err := logger.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), []byte("x")); err != nil {
+// snapshotStream is a snapshot of tuples with the given ids, in the given
+// order, written record by record as WriteSnapshot writes them.
+func snapshotStream(t *testing.T, ids ...uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic[:])
+	var hdr [40]byte
+	binary.LittleEndian.PutUint64(hdr[0:], math.Float64bits(testBounds.MinX))
+	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(testBounds.MinY))
+	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(testBounds.MaxX))
+	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(testBounds.MaxY))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(ids)))
+	buf.Write(hdr[:])
+	for i, id := range ids {
+		if err := writeTupleRecord(&buf, Tuple{ID: id, Pos: geom.Pt(float64(i), 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	restored := MustNew(testBounds, 8, 8)
-	applied, err := Replay(restored, bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 100 {
-		t.Fatalf("replayed %d inserts, want 100", applied)
-	}
-	assertSameTuples(t, rel, restored)
+	return buf.Bytes()
 }
 
-func TestReplayStopsAtTruncatedTail(t *testing.T) {
-	rel := MustNew(testBounds, 8, 8)
-	var log bytes.Buffer
-	logger, err := NewLogger(rel, &log)
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotRejectsUnorderedIDs: Delta and InsertedSince binary-search
+// the tuples by id, so a snapshot whose ids are not positive and strictly
+// rising is malformed. A duplicate id would count a tuple
+// live twice and leave a slot Delete cannot reach; ids out of order would
+// make deltas skip tuples.
+func TestSnapshotRejectsUnorderedIDs(t *testing.T) {
+	if rel, err := ReadSnapshot(bytes.NewReader(snapshotStream(t, 1, 2, 5)), 4, 4); err != nil || rel.Len() != 3 || rel.MaxID() != 5 {
+		t.Fatalf("ascending ids with gaps: err %v", err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := logger.Insert(geom.Pt(float64(i), float64(i)), nil); err != nil {
-			t.Fatal(err)
+	for name, ids := range map[string][]uint64{
+		"duplicate":  {1, 2, 2},
+		"descending": {1, 3, 2},
+		"zero":       {0, 1},
+	} {
+		_, err := ReadSnapshot(bytes.NewReader(snapshotStream(t, ids...)), 4, 4)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s ids %v: err %v, want ErrBadSnapshot", name, ids, err)
 		}
-	}
-	// Simulate a crash mid-write: drop the last few bytes.
-	data := log.Bytes()[:log.Len()-7]
-	restored := MustNew(testBounds, 8, 8)
-	applied, err := Replay(restored, bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("truncated tail should not error, got %v", err)
-	}
-	if applied != 9 {
-		t.Fatalf("replayed %d inserts, want 9 (last record torn)", applied)
-	}
-}
-
-func TestSnapshotPlusLogRecovery(t *testing.T) {
-	// The daemon recovery flow: load snapshot, replay the log written
-	// after it, and continue inserting with fresh ids.
-	rel := populatedRelation(t, 200, 5)
-	var snap bytes.Buffer
-	if err := rel.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var log bytes.Buffer
-	logger, err := NewLogger(rel, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := logger.Insert(geom.Pt(float64(i), 50), []byte("late")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	restored, err := ReadSnapshot(&snap, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(restored, bytes.NewReader(log.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	assertSameTuples(t, rel, restored)
-	if restored.MaxID() != rel.MaxID() {
-		t.Fatalf("MaxID %d vs %d", restored.MaxID(), rel.MaxID())
-	}
-}
-
-func TestReplayRejectsWrongStream(t *testing.T) {
-	rel := MustNew(testBounds, 4, 4)
-	var snap bytes.Buffer
-	if err := rel.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	// A snapshot is not a log.
-	if _, err := Replay(rel, &snap); err == nil {
-		t.Fatal("snapshot stream should be rejected by Replay")
 	}
 }

@@ -44,8 +44,7 @@ var noRankRect = rankRect{x0: math.MaxInt32, x1: -1, y0: math.MaxInt32, y1: -1}
 // NewRankTable builds the table of the rectangles over the relation's
 // live tuples, in one pass over the grid cells under the rectangles'
 // bounding box and under one read lock. It returns nil when it cannot
-// answer exactly as SizeBytesRect does: the relation has no grid index,
-// or a rectangle has a NaN coordinate.
+// answer exactly as SizeBytesRect does: a rectangle has a NaN coordinate.
 func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 	xs := make([]float64, 0, 2*len(rects))
 	ys := make([]float64, 0, 2*len(rects))
@@ -79,14 +78,11 @@ func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	g, ok := r.index.(*gridIndex)
-	if !ok {
-		return nil
-	}
 	if len(xs) == 0 {
 		return t // nothing but empty rectangles
 	}
 	ax, ay := newRankAxis(xs), newRankAxis(ys)
+	g := r.index
 	i0, i1, j0, j1 := g.cellRange(box)
 	for j := j0; j <= j1; j++ {
 		for i := i0; i <= i1; i++ {

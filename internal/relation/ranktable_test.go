@@ -173,22 +173,12 @@ func TestRankTableMatchesSizeBytesRect(t *testing.T) {
 	}
 }
 
-// TestRankTableDeclines pins the two cases the table leaves to the probe
-// path: a relation without a grid index and a rectangle with a NaN edge.
+// TestRankTableDeclines pins the case the table leaves to the probe path,
+// a rectangle with a NaN edge, and the table of an empty list.
 func TestRankTableDeclines(t *testing.T) {
 	rects := []geom.Rect{geom.R(10, 10, 40, 40), geom.R(30, 30, 60, 60)}
-	rt, err := NewRTree(testBounds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Insert(geom.Pt(35, 35), nil)
-	if table := rt.NewRankTable(rects); table != nil {
-		t.Fatalf("R-tree relation built a table: %+v", table)
-	}
-	if got, want := rt.SizeBytesRect(rects[0].Union(rects[1])), tupleHeaderSize; got != want {
-		t.Fatalf("R-tree probe path answers %d, want %d", got, want)
-	}
 	grid := MustNew(testBounds, 8, 8)
+	grid.Insert(geom.Pt(35, 35), nil)
 	if table := grid.NewRankTable(append(rects, geom.R(0, 0, math.NaN(), 5))); table != nil {
 		t.Fatalf("NaN edge built a table: %+v", table)
 	}

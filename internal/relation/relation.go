@@ -33,15 +33,14 @@ func (t Tuple) Size() int { return tupleHeaderSize + len(t.Payload) }
 // id and two float64 coordinates.
 const tupleHeaderSize = 8 + 8 + 8
 
-// Relation is an in-memory spatial relation with a pluggable spatial
-// index (uniform grid by default, R-tree via NewRTree). It is safe for
-// concurrent use: reads take a shared lock and writes an exclusive one,
-// matching the subscription server's pattern of bulk loads followed by
-// concurrent query cycles.
+// Relation is an in-memory spatial relation indexed by a uniform grid. It
+// is safe for concurrent use: reads take a shared lock and writes an
+// exclusive one, matching the subscription server's pattern of bulk loads
+// followed by concurrent query cycles.
 type Relation struct {
 	mu     sync.RWMutex
 	bounds geom.Rect
-	index  spatialIndex
+	index  *gridIndex
 	tuples []Tuple
 	dead   []bool         // tombstones, parallel to tuples
 	byID   map[uint64]int // live tuple id -> slot
@@ -74,20 +73,6 @@ func New(bounds geom.Rect, nx, ny int) (*Relation, error) {
 	return &Relation{
 		bounds: bounds,
 		index:  newGridIndex(bounds, nx, ny),
-		byID:   make(map[uint64]int),
-	}, nil
-}
-
-// NewRTree creates a relation covering the given bounds backed by an
-// R-tree with the given node fan-out (minimum 4). The R-tree adapts to
-// skewed data where a fixed grid degenerates.
-func NewRTree(bounds geom.Rect, maxEntries int) (*Relation, error) {
-	if bounds.Empty() {
-		return nil, errors.New("relation: bounds must be non-empty")
-	}
-	return &Relation{
-		bounds: bounds,
-		index:  newRTreeIndex(maxEntries),
 		byID:   make(map[uint64]int),
 	}, nil
 }
@@ -175,15 +160,6 @@ func (r *Relation) deletedSince(mark uint64) []Tuple {
 	return out
 }
 
-// InsertBatch stores many tuples at once and returns the assigned ids.
-func (r *Relation) InsertBatch(positions []geom.Point, payload []byte) []uint64 {
-	ids := make([]uint64, len(positions))
-	for i, p := range positions {
-		ids[i] = r.Insert(p, payload)
-	}
-	return ids
-}
-
 // Search returns all tuples whose position lies inside the region, in
 // ascending id order. It uses the grid index to restrict the scan to cells
 // overlapping the region's bounding rectangle.
@@ -228,11 +204,11 @@ func (r *Relation) SizeBytes(region geom.Region) int {
 }
 
 // SizeBytesRect is SizeBytes for a rectangle without the Region boxing,
-// and on a grid-indexed relation without the scan of the rectangle's
-// inside: the cells strictly between the rectangle's first and last cell
-// column and row come from the index's byte aggregate, and only the ring
-// of cells holding the rectangle's border is scanned tuple by tuple, so a
-// probe costs O(perimeter) instead of O(area).
+// and without the scan of the rectangle's inside: the cells strictly
+// between the rectangle's first and last cell column and row come from
+// the index's byte aggregate, and only the ring of cells holding the
+// rectangle's border is scanned tuple by tuple, so a probe costs
+// O(perimeter) instead of O(area).
 //
 // The result is exact. cellXY is monotone in each coordinate, so a tuple
 // in a column strictly between the columns of q.MinX and q.MaxX has
@@ -243,13 +219,10 @@ func (r *Relation) SizeBytes(region geom.Region) int {
 func (r *Relation) SizeBytesRect(q geom.Rect) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	g, ok := r.index.(*gridIndex)
-	if !ok {
-		return r.scanBytes(q)
-	}
 	if q.Empty() {
 		return 0
 	}
+	g := r.index
 	i0, i1, j0, j1 := g.cellRange(q)
 	n := g.blockBytes(i0+1, i1-1, j0+1, j1-1)
 	for j := j0; j <= j1; j++ {
@@ -352,15 +325,7 @@ func (r *Relation) Compact() {
 			tuples = append(tuples, t)
 		}
 	}
-	var index spatialIndex
-	switch old := r.index.(type) {
-	case *gridIndex:
-		index = newGridIndex(old.bounds, old.nx, old.ny)
-	case *rtreeIndex:
-		index = newRTreeIndex(old.maxEntries)
-	default:
-		index = newGridIndex(r.bounds, 16, 16)
-	}
+	index := newGridIndex(r.index.bounds, r.index.nx, r.index.ny)
 	r.tuples = tuples
 	r.dead = make([]bool, len(tuples))
 	r.byID = make(map[uint64]int, len(tuples))

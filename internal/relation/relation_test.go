@@ -346,31 +346,6 @@ func TestDeleteAdvancesWatermark(t *testing.T) {
 	}
 }
 
-func TestDeleteOnRTreeRelation(t *testing.T) {
-	rel, err := NewRTree(testBounds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []uint64
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		ids = append(ids, rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), nil))
-	}
-	for i := 0; i < 250; i++ {
-		if !rel.Delete(ids[i*2]) {
-			t.Fatalf("delete %d failed", ids[i*2])
-		}
-	}
-	if rel.Len() != 250 {
-		t.Fatalf("Len = %d, want 250", rel.Len())
-	}
-	for _, tu := range rel.Search(testBounds) {
-		if tu.ID%2 == 1 {
-			t.Fatalf("deleted tuple %d still searchable", tu.ID)
-		}
-	}
-}
-
 func TestSnapshotCompactsTombstones(t *testing.T) {
 	rel := MustNew(testBounds, 4, 4)
 	keep := rel.Insert(geom.Pt(10, 10), nil)
@@ -392,70 +367,37 @@ func TestSnapshotCompactsTombstones(t *testing.T) {
 	}
 }
 
-func TestLoggerDeleteReplay(t *testing.T) {
-	rel := MustNew(testBounds, 4, 4)
-	var log bytes.Buffer
-	logger, err := NewLogger(rel, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, _ := logger.Insert(geom.Pt(10, 10), []byte("x"))
-	logger.Insert(geom.Pt(20, 20), []byte("y"))
-	ok, err := logger.Delete(id1)
-	if err != nil || !ok {
-		t.Fatalf("logger delete: %t, %v", ok, err)
-	}
-	if ok, _ := logger.Delete(12345); ok {
-		t.Fatal("delete of unknown id should report false")
-	}
-
-	restored := MustNew(testBounds, 4, 4)
-	applied, err := Replay(restored, bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 3 {
-		t.Fatalf("replayed %d records, want 3", applied)
-	}
-	assertSameTuples(t, rel, restored)
-}
-
 func TestCompactDropsTombstones(t *testing.T) {
-	for _, build := range []func() *Relation{
-		func() *Relation { return MustNew(testBounds, 4, 4) },
-		func() *Relation { r, _ := NewRTree(testBounds, 8); return r },
-	} {
-		rel := build()
-		rng := rand.New(rand.NewSource(15))
-		var ids []uint64
-		for i := 0; i < 300; i++ {
-			ids = append(ids, rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), []byte("z")))
+	rel := MustNew(testBounds, 4, 4)
+	rng := rand.New(rand.NewSource(15))
+	var ids []uint64
+	for i := 0; i < 300; i++ {
+		ids = append(ids, rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), []byte("z")))
+	}
+	for i := 0; i < 150; i++ {
+		rel.Delete(ids[i])
+	}
+	before := rel.Search(testBounds)
+	mark := rel.MaxID()
+	rel.Compact()
+	after := rel.Search(testBounds)
+	if len(before) != len(after) {
+		t.Fatalf("Compact changed search results: %d vs %d", len(before), len(after))
+	}
+	for i := range before {
+		if before[i].ID != after[i].ID {
+			t.Fatalf("Compact reordered tuple ids at %d", i)
 		}
-		for i := 0; i < 150; i++ {
-			rel.Delete(ids[i])
-		}
-		before := rel.Search(testBounds)
-		mark := rel.MaxID()
-		rel.Compact()
-		after := rel.Search(testBounds)
-		if len(before) != len(after) {
-			t.Fatalf("Compact changed search results: %d vs %d", len(before), len(after))
-		}
-		for i := range before {
-			if before[i].ID != after[i].ID {
-				t.Fatalf("Compact reordered tuple ids at %d", i)
-			}
-		}
-		if rel.MaxID() != mark {
-			t.Fatalf("Compact changed the watermark: %d vs %d", rel.MaxID(), mark)
-		}
-		if got := rel.DeletedSince(0); len(got) != 0 {
-			t.Fatalf("Compact should clear the deletion journal, kept %d", len(got))
-		}
-		// Post-compact inserts and deletes work normally.
-		id := rel.Insert(geom.Pt(50, 50), nil)
-		if !rel.Delete(id) {
-			t.Fatal("delete after compact failed")
-		}
+	}
+	if rel.MaxID() != mark {
+		t.Fatalf("Compact changed the watermark: %d vs %d", rel.MaxID(), mark)
+	}
+	if got := rel.DeletedSince(0); len(got) != 0 {
+		t.Fatalf("Compact should clear the deletion journal, kept %d", len(got))
+	}
+	// Post-compact inserts and deletes work normally.
+	id := rel.Insert(geom.Pt(50, 50), nil)
+	if !rel.Delete(id) {
+		t.Fatal("delete after compact failed")
 	}
 }

@@ -140,13 +140,6 @@ func TestSizeBytesRectMatchesScan(t *testing.T) {
 		"grid64x1":  grid(64, 1),
 		"grid2x2":   grid(2, 2),
 		"grid1x1":   grid(1, 1),
-		"rtree": func() (*Relation, int) {
-			rel, err := NewRTree(testBounds, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rel, 16
-		},
 	}
 	for name, mk := range builds {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -183,8 +176,9 @@ func TestSizeBytesRectMatchesScan(t *testing.T) {
 }
 
 // TestSizeBytesRectAfterPersistence rebuilds a relation through the
-// snapshot and log paths, which populate the index by restore and not by
-// Insert, and checks the aggregate followed.
+// snapshot path, which populates the index by restore and not by Insert,
+// and checks the aggregate followed — and keeps following the writes made
+// on the restored relation.
 func TestSizeBytesRectAfterPersistence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := MustNew(testBounds, 16, 16)
@@ -197,42 +191,27 @@ func TestSizeBytesRectAfterPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Changes after the snapshot go through the log.
-	var log bytes.Buffer
-	lg, err := NewLogger(rel, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logged := insertVaried(rng, 400, 16, func(p geom.Point, payload []byte) uint64 {
-		id, err := lg.Insert(p, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	})
-	for _, id := range append(logged[:100:100], ids[200:300]...) {
-		if ok, err := lg.Delete(id); err != nil || !ok {
-			t.Fatalf("logged delete %d: ok=%v err=%v", id, ok, err)
-		}
-	}
-
 	// Restore on a different grid, so nothing carries over by accident.
 	got, err := ReadSnapshot(&snap, 9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSizes(t, got, rng, 9, "after ReadSnapshot")
-	if _, err := Replay(got, &log); err != nil {
-		t.Fatal(err)
-	}
 	assertSameTuples(t, rel, got)
-	checkSizes(t, got, rng, 9, "after Replay")
+	checkSizes(t, got, rng, 9, "after ReadSnapshot")
 	for k := 0; k < 200; k++ {
 		q := randomRect(rng, 16, nil)
 		if a, b := rel.SizeBytesRect(q), got.SizeBytesRect(q); a != b {
 			t.Fatalf("original %d, restored %d for %v", a, b, q)
 		}
 	}
+
+	more := insertVaried(rng, 400, 9, got.Insert)
+	for _, id := range append(more[:100:100], ids[200:300]...) {
+		if !got.Delete(id) {
+			t.Fatalf("delete %d on the restored relation failed", id)
+		}
+	}
+	checkSizes(t, got, rng, 9, "after writes on the restored relation")
 }
 
 // TestSizeBytesRectConcurrent runs probes against concurrent inserts and

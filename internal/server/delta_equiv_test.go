@@ -15,41 +15,23 @@ import (
 	"qsub/internal/relation"
 )
 
-// deltaWorldCfg parameterizes one equivalence scenario.
-type deltaWorldCfg struct {
-	rtree    bool
-	channels int
-	split    bool
-}
-
 // buildDeltaWorld creates one relation+network+server, populates it with
 // a deterministic tuple set, and registers deterministic subscriptions.
-// Two calls with the same cfg produce twin worlds whose plans are
-// identical.
-func buildDeltaWorld(t *testing.T, cfg deltaWorldCfg) (*Server, *relation.Relation, *multicast.Network) {
+// Two calls with the same channel count produce twin worlds whose plans
+// are identical.
+func buildDeltaWorld(t *testing.T, channels int) (*Server, *relation.Relation, *multicast.Network) {
 	t.Helper()
-	bounds := geom.R(0, 0, 1000, 1000)
-	var rel *relation.Relation
-	var err error
-	if cfg.rtree {
-		rel, err = relation.NewRTree(bounds, 8)
-	} else {
-		rel, err = relation.New(bounds, 16, 16)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := relation.MustNew(geom.R(0, 0, 1000, 1000), 16, 16)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3000; i++ {
 		rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("payload"))
 	}
-	net, err := multicast.NewNetwork(cfg.channels)
+	net, err := multicast.NewNetwork(channels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(rel, net, Config{
 		Model:    testModel,
-		Split:    cfg.split,
 		Seed:     42,
 		Strategy: chanalloc.BestOfBoth,
 	})
@@ -111,19 +93,10 @@ func asDelta(msg multicast.Message, since uint64) multicast.Message {
 // bit-identical to a full search filtered by the watermark: a twin world
 // publishes full answers, the test cuts them down with asDelta, and the
 // Reports, per-channel message streams (tuples, headers, removal notices)
-// and client answers/stats must match, across grid and R-tree relations,
-// single and multi channel, split on and off.
+// and client answers/stats must match, single and multi channel.
 func TestDeltaPublishEquivalence(t *testing.T) {
-	scenarios := []deltaWorldCfg{
-		{rtree: false, channels: 1, split: false},
-		{rtree: true, channels: 1, split: false},
-		{rtree: false, channels: 3, split: false},
-		{rtree: false, channels: 3, split: true},
-		{rtree: true, channels: 3, split: true},
-	}
-	for _, cfg := range scenarios {
-		name := fmt.Sprintf("rtree=%v/channels=%d/split=%v", cfg.rtree, cfg.channels, cfg.split)
-		t.Run(name, func(t *testing.T) {
+	for _, channels := range []int{1, 3} {
+		t.Run(fmt.Sprintf("channels=%d", channels), func(t *testing.T) {
 			type world struct {
 				s       *Server
 				rel     *relation.Relation
@@ -135,17 +108,17 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 			}
 			mkWorld := func() *world {
 				w := &world{clients: map[int]*client.Client{}}
-				w.s, w.rel, w.net = buildDeltaWorld(t, cfg)
+				w.s, w.rel, w.net = buildDeltaWorld(t, channels)
 				cy, err := w.s.Plan()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ValidateCycle(cy, cfg.channels); err != nil {
+				if err := ValidateCycle(cy, channels); err != nil {
 					t.Fatal(err)
 				}
 				w.cy = cy
-				w.msgs = make([][]capturedMsg, cfg.channels)
-				for ch := 0; ch < cfg.channels; ch++ {
+				w.msgs = make([][]capturedMsg, channels)
+				for ch := 0; ch < channels; ch++ {
 					q := multicast.NewQueue(4096, multicast.Block)
 					if err := w.net.Attach(q, ch); err != nil {
 						t.Fatal(err)
@@ -262,7 +235,7 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 // churn and delta cycles, every client's accumulated view equals the
 // database answer exactly (delta messages carry removal notices).
 func TestDeltaPublishMatchesDatabase(t *testing.T) {
-	s, rel, net := buildDeltaWorld(t, deltaWorldCfg{channels: 1})
+	s, rel, net := buildDeltaWorld(t, 1)
 	defer net.Close()
 	cy, err := s.Plan()
 	if err != nil {
@@ -324,7 +297,7 @@ func TestDeltaPublishMatchesDatabase(t *testing.T) {
 // -race: subscriptions churn concurrently with continuous delta publishes
 // against a fixed planned cycle.
 func TestConcurrentSubscribePublishDelta(t *testing.T) {
-	s, rel, net := buildDeltaWorld(t, deltaWorldCfg{channels: 2})
+	s, rel, net := buildDeltaWorld(t, 2)
 	defer net.Close()
 	cy, err := s.Plan()
 	if err != nil {

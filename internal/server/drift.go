@@ -3,8 +3,6 @@ package server
 import (
 	"math"
 	"sync"
-
-	"qsub/internal/query"
 )
 
 // DriftMonitor closes the loop between the cost model's size estimates
@@ -80,20 +78,15 @@ func (m *DriftMonitor) Drift() float64 {
 // full publish: the sum of the estimated sizes of every merged region in
 // the cycle. Use it as the estimate input to a DriftMonitor. The sharded
 // planner already sized those regions task by task and its sum is
-// returned as is — unless splitting then dropped transmission sets.
+// returned as is; otherwise the regions the cycle merged for publishing
+// are sized in channel and set order.
 func (s *Server) EstimatedTransmitBytes(cy *Cycle) float64 {
-	if cy.shard != nil && !s.cfg.Split {
+	if cy.shard != nil {
 		return cy.shard.TransmitBytes
 	}
 	total := 0.0
-	for _, plan := range cy.ChannelPlans {
-		for _, set := range plan {
-			members := make([]query.Query, len(set))
-			for i, qi := range set {
-				members[i] = cy.Queries[qi]
-			}
-			total += s.cfg.Estimator.SizeBytes(s.cfg.Procedure.Merge(members))
-		}
+	for _, mp := range cy.publishPlans(s.cfg.Procedure) {
+		total += s.cfg.Estimator.SizeBytes(mp.region)
 	}
 	return total
 }

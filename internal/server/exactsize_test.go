@@ -108,7 +108,6 @@ func sameCycle(t *testing.T, stage string, got, want *Cycle) {
 	}
 	if !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) ||
 		!reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) ||
-		!reflect.DeepEqual(got.ChannelCovered, want.ChannelCovered) ||
 		!reflect.DeepEqual(got.Owners, want.Owners) ||
 		!reflect.DeepEqual(got.Queries, want.Queries) {
 		t.Fatalf("%s: cycles differ:\ngot:  %v %v\nwant: %v %v", stage,

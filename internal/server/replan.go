@@ -2,7 +2,6 @@ package server
 
 import (
 	"reflect"
-	"sort"
 	"time"
 
 	"qsub/internal/core"
@@ -172,8 +171,7 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 	for ch := 0; ch < channels; ch++ {
 		// Per-channel model convention matches chanalloc.ChannelCost:
 		// each channel's listeners pay the §7 filtering term; the
-		// single-channel path keeps the raw model (applySplit and the
-		// publish metrics charge filtering there).
+		// single-channel path keeps the raw model, as Plan does.
 		model := s.cfg.Model
 		if !single {
 			model.KM += model.K6 * float64(listeners[ch])
@@ -188,9 +186,7 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 			Metrics: base.Metrics,
 		}
 		// Reassemble the channel's previous partition in union index
-		// space. Split-covered queries were dropped from transmission,
-		// not from the plan's domain; they return as singletons and can
-		// re-merge or be re-covered this cycle.
+		// space.
 		var plan core.Plan
 		for _, set := range prev.ChannelPlans[ch] {
 			ns := make([]int, len(set))
@@ -198,16 +194,6 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 				ns[k] = prevToUnion[p]
 			}
 			plan = append(plan, ns)
-		}
-		if prev.ChannelCovered != nil && prev.ChannelCovered[ch] != nil {
-			cov := make([]int, 0, len(prev.ChannelCovered[ch]))
-			for q := range prev.ChannelCovered[ch] {
-				cov = append(cov, q)
-			}
-			sort.Ints(cov)
-			for _, q := range cov {
-				plan = append(plan, []int{prevToUnion[q]})
-			}
 		}
 		inc := core.NewIncremental(instCh, plan)
 		inc.SetNeighbors(s.cfg.Neighbors)

@@ -367,28 +367,29 @@ func TestReplanShardedEscalations(t *testing.T) {
 	}
 }
 
-// TestEstimatedTransmitBytesSharded pins the value the sharded planner
-// hands the drift monitor to the one EstimatedTransmitBytes computes by
-// merging and sizing every set again — after a full plan and after an
-// incremental replan on a frozen relation — and the Split path to the
-// recomputation.
+// TestEstimatedTransmitBytesSharded pins the value EstimatedTransmitBytes
+// hands the drift monitor to the one a recomputation gets by merging and
+// sizing every set again, after a full plan and after an incremental
+// replan on a frozen relation: on the sharded path, which carries the
+// planner's own sum, and on the unsharded one, which sizes the regions of
+// the cycle's publish schedule.
 func TestEstimatedTransmitBytesSharded(t *testing.T) {
-	o := newChurnOracle(t, 3, 0, nil)
-	recompute := func(cy *Cycle) float64 {
+	recompute := func(cy *Cycle, rel *relation.Relation) float64 {
 		total := 0.0
 		for _, plan := range cy.ChannelPlans {
 			for _, region := range core.MergedRegions(cy.Queries, query.BoundingRect{}, plan) {
-				total += relation.Exact{Rel: o.rel}.SizeBytes(region)
+				total += relation.Exact{Rel: rel}.SizeBytes(region)
 			}
 		}
 		return total
 	}
+	o := newChurnOracle(t, 3, 0, nil)
 	cy, err := o.s.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := o.s.EstimatedTransmitBytes(cy), recompute(cy); got != want || cy.shard.TransmitBytes != want {
-		t.Fatalf("full plan: estimate %v (carried %v), recomputed %v", got, cy.shard.TransmitBytes, want)
+	if got, want := o.s.EstimatedTransmitBytes(cy), recompute(cy, o.rel); got != want || cy.shard.TransmitBytes != want {
+		t.Fatalf("sharded full plan: estimate %v (carried %v), recomputed %v", got, cy.shard.TransmitBytes, want)
 	}
 	o.churn()
 	cy2, err := o.s.Replan(cy)
@@ -398,16 +399,41 @@ func TestEstimatedTransmitBytesSharded(t *testing.T) {
 	if cy2.Info.Mode != ModeIncremental || cy2.Info.ShardsReused == 0 {
 		t.Fatalf("replan reports %+v, want an incremental one", cy2.Info)
 	}
-	if got, want := o.s.EstimatedTransmitBytes(cy2), recompute(cy2); got != want {
-		t.Fatalf("incremental replan: estimate %v, recomputed %v", got, want)
+	if got, want := o.s.EstimatedTransmitBytes(cy2), recompute(cy2, o.rel); got != want {
+		t.Fatalf("sharded incremental replan: estimate %v, recomputed %v", got, want)
 	}
 
-	o.s.cfg.Split = true
-	split, err := o.s.Plan()
+	rel, net := buildWorld(t, 3, 2000, 17)
+	defer net.Close()
+	s, err := New(rel, net, Config{Model: testModel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := o.s.EstimatedTransmitBytes(split), recompute(split); got != want {
-		t.Fatalf("split plan: estimate %v, recomputed %v", got, want)
+	subscribeWorkload(t, 19, 60, 8, 0, s)
+	cy, err = s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.EstimatedTransmitBytes(cy), recompute(cy, rel); got != want {
+		t.Fatalf("unsharded full plan: estimate %v, recomputed %v", got, want)
+	}
+	// One client swaps a subscription: same client set, so the unsharded
+	// multi-channel replan repairs locally.
+	owner := cy.Owners[0]
+	if !s.Unsubscribe(owner, cy.Queries[0].ID) {
+		t.Fatal("unsubscribe failed")
+	}
+	if err := s.Subscribe(owner, query.Range(9999, geom.R(100, 100, 250, 250))); err != nil {
+		t.Fatal(err)
+	}
+	cy2, err = s.Replan(cy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cy2.Info.Mode != ModeIncremental {
+		t.Fatalf("unsharded replan reports %+v, want an incremental one", cy2.Info)
+	}
+	if got, want := s.EstimatedTransmitBytes(cy2), recompute(cy2, rel); got != want {
+		t.Fatalf("unsharded incremental replan: estimate %v, recomputed %v", got, want)
 	}
 }

@@ -45,11 +45,6 @@ type Config struct {
 	// Strategy picks the channel allocation heuristic when the network
 	// has more than one channel.
 	Strategy chanalloc.Strategy
-	// Split enables the §11 query-splitting refinement: a query whose
-	// footprint is already covered by other merged answers on its
-	// channel is not transmitted separately; its subscriber extracts it
-	// from the covering messages.
-	Split bool
 	// Seed drives the randomized pieces (random-init allocation).
 	Seed int64
 	// Parallelism bounds the channel-allocation worker pools (multi-start
@@ -226,11 +221,6 @@ type Cycle struct {
 	// ChannelPlans[ch] partitions that channel's query indices into
 	// merged sets.
 	ChannelPlans []core.Plan
-	// ChannelCovered[ch] maps query indices dropped from transmission
-	// by split optimization (§11) to the ChannelPlans[ch] set indices
-	// whose merged answers cover them. Nil when splitting is disabled
-	// or nothing was dropped on that channel.
-	ChannelCovered []map[int][]int
 	// EstimatedCost is the model cost of the whole cycle.
 	EstimatedCost float64
 	// InitialCost is the model cost without any merging, for savings
@@ -273,22 +263,18 @@ type PlanInfo struct {
 }
 
 // msgPlan precomputes the cycle-invariant parts of one published message:
-// the merged region the queries execute as, the addressed query set (the
-// transmission set plus any split-covered queries extracting from this
-// message), and the §3.1 header. Publish rounds only fill in the tuples.
+// the merged region the set's queries execute as and the §3.1 header.
+// Publish rounds only fill in the tuples.
 type msgPlan struct {
-	ch, si    int
-	set       []int
-	addressed []int
-	region    geom.Region
-	header    []multicast.HeaderEntry
+	ch     int
+	set    []int
+	region geom.Region
+	header []multicast.HeaderEntry
 }
 
-// publishPlans builds (once) and returns the cycle's publish schedule.
-// Covered-extended addressed sets are materialized here instead of being
-// re-derived per message per round, and buildHeader's group-and-sort work
-// happens exactly once per cycle. Split-covered queries are appended in
-// ascending index order, making headers deterministic.
+// publishPlans builds (once) and returns the cycle's publish schedule, so
+// each set's merge and buildHeader's group-and-sort work happen exactly
+// once per cycle.
 func (cy *Cycle) publishPlans(proc query.MergeProcedure) []msgPlan {
 	cy.msgOnce.Do(func() { cy.buildMsgPlans(proc) })
 	return cy.msgPlans
@@ -297,48 +283,19 @@ func (cy *Cycle) publishPlans(proc query.MergeProcedure) []msgPlan {
 func (cy *Cycle) buildMsgPlans(proc query.MergeProcedure) {
 	var members []query.Query
 	for ch, plan := range cy.ChannelPlans {
-		var coveredBy map[int][]int // set index -> covered query indices
-		if cy.ChannelCovered != nil && cy.ChannelCovered[ch] != nil {
-			coveredBy = make(map[int][]int)
-			for q, covers := range cy.ChannelCovered[ch] {
-				for _, c := range covers {
-					if c >= 0 && c < len(plan) {
-						coveredBy[c] = append(coveredBy[c], q)
-					}
-				}
-			}
-			for c, qs := range coveredBy {
-				sort.Ints(qs)
-				coveredBy[c] = compactInts(qs)
-			}
-		}
-		for si, set := range plan {
+		for _, set := range plan {
 			members = members[:0]
 			for _, qi := range set {
 				members = append(members, cy.Queries[qi])
 			}
-			mp := msgPlan{ch: ch, si: si, set: set, addressed: set, region: proc.Merge(members)}
-			if extra := coveredBy[si]; len(extra) > 0 {
-				addressed := make([]int, 0, len(set)+len(extra))
-				addressed = append(addressed, set...)
-				addressed = append(addressed, extra...)
-				mp.addressed = addressed
-			}
-			mp.header = buildHeader(cy, mp.addressed)
-			cy.msgPlans = append(cy.msgPlans, mp)
+			cy.msgPlans = append(cy.msgPlans, msgPlan{
+				ch:     ch,
+				set:    set,
+				region: proc.Merge(members),
+				header: buildHeader(cy, set),
+			})
 		}
 	}
-}
-
-// compactInts removes adjacent duplicates from a sorted slice, in place.
-func compactInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // snapshot is the subscription registry flattened in the planners'
@@ -380,12 +337,10 @@ func (s *Server) newBudget() *core.Budget {
 	return core.NewBudget(s.cfg.PlanBudget, s.cfg.PlanMaxSteps)
 }
 
-// finishPlan ends every Plan and Replan: it applies splitting,
-// materializes the publish schedule (regions, addressed sets, headers:
-// invariant across publish rounds) and records what the plan did on the
-// cycle and the catalog.
+// finishPlan ends every Plan and Replan: it materializes the publish
+// schedule (regions and headers: invariant across publish rounds) and
+// records what the plan did on the cycle and the catalog.
 func (s *Server) finishPlan(start time.Time, budget *core.Budget, cy *Cycle, info PlanInfo) *Cycle {
-	s.applySplit(cy, len(cy.ClientChannel))
 	cy.publishPlans(s.cfg.Procedure)
 	info.BudgetExhausted = budget.Exhausted()
 	cy.Info = info
@@ -517,10 +472,10 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 // aggregation, Morton-sharded concurrent solving and traffic-weighted
 // channel balancing, all inside internal/shard. The resulting cycle has
 // the same invariants as the global path (every query in exactly one
-// plan set, on its owner's channel), so splitting and publish-plan
-// materialization apply unchanged. With prev set it is an incremental
-// replan (see shard.Plan) that has absorbed churn subscription changes
-// since the last full plan.
+// plan set, on its owner's channel), so publish-plan materialization
+// applies unchanged. With prev set it is an incremental replan (see
+// shard.Plan) that has absorbed churn subscription changes since the last
+// full plan.
 func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, error) {
 	start, budget := time.Now(), s.newBudget()
 	prob := &shard.Problem{
@@ -569,50 +524,6 @@ func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, err
 		cy.churn = churn
 	}
 	return s.finishPlan(start, budget, cy, info), nil
-}
-
-// applySplit runs the §11 query-splitting refinement over every channel
-// plan when the configuration enables it. Transmission sets whose members
-// are covered by the channel's other merged answers are dropped; the
-// covered queries are recorded in ChannelCovered and their subscribers
-// are addressed on the covering messages instead.
-func (s *Server) applySplit(cy *Cycle, numClients int) {
-	if !s.cfg.Split {
-		return
-	}
-	cy.ChannelCovered = make([]map[int][]int, len(cy.ChannelPlans))
-	savings := 0.0
-	// Count listeners once for every channel instead of rescanning the
-	// client map per channel.
-	listeners := make([]int, len(cy.ChannelPlans))
-	for _, c := range cy.ClientChannel {
-		listeners[c]++
-	}
-	// One instance prices every channel's plan; only the model differs.
-	inst := core.NewGeomInstance(s.cfg.Model, cy.Queries, s.cfg.Procedure, s.cfg.Estimator)
-	for ch, plan := range cy.ChannelPlans {
-		if len(plan) < 2 {
-			continue
-		}
-		model := s.cfg.Model
-		if s.net.Channels() > 1 {
-			// Charge the per-listener filtering the channel's own
-			// cost was computed with.
-			model.KM += model.K6 * float64(listeners[ch])
-		} else {
-			model.KM += model.K6 * float64(numClients)
-		}
-		inst.Model = model
-		before := inst.Cost(plan)
-		cp := core.SplitQueries(model, cy.Queries, s.cfg.Procedure, s.cfg.Estimator, plan)
-		if len(cp.Covered) == 0 {
-			continue
-		}
-		cy.ChannelPlans[ch] = cp.Plan
-		cy.ChannelCovered[ch] = cp.Covered
-		savings += before - cp.Cost
-	}
-	cy.EstimatedCost -= savings
 }
 
 // Report summarizes one Publish round.
@@ -851,13 +762,13 @@ func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) 
 }
 
 // irrelevantTuples is one message's realized U(Q,M) contribution: each
-// addressed query is charged the tuples outside its own region that it
-// must extract away client-side. This is the runtime counterpart of the
-// model's irrelevant-data term; it runs only when metrics are enabled
-// and allocates nothing (plain slice walks and interface calls).
+// query of the merged set is charged the tuples outside its own region
+// that it must extract away client-side. This is the runtime counterpart
+// of the model's irrelevant-data term; it runs only when metrics are
+// enabled and allocates nothing (plain slice walks and interface calls).
 func irrelevantTuples(cy *Cycle, mp *msgPlan, tuples []relation.Tuple) uint64 {
 	var irr uint64
-	for _, qi := range mp.addressed {
+	for _, qi := range mp.set {
 		r := cy.Queries[qi].Region
 		if r == nil {
 			continue
@@ -892,10 +803,9 @@ func buildHeader(cy *Cycle, set []int) []multicast.HeaderEntry {
 }
 
 // ValidateCycle checks a cycle's structural invariants: every query
-// appears in exactly one transmitted set or is covered by split
-// assignments, channels are in range, and owners are consistent. The
-// tests run it after every plan; callers embedding the server can use it
-// as a tripwire.
+// appears in exactly one merged set (the partition of §4), channels are
+// in range, and owners are consistent. The tests run it after every plan;
+// callers embedding the server can use it as a tripwire.
 func ValidateCycle(cy *Cycle, channels int) error {
 	if cy == nil {
 		return errors.New("server: nil cycle")
@@ -916,26 +826,10 @@ func ValidateCycle(cy *Cycle, channels int) error {
 				seen[q]++
 			}
 		}
-		if cy.ChannelCovered != nil && cy.ChannelCovered[ch] != nil {
-			for q, covers := range cy.ChannelCovered[ch] {
-				if q < 0 || q >= len(cy.Queries) {
-					return fmt.Errorf("server: covered entry references unknown query %d", q)
-				}
-				if len(covers) == 0 {
-					return fmt.Errorf("server: covered query %d has no covering sets", q)
-				}
-				for _, c := range covers {
-					if c < 0 || c >= len(plan) {
-						return fmt.Errorf("server: covered query %d references set %d outside channel %d plan", q, c, ch)
-					}
-				}
-				seen[q]++
-			}
-		}
 	}
 	for q, n := range seen {
 		if n != 1 {
-			return fmt.Errorf("server: query %d appears %d times across plans/covers", q, n)
+			return fmt.Errorf("server: query %d appears in %d merged sets", q, n)
 		}
 	}
 	for id, ch := range cy.ClientChannel {

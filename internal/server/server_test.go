@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
+	"qsub/internal/shard"
 	"qsub/internal/workload"
 )
 
@@ -379,103 +381,6 @@ type noMerge struct{}
 func (noMerge) Name() string                        { return "no-merge" }
 func (noMerge) Solve(inst *core.Instance) core.Plan { return core.Singletons(inst.N) }
 
-// TestSplitEndToEnd verifies the §11 query-splitting refinement: with
-// Split enabled, covered queries are not transmitted separately but
-// every client still recovers its exact answer by combining the covering
-// messages.
-func TestSplitEndToEnd(t *testing.T) {
-	rel, net := buildWorld(t, 1, 3000, 13)
-	defer net.Close()
-	s, err := New(rel, net, Config{
-		Model: cost.Model{KM: 100, KT: 1, KU: 0.3},
-		Split: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two tiles plus a query straddling them: the straddler is covered
-	// by the union of the tiles.
-	qs := []query.Query{
-		query.Range(1, geom.R(0, 0, 300, 300)),
-		query.Range(2, geom.R(300, 0, 600, 300)),
-		query.Range(3, geom.R(150, 50, 450, 250)),
-	}
-	clients := map[int]*client.Client{}
-	for i, q := range qs {
-		clients[i] = client.New(i, q)
-		if err := s.Subscribe(i, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cy := runCycle(t, s, clients)
-	if cy.ChannelCovered == nil || len(cy.ChannelCovered[0]) == 0 {
-		t.Fatalf("split should cover the straddling query; plans %v", cy.ChannelPlans)
-	}
-	for id, c := range clients {
-		for _, q := range c.Queries() {
-			got, want := c.Answer(q.ID), q.Answer(rel)
-			if len(got) != len(want) {
-				t.Fatalf("client %d query %d: %d tuples, want %d", id, q.ID, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("client %d query %d: tuple mismatch", id, q.ID)
-				}
-			}
-		}
-	}
-	// The covered query was not transmitted as its own message.
-	total := 0
-	for _, plan := range cy.ChannelPlans {
-		total += len(plan)
-	}
-	if total != 2 {
-		t.Fatalf("expected 2 transmitted messages, got %d", total)
-	}
-}
-
-// TestSplitNeverBreaksRandomWorkloads is a randomized end-to-end check:
-// with Split enabled, answers stay exact on arbitrary workloads.
-func TestSplitNeverBreaksRandomWorkloads(t *testing.T) {
-	for trial := 0; trial < 5; trial++ {
-		rel, net := buildWorld(t, 2, 1500, int64(100+trial))
-		s, err := New(rel, net, Config{
-			Model: cost.Model{KM: 20000, KT: 1, KU: 0.1, K6: 500},
-			Split: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := workload.MustNewGenerator(workload.Config{
-			DB: geom.R(0, 0, 1000, 1000), CF: 0.9, SF: 0.5, DF: 30,
-			MinW: 50, MaxW: 200, MinH: 50, MaxH: 200, Seed: int64(trial),
-		})
-		qs := gen.Queries(10)
-		clients := map[int]*client.Client{}
-		for i, q := range qs {
-			id := i % 3
-			if clients[id] == nil {
-				clients[id] = client.New(id)
-			}
-			clients[id].AddQuery(q)
-			if err := s.Subscribe(id, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runCycle(t, s, clients)
-		for id, c := range clients {
-			for _, q := range c.Queries() {
-				got, want := c.Answer(q.ID), q.Answer(rel)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d client %d query %d: %d tuples, want %d",
-						trial, id, q.ID, len(got), len(want))
-				}
-			}
-		}
-		net.Close()
-	}
-}
-
 // TestFilteredSubscriptionEndToEnd verifies that attribute predicates
 // (§2's "more complicated queries") work through the full pipeline:
 // merging and dissemination operate on regions, the filter is applied
@@ -687,25 +592,73 @@ func TestFullPublishBetweenDeltasShipsRemovals(t *testing.T) {
 	}
 }
 
+// TestValidateCycleOnAllPlans runs the structural oracle on every plan
+// shape — 1 and 3 channels, the unsharded and the sharded planner, a full
+// Plan and a Replan after churn — and pins the partition of §4 on the
+// publish schedule as well: each (owner, query id) appears in exactly one
+// message header of the cycle, so its client extracts it from exactly one
+// message.
 func TestValidateCycleOnAllPlans(t *testing.T) {
-	for _, channels := range []int{1, 3} {
-		rel, net := buildWorld(t, channels, 800, int64(channels))
-		s, _ := New(rel, net, Config{Model: testModel, Split: channels == 1})
-		gen := workload.MustNewGenerator(workload.DefaultConfig())
-		qs := gen.Queries(9)
-		for i, q := range qs {
-			if err := s.Subscribe(i%3, q); err != nil {
-				t.Fatal(err)
+	check := func(stage string, s *Server, cy *Cycle, channels int) {
+		t.Helper()
+		if err := ValidateCycle(cy, channels); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		headers := make(map[subKey]int)
+		for _, mp := range cy.publishPlans(s.cfg.Procedure) {
+			for _, e := range mp.header {
+				for _, id := range e.QueryIDs {
+					headers[subKey{e.ClientID, id}]++
+				}
 			}
 		}
-		cy, err := s.Plan()
-		if err != nil {
-			t.Fatal(err)
+		for i, q := range cy.Queries {
+			if n := headers[subKey{cy.Owners[i], q.ID}]; n != 1 {
+				t.Fatalf("%s: client %d query %d is in %d message headers, want 1", stage, cy.Owners[i], q.ID, n)
+			}
 		}
-		if err := ValidateCycle(cy, channels); err != nil {
-			t.Fatalf("channels=%d: %v", channels, err)
+		if len(headers) != len(cy.Queries) {
+			t.Fatalf("%s: headers address %d subscriptions, the cycle has %d", stage, len(headers), len(cy.Queries))
 		}
-		net.Close()
+	}
+	for _, channels := range []int{1, 3} {
+		for name, sharding := range map[string]shard.Config{
+			"unsharded": {},
+			"sharded":   {Enabled: true, ShardBits: 2, Aggregate: true},
+		} {
+			stage := fmt.Sprintf("channels=%d %s", channels, name)
+			rel, net := buildWorld(t, channels, 800, int64(channels))
+			s, _ := New(rel, net, Config{Model: testModel, Sharding: sharding})
+			qs := workload.MustNewGenerator(workload.DefaultConfig()).Queries(40)
+			for i, q := range qs[:36] {
+				if err := s.Subscribe(i%3, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cy, err := s.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(stage+" plan", s, cy, channels)
+			// Churn inside the quarter rule on a stable client set, so
+			// every path repairs the previous cycle.
+			s.Unsubscribe(0, qs[0].ID)
+			s.Unsubscribe(1, qs[1].ID)
+			for i, q := range qs[36:] {
+				if err := s.Subscribe(i%3, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next, err := s.Replan(cy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Info.Mode != ModeIncremental {
+				t.Fatalf("%s: replan reports %+v, want an incremental one", stage, next.Info)
+			}
+			check(stage+" replan", s, next, channels)
+			net.Close()
+		}
 	}
 	// Corrupt cycles are caught.
 	if err := ValidateCycle(nil, 1); err == nil {

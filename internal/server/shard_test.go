@@ -42,60 +42,45 @@ func subscribeWorkload(t *testing.T, seed int64, nq, nc int, dupF float64, serve
 // existing global solve bit-for-bit — identical channel plans, client
 // assignment, and float-identical costs.
 func TestShardedEquivalenceAblation(t *testing.T) {
-	for _, split := range []bool{false, true} {
-		relA, netA := buildWorld(t, 1, 2000, 11)
-		defer netA.Close()
-		relB, netB := buildWorld(t, 1, 2000, 11)
-		defer netB.Close()
-		base, err := New(relA, netA, Config{Model: testModel, Split: split})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := New(relB, netB, Config{
-			Model: testModel, Split: split,
-			Sharding: shard.Config{Enabled: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		subscribeWorkload(t, 13, 60, 8, 0, base, sharded)
+	relA, netA := buildWorld(t, 1, 2000, 11)
+	defer netA.Close()
+	relB, netB := buildWorld(t, 1, 2000, 11)
+	defer netB.Close()
+	base, err := New(relA, netA, Config{Model: testModel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := New(relB, netB, Config{
+		Model:    testModel,
+		Sharding: shard.Config{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subscribeWorkload(t, 13, 60, 8, 0, base, sharded)
 
-		want, err := base.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sharded.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) {
-			t.Fatalf("split=%v: sharded channel plans differ:\n  got  %v\n  want %v",
-				split, got.ChannelPlans, want.ChannelPlans)
-		}
-		if !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
-			t.Fatalf("split=%v: client assignment differs", split)
-		}
-		if got.EstimatedCost != want.EstimatedCost {
-			t.Fatalf("split=%v: EstimatedCost %v != %v (must be bit-identical)",
-				split, got.EstimatedCost, want.EstimatedCost)
-		}
-		if got.InitialCost != want.InitialCost {
-			t.Fatalf("split=%v: InitialCost %v != %v (must be bit-identical)",
-				split, got.InitialCost, want.InitialCost)
-		}
-		if !reflect.DeepEqual(got.ChannelCovered, want.ChannelCovered) {
-			t.Fatalf("split=%v: split-covered sets differ", split)
-		}
+	want, err := base.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) {
+		t.Fatalf("sharded channel plans differ:\n  got  %v\n  want %v", got.ChannelPlans, want.ChannelPlans)
+	}
+	if !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
+		t.Fatal("client assignment differs")
+	}
+	if got.EstimatedCost != want.EstimatedCost {
+		t.Fatalf("EstimatedCost %v != %v (must be bit-identical)", got.EstimatedCost, want.EstimatedCost)
+	}
+	if got.InitialCost != want.InitialCost {
+		t.Fatalf("InitialCost %v != %v (must be bit-identical)", got.InitialCost, want.InitialCost)
 	}
 }
 
-// TestNaNRegionRefused: one client's region with a NaN coordinate must not
-// reach the planner, where a NaN edge spreads into the bounding rectangle
-// of every merge it joins and other clients' answers lose tuples. Under
-// the unsharded, one-shard and sharded aggregated planners, every kind of
-// NaN-bearing region is refused with nothing of the call registered, an
-// infinite edge is accepted, and the honest clients' answers equal direct
-// evaluation.
 func TestNaNRegionRefused(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := map[string]geom.Region{

@@ -50,34 +50,6 @@ func TestAppendMessageFrameMatchesWriteFrame(t *testing.T) {
 	}
 }
 
-func TestNewMessageFrameAccessors(t *testing.T) {
-	m := benchMsg()
-	f := NewMessageFrame(m)
-	if f.Type() != TypeAnswer {
-		t.Fatalf("frame type = %d, want TypeAnswer", f.Type())
-	}
-	if f.Len() != len(f.Bytes()) || f.Len() != len(f.Payload())+5 {
-		t.Fatalf("inconsistent frame sizes: Len=%d Bytes=%d Payload=%d",
-			f.Len(), len(f.Bytes()), len(f.Payload()))
-	}
-	got, err := UnmarshalMessage(f.Payload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != m.Seq || len(got.Tuples) != len(m.Tuples) {
-		t.Fatalf("frame payload did not round-trip: %+v", got)
-	}
-	var w bytes.Buffer
-	n, err := f.WriteTo(&w)
-	if err != nil || n != int64(f.Len()) || !bytes.Equal(w.Bytes(), f.Bytes()) {
-		t.Fatalf("WriteTo wrote %d bytes (err=%v), want %d", n, err, f.Len())
-	}
-	var zero Frame
-	if zero.Type() != 0 || zero.Payload() != nil || zero.Len() != 0 {
-		t.Fatal("zero frame accessors should degrade to zero values")
-	}
-}
-
 // TestAppendMessageFrameZeroAlloc pins the buffer-reuse contract: once
 // the buffer has grown to frame size, steady-state framing into it
 // allocates nothing.

@@ -178,31 +178,17 @@ func ReadFrameAppend(buf []byte, r io.Reader) (frameType uint8, payload []byte, 
 
 // --- encode-once frames ----------------------------------------------------
 
-// A Frame is one complete, ready-to-write wire frame: the 5-byte
-// length+type header followed by the payload, in one contiguous byte
-// slice. Frames exist so a publish cycle can encode each message exactly
-// once and fan the identical bytes out to every subscriber.
-//
-// Aliasing contract: a Frame handed to the delivery layer is immutable.
-// Forwarders, eviction drains and refresh republishes may all hold the
-// same backing array concurrently; none of them may write to it, and the
-// encoder must never reuse the buffer for a later message. The -race
-// stress tests pin this.
-type Frame struct {
-	buf []byte
-}
-
-// NewMessageFrame encodes a multicast answer message into a fresh,
-// immutable TypeAnswer frame.
-func NewMessageFrame(m multicast.Message) Frame {
-	return Frame{buf: AppendMessageFrame(nil, m)}
-}
-
 // AppendMessageFrame appends a complete TypeAnswer frame — 5-byte header
 // plus MarshalMessageAppend payload — to buf and returns the extended
 // slice. Like MarshalMessageAppend it reuses buf's backing array when
 // capacity allows, so an encoder that keeps its buffer stays
 // allocation-free in steady state.
+//
+// Aliasing contract: a frame handed to the delivery layer
+// (multicast.Message.Frame) is immutable. Forwarders, eviction drains and
+// refresh republishes may all hold the same backing array concurrently;
+// none of them may write to it, and the encoder must never reuse the
+// buffer for a later message. The -race stress tests pin this.
 func AppendMessageFrame(buf []byte, m multicast.Message) []byte {
 	start := len(buf)
 	// One allocation of the exact size when buf has no room (the
@@ -213,35 +199,6 @@ func AppendMessageFrame(buf []byte, m multicast.Message) []byte {
 	buf = MarshalMessageAppend(buf, m)
 	binary.BigEndian.PutUint32(buf[start:start+4], uint32(len(buf)-start-5))
 	return buf
-}
-
-// Bytes returns the frame's full wire bytes (header and payload). The
-// slice is shared, not a copy: callers must treat it as read-only.
-func (f Frame) Bytes() []byte { return f.buf }
-
-// Len returns the total size of the frame on the wire.
-func (f Frame) Len() int { return len(f.buf) }
-
-// Type returns the frame type byte; 0 for an empty frame.
-func (f Frame) Type() uint8 {
-	if len(f.buf) < 5 {
-		return 0
-	}
-	return f.buf[4]
-}
-
-// Payload returns the frame's payload bytes (read-only, shared).
-func (f Frame) Payload() []byte {
-	if len(f.buf) < 5 {
-		return nil
-	}
-	return f.buf[5:]
-}
-
-// WriteTo writes the frame to w in one call, satisfying io.WriterTo.
-func (f Frame) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(f.buf)
-	return int64(n), err
 }
 
 // --- primitive encoders ---------------------------------------------------

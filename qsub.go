@@ -391,12 +391,6 @@ func NewIntervalInstance(model Model, ivs []Interval, density float64) *Instance
 	return interval.Instance(model, ivs, density)
 }
 
-// NewRTreeRelation creates a relation backed by an R-tree index, which
-// adapts to skewed data where the fixed grid degenerates.
-func NewRTreeRelation(bounds Rect, maxEntries int) (*Relation, error) {
-	return relation.NewRTree(bounds, maxEntries)
-}
-
 // Algorithm comparison experiment.
 type (
 	// AlgoExperiment parameterizes the heuristic comparison.
@@ -481,20 +475,6 @@ func NewScheduler(rel *Relation, net *Network, cfg ServerConfig) (*Scheduler, er
 // snapshot stream with an nx × ny grid index.
 func ReadSnapshot(r io.Reader, nx, ny int) (*Relation, error) {
 	return relation.ReadSnapshot(r, nx, ny)
-}
-
-// RelationLogger appends relation inserts to a log for crash recovery.
-type RelationLogger = relation.Logger
-
-// NewRelationLogger starts an insert log on w.
-func NewRelationLogger(rel *Relation, w io.Writer) (*RelationLogger, error) {
-	return relation.NewLogger(rel, w)
-}
-
-// ReplayLog applies a relation insert log, stopping cleanly at a torn
-// tail; it returns the number of inserts applied.
-func ReplayLog(rel *Relation, r io.Reader) (int, error) {
-	return relation.Replay(rel, r)
 }
 
 // DriftMonitor closes the loop between size estimates and published

@@ -216,7 +216,7 @@ func drain(sub *Subscription) []Message {
 	}
 }
 
-// TestFacadePersistence exercises the snapshot/log exports.
+// TestFacadePersistence exercises the snapshot exports.
 func TestFacadePersistence(t *testing.T) {
 	rel := NewRelation(R(0, 0, 100, 100), 4, 4)
 	rel.Insert(Pt(10, 10), []byte("a"))
@@ -230,18 +230,6 @@ func TestFacadePersistence(t *testing.T) {
 	}
 	if restored.Len() != 1 {
 		t.Fatalf("restored %d tuples", restored.Len())
-	}
-	var log bytes.Buffer
-	logger, err := NewRelationLogger(restored, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := logger.Insert(Pt(20, 20), nil); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewRelation(R(0, 0, 100, 100), 4, 4)
-	if n, err := ReplayLog(fresh, &log); err != nil || n != 1 {
-		t.Fatalf("replay = %d, %v", n, err)
 	}
 }
 
@@ -258,18 +246,6 @@ func TestFacadeIntervals(t *testing.T) {
 	}
 }
 
-// TestFacadeRTree exercises the R-tree relation export.
-func TestFacadeRTree(t *testing.T) {
-	rel, err := NewRTreeRelation(R(0, 0, 100, 100), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel.Insert(Pt(5, 5), nil)
-	if rel.Count(R(0, 0, 10, 10)) != 1 {
-		t.Fatal("rtree relation search failed")
-	}
-}
-
 // TestFacadeFilteredQuery exercises attribute predicates via the facade.
 func TestFacadeFilteredQuery(t *testing.T) {
 	rel := NewRelation(R(0, 0, 100, 100), 4, 4)
@@ -283,15 +259,12 @@ func TestFacadeFilteredQuery(t *testing.T) {
 	}
 }
 
-// TestGrandTour exercises many features in one pipeline: an R-tree
-// relation, filtered + projected queries, split optimization, delta
-// cycles with deletions, the histogram estimator, and client caching —
-// everything a downstream adopter is likely to combine.
+// TestGrandTour exercises many features in one pipeline: filtered +
+// projected queries, delta cycles with deletions, the histogram
+// estimator, and client caching — everything a downstream adopter is
+// likely to combine.
 func TestGrandTour(t *testing.T) {
-	rel, err := NewRTreeRelation(R(0, 0, 600, 600), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := NewRelation(R(0, 0, 600, 600), 16, 16)
 	kinds := []string{"tank", "truck"}
 	var ids []uint64
 	for i := 0; i < 3000; i++ {
@@ -312,7 +285,6 @@ func TestGrandTour(t *testing.T) {
 	srv, err := NewServer(rel, net, ServerConfig{
 		Model:     Model{KM: 100, KT: 1, KU: 0.3},
 		Estimator: hist,
-		Split:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +295,7 @@ func TestGrandTour(t *testing.T) {
 	queries := []Query{
 		RangeQuery(1, R(0, 0, 300, 300)),
 		RangeQuery(2, R(300, 0, 600, 300)),
-		FilteredQuery(3, R(150, 50, 450, 250), tanksOnly), // covered by 1 ∪ 2
+		FilteredQuery(3, R(150, 50, 450, 250), tanksOnly), // overlaps 1 and 2
 		{ID: 4, Region: R(0, 300, 200, 500), Project: upper},
 	}
 	clients := map[int]*Client{}
