@@ -1,12 +1,14 @@
 // Command qsubctl is an interactive subscription client for qsubd: it
 // subscribes one or more rectangle queries, waits for channel assignment
 // and merged answers, extracts its answers client-side, and prints the
-// accounting.
+// accounting. Every run goes through the netclient runtime: the session
+// is resubscribed after a reconnect, and a sequence gap requests a full
+// refresh.
 //
 // Usage:
 //
 //	qsubctl -addr 127.0.0.1:7070 -id 1 -q "100,100,300,300" -q "250,250,400,400" -cycles 3
-//	qsubctl -addr 127.0.0.1:7070 -id 1 -q "100,100,300,300" -reconnect   # survive daemon restarts
+//	qsubctl -addr 127.0.0.1:7070 -id 1 -q "100,100,300,300" -max-attempts 0   # survive daemon restarts
 package main
 
 import (
@@ -57,10 +59,9 @@ func main() {
 		cycles = flag.Int("cycles", 1, "number of answer messages to wait for before exiting")
 		cache  = flag.Bool("cache", false, "enable the client object cache (§11)")
 
-		reconnect  = flag.Bool("reconnect", false, "keep the session alive across daemon restarts (resubscribe + full refresh)")
-		minBackoff = flag.Duration("min-backoff", 100*time.Millisecond, "base reconnect delay (with -reconnect)")
-		maxBackoff = flag.Duration("max-backoff", 30*time.Second, "reconnect delay cap (with -reconnect)")
-		maxTries   = flag.Int("max-attempts", 0, "give up after this many consecutive failed dials, 0 = retry forever (with -reconnect)")
+		minBackoff = flag.Duration("min-backoff", 100*time.Millisecond, "base reconnect delay")
+		maxBackoff = flag.Duration("max-backoff", 30*time.Second, "reconnect delay cap")
+		maxTries   = flag.Int("max-attempts", 1, "give up after this many consecutive failed dials, 0 = retry forever")
 	)
 	workloadFile := flag.String("workload", "", "load query rectangles from a qsubgen JSON file instead of -q flags")
 	flag.Var(&rects, "q", "query rectangle minX,minY,maxX,maxY (repeatable)")
@@ -82,13 +83,7 @@ func main() {
 		queries[i] = query.Range(query.ID(i+1), r)
 	}
 
-	var c *client.Client
-	if *reconnect {
-		c = runResilient(queries, *addr, *id, *cycles, *cache, *minBackoff, *maxBackoff, *maxTries)
-	} else {
-		c = runOnce(queries, *addr, *id, *cycles, *cache)
-	}
-
+	c := run(queries, *addr, *id, *cycles, *cache, *minBackoff, *maxBackoff, *maxTries)
 	st := c.Stats()
 	fmt.Printf("messages seen %d, addressed %d; bytes relevant %d, irrelevant %d, filtered %d; gaps %d; cache hits %d\n",
 		st.MessagesSeen, st.MessagesAddressed, st.RelevantBytes, st.IrrelevantBytes,
@@ -98,55 +93,9 @@ func main() {
 	}
 }
 
-// runOnce is the classic single-session path: one dial, fatal on any
-// connection error.
-func runOnce(queries []query.Query, addr string, id, cycles int, cache bool) *client.Client {
-	conn, err := daemon.Dial(addr, id)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
-
-	c := client.New(id, queries...)
-	if cache {
-		c.EnableCache()
-	}
-	for _, q := range queries {
-		if err := conn.Subscribe(q); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := conn.Ready(); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("qsubctl: subscribed %d queries as client %d, waiting for cycles...", len(queries), id)
-
-	answers := 0
-	for answers < cycles {
-		ev, err := conn.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		switch {
-		case ev.Assigned != nil:
-			log.Printf("qsubctl: assigned to channel %d (cycle cost %.0f, unmerged %.0f)",
-				ev.Assigned.Channel, ev.Assigned.EstimatedCost, ev.Assigned.InitialCost)
-		case ev.Err != nil:
-			log.Printf("qsubctl: server error: %s", ev.Err.Msg)
-		case ev.Answer != nil:
-			c.Handle(*ev.Answer)
-			if _, addressed := ev.Answer.EntryFor(id); addressed {
-				answers++
-			}
-		}
-	}
-	return c
-}
-
-// runResilient drives the session through the netclient runtime:
-// automatic reconnect with backoff, resubscription after each connect,
-// and full-refresh gap recovery.
-func runResilient(queries []query.Query, addr string, id, cycles int, cache bool,
+// run drives the session through the netclient runtime until cycles
+// answers addressed to the client have arrived.
+func run(queries []query.Query, addr string, id, cycles int, cache bool,
 	minBackoff, maxBackoff time.Duration, maxAttempts int) *client.Client {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -184,7 +133,7 @@ func runResilient(queries []query.Query, addr string, id, cycles int, cache bool
 	}
 	runDone := make(chan error, 1)
 	go func() { runDone <- nc.Run(ctx) }()
-	log.Printf("qsubctl: resilient session for %d queries as client %d, waiting for cycles...", len(queries), id)
+	log.Printf("qsubctl: session for %d queries as client %d, waiting for cycles...", len(queries), id)
 
 	for seen := 0; seen < cycles; {
 		select {

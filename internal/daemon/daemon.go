@@ -5,8 +5,11 @@
 // cycle, and receives the merged answers of its channel as TypeAnswer
 // frames — the deployable version of the BADD dissemination loop (§2).
 //
-// The delivery side of every connection — direct client or relay feed —
-// is a fanout.Session: one bounded queue and one writer per connection,
+// The daemon is the node at hop 0 of the connection engine every tier
+// runs (fanout.Hub: accept, the read loop, the client registry with its
+// privilege and supersede rules); its upstream is the planner. The
+// delivery side of every connection — direct client or relay feed — is a
+// fanout.Session: one bounded queue and one writer per connection,
 // control frames in-band with the answers. It degrades gracefully under
 // slow, dead and reconnecting clients: a slow-consumer policy on the
 // queue (default: evict), read-idle and per-flush write deadlines, a
@@ -17,7 +20,6 @@ package daemon
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -28,7 +30,6 @@ import (
 	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
-	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/server"
 	"qsub/internal/trace"
@@ -50,19 +51,10 @@ type Daemon struct {
 	net     *multicast.Network
 	metrics *metrics.Catalog
 
-	// hub holds the delivery side of every connection (see
-	// internal/fanout).
+	// hub is the connection engine at hop 0: every connection — direct
+	// client or relay feed — and the client registry (see
+	// internal/fanout). Its upstream is the planner (root).
 	hub *fanout.Hub
-
-	// mu guards the client registry: every client id with a registration
-	// at this daemon, the session that owns it (its own connection, or
-	// the relay feed it is routed through; nil for subscriptions restored
-	// from a file) and the query ids it registered. The owner check on
-	// every control frame is the supersede rule: a late frame or teardown
-	// from a session that no longer owns an id cannot touch its
-	// successor's registrations.
-	mu      sync.Mutex
-	clients map[int]*registration
 
 	planMu       sync.Mutex
 	cycle        *server.Cycle
@@ -72,7 +64,6 @@ type Daemon struct {
 	drift        server.DriftMonitor
 	replans      int
 
-	wg sync.WaitGroup
 	// Logf receives diagnostic messages; nil silences them.
 	Logf func(format string, args ...any)
 	// Trace, when set, records control-plane events (plans, publishes,
@@ -114,18 +105,6 @@ func (d *Daemon) clockNano() int64 {
 	return time.Now().UnixNano()
 }
 
-// registration is one registry entry (see Daemon.mu).
-type registration struct {
-	owner   *fanout.Session
-	queries map[query.ID]struct{}
-}
-
-// direct reports whether the client is its owner's own connection rather
-// than one routed through a relay feed.
-func direct(owner *fanout.Session, id int) bool {
-	return owner.ClientID == id && !owner.IsFeed()
-}
-
 // New creates a daemon over a relation with the given channel count and
 // server configuration.
 func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, error) {
@@ -147,13 +126,12 @@ func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, erro
 		srv:     srv,
 		net:     mnet,
 		metrics: cfg.Metrics,
-		clients: make(map[int]*registration),
 
 		WriteTimeout:     DefaultWriteTimeout,
 		SubscriberBuffer: DefaultSubscriberBuffer,
 		SlowPolicy:       multicast.Evict,
 	}
-	d.hub = fanout.NewHub(cfg.Metrics, d.clockNano, d.logf)
+	d.hub = fanout.NewHub(cfg.Metrics, d.clockNano, d.logf, root{d})
 	// Every published message is stamped at seq assignment, for
 	// end-to-end latency accounting, and marshalled into a complete
 	// TypeAnswer frame exactly once; each session's writer writes that
@@ -193,152 +171,36 @@ func (d *Daemon) Serve(ctx context.Context, ln net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close() // unblock Accept
-		case <-stop:
-		}
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				d.Shutdown()
-				return nil
-			}
-			if d.hub.Closed() {
-				return nil
-			}
-			return err
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			if err := d.handle(conn); err != nil && err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				d.logf("daemon: session error: %v", err)
-			}
-		}()
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
+	err := d.hub.Serve(ln, fanout.Limits{Buffer: d.SubscriberBuffer, Policy: d.SlowPolicy, WriteTimeout: d.WriteTimeout},
+		d.ReadIdleTimeout)
+	switch {
+	case ctx.Err() != nil:
+		d.Shutdown()
+		return nil
+	case d.hub.Closed():
+		return nil
 	}
+	return err
 }
 
-// readFrame reads one frame under the daemon's idle deadline, counting
-// expiries.
-func (d *Daemon) readFrame(conn net.Conn) (uint8, []byte, error) {
-	if d.ReadIdleTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(d.ReadIdleTimeout))
-	}
-	ft, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			d.metrics.SessionsExpired.Inc()
-			d.metrics.SessionsExpiredIdle.Inc()
-			return 0, nil, fmt.Errorf("daemon: session idle past %s: %w", d.ReadIdleTimeout, err)
-		}
-	}
-	return ft, payload, err
-}
+// root is the daemon's side of the connection engine: the node at hop 0,
+// whose upstream is a function call into the planner.
+type root struct{ *Daemon }
 
-// sessionSendBuffer is the socket send-buffer size requested for each
-// session connection. The fan-out path writes bursts of small frames;
-// each lands in the send queue as an skb whose true size the kernel
-// accounts at 1-2 KiB regardless of payload, and the skbs are only
-// freed on ACK — which a quiet receiver may delay tens of
-// milliseconds. The Linux default budget (tcp_wmem[1] = 16 KiB) fits
-// only a handful of such bursts, so a publish cycle's flush ends up
-// blocked on ACK clocking instead of CPU. A 256 KiB budget absorbs a
-// full cycle's burst per session; the kernel allocates it only as used.
-const sessionSendBuffer = 256 << 10
+func (d root) Fabric() (*multicast.Network, int) { return d.net, 0 }
 
-// handle runs one session: Hello, then control frames until Bye or
-// disconnect. A client speaks the query protocol for itself; a session
-// that sends RelaySub becomes a relay feed (relay.go) and from then on
-// speaks only RelayCtl — its downstream clients' control frames, wrapped
-// — and Refresh.
-func (d *Daemon) handle(conn net.Conn) error {
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetWriteBuffer(sessionSendBuffer) // best effort
-	}
-	ft, payload, err := d.readFrame(conn)
-	if err != nil {
-		return err
-	}
-	if ft != wire.TypeHello {
-		return fmt.Errorf("daemon: expected Hello, got frame type %d", ft)
-	}
-	hello, err := wire.UnmarshalHello(payload)
-	if err != nil {
-		return err
-	}
-	sess, err := d.hub.Open(conn, hello.ClientID, fanout.Limits{
-		Buffer: d.SubscriberBuffer, Policy: d.SlowPolicy, WriteTimeout: d.WriteTimeout})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		sess.Close()
-		d.release(sess)
-	}()
-	d.claim(sess, hello.ClientID)
-
-	for {
-		ft, payload, err := d.readFrame(conn)
-		if err != nil {
-			return err
-		}
-		feed := sess.IsFeed()
-		switch {
-		case ft == wire.TypeBye:
-			return nil
-		case ft == wire.TypeRelaySub && !feed:
-			var rs wire.RelaySub
-			if rs, err = wire.UnmarshalRelaySub(payload); err == nil {
-				err = d.upgradeFeed(sess, rs)
-			}
-		case ft == wire.TypeRelayCtl && feed:
-			// RelayCtl is a privilege: only a feed speaks for other ids,
-			// and never for its own.
-			var rc wire.RelayCtl
-			if rc, err = wire.UnmarshalRelayCtl(payload); err == nil && rc.ClientID == sess.ClientID {
-				err = fmt.Errorf("daemon: relay %d wrapped a frame for its own id", sess.ClientID)
-			}
-			if err == nil {
-				err = d.control(sess, rc.ClientID, rc.Inner, rc.Payload)
-			}
-		case ft == wire.TypeRefresh || !feed && (ft == wire.TypeSubscribe || ft == wire.TypeUnsubscribe || ft == wire.TypeReady):
-			err = d.control(sess, sess.ClientID, ft, payload)
-		default:
-			err = fmt.Errorf("daemon: unexpected frame type %d (relay feed: %v)", ft, feed)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// control applies one control frame on behalf of client id: a direct
-// session's own frame, the inner frame of a relay's RelayCtl, or (owner
-// nil) a line of a subscription file. Frames for an id the sender does
-// not own are ignored — its successor's registrations are not the
-// sender's to change — except that a direct session learns it was
-// superseded and ends.
-func (d *Daemon) control(owner *fanout.Session, id int, ft uint8, payload []byte) error {
+func (d root) Control(id int, ft uint8, payload []byte) error {
 	switch ft {
-	case wire.TypeHello:
-		// A relay announces a downstream client. The inner payload
-		// carries the same id as the wrapper; the wrapper is
-		// authoritative.
-		d.claim(owner, id)
+	case wire.TypeHello, wire.TypeBye:
+		// A client starts, and ends, with nothing registered: whatever
+		// its id held before — under a predecessor connection, another
+		// relay, or a subscription file — is released.
+		if d.srv.Release(id) > 0 {
+			d.markDirty()
+		}
 	case wire.TypeSubscribe, wire.TypeUnsubscribe:
-		return d.changeSubscription(owner, id, ft, payload)
-	case wire.TypeReady:
-		// Ready is a synchronization hint: clients send it after their
-		// subscriptions so the operator (or test) knows a cycle can run.
-		// The daemon itself plans on RunCycle.
+		return d.changeSubscription(id, ft, payload)
 	case wire.TypeRefresh:
 		// Gap recovery: the client (or a relay that lost its upstream
 		// stream) missed messages and wants full answers instead of a
@@ -347,159 +209,39 @@ func (d *Daemon) control(owner *fanout.Session, id int, ft uint8, payload []byte
 		d.refreshForce = true
 		d.planMu.Unlock()
 		d.logf("daemon: client %d requested a full refresh", id)
-	case wire.TypeBye:
-		d.release(owner, id)
-	default:
-		return fmt.Errorf("daemon: unsupported control frame type %d for client %d", ft, id)
 	}
+	// Ready is a synchronization hint: clients send it after their
+	// subscriptions so the operator (or test) knows a cycle can run. The
+	// daemon itself plans on RunCycle.
 	return nil
 }
 
-// changeSubscription registers or removes one query of client id. The
-// owner check, the server's registry and the client's entry change in one
-// critical section, so a supersede can never land between them.
-func (d *Daemon) changeSubscription(owner *fanout.Session, id int, ft uint8, payload []byte) error {
-	var q query.Query
-	var qid query.ID
-	kind := trace.KindSubscribe
+// changeSubscription registers or removes one query of client id; an
+// error refuses it.
+func (d *Daemon) changeSubscription(id int, ft uint8, payload []byte) error {
+	ev := trace.Event{Kind: trace.KindSubscribe, ClientID: id}
 	if ft == wire.TypeSubscribe {
 		sub, err := wire.UnmarshalSubscribe(payload)
 		if err != nil {
 			return err
 		}
-		q, qid = sub.Query, sub.Query.ID
+		if err := d.srv.Subscribe(id, sub.Query); err != nil {
+			return err
+		}
+		ev.QueryID = uint64(sub.Query.ID)
 	} else {
 		unsub, err := wire.UnmarshalUnsubscribe(payload)
 		if err != nil {
 			return err
 		}
-		qid, kind = unsub.ID, trace.KindUnsubscribe
-	}
-	d.mu.Lock()
-	c := d.clients[id]
-	if c == nil && ft == wire.TypeSubscribe {
-		// Implicit claim: a restored subscription, or a relay that
-		// skipped the Hello.
-		c = &registration{owner: owner, queries: make(map[query.ID]struct{})}
-		d.clients[id] = c
-	}
-	owned := c != nil && c.owner == owner
-	var err error
-	switch {
-	case !owned:
-	case ft == wire.TypeSubscribe:
-		if err = d.srv.Subscribe(id, q); err == nil {
-			c.queries[qid] = struct{}{}
+		if !d.srv.Unsubscribe(id, unsub.ID) {
+			return fmt.Errorf("no subscription with id %d", unsub.ID)
 		}
-	case d.srv.Unsubscribe(id, qid):
-		delete(c.queries, qid)
-	default:
-		err = fmt.Errorf("no subscription with id %d", qid)
+		ev.Kind, ev.QueryID = trace.KindUnsubscribe, uint64(unsub.ID)
 	}
-	d.mu.Unlock()
-	switch {
-	case !owned:
-		return d.disowned(owner, id)
-	case err != nil && owner == nil:
-		return err
-	case err != nil:
-		d.reply(owner, id, wire.TypeError, wire.MarshalError(wire.Error{Msg: err.Error()}))
-	default:
-		d.markDirty()
-		d.record(trace.Event{Kind: kind, ClientID: id, QueryID: uint64(qid)})
-	}
+	d.markDirty()
+	d.record(ev)
 	return nil
-}
-
-// disowned is the outcome of a frame for a client id its sender does not
-// own: nothing for a relay (the client moved on), the end of the session
-// for a direct client (its id was taken over), an error for a
-// subscription file (its client is connected and speaks for itself).
-func (d *Daemon) disowned(owner *fanout.Session, id int) error {
-	switch {
-	case owner == nil:
-		return fmt.Errorf("daemon: client %d has a live session", id)
-	case direct(owner, id):
-		return errors.New("daemon: session superseded")
-	}
-	return nil
-}
-
-// reply queues a frame for client id on its owner's session, in-band
-// with the answers around it: as is for a direct client, wrapped in
-// RelayCtl for one behind a relay.
-func (d *Daemon) reply(owner *fanout.Session, id int, ft uint8, payload []byte) {
-	if !direct(owner, id) {
-		ft, payload = wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{ClientID: id, Inner: ft, Payload: payload})
-	}
-	owner.Push(ft, payload)
-}
-
-// claim registers client id under owner, starting from a clean slate:
-// whatever the id had registered before — under a half-open predecessor
-// connection, another relay, or a restored subscription file — is
-// released first, and a predecessor connection of that id is torn down
-// (the supersede rule: a reconnecting client id replaces its
-// predecessor instead of being rejected).
-func (d *Daemon) claim(owner *fanout.Session, id int) {
-	d.mu.Lock()
-	old := d.clients[id]
-	released := d.unregister(id, old)
-	d.clients[id] = &registration{owner: owner, queries: make(map[query.ID]struct{})}
-	d.mu.Unlock()
-	if released > 0 {
-		d.markDirty()
-	}
-	if old != nil && old.owner != nil && old.owner != owner && old.owner.ClientID == id {
-		old.owner.Close()
-		d.release(old.owner)
-		d.metrics.SessionsSuperseded.Inc()
-		d.logf("daemon: client %d superseded by a new connection", id)
-	}
-}
-
-// unregister unsubscribes every query of one registry entry and reports
-// how many there were. Callers hold d.mu.
-func (d *Daemon) unregister(id int, c *registration) int {
-	if c == nil {
-		return 0
-	}
-	for qid := range c.queries {
-		d.srv.Unsubscribe(id, qid)
-	}
-	return len(c.queries)
-}
-
-// release drops the registrations owner holds — for the named client ids
-// (a wrapped Bye), or for every client it owns (the session ended) — so
-// the next cycle stops addressing gone clients. Ids owner does not own
-// are left alone. A relay re-registers its clients wholesale after it
-// reconnects, so a relay blip costs one unsubscribe/resubscribe churn and
-// one replan — the same contract direct sessions have.
-func (d *Daemon) release(owner *fanout.Session, ids ...int) {
-	d.mu.Lock()
-	if len(ids) == 0 {
-		if owner.IsFeed() {
-			for id, c := range d.clients {
-				if c.owner == owner {
-					ids = append(ids, id)
-				}
-			}
-		} else {
-			ids = []int{owner.ClientID}
-		}
-	}
-	released := 0
-	for _, id := range ids {
-		if c := d.clients[id]; c != nil && c.owner == owner {
-			released += d.unregister(id, c)
-			delete(d.clients, id)
-		}
-	}
-	d.mu.Unlock()
-	if released > 0 {
-		d.markDirty()
-	}
 }
 
 // record emits one trace event when tracing is enabled.
@@ -600,43 +342,23 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 			EstimatedCost: fresh.EstimatedCost, InitialCost: fresh.InitialCost,
 			Metrics: d.traceSnapshot()})
 
-		// Every registered client is told its channel, in-band on the
+		// Every connected client is told its channel, in-band on the
 		// session that owns it: after whatever the session still has
 		// queued from the old plan and ahead of this cycle's answer
 		// frames, so a client — or the relay that rebinds it on seeing
 		// the wrapped frame — switches channel exactly between the two. A
 		// direct client's own queue moves here; a relayed client has no
-		// binding at this tier, its relay's feed carries its frames.
-		d.mu.Lock()
-		owners := make(map[int]*fanout.Session, len(d.clients))
-		for id, c := range d.clients {
-			if c.owner != nil {
-				owners[id] = c.owner
-			}
-		}
-		d.mu.Unlock()
-		for id, owner := range owners {
-			ch, ok := cy.ClientChannel[id]
-			if !ok {
-				continue // no subscriptions this cycle
-			}
-			if direct(owner, id) {
-				moved, err := owner.Bind(d.net, ch)
-				if err != nil {
-					d.logf("daemon: bind client %d: %v", id, err)
-					continue
-				}
-				if moved {
-					rec.SessionsMoved++
-				}
-			}
-			// Sent on every replan even to a session that stays put: the
-			// plan's costs changed.
-			d.reply(owner, id, wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
+		// binding at this tier, its relay's feed carries its frames. It
+		// is sent on every replan even to a session that stays put: the
+		// plan's costs changed.
+		for id, ch := range cy.ClientChannel {
+			if d.hub.Deliver(id, wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
 				Channel:       ch,
 				EstimatedCost: cy.EstimatedCost,
 				InitialCost:   cy.InitialCost,
-			}))
+			})) {
+				rec.SessionsMoved++
+			}
 		}
 		d.metrics.SessionsMoved.Add(uint64(rec.SessionsMoved))
 	}
@@ -706,7 +428,6 @@ func (d *Daemon) shutdown(graceful bool) {
 		return
 	}
 	d.net.Close()
-	d.wg.Wait()
 }
 
 // SaveSubscriptions serializes every current (client, query) subscription
@@ -737,7 +458,7 @@ func (d *Daemon) SaveSubscriptions(w io.Writer) error {
 // LoadSubscriptions restores a registry written by SaveSubscriptions. It
 // returns the number of subscriptions restored; they belong to no session
 // until their client says Hello, which starts it from a clean slate like
-// any reconnect (control). The plan is marked dirty
+// any reconnect. The plan is marked dirty
 // whenever anything was restored — including when an error cuts the
 // restore short mid-file — so the next cycle never publishes a plan that
 // predates the partial restore.
@@ -769,7 +490,7 @@ func (d *Daemon) LoadSubscriptions(r io.Reader) (restored int, err error) {
 			if !haveClient {
 				return restored, fmt.Errorf("daemon: subscribe before hello in subscription file")
 			}
-			if err := d.control(nil, clientID, wire.TypeSubscribe, payload); err != nil {
+			if err := d.hub.Control(nil, clientID, wire.TypeSubscribe, payload); err != nil {
 				return restored, err
 			}
 			restored++

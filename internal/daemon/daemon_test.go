@@ -3,7 +3,6 @@ package daemon
 import (
 	"bytes"
 	"context"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -254,55 +253,6 @@ func TestDaemonUnsubscribe(t *testing.T) {
 	}
 	if len(cy.Queries) != 1 || cy.Queries[0].ID != 1 {
 		t.Fatalf("after unsubscribe the plan has %v", cy.Queries)
-	}
-}
-
-// TestDaemonRefusesNaNRegion: a Subscribe whose region has a NaN
-// coordinate is answered with an Error frame and registers nothing, and
-// the session stays usable: a later valid Subscribe on it is planned and
-// answered exactly, and so is another client's overlapping query.
-func TestDaemonRefusesNaNRegion(t *testing.T) {
-	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Subscribe(query.Range(1, geom.R(100, 100, math.NaN(), 400))); err != nil {
-		t.Fatal(err)
-	}
-	drainUntil(t, conn, 5*time.Second, func(ev Event) bool { return ev.Err != nil })
-
-	other, err := Dial(addr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	conns := map[int]*Conn{3: conn, 4: other}
-	qs := map[int]query.Query{3: query.Range(2, geom.R(100, 100, 400, 400)), 4: query.Range(1, geom.R(300, 300, 600, 600))}
-	for id, q := range qs {
-		if err := conns[id].Subscribe(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitForSubscriptions(t, d, 2)
-	if _, err := d.RunCycle(false); err != nil {
-		t.Fatal(err)
-	}
-	for id, q := range qs {
-		cl := client.New(id, q)
-		drainUntil(t, conns[id], 5*time.Second, func(ev Event) bool {
-			if ev.Err != nil {
-				t.Fatalf("server error: %s", ev.Err.Msg)
-			}
-			if ev.Answer != nil {
-				cl.Handle(*ev.Answer)
-			}
-			return len(cl.Answer(q.ID)) > 0
-		})
-		if got, want := len(cl.Answer(q.ID)), len(q.Answer(d.Server().Relation())); got != want {
-			t.Fatalf("query %v extracted %d tuples, want %d", q.Region, got, want)
-		}
 	}
 }
 

@@ -268,9 +268,10 @@ func TestFanoutWireEquivalence(t *testing.T) {
 // forwarder and fails under the race detector; corrupted frames also
 // fail to parse on the client side.
 func TestFanoutSharedFrameAliasingRace(t *testing.T) {
-	d, addr := startDaemon(t, 2)
-	d.SubscriberBuffer = 1
-	d.SlowPolicy = multicast.Evict
+	d, addr, _, _ := startDaemonCtx(t, 2, func(d *Daemon) {
+		d.SubscriberBuffer = 1
+		d.SlowPolicy = multicast.Evict
+	})
 
 	const clients = 12
 	var wg sync.WaitGroup

@@ -51,12 +51,12 @@ func waitRegistered(t *testing.T, d *Daemon, clientID int, want ...query.ID) {
 	}
 }
 
-// owner returns the session that owns the client's registration.
-func owner(d *Daemon, clientID int) *fanout.Session {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c := d.clients[clientID]; c != nil {
-		return c.owner
+// session returns the live session that introduced itself as clientID.
+func session(d *Daemon, clientID int) *fanout.Session {
+	for _, s := range d.hub.Sessions() {
+		if s.ClientID == clientID {
+			return s
+		}
 	}
 	return nil
 }
@@ -87,7 +87,7 @@ func TestRedialBeforeReapDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRegistered(t, d, 5, 1)
-	old := owner(d, 5)
+	old := session(d, 5)
 
 	b, err := Dial(addr, 5) // a never said Bye and was never reaped
 	if err != nil {
@@ -98,21 +98,21 @@ func TestRedialBeforeReapDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRegistered(t, d, 5, 2)
-	if now := owner(d, 5); now == nil || now == old {
+	if now := session(d, 5); now == nil || now == old {
 		t.Fatal("the redial did not take the client id over")
 	}
 
 	// The frames the old session's read loop may still have been
-	// processing when it was superseded, and its teardown, replayed
-	// here in the one order that used to do damage: after the successor
+	// processing when it was superseded, and its Bye, replayed here in
+	// the one order that used to do damage: after the successor
 	// registered.
-	if err := d.control(old, 5, wire.TypeSubscribe, subscribePayload(t, query.Range(3, geom.R(50, 50, 60, 60)))); err == nil {
+	if err := d.hub.Control(old, 5, wire.TypeSubscribe, subscribePayload(t, query.Range(3, geom.R(50, 50, 60, 60)))); err == nil {
 		t.Error("a late Subscribe from the superseded session was accepted")
 	}
-	if err := d.control(old, 5, wire.TypeUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{ID: 2})); err == nil {
+	if err := d.hub.Control(old, 5, wire.TypeUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{ID: 2})); err == nil {
 		t.Error("a late Unsubscribe from the superseded session was accepted")
 	}
-	d.release(old)
+	d.hub.Control(old, 5, wire.TypeBye, nil)
 	waitRegistered(t, d, 5, 2)
 	if got := d.Metrics().SessionsSuperseded.Load(); got != 1 {
 		t.Errorf("SessionsSuperseded = %d, want 1", got)
@@ -189,20 +189,6 @@ func TestRedialBeforeReapThroughRelays(t *testing.T) {
 	r2.ctl(7, wire.TypeHello, wire.MarshalHello(wire.Hello{ClientID: 7}))
 	r2.ctl(7, wire.TypeSubscribe, subscribePayload(t, query.Range(2, geom.R(200, 200, 300, 300))))
 	waitRegistered(t, d, 7, 2)
-
-	// A direct session cannot speak for other ids at all.
-	c, err := Dial(addr, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := wire.WriteFrame(c.conn, wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{
-		ClientID: 7, Inner: wire.TypeBye})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Next(); err == nil {
-		t.Error("a RelayCtl from a session that is not a relay feed was accepted")
-	}
 
 	// r1 catches up: late frames for the client it no longer owns, then
 	// the Bye of its own reaping. A Ready for a client r1 does own marks

@@ -1,8 +1,8 @@
-// Package fanout is the one dissemination-node component of the delivery
-// fabric (§2, §7: publish each merged answer once per channel, every
-// listener of the channel receives it): the delivery side of one
-// connection, used by the root daemon for direct clients and relay feeds
-// and by the relay tier for every downstream session.
+// Package fanout is the one dissemination node of the delivery fabric
+// (§2, §7: publish each merged answer once per channel, every listener of
+// the channel receives it), run by the root daemon at hop 0 and by every
+// relay: a Hub serves connections and keeps the client registry (node.go),
+// and a Session is the delivery side of one connection.
 //
 // A Session owns a bounded multicast.Queue from Hello to teardown and one
 // writer goroutine that drains it. The writer is the only code that
@@ -61,22 +61,33 @@ type Limits struct {
 	WriteTimeout time.Duration
 }
 
-// Hub is the set of live sessions of one process: it counts them, sweeps
-// their delivery lag and ends them at shutdown.
+// Hub is one node: the live sessions of one process — it counts them,
+// sweeps their delivery lag and ends them at shutdown — and the client
+// registry that routes control frames between them and the upstream.
 type Hub struct {
 	metrics *metrics.Catalog
 	now     func() int64
 	logf    func(format string, args ...any)
+	up      Upstream
 
 	mu       sync.Mutex
 	sessions map[*Session]struct{}
 	closed   bool
+	wg       sync.WaitGroup // connections Serve started
+
+	// cmu guards the client registry: every client id registered at this
+	// node, the session that owns it and what it subscribed. Upstream
+	// Control runs under it.
+	cmu     sync.Mutex
+	clients map[int]*client
 }
 
-// NewHub creates a hub reporting into cat. now is the clock of the lag
-// accounting (UnixNano); logf receives diagnostics.
-func NewHub(cat *metrics.Catalog, now func() int64, logf func(format string, args ...any)) *Hub {
-	return &Hub{metrics: cat, now: now, logf: logf, sessions: make(map[*Session]struct{})}
+// NewHub creates a hub reporting into cat whose control plane leads to
+// up. now is the clock of the lag accounting (UnixNano); logf receives
+// diagnostics.
+func NewHub(cat *metrics.Catalog, now func() int64, logf func(format string, args ...any), up Upstream) *Hub {
+	return &Hub{metrics: cat, now: now, logf: logf, up: up,
+		sessions: make(map[*Session]struct{}), clients: make(map[int]*client)}
 }
 
 // Session is the delivery side of one connection.
@@ -152,8 +163,8 @@ func (h *Hub) Sessions() []*Session {
 // the hub was already closed. Gracefully, each session is sent a Bye
 // behind whatever it still has queued and its writer drains (bounded by
 // the write deadline) before the connection closes; otherwise queues and
-// connections are cut at once. The sessions' owners notice the closed
-// connections and tear down as for any disconnect.
+// connections are cut at once. Each connection's read loop notices and
+// tears down as for any disconnect; Close returns once they all have.
 func (h *Hub) Close(graceful bool) bool {
 	h.mu.Lock()
 	if h.closed {
@@ -170,6 +181,7 @@ func (h *Hub) Close(graceful bool) bool {
 			s.Abort()
 		}
 	}
+	h.wg.Wait()
 	return true
 }
 

@@ -40,7 +40,7 @@ func newWorld(t *testing.T, channels int, lim Limits) *world {
 	}
 	mnet.SetMetrics(cat.FanoutDeliveries, cat.FanoutDropped, cat.FanoutEvictions, cat.FanoutEncodes)
 	mnet.SetEncoder(func(m multicast.Message) []byte { return wire.AppendMessageFrame(nil, m) })
-	hub := NewHub(cat, func() int64 { return time.Now().UnixNano() }, t.Logf)
+	hub := NewHub(cat, func() int64 { return time.Now().UnixNano() }, t.Logf, nil)
 	server, client := net.Pipe()
 	sess, err := hub.Open(server, 7, lim)
 	if err != nil {

@@ -1,6 +1,7 @@
 // Package netclient is the resilient client runtime for daemon sessions:
-// a reconnect loop with exponential backoff and jitter, automatic
-// re-registration of subscriptions after every reconnect, and
+// the reconnect loop (Loop, exponential backoff with jitter — the one a
+// relay's upstream link runs too), automatic re-registration of
+// subscriptions after every reconnect, and
 // gap recovery — when sequence numbers show a missed message (or a whole
 // session was missed), the client asks the daemon for full answers on
 // the next cycle instead of silently extracting from an incomplete
@@ -11,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -116,12 +118,6 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Queries) == 0 {
 		return nil, errors.New("netclient: no queries configured")
 	}
-	if cfg.MinBackoff <= 0 {
-		cfg.MinBackoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 30 * time.Second
-	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string, clientID int) (Session, error) {
 			return daemon.Dial(addr, clientID)
@@ -153,11 +149,42 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// Run drives the connect/serve/backoff loop until ctx ends (returning
-// ctx.Err()) or MaxAttempts consecutive dials fail (returning the last
-// dial error).
+// Run drives the client's sessions through Loop until ctx ends
+// (returning ctx.Err()) or MaxAttempts consecutive dials fail (returning
+// an error wrapping the last dial error).
 func (c *Client) Run(ctx context.Context) error {
-	seed := c.cfg.JitterSeed
+	return Loop(ctx, c.cfg, c.dial, c.runSession)
+}
+
+func (c *Client) dial() (Session, error) {
+	sess, err := c.cfg.Dial(c.cfg.Addr, c.cfg.ClientID)
+	if err != nil {
+		c.mu.Lock()
+		c.stats.DialFailures++
+		c.mu.Unlock()
+	}
+	return sess, err
+}
+
+// Loop is the one reconnect loop of every resilient link — a client's
+// daemon session and a relay's upstream feed. It connects, serves the
+// connection until it ends, and connects again. Each consecutive failed
+// connect backs off one step further (Backoff); a session that ended
+// backs off one step and starts the count again. When ctx ends, a live
+// connection is closed, which ends serve, and Loop returns ctx.Err();
+// after MaxAttempts consecutive failed connects (0: never) it returns an
+// error wrapping the last one. Of cfg it reads Addr (for diagnostics),
+// MinBackoff (default 100ms), MaxBackoff (default 30s), MaxAttempts,
+// JitterSeed and Logf.
+func Loop[C io.Closer](ctx context.Context, cfg Config, connect func() (C, error), serve func(C) error) error {
+	minDelay, maxDelay := cfg.MinBackoff, cfg.MaxBackoff
+	if minDelay <= 0 {
+		minDelay = 100 * time.Millisecond
+	}
+	if maxDelay <= 0 {
+		maxDelay = 30 * time.Second
+	}
+	seed := cfg.JitterSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
@@ -167,34 +194,26 @@ func (c *Client) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sess, err := c.cfg.Dial(c.cfg.Addr, c.cfg.ClientID)
+		conn, err := connect()
 		if err != nil {
-			c.mu.Lock()
-			c.stats.DialFailures++
-			c.mu.Unlock()
 			failures++
-			if c.cfg.MaxAttempts > 0 && failures >= c.cfg.MaxAttempts {
-				return fmt.Errorf("netclient: giving up after %d dial failures: %w", failures, err)
+			if cfg.MaxAttempts > 0 && failures >= cfg.MaxAttempts {
+				return fmt.Errorf("netclient: giving up on %s after %d failed connects: %w", cfg.Addr, failures, err)
 			}
-			delay := Backoff(c.cfg.MinBackoff, c.cfg.MaxBackoff, failures, rng)
-			c.logf("netclient: dial %s: %v (retrying in %s)", c.cfg.Addr, err, delay)
-			select {
-			case <-ctx.Done():
+		} else {
+			stop := context.AfterFunc(ctx, func() { conn.Close() })
+			err = serve(conn)
+			stop()
+			conn.Close()
+			if ctx.Err() != nil {
 				return ctx.Err()
-			case <-time.After(delay):
 			}
-			continue
+			failures = 1
 		}
-		failures = 0
-		err = c.runSession(ctx, sess)
-		sess.Close()
-		if ctx.Err() != nil {
-			return ctx.Err()
+		delay := Backoff(minDelay, maxDelay, failures, rng)
+		if cfg.Logf != nil {
+			cfg.Logf("netclient: %s: %v (reconnecting in %s)", cfg.Addr, err, delay)
 		}
-		// The session ended abnormally; back off one step and reconnect.
-		failures = 1
-		delay := Backoff(c.cfg.MinBackoff, c.cfg.MaxBackoff, failures, rng)
-		c.logf("netclient: session ended: %v (reconnecting in %s)", err, delay)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -205,9 +224,7 @@ func (c *Client) Run(ctx context.Context) error {
 
 // Backoff returns the delay before reconnect attempt n (1-based):
 // exponential from min, capped at max, with equal jitter (half fixed,
-// half random) so synchronized peers fan out. It is the one backoff rule
-// of every reconnect loop: a client's session and a relay's upstream
-// link.
+// half random) so synchronized peers fan out. Loop is its one caller.
 func Backoff(min, max time.Duration, n int, rng *rand.Rand) time.Duration {
 	d := min
 	for i := 1; i < n && d < max; i++ {
@@ -222,7 +239,7 @@ func Backoff(min, max time.Duration, n int, rng *rand.Rand) time.Duration {
 
 // runSession registers the subscriptions and consumes events until the
 // session fails.
-func (c *Client) runSession(ctx context.Context, sess Session) error {
+func (c *Client) runSession(sess Session) error {
 	for _, q := range c.cfg.Queries {
 		if err := sess.Subscribe(q); err != nil {
 			return err
@@ -246,17 +263,6 @@ func (c *Client) runSession(ctx context.Context, sess Session) error {
 		}
 		c.logf("netclient: reconnected (session %d), requested full refresh", c.cfg.ClientID)
 	}
-
-	// Unblock Next when the context ends mid-read.
-	watch := make(chan struct{})
-	defer close(watch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			sess.Close()
-		case <-watch:
-		}
-	}()
 
 	for {
 		ev, err := sess.Next()

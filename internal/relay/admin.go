@@ -23,13 +23,9 @@ func (r *Relay) Status() daemon.Status {
 		Metrics:  r.metrics.Snapshot(),
 		Build:    daemon.ReadBuild(),
 	}
+	info := &daemon.RelayInfo{Upstream: r.cfg.Upstream, Clients: r.hub.Clients()}
 	r.mu.Lock()
-	info := &daemon.RelayInfo{
-		Upstream:  r.cfg.Upstream,
-		Hop:       r.hop,
-		Connected: r.connected,
-		Clients:   len(r.routes),
-	}
+	info.Hop, info.Connected = r.hop, r.connected
 	if r.connects > 0 {
 		info.Reconnects = uint64(r.connects - 1)
 	}

@@ -207,6 +207,16 @@ func (s *Server) Unsubscribe(clientID int, id query.ID) bool {
 	return false
 }
 
+// Release removes every subscription of a client; it reports how many
+// there were.
+func (s *Server) Release(clientID int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.subs[clientID])
+	delete(s.subs, clientID)
+	return n
+}
+
 // Cycle is one planned dissemination round: the merged plans per channel
 // and the client-to-channel map. A Cycle stays valid until subscriptions
 // change.
