@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair bench-save bench-compare check cover experiments fuzz loadtest loc clean
+.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair check cover experiments fuzz loadtest loc clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -51,11 +51,13 @@ bench-pair:
 # the budget's atomic step accounting, the engines two concurrent climbs
 # take from one pool and the singleton-pair table their in-place group
 # solves read at once, the disjoint-pair bound's sets, and the NaN-region
-# refusal in front of all of them.
+# refusal in front of all of them. The Parallel alternative adds the
+# determinism tests, which run the parallel solvers at GOMAXPROCS 1 to 8
+# and compare the plans.
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub|DisjointBound|NaNRegion' \
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub|DisjointBound|NaNRegion|Parallel' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:
@@ -94,8 +96,9 @@ bench:
 
 # Short-mode fan-out load harness: 500 real TCP sessions through the
 # split-process driver, sanity-gating the delivery fabric on every CI run
-# without the full 10k-session measurement (that lives in `make
-# bench-save`). The second
+# without the full 10k-session measurement (run that by hand:
+# `go run ./cmd/qsubload -sessions 10000 -channels 64 -cycles 3 -latency`,
+# `-timeout 10m`). The second
 # run gates end-to-end latency: publish→receive p99 must be nonzero
 # (frames carried timestamps) and under a deliberately generous 2s
 # ceiling — a sanity floor, not a performance target. The third run is
@@ -105,67 +108,6 @@ loadtest:
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -latency -assert-p99 2s
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -relays 2
-
-# Runs the solver-engine, channel-allocation and dissemination-engine
-# benchmarks and records them as JSON for committing alongside the code
-# (see DESIGN.md "Solver engine" and "Dissemination engine"). Every -bench
-# pattern lists whole top-level benchmark names, anchored, so a benchmark
-# whose name only begins like a recorded one is not recorded by accident;
-# -run '^$$' runs no tests.
-bench-save:
-	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkPairMerge|BenchmarkPairMergeHeap|BenchmarkDirectedSearchParallel|BenchmarkClusteringParallel)$$' \
-		-benchmem -benchtime 2x . \
-		| $(GO) run ./cmd/benchjson -o BENCH_solvers.json
-	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkInitialDistribution|BenchmarkHillClimb|BenchmarkHeuristic|BenchmarkMultiStart)$$' \
-		-benchmem -benchtime 1x ./internal/chanalloc \
-		| $(GO) run ./cmd/benchjson -o BENCH_chanalloc.json
-	{ $(GO) test -run '^$$' \
-		-bench '^(BenchmarkPublishDeltaMetrics|BenchmarkPublishFull|BenchmarkPublishDelta)$$' \
-		-benchmem -benchtime 2x ./internal/server; \
-	  $(GO) test -run '^$$' \
-		-bench '^BenchmarkClientHandle$$' \
-		-benchmem -benchtime 200x ./internal/client; \
-	  $(GO) test -run '^$$' \
-		-bench '^(BenchmarkMarshalMessage|BenchmarkMarshalMessageAppend)$$' \
-		-benchmem -benchtime 500x ./internal/wire; } \
-		| $(GO) run ./cmd/benchjson -o BENCH_publish.json
-	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkShardPlan|BenchmarkShardPlanMultiChannel|BenchmarkAggregate)$$' \
-		-benchmem -benchtime 1x ./internal/shard \
-		| $(GO) run ./cmd/benchjson -o BENCH_sharding.json
-	$(GO) test -run '^$$' \
-		-bench '^(BenchmarkSolverScaleFull|BenchmarkSolverScalePruned|BenchmarkSolverScaleBudget|BenchmarkReplanChurn)$$' \
-		-benchmem -benchtime 2x . \
-		| $(GO) run ./cmd/benchjson -o BENCH_solvers_scale.json
-	{ $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -latency; \
-	  $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -relays 2 -latency; \
-	  $(GO) run ./cmd/qsubload -sessions 10000 -channels 64 -cycles 3 -timeout 10m -latency; } \
-		> /tmp/qsubload-fanout.txt
-	grep '^BenchmarkFanout' /tmp/qsubload-fanout.txt \
-		| $(GO) run ./cmd/benchjson -o BENCH_fanout.json
-	grep '^BenchmarkLatency' /tmp/qsubload-fanout.txt \
-		| $(GO) run ./cmd/benchjson -o BENCH_latency.json
-
-# Diffs a fresh bench-save against the committed baselines, failing on
-# >20% time/op or allocs/op regressions.
-bench-compare:
-	cp BENCH_solvers.json /tmp/BENCH_solvers.baseline.json
-	cp BENCH_chanalloc.json /tmp/BENCH_chanalloc.baseline.json
-	cp BENCH_publish.json /tmp/BENCH_publish.baseline.json
-	cp BENCH_sharding.json /tmp/BENCH_sharding.baseline.json
-	cp BENCH_solvers_scale.json /tmp/BENCH_solvers_scale.baseline.json
-	cp BENCH_fanout.json /tmp/BENCH_fanout.baseline.json
-	cp BENCH_latency.json /tmp/BENCH_latency.baseline.json
-	$(MAKE) bench-save
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_solvers.baseline.json BENCH_solvers.json
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_chanalloc.baseline.json BENCH_chanalloc.json
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_publish.baseline.json BENCH_publish.json
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_sharding.baseline.json BENCH_sharding.json
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_solvers_scale.baseline.json BENCH_solvers_scale.json
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_fanout.baseline.json BENCH_fanout.json
-	$(GO) run ./cmd/benchjson compare /tmp/BENCH_latency.baseline.json BENCH_latency.json
 
 # Regenerates every table and figure (see EXPERIMENTS.md).
 experiments:

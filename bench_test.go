@@ -196,35 +196,33 @@ func BenchmarkPairMergeHeap(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectedSearchParallel measures the restart search across
-// worker-pool sizes. The restarts are embarrassingly parallel, so on a
-// multi-core host time/op should fall near-linearly from workers=1 to
-// the core count; the plan is identical at any setting.
+// BenchmarkDirectedSearchParallel measures the restart search on a
+// GOMAXPROCS-sized worker pool; sweep the pool with -cpu 1,2,4. The
+// restarts are embarrassingly parallel, so on a multi-core host time/op
+// should fall near-linearly up to the core count; the plan is identical
+// at any setting.
 func BenchmarkDirectedSearchParallel(b *testing.B) {
 	for _, n := range []int{100, 200, 500} {
 		inst := benchInstance(n, int64(n))
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.DirectedSearch{T: 4, Seed: 1, Parallelism: workers}.Solve(inst)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.DirectedSearch{T: 4, Seed: 1}.Solve(inst)
+			}
+		})
 	}
 }
 
 // BenchmarkClusteringParallel measures the §6.3 divide-and-conquer with
-// the eligibility probe and per-component solves on the worker pool.
+// the eligibility probe and per-component solves on the worker pool
+// (-cpu sweeps it, as above).
 func BenchmarkClusteringParallel(b *testing.B) {
 	for _, n := range []int{100, 200, 500} {
 		inst := benchInstance(n, int64(n))
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.Clustering{ExactThreshold: 10, Parallelism: workers}.Solve(inst)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.Clustering{ExactThreshold: 10}.Solve(inst)
+			}
+		})
 	}
 }
 

@@ -59,8 +59,6 @@ func main() {
 		admin     = flag.String("admin", "", "serve the admin endpoint (/metrics, /healthz, /statusz, /debug/pprof) on this address")
 		shardBits = flag.Int("shards", 0, "plan with the sharded pipeline using this many Morton prefix bits (2^bits shards; 0 with -aggregate=false disables sharding)")
 		aggregate = flag.Bool("aggregate", false, "collapse covered/near-duplicate subscriptions before solving (sharded pipeline)")
-		budget    = flag.Duration("budget", 0, "anytime planning budget per cycle; the solvers return their best-so-far plan at the deadline (0 = unlimited)")
-		neighbors = flag.Int("neighbors", 0, "prune merge candidates to each query's k nearest Z-order neighbors (0 = exact full table)")
 
 		upstream      = flag.String("upstream", "", "run as a relay tier feeding from this upstream daemon (or relay) address instead of serving a database")
 		relayID       = flag.Int("relay-id", 1<<30, "client id the relay introduces its upstream feed session with (shares the client id space)")
@@ -116,10 +114,8 @@ func main() {
 	}
 
 	d, err := daemon.New(rel, *channels, server.Config{
-		Model:      cost.Model{KM: *km, KT: *kt, KU: *ku, K6: *k6},
-		Strategy:   chanalloc.BestOfBoth,
-		PlanBudget: *budget,
-		Neighbors:  *neighbors,
+		Model:    cost.Model{KM: *km, KT: *kt, KU: *ku, K6: *k6},
+		Strategy: chanalloc.BestOfBoth,
 		Sharding: shard.Config{
 			Enabled:   *shardBits > 0 || *aggregate,
 			ShardBits: *shardBits,

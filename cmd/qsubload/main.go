@@ -2,7 +2,7 @@
 // thousands of concurrent netclient sessions over loopback TCP against
 // one daemon and reports delivery throughput, per-frame latency
 // percentiles, encodes per cycle and bytes per cycle as `go test
-// -bench` style lines that benchjson ingests into BENCH_fanout.json.
+// -bench` style lines.
 //
 // By default the daemon runs in a child process (re-exec with -serve)
 // so each half stays under RLIMIT_NOFILE at 10k+ sessions; -split=false
@@ -39,7 +39,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "log harness progress to stderr")
 		serve     = flag.Bool("serve", false, "internal: run the daemon half on stdin/stdout (split-process child)")
 		profile   = flag.String("cpuprofile", "", "write a CPU profile of the daemon half to this file")
-		latency   = flag.Bool("latency", false, "emit publish→receive latency rows (BenchmarkLatency/... for BENCH_latency.json) alongside the fan-out lines")
+		latency   = flag.Bool("latency", false, "emit publish→receive latency rows (BenchmarkLatency/...) alongside the fan-out lines")
 		assertP99 = flag.Duration("assert-p99", 0, "exit nonzero unless the publish→receive p99 is nonzero and below this ceiling (smoke-test gate)")
 	)
 	flag.Parse()

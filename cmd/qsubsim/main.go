@@ -52,7 +52,6 @@ func main() {
 		channels = flag.Int("channels", 3, "channels for the channel allocation experiment")
 		qpc      = flag.Int("qpc", 2, "queries per client for the channel allocation experiment")
 		seed     = flag.Int64("seed", 1, "base workload seed")
-		parallel = flag.Int("parallel", 0, "worker-pool size for the parallel solvers (0 = GOMAXPROCS, 1 = sequential)")
 		dumpMet  = flag.Bool("metrics", false, "dump solver instrumentation (Prometheus text format) after the run")
 		shards   = flag.Int("shards", 0, "shard count for the sharding experiment (0 = sweep 1, 4, 16; rounded up to a power of two)")
 		aggr     = flag.Bool("aggregate", true, "enable subscription aggregation in the sharding experiment")
@@ -76,17 +75,17 @@ func main() {
 	case "fig16", "fig17", "merge":
 		runMerge(*trials, *minQ, *maxQ, *seed)
 	case "fig18", "fig19", "channel":
-		runChannel(*trials, *clients, *channels, *qpc, *seed, *parallel)
+		runChannel(*trials, *clients, *channels, *qpc, *seed)
 	case "appendix1":
 		runAppendix1()
 	case "estimators":
 		runEstimators(*trials, *seed)
 	case "algos":
-		runAlgos(*trials, *seed, *parallel)
+		runAlgos(*trials, *seed)
 	case "scaling":
 		runScaling()
 	case "sharding":
-		runSharding(*shards, *aggr, *parallel, *budget, *neigh)
+		runSharding(*shards, *aggr, *budget, *neigh)
 	case "replan":
 		runReplan()
 	case "interval":
@@ -98,15 +97,15 @@ func main() {
 		fmt.Println()
 		runMerge(*trials, *minQ, *maxQ, *seed)
 		fmt.Println()
-		runChannel(*trials, *clients, *channels, *qpc, *seed, *parallel)
+		runChannel(*trials, *clients, *channels, *qpc, *seed)
 		fmt.Println()
 		runEstimators(*trials, *seed)
 		fmt.Println()
-		runAlgos(*trials, *seed, *parallel)
+		runAlgos(*trials, *seed)
 		fmt.Println()
 		runScaling()
 		fmt.Println()
-		runSharding(*shards, *aggr, *parallel, *budget, *neigh)
+		runSharding(*shards, *aggr, *budget, *neigh)
 		fmt.Println()
 		runReplan()
 		fmt.Println()
@@ -148,7 +147,7 @@ func runMerge(trials, minQ, maxQ int, seed int64) {
 	writeCSV("fig16_17_merge", func(f *os.File) error { return experiment.WriteMergeCSV(f, rows) })
 }
 
-func runChannel(trials, clients, channels, qpc int, seed int64, parallel int) {
+func runChannel(trials, clients, channels, qpc int, seed int64) {
 	cfg := experiment.DefaultChannelConfig()
 	if trials > 0 {
 		cfg.Trials = trials
@@ -157,7 +156,6 @@ func runChannel(trials, clients, channels, qpc int, seed int64, parallel int) {
 	cfg.Channels = channels
 	cfg.QueriesPerClient = qpc
 	cfg.Workload.Seed = seed
-	cfg.Parallelism = parallel
 	fmt.Printf("Figures 18+19: channel allocation heuristics vs exhaustive optimum\n")
 	fmt.Printf("(paper: smart 81.8%%, random 85.5%%, best-of-both 88.6%% optimal; 0.17%% distance)\n")
 	fmt.Printf("clients=%d channels=%d queries/client=%d; model: K_M=%g K_T=%g K_U=%g K6=%g; trials=%d\n",
@@ -188,13 +186,12 @@ func runEstimators(trials int, seed int64) {
 	writeCSV("estimators", func(f *os.File) error { return experiment.WriteEstimatorCSV(f, rows) })
 }
 
-func runAlgos(trials int, seed int64, parallel int) {
+func runAlgos(trials int, seed int64) {
 	cfg := experiment.DefaultAlgoConfig()
 	if trials > 0 {
 		cfg.Trials = trials
 	}
 	cfg.Workload.Seed = seed
-	cfg.Parallelism = parallel
 	fmt.Printf("Algorithm comparison: heuristics vs the Partition optimum (n=%d, trials=%d)\n",
 		cfg.Queries, cfg.Trials)
 	rows, err := experiment.RunAlgoComparison(cfg)
@@ -214,10 +211,9 @@ func runScaling() {
 	fmt.Print(experiment.FormatScalingTable(rows))
 }
 
-func runSharding(shards int, aggregate bool, parallel int, budget time.Duration, neighbors int) {
+func runSharding(shards int, aggregate bool, budget time.Duration, neighbors int) {
 	cfg := experiment.DefaultShardingConfig()
 	cfg.Aggregate = aggregate
-	cfg.Parallelism = parallel
 	cfg.Budget = budget
 	cfg.Neighbors = neighbors
 	if shards > 0 {

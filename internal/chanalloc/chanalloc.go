@@ -39,10 +39,6 @@ import (
 type AllocMetrics struct {
 	// Restarts counts MultiStart restarts executed.
 	Restarts *metrics.Counter
-	// SmartWins / RandomWins count which seed won a MultiStart run:
-	// restart 0 is the Fig 14 smart init, the rest are random.
-	SmartWins  *metrics.Counter
-	RandomWins *metrics.Counter
 	// GroupCacheHits / GroupCacheMisses track the shared group-cost
 	// cache; a miss means a full per-channel merge solve ran.
 	GroupCacheHits   *metrics.Counter
@@ -66,12 +62,6 @@ type Problem struct {
 	Channels int
 	Merger   core.Algorithm
 
-	// Parallelism bounds the worker pool of the parallel allocators
-	// (MultiStart restarts, BestOfBoth's two climbs). Zero means
-	// runtime.GOMAXPROCS(0); 1 runs them sequentially. Results are
-	// identical at any setting for a fixed seed, as with
-	// core.DirectedSearch.
-	Parallelism int
 	// Neighbors, when positive, restricts the Fig 14 greedy's candidate
 	// pairs to each client's ±Neighbors window on a Z-order curve over
 	// client centroids (the mean of Inst.Centers over the client's

@@ -210,14 +210,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// parallelism resolves the Problem's worker-pool bound.
-func (p *Problem) parallelism() int {
-	if p.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p.Parallelism
-}
-
 // multiStartRestarts is how many climbs MultiStart runs: the smart seed
 // plus seven random ones. No workload, experiment or caller needs another
 // count, so it is a constant, not an option.
@@ -230,7 +222,7 @@ const multiStartRestarts = 8
 //
 // Each restart derives its RNG from (seed, restart index) via splitmix64
 // and the winner is chosen by (cost, restart index), so a fixed seed
-// yields the same allocation at any Parallelism — the same contract as
+// yields the same allocation at any GOMAXPROCS — the same contract as
 // core.DirectedSearch. All restarts share the Problem's group-cost
 // cache, so a group probed by one restart is a lookup for every other.
 func MultiStart(p *Problem, seed int64) (Allocation, float64, error) {
@@ -260,7 +252,7 @@ func MultiStart(p *Problem, seed int64) (Allocation, float64, error) {
 		costs[run] = costCtx(ctx, allocs[run])
 	}
 
-	workers := p.parallelism()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > t {
 		workers = t
 	}
@@ -297,11 +289,6 @@ func MultiStart(p *Problem, seed int64) (Allocation, float64, error) {
 	}
 	if am := p.Metrics; am != nil {
 		am.Restarts.Add(uint64(t))
-		if best == 0 {
-			am.SmartWins.Inc()
-		} else {
-			am.RandomWins.Inc()
-		}
 	}
 	return allocs[best], costs[best], nil
 }
@@ -329,7 +316,7 @@ func Heuristic(p *Problem, s Strategy, seed int64) (Allocation, float64, error) 
 }
 
 // bestOfBoth runs the smart-init and random-init climbs — concurrently
-// when the Problem allows two workers — and keeps the cheaper result,
+// when GOMAXPROCS allows two workers — and keeps the cheaper result,
 // preferring the smart seed on exact ties (the sequential tie rule).
 func bestOfBoth(p *Problem, seed int64) (Allocation, float64, error) {
 	var a1, a2 Allocation
@@ -344,7 +331,7 @@ func bestOfBoth(p *Problem, seed int64) (Allocation, float64, error) {
 		a2 = hillClimbCtx(ctx, RandomDistribution(p, seed))
 		c2 = costCtx(ctx, a2)
 	}
-	if p.parallelism() >= 2 {
+	if runtime.GOMAXPROCS(0) >= 2 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {

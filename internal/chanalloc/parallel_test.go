@@ -4,8 +4,9 @@ package chanalloc
 // the heap-driven greedy and cached delta-cost climb must produce
 // bit-identical allocations to the oracles of oracle_test.go (the paper's
 // table scan and uncached channel costs), fixed-seed multi-start must be
-// invariant under Parallelism, and the group-cost cache must cut merge
-// solves by the margin the engine promises.
+// invariant under GOMAXPROCS (which sizes the worker pools), and the
+// group-cost cache must cut merge solves by the margin the engine
+// promises.
 
 import (
 	"math/rand"
@@ -14,22 +15,19 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/metrics"
+	"qsub/internal/procs"
 )
 
-// variant clones the Problem's inputs into a fresh Problem (fresh cache,
-// fresh settings); Problems carry a sync.Once so they cannot be copied by
-// value.
-func variant(p *Problem, mutate func(*Problem)) *Problem {
-	v := &Problem{
+// variant clones the Problem's inputs into a fresh Problem (fresh
+// cache); Problems carry a sync.Once so they cannot be copied by value.
+func variant(p *Problem) *Problem {
+	return &Problem{
 		Inst:     p.Inst,
 		Clients:  p.Clients,
 		Channels: p.Channels,
 		Merger:   p.Merger,
 	}
-	if mutate != nil {
-		mutate(v)
-	}
-	return v
 }
 
 func allocsEqual(a, b Allocation) bool {
@@ -66,7 +64,7 @@ func adversarialProblems() map[string]*Problem {
 // heap selection and cached delta-cost probes change how costs are
 // found, never their values, so allocations and costs are bit-identical
 // to the table-scan and uncached-cost oracles on random and adversarial
-// problems, for every strategy at Parallelism 1 and 2.
+// problems, for every strategy at GOMAXPROCS 1 and 2.
 func TestEngineMatchesAblations(t *testing.T) {
 	probs := adversarialProblems()
 	rng := rand.New(rand.NewSource(99))
@@ -75,7 +73,7 @@ func TestEngineMatchesAblations(t *testing.T) {
 		probs["random-tight"] = randomProblem(rng, 5, 7, 2, testModel)
 
 		for name, base := range probs {
-			engine := variant(base, nil)
+			engine := variant(base)
 			if got, want := InitialDistribution(engine), scanInitialDistribution(base); !allocsEqual(got, want) {
 				t.Fatalf("%s: InitialDistribution = %v, table scan = %v", name, got, want)
 			}
@@ -88,12 +86,15 @@ func TestEngineMatchesAblations(t *testing.T) {
 			for _, s := range []Strategy{SmartInit, RandomInit, BestOfBoth, MultiStartInit} {
 				wantA, wantC := oracleHeuristic(base, s, int64(i))
 				for _, par := range []int{1, 2} {
-					gotA, gotC, err := Heuristic(variant(base, func(p *Problem) { p.Parallelism = par }), s, int64(i))
+					var gotA Allocation
+					var gotC float64
+					var err error
+					procs.At(par, func() { gotA, gotC, err = Heuristic(variant(base), s, int64(i)) })
 					if err != nil {
 						t.Fatalf("%s: Heuristic(%v): %v", name, s, err)
 					}
 					if gotC != wantC || !allocsEqual(gotA, wantA) {
-						t.Fatalf("%s: Heuristic(%v) at Parallelism %d = %v cost %v, oracle = %v cost %v",
+						t.Fatalf("%s: Heuristic(%v) at GOMAXPROCS %d = %v cost %v, oracle = %v cost %v",
 							name, s, par, gotA, gotC, wantA, wantC)
 					}
 				}
@@ -119,28 +120,38 @@ func TestInitialDistributionTiesMatchScan(t *testing.T) {
 }
 
 // TestMultiStartParallelismInvariance pins the determinism contract: a
-// fixed seed yields the same allocation and cost at any Parallelism.
+// fixed seed yields the same allocation and cost at any GOMAXPROCS.
 func TestMultiStartParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		base := randomProblem(rng, 9, 8, 3, testModel)
-		wantA, wantC, err := MultiStart(variant(base, func(p *Problem) { p.Parallelism = 1 }), int64(trial))
+		var wantA Allocation
+		var wantC float64
+		var err error
+		seq := variant(base)
+		seq.Metrics = &AllocMetrics{Restarts: new(metrics.Counter)}
+		procs.At(1, func() { wantA, wantC, err = MultiStart(seq, int64(trial)) })
 		if err != nil {
 			t.Fatalf("MultiStart sequential: %v", err)
 		}
+		if got := seq.Metrics.Restarts.Load(); got != multiStartRestarts {
+			t.Fatalf("qsub_alloc_restarts_total = %d, want %d", got, multiStartRestarts)
+		}
 		for _, par := range []int{2, 4, 8} {
-			gotA, gotC, err := MultiStart(variant(base, func(p *Problem) { p.Parallelism = par }), int64(trial))
+			var gotA Allocation
+			var gotC float64
+			procs.At(par, func() { gotA, gotC, err = MultiStart(variant(base), int64(trial)) })
 			if err != nil {
-				t.Fatalf("MultiStart parallelism=%d: %v", par, err)
+				t.Fatalf("MultiStart GOMAXPROCS=%d: %v", par, err)
 			}
 			if gotC != wantC || !allocsEqual(gotA, wantA) {
-				t.Fatalf("MultiStart parallelism=%d = %v cost %v, sequential = %v cost %v",
+				t.Fatalf("MultiStart GOMAXPROCS=%d = %v cost %v, sequential = %v cost %v",
 					par, gotA, gotC, wantA, wantC)
 			}
 		}
 		// Restarts must subsume the sequential single climbs: the winner
 		// can never cost more than the smart-init local minimum.
-		_, smartC, err := Heuristic(variant(base, nil), SmartInit, int64(trial))
+		_, smartC, err := Heuristic(variant(base), SmartInit, int64(trial))
 		if err != nil {
 			t.Fatalf("Heuristic SmartInit: %v", err)
 		}
@@ -156,11 +167,14 @@ func TestBestOfBothParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 4; trial++ {
 		base := randomProblem(rng, 7, 6, 2, testModel)
-		wantA, wantC, err := Heuristic(variant(base, func(p *Problem) { p.Parallelism = 1 }), BestOfBoth, int64(trial))
+		var wantA, gotA Allocation
+		var wantC, gotC float64
+		var err error
+		procs.At(1, func() { wantA, wantC, err = Heuristic(variant(base), BestOfBoth, int64(trial)) })
 		if err != nil {
 			t.Fatalf("BestOfBoth sequential: %v", err)
 		}
-		gotA, gotC, err := Heuristic(variant(base, func(p *Problem) { p.Parallelism = 4 }), BestOfBoth, int64(trial))
+		procs.At(4, func() { gotA, gotC, err = Heuristic(variant(base), BestOfBoth, int64(trial)) })
 		if err != nil {
 			t.Fatalf("BestOfBoth parallel: %v", err)
 		}
@@ -196,22 +210,28 @@ func TestGroupCostCacheCutsSolves(t *testing.T) {
 
 	// counted returns a fresh copy of base whose sizer counts probes.
 	counted := func() (*Problem, *countingSizer) {
-		p := variant(base, func(p *Problem) { p.Parallelism = 1 })
+		p := variant(base)
 		cs := &countingSizer{inner: p.Inst.Sizer}
 		inst := *p.Inst
 		inst.Sizer = cs
 		p.Inst = &inst
 		return p, cs
 	}
-	p, cs := counted()
-	wantA, wantC, err := Heuristic(p, MultiStartInit, 1)
+	var wantA, gotA Allocation
+	var wantC, gotC float64
+	var err error
+	var engine, uncached int64
+	procs.At(1, func() {
+		p, cs := counted()
+		wantA, wantC, err = Heuristic(p, MultiStartInit, 1)
+		engine = cs.calls.Load()
+		p, cs = counted()
+		gotA, gotC = oracleHeuristic(p, MultiStartInit, 1)
+		uncached = cs.calls.Load()
+	})
 	if err != nil {
 		t.Fatalf("Heuristic: %v", err)
 	}
-	engine := cs.calls.Load()
-	p, cs = counted()
-	gotA, gotC := oracleHeuristic(p, MultiStartInit, 1)
-	uncached := cs.calls.Load()
 	if gotC != wantC || !allocsEqual(gotA, wantA) {
 		t.Fatalf("engine %v cost %v, uncached oracle %v cost %v", wantA, wantC, gotA, gotC)
 	}

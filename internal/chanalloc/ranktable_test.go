@@ -9,6 +9,7 @@ import (
 	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
+	"qsub/internal/procs"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 )
@@ -22,7 +23,7 @@ type probeExact struct{ relation.Exact }
 // per-channel groups are solved in place on pooled engines reading the
 // singleton-pair table, and on one sized by estimator probes behind a
 // memo. Allocation, cost and per-channel plans must agree to the bit, at
-// Parallelism 1 and with BestOfBoth's two climbs reading the shared pair
+// GOMAXPROCS 1 and with BestOfBoth's two climbs reading the shared pair
 // table concurrently (the -race leg).
 func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 	model := cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}
@@ -43,24 +44,29 @@ func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 		}
 		// problem builds the instance and reports how many merged sizes
 		// its cache had to probe the estimator for: none on a table.
-		problem := func(est relation.Estimator, parallelism int) (*Problem, *metrics.Counter) {
+		problem := func(est relation.Estimator) (*Problem, *metrics.Counter) {
 			inst := core.NewGeomInstance(model, qs, query.BoundingRect{}, est)
 			misses := new(metrics.Counter)
-			inst.CacheSizes(nil, nil, misses, nil)
-			return &Problem{Inst: inst, Clients: clients, Channels: 3, Merger: core.PairMerge{}, Parallelism: parallelism}, misses
+			inst.CacheSizes(nil, nil, misses)
+			return &Problem{Inst: inst, Clients: clients, Channels: 3, Merger: core.PairMerge{}}, misses
 		}
 		exact := relation.Exact{Rel: rel}
-		want, probes := problem(probeExact{exact}, 1)
-		wantAlloc, wantCost, err := Heuristic(want, BestOfBoth, seed)
+		want, probes := problem(probeExact{exact})
+		var wantAlloc Allocation
+		var wantCost float64
+		var err error
+		procs.At(1, func() { wantAlloc, wantCost, err = Heuristic(want, BestOfBoth, seed) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if probes.Load() == 0 {
 			t.Fatal("the probe instance probed nothing: it got a table")
 		}
-		for _, parallelism := range []int{1, 2} {
-			got, probes := problem(exact, parallelism)
-			alloc, c, err := Heuristic(got, BestOfBoth, seed)
+		for _, procsN := range []int{1, 2} {
+			got, probes := problem(exact)
+			var alloc Allocation
+			var c float64
+			procs.At(procsN, func() { alloc, c, err = Heuristic(got, BestOfBoth, seed) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,10 +74,10 @@ func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 				t.Fatalf("the exact instance made %d estimator probes: it got no table", probes.Load())
 			}
 			if c != wantCost || !allocsEqual(alloc, wantAlloc) {
-				t.Fatalf("seed %d parallelism %d: table %v cost %v, probes %v cost %v", seed, parallelism, alloc, c, wantAlloc, wantCost)
+				t.Fatalf("seed %d GOMAXPROCS %d: table %v cost %v, probes %v cost %v", seed, procsN, alloc, c, wantAlloc, wantCost)
 			}
 			if gotPlans, wantPlans := Plans(got, alloc), Plans(want, wantAlloc); !reflect.DeepEqual(gotPlans, wantPlans) {
-				t.Fatalf("seed %d parallelism %d: plans differ:\n%v\n%v", seed, parallelism, gotPlans, wantPlans)
+				t.Fatalf("seed %d GOMAXPROCS %d: plans differ:\n%v\n%v", seed, procsN, gotPlans, wantPlans)
 			}
 		}
 	}

@@ -95,11 +95,6 @@ type Client struct {
 	// Optional nil-safe extractor instrumentation (see SetMetrics).
 	mKept     *metrics.Counter
 	mFiltered *metrics.Counter
-	// Optional publish→Handle latency histogram (see
-	// SetLatencyHistogram) and the clamp counter for negative
-	// cross-clock deltas (see SetClockSkewCounter).
-	mLatency   *metrics.Histogram
-	mClockSkew *metrics.Counter
 }
 
 // New creates a client with the given id and subscription queries.
@@ -123,31 +118,6 @@ func (c *Client) SetMetrics(kept, filtered *metrics.Counter) {
 	defer c.mu.Unlock()
 	c.mKept = kept
 	c.mFiltered = filtered
-}
-
-// SetLatencyHistogram attaches a publish→receive latency histogram:
-// Handle observes the delta between each message's publish timestamp
-// and the local clock, in seconds. Messages without a timestamp (older
-// daemons, or stamping disabled) are skipped. The handle is
-// allocation-free, so the Handle zero-alloc pin holds with latency
-// tracking enabled. Meaningful only when publisher and receiver share a
-// clock (same host); cross-host deltas include clock skew.
-func (c *Client) SetLatencyHistogram(h *metrics.Histogram) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mLatency = h
-}
-
-// SetClockSkewCounter attaches the counter incremented whenever a
-// timestamped frame's publish→receive delta comes out negative and is
-// clamped to zero before entering the latency histogram. Negative
-// deltas mean the publisher's clock runs ahead of the receiver's —
-// expected once frames cross a relay into another clock domain. The
-// counter is nil-safe.
-func (c *Client) SetClockSkewCounter(ctr *metrics.Counter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mClockSkew = ctr
 }
 
 // find returns the index of the entry for the query id, or -1.
@@ -242,19 +212,6 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
 	if msg.PublishedUnixNano != 0 {
 		c.stats.LastPublishedUnixNano = msg.PublishedUnixNano
 		c.stats.LastHandledUnixNano = nowUnixNano
-		if c.mLatency != nil {
-			// Across a relay the publisher and receiver run on different
-			// clocks, so the delta can come out negative; a negative
-			// observation would land in bucket 0 and drive the
-			// histogram's Sum (and thus the mean) negative. Clamp to
-			// zero and count the clamp instead.
-			delta := float64(nowUnixNano-msg.PublishedUnixNano) / 1e9
-			if delta < 0 {
-				delta = 0
-				c.mClockSkew.Inc()
-			}
-			c.mLatency.Observe(delta)
-		}
 	}
 
 	hdr, addressed := msg.EntryFor(c.id)

@@ -2,10 +2,8 @@ package client
 
 import (
 	"testing"
-	"time"
 
 	"qsub/internal/geom"
-	"qsub/internal/metrics"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
@@ -229,46 +227,5 @@ func TestPerQueryStats(t *testing.T) {
 	c.RemoveQuery(1)
 	if got := c.QueryStatsFor(1); got.Tuples != 0 || got.BytesReceived != 0 {
 		t.Fatalf("removed query stats should reset: %+v", got)
-	}
-}
-
-func TestHandleClampsClockSkew(t *testing.T) {
-	cat := metrics.NewCatalog(0)
-	c := New(7, query.Range(1, geom.R(0, 0, 10, 10)))
-	c.SetLatencyHistogram(cat.ClientLatencySeconds)
-	c.SetClockSkewCounter(cat.ClientClockSkew)
-
-	// A frame stamped one minute in the future — a publisher clock
-	// running ahead of ours, as happens once frames cross a relay into
-	// another clock domain. The negative delta must be clamped to zero
-	// (not fed into the histogram, where it would drive Sum negative)
-	// and counted as a clock-skew clamp.
-	c.Handle(multicast.Message{
-		Seq:               1,
-		PublishedUnixNano: time.Now().Add(time.Minute).UnixNano(),
-		Header:            []multicast.HeaderEntry{{ClientID: 7, QueryIDs: []query.ID{1}}},
-	})
-	if got := cat.ClientClockSkew.Load(); got != 1 {
-		t.Fatalf("clock skew clamps = %d, want 1", got)
-	}
-	if sum := cat.ClientLatencySeconds.Sum(); sum != 0 {
-		t.Fatalf("latency Sum = %v, want 0 (clamped observation)", sum)
-	}
-	if n := cat.ClientLatencySeconds.Count(); n != 1 {
-		t.Fatalf("latency Count = %d, want 1", n)
-	}
-
-	// A sanely-stamped frame still observes a positive latency and does
-	// not bump the skew counter.
-	c.Handle(multicast.Message{
-		Seq:               2,
-		PublishedUnixNano: time.Now().Add(-time.Millisecond).UnixNano(),
-		Header:            []multicast.HeaderEntry{{ClientID: 7, QueryIDs: []query.ID{1}}},
-	})
-	if got := cat.ClientClockSkew.Load(); got != 1 {
-		t.Fatalf("clock skew clamps after sane frame = %d, want still 1", got)
-	}
-	if sum := cat.ClientLatencySeconds.Sum(); sum <= 0 {
-		t.Fatalf("latency Sum = %v, want > 0", sum)
 	}
 }

@@ -21,17 +21,14 @@ import (
 // sharded by row across a bounded worker pool, and the components —
 // independent subproblems by construction — are solved concurrently.
 // Components are ordered by their smallest member and every plan is
-// normalized, so the result is identical at any Parallelism.
+// normalized, so the result is identical at any GOMAXPROCS, which sizes
+// the pool.
 type Clustering struct {
 	// Inner solves each cluster; nil means PairMerge{}.
 	Inner Algorithm
 	// ExactThreshold is the largest cluster solved with Partition
 	// instead of Inner. Zero disables the exact path.
 	ExactThreshold int
-	// Parallelism bounds the worker pool for the eligibility probe and
-	// the per-component solves. Zero means runtime.GOMAXPROCS(0); 1
-	// runs sequentially.
-	Parallelism int
 }
 
 // Name returns "clustering+<inner>".
@@ -53,10 +50,7 @@ func (c Clustering) Solve(inst *Instance) Plan {
 	if inner == nil {
 		inner = PairMerge{}
 	}
-	workers := c.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	// One concurrency-safe size cache shared by the eligibility probe
 	// and every component solver.
 	inst = memoized(inst)

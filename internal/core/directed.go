@@ -23,18 +23,16 @@ import (
 // Restarts are independent, so they run on a bounded worker pool. Each
 // restart derives its own RNG from (Seed, restart index) and the winner
 // is picked by (cost, restart index), so a fixed Seed yields the same
-// plan at any Parallelism — including 1, the sequential path. All
-// restarts share one concurrency-safe merged-size memo (cost.Memo), so a
-// union probed by one restart is free for every other.
+// plan at any GOMAXPROCS, which sizes the pool — including 1, the
+// sequential path. All restarts share one concurrency-safe merged-size
+// memo (cost.Memo), so a union probed by one restart is free for every
+// other.
 type DirectedSearch struct {
 	// T is the number of restarts; zero means the default of 8.
 	T int
 	// Seed seeds the random initial states; runs are deterministic for
-	// a fixed seed regardless of Parallelism.
+	// a fixed seed regardless of GOMAXPROCS.
 	Seed int64
-	// Parallelism bounds the restart worker pool. Zero means
-	// runtime.GOMAXPROCS(0); 1 runs the restarts sequentially.
-	Parallelism int
 }
 
 // Name returns "directed-search".
@@ -83,10 +81,7 @@ func (ds DirectedSearch) Solve(inst *Instance) Plan {
 		costs[run] = shared.Cost(plans[run])
 	}
 
-	workers := ds.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > t {
 		workers = t
 	}

@@ -195,7 +195,7 @@ type tableSizer struct {
 // answered without an estimator probe — per lookup by a memo, per solve by
 // the pair-merge engines on a table (other solvers' table lookups go
 // uncounted) — and misses the probes, which a table never makes.
-func (inst *Instance) CacheSizes(sizes []float64, hits, misses, contended *metrics.Counter) {
+func (inst *Instance) CacheSizes(sizes []float64, hits, misses *metrics.Counter) {
 	if rs, ok := inst.Sizer.(*rectSizer); ok {
 		if t := rs.rankTable(); t != nil {
 			n := inst.N
@@ -217,7 +217,7 @@ func (inst *Instance) CacheSizes(sizes []float64, hits, misses, contended *metri
 	} else {
 		memo = cost.NewMemo(inst.Sizer, inst.N)
 	}
-	memo.SetMetrics(hits, misses, contended)
+	memo.SetMetrics(hits, misses)
 	inst.Sizer = memo
 }
 

@@ -59,7 +59,7 @@ func groupWorld(rng *rand.Rand, kind string, n int) *Instance {
 			est = probeExact{relation.Exact{Rel: rel}}
 		}
 		inst = NewGeomInstance(paperModel, qs, query.BoundingRect{}, est)
-		inst.CacheSizes(nil, nil, nil, nil)
+		inst.CacheSizes(nil, nil, nil)
 		if _, ok := inst.Sizer.(tableSizer); ok != (kind == "table") {
 			panic(kind + " world sized by the wrong sizer")
 		}

@@ -5,13 +5,16 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"qsub/internal/geom"
+	"qsub/internal/procs"
 )
 
 // This file pins the solver-engine rewrite to the seed behavior: the
 // heap-driven Pair Merging engine must match the Profit Table oracle,
 // and the parallel DirectedSearch/Clustering paths must return the exact
 // plan the sequential paths return for the same seed, at any
-// Parallelism.
+// GOMAXPROCS (which sizes their worker pools).
 
 // relClose reports whether two costs agree to within a relative 1e-9.
 func relClose(a, b float64) bool {
@@ -53,11 +56,13 @@ func TestDirectedSearchParallelismInvariant(t *testing.T) {
 	for _, n := range []int{8, 20, 70} {
 		for seed := int64(1); seed <= 3; seed++ {
 			inst := randomInstance(rng, n, paperModel)
-			base := DirectedSearch{T: 6, Seed: seed, Parallelism: 1}.Solve(inst)
+			var base Plan
+			procs.At(1, func() { base = DirectedSearch{T: 6, Seed: seed}.Solve(inst) })
 			for _, workers := range []int{2, 4, 8} {
-				got := DirectedSearch{T: 6, Seed: seed, Parallelism: workers}.Solve(inst)
+				var got Plan
+				procs.At(workers, func() { got = DirectedSearch{T: 6, Seed: seed}.Solve(inst) })
 				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("n=%d seed=%d: plan differs between Parallelism 1 and %d:\n%v\nvs\n%v",
+					t.Fatalf("n=%d seed=%d: plan differs between GOMAXPROCS 1 and %d:\n%v\nvs\n%v",
 						n, seed, workers, base, got)
 				}
 			}
@@ -65,16 +70,39 @@ func TestDirectedSearchParallelismInvariant(t *testing.T) {
 	}
 }
 
+// ruggedInstance lays copies of Fig 6's three queries far apart. Within
+// a copy no pair is worth merging but all three are (Appendix 1), so the
+// climb from singletons merges nothing and the plan is whatever the
+// random restarts find: a test on it sees how each restart is seeded.
+func ruggedInstance(copies int) *Instance {
+	var rects []geom.Rect
+	for c := 0; c < copies; c++ {
+		dx := float64(100 * c)
+		rects = append(rects, geom.R(dx, 1, dx+2, 2), geom.R(dx+1, 0, dx+2, 2), geom.R(dx, 0, dx+1, 1))
+	}
+	return geomInstance(paperModel, rects)
+}
+
 func TestDirectedSearchParallelismInvariantAbstract(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{10, 30} {
-		inst := randomAbstractInstance(rng, n, paperModel)
-		base := DirectedSearch{T: 6, Seed: 7, Parallelism: 1}.Solve(inst)
+	insts := []*Instance{randomAbstractInstance(rng, 10, paperModel), randomAbstractInstance(rng, 30, paperModel)}
+	for _, copies := range []int{6, 10} {
+		inst := ruggedInstance(copies)
+		restarts, first := DirectedSearch{T: 6, Seed: 7}.Solve(inst), DirectedSearch{T: 1, Seed: 7}.Solve(inst)
+		if restarts.Equal(first) {
+			t.Fatalf("%d Fig 6 copies: the random restarts do not change the plan", copies)
+		}
+		insts = append(insts, inst)
+	}
+	for _, inst := range insts {
+		var base Plan
+		procs.At(1, func() { base = DirectedSearch{T: 6, Seed: 7}.Solve(inst) })
 		for _, workers := range []int{2, 4, 8} {
-			got := DirectedSearch{T: 6, Seed: 7, Parallelism: workers}.Solve(inst)
+			var got Plan
+			procs.At(workers, func() { got = DirectedSearch{T: 6, Seed: 7}.Solve(inst) })
 			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("n=%d: plan differs between Parallelism 1 and %d:\n%v\nvs\n%v",
-					n, workers, base, got)
+				t.Fatalf("n=%d: plan differs between GOMAXPROCS 1 and %d:\n%v\nvs\n%v",
+					inst.N, workers, base, got)
 			}
 		}
 	}
@@ -84,11 +112,13 @@ func TestClusteringParallelismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, n := range []int{8, 20, 70} {
 		inst := randomInstance(rng, n, paperModel)
-		base := Clustering{ExactThreshold: 6, Parallelism: 1}.Solve(inst)
+		var base Plan
+		procs.At(1, func() { base = Clustering{ExactThreshold: 6}.Solve(inst) })
 		for _, workers := range []int{2, 4, 8} {
-			got := Clustering{ExactThreshold: 6, Parallelism: workers}.Solve(inst)
+			var got Plan
+			procs.At(workers, func() { got = Clustering{ExactThreshold: 6}.Solve(inst) })
 			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("n=%d: plan differs between Parallelism 1 and %d:\n%v\nvs\n%v",
+				t.Fatalf("n=%d: plan differs between GOMAXPROCS 1 and %d:\n%v\nvs\n%v",
 					n, workers, base, got)
 			}
 		}
@@ -99,11 +129,13 @@ func TestClusteringParallelismInvariantAbstract(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, n := range []int{10, 30} {
 		inst := randomAbstractInstance(rng, n, paperModel)
-		base := Clustering{ExactThreshold: 6, Parallelism: 1}.Solve(inst)
+		var base Plan
+		procs.At(1, func() { base = Clustering{ExactThreshold: 6}.Solve(inst) })
 		for _, workers := range []int{2, 4, 8} {
-			got := Clustering{ExactThreshold: 6, Parallelism: workers}.Solve(inst)
+			var got Plan
+			procs.At(workers, func() { got = Clustering{ExactThreshold: 6}.Solve(inst) })
 			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("n=%d: plan differs between Parallelism 1 and %d:\n%v\nvs\n%v",
+				t.Fatalf("n=%d: plan differs between GOMAXPROCS 1 and %d:\n%v\nvs\n%v",
 					n, workers, base, got)
 			}
 		}
@@ -120,8 +152,11 @@ func TestParallelSolversShareOneMemo(t *testing.T) {
 	if memoized(wrapped) != wrapped {
 		t.Fatal("memoized() re-wrapped an instance that already carries a Memo")
 	}
-	direct := DirectedSearch{T: 4, Seed: 2, Parallelism: 4}.Solve(inst)
-	viaMemo := DirectedSearch{T: 4, Seed: 2, Parallelism: 4}.Solve(wrapped)
+	var direct, viaMemo Plan
+	procs.At(4, func() {
+		direct = DirectedSearch{T: 4, Seed: 2}.Solve(inst)
+		viaMemo = DirectedSearch{T: 4, Seed: 2}.Solve(wrapped)
+	})
 	if !reflect.DeepEqual(direct, viaMemo) {
 		t.Fatalf("plan changed under a pre-wrapped memo:\n%v\nvs\n%v", direct, viaMemo)
 	}

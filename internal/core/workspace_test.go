@@ -197,7 +197,7 @@ func TestRankTableInstance(t *testing.T) {
 
 			inst := NewGeomInstance(paperModel, qs, query.BoundingRect{}, exact)
 			var hits, misses metrics.Counter
-			inst.CacheSizes(nil, &hits, &misses, nil)
+			inst.CacheSizes(nil, &hits, &misses)
 			if _, ok := inst.Sizer.(tableSizer); ok != tc.table {
 				t.Fatalf("CacheSizes installed %T, want a table: %v", inst.Sizer, tc.table)
 			}
@@ -243,7 +243,7 @@ func TestRankTableInstance(t *testing.T) {
 		qs[i] = query.Query{ID: query.ID(i + 1), Region: hull}
 	}
 	inst := NewGeomInstance(paperModel, qs, query.BoundingRect{}, relation.Exact{Rel: relation.MustNew(bounds, 8, 8)})
-	inst.CacheSizes(nil, nil, nil, nil)
+	inst.CacheSizes(nil, nil, nil)
 	if _, ok := inst.Sizer.(*cost.Memo); !ok {
 		t.Fatalf("polygon instance got %T", inst.Sizer)
 	}
@@ -283,7 +283,7 @@ func BenchmarkRankTableCrossover(b *testing.B) {
 						if path == "table" {
 							rs.rel = rel
 						}
-						inst.CacheSizes(nil, nil, nil, nil)
+						inst.CacheSizes(nil, nil, nil)
 						PairMerge{}.Solve(inst)
 					}
 				})

@@ -57,12 +57,10 @@ type Memo struct {
 	// key bytes) so cache hits on large instances allocate nothing.
 	pool sync.Pool
 
-	// Optional nil-safe instrumentation (see SetMetrics). hits/misses
-	// track cache effectiveness; contended counts lock acquisitions
-	// that could not be taken immediately.
-	hits      *metrics.Counter
-	misses    *metrics.Counter
-	contended *metrics.Counter
+	// Optional nil-safe instrumentation (see SetMetrics): cache
+	// effectiveness.
+	hits   *metrics.Counter
+	misses *metrics.Counter
 }
 
 // largeScratch is the pooled working state of mergedSizeLarge: the
@@ -120,39 +118,13 @@ func NewMemoSizes(inner Sizer, sizes []float64) *Memo {
 	return m
 }
 
-// SetMetrics attaches hit/miss/contention counters to the memo. Any of
-// the counters may be nil (that aspect stays uncounted). Call before
-// handing the memo to concurrent solvers; the handles themselves are
-// lock-free and allocation-free.
-func (m *Memo) SetMetrics(hits, misses, contended *metrics.Counter) {
+// SetMetrics attaches hit/miss counters to the memo. Either may be nil
+// (that aspect stays uncounted). Call before handing the memo to
+// concurrent solvers; the handles themselves are lock-free and
+// allocation-free.
+func (m *Memo) SetMetrics(hits, misses *metrics.Counter) {
 	m.hits = hits
 	m.misses = misses
-	m.contended = contended
-}
-
-// rlock takes the shard read lock, counting the acquisition as
-// contended when it could not be taken immediately.
-func (m *Memo) rlock(sh *memoShard) {
-	if m.contended == nil {
-		sh.mu.RLock()
-		return
-	}
-	if !sh.mu.TryRLock() {
-		m.contended.Inc()
-		sh.mu.RLock()
-	}
-}
-
-// lock is rlock for the write lock.
-func (m *Memo) lock(sh *memoShard) {
-	if m.contended == nil {
-		sh.mu.Lock()
-		return
-	}
-	if !sh.mu.TryLock() {
-		m.contended.Inc()
-		sh.mu.Lock()
-	}
 }
 
 // Size returns the cached singleton size.
@@ -176,7 +148,7 @@ func (m *Memo) MergedSize(set []int) float64 {
 			key |= 1 << uint(q)
 		}
 		sh := &m.shards[mix64(key)&(memoShards-1)]
-		m.rlock(sh)
+		sh.mu.RLock()
 		v, ok := sh.small[key]
 		sh.mu.RUnlock()
 		if ok {
@@ -185,7 +157,7 @@ func (m *Memo) MergedSize(set []int) float64 {
 		}
 		m.misses.Inc()
 		v = m.inner.MergedSize(set)
-		m.lock(sh)
+		sh.mu.Lock()
 		sh.small[key] = v
 		sh.mu.Unlock()
 		return v
@@ -215,7 +187,7 @@ func (m *Memo) mergedSizeLarge(set []int) float64 {
 		}
 	}
 	sh := &m.shards[sc.qs.Hash()&(memoShards-1)]
-	m.rlock(sh)
+	sh.mu.RLock()
 	v, ok := sh.large[string(sc.buf)]
 	sh.mu.RUnlock()
 	if ok {
@@ -227,7 +199,7 @@ func (m *Memo) mergedSizeLarge(set []int) float64 {
 	v = m.inner.MergedSize(set)
 	key := string(sc.buf)
 	m.pool.Put(sc)
-	m.lock(sh)
+	sh.mu.Lock()
 	sh.large[key] = v
 	sh.mu.Unlock()
 	return v

@@ -123,7 +123,7 @@ func TestAdminEndpointAfterCycle(t *testing.T) {
 	// the cycle publishes to empty channels and skips encoding entirely.
 	for _, name := range []string{
 		"qsub_fanout_encodes_total",
-		"qsub_fanout_frames_shared_total",
+		"qsub_fanout_frames_written_total",
 		"qsub_fanout_bytes_total",
 	} {
 		counterValue(t, body, name)
@@ -148,7 +148,7 @@ func TestAdminEndpointAfterCycle(t *testing.T) {
 	}
 	for _, name := range []string{
 		"qsub_fanout_encodes_total",
-		"qsub_fanout_frames_shared_total",
+		"qsub_fanout_frames_written_total",
 		"qsub_fanout_bytes_total",
 	} {
 		if _, ok := st.Metrics.Counters[name]; !ok {

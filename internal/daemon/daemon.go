@@ -322,7 +322,6 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 		} else {
 			rec.Mode = fresh.Info.Mode
 			rec.ShardsSolved, rec.ShardsReused = fresh.Info.ShardsSolved, fresh.Info.ShardsReused
-			rec.BudgetExhausted = fresh.Info.BudgetExhausted
 		}
 		cy = fresh
 		d.planMu.Lock()
@@ -433,15 +432,13 @@ func (d *Daemon) shutdown(graceful bool) {
 // SaveSubscriptions serializes every current (client, query) subscription
 // as wire Subscribe frames prefixed by a Hello frame per client, so a
 // daemon can restore its registry after a restart. Attribute predicates
-// are client-side only and thus not persisted (as on the wire).
+// are client-side only and thus not persisted (as on the wire). It lists
+// the registry without planning; an empty registry writes nothing.
 func (d *Daemon) SaveSubscriptions(w io.Writer) error {
-	cy, err := d.srv.Plan()
-	if err != nil {
-		return err
-	}
-	for i, q := range cy.Queries {
+	qs, owners := d.srv.Subscriptions()
+	for i, q := range qs {
 		if err := wire.WriteFrame(w, wire.TypeHello,
-			wire.MarshalHello(wire.Hello{ClientID: cy.Owners[i]})); err != nil {
+			wire.MarshalHello(wire.Hello{ClientID: owners[i]})); err != nil {
 			return err
 		}
 		payload, err := wire.MarshalSubscribe(wire.Subscribe{Query: q})

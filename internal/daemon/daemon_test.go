@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -649,5 +650,54 @@ func TestSaveLoadSubscriptions(t *testing.T) {
 	// Garbage input is rejected cleanly.
 	if _, err := d2.LoadSubscriptions(bytes.NewReader([]byte("garbage-frame"))); err == nil {
 		t.Fatal("garbage subscription file should be rejected")
+	}
+}
+
+// TestSaveSubscriptionsPlansNothing: a save lists the registry, it does
+// not plan it. An empty registry saves nothing and no error, so a
+// daemon without clients does not report its shutdown save as failed;
+// a populated one round-trips through LoadSubscriptions; and neither
+// moves a plan instrument.
+func TestSaveSubscriptionsPlansNothing(t *testing.T) {
+	d, _ := startDaemon(t, 2)
+	cat := d.Metrics()
+	var buf bytes.Buffer
+	if err := d.SaveSubscriptions(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("empty registry saved %d bytes, error %v; want 0 bytes and no error", buf.Len(), err)
+	}
+	srv := d.Server()
+	for _, sub := range []struct {
+		client int
+		q      query.Query
+	}{
+		{7, query.Range(1, geom.R(0, 0, 100, 100))},
+		{3, query.Range(1, geom.R(500, 500, 600, 600))},
+		{7, query.Range(2, geom.R(200, 200, 300, 300))},
+	} {
+		if err := srv.Subscribe(sub.client, sub.q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.SaveSubscriptions(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n, c := cat.PlansTotal.Load(), cat.PlanSeconds.Count(); n != 0 || c != 0 {
+		t.Fatalf("saving moved the plan instruments: %d plans, %d plan timings", n, c)
+	}
+
+	d2, _ := startDaemon(t, 2)
+	if n, err := d2.LoadSubscriptions(&buf); err != nil || n != 3 {
+		t.Fatalf("restored %d subscriptions, error %v; want 3", n, err)
+	}
+	want, err := srv.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d2.Server().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Queries, want.Queries) || !reflect.DeepEqual(got.Owners, want.Owners) {
+		t.Fatalf("restored registry %v owned by %v, saved %v owned by %v", got.Queries, got.Owners, want.Queries, want.Owners)
 	}
 }

@@ -34,7 +34,6 @@ type fanoutWorld struct {
 	taps     [][]multicast.Message // per channel, in publish order
 	messages int                   // sum of Report.Messages across cycles
 	encodes  uint64
-	shared   uint64
 	written  uint64
 	delivers uint64
 	bytes    uint64
@@ -174,7 +173,6 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 
 	cat := d.Metrics()
 	out.encodes = cat.FanoutEncodes.Load()
-	out.shared = cat.FanoutFramesShared.Load()
 	out.written = cat.FanoutFramesWritten.Load()
 	out.delivers = cat.FanoutDeliveries.Load()
 	out.bytes = cat.FanoutBytes.Load()
@@ -242,13 +240,13 @@ func TestFanoutWireEquivalence(t *testing.T) {
 			}
 
 			// Exactly one encode per published message; every answer frame
-			// written was the shared one; the taps' deliveries are the
-			// only ones no session writer wrote.
+			// the clients read was written once; the taps' deliveries are
+			// the only ones no session writer wrote.
 			if w.encodes != uint64(w.messages) {
 				t.Errorf("encoded %d frames for %d messages, want one encode per message", w.encodes, w.messages)
 			}
-			if w.shared != answerFrames || w.written != answerFrames {
-				t.Errorf("%d shared-frame writes, %d frames written, clients read %d answer frames", w.shared, w.written, answerFrames)
+			if w.written != answerFrames {
+				t.Errorf("%d frames written, clients read %d answer frames", w.written, answerFrames)
 			}
 			if w.delivers != answerFrames+uint64(tapped) {
 				t.Errorf("%d deliveries, want %d to sessions + %d to the taps", w.delivers, answerFrames, tapped)

@@ -32,14 +32,13 @@ type CycleRecord struct {
 	// "unchanged" (a replan found the subscriptions as they were),
 	// "incremental" (allocation inherited, solved only around the churn)
 	// or "full" (complete re-solve). The planner reports it on the cycle
-	// it returns (server.PlanInfo), as it does the three fields below.
+	// it returns (server.PlanInfo), as it does ShardsSolved and
+	// ShardsReused.
 	Mode string `json:"mode"`
 	// Sharded marks plans produced by the sharded pipeline.
 	Sharded bool `json:"sharded,omitempty"`
 	// Delta marks delta-publish cycles.
 	Delta bool `json:"delta,omitempty"`
-	// BudgetExhausted marks plans cut short by the anytime budget.
-	BudgetExhausted bool `json:"budgetExhausted,omitempty"`
 	// ShardsSolved and ShardsReused count the sharded planner's
 	// (channel, shard) tasks solved by this cycle's plan and taken over
 	// from the previous one.

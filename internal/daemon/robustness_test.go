@@ -88,8 +88,8 @@ func TestDaemonReadIdleExpiry(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if got := d.Metrics().SessionsExpired.Load(); got == 0 {
-		t.Fatal("SessionsExpired not counted")
+	if got := d.Metrics().SessionsExpiredIdle.Load(); got == 0 {
+		t.Fatal("SessionsExpiredIdle not counted")
 	}
 }
 

@@ -20,9 +20,6 @@ type AlgoConfig struct {
 	// Queries per instance; must stay within Partition's reach.
 	Queries int
 	Trials  int
-	// Parallelism is handed to the parallel solvers (DirectedSearch
-	// restarts, Clustering components). Zero means GOMAXPROCS.
-	Parallelism int
 }
 
 // DefaultAlgoConfig returns the comparison defaults (the calibrated
@@ -67,10 +64,10 @@ func RunAlgoComparison(cfg AlgoConfig) ([]AlgoResult, error) {
 	entries := []*entry{
 		{name: "pair-merge", algo: func([]query.Query) core.Algorithm { return core.PairMerge{} }},
 		{name: "directed-search", algo: func([]query.Query) core.Algorithm {
-			return core.DirectedSearch{T: 8, Seed: 1, Parallelism: cfg.Parallelism}
+			return core.DirectedSearch{T: 8, Seed: 1}
 		}},
 		{name: "clustering", algo: func([]query.Query) core.Algorithm {
-			return core.Clustering{ExactThreshold: 8, Parallelism: cfg.Parallelism}
+			return core.Clustering{ExactThreshold: 8}
 		}},
 		{name: "anneal", algo: func([]query.Query) core.Algorithm { return core.Anneal{Steps: 2000, Seed: 1} }},
 		{name: "zorder-sweep", algo: func(qs []query.Query) core.Algorithm { return core.ZOrderSweep{Queries: qs} }},

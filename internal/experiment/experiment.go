@@ -187,10 +187,6 @@ type ChannelConfig struct {
 	QueriesPerClient int
 	// Trials is the number of workloads evaluated.
 	Trials int
-	// Parallelism bounds the allocator worker pools (best-of-both's two
-	// climbs, multi-start restarts). Zero means GOMAXPROCS; results are
-	// identical at any setting.
-	Parallelism int
 }
 
 // DefaultChannelConfig returns the parameters the harness uses to
@@ -262,10 +258,9 @@ func RunChannelAllocation(cfg ChannelConfig) ([]ChannelResult, error) {
 		// strategies share its group-cost cache, so the heuristics mostly
 		// replay groups the exhaustive search already solved.
 		prob := instrumentProblem(&chanalloc.Problem{
-			Inst:        inst,
-			Clients:     clients,
-			Channels:    cfg.Channels,
-			Parallelism: cfg.Parallelism,
+			Inst:     inst,
+			Clients:  clients,
+			Channels: cfg.Channels,
 		})
 		_, opt, err := chanalloc.Exhaustive(prob)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"qsub/internal/chanalloc"
 	"qsub/internal/cost"
+	"qsub/internal/metrics"
 )
 
 // smallMerge returns a cheap Fig 16/17 configuration for tests.
@@ -297,6 +298,31 @@ func TestAlgoComparison(t *testing.T) {
 	for _, name := range []string{"pair-merge", "anneal", "zorder-sweep"} {
 		if !strings.Contains(tbl, name) {
 			t.Fatalf("table missing %s:\n%s", name, tbl)
+		}
+	}
+}
+
+// TestMetricsHookCountsSolverWork: with the package catalog set (what
+// `qsubsim -metrics` does), the algorithm comparison moves the solver
+// instruments only DirectedSearch and Clustering write, which no daemon
+// configuration runs.
+func TestMetricsHookCountsSolverWork(t *testing.T) {
+	Metrics = metrics.NewCatalog(0)
+	defer func() { Metrics = nil }()
+	cfg := DefaultAlgoConfig()
+	cfg.Trials = 2
+	cfg.Queries = 8
+	if _, err := RunAlgoComparison(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]uint64{
+		"qsub_solver_restarts_total":   Metrics.SolverRestarts.Load(),
+		"qsub_solver_components_total": Metrics.SolverComponents.Load(),
+		"qsub_solver_convergence_cost": Metrics.SolverConvergenceCost.Count(),
+		"qsub_solver_heap_pops_total":  Metrics.SolverHeapPops.Load(),
+	} {
+		if v == 0 {
+			t.Errorf("%s did not move", name)
 		}
 	}
 }

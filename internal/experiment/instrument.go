@@ -35,8 +35,6 @@ func instrumentProblem(p *chanalloc.Problem) *chanalloc.Problem {
 	if cat := Metrics; cat != nil {
 		p.Metrics = &chanalloc.AllocMetrics{
 			Restarts:         cat.AllocRestarts,
-			SmartWins:        cat.AllocSmartWins,
-			RandomWins:       cat.AllocRandomWins,
 			GroupCacheHits:   cat.AllocGroupCacheHits,
 			GroupCacheMisses: cat.AllocGroupCacheMisses,
 		}

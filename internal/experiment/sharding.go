@@ -41,8 +41,6 @@ type ShardingConfig struct {
 	DupF float64
 	// Aggregate toggles the aggregation pass.
 	Aggregate bool
-	// Parallelism bounds the shard worker pool (0 = GOMAXPROCS).
-	Parallelism int
 	// Budget caps each cell's planning wall time (anytime mode); the
 	// pipeline returns its best-so-far plan at the deadline. Zero means
 	// unlimited.
@@ -92,14 +90,13 @@ func RunSharding(cfg ShardingConfig) ([]ShardingRow, error) {
 		clients := gen.Clients(n/50+1, qs)
 		for _, bits := range cfg.ShardBits {
 			p := &shard.Problem{
-				Queries:     qs,
-				Clients:     clients,
-				Channels:    1,
-				Model:       cfg.Model,
-				Estimator:   est,
-				Algorithm:   core.PairMerge{Neighbors: cfg.Neighbors},
-				Parallelism: cfg.Parallelism,
-				Budget:      core.NewBudget(cfg.Budget, 0),
+				Queries:   qs,
+				Clients:   clients,
+				Channels:  1,
+				Model:     cfg.Model,
+				Estimator: est,
+				Algorithm: core.PairMerge{Neighbors: cfg.Neighbors},
+				Budget:    core.NewBudget(cfg.Budget, 0),
 				Config: shard.Config{
 					Enabled:   true,
 					ShardBits: bits,

@@ -22,7 +22,7 @@
 // arrived. The writer only ever writes those bytes; it never encodes.
 //
 // Accounting rule: the qsub_fanout_* frame counters (FramesWritten,
-// FramesShared, Bytes) count answer frames only, so FramesWritten equals
+// Bytes) count answer frames only, so FramesWritten equals
 // FanoutDeliveries at quiescence on every tier; control frames ride the
 // same flushes uncounted.
 package fanout
@@ -299,7 +299,6 @@ func (s *Session) write() {
 				wire.MarshalError(wire.Error{Msg: "evicted: delivery queue full"}))})
 		}
 	case errors.As(werr, &ne) && ne.Timeout():
-		m.SessionsExpired.Inc()
 		m.SessionsExpiredWrite.Inc()
 	}
 	// The session cannot make progress without its stream; closing the
@@ -325,7 +324,6 @@ func (s *Session) drain() error {
 				}
 				batch = append(batch, msgs[i].Frame)
 			}
-			m.FanoutFramesShared.Add(answers)
 			m.FanoutBytes.Add(bytes)
 			if err := s.flush(batch); err != nil {
 				return err

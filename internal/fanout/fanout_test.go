@@ -137,10 +137,6 @@ func TestInBandOrder(t *testing.T) {
 			waitFor(t, "the writer's accounting", func() bool {
 				return w.cat.FanoutFramesWritten.Load() == uint64(answers)
 			})
-			// Deliveries include the taps' own (one per publish).
-			if shared := w.cat.FanoutFramesShared.Load(); shared != uint64(answers) {
-				t.Fatalf("%d shared frames written for %d answers", shared, answers)
-			}
 		})
 	}
 }

@@ -113,7 +113,6 @@ func (h *Hub) serve(conn net.Conn, lim Limits, idle time.Duration) error {
 		}
 		ft, payload, err := wire.ReadFrame(conn)
 		if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
-			h.metrics.SessionsExpired.Inc()
 			h.metrics.SessionsExpiredIdle.Inc()
 			return fmt.Errorf("fanout: session idle past %s: %w", idle, err)
 		}

@@ -2,7 +2,7 @@
 // thousands of concurrent netclient sessions against one daemon over
 // loopback TCP and measures delivery throughput, per-frame latency
 // percentiles, encodes per cycle and bytes per cycle — the numbers
-// behind BENCH_fanout.json and the encode-once speedup claim.
+// behind the encode-once speedup claim.
 //
 // The harness runs in lockstep: every session subscribes one tiny
 // disjoint query, the daemon plans once, and each measured cycle
@@ -130,10 +130,9 @@ func worldBounds(sessions int) geom.Rect {
 // ServerStats is the daemon-side counter snapshot the driver diffs
 // around the measured window.
 type ServerStats struct {
-	Encodes      uint64
-	FramesShared uint64
-	Bytes        uint64
-	Deliveries   uint64
+	Encodes    uint64
+	Bytes      uint64
+	Deliveries uint64
 	// FramesWritten counts answer frames the session writers handed to the
 	// kernel — the fan-out flush-complete signal the driver's wall clock
 	// stops on.
@@ -282,7 +281,6 @@ func (s *Server) Stats() (ServerStats, error) {
 	cat := s.Daemon.Metrics()
 	st := ServerStats{
 		Encodes:       cat.FanoutEncodes.Load(),
-		FramesShared:  cat.FanoutFramesShared.Load(),
 		Bytes:         cat.FanoutBytes.Load(),
 		Deliveries:    cat.FanoutDeliveries.Load(),
 		FramesWritten: cat.FanoutFramesWritten.Load(),
@@ -342,7 +340,7 @@ type Result struct {
 	LatencySamples                                 uint64
 
 	// Daemon-side counter deltas over the measured window.
-	Encodes, FramesShared, FanoutBytes, Deliveries uint64
+	Encodes, FanoutBytes, Deliveries uint64
 	// Flushes is the socket-flush count of the measured window;
 	// Frames/Flushes is the achieved write-coalescing factor.
 	Flushes uint64
@@ -360,9 +358,8 @@ func (r Result) BytesPerCycle() float64 {
 
 // benchName builds the bench identifier shared by BenchLine and
 // LatencyBenchLine. Relay runs get their own /relays=N name segment so
-// benchjson never compares them against direct-deployment baselines;
-// mode=shared is the row name the committed BENCH_fanout.json baselines
-// carry.
+// they never line up against direct-deployment rows; mode=shared is the
+// row name the historical fan-out tables in EXPERIMENTS.md carry.
 func (r Result) benchName(prefix string) string {
 	name := fmt.Sprintf("%s/sessions=%d/channels=%d/mode=shared", prefix, r.Sessions, r.Channels)
 	if r.Relays > 0 {
@@ -371,9 +368,9 @@ func (r Result) benchName(prefix string) string {
 	return name
 }
 
-// BenchLine formats the result as one `go test -bench` style line
-// (ns/op is fan-out wall time per cycle), so `benchjson` ingests it
-// into BENCH_fanout.json and `benchjson compare` gates regressions.
+// BenchLine formats the result as one `go test -bench` style line (ns/op
+// is fan-out wall time per cycle), so it reads like the Go benchmarks'
+// output.
 func (r Result) BenchLine() string {
 	return fmt.Sprintf(
 		"%s \t%d\t%.0f ns/op\t%.0f frames/s\t%.3f p50-ms\t%.3f p99-ms\t%.0f encodes/cycle\t%.0f bytes/cycle",
@@ -386,8 +383,7 @@ func (r Result) BenchLine() string {
 }
 
 // LatencyBenchLine formats the publish→receive latency numbers as one
-// `go test -bench` style line for BENCH_latency.json. ns/op carries the
-// p99 so `benchjson compare` gates tail-latency regressions directly.
+// `go test -bench` style line; ns/op carries the p99.
 func (r Result) LatencyBenchLine() string {
 	return fmt.Sprintf(
 		"%s \t%d\t%d ns/op\t%.3f p50-ms\t%.3f p90-ms\t%.3f p99-ms\t%.3f max-ms\t%d samples",
@@ -832,7 +828,6 @@ func Run(ctl Control, cfg Config) (Result, error) {
 		LatencyMax:     e2e.Max(),
 		LatencySamples: e2e.count.Load(),
 		Encodes:        end.Encodes - base.Encodes,
-		FramesShared:   end.FramesShared - base.FramesShared,
 		FanoutBytes:    end.Bytes - base.Bytes,
 		Deliveries:     end.Deliveries - base.Deliveries,
 		Flushes:        end.Flushes - base.Flushes,

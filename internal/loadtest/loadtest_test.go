@@ -49,9 +49,8 @@ func TestLoadHarnessShort(t *testing.T) {
 	if res.Encodes >= res.Frames {
 		t.Fatalf("encodes %d should be far below delivered frames %d", res.Encodes, res.Frames)
 	}
-	if res.FramesShared != res.Deliveries || res.Deliveries != res.Frames {
-		t.Fatalf("shared-frame accounting: shared %d, deliveries %d, frames %d — all should match",
-			res.FramesShared, res.Deliveries, res.Frames)
+	if res.Deliveries != res.Frames {
+		t.Fatalf("frame accounting: deliveries %d, frames %d — should match", res.Deliveries, res.Frames)
 	}
 	if res.FanoutBytes == 0 || res.FramesPerSec <= 0 {
 		t.Fatalf("degenerate measurements: %+v", res)

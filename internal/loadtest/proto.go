@@ -16,7 +16,7 @@ import (
 //	parent → child: AWAIT <n>    child → parent: OK
 //	parent → child: BOOT         child → parent: OK
 //	parent → child: CYCLE        child → parent: OK <flush-nanos>
-//	parent → child: STATS        child → parent: STATS <encodes> <shared> <bytes> <deliveries> <written> <flushes> <msgs/ch>...
+//	parent → child: STATS        child → parent: STATS <encodes> <bytes> <deliveries> <written> <flushes> <msgs/ch>...
 //	parent → child: END          child → parent: BYE   (child exits)
 //
 // Any child-side failure replies "ERR <message>" and ends the session.
@@ -69,7 +69,7 @@ func ServeProtocol(cfg Config, r io.Reader, w io.Writer) error {
 				break
 			}
 			var line strings.Builder
-			fmt.Fprintf(&line, "STATS %d %d %d %d %d %d", st.Encodes, st.FramesShared, st.Bytes, st.Deliveries, st.FramesWritten, st.Flushes)
+			fmt.Fprintf(&line, "STATS %d %d %d %d %d", st.Encodes, st.Bytes, st.Deliveries, st.FramesWritten, st.Flushes)
 			for _, m := range st.ChannelMessages {
 				fmt.Fprintf(&line, " %d", m)
 			}
@@ -188,7 +188,7 @@ func (p *ProcControl) Stats() (ServerStats, error) {
 		return ServerStats{}, err
 	}
 	fields := strings.Fields(line)[1:]
-	if len(fields) < 6 {
+	if len(fields) < 5 {
 		return ServerStats{}, fmt.Errorf("loadtest: bad STATS line %q", line)
 	}
 	vals := make([]uint64, len(fields))
@@ -199,12 +199,11 @@ func (p *ProcControl) Stats() (ServerStats, error) {
 	}
 	return ServerStats{
 		Encodes:         vals[0],
-		FramesShared:    vals[1],
-		Bytes:           vals[2],
-		Deliveries:      vals[3],
-		FramesWritten:   vals[4],
-		Flushes:         vals[5],
-		ChannelMessages: vals[6:],
+		Bytes:           vals[1],
+		Deliveries:      vals[2],
+		FramesWritten:   vals[3],
+		Flushes:         vals[4],
+		ChannelMessages: vals[5:],
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qsub/internal/geom"
+	"qsub/internal/metrics"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 )
@@ -173,6 +174,8 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 func TestLossInjectionDropsAndCounts(t *testing.T) {
 	n, _ := NewNetwork(1, WithLoss(1.0, 1)) // drop everything
 	defer n.Close()
+	dropped := new(metrics.Counter)
+	n.SetMetrics(nil, dropped, nil, nil)
 	sub, _ := n.Subscribe(0, 4)
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(0, 1))
@@ -182,6 +185,9 @@ func TestLossInjectionDropsAndCounts(t *testing.T) {
 	st := n.Stats()
 	if st.Dropped != 2 || st.Deliveries != 0 {
 		t.Fatalf("Dropped = %d, Deliveries = %d; want 2, 0", st.Dropped, st.Deliveries)
+	}
+	if got := dropped.Load(); got != 2 {
+		t.Fatalf("qsub_fanout_dropped_total = %d, want 2", got)
 	}
 	// Sequence numbers still advanced, so a later lossless message
 	// exposes the gap to clients.

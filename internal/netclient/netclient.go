@@ -19,7 +19,6 @@ import (
 
 	"qsub/internal/client"
 	"qsub/internal/daemon"
-	"qsub/internal/metrics"
 	"qsub/internal/query"
 )
 
@@ -62,17 +61,6 @@ type Config struct {
 	// OnEvent, when set, observes every server-pushed event after the
 	// runtime has processed it.
 	OnEvent func(daemon.Event)
-	// LatencyHist, when set, receives the publish→receive delta of
-	// every timestamped answer frame, in seconds (see
-	// client.SetLatencyHistogram). Sharing one histogram across many
-	// clients is safe — Observe is atomic — and is how the load harness
-	// aggregates fleet-wide quantiles.
-	LatencyHist *metrics.Histogram
-	// ClockSkew, when set, counts timestamped frames whose
-	// publish→receive delta was negative and clamped (see
-	// client.SetClockSkewCounter) — expected once frames arrive through
-	// a relay in another clock domain.
-	ClockSkew *metrics.Counter
 }
 
 // Stats counts the resilience machinery's activity.
@@ -123,14 +111,11 @@ func New(cfg Config) (*Client, error) {
 			return daemon.Dial(addr, clientID)
 		}
 	}
-	c := &Client{
+	return &Client{
 		cfg:   cfg,
 		ext:   client.New(cfg.ClientID, cfg.Queries...),
 		stats: Stats{Channel: -1},
-	}
-	c.ext.SetLatencyHistogram(cfg.LatencyHist)
-	c.ext.SetClockSkewCounter(cfg.ClockSkew)
-	return c, nil
+	}, nil
 }
 
 // Extractor exposes the underlying answer extractor.
@@ -289,8 +274,8 @@ func (c *Client) handle(sess Session, ev daemon.Event) error {
 		c.stats.Channel = ev.Assigned.Channel
 		c.mu.Unlock()
 	case ev.Answer != nil:
-		// One clock read per frame serves the session's staleness and
-		// the extractor's latency accounting.
+		// One clock read per frame serves the session's and the
+		// extractor's staleness.
 		now := time.Now().UnixNano()
 		if c.noteSeq(ev.Answer.Channel, ev.Answer.Seq, now) {
 			c.logf("netclient: sequence gap on channel %d, requesting full refresh", ev.Answer.Channel)

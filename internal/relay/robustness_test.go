@@ -327,9 +327,6 @@ func TestRelayMoveUnderBacklog(t *testing.T) {
 			quiescent("root", root.Metrics().FanoutFramesWritten, root.Metrics().FanoutDeliveries)
 			for i, r := range relays {
 				quiescent(fmt.Sprintf("relay %d", i+1), r.Metrics().FanoutFramesWritten, r.Metrics().FanoutDeliveries)
-				if w, s := r.Metrics().FanoutFramesWritten.Load(), r.Metrics().FanoutFramesShared.Load(); w != s {
-					t.Errorf("relay %d wrote %d answer frames, %d of them shared", i+1, w, s)
-				}
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
+	"qsub/internal/procs"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/shard"
@@ -215,7 +216,7 @@ func TestRankTablePlansEqualProbePath(t *testing.T) {
 }
 
 // TestRankTableProbeCountsRepeat pins the determinism the table buys. On
-// the plan-paper configuration at Parallelism 2 the two climbs of
+// the plan-paper configuration at GOMAXPROCS 2 the two climbs of
 // BestOfBoth run concurrently; on the table they share nothing they
 // write, so a Plan makes the same estimator probes every time (none past
 // the table's build) and returns the same cycle. On the memo fallback the
@@ -224,7 +225,7 @@ func TestRankTablePlansEqualProbePath(t *testing.T) {
 func TestRankTableProbeCountsRepeat(t *testing.T) {
 	cat := metrics.NewCatalog(3)
 	scfg := paperConfig(shard.Config{})
-	scfg.Parallelism, scfg.Metrics = 2, cat
+	scfg.Metrics = cat
 	s := paperServer(t, 3, 20000, scfg, nil)
 	cfg := workload.DefaultConfig()
 	cfg.Seed = 3
@@ -232,7 +233,9 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 	var first *Cycle
 	for run := 0; run < 20; run++ {
 		hits, misses := cat.MemoHits.Load(), cat.MemoMisses.Load()
-		cy, err := s.Plan()
+		var cy *Cycle
+		var err error
+		procs.At(2, func() { cy, err = s.Plan() })
 		if err != nil {
 			t.Fatal(err)
 		}

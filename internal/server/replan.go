@@ -120,7 +120,7 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 	}
 
 	cat := s.cfg.Metrics
-	start, budget := time.Now(), s.newBudget()
+	start := time.Now()
 
 	// Union instance: current queries first (so surviving plan sets
 	// index straight into the new cycle), departed queries appended at
@@ -136,11 +136,10 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 	base := core.NewGeomInstance(s.cfg.Model, union, s.cfg.Procedure, s.cfg.Estimator)
 	memo := cost.NewMemo(base.Sizer, base.N)
 	if cat != nil {
-		memo.SetMetrics(cat.MemoHits, cat.MemoMisses, cat.MemoContended)
+		memo.SetMetrics(cat.MemoHits, cat.MemoMisses)
 	}
 	base.Metrics = s.solverMetrics()
 	base.Sizer = memo
-	base.Budget = budget
 
 	cy := &Cycle{
 		Queries:       qs,
@@ -182,7 +181,6 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 			Sizer:   memo,
 			Overlap: base.Overlap,
 			Centers: base.Centers,
-			Budget:  budget,
 			Metrics: base.Metrics,
 		}
 		// Reassemble the channel's previous partition in union index
@@ -196,7 +194,6 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 			plan = append(plan, ns)
 		}
 		inc := core.NewIncremental(instCh, plan)
-		inc.SetNeighbors(s.cfg.Neighbors)
 		for _, p := range removed {
 			if chOf(prev.Owners[p]) == ch {
 				inc.Remove(prevToUnion[p])
@@ -242,5 +239,5 @@ func (s *Server) Replan(prev *Cycle) (*Cycle, error) {
 		}
 	}
 
-	return s.finishPlan(start, budget, cy, PlanInfo{Mode: ModeIncremental}), nil
+	return s.finishPlan(start, cy, PlanInfo{Mode: ModeIncremental}), nil
 }

@@ -11,6 +11,7 @@ import (
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
+	"qsub/internal/procs"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/shard"
@@ -46,7 +47,7 @@ type churnOracle struct {
 	next int      // next client id to join
 }
 
-func newChurnOracle(t *testing.T, seed int64, parallelism int, cat *metrics.Catalog) *churnOracle {
+func newChurnOracle(t *testing.T, seed int64, cat *metrics.Catalog) *churnOracle {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.Seed, cfg.SF, cfg.DupF = seed, 0.02, 0.2
@@ -61,7 +62,7 @@ func newChurnOracle(t *testing.T, seed int64, parallelism int, cat *metrics.Cata
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
-	o.s, err = New(o.rel, net, Config{Model: oracleModel, Sharding: oracleSharding, Parallelism: parallelism, Metrics: cat})
+	o.s, err = New(o.rel, net, Config{Model: oracleModel, Sharding: oracleSharding, Metrics: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,97 +212,99 @@ func (o *churnOracle) currentCost(cy *Cycle) float64 {
 // over the run they must cost within 1% of it under current sizes.
 func TestReplanChurnOracle(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		cat := metrics.NewCatalog(oracleChannels)
-		o := newChurnOracle(t, 7, par, cat)
-		prev, err := o.s.Replan(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.check(prev)
-		if prev.Info.Mode != ModeFull || prev.Info.ShardsReused != 0 || prev.Info.ShardsSolved == 0 {
-			t.Fatalf("Replan(nil) reports %+v, want a full plan", prev.Info)
-		}
-		accumulated, fulls, incrementals := 0, 0, 0
-		var inherited, fresh float64
-		for round := 1; round <= 200; round++ {
-			before := o.keys()
-			for k := 0; k < 2+o.rng.Intn(6); k++ {
-				o.churn()
-			}
-			changed := 0 // entries added plus entries removed
-			after := o.keys()
-			for k := range after {
-				if !before[k] {
-					changed++
-				}
-			}
-			for k := range before {
-				if !after[k] {
-					changed++
-				}
-			}
-			o.insert(200)
-			o.delete(50)
-
-			cy, err := o.s.Replan(prev)
+		procs.At(par, func() {
+			cat := metrics.NewCatalog(oracleChannels)
+			o := newChurnOracle(t, 7, cat)
+			prev, err := o.s.Replan(nil)
 			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
+				t.Fatal(err)
 			}
-			o.check(cy)
-			if changed == 0 {
-				if cy != prev {
-					t.Fatalf("round %d: nothing changed, yet Replan built a new cycle", round)
+			o.check(prev)
+			if prev.Info.Mode != ModeFull || prev.Info.ShardsReused != 0 || prev.Info.ShardsSolved == 0 {
+				t.Fatalf("Replan(nil) reports %+v, want a full plan", prev.Info)
+			}
+			accumulated, fulls, incrementals := 0, 0, 0
+			var inherited, fresh float64
+			for round := 1; round <= 200; round++ {
+				before := o.keys()
+				for k := 0; k < 2+o.rng.Intn(6); k++ {
+					o.churn()
 				}
-				continue
-			}
-			wantMode := ModeIncremental
-			if accumulated += changed; 4*accumulated > len(prev.Queries) {
-				wantMode, accumulated = ModeFull, 0
-			}
-			if cy.Info.Mode != wantMode {
-				t.Fatalf("round %d: mode %q, want %q (%d changes since the last full plan of %d queries)",
-					round, cy.Info.Mode, wantMode, accumulated, len(prev.Queries))
-			}
-			if cy.Info.Mode == ModeFull {
-				fulls++
-				if cy.Info.ShardsReused != 0 {
-					t.Fatalf("round %d: full plan reused %d tasks", round, cy.Info.ShardsReused)
-				}
-			} else {
-				incrementals++
-				if cy.Info.ShardsReused < cy.Info.ShardsSolved {
-					t.Fatalf("round %d: %d tasks solved, only %d reused after %d changes", round, cy.Info.ShardsSolved, cy.Info.ShardsReused, changed)
-				}
-				for id, ch := range prev.ClientChannel {
-					if now, still := cy.ClientChannel[id]; still && now != ch {
-						t.Fatalf("round %d: client %d moved from channel %d to %d", round, id, ch, now)
+				changed := 0 // entries added plus entries removed
+				after := o.keys()
+				for k := range after {
+					if !before[k] {
+						changed++
 					}
 				}
-			}
-			if round%10 == 0 {
-				oracle, err := o.s.Plan()
-				if err != nil {
-					t.Fatal(err)
+				for k := range before {
+					if !after[k] {
+						changed++
+					}
 				}
-				inherited += o.currentCost(cy)
-				fresh += o.currentCost(oracle)
+				o.insert(200)
+				o.delete(50)
+
+				cy, err := o.s.Replan(prev)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				o.check(cy)
+				if changed == 0 {
+					if cy != prev {
+						t.Fatalf("round %d: nothing changed, yet Replan built a new cycle", round)
+					}
+					continue
+				}
+				wantMode := ModeIncremental
+				if accumulated += changed; 4*accumulated > len(prev.Queries) {
+					wantMode, accumulated = ModeFull, 0
+				}
+				if cy.Info.Mode != wantMode {
+					t.Fatalf("round %d: mode %q, want %q (%d changes since the last full plan of %d queries)",
+						round, cy.Info.Mode, wantMode, accumulated, len(prev.Queries))
+				}
+				if cy.Info.Mode == ModeFull {
+					fulls++
+					if cy.Info.ShardsReused != 0 {
+						t.Fatalf("round %d: full plan reused %d tasks", round, cy.Info.ShardsReused)
+					}
+				} else {
+					incrementals++
+					if cy.Info.ShardsReused < cy.Info.ShardsSolved {
+						t.Fatalf("round %d: %d tasks solved, only %d reused after %d changes", round, cy.Info.ShardsSolved, cy.Info.ShardsReused, changed)
+					}
+					for id, ch := range prev.ClientChannel {
+						if now, still := cy.ClientChannel[id]; still && now != ch {
+							t.Fatalf("round %d: client %d moved from channel %d to %d", round, id, ch, now)
+						}
+					}
+				}
+				if round%10 == 0 {
+					oracle, err := o.s.Plan()
+					if err != nil {
+						t.Fatal(err)
+					}
+					inherited += o.currentCost(cy)
+					fresh += o.currentCost(oracle)
+				}
+				prev = cy
 			}
-			prev = cy
-		}
-		if fulls == 0 || incrementals < 5*fulls {
-			t.Fatalf("%d full and %d incremental replans: the quarter rule should fire now and then, not mostly", fulls, incrementals)
-		}
-		if inherited > 1.01*fresh {
-			t.Fatalf("parallelism %d: inherited plans cost %.0f under current sizes, fresh plans %.0f (+%.2f%%, bound 1%%)",
-				par, inherited, fresh, 100*(inherited/fresh-1))
-		}
-		t.Logf("parallelism %d: %d full, %d incremental; inherited/fresh cost %.4f", par, fulls, incrementals, inherited/fresh)
-		if got := cat.PlanShardsReused.Load(); got == 0 || cat.PlanShardsSolved.Load() == 0 {
-			t.Fatalf("shard counters did not move: solved %d, reused %d", cat.PlanShardsSolved.Load(), got)
-		}
-		if got := cat.PlansIncremental.Load(); got != uint64(incrementals) {
-			t.Fatalf("PlansIncremental = %d, %d incremental replans ran", got, incrementals)
-		}
+			if fulls == 0 || incrementals < 5*fulls {
+				t.Fatalf("%d full and %d incremental replans: the quarter rule should fire now and then, not mostly", fulls, incrementals)
+			}
+			if inherited > 1.01*fresh {
+				t.Fatalf("GOMAXPROCS %d: inherited plans cost %.0f under current sizes, fresh plans %.0f (+%.2f%%, bound 1%%)",
+					par, inherited, fresh, 100*(inherited/fresh-1))
+			}
+			t.Logf("GOMAXPROCS %d: %d full, %d incremental; inherited/fresh cost %.4f", par, fulls, incrementals, inherited/fresh)
+			if got := cat.PlanShardsReused.Load(); got == 0 || cat.PlanShardsSolved.Load() == 0 {
+				t.Fatalf("shard counters did not move: solved %d, reused %d", cat.PlanShardsSolved.Load(), got)
+			}
+			if got := cat.PlansIncremental.Load(); got != uint64(incrementals) {
+				t.Fatalf("PlansIncremental = %d, %d incremental replans ran", got, incrementals)
+			}
+		})
 	}
 }
 
@@ -310,7 +313,7 @@ func TestReplanChurnOracle(t *testing.T) {
 // for another channel count, or one that carries no planner result to
 // inherit from, is replanned in full and reported so.
 func TestReplanShardedEscalations(t *testing.T) {
-	o := newChurnOracle(t, 9, 0, nil)
+	o := newChurnOracle(t, 9, nil)
 	cy, err := o.s.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +386,7 @@ func TestEstimatedTransmitBytesSharded(t *testing.T) {
 		}
 		return total
 	}
-	o := newChurnOracle(t, 3, 0, nil)
+	o := newChurnOracle(t, 3, nil)
 	cy, err := o.s.Plan()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 func TestReplanSingleChannelChurn(t *testing.T) {
 	rel, net := buildWorld(t, 1, 400, 1)
 	cat := metrics.NewCatalog(1)
-	s, err := New(rel, net, Config{Model: testModel, Metrics: cat, Neighbors: 4})
+	s, err := New(rel, net, Config{Model: testModel, Metrics: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,41 +264,6 @@ func TestReplanFallsBackToFullPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ValidateCycle(cy4, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPlanBudgetExhaustedCounter wires the anytime budget through the
-// server: a one-step budget forces best-so-far plans that are still
-// valid, and the exhaustion is visible on the metrics catalog.
-func TestPlanBudgetExhaustedCounter(t *testing.T) {
-	rel, net := buildWorld(t, 1, 300, 5)
-	cat := metrics.NewCatalog(1)
-	s, err := New(rel, net, Config{Model: testModel, Metrics: cat, PlanMaxSteps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 10; q++ {
-		r := geom.RectWH(float64(q*40), float64(q*30), 80, 80)
-		if err := s.Subscribe(1, query.Range(query.ID(q+1), r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cy, err := s.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateCycle(cy, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := cat.PlanBudgetExhausted.Load(); got != 1 {
-		t.Fatalf("PlanBudgetExhausted = %d, want 1", got)
-	}
-	if cy.EstimatedCost > cy.InitialCost+1e-6 {
-		t.Fatalf("budget-exhausted plan cost %g worse than no merging %g",
-			cy.EstimatedCost, cy.InitialCost)
-	}
-	if _, err := s.Publish(cy); err != nil {
 		t.Fatal(err)
 	}
 }

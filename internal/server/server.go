@@ -45,12 +45,9 @@ type Config struct {
 	// Strategy picks the channel allocation heuristic when the network
 	// has more than one channel.
 	Strategy chanalloc.Strategy
-	// Seed drives the randomized pieces (random-init allocation).
+	// Seed drives the randomized pieces (random-init allocation); a
+	// fixed Seed plans the same cycle at any GOMAXPROCS.
 	Seed int64
-	// Parallelism bounds the channel-allocation worker pools (multi-start
-	// restarts, best-of-both's two climbs). Zero means GOMAXPROCS; a
-	// fixed Seed plans the same cycle at any setting.
-	Parallelism int
 	// Sharding selects the sharded planning pipeline (internal/shard):
 	// subscription aggregation, Morton-sharded concurrent solving, and
 	// traffic-weighted channel balancing. Disabled by default; with
@@ -58,23 +55,6 @@ type Config struct {
 	// pipeline is bit-identical to the unsharded single-channel plan
 	// (the equivalence ablation pins this).
 	Sharding shard.Config
-	// PlanBudget caps the wall-clock time one planning cycle may spend
-	// in the solvers (anytime mode, §6 discussion of large n). When the
-	// deadline passes, the solvers return their best partition so far —
-	// always a valid plan — and the cycle is flagged on the
-	// qsub_plan_budget_exhausted_total counter. Zero means no deadline.
-	PlanBudget time.Duration
-	// PlanMaxSteps caps solver work in abstract steps (candidate probes
-	// and heap pops) per planning cycle, a deterministic alternative to
-	// the wall-clock deadline. Zero means unlimited.
-	PlanMaxSteps int64
-	// Neighbors bounds candidate generation in the default PairMerge
-	// merger and the Fig. 14 allocation seeding to each query's k
-	// nearest spatial neighbors in Z-order, dropping the O(n²) candidate
-	// table to O(n·k). Zero keeps the exact full-table generators; k ≥ n
-	// is plan-identical to them. Ignored for an explicitly configured
-	// Algorithm (set PairMerge.Neighbors directly instead).
-	Neighbors int
 	// Metrics optionally instruments the whole stack the server drives:
 	// memo hit rates, solver and allocator work, plan/publish latency,
 	// per-channel traffic, realized U(Q,M) and delta batch sizes. Nil
@@ -106,7 +86,7 @@ func New(rel *relation.Relation, net *multicast.Network, cfg Config) (*Server, e
 		cfg.Procedure = query.BoundingRect{}
 	}
 	if cfg.Algorithm == nil {
-		cfg.Algorithm = core.PairMerge{Neighbors: cfg.Neighbors}
+		cfg.Algorithm = core.PairMerge{}
 	}
 	if cfg.Estimator == nil {
 		cfg.Estimator = relation.Exact{Rel: rel}
@@ -268,8 +248,6 @@ type PlanInfo struct {
 	// (channel, shard) tasks solved this time and taken over from the
 	// previous cycle; both are 0 on the unsharded path.
 	ShardsSolved, ShardsReused int
-	// BudgetExhausted marks a plan cut short by the anytime budget.
-	BudgetExhausted bool
 }
 
 // msgPlan precomputes the cycle-invariant parts of one published message:
@@ -318,7 +296,9 @@ type snapshot struct {
 	clientQueryIdx [][]int // per client (as in clients), its indices into qs
 }
 
-func (s *Server) snapshot() (snapshot, error) {
+// flatten copies the registry out in canonical order; an empty registry
+// is an empty snapshot.
+func (s *Server) flatten() snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var snap snapshot
@@ -334,25 +314,31 @@ func (s *Server) snapshot() (snapshot, error) {
 			snap.owners = append(snap.owners, id)
 		}
 	}
+	return snap
+}
+
+// snapshot is flatten for the planners, which refuse an empty registry.
+func (s *Server) snapshot() (snapshot, error) {
+	snap := s.flatten()
 	if len(snap.qs) == 0 {
 		return snap, errors.New("server: no subscriptions to plan")
 	}
 	return snap, nil
 }
 
-// newBudget is one plan's anytime budget. It spans the whole cycle:
-// merging across every channel (and every shard) draws from the same
-// step/deadline pool, so PlanBudget bounds the cycle, not each sub-solve.
-func (s *Server) newBudget() *core.Budget {
-	return core.NewBudget(s.cfg.PlanBudget, s.cfg.PlanMaxSteps)
+// Subscriptions lists every registered subscription with its owning
+// client, in the order Plan indexes them (clients ascending, each
+// client's queries in registration order). It plans nothing.
+func (s *Server) Subscriptions() (qs []query.Query, owners []int) {
+	snap := s.flatten()
+	return snap.qs, snap.owners
 }
 
 // finishPlan ends every Plan and Replan: it materializes the publish
 // schedule (regions and headers: invariant across publish rounds) and
 // records what the plan did on the cycle and the catalog.
-func (s *Server) finishPlan(start time.Time, budget *core.Budget, cy *Cycle, info PlanInfo) *Cycle {
+func (s *Server) finishPlan(start time.Time, cy *Cycle, info PlanInfo) *Cycle {
 	cy.publishPlans(s.cfg.Procedure)
-	info.BudgetExhausted = budget.Exhausted()
 	cy.Info = info
 	if cat := s.cfg.Metrics; cat != nil {
 		cat.PlansTotal.Inc()
@@ -362,9 +348,6 @@ func (s *Server) finishPlan(start time.Time, budget *core.Budget, cy *Cycle, inf
 		cat.PlanShardsSolved.Add(uint64(info.ShardsSolved))
 		cat.PlanShardsReused.Add(uint64(info.ShardsReused))
 		cat.PlanSeconds.Observe(time.Since(start).Seconds())
-		if info.BudgetExhausted {
-			cat.PlanBudgetExhausted.Inc()
-		}
 	}
 	return cy
 }
@@ -402,11 +385,10 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 		return s.planSharded(snap, nil, 0)
 	}
 	clients, qs := snap.clients, snap.qs
-	start, budget := time.Now(), s.newBudget()
+	start := time.Now()
 	cat := s.cfg.Metrics
 
 	inst := core.NewGeomInstance(s.cfg.Model, qs, s.cfg.Procedure, s.cfg.Estimator)
-	inst.Budget = budget
 	inst.Metrics = s.solverMetrics()
 	// Merged sizes are asked for again and again within one plan: the
 	// channel-allocation hill climb re-merges overlapping client subsets
@@ -415,9 +397,9 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 	// fresh per Plan call because the estimator reflects the current
 	// relation contents.
 	if cat != nil {
-		inst.CacheSizes(nil, cat.MemoHits, cat.MemoMisses, cat.MemoContended)
+		inst.CacheSizes(nil, cat.MemoHits, cat.MemoMisses)
 	} else {
-		inst.CacheSizes(nil, nil, nil, nil)
+		inst.CacheSizes(nil, nil, nil)
 	}
 	cy := &Cycle{
 		Queries:       qs,
@@ -434,22 +416,18 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 		plan := s.cfg.Algorithm.Solve(inst)
 		cy.ChannelPlans[0] = plan
 		cy.EstimatedCost = inst.Cost(plan)
-		return s.finishPlan(start, budget, cy, PlanInfo{Mode: ModeFull}), nil
+		return s.finishPlan(start, cy, PlanInfo{Mode: ModeFull}), nil
 	}
 
 	prob := &chanalloc.Problem{
-		Inst:        inst,
-		Clients:     snap.clientQueryIdx,
-		Channels:    s.net.Channels(),
-		Merger:      s.cfg.Algorithm,
-		Parallelism: s.cfg.Parallelism,
-		Neighbors:   s.cfg.Neighbors,
+		Inst:     inst,
+		Clients:  snap.clientQueryIdx,
+		Channels: s.net.Channels(),
+		Merger:   s.cfg.Algorithm,
 	}
 	if cat != nil {
 		prob.Metrics = &chanalloc.AllocMetrics{
 			Restarts:         cat.AllocRestarts,
-			SmartWins:        cat.AllocSmartWins,
-			RandomWins:       cat.AllocRandomWins,
 			GroupCacheHits:   cat.AllocGroupCacheHits,
 			GroupCacheMisses: cat.AllocGroupCacheMisses,
 		}
@@ -475,7 +453,7 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 		Merger:   core.NoMerge{},
 	}
 	cy.InitialCost = chanalloc.Cost(noMerge, alloc)
-	return s.finishPlan(start, budget, cy, PlanInfo{Mode: ModeFull}), nil
+	return s.finishPlan(start, cy, PlanInfo{Mode: ModeFull}), nil
 }
 
 // planSharded plans a snapshot through the sharded pipeline:
@@ -487,20 +465,18 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 // shard.Plan) that has absorbed churn subscription changes since the last
 // full plan.
 func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, error) {
-	start, budget := time.Now(), s.newBudget()
+	start := time.Now()
 	prob := &shard.Problem{
-		Queries:     snap.qs,
-		Clients:     snap.clientQueryIdx,
-		ClientIDs:   snap.clients,
-		Channels:    s.net.Channels(),
-		Model:       s.cfg.Model,
-		Procedure:   s.cfg.Procedure,
-		Estimator:   s.cfg.Estimator,
-		Algorithm:   s.cfg.Algorithm,
-		Parallelism: s.cfg.Parallelism,
-		Budget:      budget,
-		Metrics:     s.solverMetrics(),
-		Config:      s.cfg.Sharding,
+		Queries:   snap.qs,
+		Clients:   snap.clientQueryIdx,
+		ClientIDs: snap.clients,
+		Channels:  s.net.Channels(),
+		Model:     s.cfg.Model,
+		Procedure: s.cfg.Procedure,
+		Estimator: s.cfg.Estimator,
+		Algorithm: s.cfg.Algorithm,
+		Metrics:   s.solverMetrics(),
+		Config:    s.cfg.Sharding,
 	}
 	if prev != nil {
 		prob.Prev = prev.shard
@@ -508,7 +484,6 @@ func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, err
 	if cat := s.cfg.Metrics; cat != nil {
 		prob.MemoHits = cat.MemoHits
 		prob.MemoMisses = cat.MemoMisses
-		prob.MemoContended = cat.MemoContended
 	}
 	res, err := shard.Plan(prob)
 	if err != nil {
@@ -533,7 +508,7 @@ func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, err
 		info.Mode = ModeIncremental
 		cy.churn = churn
 	}
-	return s.finishPlan(start, budget, cy, info), nil
+	return s.finishPlan(start, cy, info), nil
 }
 
 // Report summarizes one Publish round.
@@ -758,7 +733,6 @@ func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) 
 		flushChannel()
 	}
 	if cat != nil {
-		cat.PublishesTotal.Inc()
 		if delta {
 			cat.PublishDeltas.Inc()
 		}

@@ -22,10 +22,10 @@ func benchWorkload(n int) ([]query.Query, [][]int) {
 	return qs, gen.Clients(n/50+1, qs)
 }
 
-// BenchmarkShardPlan is the BENCH_sharding.json family: the full
-// pipeline (aggregate → shard → solve → stitch) over n subscriptions and
-// 2^bits shards. The n100k rows are the acceptance benchmark — 100k
-// subscriptions must plan in seconds. The single-shard 100k cell is
+// BenchmarkShardPlan measures the full pipeline (aggregate → shard →
+// solve → stitch) over n subscriptions and 2^bits shards. The n100k rows
+// are the acceptance benchmark — 100k subscriptions must plan in
+// seconds. The single-shard 100k cell is
 // omitted here (it degenerates to a ~2.4k-representative global
 // PairMerge taking ~30s; the experiment harness measures it once for
 // the scaling table instead of gating every bench run on it).

@@ -10,6 +10,7 @@ import (
 	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
+	"qsub/internal/procs"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 )
@@ -25,7 +26,7 @@ type opaqueSizer struct{ cost.Sizer }
 // the original member queries.
 func solveFresh(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
 	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
-	inst.CacheSizes(nil, nil, nil, nil)
+	inst.CacheSizes(nil, nil, nil)
 	inst.Sizer = opaqueSizer{inst.Sizer}
 	inst.Budget = p.Budget
 	plan := algo.Solve(inst)
@@ -35,7 +36,7 @@ func solveFresh(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Prob
 }
 
 // TestSolveShardMatchesFreshSolve runs 200 rounds of churn through full
-// and incremental plans at parallelism 1 and 4, each planned twice: by
+// and incremental plans at GOMAXPROCS 1 and 4, each planned twice: by
 // Plan and by the same pipeline on solveFresh. Allocation, plans, costs
 // and transmit bytes must be equal to the bit, and so must what each
 // keeps for the next replan. Tuples arrive between rounds, so a single
@@ -50,41 +51,42 @@ func TestSolveShardMatchesFreshSolve(t *testing.T) {
 	}
 	for _, incremental := range []bool{false, true} {
 		for _, par := range []int{1, 4} {
-			w := newPopulation(13, 50, 4)
-			var prev, prevRef *Result
-			for round := 0; round < rounds; round++ {
-				p := w.problem(8, est, nil)
-				p.Parallelism = par
-				ref := *p
-				if incremental {
-					p.Prev, ref.Prev = prev, prevRef
+			procs.At(par, func() {
+				w := newPopulation(13, 50, 4)
+				var prev, prevRef *Result
+				for round := 0; round < rounds; round++ {
+					p := w.problem(8, est, nil)
+					ref := *p
+					if incremental {
+						p.Prev, ref.Prev = prev, prevRef
+					}
+					got, err := Plan(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := plan(&ref, solveFresh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) || !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
+						t.Fatalf("incremental=%v par=%d round %d: plans differ from the fresh solve", incremental, par, round)
+					}
+					if got.EstimatedCost != want.EstimatedCost || got.InitialCost != want.InitialCost || got.TransmitBytes != want.TransmitBytes {
+						t.Fatalf("incremental=%v par=%d round %d: costs %v/%v/%v, fresh solve %v/%v/%v", incremental, par, round,
+							got.EstimatedCost, got.InitialCost, got.TransmitBytes, want.EstimatedCost, want.InitialCost, want.TransmitBytes)
+					}
+					if !reflect.DeepEqual(got.tasks, want.tasks) || got.Stats != want.Stats {
+						t.Fatalf("incremental=%v par=%d round %d: kept tasks or stats differ", incremental, par, round)
+					}
+					prev, prevRef = got, want
+					for k := 0; k < 1+w.rng.Intn(4); k++ {
+						w.churn()
+					}
+					for k := 0; k < 50; k++ {
+						rel.Insert(geom.Pt(arrivals.Float64()*1000, arrivals.Float64()*1000), make([]byte, 16))
+					}
 				}
-				got, err := Plan(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plan(&ref, solveFresh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) || !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
-					t.Fatalf("incremental=%v par=%d round %d: plans differ from the fresh solve", incremental, par, round)
-				}
-				if got.EstimatedCost != want.EstimatedCost || got.InitialCost != want.InitialCost || got.TransmitBytes != want.TransmitBytes {
-					t.Fatalf("incremental=%v par=%d round %d: costs %v/%v/%v, fresh solve %v/%v/%v", incremental, par, round,
-						got.EstimatedCost, got.InitialCost, got.TransmitBytes, want.EstimatedCost, want.InitialCost, want.TransmitBytes)
-				}
-				if !reflect.DeepEqual(got.tasks, want.tasks) || got.Stats != want.Stats {
-					t.Fatalf("incremental=%v par=%d round %d: kept tasks or stats differ", incremental, par, round)
-				}
-				prev, prevRef = got, want
-				for k := 0; k < 1+w.rng.Intn(4); k++ {
-					w.churn()
-				}
-				for k := 0; k < 50; k++ {
-					rel.Insert(geom.Pt(arrivals.Float64()*1000, arrivals.Float64()*1000), make([]byte, 16))
-				}
-			}
+			})
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"qsub/internal/core"
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/procs"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/workload"
@@ -116,67 +117,68 @@ func frozenRelation(seed int64, n int) *relation.Relation {
 // estimates frozen: over 200 rounds of churn, an incremental replan —
 // whatever it reused — must return exactly what solving every task
 // afresh under the same inherited allocation returns: plans, costs and
-// transmit bytes to the bit, at any parallelism. It also pins that reuse
+// transmit bytes to the bit, at any GOMAXPROCS. It also pins that reuse
 // happens at all and that no known client ever changes channel.
 func TestReplanEqualsFreshSolveBitForBit(t *testing.T) {
 	est := relation.Exact{Rel: frozenRelation(5, 8000)}
 	for _, par := range []int{1, 4} {
-		w := newPopulation(11, 50, 4)
-		prev, err := Plan(w.problem(8, est, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev.Stats.Reused != 0 {
-			t.Fatalf("full plan reports %d reused tasks", prev.Stats.Reused)
-		}
-		reused, solvedTasks := 0, 0
-		for round := 0; round < 200; round++ {
-			for k := 0; k < 1+w.rng.Intn(4); k++ {
-				w.churn()
-			}
-			p := w.problem(8, est, prev)
-			p.Parallelism = par
-			got, err := Plan(p)
-			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			checkExactCover(t, p, got)
-			for ci, id := range p.ClientIDs {
-				if ch, known := prev.clientChannel[id]; known && got.ClientChannel[ci] != ch {
-					t.Fatalf("round %d: client %d moved from channel %d to %d", round, id, ch, got.ClientChannel[ci])
-				}
-			}
-
-			// The oracle inherits the same allocation and sizes but no
-			// solved task, so it runs solveShard on every task.
-			bare := *prev
-			bare.tasks = nil
-			p.Prev = &bare
-			want, err := Plan(p)
+		procs.At(par, func() {
+			w := newPopulation(11, 50, 4)
+			prev, err := Plan(w.problem(8, est, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.Stats.Reused != 0 {
-				t.Fatalf("round %d: oracle reused %d tasks", round, want.Stats.Reused)
+			if prev.Stats.Reused != 0 {
+				t.Fatalf("full plan reports %d reused tasks", prev.Stats.Reused)
 			}
-			if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) || !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
-				t.Fatalf("round %d: replan differs from a fresh solve of every task", round)
+			reused, solvedTasks := 0, 0
+			for round := 0; round < 200; round++ {
+				for k := 0; k < 1+w.rng.Intn(4); k++ {
+					w.churn()
+				}
+				p := w.problem(8, est, prev)
+				got, err := Plan(p)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				checkExactCover(t, p, got)
+				for ci, id := range p.ClientIDs {
+					if ch, known := prev.clientChannel[id]; known && got.ClientChannel[ci] != ch {
+						t.Fatalf("round %d: client %d moved from channel %d to %d", round, id, ch, got.ClientChannel[ci])
+					}
+				}
+
+				// The oracle inherits the same allocation and sizes but no
+				// solved task, so it runs solveShard on every task.
+				bare := *prev
+				bare.tasks = nil
+				p.Prev = &bare
+				want, err := Plan(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Stats.Reused != 0 {
+					t.Fatalf("round %d: oracle reused %d tasks", round, want.Stats.Reused)
+				}
+				if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) || !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
+					t.Fatalf("round %d: replan differs from a fresh solve of every task", round)
+				}
+				if got.EstimatedCost != want.EstimatedCost || got.InitialCost != want.InitialCost || got.TransmitBytes != want.TransmitBytes {
+					t.Fatalf("round %d: costs %v/%v/%v, fresh solve %v/%v/%v", round,
+						got.EstimatedCost, got.InitialCost, got.TransmitBytes,
+						want.EstimatedCost, want.InitialCost, want.TransmitBytes)
+				}
+				if !reflect.DeepEqual(got.tasks, want.tasks) {
+					t.Fatalf("round %d: the tasks kept for the next replan differ", round)
+				}
+				reused += got.Stats.Reused
+				solvedTasks += got.Stats.Shards - got.Stats.Reused
+				prev = got
 			}
-			if got.EstimatedCost != want.EstimatedCost || got.InitialCost != want.InitialCost || got.TransmitBytes != want.TransmitBytes {
-				t.Fatalf("round %d: costs %v/%v/%v, fresh solve %v/%v/%v", round,
-					got.EstimatedCost, got.InitialCost, got.TransmitBytes,
-					want.EstimatedCost, want.InitialCost, want.TransmitBytes)
+			if reused < 5*solvedTasks {
+				t.Fatalf("GOMAXPROCS %d: %d tasks reused against %d solved; small churn should leave most tasks alone", par, reused, solvedTasks)
 			}
-			if !reflect.DeepEqual(got.tasks, want.tasks) {
-				t.Fatalf("round %d: the tasks kept for the next replan differ", round)
-			}
-			reused += got.Stats.Reused
-			solvedTasks += got.Stats.Shards - got.Stats.Reused
-			prev = got
-		}
-		if reused < 5*solvedTasks {
-			t.Fatalf("parallelism %d: %d tasks reused against %d solved; small churn should leave most tasks alone", par, reused, solvedTasks)
-		}
+		})
 	}
 }
 

@@ -77,18 +77,15 @@ type Problem struct {
 	// Algorithm is the per-shard merging algorithm (default
 	// core.PairMerge).
 	Algorithm core.Algorithm
-	// Parallelism bounds the shard-solving worker pool. Zero means
-	// GOMAXPROCS; results are identical at any setting.
-	Parallelism int
 	// Budget optionally bounds solver work across all shards (anytime
 	// mode): every per-shard solve shares it, so a deadline caps the
 	// whole pipeline, not each shard. Nil means unlimited.
 	Budget *core.Budget
 	// Metrics optionally instruments the per-shard solver runs.
 	Metrics *core.SolverMetrics
-	// MemoHits/MemoMisses/MemoContended optionally instrument the
-	// per-shard memoized sizers; any may be nil.
-	MemoHits, MemoMisses, MemoContended *metrics.Counter
+	// MemoHits/MemoMisses optionally instrument the per-shard memoized
+	// sizers; either may be nil.
+	MemoHits, MemoMisses *metrics.Counter
 
 	// ClientIDs[i] is an identity for Clients[i] that is stable from one
 	// plan to the next. Prev requires it. A plan without it records no
@@ -205,7 +202,7 @@ func (s *solved) matches(t *task) bool {
 }
 
 // Plan runs the pipeline: aggregate → shard → solve → stitch. It is
-// deterministic for a fixed problem at any Parallelism: shards are
+// deterministic for a fixed problem at any GOMAXPROCS: shards are
 // solved independently on per-shard memoized sizers and stitched in
 // shard-index order.
 //
@@ -472,11 +469,8 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 
 	// Stage 3 — solve the shards concurrently on a per-shard memoized
 	// sizer. Results land in the tasks' own slots, so the stitch below is
-	// deterministic at any parallelism.
-	workers := p.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// deterministic at any GOMAXPROCS.
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(unsolved) {
 		workers = len(unsolved)
 	}
@@ -553,7 +547,7 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 // instance; otherwise they are sized from the original member queries.
 func solveShard(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
 	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
-	inst.CacheSizes(t.sizes, p.MemoHits, p.MemoMisses, p.MemoContended)
+	inst.CacheSizes(t.sizes, p.MemoHits, p.MemoMisses)
 	inst.Budget = p.Budget
 	inst.Metrics = p.Metrics
 	plan := algo.Solve(inst)

@@ -6,6 +6,7 @@ import (
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
+	"qsub/internal/procs"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/workload"
@@ -76,24 +77,26 @@ func TestPlanUnshardedEquivalence(t *testing.T) {
 }
 
 // TestPlanDeterministicAcrossParallelism pins the determinism contract:
-// a fixed problem yields the identical Result at any worker count.
+// a fixed problem yields the identical Result at any GOMAXPROCS, which
+// sizes the shard pool and the DirectedSearch restarts inside it.
 func TestPlanDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Config{Enabled: true, ShardBits: 4, Aggregate: true}
 	base, _ := testProblem(600, 24, 3, cfg, core.DirectedSearch{Seed: 7, T: 2})
 	var want *Result
-	for _, par := range []int{1, 2, 8} {
+	for _, par := range []int{1, 2, 4, 8} {
 		p := *base
-		p.Parallelism = par
-		res, err := Plan(&p)
+		var res *Result
+		var err error
+		procs.At(par, func() { res, err = Plan(&p) })
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("GOMAXPROCS %d: %v", par, err)
 		}
 		if want == nil {
 			want = res
 			continue
 		}
 		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("result differs between parallelism 1 and %d", par)
+			t.Fatalf("result differs between GOMAXPROCS 1 and %d", par)
 		}
 	}
 }

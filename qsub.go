@@ -287,7 +287,7 @@ func AllocHeuristic(p *AllocProblem, s AllocStrategy, seed int64) (Allocation, f
 
 // AllocMultiStart runs the parallel multi-start hill climb: the Fig 14
 // smart seed plus seven random seeds, cheapest local minimum wins.
-// A fixed seed yields the same allocation at any Parallelism.
+// A fixed seed yields the same allocation at any GOMAXPROCS.
 func AllocMultiStart(p *AllocProblem, seed int64) (Allocation, float64, error) {
 	return chanalloc.MultiStart(p, seed)
 }

@@ -12,8 +12,8 @@ import (
 // solver engine (DESIGN.md "Sub-quadratic & anytime solving"): with the
 // candidate stage seeded from the Z-order neighbor index, PairMerge at
 // n=2000 should land in the same wall-clock band as the full O(n²)
-// profit table at n=200. `make bench-save` records the matrix as
-// BENCH_solvers_scale.json and `make bench-compare` gates it.
+// profit table at n=200. Run the matrix with
+// `go test -run '^$' -bench 'SolverScale|ReplanChurn' .`.
 
 // BenchmarkSolverScaleFull is the exactness oracle: the full candidate
 // table across the scaling range. Quadratic by construction — the n=2000
