@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair check cover experiments fuzz loadtest loc clean
+.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair check cover experiments fuzz fuzz-short loadtest loc clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -123,6 +123,13 @@ fuzz:
 	$(GO) test ./internal/relation -fuzz FuzzRankTable -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
+
+# The CI fuzz leg: the answer-frame decoder (held to its field-by-field
+# oracle) and the frame reader, every listener's per-frame path and the
+# first bytes any peer controls.
+fuzz-short:
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalMessage$$' -fuzztime 15s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s
 
 # Root-module non-test Go lines: the one count every CHANGES.md entry and
 # ROADMAP re-anchor cites. The benchmark module and the benchmark's build

@@ -190,8 +190,10 @@ func (c *Client) Handle(msg multicast.Message) {
 // HandleAt is Handle for a caller that has already read the clock for
 // this message: nowUnixNano is the local receive time, used only when the
 // message carries a publish timestamp. It retains no part of msg but the
-// payloads of the tuples it keeps.
-func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
+// payloads of the tuples it keeps. It reports whether msg's sequence
+// number skipped past the channel's mark, i.e. whether messages were lost
+// before it (the gap GapsDetected counts).
+func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) (gap bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.MessagesSeen++
@@ -203,7 +205,8 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
 		c.seqChannel = msg.Channel
 		c.lastSeq = 0
 	}
-	if c.lastSeq != 0 && msg.Seq > c.lastSeq+1 {
+	gap = c.lastSeq != 0 && msg.Seq > c.lastSeq+1
+	if gap {
 		c.stats.GapsDetected += int(msg.Seq - c.lastSeq - 1)
 	}
 	if msg.Seq > c.lastSeq {
@@ -219,7 +222,7 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
 	if !addressed {
 		c.stats.FilteredBytes += payload
 		c.mFiltered.Inc()
-		return
+		return gap
 	}
 	c.stats.MessagesAddressed++
 
@@ -292,6 +295,7 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) {
 	}
 	c.stats.RelevantBytes += relevant
 	c.stats.IrrelevantBytes += payload - relevant
+	return gap
 }
 
 // Consume drains the subscription until it is cancelled or its network

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 
 	"qsub/internal/multicast"
 	"qsub/internal/query"
@@ -22,7 +23,8 @@ const connReadBuffer = 32 << 10
 // consumes the assignment and answer frames the daemon pushes.
 type Conn struct {
 	conn     net.Conn
-	br       *bufio.Reader
+	clock    stampReader
+	br       *bufio.Reader     // reads through clock
 	held     int               // bytes of br the last frame still occupies (see readFrame)
 	rbuf     []byte            // reused payload buffer for frames larger than br
 	ansMsg   multicast.Message // reused Answer event storage (see Next)
@@ -46,7 +48,26 @@ func NewConn(c net.Conn, clientID int) (*Conn, error) {
 		c.Close()
 		return nil, err
 	}
-	return &Conn{conn: c, br: bufio.NewReaderSize(c, connReadBuffer), clientID: clientID}, nil
+	conn := &Conn{conn: c, clock: stampReader{r: c}, clientID: clientID}
+	conn.br = bufio.NewReaderSize(&conn.clock, connReadBuffer)
+	return conn, nil
+}
+
+// stampReader reads the wall clock once per Read that returns bytes: the
+// frames a read completes share the one receive instant, which they do
+// in fact share, and a listener pays for the clock per socket read rather
+// than per frame.
+type stampReader struct {
+	r  io.Reader
+	at int64 // UnixNano at which the last Read that returned bytes returned
+}
+
+func (s *stampReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if n > 0 {
+		s.at = time.Now().UnixNano()
+	}
+	return n, err
 }
 
 // ClientID returns the id this connection introduced itself with.
@@ -78,8 +99,9 @@ func (c *Conn) Refresh() error {
 	return wire.WriteFrame(c.conn, wire.TypeRefresh, nil)
 }
 
-// Event is one server-pushed frame, decoded. Exactly one field is set.
-// An Answer is borrowed from the connection (see Next).
+// Event is one server-pushed frame, decoded. Exactly one of Assigned,
+// Answer and Err is set. An Answer is borrowed from the connection (see
+// Next).
 type Event struct {
 	// Assigned is the channel assignment after a planning cycle.
 	Assigned *wire.Assigned
@@ -87,6 +109,11 @@ type Event struct {
 	Answer *multicast.Message
 	// Err is a server-reported error.
 	Err *wire.Error
+	// ReceivedUnixNano is the local wall-clock time at which the socket
+	// read that completed the frame returned. Frames completed by one
+	// read share it; along a connection it does not decrease unless the
+	// wall clock steps back.
+	ReceivedUnixNano int64
 }
 
 // Next blocks for the next server-pushed event. It returns an error when
@@ -113,7 +140,7 @@ func (c *Conn) Next() (Event, error) {
 		if err != nil {
 			return Event{}, err
 		}
-		return Event{Assigned: &a}, nil
+		return Event{Assigned: &a, ReceivedUnixNano: c.clock.at}, nil
 	case wire.TypeAnswer:
 		m := &c.ansMsg
 		if err := wire.UnmarshalMessageInto(m, payload); err != nil {
@@ -122,13 +149,13 @@ func (c *Conn) Next() (Event, error) {
 		if _, addressed := m.EntryFor(c.clientID); addressed {
 			wire.CopyPayloads(m)
 		}
-		return Event{Answer: m}, nil
+		return Event{Answer: m, ReceivedUnixNano: c.clock.at}, nil
 	case wire.TypeError:
 		e, err := wire.UnmarshalError(payload)
 		if err != nil {
 			return Event{}, err
 		}
-		return Event{Err: &e}, nil
+		return Event{Err: &e, ReceivedUnixNano: c.clock.at}, nil
 	case wire.TypeBye:
 		return Event{}, fmt.Errorf("daemon: server said goodbye")
 	default:
@@ -159,15 +186,15 @@ func (c *Conn) readFrame() (uint8, []byte, error) {
 	}
 	frame, err := c.br.Peek(size)
 	if err != nil {
-		return 0, nil, cutShort(err, len(frame)-wire.HeaderSize)
+		return 0, nil, cutShort(err, len(frame))
 	}
 	c.held = size
 	return frame[4], frame[wire.HeaderSize:], nil
 }
 
-// cutShort turns the io.EOF of a Peek that got some of the header, or of
-// the payload, into io.ErrUnexpectedEOF, as io.ReadFull reports a stream
-// that ends inside either.
+// cutShort turns the io.EOF of a Peek that got some of a frame into
+// io.ErrUnexpectedEOF, as wire.ReadFrameAppend reports a stream that ends
+// anywhere inside a frame.
 func cutShort(err error, got int) error {
 	if err == io.EOF && got > 0 {
 		return io.ErrUnexpectedEOF

@@ -3,8 +3,10 @@ package daemon
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,6 +141,7 @@ func TestConnTruncatedStream(t *testing.T) {
 	}{
 		{"at a frame boundary", nil, io.EOF},
 		{"inside the header", small[:3], io.ErrUnexpectedEOF},
+		{"right after the header", small[:wire.HeaderSize], io.ErrUnexpectedEOF},
 		{"inside the payload", small[:len(small)/2], io.ErrUnexpectedEOF},
 		{"inside a payload larger than the buffer", large[:len(large)/2], io.ErrUnexpectedEOF},
 		{"oversized length", []byte{0xff, 0xff, 0xff, 0xff, wire.TypeAnswer}, wire.ErrFrameTooLarge},
@@ -155,6 +158,88 @@ func TestConnTruncatedStream(t *testing.T) {
 		r := bytes.NewReader(stream[len(whole):])
 		if _, _, err := wire.ReadFrameAppend(nil, r); err != tc.want {
 			t.Errorf("%s: ReadFrameAppend err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// chunkConn serves a stream in the given chunks, no Read crossing from
+// one into the next, each Read after a pause. It records when each Read
+// returned and which Read ended each chunk.
+type chunkConn struct {
+	net.Conn // nil: only the methods below are reached
+	chunks   [][]byte
+	returned []int64 // by Read
+	ended    []int   // by chunk: the index of the Read that served its last byte
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	time.Sleep(2 * time.Millisecond)
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+		c.ended = append(c.ended, len(c.returned))
+	}
+	c.returned = append(c.returned, time.Now().UnixNano())
+	return n, nil
+}
+
+func (c *chunkConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *chunkConn) Close() error                { return nil }
+
+// TestConnReceiveStamp pins what Event.ReceivedUnixNano means: when the
+// socket read that completed the frame returned. Frames one read
+// delivers share it however long the caller takes between them; a frame
+// whose last bytes come in a later read carries that read's stamp; and
+// stamps never decrease.
+func TestConnReceiveStamp(t *testing.T) {
+	var frames [][]byte
+	for seq := uint64(1); seq <= 6; seq++ {
+		frames = append(frames, wire.AppendMessageFrame(nil, answerMsg(7+int(seq%2), seq, 3, 16, byte(seq))))
+	}
+	frames = append(frames, wire.AppendMessageFrame(nil, answerMsg(7, 7, 40, 2000, 'L'))) // larger than the read buffer
+	cut := len(frames[2]) / 2
+	// Read 1 ends inside frame 3, read 2 completes it and frames 4 to 6,
+	// reads 3 and 4 carry the large frame 7 in two halves.
+	read1 := slices.Concat(frames[0], frames[1], frames[2][:cut])
+	read2 := slices.Concat(frames[2][cut:], frames[3], frames[4], frames[5])
+	large := frames[6]
+	cc := &chunkConn{chunks: [][]byte{read1, read2, large[:len(large)/2], large[len(large)/2:]}}
+	conn, err := NewConn(cc, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stamps []int64
+	for i := range frames {
+		ev, err := conn.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i+1, err)
+		}
+		if ev.Answer.Seq != uint64(i+1) {
+			t.Fatalf("frame %d has seq %d", i+1, ev.Answer.Seq)
+		}
+		stamps = append(stamps, ev.ReceivedUnixNano)
+		time.Sleep(time.Millisecond) // a slow listener: the stamp must not move with it
+	}
+	// A frame's stamp is that of the Read that ended the chunk completing
+	// it: no earlier than that Read returned, and before the next one did.
+	completedBy := []int{0, 0, 1, 1, 1, 1, 3} // by frame: the chunk
+	for i, chunk := range completedBy {
+		k := cc.ended[chunk]
+		lo, hi := cc.returned[k], int64(math.MaxInt64)
+		if k+1 < len(cc.returned) {
+			hi = cc.returned[k+1]
+		}
+		if stamps[i] < lo || stamps[i] >= hi {
+			t.Errorf("frame %d stamped %d, want the stamp of read %d: in [%d, %d)", i+1, stamps[i], k+1, lo, hi)
+		}
+		if i > 0 && completedBy[i-1] == chunk && stamps[i] != stamps[i-1] {
+			t.Errorf("frames %d and %d, completed by one read, stamped %d and %d", i, i+1, stamps[i-1], stamps[i])
+		}
+		if i > 0 && stamps[i] < stamps[i-1] {
+			t.Errorf("frame %d stamped %d, before frame %d's %d", i+1, stamps[i], i, stamps[i-1])
 		}
 	}
 }
@@ -220,20 +305,28 @@ func TestConnOverSocket(t *testing.T) {
 }
 
 // BenchmarkConnNext is the receive layer's micro-benchmark: one Next per
-// frame over an endless in-memory stream of the fan-out workloads'
-// frame — one 100-byte tuple, one header entry, stamped — so that what
-// is timed is the parse and not the socket. "unaddressed" is the frame a
-// listener looks at and drops (K6 of §8), "addressed" the one it keeps.
+// frame over an endless in-memory stream, so that what is timed is the
+// parse and not the socket. Two frame shapes: the fan-out workloads' —
+// one 100-byte tuple, one header entry, stamped — and merge-deliver's —
+// three 16-byte tuples, two removal notices, one header entry, stamped.
+// "unaddressed" is the frame a listener looks at and drops (K6 of §8),
+// "addressed" the one it keeps.
 func BenchmarkConnNext(b *testing.B) {
 	const me = 7
 	for _, bc := range []struct {
 		name string
 		to   int
-	}{{"unaddressed", me + 1}, {"addressed", me}} {
+		msg  func(to int, seq uint64) multicast.Message
+	}{
+		{"unaddressed", me + 1, fanoutFrame},
+		{"addressed", me, fanoutFrame},
+		{"merge-unaddressed", me + 1, mergeFrame},
+		{"merge-addressed", me, mergeFrame},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var stream []byte
 			for seq := uint64(1); seq <= 64; seq++ {
-				stream = wire.AppendMessageFrame(stream, answerMsg(bc.to, seq, 1, 100, byte(seq)))
+				stream = wire.AppendMessageFrame(stream, bc.msg(bc.to, seq))
 			}
 			conn := connOver(b, me, stream, true)
 			b.ReportAllocs()
@@ -247,4 +340,17 @@ func BenchmarkConnNext(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fanoutFrame is the fan-out workloads' frame: one 100-byte tuple.
+func fanoutFrame(to int, seq uint64) multicast.Message {
+	return answerMsg(to, seq, 1, 100, byte(seq))
+}
+
+// mergeFrame is merge-deliver's frame: three 16-byte tuples and two
+// removal notices.
+func mergeFrame(to int, seq uint64) multicast.Message {
+	m := answerMsg(to, seq, 3, 16, byte(seq))
+	m.Removed = []uint64{seq, seq + 1}
+	return m
 }

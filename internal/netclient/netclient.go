@@ -83,7 +83,9 @@ type Stats struct {
 	// channel, zero before any answer.
 	LastSeq uint64
 	// LastFrameUnixNano is the local receive time of the newest answer
-	// frame; now minus this is the session's staleness.
+	// frame (daemon.Event.ReceivedUnixNano: when the socket read that
+	// completed the frame returned); now minus this is the session's
+	// staleness.
 	LastFrameUnixNano int64
 }
 
@@ -95,9 +97,6 @@ type Client struct {
 
 	mu    sync.Mutex
 	stats Stats
-	// Sequence high-water mark (stats.LastSeq) belongs to seqChannel: a
-	// session listens on one channel at a time.
-	seqChannel int
 }
 
 // New builds a resilient client. The extractor is created over
@@ -274,16 +273,26 @@ func (c *Client) handle(sess Session, ev daemon.Event) error {
 		c.stats.Channel = ev.Assigned.Channel
 		c.mu.Unlock()
 	case ev.Answer != nil:
-		// One clock read per frame serves the session's and the
-		// extractor's staleness.
-		now := time.Now().UnixNano()
-		if c.noteSeq(ev.Answer.Channel, ev.Answer.Seq, now) {
+		// The extractor keeps the one sequence mark and applies the gap
+		// rule. An Assigned that moved the session zeroed LastSeq above;
+		// until the next frame the extractor's mark may still be the one
+		// of the channel left, and a gap measured against it is not one.
+		gap := c.ext.HandleAt(ev.Answer, ev.ReceivedUnixNano)
+		c.mu.Lock()
+		gap = gap && c.stats.LastSeq != 0
+		c.stats.LastSeq = max(c.stats.LastSeq, ev.Answer.Seq)
+		c.stats.Frames++
+		c.stats.LastFrameUnixNano = ev.ReceivedUnixNano
+		if gap {
+			c.stats.GapRefreshes++
+		}
+		c.mu.Unlock()
+		if gap {
 			c.logf("netclient: sequence gap on channel %d, requesting full refresh", ev.Answer.Channel)
 			if err := sess.Refresh(); err != nil {
 				return err
 			}
 		}
-		c.ext.HandleAt(ev.Answer, now)
 	case ev.Err != nil:
 		return fmt.Errorf("netclient: server error: %s", ev.Err.Msg)
 	}
@@ -291,27 +300,4 @@ func (c *Client) handle(sess Session, ev daemon.Event) error {
 		c.cfg.OnEvent(ev)
 	}
 	return nil
-}
-
-// noteSeq advances the current channel's sequence high-water mark and the
-// per-session receive bookkeeping for a frame received at nowUnixNano,
-// and reports whether a gap (missed message) was detected.
-func (c *Client) noteSeq(channel int, seq uint64, nowUnixNano int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if channel != c.seqChannel {
-		c.seqChannel = channel
-		c.stats.LastSeq = 0
-	}
-	last := c.stats.LastSeq
-	if seq > last {
-		c.stats.LastSeq = seq
-	}
-	c.stats.Frames++
-	c.stats.LastFrameUnixNano = nowUnixNano
-	gap := last != 0 && seq > last+1
-	if gap {
-		c.stats.GapRefreshes++
-	}
-	return gap
 }

@@ -63,8 +63,10 @@ func (f *fakeSession) Close() error {
 	return nil
 }
 
+// answerEvent is an answer frame as daemon.Conn.Next returns it: stamped
+// with its receive time.
 func answerEvent(channel int, seq uint64) daemon.Event {
-	return daemon.Event{Answer: &multicast.Message{Channel: channel, Seq: seq}}
+	return daemon.Event{Answer: &multicast.Message{Channel: channel, Seq: seq}, ReceivedUnixNano: time.Now().UnixNano()}
 }
 
 // TestGapTriggersRefresh: a sequence gap in the answer stream makes the
@@ -551,5 +553,89 @@ func TestReceivePathAllocs(t *testing.T) {
 		if st := c.Extractor().Stats(); st.MessagesSeen == 0 || (st.MessagesAddressed > 0) != (tc.to == me) || st.LastHandledUnixNano == 0 {
 			t.Errorf("%s: frames did not reach the extractor: %+v", tc.name, st)
 		}
+	}
+}
+
+// TestLastFrameIsReceiveStamp: the session's staleness mark is the
+// connection's receive stamp of the newest frame, not a clock read of
+// its own.
+func TestLastFrameIsReceiveStamp(t *testing.T) {
+	const me = 3
+	var stream []byte
+	for seq := uint64(1); seq <= 64; seq++ {
+		stream = wire.AppendMessageFrame(stream, ownedMsg(me+int(seq%2), seq, 2, byte(seq)))
+	}
+	conn, err := daemon.NewConn(&loopConn{stream: stream}, me)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{ClientID: me, Queries: []query.Query{query.Range(1, geom.R(0, 0, 10, 10))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		ev, err := conn.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.handle(conn, ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().LastFrameUnixNano; got == 0 || got != ev.ReceivedUnixNano {
+			t.Fatalf("frame %d: LastFrameUnixNano %d, event stamped %d", i+1, got, ev.ReceivedUnixNano)
+		}
+	}
+}
+
+// BenchmarkReceive is a listener's whole cost per frame, from the
+// connection's read buffer through the clock, the sequence bookkeeping
+// and extraction: one Next plus handle per op over an endless in-memory
+// stream, for the frame shapes of daemon's BenchmarkConnNext. An
+// unaddressed frame allocates nothing (TestReceivePathAllocs).
+func BenchmarkReceive(b *testing.B) {
+	const me = 3
+	for _, bc := range []struct {
+		name          string
+		to            int
+		tuples, bytes int
+		removed       int
+	}{
+		{"unaddressed", me + 1, 1, 100, 0},
+		{"addressed", me, 1, 100, 0},
+		{"merge-unaddressed", me + 1, 3, 16, 2},
+		{"merge-addressed", me, 3, 16, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var stream []byte
+			for seq := uint64(1); seq <= 64; seq++ {
+				m := ownedMsg(bc.to, seq, bc.tuples, byte(seq))
+				for i := range m.Tuples {
+					m.Tuples[i].Payload = bytes.Repeat([]byte{byte(seq)}, bc.bytes)
+				}
+				for i := 0; i < bc.removed; i++ {
+					m.Removed = append(m.Removed, seq*1000+uint64(i))
+				}
+				stream = wire.AppendMessageFrame(stream, m)
+			}
+			conn, err := daemon.NewConn(&loopConn{stream: stream}, me)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := New(Config{ClientID: me, Queries: []query.Query{query.Range(1, geom.R(0, 0, 10, 10))}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(stream) / 64))
+			for i := 0; i < b.N; i++ {
+				ev, err := conn.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.handle(conn, ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

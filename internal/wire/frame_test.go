@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"qsub/internal/multicast"
 )
@@ -144,5 +147,46 @@ func BenchmarkReadFrameAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = payload
+	}
+}
+
+// TestReadFrameForgedLength: a header declaring the largest frame, then
+// the end of the stream, costs the reader what the peer sent, not the
+// 64 MiB it declared, and fails as a stream cut inside a frame.
+func TestReadFrameForgedLength(t *testing.T) {
+	forged := []byte{0, 0, 0, 0, TypeHello}
+	binary.BigEndian.PutUint32(forged, MaxFrameSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a forged header made the reader allocate %d bytes", alloc)
+	}
+	// So does one that sent a little of its payload first.
+	if _, _, err := ReadFrame(bytes.NewReader(append(forged, "a few bytes"...))); err != io.ErrUnexpectedEOF {
+		t.Fatalf("after some payload: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadFrameLarge: a real frame many times the first growth step
+// round-trips, delivered in reads of any size.
+func TestReadFrameLarge(t *testing.T) {
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, TypeAnswer, payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []io.Reader{bytes.NewReader(frame.Bytes()), iotest.OneByteReader(bytes.NewReader(frame.Bytes()))} {
+		ft, got, err := ReadFrameAppend(make([]byte, 0, 100), r)
+		if err != nil || ft != TypeAnswer || !bytes.Equal(got, payload) {
+			t.Fatalf("1 MiB frame: type %d, %d bytes, err %v", ft, len(got), err)
+		}
 	}
 }

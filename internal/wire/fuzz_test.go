@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -57,7 +59,15 @@ func FuzzUnmarshalMessage(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x01}, 40))
 	dirty := dirtyMessage()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The field-by-field decoder UnmarshalMessageInto replaced is the
+		// oracle: same error text for every input, same message for what
+		// both accept.
+		var want multicast.Message
+		wantErr := unmarshalMessageOracle(&want, data)
 		m, err := UnmarshalMessage(data)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, oracle %v", err, wantErr)
+		}
 		// The borrowing form, decoding over the remains of a larger
 		// message, must accept exactly what the owning form accepts and
 		// produce the same message.
@@ -67,7 +77,7 @@ func FuzzUnmarshalMessage(f *testing.F) {
 		}
 		into.Frame = []byte("stale frame")
 		intoErr := UnmarshalMessageInto(&into, data)
-		if (err == nil) != (intoErr == nil) {
+		if fmt.Sprint(intoErr) != fmt.Sprint(err) {
 			t.Fatalf("owning form: %v, decode-into form: %v", err, intoErr)
 		}
 		if err != nil {
@@ -81,10 +91,81 @@ func FuzzUnmarshalMessage(f *testing.F) {
 		}
 		emptyToNil(&m)
 		emptyToNil(&into)
+		emptyToNil(&want)
 		if !reflect.DeepEqual(m, into) {
 			t.Fatalf("decode-into form differs:\n%+v\n%+v", m, into)
 		}
+		if !reflect.DeepEqual(into, want) {
+			t.Fatalf("decoded\n%+v\noracle\n%+v", into, want)
+		}
 	})
+}
+
+// unmarshalMessageOracle is the reference decoder for UnmarshalMessageInto:
+// one bounds-checked decoder call per field, the first error sticky.
+func unmarshalMessageOracle(m *multicast.Message, b []byte) error {
+	d := decoder{buf: b}
+	m.Frame = nil
+	m.Channel = int(d.u32())
+	m.Seq = d.u64()
+	flag := d.u8()
+	if flag&^flagKnown != 0 && d.err == nil {
+		d.err = fmt.Errorf("wire: unknown message flag bits %#x", flag&^flagKnown)
+	}
+	m.Delta = flag&flagDelta != 0
+	m.PublishedUnixNano = 0
+	if flag&flagTimestamp != 0 {
+		m.PublishedUnixNano = int64(d.u64())
+		if m.PublishedUnixNano == 0 && d.err == nil {
+			d.err = errors.New("wire: non-canonical zero publish timestamp")
+		}
+	}
+	nTuples := d.u32()
+	if d.err == nil && uint64(len(d.buf)) < uint64(nTuples)*28 {
+		d.fail()
+	}
+	if d.err == nil {
+		m.Tuples = resize(m.Tuples, nTuples)
+		for i := range m.Tuples {
+			m.Tuples[i] = relation.Tuple{
+				ID:      d.u64(),
+				Pos:     geom.Pt(d.f64(), d.f64()),
+				Payload: d.view(),
+			}
+		}
+	}
+	nHeader := d.u32()
+	if d.err == nil && uint64(len(d.buf)) < uint64(nHeader)*12 {
+		d.fail()
+	}
+	if d.err == nil {
+		m.Header = resize(m.Header, nHeader)
+		for i := range m.Header {
+			h := &m.Header[i]
+			h.ClientID = int(int64(d.u64()))
+			nIDs := d.u32()
+			if uint64(len(d.buf)) < uint64(nIDs)*8 {
+				d.fail()
+				break
+			}
+			h.QueryIDs = resize(h.QueryIDs, nIDs)
+			for j := range h.QueryIDs {
+				h.QueryIDs[j] = query.ID(d.u64())
+			}
+		}
+	}
+	nRemoved := d.u32()
+	if d.err == nil && uint64(len(d.buf)) < uint64(nRemoved)*8 {
+		d.fail()
+	}
+	m.Removed = m.Removed[:0]
+	if d.err == nil && nRemoved > 0 {
+		m.Removed = resize(m.Removed, nRemoved)
+		for i := range m.Removed {
+			m.Removed[i] = d.u64()
+		}
+	}
+	return d.done()
 }
 
 // dirtyMessage encodes what a reused destination held before: every

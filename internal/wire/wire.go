@@ -26,7 +26,6 @@ import (
 	"qsub/internal/geom"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
-	"qsub/internal/relation"
 )
 
 // Frame types.
@@ -150,6 +149,12 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 // needed when the buffer is reused. Every Unmarshal function copies the
 // bytes it keeps except UnmarshalMessageInto, whose tuple payloads stay
 // slices of the payload it was given.
+//
+// A payload larger than buf grows as its bytes arrive, by frameChunk and
+// then by about doubling, so what a peer makes the reader allocate is
+// bounded by what it actually sent, not by the length its header
+// declares. A stream that ends inside a frame, header or payload, fails
+// with io.ErrUnexpectedEOF; one that ends between frames with io.EOF.
 func ReadFrameAppend(buf []byte, r io.Reader) (frameType uint8, payload []byte, err error) {
 	// The header is read into the reusable buffer too: a stack array
 	// would escape through the io.Reader parameter and cost one
@@ -161,20 +166,29 @@ func ReadFrameAppend(buf []byte, r io.Reader) (frameType uint8, payload []byte, 
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	frameType = hdr[4]
 	if n > MaxFrameSize {
 		return 0, buf, ErrFrameTooLarge
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, buf, err
+	payload = buf[:0]
+	for len(payload) < n {
+		payload = slices.Grow(payload, min(n-len(payload), max(len(payload), frameChunk)))
+		got, err := io.ReadFull(r, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, payload[:0], err
+		}
 	}
 	return frameType, payload, nil
 }
+
+// frameChunk is the first step by which ReadFrameAppend grows a payload
+// buffer that is too small for the frame being read.
+const frameChunk = 64 << 10
 
 // --- encode-once frames ----------------------------------------------------
 
@@ -224,9 +238,12 @@ type decoder struct {
 	err error
 }
 
+// errTruncated reports a payload that ends before the value being read.
+var errTruncated = errors.New("wire: truncated payload")
+
 func (d *decoder) fail() {
 	if d.err == nil {
-		d.err = errors.New("wire: truncated payload")
+		d.err = errTruncated
 	}
 }
 
@@ -569,70 +586,121 @@ func resize[T any](s []T, n uint32) []T {
 // produces are slices of b: the message borrows b and is valid only as
 // long as b is. Callers that keep payloads past that call CopyPayloads.
 // On error m is left in an unspecified state.
+//
+// It runs on every frame every listener receives, so it checks lengths
+// once per tuple (its 28 fixed bytes and its payload together) and once
+// per list of query ids or removals, and reads the fields between the
+// checks directly.
 func UnmarshalMessageInto(m *multicast.Message, b []byte) error {
-	d := decoder{buf: b}
 	m.Frame = nil
-	m.Channel = int(d.u32())
-	m.Seq = d.u64()
-	flag := d.u8()
-	if flag&^flagKnown != 0 && d.err == nil {
-		d.err = fmt.Errorf("wire: unknown message flag bits %#x", flag&^flagKnown)
+	if len(b) < 13 {
+		return errTruncated
+	}
+	m.Channel = int(binary.BigEndian.Uint32(b[0:4]))
+	m.Seq = binary.BigEndian.Uint64(b[4:12])
+	flag := b[12]
+	b = b[13:]
+	if flag&^flagKnown != 0 {
+		return fmt.Errorf("wire: unknown message flag bits %#x", flag&^flagKnown)
 	}
 	m.Delta = flag&flagDelta != 0
 	m.PublishedUnixNano = 0
 	if flag&flagTimestamp != 0 {
-		m.PublishedUnixNano = int64(d.u64())
-		if m.PublishedUnixNano == 0 && d.err == nil {
+		if len(b) < 8 {
+			return errTruncated
+		}
+		m.PublishedUnixNano = int64(binary.BigEndian.Uint64(b[:8]))
+		b = b[8:]
+		if m.PublishedUnixNano == 0 {
 			// A zero stamp is encoded by omitting the field; accepting
 			// both spellings would break the canonical-encoding
 			// invariant the fuzzers pin.
-			d.err = errors.New("wire: non-canonical zero publish timestamp")
+			return errors.New("wire: non-canonical zero publish timestamp")
 		}
 	}
-	nTuples := d.u32()
-	if d.err == nil && uint64(len(d.buf)) < uint64(nTuples)*28 {
-		d.fail()
+
+	n, b, ok := listLen(b, 28)
+	if !ok {
+		return errTruncated
 	}
-	if d.err == nil {
-		m.Tuples = resize(m.Tuples, nTuples)
-		for i := range m.Tuples {
-			m.Tuples[i] = relation.Tuple{
-				ID:      d.u64(),
-				Pos:     geom.Pt(d.f64(), d.f64()),
-				Payload: d.view(),
-			}
+	tuples := resize(m.Tuples, n)
+	m.Tuples = tuples
+	for i := range tuples {
+		if len(b) < 28 {
+			return errTruncated
 		}
-	}
-	nHeader := d.u32()
-	if d.err == nil && uint64(len(d.buf)) < uint64(nHeader)*12 {
-		d.fail()
-	}
-	if d.err == nil {
-		m.Header = resize(m.Header, nHeader)
-		for i := range m.Header {
-			h := &m.Header[i]
-			h.ClientID = int(int64(d.u64()))
-			nIDs := d.u32()
-			if uint64(len(d.buf)) < uint64(nIDs)*8 {
-				d.fail()
-				break
-			}
-			h.QueryIDs = resize(h.QueryIDs, nIDs)
-			for j := range h.QueryIDs {
-				h.QueryIDs[j] = query.ID(d.u64())
-			}
+		fixed := b[:28]
+		size := binary.BigEndian.Uint32(fixed[24:28])
+		if uint64(len(b)-28) < uint64(size) {
+			return errTruncated
 		}
+		end := 28 + int(size)
+		rest := b[end:] // first: it proves the payload's slice in bounds
+		t := &tuples[i]
+		t.ID = binary.BigEndian.Uint64(fixed[0:8])
+		t.Pos.X = math.Float64frombits(binary.BigEndian.Uint64(fixed[8:16]))
+		t.Pos.Y = math.Float64frombits(binary.BigEndian.Uint64(fixed[16:24]))
+		t.Payload = nil
+		if size > 0 {
+			t.Payload = b[28:end:end]
+		}
+		b = rest
 	}
-	nRemoved := d.u32()
-	if d.err == nil && uint64(len(d.buf)) < uint64(nRemoved)*8 {
-		d.fail()
+
+	if n, b, ok = listLen(b, 12); !ok {
+		return errTruncated
+	}
+	header := resize(m.Header, n)
+	m.Header = header
+	for i := range header {
+		if len(b) < 12 {
+			return errTruncated
+		}
+		fixed := b[:12]
+		h := &header[i]
+		h.ClientID = int(int64(binary.BigEndian.Uint64(fixed[0:8])))
+		nIDs := binary.BigEndian.Uint32(fixed[8:12])
+		b = b[12:]
+		if uint64(len(b)) < uint64(nIDs)*8 {
+			return errTruncated
+		}
+		h.QueryIDs = resize(h.QueryIDs, nIDs)
+		b = decodeU64s(h.QueryIDs, b)
+	}
+
+	if n, b, ok = listLen(b, 8); !ok {
+		return errTruncated
 	}
 	m.Removed = m.Removed[:0]
-	if d.err == nil && nRemoved > 0 {
-		m.Removed = resize(m.Removed, nRemoved)
-		for i := range m.Removed {
-			m.Removed[i] = d.u64()
-		}
+	if n > 0 {
+		m.Removed = resize(m.Removed, n)
+		b = decodeU64s(m.Removed, b)
 	}
-	return d.done()
+	if len(b) != 0 {
+		return fmt.Errorf("wire: %d trailing bytes in payload", len(b))
+	}
+	return nil
+}
+
+// listLen reads a list's uint32 element count from the front of b and
+// returns it with the rest of b, or ok false when b is too short for the
+// count or for count elements of at least minSize bytes each.
+func listLen(b []byte, minSize uint64) (n uint32, rest []byte, ok bool) {
+	if len(b) < 4 {
+		return 0, b, false
+	}
+	n = binary.BigEndian.Uint32(b[:4])
+	rest = b[4:]
+	return n, rest, uint64(len(rest)) >= uint64(n)*minSize
+}
+
+// decodeU64s fills dst with the big-endian uint64s at the front of b,
+// which the caller has checked holds len(dst) of them, and returns the
+// rest of b.
+func decodeU64s[T ~uint64](dst []T, b []byte) []byte {
+	src := b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = T(binary.BigEndian.Uint64(src[8*i : 8*i+8]))
+	}
+	return b[len(src):]
 }
