@@ -17,6 +17,7 @@ import (
 	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
+	"qsub/internal/trace"
 	"qsub/internal/wire"
 	"qsub/internal/workload"
 )
@@ -401,7 +402,7 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 			b.Fatal(err)
 		}
 		var wg sync.WaitGroup
-		var subs []*Subscription
+		var subs []*multicast.Subscription
 		for id, c := range clients {
 			sub, err := net.Subscribe(cy.ClientChannel[id], 64)
 			if err != nil {
@@ -409,7 +410,7 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 			}
 			subs = append(subs, sub)
 			wg.Add(1)
-			go func(c *Client, sub *Subscription) {
+			go func(c *Client, sub *multicast.Subscription) {
 				defer wg.Done()
 				c.Consume(sub)
 			}(c, sub)
@@ -426,7 +427,7 @@ func BenchmarkEndToEndPublish(b *testing.B) {
 }
 
 // discard consumes the subscription until it ends.
-func discard(sub *Subscription) {
+func discard(sub *multicast.Subscription) {
 	for {
 		if _, ok := sub.NextBatch(); !ok {
 			return
@@ -454,7 +455,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 			discard(sub)
 		}()
 	}
-	msg := Message{Channel: 0, Tuples: []Tuple{{ID: 1, Pos: Pt(1, 1)}}}
+	msg := multicast.Message{Channel: 0, Tuples: []relation.Tuple{{ID: 1, Pos: geom.Pt(1, 1)}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := net.Publish(msg); err != nil {
@@ -610,53 +611,13 @@ func multicastTestMessage(tuples int) multicast.Message {
 	return msg
 }
 
-// BenchmarkSchedulerTick measures a mixed-rate scheduler tick (period
-// groups 1, 3 and 6; the period-1 group fires each tick).
-func BenchmarkSchedulerTick(b *testing.B) {
-	rel := NewRelation(R(0, 0, 1000, 1000), 20, 20)
-	wl := DefaultWorkload()
-	wl.Seed = 3
-	gen, err := NewWorkload(wl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range gen.Points(10000) {
-		rel.Insert(p, []byte("obj"))
-	}
-	net, err := NewNetwork(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer net.Close()
-	sched, err := NewScheduler(rel, net, ServerConfig{Model: Model{KM: 64000, KT: 1, KU: 0.5}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs := gen.Queries(9)
-	for i, q := range qs {
-		if err := sched.Subscribe(i%3, q, []int{1, 3, 6}[i%3]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sub, _ := net.Subscribe(0, 4096)
-	go discard(sub)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Tick(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	sub.Cancel()
-}
-
 // BenchmarkSnapshotIO measures snapshot serialization and restore of a
 // 50k-tuple relation.
 func BenchmarkSnapshotIO(b *testing.B) {
 	rel := NewRelation(R(0, 0, 1000, 1000), 25, 25)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50000; i++ {
-		rel.Insert(Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("snapshot-payload"))
+		rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("snapshot-payload"))
 	}
 	var buf bytes.Buffer
 	b.Run("write", func(b *testing.B) {
@@ -676,7 +637,7 @@ func BenchmarkSnapshotIO(b *testing.B) {
 	data := buf.Bytes()
 	b.Run("read", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ReadSnapshot(bytes.NewReader(data), 25, 25); err != nil {
+			if _, err := relation.ReadSnapshot(bytes.NewReader(data), 25, 25); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -686,8 +647,8 @@ func BenchmarkSnapshotIO(b *testing.B) {
 
 // BenchmarkTraceRecord measures control-plane event recording.
 func BenchmarkTraceRecord(b *testing.B) {
-	r := NewTraceRecorder(io.Discard, func() int64 { return 1 })
-	ev := TraceEvent{Kind: "publish", Messages: 3, Tuples: 100, PayloadBytes: 4096}
+	r := trace.NewRecorder(io.Discard, func() int64 { return 1 })
+	ev := trace.Event{Kind: "publish", Messages: 3, Tuples: 100, PayloadBytes: 4096}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Record(ev)
@@ -704,7 +665,7 @@ func BenchmarkDeltaWithDeletions(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var ids []uint64
 	for i := 0; i < 20000; i++ {
-		ids = append(ids, rel.Insert(Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("x")))
+		ids = append(ids, rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("x")))
 	}
 	net, err := NewNetwork(1)
 	if err != nil {
@@ -734,7 +695,7 @@ func BenchmarkDeltaWithDeletions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Churn: 50 inserts, 20 deletes per cycle.
 		for j := 0; j < 50; j++ {
-			ids = append(ids, rel.Insert(Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("x")))
+			ids = append(ids, rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("x")))
 		}
 		for j := 0; j < 20; j++ {
 			k := rng.Intn(len(ids))

@@ -57,7 +57,6 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:7070", "daemon address")
 		id     = flag.Int("id", 1, "client id")
 		cycles = flag.Int("cycles", 1, "number of answer messages to wait for before exiting")
-		cache  = flag.Bool("cache", false, "enable the client object cache (§11)")
 
 		minBackoff = flag.Duration("min-backoff", 100*time.Millisecond, "base reconnect delay")
 		maxBackoff = flag.Duration("max-backoff", 30*time.Second, "reconnect delay cap")
@@ -83,11 +82,11 @@ func main() {
 		queries[i] = query.Range(query.ID(i+1), r)
 	}
 
-	c := run(queries, *addr, *id, *cycles, *cache, *minBackoff, *maxBackoff, *maxTries)
+	c := run(queries, *addr, *id, *cycles, *minBackoff, *maxBackoff, *maxTries)
 	st := c.Stats()
-	fmt.Printf("messages seen %d, addressed %d; bytes relevant %d, irrelevant %d, filtered %d; gaps %d; cache hits %d\n",
+	fmt.Printf("messages seen %d, addressed %d; bytes relevant %d, irrelevant %d, filtered %d; gaps %d\n",
 		st.MessagesSeen, st.MessagesAddressed, st.RelevantBytes, st.IrrelevantBytes,
-		st.FilteredBytes, st.GapsDetected, st.CacheHits)
+		st.FilteredBytes, st.GapsDetected)
 	for _, q := range c.Queries() {
 		fmt.Printf("query %d: %d tuples\n", q.ID, len(c.Answer(q.ID)))
 	}
@@ -95,7 +94,7 @@ func main() {
 
 // run drives the session through the netclient runtime until cycles
 // answers addressed to the client have arrived.
-func run(queries []query.Query, addr string, id, cycles int, cache bool,
+func run(queries []query.Query, addr string, id, cycles int,
 	minBackoff, maxBackoff time.Duration, maxAttempts int) *client.Client {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -127,9 +126,6 @@ func run(queries []query.Query, addr string, id, cycles int, cache bool,
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if cache {
-		nc.Extractor().EnableCache()
 	}
 	runDone := make(chan error, 1)
 	go func() { runDone <- nc.Run(ctx) }()

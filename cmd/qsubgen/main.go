@@ -52,6 +52,15 @@ func main() {
 		pretty  = flag.Bool("pretty", false, "indent the JSON output")
 	)
 	flag.Parse()
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"points", *points}, {"clients", *clients}} {
+		if c.v < 0 {
+			fmt.Fprintf(os.Stderr, "qsubgen: -%s must not be negative, got %d\n", c.name, c.v)
+			os.Exit(2)
+		}
+	}
 
 	cfg := qsub.WorkloadConfig{
 		DB: qsub.R(0, 0, *dbSize, *dbSize),
@@ -65,7 +74,7 @@ func main() {
 		os.Exit(1)
 	}
 	qs := gen.Queries(*n)
-	out := output{Config: cfg}
+	out := output{Config: cfg, Queries: make([]jsonQuery, 0, len(qs))}
 	for _, q := range qs {
 		r := q.Region.BoundingRect()
 		out.Queries = append(out.Queries, jsonQuery{

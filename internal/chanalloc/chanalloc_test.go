@@ -407,3 +407,15 @@ func TestHeuristicHandlesManyClients(t *testing.T) {
 		}
 	}
 }
+
+// InitialDistribution runs the Fig 14 greedy (initialDistributionCtx)
+// on a fresh evaluation context.
+func InitialDistribution(p *Problem) Allocation {
+	return initialDistributionCtx(p.newCtx())
+}
+
+// HillClimb runs the §8.2 climb (hillClimbCtx) from alloc on a fresh
+// evaluation context.
+func HillClimb(p *Problem, alloc Allocation) Allocation {
+	return hillClimbCtx(p.newCtx(), alloc)
+}

@@ -20,7 +20,7 @@ import (
 	"qsub/internal/core"
 )
 
-// InitialDistribution is the Fig 14 greedy: compute the pairing gain
+// initialDistributionCtx is the Fig 14 greedy: compute the pairing gain
 // Cost_Δ = Cost{ca} + Cost{cb} − Cost{ca,cb} for every client pair, then
 // repeatedly take the highest-gain pair, allocate both clients to the
 // current channel, drop all pairs touching them, and advance the channel
@@ -39,10 +39,6 @@ import (
 // O(n·k) gain probes instead of O(n²) — and the leftover round-robin pass
 // guarantees a complete allocation regardless of how much the window (or
 // an exhausted budget) cut away.
-func InitialDistribution(p *Problem) Allocation {
-	return initialDistributionCtx(p.newCtx())
-}
-
 func initialDistributionCtx(ctx *evalCtx) Allocation {
 	p := ctx.p
 	n := len(p.Clients)
@@ -102,7 +98,7 @@ func randomDistribution(p *Problem, intn func(int) int) Allocation {
 	return alloc
 }
 
-// HillClimb improves an allocation by repeatedly moving the single client
+// hillClimbCtx improves an allocation by repeatedly moving the single client
 // whose relocation to another channel reduces total cost the most,
 // stopping at a local minimum (§8.2). Per-channel costs are kept in a
 // table (the paper's T) so each candidate move re-evaluates only the two
@@ -110,10 +106,6 @@ func randomDistribution(p *Problem, intn func(int) int) Allocation {
 // group-cost cache, so a group probed in any earlier iteration (or by any
 // other allocator on the same Problem) costs a map lookup, not a merge
 // solve.
-func HillClimb(p *Problem, alloc Allocation) Allocation {
-	return hillClimbCtx(p.newCtx(), alloc)
-}
-
 func hillClimbCtx(ctx *evalCtx, alloc Allocation) Allocation {
 	p := ctx.p
 	alloc = alloc.Clone()

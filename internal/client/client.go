@@ -4,8 +4,7 @@
 // merged payload (§3.1), and accumulates per-query answers. It keeps the
 // accounting the cost model charges clients for — irrelevant bytes
 // extracted away and messages filtered — plus sequence-gap detection for
-// the lossy-network failure mode and an optional object cache (future
-// work §11).
+// the lossy-network failure mode.
 package client
 
 import (
@@ -37,8 +36,6 @@ type Stats struct {
 	FilteredBytes int
 	// GapsDetected counts sequence-number gaps (lost messages).
 	GapsDetected int
-	// CacheHits counts tuples skipped by the object cache.
-	CacheHits int
 	// LastPublishedUnixNano is the publish timestamp of the newest
 	// handled message, zero when frames carry no timestamps. Together
 	// with LastHandledUnixNano it gives the client's current staleness.
@@ -81,8 +78,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	entries []entry // sorted by entry.q.ID
-	cache   map[uint64]bool
-	caching bool
 	// Sequence high-water mark of the channel of the last message.
 	seqChannel int
 	lastSeq    uint64
@@ -149,17 +144,6 @@ func (c *Client) addQueryLocked(q query.Query) {
 	c.entries = append(c.entries, entry{})
 	copy(c.entries[i+1:], c.entries[i:])
 	c.entries[i] = entry{q: q, answer: make(map[uint64]relation.Tuple)}
-}
-
-// EnableCache turns on the object cache: tuples already received (by id)
-// are recognized and counted as cache hits instead of being re-stored.
-func (c *Client) EnableCache() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.caching = true
-	if c.cache == nil {
-		c.cache = make(map[uint64]bool)
-	}
 }
 
 // AddQuery registers an additional subscription query.
@@ -240,9 +224,6 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) (gap bool) 
 				delete(c.entries[ei].answer, removed)
 			}
 		}
-		if c.caching {
-			delete(c.cache, removed)
-		}
 	}
 
 	relevant := 0
@@ -254,27 +235,17 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) (gap bool) 
 				continue
 			}
 			e := &c.entries[ei]
-			if !e.q.Matches(t) {
+			if !e.q.Region.Contains(t.Pos) {
 				continue
 			}
 			used = true
-			if c.caching && c.cache[t.ID] {
-				c.stats.CacheHits++
-			}
-			stored := t
-			if e.q.Project != nil {
-				stored.Payload = e.q.Project(t.Payload)
-			}
-			e.answer[t.ID] = stored
+			e.answer[t.ID] = t
 			e.scratchBytes += t.Size()
 			e.scratchTouched = true
 		}
 		if used {
 			relevant += t.Size()
 			kept++
-			if c.caching {
-				c.cache[t.ID] = true
-			}
 		}
 	}
 	if kept > 0 {

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -22,8 +21,6 @@ type refClient struct {
 	queries  map[query.ID]query.Query
 	answers  map[query.ID]map[uint64]relation.Tuple
 	perQuery map[query.ID]QueryStats
-	cache    map[uint64]bool
-	caching  bool
 	lastSeq  uint64
 	stats    Stats
 }
@@ -63,9 +60,6 @@ func (c *refClient) handle(msg multicast.Message) {
 				delete(m, removed)
 			}
 		}
-		if c.caching {
-			delete(c.cache, removed)
-		}
 	}
 	relevant := 0
 	touched := map[query.ID]bool{}
@@ -73,18 +67,11 @@ func (c *refClient) handle(msg multicast.Message) {
 		used := false
 		for _, qid := range entry.QueryIDs {
 			q, ok := c.queries[qid]
-			if !ok || !q.Matches(t) {
+			if !ok || !q.Region.Contains(t.Pos) {
 				continue
 			}
 			used = true
-			if c.caching && c.cache[t.ID] {
-				c.stats.CacheHits++
-			}
-			stored := t
-			if q.Project != nil {
-				stored.Payload = q.Project(t.Payload)
-			}
-			c.answers[qid][t.ID] = stored
+			c.answers[qid][t.ID] = t
 			qs := c.perQuery[qid]
 			qs.BytesReceived += t.Size()
 			c.perQuery[qid] = qs
@@ -92,9 +79,6 @@ func (c *refClient) handle(msg multicast.Message) {
 		}
 		if used {
 			relevant += t.Size()
-			if c.caching {
-				c.cache[t.ID] = true
-			}
 		}
 	}
 	for qid := range touched {
@@ -127,7 +111,7 @@ func (c *refClient) queryStatsFor(id query.ID) QueryStats {
 
 // randomMessages builds a deterministic stream of messages exercising
 // every Handle path: addressed and filtered, overlapping queries, unknown
-// header ids, removals, gaps, and duplicate tuples for the cache.
+// header ids, removals, gaps, and tuples delivered more than once.
 func randomMessages(seed int64, n int) []multicast.Message {
 	rng := rand.New(rand.NewSource(seed))
 	var msgs []multicast.Message
@@ -141,7 +125,7 @@ func randomMessages(seed int64, n int) []multicast.Message {
 		tuples := make([]relation.Tuple, nt)
 		for j := range tuples {
 			tuples[j] = relation.Tuple{
-				// Reuse ids across messages so caching and removals hit.
+				// Reuse ids across messages so removals hit.
 				ID:      uint64(1 + rng.Intn(200)),
 				Pos:     geom.Pt(rng.Float64()*100, rng.Float64()*100),
 				Payload: []byte("payload"),
@@ -172,43 +156,34 @@ func randomMessages(seed int64, n int) []multicast.Message {
 
 // TestHandleMatchesReference pins the slice-based extractor byte-identical
 // to the map-based oracle: same Stats, same per-query stats, same
-// accumulated answers, with and without the object cache, including
-// projections and attribute filters.
+// accumulated answers. The client keeps no object cache, so the one leg
+// is the uncached one, named as such.
 func TestHandleMatchesReference(t *testing.T) {
-	for _, caching := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", caching), func(t *testing.T) {
-			project := func(p []byte) []byte { return p[:3] }
-			filter := func(tu relation.Tuple) bool { return tu.Pos.X < 80 }
-			qs := []query.Query{
-				query.Range(1, geom.R(0, 0, 60, 60)),
-				query.Range(2, geom.R(30, 30, 90, 90)), // overlaps q1
-				{ID: 3, Region: geom.R(0, 0, 100, 100), Filter: filter},
-				{ID: 4, Region: geom.R(50, 0, 100, 50), Project: project},
+	t.Run("cache=false", func(t *testing.T) {
+		qs := []query.Query{
+			query.Range(1, geom.R(0, 0, 60, 60)),
+			query.Range(2, geom.R(30, 30, 90, 90)), // overlaps q1
+			query.Range(3, geom.R(0, 0, 100, 100)),
+			query.Range(4, geom.R(50, 0, 100, 50)),
+		}
+		c := New(7, qs...)
+		ref := newRef(7, qs...)
+		for i, msg := range randomMessages(31, 400) {
+			c.Handle(msg)
+			ref.handle(msg)
+			if c.Stats() != ref.stats {
+				t.Fatalf("message %d: stats diverged:\n got %+v\nwant %+v", i, c.Stats(), ref.stats)
 			}
-			c := New(7, qs...)
-			ref := newRef(7, qs...)
-			if caching {
-				c.EnableCache()
-				ref.caching = true
-				ref.cache = make(map[uint64]bool)
+		}
+		for _, q := range qs {
+			if got, want := c.QueryStatsFor(q.ID), ref.queryStatsFor(q.ID); got != want {
+				t.Fatalf("query %d stats: got %+v, want %+v", q.ID, got, want)
 			}
-			for i, msg := range randomMessages(31, 400) {
-				c.Handle(msg)
-				ref.handle(msg)
-				if c.Stats() != ref.stats {
-					t.Fatalf("message %d: stats diverged:\n got %+v\nwant %+v", i, c.Stats(), ref.stats)
-				}
+			if got, want := c.Answer(q.ID), ref.answer(q.ID); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d answers diverged (%d vs %d tuples)", q.ID, len(got), len(want))
 			}
-			for _, q := range qs {
-				if got, want := c.QueryStatsFor(q.ID), ref.queryStatsFor(q.ID); got != want {
-					t.Fatalf("query %d stats: got %+v, want %+v", q.ID, got, want)
-				}
-				if got, want := c.Answer(q.ID), ref.answer(q.ID); !reflect.DeepEqual(got, want) {
-					t.Fatalf("query %d answers diverged (%d vs %d tuples)", q.ID, len(got), len(want))
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestHandleSteadyStateAllocs pins the extractor's allocation behavior:
@@ -264,7 +239,7 @@ func TestHandleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func benchMessage(nTuples int, addressed, withCache bool) (multicast.Message, []query.Query) {
+func benchMessage(nTuples int, addressed bool) (multicast.Message, []query.Query) {
 	rng := rand.New(rand.NewSource(5))
 	var qs []query.Query
 	for i := 0; i < 4; i++ {
@@ -279,28 +254,22 @@ func benchMessage(nTuples int, addressed, withCache bool) (multicast.Message, []
 	if !addressed {
 		hdr[0].ClientID = 99
 	}
-	_ = withCache
 	return multicast.Message{Channel: 0, Seq: 1, Tuples: tuples, Header: hdr}, qs
 }
 
 // BenchmarkClientHandle measures the extractor on addressed and filtered
-// messages, with and without the object cache.
+// messages.
 func BenchmarkClientHandle(b *testing.B) {
 	for _, mode := range []string{"addressed", "filtered"} {
-		for _, cache := range []string{"nocache", "cache"} {
-			b.Run(fmt.Sprintf("%s/%s/tuples=500", mode, cache), func(b *testing.B) {
-				msg, qs := benchMessage(500, mode == "addressed", cache == "cache")
-				c := New(7, qs...)
-				if cache == "cache" {
-					c.EnableCache()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					msg.Seq = uint64(i + 1)
-					c.Handle(msg)
-				}
-			})
-		}
+		b.Run(mode+"/tuples=500", func(b *testing.B) {
+			msg, qs := benchMessage(500, mode == "addressed")
+			c := New(7, qs...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msg.Seq = uint64(i + 1)
+				c.Handle(msg)
+			}
+		})
 	}
 }

@@ -120,26 +120,6 @@ func TestGapDetectionIsPerChannel(t *testing.T) {
 	step(1, 6, 3) // and a hole there too
 }
 
-func TestCacheCountsDuplicates(t *testing.T) {
-	q := query.Range(1, geom.R(0, 0, 10, 10))
-	c := New(1, q)
-	c.EnableCache()
-	msg := multicast.Message{
-		Seq:    1,
-		Tuples: []relation.Tuple{tuple(1, 5, 5, 0)},
-		Header: []multicast.HeaderEntry{{ClientID: 1, QueryIDs: []query.ID{1}}},
-	}
-	c.Handle(msg)
-	msg.Seq = 2
-	c.Handle(msg)
-	if st := c.Stats(); st.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", st.CacheHits)
-	}
-	if len(c.Answer(1)) != 1 {
-		t.Fatal("duplicate tuple should be stored once")
-	}
-}
-
 func TestAddRemoveQuery(t *testing.T) {
 	c := New(1)
 	q := query.Range(5, geom.R(0, 0, 10, 10))

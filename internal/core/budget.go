@@ -81,16 +81,3 @@ func (b *Budget) step(n int64) bool {
 // Exhausted reports whether a limit has tripped. Nil budgets are never
 // exhausted.
 func (b *Budget) Exhausted() bool { return b != nil && b.exhausted.Load() }
-
-// Converged is the solver-result reading of the flag: true when the
-// solve ran to natural completion (no limit tripped), false when the
-// returned plan is a best-so-far cut short by the budget.
-func (b *Budget) Converged() bool { return !b.Exhausted() }
-
-// Steps returns the work units recorded so far.
-func (b *Budget) Steps() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.steps.Load()
-}

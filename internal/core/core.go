@@ -6,8 +6,6 @@
 //
 // The package provides the paper's full algorithm suite:
 //
-//   - Exhaustive: the doubly-exponential search of §6.1 over all
-//     subcollections of the power set (allows overlapping allocations).
 //   - Partition: the Bell-number exhaustive search of §6.1.1, valid under
 //     the single-allocation property, used as the optimal baseline in the
 //     evaluation.
@@ -16,6 +14,10 @@
 //   - DirectedSearch: repeated randomized restarts with merge and extract
 //     moves (§6.2.2).
 //   - Clustering: the divide-and-conquer pruning of §6.3.
+//
+// The doubly-exponential search of §6.1 over all subcollections of the
+// power set, which allows overlapping allocations, lives in the tests as
+// the oracle for the single-allocation property.
 package core
 
 import (
@@ -23,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
 	"qsub/internal/cost"
@@ -288,26 +289,3 @@ func (NoMerge) Name() string { return "no-merge" }
 
 // Solve returns the all-singletons plan.
 func (NoMerge) Solve(inst *Instance) Plan { return Singletons(inst.N) }
-
-// Explain renders a per-set cost breakdown of a plan under the instance's
-// model — the debugging view behind "why did it merge these?".
-func (inst *Instance) Explain(p Plan) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-10s %-12s %-12s %-12s\n",
-		"set", "queries", "merged size", "irrelevant", "cost")
-	for _, set := range p {
-		if len(set) == 0 {
-			continue
-		}
-		merged := inst.Sizer.MergedSize(set)
-		irr := 0.0
-		for _, q := range set {
-			irr += merged - inst.Sizer.Size(q)
-		}
-		c := inst.Model.KM + inst.Model.KT*merged + inst.Model.KU*irr
-		fmt.Fprintf(&b, "%-20s %-10d %-12.0f %-12.0f %-12.0f\n",
-			fmt.Sprint(set), len(set), merged, irr, c)
-	}
-	fmt.Fprintf(&b, "total: %.0f (unmerged %.0f)\n", inst.Cost(p), inst.InitialCost())
-	return b.String()
-}

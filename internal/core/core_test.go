@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"qsub/internal/cost"
@@ -544,28 +543,6 @@ func TestIncrementalTracksFullRemerge(t *testing.T) {
 	}
 }
 
-func TestExplain(t *testing.T) {
-	inst := fig6Instance(paperModel)
-	out := inst.Explain(Plan{{0, 1, 2}})
-	for _, want := range []string{"merged size", "irrelevant", "total: 74"} {
-		if !containsStr(out, want) {
-			t.Fatalf("Explain output missing %q:\n%s", want, out)
-		}
-	}
-	// Empty sets are skipped without panicking.
-	_ = inst.Explain(Plan{{}, {0}, {1, 2}})
-}
-
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && strings.Contains(s, sub)
-}
-
-// TestIncrementalChurnQualityVsRemerge pins the §11 maintenance quality
-// bound under mixed arrivals and departures: after every churn batch the
-// incremental plan must (a) remain a valid partition of the active
-// queries, (b) never cost more than answering them separately, and
-// (c) retain at least half of the savings a full PairMerge re-merge over
-// the active set achieves.
 func TestIncrementalChurnQualityVsRemerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const total, live = 60, 40
@@ -650,4 +627,22 @@ func TestIncrementalChurnQualityVsRemerge(t *testing.T) {
 		}
 		checkAgainstRemerge(batch)
 	}
+}
+
+// CountPartitions returns the Bell number B(n): the number of candidate
+// solutions the Partition algorithm enumerates for n queries (§6.1.1).
+// It overflows uint64 for n > 25; callers in that range are out of the
+// algorithm's feasible envelope anyway.
+func CountPartitions(n int) uint64 {
+	// Bell triangle.
+	row := []uint64{1}
+	for i := 0; i < n; i++ {
+		next := make([]uint64, len(row)+1)
+		next[0] = row[len(row)-1]
+		for j := 0; j < len(row); j++ {
+			next[j+1] = next[j] + row[j]
+		}
+		row = next
+	}
+	return row[0]
 }

@@ -104,19 +104,6 @@ func (inc *Incremental) Plan() Plan {
 	return out
 }
 
-// Cost returns the current plan's total cost from the per-set caches.
-func (inc *Incremental) Cost() float64 {
-	total := 0.0
-	for i := range inc.sets {
-		total += inc.sets[i].cost
-	}
-	return total
-}
-
-// Converged reports whether the instance's budget (if any) still has
-// room; a false return means the last repair was cut short.
-func (inc *Incremental) Converged() bool { return inc.inst.Budget.Converged() }
-
 // Add inserts query q (an index valid for the instance's sizer) into the
 // plan. The instance's N must already account for q.
 func (inc *Incremental) Add(q int) {

@@ -382,3 +382,29 @@ func TestIncrementalWarmChurnAllocs(t *testing.T) {
 		t.Fatalf("warm churn cycle allocates %v times, want 0", allocs)
 	}
 }
+
+// Cost returns the current plan's total cost from the per-set caches.
+func (inc *Incremental) Cost() float64 {
+	total := 0.0
+	for i := range inc.sets {
+		total += inc.sets[i].cost
+	}
+	return total
+}
+
+// Converged reports whether the instance's budget (if any) still has
+// room; a false return means the last repair was cut short.
+func (inc *Incremental) Converged() bool { return inc.inst.Budget.Converged() }
+
+// Converged is the solver-result reading of the flag: true when the
+// solve ran to natural completion (no limit tripped), false when the
+// returned plan is a best-so-far cut short by the budget.
+func (b *Budget) Converged() bool { return !b.Exhausted() }
+
+// Steps returns the work units recorded so far.
+func (b *Budget) Steps() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.steps.Load()
+}

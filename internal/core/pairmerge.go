@@ -72,17 +72,6 @@ func (pm PairMerge) Solve(inst *Instance) Plan {
 	return e.plan()
 }
 
-// SolveCost returns inst.Cost(pm.Solve(inst)), to the bit, without
-// building the plan.
-func (pm PairMerge) SolveCost(inst *Instance) float64 {
-	if inst.N == 0 {
-		return 0
-	}
-	e := pm.run(inst, nil, inst.Model)
-	defer e.release()
-	return e.cost()
-}
-
 // GroupPlan solves the sub-instance of the given queries of inst under
 // model and returns its plan in inst's indices: what pm.Solve returns on
 // inst.Sub(members) with that model, each set mapped through members. It

@@ -106,21 +106,3 @@ func (e *partitionEnum) extend(q int, setCosts []float64, costSoFar float64) {
 	}
 	e.current = e.current[:len(e.current)-1]
 }
-
-// CountPartitions returns the Bell number B(n): the number of candidate
-// solutions the Partition algorithm enumerates for n queries (§6.1.1).
-// It overflows uint64 for n > 25; callers in that range are out of the
-// algorithm's feasible envelope anyway.
-func CountPartitions(n int) uint64 {
-	// Bell triangle.
-	row := []uint64{1}
-	for i := 0; i < n; i++ {
-		next := make([]uint64, len(row)+1)
-		next[0] = row[len(row)-1]
-		for j := 0; j < len(row); j++ {
-			next[j+1] = next[j] + row[j]
-		}
-		row = next
-	}
-	return row[0]
-}

@@ -291,3 +291,14 @@ func BenchmarkRankTableCrossover(b *testing.B) {
 		}
 	}
 }
+
+// SolveCost returns inst.Cost(pm.Solve(inst)), to the bit, without
+// building the plan.
+func (pm PairMerge) SolveCost(inst *Instance) float64 {
+	if inst.N == 0 {
+		return 0
+	}
+	e := pm.run(inst, nil, inst.Model)
+	defer e.release()
+	return e.cost()
+}

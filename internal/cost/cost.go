@@ -10,8 +10,6 @@
 // eligibility bound (§6.3).
 package cost
 
-import "math"
-
 // Model holds the proportionality constants of the cost model. KM absorbs
 // per-query server setup, logical channel maintenance and client filtering
 // (k1 + k6·numClients + k4 in §4); KT absorbs per-byte processing and
@@ -147,23 +145,4 @@ func PairDelta(m Model, p int, ra float64, r int, rb float64, rm float64) float6
 // (purely size-based) §6.3 condition.
 func MergeEligible(m Model, s1, s2, m12, overlap float64) bool {
 	return m.KM-m.KU*(2*m12-s1-s2)+m.KT*overlap > 0
-}
-
-// Equation1Bounds returns the (corrected) Equation 1 region for the Fig 6
-// three-query example: the per-cell answer sizes S for which merging all
-// three queries is beneficial while merging any pair is not. The region
-// is (Lo, Hi); it is empty when Lo ≥ Hi. See the cost package tests for
-// the derivation and the note on the paper's typo (the second bound's
-// denominator is 5·K_U + K_T, not 5·K_U − K_T).
-func Equation1Bounds(m Model) (lo, hi float64) {
-	lo = m.KM / (4 * m.KU)
-	if alt := m.KM / (5*m.KU + m.KT); alt > lo {
-		lo = alt
-	}
-	denom := 7*m.KU - m.KT
-	if denom <= 0 {
-		// Merging all three is beneficial for every S: no upper bound.
-		return lo, math.Inf(1)
-	}
-	return lo, 2 * m.KM / denom
 }

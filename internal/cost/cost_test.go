@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -442,4 +443,52 @@ func TestEquation1Bounds(t *testing.T) {
 	if !math.IsInf(hi2, 1) {
 		t.Fatalf("hi = %g, want +Inf when K_T dominates", hi2)
 	}
+}
+
+// Equation1Bounds returns the (corrected) Equation 1 region for the Fig 6
+// three-query example: the per-cell answer sizes S for which merging all
+// three queries is beneficial while merging any pair is not. The region
+// is (Lo, Hi); it is empty when Lo ≥ Hi. See the cost package tests for
+// the derivation and the note on the paper's typo (the second bound's
+// denominator is 5·K_U + K_T, not 5·K_U − K_T).
+func Equation1Bounds(m Model) (lo, hi float64) {
+	lo = m.KM / (4 * m.KU)
+	if alt := m.KM / (5*m.KU + m.KT); alt > lo {
+		lo = alt
+	}
+	denom := 7*m.KU - m.KT
+	if denom <= 0 {
+		// Merging all three is beneficial for every S: no upper bound.
+		return lo, math.Inf(1)
+	}
+	return lo, 2 * m.KM / denom
+}
+
+// Clone returns an independent copy of the set.
+func (s QSet) Clone() QSet {
+	out := make(QSet, len(s))
+	copy(out, s)
+	return out
+}
+
+// Count returns the number of members.
+func (s QSet) Count() int {
+	total := 0
+	for _, w := range s {
+		total += bits.OnesCount64(w)
+	}
+	return total
+}
+
+// Equal reports whether s and t contain the same members.
+func (s QSet) Equal(t QSet) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for w := range s {
+		if s[w] != t[w] {
+			return false
+		}
+	}
+	return true
 }

@@ -65,13 +65,6 @@ func (s QSet) Or(t QSet) {
 	}
 }
 
-// Clone returns an independent copy of the set.
-func (s QSet) Clone() QSet {
-	out := make(QSet, len(s))
-	copy(out, s)
-	return out
-}
-
 // Reset empties the set in place.
 func (s QSet) Reset() {
 	for w := range s {
@@ -79,32 +72,10 @@ func (s QSet) Reset() {
 	}
 }
 
-// Count returns the number of members.
-func (s QSet) Count() int {
-	total := 0
-	for _, w := range s {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 // Empty reports whether the set has no members.
 func (s QSet) Empty() bool {
 	for _, w := range s {
 		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and t contain the same members.
-func (s QSet) Equal(t QSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for w := range s {
-		if s[w] != t[w] {
 			return false
 		}
 	}

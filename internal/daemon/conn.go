@@ -70,9 +70,6 @@ func (s *stampReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ClientID returns the id this connection introduced itself with.
-func (c *Conn) ClientID() int { return c.clientID }
-
 // Subscribe registers a query with the daemon.
 func (c *Conn) Subscribe(q query.Query) error {
 	payload, err := wire.MarshalSubscribe(wire.Subscribe{Query: q})

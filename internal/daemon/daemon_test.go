@@ -113,7 +113,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !assigned {
 		t.Fatal("client never received a channel assignment")
 	}
-	want := q.Answer(d.Server().Relation())
+	want := d.Server().Relation().Search(q.Region)
 	got := c.Answer(1)
 	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("client extracted %d tuples, want %d (nonzero)", len(got), len(want))
@@ -162,7 +162,7 @@ func TestDaemonMultipleClientsAcrossChannels(t *testing.T) {
 		})
 	}
 	for i, c := range clients {
-		want := qs[i].Answer(d.Server().Relation())
+		want := d.Server().Relation().Search(qs[i].Region)
 		got := c.Answer(qs[i].ID)
 		if len(got) != len(want) {
 			t.Fatalf("client %d extracted %d tuples, want %d", i, len(got), len(want))
@@ -342,7 +342,7 @@ func TestDaemonRefreshBetweenDeltasShipsRemovals(t *testing.T) {
 	if _, err := d.RunCycle(true); err != nil {
 		t.Fatal(err)
 	}
-	doomed := q.Answer(rel)[0].ID
+	doomed := rel.Search(q.Region)[0].ID
 	rel.Delete(doomed)
 	rel.Insert(geom.Pt(500, 500), []byte("new"))
 	if err := conn.Refresh(); err != nil {
@@ -362,7 +362,7 @@ func TestDaemonRefreshBetweenDeltasShipsRemovals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(q.Answer(rel)); rep.Tuples != want {
+	if want := len(rel.Search(q.Region)); rep.Tuples != want {
 		t.Fatalf("refresh cycle shipped %d tuples, want the full answer of %d", rep.Tuples, want)
 	}
 	if _, err := d.RunCycle(true); err != nil {
@@ -378,7 +378,7 @@ func TestDaemonRefreshBetweenDeltasShipsRemovals(t *testing.T) {
 		}
 		return answers == 3
 	})
-	got, want := c.Answer(1), q.Answer(rel)
+	got, want := c.Answer(1), rel.Search(q.Region)
 	if len(got) != len(want) {
 		t.Fatalf("client view has %d tuples, database has %d", len(got), len(want))
 	}

@@ -442,3 +442,18 @@ func TestUnionAreaMonteCarlo(t *testing.T) {
 		}
 	}
 }
+
+// HullOfRects returns the convex hull of the corner points of the given
+// rectangles. This is the bounding polygon merge procedure of Fig 5(b):
+// the tightest convex region containing every input query rectangle.
+func HullOfRects(rects []Rect) Polygon {
+	pts := make([]Point, 0, 4*len(rects))
+	for _, r := range rects {
+		if r.Empty() {
+			continue
+		}
+		c := r.Corners()
+		pts = append(pts, c[0], c[1], c[2], c[3])
+	}
+	return ConvexHull(pts)
+}

@@ -57,21 +57,6 @@ func ConvexHull(points []Point) Polygon {
 	return Polygon(hull[:len(hull)-1])
 }
 
-// HullOfRects returns the convex hull of the corner points of the given
-// rectangles. This is the bounding polygon merge procedure of Fig 5(b):
-// the tightest convex region containing every input query rectangle.
-func HullOfRects(rects []Rect) Polygon {
-	pts := make([]Point, 0, 4*len(rects))
-	for _, r := range rects {
-		if r.Empty() {
-			continue
-		}
-		c := r.Corners()
-		pts = append(pts, c[0], c[1], c[2], c[3])
-	}
-	return ConvexHull(pts)
-}
-
 // cross returns the z-component of (b-a) × (c-a); positive when a→b→c
 // turns counter-clockwise.
 func cross(a, b, c Point) float64 {

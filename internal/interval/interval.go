@@ -21,8 +21,6 @@ import (
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
-	"qsub/internal/geom"
-	"qsub/internal/query"
 )
 
 // Interval is a closed 1-D range [Lo, Hi].
@@ -57,13 +55,6 @@ func (iv Interval) Union(o Interval) Interval {
 
 // String renders the interval as "[lo, hi]".
 func (iv Interval) String() string { return fmt.Sprintf("[%g, %g]", iv.Lo, iv.Hi) }
-
-// ToQuery lifts a 1-D range subscription into the 2-D system as a unit-
-// height strip, so interval subscriptions flow through the same server,
-// extractors and multicast machinery as geographic queries.
-func (iv Interval) ToQuery(id query.ID) query.Query {
-	return query.Range(id, geom.R(iv.Lo, 0, iv.Hi, 1))
-}
 
 // Instance builds a merging instance over the intervals with size =
 // length × density and bounding-interval merging. The indices of the
@@ -169,25 +160,6 @@ func MergeContiguous(model cost.Model, ivs []Interval, density float64) Plan {
 		plan = append(plan, run)
 	}
 	return Plan{Plan: plan.Normalize(), Cost: best[n]}
-}
-
-// Proper reports whether no interval in the set strictly contains
-// another. For proper families the contiguous DP empirically matches the
-// unrestricted optimum (see the tests); nesting is what breaks
-// contiguity.
-func Proper(ivs []Interval) bool {
-	for i := range ivs {
-		for j := range ivs {
-			if i == j {
-				continue
-			}
-			a, b := ivs[i], ivs[j]
-			if a.Lo <= b.Lo && b.Hi <= a.Hi && (a.Lo < b.Lo || b.Hi < a.Hi) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Algorithm adapts the contiguous DP to the core.Algorithm interface so

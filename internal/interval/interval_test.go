@@ -7,6 +7,8 @@ import (
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
+	"qsub/internal/geom"
+	"qsub/internal/query"
 )
 
 var testModel = cost.Model{KM: 10, KT: 1, KU: 1}
@@ -212,4 +214,30 @@ func BenchmarkMergeContiguous(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MergeContiguous(testModel, ivs, 1)
 	}
+}
+
+// ToQuery lifts a 1-D range subscription into the 2-D system as a unit-
+// height strip, so interval subscriptions flow through the same server,
+// extractors and multicast machinery as geographic queries.
+func (iv Interval) ToQuery(id query.ID) query.Query {
+	return query.Range(id, geom.R(iv.Lo, 0, iv.Hi, 1))
+}
+
+// Proper reports whether no interval in the set strictly contains
+// another. For proper families the contiguous DP empirically matches the
+// unrestricted optimum (see the tests); nesting is what breaks
+// contiguity.
+func Proper(ivs []Interval) bool {
+	for i := range ivs {
+		for j := range ivs {
+			if i == j {
+				continue
+			}
+			a, b := ivs[i], ivs[j]
+			if a.Lo <= b.Lo && b.Hi <= a.Hi && (a.Lo < b.Lo || b.Hi < a.Hi) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -575,12 +575,6 @@ func (s *Subscription) NextBatch() (batch []Message, ok bool) { return s.q.Next(
 // concurrently with Publish from any goroutine.
 func (s *Subscription) Cancel() { s.q.Close() }
 
-// Evicted reports whether the subscription was closed by the Evict
-// slow-consumer policy (as opposed to an explicit Cancel or network
-// Close). Consumers see the eviction as NextBatch reporting the end;
-// Evicted tells them why.
-func (s *Subscription) Evicted() bool { return s.q.Evicted() }
-
 // add and remove install a fresh listener-list snapshot for the channel
 // (see the subs field). Callers hold n.mu.
 func (n *Network) add(ch int, q *Queue) {

@@ -115,3 +115,9 @@ func TestParsePolicy(t *testing.T) {
 		t.Fatal("ParsePolicy should reject unknown names")
 	}
 }
+
+// Evicted reports whether the subscription was closed by the Evict
+// slow-consumer policy (as opposed to an explicit Cancel or network
+// Close). Consumers see the eviction as NextBatch reporting the end;
+// Evicted tells them why.
+func (s *Subscription) Evicted() bool { return s.q.Evicted() }

@@ -1,16 +1,15 @@
 // Package query defines the query model of the subscription system:
-// geographic selection queries over the spatial relation (§3.2), the
-// extractors clients apply to merged answers (§3.1) — including optional
-// attribute filters and payload projections — and the merge procedures:
-// the three of Fig 5 (bounding rectangle, convex bounding polygon, exact
-// disjoint decomposition) plus the rectilinear banded hull.
+// geographic selection queries over the spatial relation (§3.2), each
+// the extractor its client applies to merged answers (§3.1), and the
+// merge procedures: the three of Fig 5 (bounding rectangle, convex
+// bounding polygon, exact disjoint decomposition) plus the rectilinear
+// banded hull.
 package query
 
 import (
 	"fmt"
 
 	"qsub/internal/geom"
-	"qsub/internal/relation"
 )
 
 // ID identifies a query within the subscription service. Clients use query
@@ -19,58 +18,22 @@ import (
 type ID uint64
 
 // Query is a selection query over the spatial relation. Every query has a
-// geometric footprint; its answer is exactly the tuples whose position lies
-// inside that footprint and (when a Filter is set) whose payload matches
-// the attribute predicate. Because the paper's queries are pure
-// selections, the extractor for a query is the query itself (§3.1: "In
-// some cases, the extractor for a query is the query itself. In
-// particular, this happens when queries only have selections and
-// projections.").
-//
-// Filters realize the paper's "our system can handle more complicated
-// queries" remark (§2) without touching the merging machinery: merging
-// and dissemination operate on the geometric footprint only (the merged
-// answer is a superset either way), and the attribute predicate is
-// applied purely client-side as part of the extractor. Filters therefore
-// never cross the wire.
+// geometric footprint, and its answer is exactly the tuples whose position
+// lies inside that footprint: rel.Search(q.Region). Because the paper's
+// queries are pure selections, the extractor for a query is the query
+// itself (§3.1: "In some cases, the extractor for a query is the query
+// itself. In particular, this happens when queries only have selections
+// and projections."): a client keeps the tuples of a merged answer that
+// its Region contains.
 type Query struct {
 	ID     ID
 	Region geom.Region
-	// Filter optionally restricts the answer to tuples whose payload
-	// matches; nil accepts every tuple in the region.
-	Filter Predicate
-	// Project optionally transforms accepted tuples' payloads during
-	// extraction — the "projections" half of §3.1's "queries only have
-	// selections and projections". Like Filter it is applied purely
-	// client-side and never crosses the wire.
-	Project Projection
 }
-
-// Projection maps a tuple's payload to the projected payload.
-type Projection func(payload []byte) []byte
-
-// Predicate is an attribute selection over a tuple's non-spatial
-// attributes.
-type Predicate func(t relation.Tuple) bool
 
 // Range constructs a geographic range query σ(c1≤x≤c3 ∧ c2≤y≤c4)R, the
 // query form of the BADD scenario (§2).
 func Range(id ID, r geom.Rect) Query {
 	return Query{ID: id, Region: r}
-}
-
-// Filtered constructs a geographic range query with an additional
-// attribute predicate, e.g. σ(region ∧ type='tank')R.
-func Filtered(id ID, r geom.Rect, filter Predicate) Query {
-	return Query{ID: id, Region: r, Filter: filter}
-}
-
-// Matches reports whether the tuple belongs to the query's answer.
-func (q Query) Matches(t relation.Tuple) bool {
-	if !q.Region.Contains(t.Pos) {
-		return false
-	}
-	return q.Filter == nil || q.Filter(t)
 }
 
 // String returns a short description of the query.
@@ -89,44 +52,6 @@ func regionString(r geom.Region) string {
 	default:
 		return fmt.Sprintf("%v", r)
 	}
-}
-
-// Answer runs the query directly against the relation, bypassing merging.
-// This is the reference the extractor correctness properties compare
-// against.
-func (q Query) Answer(rel *relation.Relation) []relation.Tuple {
-	tuples := rel.Search(q.Region)
-	if q.Filter == nil && q.Project == nil {
-		return tuples
-	}
-	out := tuples[:0]
-	for _, t := range tuples {
-		if q.Filter != nil && !q.Filter(t) {
-			continue
-		}
-		if q.Project != nil {
-			t.Payload = q.Project(t.Payload)
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// Extract applies the query as an extractor over a merged answer: it
-// keeps exactly the tuples inside the query's own region that match its
-// filter, applying the projection when one is set. The input slice is
-// not modified.
-func (q Query) Extract(merged []relation.Tuple) []relation.Tuple {
-	var out []relation.Tuple
-	for _, t := range merged {
-		if q.Matches(t) {
-			if q.Project != nil {
-				t.Payload = q.Project(t.Payload)
-			}
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Covers reports whether every point of q's footprint that the relation

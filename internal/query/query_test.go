@@ -25,10 +25,23 @@ func TestRangeAnswer(t *testing.T) {
 	rel.Insert(geom.Pt(10, 10), nil)
 	rel.Insert(geom.Pt(60, 60), nil)
 	q := Range(1, geom.R(0, 0, 50, 50))
-	ans := q.Answer(rel)
+	ans := rel.Search(q.Region)
 	if len(ans) != 1 {
-		t.Fatalf("Answer returned %d tuples, want 1", len(ans))
+		t.Fatalf("range query selected %d tuples, want 1", len(ans))
 	}
+}
+
+// extract applies the query as its own extractor (§3.1) to a merged
+// answer: it keeps the tuples inside the query's region, as the client's
+// extraction pass does, and leaves the input slice as it was.
+func extract(q Query, merged []relation.Tuple) []relation.Tuple {
+	var out []relation.Tuple
+	for _, t := range merged {
+		if q.Region.Contains(t.Pos) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 func TestExtractIsSelfExtractor(t *testing.T) {
@@ -36,10 +49,10 @@ func TestExtractIsSelfExtractor(t *testing.T) {
 	q1 := Range(1, geom.R(10, 10, 40, 40))
 	q2 := Range(2, geom.R(30, 30, 60, 60))
 	merged := Range(99, geom.R(10, 10, 60, 60)) // bounding rect of q1, q2
-	mergedAns := merged.Answer(rel)
+	mergedAns := rel.Search(merged.Region)
 	for _, q := range []Query{q1, q2} {
-		got := q.Extract(mergedAns)
-		want := q.Answer(rel)
+		got := extract(q, mergedAns)
+		want := rel.Search(q.Region)
 		if len(got) != len(want) {
 			t.Fatalf("extract(%v) returned %d tuples, direct answer has %d", q, len(got), len(want))
 		}
@@ -53,11 +66,11 @@ func TestExtractIsSelfExtractor(t *testing.T) {
 
 func TestExtractDoesNotModifyInput(t *testing.T) {
 	rel := buildRelation(t, 100, 2)
-	merged := Range(1, testBounds).Answer(rel)
+	merged := rel.Search(testBounds)
 	n := len(merged)
-	Range(2, geom.R(0, 0, 10, 10)).Extract(merged)
+	extract(Range(2, geom.R(0, 0, 10, 10)), merged)
 	if len(merged) != n {
-		t.Fatal("Extract must not modify its input")
+		t.Fatal("extract must not modify its input")
 	}
 }
 
@@ -119,7 +132,7 @@ func TestMergedAnswersContainOriginalAnswers(t *testing.T) {
 				mergedIDs[tu.ID] = true
 			}
 			for _, q := range qs {
-				for _, tu := range q.Answer(rel) {
+				for _, tu := range rel.Search(q.Region) {
 					if !mergedIDs[tu.ID] {
 						t.Fatalf("%s: tuple %d in ans(%v) missing from merged answer",
 							proc.Name(), tu.ID, q)
@@ -145,8 +158,8 @@ func TestExtractorRecoversOriginalAnswer(t *testing.T) {
 		for _, proc := range Procedures() {
 			mergedAns := rel.Search(proc.Merge(qs))
 			for _, q := range qs {
-				got := q.Extract(mergedAns)
-				want := q.Answer(rel)
+				got := extract(q, mergedAns)
+				want := rel.Search(q.Region)
 				if len(got) != len(want) {
 					t.Fatalf("%s: extract(%v) has %d tuples, want %d",
 						proc.Name(), q, len(got), len(want))
@@ -228,45 +241,6 @@ func TestQueryString(t *testing.T) {
 	q := Range(7, geom.R(0, 0, 1, 1))
 	if got := q.String(); got == "" {
 		t.Fatal("String should not be empty")
-	}
-}
-
-func TestFilteredQueries(t *testing.T) {
-	rel := relation.MustNew(testBounds, 4, 4)
-	rel.Insert(geom.Pt(10, 10), []byte("tank"))
-	rel.Insert(geom.Pt(12, 12), []byte("truck"))
-	rel.Insert(geom.Pt(80, 80), []byte("tank"))
-
-	tanksOnly := func(tu relation.Tuple) bool { return string(tu.Payload) == "tank" }
-	q := Filtered(1, geom.R(0, 0, 50, 50), tanksOnly)
-
-	ans := q.Answer(rel)
-	if len(ans) != 1 || string(ans[0].Payload) != "tank" {
-		t.Fatalf("filtered answer = %v", ans)
-	}
-	// The filter is part of the extractor: extracting from a merged
-	// superset yields the same answer.
-	merged := rel.Search(testBounds)
-	got := q.Extract(merged)
-	if len(got) != 1 || got[0].ID != ans[0].ID {
-		t.Fatalf("filtered extract = %v, want %v", got, ans)
-	}
-	// Matches combines region and filter.
-	if q.Matches(relation.Tuple{Pos: geom.Pt(10, 10), Payload: []byte("truck")}) {
-		t.Fatal("filter should reject non-matching payload")
-	}
-	if q.Matches(relation.Tuple{Pos: geom.Pt(80, 80), Payload: []byte("tank")}) {
-		t.Fatal("region should reject outside position")
-	}
-	if !q.Matches(relation.Tuple{Pos: geom.Pt(10, 10), Payload: []byte("tank")}) {
-		t.Fatal("matching tuple rejected")
-	}
-}
-
-func TestNilFilterAcceptsRegion(t *testing.T) {
-	q := Range(1, geom.R(0, 0, 10, 10))
-	if !q.Matches(relation.Tuple{Pos: geom.Pt(5, 5)}) {
-		t.Fatal("nil filter should accept any in-region tuple")
 	}
 }
 
@@ -398,40 +372,11 @@ func TestBandedHullEndToEndExtraction(t *testing.T) {
 		}
 		merged := rel.Search(BandedHull{}.Merge(qs))
 		for _, q := range qs {
-			got := q.Extract(merged)
-			want := q.Answer(rel)
+			got := extract(q, merged)
+			want := rel.Search(q.Region)
 			if len(got) != len(want) {
 				t.Fatalf("banded hull extract has %d tuples, want %d", len(got), len(want))
 			}
 		}
-	}
-}
-
-func TestProjection(t *testing.T) {
-	rel := relation.MustNew(testBounds, 4, 4)
-	rel.Insert(geom.Pt(10, 10), []byte("type=tank;grid=AB12;notes=longfield"))
-	first := func(payload []byte) []byte {
-		for i, b := range payload {
-			if b == ';' {
-				return payload[:i]
-			}
-		}
-		return payload
-	}
-	q := Query{ID: 1, Region: geom.R(0, 0, 50, 50), Project: first}
-	ans := q.Answer(rel)
-	if len(ans) != 1 || string(ans[0].Payload) != "type=tank" {
-		t.Fatalf("projected answer = %q", ans)
-	}
-	// Extraction applies the same projection.
-	merged := rel.Search(testBounds)
-	got := q.Extract(merged)
-	if len(got) != 1 || string(got[0].Payload) != "type=tank" {
-		t.Fatalf("projected extract = %q", got)
-	}
-	// The stored tuple is untouched (projection copies semantics are
-	// the caller's: here the relation's own payload must survive).
-	if string(rel.Search(testBounds)[0].Payload) != "type=tank;grid=AB12;notes=longfield" {
-		t.Fatal("projection must not mutate stored tuples")
 	}
 }

@@ -121,7 +121,7 @@ func (p *peer) awaitError() string {
 // tuple the relation holds for it.
 func (p *peer) extract(q query.Query, d *daemon.Daemon) {
 	p.t.Helper()
-	want := len(q.Answer(d.Server().Relation()))
+	want := len(d.Server().Relation().Search(q.Region))
 	if want == 0 {
 		p.t.Fatalf("query %d selects no tuple", q.ID)
 	}

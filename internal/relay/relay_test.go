@@ -361,7 +361,7 @@ func TestRelayedAnswerSurvivesLaterFrames(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rel.Insert(geom.Pt(10+float64(i), 20), []byte(fmt.Sprintf("kept tuple %d", i)))
 	}
-	want := mine.Answer(rel)
+	want := rel.Search(mine.Region)
 
 	nc, err := netclient.New(netclient.Config{Addr: relayAddr, ClientID: 300, Queries: []query.Query{mine}})
 	if err != nil {

@@ -219,7 +219,7 @@ func TestRelayMoveUnderBacklog(t *testing.T) {
 			complete := func() bool {
 				for _, nc := range clients {
 					for _, q := range nc.Extractor().Queries() {
-						want := q.Answer(rel)
+						want := rel.Search(q.Region)
 						sort.Slice(want, func(a, b int) bool { return want[a].ID < want[b].ID })
 						if got := nc.Extractor().Answer(q.ID); !reflect.DeepEqual(got, want) {
 							return false

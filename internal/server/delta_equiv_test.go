@@ -280,7 +280,7 @@ func TestDeltaPublishMatchesDatabase(t *testing.T) {
 	for owner, c := range clients {
 		for _, q := range c.Queries() {
 			got := c.Answer(q.ID)
-			want := q.Answer(rel)
+			want := rel.Search(q.Region)
 			if len(got) != len(want) {
 				t.Fatalf("client %d query %d: view %d tuples, database %d", owner, q.ID, len(got), len(want))
 			}

@@ -67,13 +67,6 @@ func (m *DriftMonitor) Reset() {
 	m.samples = 0
 }
 
-// Drift returns the current smoothed drift.
-func (m *DriftMonitor) Drift() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ema
-}
-
 // EstimatedTransmitBytes returns the plan's predicted payload volume per
 // full publish: the sum of the estimated sizes of every merged region in
 // the cycle. Use it as the estimate input to a DriftMonitor. The sharded

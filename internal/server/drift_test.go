@@ -121,3 +121,10 @@ func TestDriftDetectsDatabaseChurn(t *testing.T) {
 	}
 	sub.Cancel()
 }
+
+// Drift returns the current smoothed drift.
+func (m *DriftMonitor) Drift() float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ema
+}

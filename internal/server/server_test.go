@@ -161,7 +161,7 @@ func TestEndToEndAnswerEquality(t *testing.T) {
 			for id, c := range clients {
 				for _, q := range c.Queries() {
 					got := c.Answer(q.ID)
-					want := q.Answer(rel)
+					want := rel.Search(q.Region)
 					if len(got) != len(want) {
 						t.Fatalf("client %d query %d: got %d tuples, want %d",
 							id, q.ID, len(got), len(want))
@@ -208,7 +208,7 @@ func TestMultiChannelAllocationAndDelivery(t *testing.T) {
 	// Answers are complete and exact despite the split across channels.
 	for id, c := range clients {
 		for _, q := range c.Queries() {
-			got, want := c.Answer(q.ID), q.Answer(rel)
+			got, want := c.Answer(q.ID), rel.Search(q.Region)
 			if len(got) != len(want) {
 				t.Fatalf("client %d query %d: got %d tuples, want %d", id, q.ID, len(got), len(want))
 			}
@@ -381,57 +381,6 @@ type noMerge struct{}
 func (noMerge) Name() string                        { return "no-merge" }
 func (noMerge) Solve(inst *core.Instance) core.Plan { return core.Singletons(inst.N) }
 
-// TestFilteredSubscriptionEndToEnd verifies that attribute predicates
-// (§2's "more complicated queries") work through the full pipeline:
-// merging and dissemination operate on regions, the filter is applied
-// client-side in the extractor.
-func TestFilteredSubscriptionEndToEnd(t *testing.T) {
-	rel := relation.MustNew(geom.R(0, 0, 100, 100), 4, 4)
-	rng := rand.New(rand.NewSource(77))
-	kinds := []string{"tank", "truck", "infantry"}
-	for i := 0; i < 500; i++ {
-		rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100),
-			[]byte(kinds[rng.Intn(len(kinds))]))
-	}
-	net, err := multicast.NewNetwork(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	s, _ := New(rel, net, Config{Model: testModel})
-
-	tanksOnly := func(tu relation.Tuple) bool { return string(tu.Payload) == "tank" }
-	q1 := query.Filtered(1, geom.R(0, 0, 60, 60), tanksOnly)
-	q2 := query.Range(2, geom.R(30, 30, 90, 90)) // unfiltered, overlapping
-	clients := map[int]*client.Client{
-		0: client.New(0, q1),
-		1: client.New(1, q2),
-	}
-	s.Subscribe(0, q1)
-	s.Subscribe(1, q2)
-	runCycle(t, s, clients)
-
-	for id, c := range clients {
-		for _, q := range c.Queries() {
-			got, want := c.Answer(q.ID), q.Answer(rel)
-			if len(got) != len(want) {
-				t.Fatalf("client %d query %d: %d tuples, want %d", id, q.ID, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("client %d query %d: tuple mismatch", id, q.ID)
-				}
-			}
-		}
-	}
-	// The filtered client must have seen only tanks.
-	for _, tu := range clients[0].Answer(1) {
-		if string(tu.Payload) != "tank" {
-			t.Fatalf("filter leaked a %q tuple", tu.Payload)
-		}
-	}
-}
-
 // TestDeltaShipsRemovals: the §11 dynamic scenario with deletions —
 // clients learn about removed objects via removal notices scoped to
 // their merged regions, and their accumulated views track the database.
@@ -472,7 +421,7 @@ func TestDeltaShipsRemovals(t *testing.T) {
 	<-done
 
 	got := c.Answer(1)
-	want := q.Answer(rel)
+	want := rel.Search(q.Region)
 	if len(got) != len(want) || len(got) != 1 {
 		t.Fatalf("client view has %d tuples, database has %d (want 1)", len(got), len(want))
 	}
@@ -519,7 +468,7 @@ func TestFullPublishAdvancesDeltaWatermark(t *testing.T) {
 	}
 	sub.Cancel()
 	<-done
-	got, want := c.Answer(1), q.Answer(rel)
+	got, want := c.Answer(1), rel.Search(q.Region)
 	if len(got) != 2 || len(want) != 2 {
 		t.Fatalf("client view has %d tuples, database has %d (want 2)", len(got), len(want))
 	}
@@ -581,7 +530,7 @@ func TestFullPublishBetweenDeltasShipsRemovals(t *testing.T) {
 	}
 	sub.Cancel()
 	<-done
-	got, want := c.Answer(1), q.Answer(rel)
+	got, want := c.Answer(1), rel.Search(q.Region)
 	if len(got) != len(want) || len(got) != 2 {
 		t.Fatalf("client view has %d tuples, database has %d (want 2)", len(got), len(want))
 	}

@@ -116,7 +116,7 @@ func TestNaNRegionRefused(t *testing.T) {
 		runCycle(t, s, clients)
 		for id, c := range clients {
 			for _, q := range c.Queries() {
-				if got, want := len(c.Answer(q.ID)), len(q.Answer(rel)); got != want {
+				if got, want := len(c.Answer(q.ID)), len(rel.Search(q.Region)); got != want {
 					t.Fatalf("%s: client %d query %d extracted %d tuples, want %d", name, id, q.ID, got, want)
 				}
 			}
@@ -152,7 +152,7 @@ func TestShardedEndToEndExactness(t *testing.T) {
 		for id, c := range clients {
 			for _, q := range c.Queries() {
 				got := c.Answer(q.ID)
-				want := q.Answer(rel)
+				want := rel.Search(q.Region)
 				if len(got) != len(want) {
 					t.Fatalf("channels=%d client %d query %d: got %d tuples, want %d",
 						channels, id, q.ID, len(got), len(want))

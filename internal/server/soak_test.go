@@ -128,7 +128,7 @@ func TestSoakDynamicSystem(t *testing.T) {
 			for id, c := range clients {
 				for _, q := range c.Queries() {
 					got := c.Answer(q.ID)
-					want := q.Answer(rel)
+					want := rel.Search(q.Region)
 					// Full publishes bring the view up to date for
 					// current tuples; deleted tuples may linger in
 					// the view since full publishes carry no removal
@@ -204,7 +204,7 @@ func TestSoakDeltaWithRemovals(t *testing.T) {
 		q query.Query
 	}{{c1, q1}, {c2, q2}} {
 		got := tc.c.Answer(tc.q.ID)
-		want := tc.q.Answer(rel)
+		want := rel.Search(tc.q.Region)
 		if len(got) != len(want) {
 			t.Fatalf("client %d: view has %d tuples, database has %d",
 				tc.c.ID(), len(got), len(want))

@@ -111,8 +111,12 @@ func MustNewGenerator(cfg Config) *Generator {
 // are normal around their origin with standard deviation DF, clamped to
 // the database bounds. With DupF > 0 the trailing round(DupF·n) queries
 // are near-duplicates: copies of uniformly chosen earlier queries with
-// corner jitter of at most 1e-6 units.
+// corner jitter of at most 1e-6 units. n ≤ 0 yields no queries and
+// leaves the generator's random stream where it was.
 func (g *Generator) Queries(n int) []query.Query {
+	if n <= 0 {
+		return nil
+	}
 	nDup := int(g.cfg.DupF*float64(n) + 0.5)
 	if nDup >= n {
 		nDup = n - 1
@@ -227,8 +231,11 @@ func (g *Generator) Drift(dx, dy float64) {
 
 // Points generates n tuple positions with the same clustered/uniform mix
 // as Queries; the BADD motivation (§9.1) wants data density to follow the
-// same hotspots the queries do.
+// same hotspots the queries do. n ≤ 0 yields no points.
 func (g *Generator) Points(n int) []geom.Point {
+	if n <= 0 {
+		return nil
+	}
 	nClustered := int(g.cfg.CF*float64(n) + 0.5)
 	out := make([]geom.Point, 0, n)
 	if nClustered > 0 {

@@ -55,6 +55,44 @@ func TestQueriesCountAndBounds(t *testing.T) {
 	}
 }
 
+// TestQueriesExactCount pins that Queries(n) returns exactly n queries
+// for small n with and without near-duplicates, and that a negative
+// count yields no points instead of a panic.
+func TestQueriesExactCount(t *testing.T) {
+	for _, dupF := range []float64{0, 0.5} {
+		for _, n := range []int{0, 1, 2, 7} {
+			cfg := DefaultConfig()
+			cfg.DupF = dupF
+			g := MustNewGenerator(cfg)
+			if got := len(g.Queries(n)); got != n {
+				t.Errorf("DupF %g: Queries(%d) returned %d queries", dupF, n, got)
+			}
+		}
+	}
+	g := MustNewGenerator(DefaultConfig())
+	if got := len(g.Queries(-1)); got != 0 {
+		t.Errorf("Queries(-1) returned %d queries", got)
+	}
+	if got := len(g.Points(-1)); got != 0 {
+		t.Errorf("Points(-1) returned %d points", got)
+	}
+}
+
+// TestEmptyRequestsLeaveStreamUnchanged pins that asking for no queries
+// or points draws nothing from the generator's random stream.
+func TestEmptyRequestsLeaveStreamUnchanged(t *testing.T) {
+	a, b := MustNewGenerator(DefaultConfig()), MustNewGenerator(DefaultConfig())
+	a.Queries(0)
+	a.Points(0)
+	a.Points(-3)
+	qa, qb := a.Queries(5), b.Queries(5)
+	for i := range qa {
+		if qa[i].Region.BoundingRect() != qb[i].Region.BoundingRect() {
+			t.Fatalf("query %d differs after empty requests: %v vs %v", i, qa[i], qb[i])
+		}
+	}
+}
+
 func TestQueriesDeterministicPerSeed(t *testing.T) {
 	a := MustNewGenerator(DefaultConfig()).Queries(20)
 	b := MustNewGenerator(DefaultConfig()).Queries(20)

@@ -1,19 +1,106 @@
 package qsub
 
 import (
-	"bytes"
-	"strings"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
+
+	"qsub/internal/geom"
+	"qsub/internal/interval"
+	"qsub/internal/multicast"
 )
 
-// TestFacadeEndToEnd exercises the public API exactly the way the README
-// quick start does.
+// TestFacadeKeepOrGo is the keep-or-go rule (DESIGN.md §2) for the
+// facade: every exported name of qsub.go must be used by a checked
+// example (example_test.go), by a command under cmd/, or by the signature
+// of another exported facade function. A name nothing calls leaves the
+// facade.
+func TestFacadeKeepOrGo(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "qsub.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	used := map[string]bool{}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported[d.Name.Name] = true
+				// Names in the signature of another function count as
+				// used; a function does not keep itself.
+				ast.Inspect(d.Type, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && id.Name != d.Name.Name {
+						used[id.Name] = true
+					}
+					return true
+				})
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported[s.Name.Name] = true
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(exported) == 0 {
+		t.Fatal("found no exported names in qsub.go")
+	}
+
+	users, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users = append(users, "example_test.go")
+	for _, path := range users {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "qsub" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var unused []string
+	for name := range exported {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("qsub.%s is used by no example, command or facade signature: remove it", name)
+	}
+}
+
+// TestFacadeEndToEnd exercises the public API the way the package
+// documentation's quick start does.
 func TestFacadeEndToEnd(t *testing.T) {
 	rel := NewRelation(R(0, 0, 1000, 1000), 10, 10)
 	for x := 50.0; x < 1000; x += 100 {
 		for y := 50.0; y < 1000; y += 100 {
-			rel.Insert(Pt(x, y), []byte("o"))
+			rel.Insert(geom.Pt(x, y), []byte("o"))
 		}
 	}
 	net, err := NewNetwork(1)
@@ -53,7 +140,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(c *Client, sub *Subscription) {
+		go func(c *Client, sub *multicast.Subscription) {
 			defer wg.Done()
 			c.Consume(sub)
 		}(pair.c, sub)
@@ -64,10 +151,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	net.Close()
 	wg.Wait()
-	if got, want := len(c1.Answer(1)), len(q1.Answer(rel)); got != want {
+	if got, want := len(c1.Answer(1)), len(rel.Search(q1.Region)); got != want {
 		t.Fatalf("client 0 answer %d, want %d", got, want)
 	}
-	if got, want := len(c2.Answer(2)), len(q2.Answer(rel)); got != want {
+	if got, want := len(c2.Answer(2)), len(rel.Search(q2.Region)); got != want {
 		t.Fatalf("client 1 answer %d, want %d", got, want)
 	}
 }
@@ -83,7 +170,7 @@ func TestFacadeMergingAlgorithms(t *testing.T) {
 	inst := NewInstance(Model{KM: 100, KT: 1, KU: 1}, qs, BoundingRect{},
 		UniformEstimator{Density: 1, BytesPerTuple: 1})
 	opt := inst.Cost(Partition{}.Solve(inst))
-	for _, algo := range []Algorithm{PairMerge{}, DirectedSearch{T: 4, Seed: 1}, Clustering{}, NoMerge{}} {
+	for _, algo := range []Algorithm{PairMerge{}, NoMerge{}} {
 		plan := algo.Solve(inst)
 		if !plan.IsPartition(3) {
 			t.Fatalf("%s produced non-partition %v", algo.Name(), plan)
@@ -92,144 +179,21 @@ func TestFacadeMergingAlgorithms(t *testing.T) {
 			t.Fatalf("%s cost %g beats optimum %g", algo.Name(), c, opt)
 		}
 	}
-	if got := inst.Cost(Singletons(3)); got != inst.InitialCost() {
-		t.Fatalf("Singletons cost %g != InitialCost %g", got, inst.InitialCost())
-	}
-}
-
-// TestFacadeWorkloadAndExperiments smoke-tests the experiment entry
-// points through the facade.
-func TestFacadeWorkloadAndExperiments(t *testing.T) {
-	wl := DefaultWorkload()
-	gen, err := NewWorkload(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs := gen.Queries(5); len(qs) != 5 {
-		t.Fatalf("generated %d queries", len(qs))
-	}
-	mc := MergeExperiment{
-		Workload:   wl,
-		Model:      Model{KM: 64000, KT: 1, KU: 0.5},
-		MinQueries: 3, MaxQueries: 4, Trials: 3,
-	}
-	if _, err := RunMergeExperiment(mc); err != nil {
-		t.Fatal(err)
-	}
-	cc := ChannelExperiment{
-		Workload: wl,
-		Model:    Model{KM: 64000, KT: 1, KU: 0.5, K6: 24000},
-		Clients:  4, Channels: 2, QueriesPerClient: 1, Trials: 3,
-	}
-	if _, err := RunChannelExperiment(cc); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFacadeHistogram exercises the estimator exports.
-func TestFacadeHistogram(t *testing.T) {
-	rel := NewRelation(R(0, 0, 100, 100), 4, 4)
-	rel.Insert(Pt(10, 10), nil)
-	h, err := BuildHistogram(rel, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.SizeBytes(R(0, 0, 100, 100)) <= 0 {
-		t.Fatal("histogram should see the inserted tuple")
-	}
-	var _ Estimator = h
-	var _ Estimator = ExactEstimator{Rel: rel}
-	var _ Estimator = UniformEstimator{Density: 1, BytesPerTuple: 1}
-}
-
-// TestFacadeIncremental exercises incremental plan maintenance through
-// the facade.
-func TestFacadeIncremental(t *testing.T) {
-	qs := []Query{
-		RangeQuery(1, R(0, 0, 10, 10)),
-		RangeQuery(2, R(2, 2, 12, 12)),
-		RangeQuery(3, R(4, 4, 14, 14)),
-	}
-	inst := NewInstance(Model{KM: 100, KT: 1, KU: 1}, qs, BoundingRect{},
-		UniformEstimator{Density: 1, BytesPerTuple: 1})
-	inc := NewIncremental(inst, Singletons(2))
-	inc.Add(2)
-	if !inc.Plan().IsPartition(3) {
-		t.Fatalf("incremental plan %v invalid", inc.Plan())
-	}
-	if !inc.Remove(0) {
-		t.Fatal("Remove(0) should succeed")
-	}
-}
-
-// TestFacadeScheduler exercises the periodic scheduling exports.
-func TestFacadeScheduler(t *testing.T) {
-	rel := NewRelation(R(0, 0, 100, 100), 4, 4)
-	rel.Insert(Pt(10, 10), nil)
-	net, err := NewNetwork(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	s, err := NewScheduler(rel, net, ServerConfig{Model: Model{KM: 10, KT: 1, KU: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Subscribe(1, RangeQuery(1, R(0, 0, 50, 50)), 2); err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := net.Subscribe(0, 8)
-	rep, err := s.Tick(false) // tick 1: period-2 group does not fire
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Fired) != 0 {
-		t.Fatalf("tick 1 fired %v, want none", rep.Fired)
-	}
-	rep, err = s.Tick(false) // tick 2 fires
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Fired) != 1 || rep.Fired[0] != 2 {
-		t.Fatalf("tick 2 fired %v, want [2]", rep.Fired)
-	}
-	net.Close()
-	got := drain(sub)
-	if len(got) != 1 {
-		t.Fatalf("%d messages published, want 1", len(got))
-	}
-	if len(got[0].Tuples) != 1 {
-		t.Fatalf("message has %d tuples, want 1", len(got[0].Tuples))
+	if got := inst.Cost(NoMerge{}.Solve(inst)); got != inst.InitialCost() {
+		t.Fatalf("NoMerge cost %g != InitialCost %g", got, inst.InitialCost())
 	}
 }
 
 // drain returns every message the subscription delivers until it ends
 // (after Cancel or Close).
-func drain(sub *Subscription) []Message {
-	var out []Message
+func drain(sub *multicast.Subscription) []multicast.Message {
+	var out []multicast.Message
 	for {
 		batch, ok := sub.NextBatch()
 		out = append(out, batch...)
 		if !ok {
 			return out
 		}
-	}
-}
-
-// TestFacadePersistence exercises the snapshot exports.
-func TestFacadePersistence(t *testing.T) {
-	rel := NewRelation(R(0, 0, 100, 100), 4, 4)
-	rel.Insert(Pt(10, 10), []byte("a"))
-	var snap bytes.Buffer
-	if err := rel.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(&snap, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 1 {
-		t.Fatalf("restored %d tuples", restored.Len())
 	}
 }
 
@@ -240,29 +204,16 @@ func TestFacadeIntervals(t *testing.T) {
 	if len(p.Plan) != 1 {
 		t.Fatalf("intro intervals should merge, got %v", p.Plan)
 	}
-	inst := NewIntervalInstance(Model{KM: 100, KT: 1, KU: 1}, ivs, 1)
+	inst := interval.Instance(Model{KM: 100, KT: 1, KU: 1}, ivs, 1)
 	if got := inst.Cost(p.Plan); got != p.Cost {
 		t.Fatalf("facade instance cost %g != DP cost %g", got, p.Cost)
 	}
 }
 
-// TestFacadeFilteredQuery exercises attribute predicates via the facade.
-func TestFacadeFilteredQuery(t *testing.T) {
-	rel := NewRelation(R(0, 0, 100, 100), 4, 4)
-	rel.Insert(Pt(5, 5), []byte("keep"))
-	rel.Insert(Pt(6, 6), []byte("drop"))
-	q := FilteredQuery(1, R(0, 0, 10, 10), func(t Tuple) bool {
-		return string(t.Payload) == "keep"
-	})
-	if got := q.Answer(rel); len(got) != 1 || string(got[0].Payload) != "keep" {
-		t.Fatalf("filtered facade answer = %v", got)
-	}
-}
-
-// TestGrandTour exercises many features in one pipeline: filtered +
-// projected queries, delta cycles with deletions, the histogram
-// estimator, and client caching — everything a downstream adopter is
-// likely to combine.
+// TestGrandTour exercises the features a downstream adopter is likely
+// to combine in one pipeline: overlapping range queries merged on one
+// channel, a full cycle, then churn and delta cycles with deletions, every
+// client's view converging to its query run on the relation.
 func TestGrandTour(t *testing.T) {
 	rel := NewRelation(R(0, 0, 600, 600), 16, 16)
 	kinds := []string{"tank", "truck"}
@@ -270,11 +221,7 @@ func TestGrandTour(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		x := float64(i%60) * 10
 		y := float64((i/60)%50) * 12
-		ids = append(ids, rel.Insert(Pt(x, y), []byte(kinds[i%2])))
-	}
-	hist, err := BuildHistogram(rel, 12, 12)
-	if err != nil {
-		t.Fatal(err)
+		ids = append(ids, rel.Insert(geom.Pt(x, y), []byte(kinds[i%2])))
 	}
 
 	net, err := NewNetwork(1)
@@ -282,26 +229,20 @@ func TestGrandTour(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	srv, err := NewServer(rel, net, ServerConfig{
-		Model:     Model{KM: 100, KT: 1, KU: 0.3},
-		Estimator: hist,
-	})
+	srv, err := NewServer(rel, net, ServerConfig{Model: Model{KM: 100, KT: 1, KU: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tanksOnly := func(tu Tuple) bool { return string(tu.Payload) == "tank" }
-	upper := func(p []byte) []byte { return []byte(strings.ToUpper(string(p))) }
 	queries := []Query{
 		RangeQuery(1, R(0, 0, 300, 300)),
 		RangeQuery(2, R(300, 0, 600, 300)),
-		FilteredQuery(3, R(150, 50, 450, 250), tanksOnly), // overlaps 1 and 2
-		{ID: 4, Region: R(0, 300, 200, 500), Project: upper},
+		RangeQuery(3, R(150, 50, 450, 250)), // overlaps 1 and 2
+		RangeQuery(4, R(0, 300, 200, 500)),
 	}
 	clients := map[int]*Client{}
 	for i, q := range queries {
 		clients[i] = NewClient(i, q)
-		clients[i].EnableCache()
 		if err := srv.Subscribe(i, q); err != nil {
 			t.Fatal(err)
 		}
@@ -309,9 +250,6 @@ func TestGrandTour(t *testing.T) {
 
 	cy, err := srv.Plan()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateCycle(cy, 1); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := net.Subscribe(0, 8192)
@@ -324,7 +262,7 @@ func TestGrandTour(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		rel.Insert(Pt(float64(i%60)*10+1, float64(i%50)*12+1), []byte("tank"))
+		rel.Insert(geom.Pt(float64(i%60)*10+1, float64(i%50)*12+1), []byte("tank"))
 	}
 	for i := 0; i < 80; i++ {
 		rel.Delete(ids[i*3])
@@ -344,7 +282,7 @@ func TestGrandTour(t *testing.T) {
 	for i, c := range clients {
 		q := queries[i]
 		got := c.Answer(q.ID)
-		want := q.Answer(rel)
+		want := rel.Search(q.Region)
 		if len(got) != len(want) {
 			t.Fatalf("client %d: view %d tuples, database %d", i, len(got), len(want))
 		}
@@ -353,16 +291,6 @@ func TestGrandTour(t *testing.T) {
 				t.Fatalf("client %d: tuple %d mismatch (%q vs %q)",
 					i, j, got[j].Payload, want[j].Payload)
 			}
-		}
-	}
-	// The projected client actually received uppercase payloads.
-	if ans := clients[3].Answer(4); len(ans) > 0 && string(ans[0].Payload) != strings.ToUpper(string(ans[0].Payload)) {
-		t.Fatal("projection not applied")
-	}
-	// The filtered client saw only tanks.
-	for _, tu := range clients[2].Answer(3) {
-		if string(tu.Payload) != "tank" {
-			t.Fatalf("filter leaked %q", tu.Payload)
 		}
 	}
 }
