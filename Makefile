@@ -53,11 +53,14 @@ bench-pair:
 # solves read at once, the disjoint-pair bound's sets, and the NaN-region
 # refusal in front of all of them. The Parallel alternative adds the
 # determinism tests, which run the parallel solvers at GOMAXPROCS 1 to 8
-# and compare the plans.
+# and compare the plans. The publish round's matchers ride along: the
+# per-cycle region index built once under concurrent publishes, the
+# delta batch grid built lazily under concurrent probes, and the
+# equivalence and brute-force oracles of both insert paths.
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub|DisjointBound|NaNRegion|Parallel' \
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:

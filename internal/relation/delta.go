@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
@@ -21,28 +22,27 @@ func (r *Relation) SetDeltaMetrics(batch *metrics.Histogram, deleted *metrics.Co
 
 // DeltaIndex is a point-in-time snapshot of one dissemination period's
 // churn: the tuples inserted since a watermark and the deletions
-// journaled since it, with a small transient grid built over just the
-// inserted batch. The continuous-mode server builds one DeltaIndex per
-// cycle and lets every merged query probe the batch instead of
-// re-searching the whole relation, so per-cycle cost scales with the
-// update volume rather than the region size (§11 continuous scenario).
+// journaled since it. SearchAppend lets a region probe the inserted batch
+// instead of re-searching the whole relation, so per-cycle cost scales
+// with the update volume rather than the region size (§11 continuous
+// scenario); it files the batch under a small transient grid the first
+// time it is called. A server whose plan is already indexed
+// (RegionIndex) matches Inserted and Deleted against that instead, and
+// never builds the batch grid.
 //
 // A DeltaIndex owns copies of its tuples and is immutable after Delta
-// returns: it is safe for concurrent use by the publish worker pool and
-// stays valid across later relation mutations.
+// returns, save for the batch grid built once under a sync.Once: it is
+// safe for concurrent use by the publish worker pool and stays valid
+// across later relation mutations.
 type DeltaIndex struct {
+	bounds   geom.Rect
 	inserted []Tuple // live tuples past the watermark, ascending id
 	deleted  []Tuple // journaled deletions past the watermark, deletion order
 
-	// Transient uniform grid over inserted in counting-sort (CSR)
-	// layout — cell c's tuple indices are cellItems[cellStart[c]:
-	// cellStart[c+1]] — so building it costs two passes and three
-	// allocations regardless of cell count. cellStart is nil when the
-	// batch is small enough that an ordered linear scan wins.
-	bounds    geom.Rect
-	nx, ny    int
-	cellStart []int32
-	cellItems []int32
+	// The transient uniform grid over inserted, nil when the batch is
+	// small enough that an ordered linear scan wins.
+	batchOnce sync.Once
+	batch     *cellLists
 }
 
 // deltaGridMinBatch is the inserted-batch size below which probes scan
@@ -69,51 +69,32 @@ func (r *Relation) Delta(sinceID uint64) *DeltaIndex {
 		}
 	}
 	d.deleted = r.deletedSince(sinceID)
-	d.buildGrid()
 	r.deltaBatch.Observe(float64(len(d.inserted)))
 	r.deltaDeleted.Add(uint64(len(d.deleted)))
 	return d
 }
 
-// buildGrid lays the transient grid over the inserted batch, sized so
-// cells hold a handful of tuples each under uniform spread.
-func (d *DeltaIndex) buildGrid() {
-	if len(d.inserted) < deltaGridMinBatch {
-		return
-	}
-	side := int(math.Sqrt(float64(len(d.inserted)) / 4))
-	if side < 2 {
-		side = 2
-	}
-	if side > 256 {
-		side = 256
-	}
-	d.nx, d.ny = side, side
-	start := make([]int32, side*side+1)
-	for _, t := range d.inserted {
-		start[d.cellOf(t.Pos)+1]++
-	}
-	for c := 1; c < len(start); c++ {
-		start[c] += start[c-1]
-	}
-	items := make([]int32, len(d.inserted))
-	fill := make([]int32, side*side)
-	copy(fill, start[:side*side])
-	for i, t := range d.inserted {
-		c := d.cellOf(t.Pos)
-		items[fill[c]] = int32(i)
-		fill[c]++
-	}
-	d.cellStart, d.cellItems = start, items
+// batchGrid builds (once) and returns the transient grid over the
+// inserted batch, sized so cells hold a handful of tuples each under
+// uniform spread; nil below deltaGridMinBatch.
+func (d *DeltaIndex) batchGrid() *cellLists {
+	d.batchOnce.Do(func() {
+		if len(d.inserted) < deltaGridMinBatch {
+			return
+		}
+		side := min(max(int(math.Sqrt(float64(len(d.inserted))/4)), 2), 256)
+		g := grid{bounds: d.bounds, nx: side, ny: side}
+		d.batch = newCellLists(g, len(d.inserted), func(k int) (i0, i1, j0, j1 int, ok bool) {
+			i, j := g.cellXY(d.inserted[k].Pos)
+			return i, i, j, j, true
+		})
+	})
+	return d.batch
 }
 
-// cellOf mirrors gridIndex.cellXY: positions outside the nominal bounds
-// land in the nearest boundary cell (gridCoord).
-func (d *DeltaIndex) cellOf(p geom.Point) int {
-	cx := gridCoord(float64(d.nx)*(p.X-d.bounds.MinX)/d.bounds.Width(), d.nx)
-	cy := gridCoord(float64(d.ny)*(p.Y-d.bounds.MinY)/d.bounds.Height(), d.ny)
-	return cy*d.nx + cx
-}
+// Inserted returns the snapshot's inserted tuples in ascending id order.
+// The slice is owned by the index; callers must not modify it.
+func (d *DeltaIndex) Inserted() []Tuple { return d.inserted }
 
 // Deleted returns the snapshot's deleted tuples in deletion order. The
 // slice is owned by the index; callers must not modify it.
@@ -130,7 +111,8 @@ func (d *DeltaIndex) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 	if br.Empty() {
 		return buf
 	}
-	if d.cellStart == nil {
+	g := d.batchGrid()
+	if g == nil {
 		for _, t := range d.inserted {
 			if region.Contains(t.Pos) {
 				buf = append(buf, t)
@@ -138,16 +120,12 @@ func (d *DeltaIndex) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 		}
 		return buf
 	}
-	x0 := gridCoord(float64(d.nx)*(br.MinX-d.bounds.MinX)/d.bounds.Width(), d.nx)
-	x1 := gridCoord(float64(d.nx)*(br.MaxX-d.bounds.MinX)/d.bounds.Width(), d.nx)
-	y0 := gridCoord(float64(d.ny)*(br.MinY-d.bounds.MinY)/d.bounds.Height(), d.ny)
-	y1 := gridCoord(float64(d.ny)*(br.MaxY-d.bounds.MinY)/d.bounds.Height(), d.ny)
+	i0, i1, j0, j1 := g.cellRange(br)
 	start := len(buf)
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			c := cy*d.nx + cx
-			for _, i := range d.cellItems[d.cellStart[c]:d.cellStart[c+1]] {
-				if t := d.inserted[i]; region.Contains(t.Pos) {
+	for j := j0; j <= j1; j++ {
+		for i := i0; i <= i1; i++ {
+			for _, k := range g.cell(i, j) {
+				if t := d.inserted[k]; region.Contains(t.Pos) {
 					buf = append(buf, t)
 				}
 			}
@@ -155,33 +133,20 @@ func (d *DeltaIndex) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 	}
 	// Cells were visited in row order, not id order; restore id order on
 	// the appended tail only (entries already in buf are untouched).
-	tail := buf[start:]
-	slices.SortFunc(tail, func(a, b Tuple) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(buf[start:], byID)
 	return buf
 }
 
 // MatchDeletedAppend matches every deleted tuple in the snapshot against
-// all given regions in one pass, appending the ids of the deletions
-// falling inside regions[i] to out[i] (in deletion order, the order
-// DeletedSince reports). out must have len(regions) entries; it is
-// returned for convenience. This replaces per-merged-group rescans of the
-// deletion journal with one cycle-wide pass.
+// all given regions, appending the ids of the deletions falling inside
+// regions[i] to out[i] (in deletion order, the order DeletedSince
+// reports). out must have len(regions) entries; it is returned for
+// convenience. It indexes the regions (NewRegionIndex over the
+// relation's bounds) and matches each deletion against the index, the
+// path the server takes with its plan's index built once.
 func (d *DeltaIndex) MatchDeletedAppend(regions []geom.Region, out [][]uint64) [][]uint64 {
-	for _, dt := range d.deleted {
-		for i, region := range regions {
-			if region.Contains(dt.Pos) {
-				out[i] = append(out[i], dt.ID)
-			}
-		}
+	if len(d.deleted) > 0 {
+		NewRegionIndex(d.bounds, regions).MatchIDsAppend(d.deleted, out)
 	}
 	return out
 }

@@ -11,10 +11,9 @@ import "qsub/internal/geom"
 // ny) by insert and remove, so the bytes of any block of whole cells cost
 // four prefix sums instead of a tuple scan.
 type gridIndex struct {
-	bounds geom.Rect
-	nx, ny int
-	cells  [][]gridEntry
-	bytes  []int // Fenwick tree, row-major: node (x, y), 1-based, at (y-1)*nx + x-1
+	grid
+	cells [][]gridEntry
+	bytes []int // Fenwick tree, row-major: node (x, y), 1-based, at (y-1)*nx + x-1
 }
 
 // gridEntry is one tuple of a cell. It repeats the tuple's position and
@@ -26,27 +25,36 @@ type gridEntry struct {
 }
 
 func newGridIndex(bounds geom.Rect, nx, ny int) *gridIndex {
-	return &gridIndex{bounds: bounds, nx: nx, ny: ny, cells: make([][]gridEntry, nx*ny), bytes: make([]int, nx*ny)}
+	return &gridIndex{grid: grid{bounds: bounds, nx: nx, ny: ny}, cells: make([][]gridEntry, nx*ny), bytes: make([]int, nx*ny)}
+}
+
+// grid maps the plane onto a uniform nx × ny array of cells laid over
+// bounds, for every grid of the package that files items by cell (the
+// relation's index, the delta batch grid, the region index).
+type grid struct {
+	bounds geom.Rect
+	nx, ny int
 }
 
 // cellXY returns the cell column and row holding p. Positions outside the
 // bounds land in the nearest boundary cell. Each coordinate's mapping is
 // monotone non-decreasing, which is what makes blockBytes exact for the
-// interior of a rectangle (see Relation.SizeBytesRect).
-func (g *gridIndex) cellXY(p geom.Point) (i, j int) { return g.col(p.X), g.row(p.Y) }
+// interior of a rectangle (see Relation.SizeBytesRect), and what puts
+// every point of a rectangle in a cell of its cellRange.
+func (g *grid) cellXY(p geom.Point) (i, j int) { return g.col(p.X), g.row(p.Y) }
 
 // col returns the cell column of the coordinate x.
-func (g *gridIndex) col(x float64) int {
+func (g *grid) col(x float64) int {
 	return gridCoord((x-g.bounds.MinX)/g.bounds.Width()*float64(g.nx), g.nx)
 }
 
 // row returns the cell row of the coordinate y.
-func (g *gridIndex) row(y float64) int {
+func (g *grid) row(y float64) int {
 	return gridCoord((y-g.bounds.MinY)/g.bounds.Height()*float64(g.ny), g.ny)
 }
 
 // gridCoord truncates the scaled coordinate v to a cell index clamped to
-// [0, n), for every grid of the package (index, delta index, histogram).
+// [0, n), for every grid of the package (grid, histogram, rank table).
 // It clamps the float, not the converted int: ±Inf and values
 // beyond the int range convert to an unspecified int but still compare
 // correctly, so the mapping stays monotone over all of them. NaN lands in
@@ -63,7 +71,7 @@ func gridCoord(v float64, n int) int {
 
 // cellRange returns the inclusive cell columns [i0, i1] and rows [j0, j1]
 // the rectangle touches: the cells of its two corners.
-func (g *gridIndex) cellRange(br geom.Rect) (i0, i1, j0, j1 int) {
+func (g *grid) cellRange(br geom.Rect) (i0, i1, j0, j1 int) {
 	i0, j0 = g.cellXY(geom.Point{X: br.MinX, Y: br.MinY})
 	i1, j1 = g.cellXY(geom.Point{X: br.MaxX, Y: br.MaxY})
 	return i0, i1, j0, j1
@@ -123,4 +131,59 @@ func (g *gridIndex) candidates(br geom.Rect, fn func(idx int)) {
 			}
 		}
 	}
+}
+
+// cellLists is a grid in counting-sort (CSR) layout: cell c files the
+// item indices items[start[c]:start[c+1]], ascending. Building it costs
+// two passes over the items and three slices regardless of the cell
+// count, and it is immutable afterwards.
+type cellLists struct {
+	grid
+	start []int32
+	items []int32
+}
+
+// newCellLists files items 0..n-1 under every cell of the inclusive block
+// of columns [i0, i1] × rows [j0, j1] that block(k) returns; an item
+// whose block reports !ok is filed nowhere.
+func newCellLists(g grid, n int, block func(k int) (i0, i1, j0, j1 int, ok bool)) *cellLists {
+	cells := g.nx * g.ny
+	start := make([]int32, cells+1)
+	for k := 0; k < n; k++ {
+		i0, i1, j0, j1, ok := block(k)
+		if !ok {
+			continue
+		}
+		for j := j0; j <= j1; j++ {
+			for i := i0; i <= i1; i++ {
+				start[j*g.nx+i+1]++
+			}
+		}
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	items := make([]int32, start[cells])
+	fill := make([]int32, cells)
+	copy(fill, start[:cells])
+	for k := 0; k < n; k++ {
+		i0, i1, j0, j1, ok := block(k)
+		if !ok {
+			continue
+		}
+		for j := j0; j <= j1; j++ {
+			for i := i0; i <= i1; i++ {
+				c := j*g.nx + i
+				items[fill[c]] = int32(k)
+				fill[c]++
+			}
+		}
+	}
+	return &cellLists{grid: g, start: start, items: items}
+}
+
+// cell returns the items filed under cell column i, row j.
+func (l *cellLists) cell(i, j int) []int32 {
+	c := j*l.nx + i
+	return l.items[l.start[c]:l.start[c+1]]
 }

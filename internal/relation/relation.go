@@ -7,8 +7,10 @@
 package relation
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -177,10 +179,13 @@ func (r *Relation) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 	defer r.mu.RUnlock()
 	start := len(buf)
 	r.scan(region, func(t Tuple) { buf = append(buf, t) })
-	tail := buf[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
+	slices.SortFunc(buf[start:], byID)
 	return buf
 }
+
+// byID orders tuples by ascending id. Ids are unique, so every sort by it
+// is total and no stable sort is needed.
+func byID(a, b Tuple) int { return cmp.Compare(a.ID, b.ID) }
 
 // Count returns the number of tuples inside the region.
 func (r *Relation) Count(region geom.Region) int {

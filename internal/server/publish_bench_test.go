@@ -68,33 +68,76 @@ func BenchmarkPublishFull(b *testing.B) {
 }
 
 // BenchmarkPublishDelta measures a continuous cycle: deltaFrac of the
-// relation is inserted between cycles, then PublishDelta ships it by
-// probing the per-cycle relation.DeltaIndex. The rows keep their
-// "indexed" path segment so they line up with the committed ones.
+// relation is inserted and a fifth as many live tuples are deleted
+// between cycles (merge-deliver's ratio), then PublishDelta ships the
+// inserts and the removal notices. "plan=reused" publishes one planned
+// cycle again and again, so inserts and removals are matched against the
+// cycle's region index; "plan=replanned" publishes a fresh copy of the
+// same plan each cycle, as a server that replans every cycle does, so
+// each round is its cycle's first and probes the per-round batch grid.
 func BenchmarkPublishDelta(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		for _, deltaFrac := range []float64{0.01, 0.20} {
-			b.Run(fmt.Sprintf("indexed/tuples=%d/delta=%g", n, deltaFrac), func(b *testing.B) {
-				s, rel, cy := benchWorld(b, n, 40, 2, 1)
-				// First delta call establishes the watermark.
-				if _, err := s.PublishDelta(cy); err != nil {
-					b.Fatal(err)
+	for _, plan := range []string{"reused", "replanned"} {
+		for _, n := range []int{10000, 100000} {
+			for _, deltaFrac := range []float64{0.01, 0.20} {
+				for _, deletes := range []bool{false, true} {
+					b.Run(fmt.Sprintf("plan=%s/tuples=%d/delta=%g/deletes=%v", plan, n, deltaFrac, deletes), func(b *testing.B) {
+						benchPublishDelta(b, n, deltaFrac, deletes, plan == "replanned")
+					})
 				}
-				rng := rand.New(rand.NewSource(99))
-				batch := int(float64(n) * deltaFrac)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for j := 0; j < batch; j++ {
-						rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("payload"))
-					}
-					b.StartTimer()
-					if _, err := s.PublishDelta(cy); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			}
 		}
+	}
+}
+
+func benchPublishDelta(b *testing.B, n int, deltaFrac float64, deletes, replan bool) {
+	s, rel, cy := benchWorld(b, n, 40, 2, 1)
+	// The first delta call establishes the watermark.
+	if _, err := s.PublishDelta(cy); err != nil {
+		b.Fatal(err)
+	}
+	var live []uint64
+	for _, t := range rel.All() {
+		live = append(live, t.ID)
+	}
+	rng := rand.New(rand.NewSource(99))
+	batch := int(float64(n) * deltaFrac)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < batch; j++ {
+			live = append(live, rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("payload")))
+		}
+		for j := 0; deletes && j < batch/5; j++ {
+			k := rng.Intn(len(live))
+			rel.Delete(live[k])
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if replan {
+			cy = samePlan(cy)
+		}
+		b.StartTimer()
+		if _, err := s.PublishDelta(cy); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// samePlan returns a cycle with cy's plan and none of its publish state,
+// as a Replan that planned the same cycle again would: publishing it
+// builds the schedule and the region index anew, and its first round is
+// the cycle's first.
+func samePlan(cy *Cycle) *Cycle {
+	return &Cycle{
+		Queries:       cy.Queries,
+		Owners:        cy.Owners,
+		ClientChannel: cy.ClientChannel,
+		ChannelPlans:  cy.ChannelPlans,
+		EstimatedCost: cy.EstimatedCost,
+		InitialCost:   cy.InitialCost,
+		Info:          cy.Info,
+		shard:         cy.shard,
+		churn:         cy.churn,
 	}
 }

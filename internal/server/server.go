@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qsub/internal/chanalloc"
@@ -231,6 +232,14 @@ type Cycle struct {
 	// times). Built once, lazily, under msgOnce.
 	msgOnce  sync.Once
 	msgPlans []msgPlan
+
+	// regions indexes the msgPlans' merged regions (in msgPlans order)
+	// for event matching: built once, by the first publish round that
+	// matches against it, under regOnce. publishes counts the cycle's
+	// publish rounds, which picks the insert path (see publish).
+	regOnce   sync.Once
+	regions   *relation.RegionIndex
+	publishes atomic.Uint64
 }
 
 // Plan modes reported in PlanInfo.Mode.
@@ -266,6 +275,19 @@ type msgPlan struct {
 func (cy *Cycle) publishPlans(proc query.MergeProcedure) []msgPlan {
 	cy.msgOnce.Do(func() { cy.buildMsgPlans(proc) })
 	return cy.msgPlans
+}
+
+// regionIndex builds (once) and returns the index over the cycle's merged
+// regions, laid over the relation's bounds.
+func (cy *Cycle) regionIndex(plans []msgPlan, bounds geom.Rect) *relation.RegionIndex {
+	cy.regOnce.Do(func() {
+		regions := make([]geom.Region, len(plans))
+		for i := range plans {
+			regions[i] = plans[i].region
+		}
+		cy.regions = relation.NewRegionIndex(bounds, regions)
+	})
+	return cy.regions
 }
 
 func (cy *Cycle) buildMsgPlans(proc query.MergeProcedure) {
@@ -557,8 +579,8 @@ func (s *Server) advanceWatermark() uint64 {
 // backing arrays never escape into published messages, so they can be
 // pooled across rounds. The inner results/removed slices DO escape (they
 // ride inside Messages that subscribers may still be draining), so only
-// the outer arrays are reused and every entry is re-assigned (results)
-// or nilled (removed, on put) each round.
+// the outer arrays are reused, and put nils every entry: a round starts
+// from nil entries, which the region index's matchers append to.
 type pubScratch struct {
 	results [][]relation.Tuple
 	removed [][]uint64
@@ -593,23 +615,36 @@ func putPubScratch(sc *pubScratch) {
 	pubScratchPool.Put(sc)
 }
 
-// publish executes every merged query of the cycle's precomputed publish
-// schedule and publishes the results. Query execution (the
-// server-cost-dominating step) runs concurrently across merged sets with
-// one worker per CPU; messages are then published in deterministic
-// channel/set order with their cycle-scoped headers.
+// publish fills every message of the cycle's precomputed publish
+// schedule and publishes them in deterministic channel/set order with
+// their cycle-scoped headers.
 //
-// In continuous mode (delta with an established watermark) the queries
-// probe a per-cycle relation.DeltaIndex over just the tuples inserted
-// since the watermark, so the round costs O(update volume) instead of
-// O(region size); the equivalence tests pin it bit-identical to a full
-// search filtered by the watermark. Tuples deleted since the watermark are
-// snapshotted once per round, delta or full, and matched against every
-// merged region in one pass.
+// A full publish (or the first delta, which has no watermark yet) runs
+// every merged query against the relation, concurrently across merged
+// sets with one worker per CPU. A delta publish ships only the tuples
+// inserted since the watermark, by one of two equivalent paths that the
+// equivalence tests pin bit-identical to a full search filtered by the
+// watermark, and to a brute-force match of every tuple against every
+// merged region:
+//
+//   - From the cycle's second publish round on, the round is event
+//     matching: each inserted tuple, in id order, probes the cycle's
+//     region index (relation.RegionIndex, built once per cycle) and is
+//     appended to every message whose region contains it, so each
+//     message's tuples stay in id order.
+//   - A cycle's first round probes a per-round relation.DeltaIndex grid
+//     over the inserted batch from each merged region instead: a plan
+//     that is published once (replanned every cycle) does not pay for an
+//     index it would use once.
+//
+// Tuples deleted since the watermark are snapshotted once per round,
+// delta or full, and matched, in deletion order, against the region
+// index.
 func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) {
 	cat := s.cfg.Metrics
 	pubStart := time.Now()
 	plans := cy.publishPlans(s.cfg.Procedure)
+	reused := cy.publishes.Add(1) > 1
 	useDelta := delta && sinceID > 0
 	var di *relation.DeltaIndex
 	var deleted []relation.Tuple
@@ -624,49 +659,13 @@ func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) 
 	defer putPubScratch(sc)
 	results, removed := sc.results, sc.removed
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(plans) {
-		workers = len(plans)
+	if useDelta && reused {
+		cy.regionIndex(plans, s.rel.Bounds()).MatchAppend(di.Inserted(), results)
+	} else {
+		s.searchAll(plans, di, results)
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker arena: query results append into one buffer per
-			// worker — each job's result is a capped sub-slice, so a
-			// growing append leaves earlier results intact on their old
-			// backing arrays. The arena is NOT pooled across rounds:
-			// published messages alias it until subscribers drain them.
-			var tupleBuf []relation.Tuple
-			for idx := range next {
-				region := plans[idx].region
-				start := len(tupleBuf)
-				if useDelta {
-					tupleBuf = di.SearchAppend(region, tupleBuf)
-				} else {
-					tupleBuf = s.rel.SearchAppend(region, tupleBuf)
-				}
-				results[idx] = tupleBuf[start:len(tupleBuf):len(tupleBuf)]
-			}
-		}()
-	}
-	for idx := range plans {
-		next <- idx
-	}
-	close(next)
-	wg.Wait()
-
 	if len(deleted) > 0 {
-		for i := range plans {
-			region := plans[i].region
-			for _, dt := range deleted {
-				if region.Contains(dt.Pos) {
-					removed[i] = append(removed[i], dt.ID)
-				}
-			}
-		}
+		cy.regionIndex(plans, s.rel.Bounds()).MatchIDsAppend(deleted, removed)
 	}
 
 	var rep Report
@@ -743,6 +742,42 @@ func (s *Server) publish(cy *Cycle, sinceID uint64, delta bool) (Report, error) 
 		cat.PublishSeconds.Observe(time.Since(pubStart).Seconds())
 	}
 	return rep, nil
+}
+
+// searchAll sets results[i] to the answer of plans[i]'s merged region:
+// over the relation, or over the inserted batch when di is set. The
+// searches run concurrently across merged sets with one worker per CPU.
+func (s *Server) searchAll(plans []msgPlan, di *relation.DeltaIndex, results [][]relation.Tuple) {
+	workers := min(runtime.GOMAXPROCS(0), len(plans))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Per-worker arena: query results append into one buffer per
+			// worker — each job's result is a capped sub-slice, so a
+			// growing append leaves earlier results intact on their old
+			// backing arrays. The arena is NOT pooled across rounds:
+			// published messages alias it until subscribers drain them.
+			var tupleBuf []relation.Tuple
+			for idx := range next {
+				region := plans[idx].region
+				start := len(tupleBuf)
+				if di != nil {
+					tupleBuf = di.SearchAppend(region, tupleBuf)
+				} else {
+					tupleBuf = s.rel.SearchAppend(region, tupleBuf)
+				}
+				results[idx] = tupleBuf[start:len(tupleBuf):len(tupleBuf)]
+			}
+		}()
+	}
+	for idx := range plans {
+		next <- idx
+	}
+	close(next)
+	wg.Wait()
 }
 
 // irrelevantTuples is one message's realized U(Q,M) contribution: each
