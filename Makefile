@@ -76,9 +76,10 @@ race:
 # Focused race leg for the delivery layer: the Publish/Cancel stress
 # test, session-lifecycle and reconnect paths run multiple times so the
 # scheduler explores more interleavings than one -race pass would. The
-# receive path's borrow rule (answers alias the connection's read buffer,
-# DESIGN.md §6) spans wire, daemon.Conn, netclient and the relay, so its
-# ownership tests in all four run here too.
+# receive path's borrow rule (answers and raw frames alias the
+# connection's read buffer, DESIGN.md §6) spans wire, netclient.Conn, the
+# client runtime and the relay, so its ownership tests in all of them
+# run here too.
 race-delivery:
 	$(GO) test -race -count=3 ./internal/multicast ./internal/fanout ./internal/wire ./internal/daemon ./internal/relay ./internal/netclient ./internal/netfault ./internal/client
 
@@ -123,16 +124,21 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayAck -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayCtl -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzReadFrame -fuzztime 10s
+	$(GO) test ./internal/netclient -fuzz FuzzConnReadFrame -fuzztime 30s
 	$(GO) test ./internal/relation -fuzz FuzzRankTable -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
 
 # The CI fuzz leg: the answer-frame decoder (held to its field-by-field
-# oracle) and the frame reader, every listener's per-frame path and the
-# first bytes any peer controls.
+# oracle), the frame reader, and the live reader every client and relay
+# parses its upstream with (netclient.Conn, held to the frame reader):
+# every listener's per-frame path and the first bytes any peer controls.
+# The live reader's inputs run past its 32 KiB buffer and minimizing one
+# takes seconds, so minimization is capped to leave the 15 s exploring.
 fuzz-short:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalMessage$$' -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s
+	$(GO) test ./internal/netclient -run '^$$' -fuzz '^FuzzConnReadFrame$$' -fuzztime 15s -fuzzminimizetime 1s
 
 # Root-module non-test Go lines: the one count every CHANGES.md entry and
 # ROADMAP re-anchor cites. The benchmark module and the benchmark's build

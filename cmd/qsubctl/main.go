@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"qsub/internal/client"
-	"qsub/internal/daemon"
 	"qsub/internal/geom"
 	"qsub/internal/netclient"
 	"qsub/internal/query"
@@ -107,7 +106,7 @@ func run(queries []query.Query, addr string, id, cycles int,
 		MaxBackoff:  maxBackoff,
 		MaxAttempts: maxAttempts,
 		Logf:        log.Printf,
-		OnEvent: func(ev daemon.Event) {
+		OnEvent: func(ev netclient.Event) {
 			switch {
 			case ev.Assigned != nil:
 				log.Printf("qsubctl: assigned to channel %d (cycle cost %.0f, unmerged %.0f)",

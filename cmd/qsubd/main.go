@@ -32,6 +32,7 @@ import (
 	"qsub/internal/chanalloc"
 	"qsub/internal/cost"
 	"qsub/internal/daemon"
+	"qsub/internal/fanout"
 	"qsub/internal/multicast"
 	"qsub/internal/relation"
 	"qsub/internal/server"
@@ -65,8 +66,8 @@ func main() {
 		relayChannels = flag.String("relay-channels", "", "comma-separated channel numbers to subscribe upstream (empty = all channels)")
 
 		readIdle   = flag.Duration("read-idle", 5*time.Minute, "drop a session that sends no frame for this long (0 disables)")
-		writeTO    = flag.Duration("write-timeout", daemon.DefaultWriteTimeout, "per-frame write deadline for session connections (0 disables)")
-		subBuffer  = flag.Int("sub-buffer", daemon.DefaultSubscriberBuffer, "per-session delivery queue depth")
+		writeTO    = flag.Duration("write-timeout", fanout.DefaultWriteTimeout, "per-frame write deadline for session connections (0 disables)")
+		subBuffer  = flag.Int("sub-buffer", fanout.DefaultSubscriberBuffer, "per-session delivery queue depth")
 		slowPolicy = flag.String("slow-policy", "evict", "what a publish does when a session's queue is full: evict, drop or block")
 	)
 	flag.Parse()

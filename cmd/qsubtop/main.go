@@ -19,7 +19,7 @@ import (
 	"os"
 	"time"
 
-	"qsub/internal/daemon"
+	"qsub/internal/admin"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 	flag.Parse()
 
 	client := &http.Client{Timeout: 5 * time.Second}
-	fetch := func() (*daemon.Status, error) {
+	fetch := func() (*admin.Status, error) {
 		resp, err := client.Get("http://" + *addr + "/statusz")
 		if err != nil {
 			return nil, err
@@ -41,14 +41,14 @@ func main() {
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("statusz: %s", resp.Status)
 		}
-		var st daemon.Status
+		var st admin.Status
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			return nil, err
 		}
 		return &st, nil
 	}
 
-	var prev *daemon.Status
+	var prev *admin.Status
 	var prevAt time.Time
 	for {
 		st, err := fetch()

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"qsub/internal/daemon"
+	"qsub/internal/admin"
 	"qsub/internal/metrics"
 )
 
@@ -13,7 +13,7 @@ import (
 // and (when available) the previous poll, whose counter deltas over
 // elapsed become the rate column. Pure function of its inputs, so tests
 // pin the layout without a daemon.
-func render(prev, cur *daemon.Status, elapsed time.Duration, topN int) string {
+func render(prev, cur *admin.Status, elapsed time.Duration, topN int) string {
 	var b strings.Builder
 
 	b.WriteString("qsubtop — query subscription daemon\n")
@@ -149,7 +149,7 @@ func render(prev, cur *daemon.Status, elapsed time.Duration, topN int) string {
 // cycleRate derives the cycle frequency from ledger ordinals, which
 // advance once per RunCycle even when the plan is cached (plans_total
 // only counts replans).
-func cycleRate(prev, cur *daemon.Status, elapsed time.Duration) float64 {
+func cycleRate(prev, cur *admin.Status, elapsed time.Duration) float64 {
 	if len(prev.RecentCycles) == 0 || len(cur.RecentCycles) == 0 {
 		return 0
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"qsub/internal/daemon"
+	"qsub/internal/admin"
 	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 )
@@ -13,7 +13,7 @@ import (
 // statusFixture builds a /statusz document the way a live daemon would:
 // through a real catalog, so histogram keys and gauge names can never
 // drift from what qsubd serves.
-func statusFixture(cycles uint64, deliveries uint64) *daemon.Status {
+func statusFixture(cycles uint64, deliveries uint64) *admin.Status {
 	cat := metrics.NewCatalog(0)
 	for i := uint64(0); i < deliveries; i++ {
 		cat.FanoutDeliveries.Inc()
@@ -29,24 +29,24 @@ func statusFixture(cycles uint64, deliveries uint64) *daemon.Status {
 	cat.SessionMaxStaleMs.Set(150)
 	cat.SessionLagSeconds.Observe(0.150)
 
-	recs := make([]daemon.CycleRecord, 0, cycles)
+	recs := make([]admin.CycleRecord, 0, cycles)
 	for c := uint64(1); c <= cycles; c++ {
-		recs = append(recs, daemon.CycleRecord{
+		recs = append(recs, admin.CycleRecord{
 			Cycle: c, Mode: "full", Sharded: true,
 			Messages: 40, PayloadBytes: 2048,
 			PlanSeconds: 0.010, EncodeSeconds: 0.002,
 			FanoutSeconds: 0.001, WriteSeconds: 0.004,
 		})
 	}
-	return &daemon.Status{
+	return &admin.Status{
 		Channels: 4, Sessions: 2, Replans: 1,
-		Plan:         &daemon.PlanSummary{Queries: 10, MergedSets: 4, EstimatedCost: 100, InitialCost: 400},
+		Plan:         &admin.PlanSummary{Queries: 10, MergedSets: 4, EstimatedCost: 100, InitialCost: 400},
 		RecentCycles: recs,
 		Laggards: []fanout.SessionLag{
 			{ClientID: 7, Channel: 2, SeqLag: 3, QueueDepth: 7, StalenessMs: 150},
 			{ClientID: 4, Channel: 1, SeqLag: 0, QueueDepth: 0, StalenessMs: 20},
 		},
-		Build:   &daemon.BuildInfo{GoVersion: "go1.24", Revision: "abcdef1234567890", GOMAXPROCS: 8, NumCPU: 8},
+		Build:   &admin.BuildInfo{GoVersion: "go1.24", Revision: "abcdef1234567890", GOMAXPROCS: 8, NumCPU: 8},
 		Metrics: cat.Snapshot(),
 	}
 }
@@ -138,11 +138,11 @@ func TestRenderShardsAndMoved(t *testing.T) {
 // qsubtop shows the upstream link and the ingest rate next to the
 // downstream fan-out throughput.
 func TestRenderRelayStatus(t *testing.T) {
-	fixture := func(frames uint64) *daemon.Status {
+	fixture := func(frames uint64) *admin.Status {
 		st := statusFixture(0, frames)
 		st.Plan = nil
 		st.RecentCycles = nil
-		st.Relay = &daemon.RelayInfo{
+		st.Relay = &admin.RelayInfo{
 			Upstream:   "10.0.0.1:7070",
 			Hop:        2,
 			Connected:  true,

@@ -1,11 +1,9 @@
-// Admin endpoint: an optional HTTP listener exposing the daemon's
-// instrument catalog and planning state for operators. Four views, all
-// read-only — /metrics (Prometheus text exposition for scrapers),
-// /healthz (liveness), /statusz (one JSON document with the current
-// plan summary, recent cycle ledger, laggiest sessions, build info and
-// a full metrics snapshot), /buildinfo (the build stanza alone) — plus
-// the standard net/http/pprof profiling handlers under /debug/pprof/.
-package daemon
+// Package admin is the admin endpoint of every node, root or relay, and
+// the document qsubtop decodes. Four read-only views — /metrics
+// (Prometheus text), /healthz, /statusz (one JSON document: plan summary
+// or relay stanza, cycle ledger, laggiest sessions, build info, metrics
+// snapshot), /buildinfo — plus net/http/pprof under /debug/pprof/.
+package admin
 
 import (
 	"encoding/json"
@@ -18,7 +16,7 @@ import (
 	"qsub/internal/metrics"
 )
 
-// PlanSummary describes the daemon's cached plan for /statusz.
+// PlanSummary describes a root daemon's cached plan for /statusz.
 type PlanSummary struct {
 	// Queries is the number of subscribed queries in the plan.
 	Queries int `json:"queries"`
@@ -71,7 +69,8 @@ type RelayInfo struct {
 	// Reconnects counts upstream sessions re-established after the
 	// first.
 	Reconnects uint64 `json:"reconnects"`
-	// Channels is the number of channels subscribed upstream.
+	// Channels is the number of upstream channels the relay's list
+	// selects of those the upstream acknowledged (0 before that).
 	Channels int `json:"channels"`
 	// Clients is the number of downstream client routes registered.
 	Clients int `json:"clients"`
@@ -116,49 +115,54 @@ func ReadBuild() *BuildInfo {
 	return bi
 }
 
-// Status collects the /statusz document.
-func (d *Daemon) Status() Status {
-	st := Status{
-		Channels:     d.net.Channels(),
-		Metrics:      d.metrics.Snapshot(),
-		RecentCycles: d.ledger.recent(),
-		Laggards:     d.hub.TopLaggards(StatusLaggards),
-		Build:        ReadBuild(),
-	}
-	st.Sessions = d.hub.Len()
-	d.planMu.Lock()
-	st.Replans = d.replans
-	if cy := d.cycle; cy != nil {
-		sets := 0
-		for _, plan := range cy.ChannelPlans {
-			sets += len(plan)
-		}
-		st.Plan = &PlanSummary{
-			Queries:       len(cy.Queries),
-			MergedSets:    sets,
-			EstimatedCost: cy.EstimatedCost,
-			InitialCost:   cy.InitialCost,
-		}
-	}
-	d.planMu.Unlock()
-	return st
+// CycleRecord is one entry of a root daemon's cycle pipeline ledger.
+type CycleRecord struct {
+	// Cycle is the 1-based RunCycle ordinal.
+	Cycle uint64 `json:"cycle"`
+	// StartUnixNano is when the cycle began.
+	StartUnixNano int64 `json:"startUnixNano"`
+	// Mode says how the plan was obtained: "cached" (no replan),
+	// "unchanged" (a replan found the subscriptions as they were),
+	// "incremental" (allocation inherited, solved only around the churn)
+	// or "full" (complete re-solve). The planner reports it on the cycle
+	// it returns (server.PlanInfo), as it does ShardsSolved and
+	// ShardsReused.
+	Mode string `json:"mode"`
+	// Sharded marks plans produced by the sharded pipeline.
+	Sharded bool `json:"sharded,omitempty"`
+	// Delta marks delta-publish cycles.
+	Delta bool `json:"delta,omitempty"`
+	// ShardsSolved and ShardsReused count the sharded planner's
+	// (channel, shard) tasks solved by this cycle's plan and taken over
+	// from the previous one.
+	ShardsSolved int `json:"shardsSolved,omitempty"`
+	ShardsReused int `json:"shardsReused,omitempty"`
+	// SessionsMoved counts the sessions this cycle's plan bound to a
+	// channel they were not already attached to.
+	SessionsMoved int `json:"sessionsMoved,omitempty"`
+
+	// Publish volume, as in server.Report.
+	Messages     int `json:"messages"`
+	Tuples       int `json:"tuples"`
+	PayloadBytes int `json:"payloadBytes"`
+
+	// Stage wall times, in seconds. WriteSeconds measures publish
+	// return → last frame of the cycle handed to the kernel; it is
+	// zero while WritePending is true.
+	PlanSeconds   float64 `json:"planSeconds"`
+	EncodeSeconds float64 `json:"encodeSeconds"`
+	FanoutSeconds float64 `json:"fanoutSeconds"`
+	WriteSeconds  float64 `json:"writeSeconds"`
+	// WritePending is true until the session writers have drained the
+	// cycle's frames (or the finalizer gave up at its deadline).
+	WritePending bool `json:"writePending,omitempty"`
 }
 
-// RecentCycles returns the pipeline ledger's retained records, oldest
-// first.
-func (d *Daemon) RecentCycles() []CycleRecord { return d.ledger.recent() }
-
-// AdminMux builds the admin HTTP handler. The caller owns the listener
-// and server lifecycle (see cmd/qsubd's -admin flag); handlers stay
-// valid until the daemon is closed.
-func (d *Daemon) AdminMux() *http.ServeMux {
-	return NewAdminMux(d.Status, d.metrics.Registry, d.logf)
-}
-
-// NewAdminMux builds the admin handler of a process — root daemon or
-// relay — from the function that collects its /statusz document and the
-// registry behind /metrics.
-func NewAdminMux(status func() Status, reg *metrics.Registry, logf func(format string, args ...any)) *http.ServeMux {
+// NewMux builds the admin handler of a process — root daemon or relay —
+// from the function that collects its /statusz document and the registry
+// behind /metrics. The caller owns the listener and server lifecycle
+// (see cmd/qsubd's -admin flag).
+func NewMux(status func() Status, reg *metrics.Registry, logf func(format string, args ...any)) *http.ServeMux {
 	writeJSON := func(w http.ResponseWriter, path string, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"qsub/internal/admin"
 	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/query"
@@ -133,7 +134,7 @@ func TestAdminEndpointAfterCycle(t *testing.T) {
 	if ctype != "application/json" {
 		t.Fatalf("statusz content type %q", ctype)
 	}
-	var st Status
+	var st admin.Status
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("statusz not JSON: %v", err)
 	}

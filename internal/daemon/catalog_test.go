@@ -15,6 +15,7 @@ import (
 	"qsub/internal/daemon"
 	"qsub/internal/geom"
 	"qsub/internal/metrics"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/relay"
@@ -93,14 +94,14 @@ func family(name string) string {
 // catalogSession is one client connection that feeds every answer it
 // reads to an extractor counting into the root's catalog.
 type catalogSession struct {
-	conn    *daemon.Conn
+	conn    *netclient.Conn
 	answers atomic.Int64
 	done    chan struct{}
 }
 
 func dialSession(t *testing.T, addr string, id int, cat *metrics.Catalog, qs []query.Query) *catalogSession {
 	t.Helper()
-	conn, err := daemon.Dial(addr, id)
+	conn, err := netclient.Dial(addr, id)
 	if err != nil {
 		t.Fatal(err)
 	}

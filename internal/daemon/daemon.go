@@ -23,10 +23,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"qsub/internal/admin"
 	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
@@ -34,12 +36,6 @@ import (
 	"qsub/internal/server"
 	"qsub/internal/trace"
 	"qsub/internal/wire"
-)
-
-// Default session-hardening parameters; see the matching Daemon fields.
-const (
-	DefaultWriteTimeout     = 10 * time.Second
-	DefaultSubscriberBuffer = 256
 )
 
 // Daemon is the network front end of a subscription server. Plans are
@@ -127,8 +123,8 @@ func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, erro
 		net:     mnet,
 		metrics: cfg.Metrics,
 
-		WriteTimeout:     DefaultWriteTimeout,
-		SubscriberBuffer: DefaultSubscriberBuffer,
+		WriteTimeout:     fanout.DefaultWriteTimeout,
+		SubscriberBuffer: fanout.DefaultSubscriberBuffer,
 		SlowPolicy:       multicast.Evict,
 	}
 	d.hub = fanout.NewHub(cfg.Metrics, d.clockNano, d.logf, root{d})
@@ -156,6 +152,45 @@ func (d *Daemon) Server() *server.Server { return d.srv }
 // Network exposes the daemon's multicast network (for delivery-layer
 // stats in tests and status reporting).
 func (d *Daemon) Network() *multicast.Network { return d.net }
+
+// Status collects the /statusz document (internal/admin).
+func (d *Daemon) Status() admin.Status {
+	st := admin.Status{
+		Channels:     d.net.Channels(),
+		Metrics:      d.metrics.Snapshot(),
+		RecentCycles: d.ledger.recent(),
+		Laggards:     d.hub.TopLaggards(admin.StatusLaggards),
+		Build:        admin.ReadBuild(),
+	}
+	st.Sessions = d.hub.Len()
+	d.planMu.Lock()
+	st.Replans = d.replans
+	if cy := d.cycle; cy != nil {
+		sets := 0
+		for _, plan := range cy.ChannelPlans {
+			sets += len(plan)
+		}
+		st.Plan = &admin.PlanSummary{
+			Queries:       len(cy.Queries),
+			MergedSets:    sets,
+			EstimatedCost: cy.EstimatedCost,
+			InitialCost:   cy.InitialCost,
+		}
+	}
+	d.planMu.Unlock()
+	return st
+}
+
+// RecentCycles returns the pipeline ledger's retained records, oldest
+// first.
+func (d *Daemon) RecentCycles() []admin.CycleRecord { return d.ledger.recent() }
+
+// AdminMux builds the admin HTTP handler. The caller owns the listener
+// and server lifecycle (see cmd/qsubd's -admin flag); handlers stay
+// valid until the daemon is closed.
+func (d *Daemon) AdminMux() *http.ServeMux {
+	return admin.NewMux(d.Status, d.metrics.Registry, d.logf)
+}
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.Logf != nil {

@@ -13,6 +13,7 @@ import (
 	"qsub/internal/client"
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/server"
@@ -45,7 +46,7 @@ func startDaemon(t *testing.T, channels int) (*Daemon, string) {
 }
 
 // drainUntil reads events until pred returns true or the deadline hits.
-func drainUntil(t *testing.T, conn *Conn, deadline time.Duration, pred func(Event) bool) {
+func drainUntil(t *testing.T, conn *netclient.Conn, deadline time.Duration, pred func(netclient.Event) bool) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
@@ -75,7 +76,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	d, addr := startDaemon(t, 1)
 
 	q := query.Range(1, geom.R(100, 100, 400, 400))
-	conn, err := Dial(addr, 7)
+	conn, err := netclient.Dial(addr, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// The client must see an assignment and then its answer.
 	c := client.New(7, q)
 	var assigned bool
-	drainUntil(t, conn, 5*time.Second, func(ev Event) bool {
+	drainUntil(t, conn, 5*time.Second, func(ev netclient.Event) bool {
 		switch {
 		case ev.Assigned != nil:
 			assigned = true
@@ -128,10 +129,10 @@ func TestDaemonMultipleClientsAcrossChannels(t *testing.T) {
 		query.Range(2, geom.R(50, 50, 350, 350)),
 		query.Range(3, geom.R(600, 600, 900, 900)),
 	}
-	conns := make([]*Conn, len(qs))
+	conns := make([]*netclient.Conn, len(qs))
 	clients := make([]*client.Client, len(qs))
 	for i, q := range qs {
-		conn, err := Dial(addr, i)
+		conn, err := netclient.Dial(addr, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestDaemonMultipleClientsAcrossChannels(t *testing.T) {
 
 	for i, conn := range conns {
 		i, conn := i, conn
-		drainUntil(t, conn, 5*time.Second, func(ev Event) bool {
+		drainUntil(t, conn, 5*time.Second, func(ev netclient.Event) bool {
 			if ev.Answer != nil {
 				clients[i].Handle(*ev.Answer)
 				// Done once the client's own query got data.
@@ -176,7 +177,7 @@ func TestDaemonMultipleClientsAcrossChannels(t *testing.T) {
 // the new session works normally.
 func TestDaemonDuplicateClientSupersedes(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	a, err := Dial(addr, 5)
+	a, err := netclient.Dial(addr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestDaemonDuplicateClientSupersedes(t *testing.T) {
 	waitForSubscriptions(t, d, 1)
 
 	// The predecessor is left half-open: it never says Bye.
-	b, err := Dial(addr, 5)
+	b, err := netclient.Dial(addr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +224,14 @@ func TestDaemonDuplicateClientSupersedes(t *testing.T) {
 	if _, err := d.RunCycle(false); err != nil {
 		t.Fatal(err)
 	}
-	drainUntil(t, b, 5*time.Second, func(ev Event) bool {
+	drainUntil(t, b, 5*time.Second, func(ev netclient.Event) bool {
 		return ev.Answer != nil
 	})
 }
 
 func TestDaemonUnsubscribe(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 1)
+	conn, err := netclient.Dial(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestDaemonUnsubscribe(t *testing.T) {
 
 func TestDaemonDisconnectReleasesSubscriptions(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 9)
+	conn, err := netclient.Dial(addr, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestDaemonDisconnectReleasesSubscriptions(t *testing.T) {
 
 func TestDaemonDeltaCycles(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 2)
+	conn, err := netclient.Dial(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestDaemonDeltaCycles(t *testing.T) {
 // delete, so the delta after it will not announce the removal.
 func TestDaemonRefreshBetweenDeltasShipsRemovals(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 2)
+	conn, err := netclient.Dial(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestDaemonRefreshBetweenDeltasShipsRemovals(t *testing.T) {
 
 	c := client.New(2, q)
 	answers := 0
-	drainUntil(t, conn, 5*time.Second, func(ev Event) bool {
+	drainUntil(t, conn, 5*time.Second, func(ev netclient.Event) bool {
 		if ev.Answer != nil {
 			c.Handle(*ev.Answer)
 			answers++
@@ -440,7 +441,7 @@ func TestDaemonChurnUnderCycles(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(id)))
 			for round := 0; round < 8; round++ {
-				conn, err := Dial(addr, id)
+				conn, err := netclient.Dial(addr, id)
 				if err != nil {
 					t.Error(err)
 					return
@@ -483,7 +484,7 @@ func TestDaemonChurnUnderCycles(t *testing.T) {
 // only when subscriptions change or drift fires.
 func TestDaemonCachesPlans(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 1)
+	conn, err := netclient.Dial(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +520,7 @@ func TestDaemonCachesPlans(t *testing.T) {
 // force a re-plan.
 func TestDaemonReplansOnDrift(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 1)
+	conn, err := netclient.Dial(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +580,7 @@ func TestDaemonTracing(t *testing.T) {
 	var buf lockedBuffer
 	d.Trace = trace.NewRecorder(&buf, func() int64 { return 42 })
 
-	conn, err := Dial(addr, 1)
+	conn, err := netclient.Dial(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +619,7 @@ func TestDaemonTracing(t *testing.T) {
 
 func TestSaveLoadSubscriptions(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	conn, err := Dial(addr, 4)
+	conn, err := netclient.Dial(addr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

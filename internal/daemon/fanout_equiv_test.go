@@ -14,6 +14,7 @@ import (
 	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/multicast"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/server"
@@ -274,7 +275,7 @@ func TestFanoutSharedFrameAliasingRace(t *testing.T) {
 	const clients = 12
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		conn, err := Dial(addr, 100+i)
+		conn, err := netclient.Dial(addr, 100+i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func TestFanoutSharedFrameAliasingRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(conn *Conn, slow bool) {
+		go func(conn *netclient.Conn, slow bool) {
 			defer wg.Done()
 			for {
 				ev, err := conn.Next()

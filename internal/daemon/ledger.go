@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"qsub/internal/admin"
 	"qsub/internal/trace"
 )
 
@@ -22,54 +23,11 @@ const ledgerCapacity = 64
 // session writers to drain before recording the write stage as incomplete.
 const writeStageDeadline = 30 * time.Second
 
-// CycleRecord is one pipeline-ledger entry.
-type CycleRecord struct {
-	// Cycle is the 1-based RunCycle ordinal.
-	Cycle uint64 `json:"cycle"`
-	// StartUnixNano is when the cycle began.
-	StartUnixNano int64 `json:"startUnixNano"`
-	// Mode says how the plan was obtained: "cached" (no replan),
-	// "unchanged" (a replan found the subscriptions as they were),
-	// "incremental" (allocation inherited, solved only around the churn)
-	// or "full" (complete re-solve). The planner reports it on the cycle
-	// it returns (server.PlanInfo), as it does ShardsSolved and
-	// ShardsReused.
-	Mode string `json:"mode"`
-	// Sharded marks plans produced by the sharded pipeline.
-	Sharded bool `json:"sharded,omitempty"`
-	// Delta marks delta-publish cycles.
-	Delta bool `json:"delta,omitempty"`
-	// ShardsSolved and ShardsReused count the sharded planner's
-	// (channel, shard) tasks solved by this cycle's plan and taken over
-	// from the previous one.
-	ShardsSolved int `json:"shardsSolved,omitempty"`
-	ShardsReused int `json:"shardsReused,omitempty"`
-	// SessionsMoved counts the sessions this cycle's plan bound to a
-	// channel they were not already attached to.
-	SessionsMoved int `json:"sessionsMoved,omitempty"`
-
-	// Publish volume, as in server.Report.
-	Messages     int `json:"messages"`
-	Tuples       int `json:"tuples"`
-	PayloadBytes int `json:"payloadBytes"`
-
-	// Stage wall times, in seconds. WriteSeconds measures publish
-	// return → last frame of the cycle handed to the kernel; it is
-	// zero while WritePending is true.
-	PlanSeconds   float64 `json:"planSeconds"`
-	EncodeSeconds float64 `json:"encodeSeconds"`
-	FanoutSeconds float64 `json:"fanoutSeconds"`
-	WriteSeconds  float64 `json:"writeSeconds"`
-	// WritePending is true until the session writers have drained the
-	// cycle's frames (or the finalizer gave up at its deadline).
-	WritePending bool `json:"writePending,omitempty"`
-}
-
 // cycleLedger is the bounded ring of recent cycle records.
 type cycleLedger struct {
 	mu   sync.Mutex
-	recs []CycleRecord // newest last, at most ledgerCapacity
-	next uint64        // next cycle ordinal
+	recs []admin.CycleRecord // newest last, at most ledgerCapacity
+	next uint64              // next cycle ordinal
 }
 
 // begin assigns the next cycle ordinal.
@@ -81,7 +39,7 @@ func (l *cycleLedger) begin() uint64 {
 }
 
 // add appends a record, evicting the oldest past capacity.
-func (l *cycleLedger) add(rec CycleRecord) {
+func (l *cycleLedger) add(rec admin.CycleRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.recs = append(l.recs, rec)
@@ -105,10 +63,10 @@ func (l *cycleLedger) finalizeWrite(cycle uint64, seconds float64, completed boo
 }
 
 // recent returns a copy of the ring, newest last.
-func (l *cycleLedger) recent() []CycleRecord {
+func (l *cycleLedger) recent() []admin.CycleRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]CycleRecord, len(l.recs))
+	out := make([]admin.CycleRecord, len(l.recs))
 	copy(out, l.recs)
 	return out
 }
@@ -119,7 +77,7 @@ func (l *cycleLedger) recent() []CycleRecord {
 // target is its absolute value once this cycle's deliveries are all
 // enqueued; reaching it means every frame up to and including this
 // cycle's has been handed to the kernel.
-func (d *Daemon) finishCycle(rec CycleRecord, writeTarget uint64) {
+func (d *Daemon) finishCycle(rec admin.CycleRecord, writeTarget uint64) {
 	rec.WritePending = true
 	d.ledger.add(rec)
 	d.metrics.CycleStageSeconds.At("plan").Observe(rec.PlanSeconds)

@@ -6,19 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"qsub/internal/admin"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 )
 
 // runObservedCycles connects n clients, runs one full cycle and two
 // delta cycles with churn, and returns the daemon plus its conns'
 // received answers (drained in the background).
-func startObservedDaemon(t *testing.T, clients int) (*Daemon, []*Conn) {
+func startObservedDaemon(t *testing.T, clients int) (*Daemon, []*netclient.Conn) {
 	t.Helper()
 	d, addr := startDaemon(t, 2)
-	conns := make([]*Conn, clients)
+	conns := make([]*netclient.Conn, clients)
 	for i := 0; i < clients; i++ {
-		conn, err := Dial(addr, i+1)
+		conn, err := netclient.Dial(addr, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +197,7 @@ func TestStatuszAndBuildinfo(t *testing.T) {
 
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
-	var st Status
+	var st admin.Status
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
 		t.Fatalf("statusz decode: %v", err)
 	}
@@ -211,7 +213,7 @@ func TestStatuszAndBuildinfo(t *testing.T) {
 
 	rr = httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/buildinfo", nil))
-	var bi BuildInfo
+	var bi admin.BuildInfo
 	if err := json.Unmarshal(rr.Body.Bytes(), &bi); err != nil {
 		t.Fatalf("buildinfo decode: %v", err)
 	}

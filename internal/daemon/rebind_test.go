@@ -10,6 +10,7 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/server"
@@ -21,7 +22,7 @@ import (
 // its answer frames, in arrival order.
 type rebindClient struct {
 	id   int
-	conn *Conn
+	conn *netclient.Conn
 
 	mu       sync.Mutex
 	assigned []int // channel of every Assigned received
@@ -90,7 +91,7 @@ func startRebindWorld(t *testing.T, n int) (*Daemon, []*rebindClient) {
 	})
 	clients := make([]*rebindClient, n)
 	for i := range clients {
-		conn, err := Dial(ln.Addr().String(), i+1)
+		conn, err := netclient.Dial(ln.Addr().String(), i+1)
 		if err != nil {
 			t.Fatal(err)
 		}

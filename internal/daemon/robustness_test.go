@@ -9,6 +9,7 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/netfault"
 	"qsub/internal/query"
 	"qsub/internal/relation"
@@ -47,14 +48,14 @@ func startDaemonCtx(t *testing.T, channels int, tune func(*Daemon)) (*Daemon, st
 }
 
 // dialFaulty connects to the daemon through a fault-injection wrapper.
-func dialFaulty(t *testing.T, addr string, clientID int) (*Conn, *netfault.Conn) {
+func dialFaulty(t *testing.T, addr string, clientID int) (*netclient.Conn, *netfault.Conn) {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fc := netfault.Wrap(raw)
-	conn, err := NewConn(fc, clientID)
+	conn, err := netclient.NewConn(fc, clientID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDaemonReadIdleExpiry(t *testing.T) {
 	d, addr, _, _ := startDaemonCtx(t, 1, func(d *Daemon) {
 		d.ReadIdleTimeout = 100 * time.Millisecond
 	})
-	conn, err := Dial(addr, 3)
+	conn, err := netclient.Dial(addr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestDaemonMidFrameCut(t *testing.T) {
 // answers, then a Bye — and Serve returns nil.
 func TestDaemonGracefulShutdown(t *testing.T) {
 	d, addr, cancel, served := startDaemonCtx(t, 1, nil)
-	conn, err := Dial(addr, 6)
+	conn, err := netclient.Dial(addr, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

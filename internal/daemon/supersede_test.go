@@ -8,6 +8,7 @@ import (
 
 	"qsub/internal/fanout"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/wire"
 )
@@ -78,7 +79,7 @@ func subscribePayload(t *testing.T, q query.Query) []byte {
 // registrations.
 func TestRedialBeforeReapDirect(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	a, err := Dial(addr, 5)
+	a, err := netclient.Dial(addr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestRedialBeforeReapDirect(t *testing.T) {
 	waitRegistered(t, d, 5, 1)
 	old := session(d, 5)
 
-	b, err := Dial(addr, 5) // a never said Bye and was never reaped
+	b, err := netclient.Dial(addr, 5) // a never said Bye and was never reaped
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRedialBeforeReapDirect(t *testing.T) {
 	if _, err := d.RunCycle(false); err != nil {
 		t.Fatal(err)
 	}
-	drainUntil(t, b, 5*time.Second, func(ev Event) bool { return ev.Answer != nil })
+	drainUntil(t, b, 5*time.Second, func(ev netclient.Event) bool { return ev.Answer != nil })
 }
 
 // relayLink is a raw relay feed session for the registry tests: Hello,

@@ -50,6 +50,12 @@ const maxBatch = 256
 // session's owner rather than published on a channel.
 const control = -1
 
+// Default Limits of a node's sessions, root daemon's and relay's alike.
+const (
+	DefaultWriteTimeout     = 10 * time.Second
+	DefaultSubscriberBuffer = 256
+)
+
 // Limits are the per-session hardening parameters, read when a session
 // opens.
 type Limits struct {

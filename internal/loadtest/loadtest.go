@@ -592,7 +592,7 @@ func Run(ctl Control, cfg Config) (Result, error) {
 			MinBackoff: 50 * time.Millisecond,
 			MaxBackoff: 2 * time.Second,
 			JitterSeed: int64(i + 1),
-			OnEvent: func(ev daemon.Event) {
+			OnEvent: func(ev netclient.Event) {
 				switch {
 				case ev.Assigned != nil:
 					if st.channel.CompareAndSwap(-1, int32(ev.Assigned.Channel)) {

@@ -1,4 +1,4 @@
-package daemon
+package netclient
 
 import (
 	"bufio"
@@ -19,13 +19,13 @@ import (
 // buffer refills.
 const connReadBuffer = 32 << 10
 
-// Conn is the client side of a daemon session: it subscribes queries and
-// consumes the assignment and answer frames the daemon pushes.
+// Conn is the client end of a session with a daemon or relay: it
+// subscribes queries and reads the frames the node pushes.
 type Conn struct {
 	conn     net.Conn
 	clock    stampReader
 	br       *bufio.Reader     // reads through clock
-	held     int               // bytes of br the last frame still occupies (see readFrame)
+	held     int               // bytes of br the last frame still occupies (see ReadFrame)
 	rbuf     []byte            // reused payload buffer for frames larger than br
 	ansMsg   multicast.Message // reused Answer event storage (see Next)
 	clientID int
@@ -127,7 +127,7 @@ type Event struct {
 // only message an extractor for this client keeps tuples from. A listener
 // thus discards a message it does not want without allocating.
 func (c *Conn) Next() (Event, error) {
-	ft, payload, err := c.readFrame()
+	ft, payload, err := c.ReadFrame()
 	if err != nil {
 		return Event{}, err
 	}
@@ -154,17 +154,18 @@ func (c *Conn) Next() (Event, error) {
 		}
 		return Event{Err: &e, ReceivedUnixNano: c.clock.at}, nil
 	case wire.TypeBye:
-		return Event{}, fmt.Errorf("daemon: server said goodbye")
+		return Event{}, fmt.Errorf("netclient: server said goodbye")
 	default:
-		return Event{}, fmt.Errorf("daemon: unexpected frame type %d", ft)
+		return Event{}, fmt.Errorf("netclient: unexpected frame type %d", ft)
 	}
 }
 
-// readFrame returns the next frame's type and payload. The payload lies
-// in the read buffer — consumed only by the following call, which is
-// what keeps it intact until then — or, for a frame larger than the
-// buffer, in c.rbuf. It fails the way wire.ReadFrameAppend does.
-func (c *Conn) readFrame() (uint8, []byte, error) {
+// ReadFrame returns the next frame's type and raw payload, which Next
+// decodes and a relay forwards. The payload lies in the read buffer —
+// consumed only by the following call, which keeps it intact until
+// then — or, for a frame larger than the buffer, in c.rbuf. It returns
+// what wire.ReadFrameAppend would, error for error.
+func (c *Conn) ReadFrame() (uint8, []byte, error) {
 	_, _ = c.br.Discard(c.held) // cannot fail: these bytes were peeked
 	c.held = 0
 	hdr, err := c.br.Peek(wire.HeaderSize)

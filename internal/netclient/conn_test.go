@@ -1,4 +1,4 @@
-package daemon
+package netclient
 
 import (
 	"bytes"
@@ -20,12 +20,15 @@ import (
 
 // streamConn is the client end of a connection whose server already
 // wrote everything it will ever write: reads serve the stream (over and
-// over when loop is set), writes vanish.
+// over when loop is set), writes vanish. When sizes is set, the i-th
+// Read returns at most sizes[i mod len(sizes)]² + 1 bytes.
 type streamConn struct {
 	net.Conn // nil: only the methods below are reached
 	stream   []byte
 	off      int
 	loop     bool
+	sizes    []byte
+	reads    int
 }
 
 func (s *streamConn) Read(p []byte) (int, error) {
@@ -34,6 +37,11 @@ func (s *streamConn) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		s.off = 0
+	}
+	if len(s.sizes) > 0 {
+		size := int(s.sizes[s.reads%len(s.sizes)])
+		p = p[:min(len(p), size*size+1)]
+		s.reads++
 	}
 	n := copy(p, s.stream[s.off:])
 	s.off += n
@@ -188,6 +196,42 @@ func (c *chunkConn) Read(p []byte) (int, error) {
 
 func (c *chunkConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c *chunkConn) Close() error                { return nil }
+
+// FuzzConnReadFrame holds Conn.ReadFrame to its oracle,
+// wire.ReadFrameAppend: over any bytes, arriving in any read sizes, the
+// two return the same frame types and payloads and end with the same
+// error. ReadFrame parses the first bytes a peer controls at every
+// client and every relay.
+func FuzzConnReadFrame(f *testing.F) {
+	small := wire.AppendMessageFrame(nil, answerMsg(1, 1, 2, 16, 'a'))
+	large := wire.AppendMessageFrame(nil, answerMsg(1, 2, 40, 1000, 'B')) // past the read buffer
+	f.Add(small, []byte{3})
+	f.Add(append(append(slices.Clip(small), large...), small...), []byte{255, 7, 181})
+	f.Add(append(slices.Clip(small), large[:len(large)/2]...), []byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, wire.TypeAnswer}, []byte{})
+	f.Fuzz(func(t *testing.T, stream, sizes []byte) {
+		conn, err := NewConn(&streamConn{stream: stream, sizes: sizes}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := bytes.NewReader(stream)
+		var buf []byte
+		for i := 0; ; i++ {
+			wantType, want, wantErr := wire.ReadFrameAppend(buf[:0], oracle)
+			buf = want
+			gotType, got, err := conn.ReadFrame()
+			if err != wantErr {
+				t.Fatalf("frame %d: err = %v, want %v", i, err, wantErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			if gotType != wantType || !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: type %d, %d payload bytes; want type %d, %d bytes", i, gotType, len(got), wantType, len(want))
+			}
+		}
+	})
+}
 
 // TestConnReceiveStamp pins what Event.ReceivedUnixNano means: when the
 // socket read that completed the frame returned. Frames one read

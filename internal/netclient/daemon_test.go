@@ -1,4 +1,6 @@
-package netclient
+// Tests that run the client runtime against a live root daemon. They are
+// an external test package because the daemon imports netclient.
+package netclient_test
 
 import (
 	"context"
@@ -11,6 +13,7 @@ import (
 	"qsub/internal/cost"
 	"qsub/internal/daemon"
 	"qsub/internal/geom"
+	"qsub/internal/netclient"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/server"
@@ -48,7 +51,7 @@ func TestReplansWithoutMovesLeaveNoGaps(t *testing.T) {
 	}()
 
 	const n = 10
-	clients := make([]*Client, n)
+	clients := make([]*netclient.Client, n)
 	assigns := make([]atomic.Int64, n)
 	for i := range clients {
 		x, y := float64(40+i*90), float64(40+(i*370)%900)
@@ -57,9 +60,9 @@ func TestReplansWithoutMovesLeaveNoGaps(t *testing.T) {
 			qs = append(qs, query.Range(query.ID(k+1), geom.RectWH(x+float64(k*12), y+float64(k*9), 50, 50)))
 		}
 		i := i
-		clients[i], err = New(Config{
+		clients[i], err = netclient.New(netclient.Config{
 			Addr: ln.Addr().String(), ClientID: i + 1, Queries: qs, MaxAttempts: 1,
-			OnEvent: func(ev daemon.Event) {
+			OnEvent: func(ev netclient.Event) {
 				if ev.Assigned != nil {
 					assigns[i].Add(1)
 				}
@@ -71,7 +74,7 @@ func TestReplansWithoutMovesLeaveNoGaps(t *testing.T) {
 		go clients[i].Run(ctx)
 	}
 	// The churner owns the only subscription that changes.
-	churner, err := daemon.Dial(ln.Addr().String(), 99)
+	churner, err := netclient.Dial(ln.Addr().String(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,5 +153,127 @@ func TestReplansWithoutMovesLeaveNoGaps(t *testing.T) {
 		if got := assigns[i].Load(); got != replans {
 			t.Fatalf("client %d: %d Assigned frames for %d replans", i+1, got, replans)
 		}
+	}
+}
+
+// startDaemonOn serves a fresh daemon on the given listener.
+func startDaemonOn(t *testing.T, ln net.Listener) (*daemon.Daemon, context.CancelFunc) {
+	t.Helper()
+	rel := relation.MustNew(geom.R(0, 0, 1000, 1000), 10, 10)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("obj"))
+	}
+	d, err := daemon.New(rel, 1, server.Config{Model: cost.Model{KM: 500, KT: 1, KU: 1, K6: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go d.Serve(ctx, ln)
+	return d, cancel
+}
+
+// waitForQueries polls until the daemon registry holds n queries.
+func waitForQueries(t *testing.T, d *daemon.Daemon, n int) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		if cy, err := d.Server().Plan(); err == nil && len(cy.Queries) == n {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("daemon never reached %d queries", n)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
+// TestReconnectResubscribesAndRefreshes is the end-to-end resilience
+// path: the daemon dies mid-run and is replaced on the same address; the
+// client reconnects on its own, re-registers its query, requests a full
+// refresh, and extracts the complete answer from the new daemon.
+func TestReconnectResubscribesAndRefreshes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	d1, cancel1 := startDaemonOn(t, ln)
+
+	q := query.Range(1, geom.R(0, 0, 1000, 1000))
+	c, err := netclient.New(netclient.Config{
+		Addr:       addr,
+		ClientID:   2,
+		Queries:    []query.Query{q},
+		MinBackoff: 10 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
+		JitterSeed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
+
+	waitForQueries(t, d1, 1)
+	if _, err := d1.RunCycle(true); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for len(c.Extractor().Answer(1)) == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("client never extracted the first answer")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	firstAnswer := len(c.Extractor().Answer(1))
+
+	// The daemon dies; a successor takes over the same address.
+	cancel1()
+	d1.Close()
+	ln.Close()
+	var ln2 net.Listener
+	for i := 0; ; i++ {
+		ln2, err = net.Listen("tcp", addr)
+		if err == nil {
+			break
+		}
+		if i > 100 {
+			t.Fatalf("could not rebind %s: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	d2, cancel2 := startDaemonOn(t, ln2)
+	defer func() {
+		cancel2()
+		d2.Close()
+		ln2.Close()
+	}()
+
+	// The client must re-register with the successor by itself and ask
+	// for a refresh, so the next delta cycle ships full answers.
+	waitForQueries(t, d2, 1)
+	if _, err := d2.RunCycle(true); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.After(5 * time.Second)
+	for len(c.Extractor().Answer(1)) < firstAnswer {
+		select {
+		case <-deadline:
+			t.Fatalf("client recovered only %d/%d tuples after reconnect",
+				len(c.Extractor().Answer(1)), firstAnswer)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	st := c.Stats()
+	if st.Connects < 2 {
+		t.Fatalf("Connects = %d, want >= 2", st.Connects)
+	}
+	if st.ResumeRefreshes < 1 {
+		t.Fatalf("ResumeRefreshes = %d, want >= 1", st.ResumeRefreshes)
 	}
 }

@@ -1,11 +1,11 @@
-// Package netclient is the resilient client runtime for daemon sessions:
-// the reconnect loop (Loop, exponential backoff with jitter — the one a
-// relay's upstream link runs too), automatic re-registration of
-// subscriptions after every reconnect, and
-// gap recovery — when sequence numbers show a missed message (or a whole
-// session was missed), the client asks the daemon for full answers on
-// the next cycle instead of silently extracting from an incomplete
-// stream.
+// Package netclient is the client end of the protocol, which links no
+// planner: Conn, the reader of every upstream link (a client's session
+// and a relay's feed); the reconnect loop (Loop, exponential backoff
+// with jitter, which a relay's feed runs too); re-registration of
+// subscriptions after every reconnect; and gap recovery — when sequence
+// numbers show a missed message (or a whole session was missed), the
+// client asks the daemon for full answers on the next cycle instead of
+// silently extracting from an incomplete stream.
 package netclient
 
 import (
@@ -18,17 +18,16 @@ import (
 	"time"
 
 	"qsub/internal/client"
-	"qsub/internal/daemon"
 	"qsub/internal/query"
 )
 
 // Session is the slice of a daemon connection the runtime drives. It is
-// satisfied by *daemon.Conn and small enough to fake in tests.
+// satisfied by *Conn and small enough to fake in tests.
 type Session interface {
 	Subscribe(q query.Query) error
 	Ready() error
 	Refresh() error
-	Next() (daemon.Event, error)
+	Next() (Event, error)
 	Close() error
 }
 
@@ -53,14 +52,14 @@ type Config struct {
 	// JitterSeed seeds the backoff jitter; 0 derives one from the clock.
 	JitterSeed int64
 
-	// Dial opens a session. Nil uses daemon.Dial over TCP; tests inject
+	// Dial opens a session. Nil uses Dial over TCP; tests inject
 	// fakes or fault-wrapped connections here.
 	Dial func(addr string, clientID int) (Session, error)
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 	// OnEvent, when set, observes every server-pushed event after the
 	// runtime has processed it.
-	OnEvent func(daemon.Event)
+	OnEvent func(Event)
 }
 
 // Stats counts the resilience machinery's activity.
@@ -83,7 +82,7 @@ type Stats struct {
 	// channel, zero before any answer.
 	LastSeq uint64
 	// LastFrameUnixNano is the local receive time of the newest answer
-	// frame (daemon.Event.ReceivedUnixNano: when the socket read that
+	// frame (Event.ReceivedUnixNano: when the socket read that
 	// completed the frame returned); now minus this is the session's
 	// staleness.
 	LastFrameUnixNano int64
@@ -107,7 +106,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string, clientID int) (Session, error) {
-			return daemon.Dial(addr, clientID)
+			return Dial(addr, clientID)
 		}
 	}
 	return &Client{
@@ -260,8 +259,8 @@ func (c *Client) runSession(sess Session) error {
 }
 
 // handle processes one server-pushed event. An Answer is borrowed from
-// the session (see daemon.Conn.Next) and is done with when handle returns.
-func (c *Client) handle(sess Session, ev daemon.Event) error {
+// the session (see Conn.Next) and is done with when handle returns.
+func (c *Client) handle(sess Session, ev Event) error {
 	switch {
 	case ev.Assigned != nil:
 		c.mu.Lock()

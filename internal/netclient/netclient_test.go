@@ -12,13 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"qsub/internal/cost"
-	"qsub/internal/daemon"
 	"qsub/internal/geom"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
-	"qsub/internal/server"
 	"qsub/internal/wire"
 )
 
@@ -28,7 +25,7 @@ type fakeSession struct {
 	mu         sync.Mutex
 	subscribed []query.ID
 	refreshes  int
-	events     []daemon.Event
+	events     []Event
 	closed     chan struct{}
 	closeOnce  sync.Once
 }
@@ -46,12 +43,12 @@ func (f *fakeSession) Refresh() error {
 	f.mu.Unlock()
 	return nil
 }
-func (f *fakeSession) Next() (daemon.Event, error) {
+func (f *fakeSession) Next() (Event, error) {
 	f.mu.Lock()
 	if len(f.events) == 0 {
 		f.mu.Unlock()
 		<-f.closed
-		return daemon.Event{}, errors.New("fake session closed")
+		return Event{}, errors.New("fake session closed")
 	}
 	ev := f.events[0]
 	f.events = f.events[1:]
@@ -63,10 +60,10 @@ func (f *fakeSession) Close() error {
 	return nil
 }
 
-// answerEvent is an answer frame as daemon.Conn.Next returns it: stamped
+// answerEvent is an answer frame as Conn.Next returns it: stamped
 // with its receive time.
-func answerEvent(channel int, seq uint64) daemon.Event {
-	return daemon.Event{Answer: &multicast.Message{Channel: channel, Seq: seq}, ReceivedUnixNano: time.Now().UnixNano()}
+func answerEvent(channel int, seq uint64) Event {
+	return Event{Answer: &multicast.Message{Channel: channel, Seq: seq}, ReceivedUnixNano: time.Now().UnixNano()}
 }
 
 // TestGapTriggersRefresh: a sequence gap in the answer stream makes the
@@ -74,14 +71,14 @@ func answerEvent(channel int, seq uint64) daemon.Event {
 func TestGapTriggersRefresh(t *testing.T) {
 	sess := &fakeSession{
 		closed: make(chan struct{}),
-		events: []daemon.Event{
+		events: []Event{
 			{Assigned: &wire.Assigned{Channel: 0}},
 			answerEvent(0, 1),
 			answerEvent(0, 2),
 			answerEvent(0, 5), // seqs 3 and 4 lost
 		},
 	}
-	seen := make(chan daemon.Event, 16)
+	seen := make(chan Event, 16)
 	c, err := New(Config{
 		ClientID:    1,
 		Queries:     []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
@@ -89,7 +86,7 @@ func TestGapTriggersRefresh(t *testing.T) {
 		Dial: func(string, int) (Session, error) {
 			return sess, nil
 		},
-		OnEvent: func(ev daemon.Event) { seen <- ev },
+		OnEvent: func(ev Event) { seen <- ev },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +127,7 @@ func TestGapTriggersRefresh(t *testing.T) {
 func TestChannelReturnIsNotAGap(t *testing.T) {
 	sess := &fakeSession{
 		closed: make(chan struct{}),
-		events: []daemon.Event{
+		events: []Event{
 			{Assigned: &wire.Assigned{Channel: 0}},
 			answerEvent(0, 1),
 			answerEvent(0, 2),
@@ -154,7 +151,7 @@ func TestChannelReturnIsNotAGap(t *testing.T) {
 		Queries:     []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
 		MaxAttempts: 1,
 		Dial:        func(string, int) (Session, error) { return sess, nil },
-		OnEvent:     func(daemon.Event) { after <- c.Stats() },
+		OnEvent:     func(Event) { after <- c.Stats() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,128 +240,6 @@ func TestDialGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-// startDaemonOn serves a fresh daemon on the given listener.
-func startDaemonOn(t *testing.T, ln net.Listener) (*daemon.Daemon, context.CancelFunc) {
-	t.Helper()
-	rel := relation.MustNew(geom.R(0, 0, 1000, 1000), 10, 10)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		rel.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), []byte("obj"))
-	}
-	d, err := daemon.New(rel, 1, server.Config{Model: cost.Model{KM: 500, KT: 1, KU: 1, K6: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go d.Serve(ctx, ln)
-	return d, cancel
-}
-
-// waitForQueries polls until the daemon registry holds n queries.
-func waitForQueries(t *testing.T, d *daemon.Daemon, n int) {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if cy, err := d.Server().Plan(); err == nil && len(cy.Queries) == n {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("daemon never reached %d queries", n)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
-// TestReconnectResubscribesAndRefreshes is the end-to-end resilience
-// path: the daemon dies mid-run and is replaced on the same address; the
-// client reconnects on its own, re-registers its query, requests a full
-// refresh, and extracts the complete answer from the new daemon.
-func TestReconnectResubscribesAndRefreshes(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	d1, cancel1 := startDaemonOn(t, ln)
-
-	q := query.Range(1, geom.R(0, 0, 1000, 1000))
-	c, err := New(Config{
-		Addr:       addr,
-		ClientID:   2,
-		Queries:    []query.Query{q},
-		MinBackoff: 10 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond,
-		JitterSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runDone := make(chan error, 1)
-	go func() { runDone <- c.Run(ctx) }()
-
-	waitForQueries(t, d1, 1)
-	if _, err := d1.RunCycle(true); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for len(c.Extractor().Answer(1)) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("client never extracted the first answer")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	firstAnswer := len(c.Extractor().Answer(1))
-
-	// The daemon dies; a successor takes over the same address.
-	cancel1()
-	d1.Close()
-	ln.Close()
-	var ln2 net.Listener
-	for i := 0; ; i++ {
-		ln2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if i > 100 {
-			t.Fatalf("could not rebind %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	d2, cancel2 := startDaemonOn(t, ln2)
-	defer func() {
-		cancel2()
-		d2.Close()
-		ln2.Close()
-	}()
-
-	// The client must re-register with the successor by itself and ask
-	// for a refresh, so the next delta cycle ships full answers.
-	waitForQueries(t, d2, 1)
-	if _, err := d2.RunCycle(true); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.After(5 * time.Second)
-	for len(c.Extractor().Answer(1)) < firstAnswer {
-		select {
-		case <-deadline:
-			t.Fatalf("client recovered only %d/%d tuples after reconnect",
-				len(c.Extractor().Answer(1)), firstAnswer)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	st := c.Stats()
-	if st.Connects < 2 {
-		t.Fatalf("Connects = %d, want >= 2", st.Connects)
-	}
-	if st.ResumeRefreshes < 1 {
-		t.Fatalf("ResumeRefreshes = %d, want >= 1", st.ResumeRefreshes)
-	}
-}
-
 // TestStaleness: the per-session receive bookkeeping (Frames, LastSeq,
 // LastFrameUnixNano) tracks the newest frame, and the extractor's
 // staleness stamps track the newest timestamped one.
@@ -375,19 +250,19 @@ func TestStaleness(t *testing.T) {
 	unstamped := answerEvent(0, 2) // pre-timestamp daemon: must not restamp
 	sess := &fakeSession{
 		closed: make(chan struct{}),
-		events: []daemon.Event{
+		events: []Event{
 			{Assigned: &wire.Assigned{Channel: 0}},
 			stamped,
 			unstamped,
 		},
 	}
-	seen := make(chan daemon.Event, 16)
+	seen := make(chan Event, 16)
 	c, err := New(Config{
 		ClientID:    1,
 		Queries:     []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
 		MaxAttempts: 1,
 		Dial:        func(string, int) (Session, error) { return sess, nil },
-		OnEvent:     func(ev daemon.Event) { seen <- ev },
+		OnEvent:     func(ev Event) { seen <- ev },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +309,7 @@ func ownedMsg(clientID int, seq uint64, n int, fill byte) multicast.Message {
 // TestAnswerSurvivesLaterFrames drives the runtime over a real socket: the
 // answer extracted from an addressed frame is still intact, read from
 // another goroutine, after many times the connection's read buffer of
-// other clients' frames went by (see daemon.Conn.Next for the rule).
+// other clients' frames went by (see Conn.Next for the rule).
 func TestAnswerSurvivesLaterFrames(t *testing.T) {
 	const me, other, fillers = 3, 4, 2000
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -466,7 +341,7 @@ func TestAnswerSurvivesLaterFrames(t *testing.T) {
 		Addr:     ln.Addr().String(),
 		ClientID: me,
 		Queries:  []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
-		OnEvent: func(ev daemon.Event) {
+		OnEvent: func(ev Event) {
 			if ev.Answer != nil && ev.Answer.Seq == last.Seq {
 				close(seen)
 			}
@@ -494,25 +369,6 @@ func TestAnswerSurvivesLaterFrames(t *testing.T) {
 	}
 }
 
-// loopConn is a connection that delivers the same byte stream for ever
-// and swallows writes.
-type loopConn struct {
-	net.Conn // nil: only Read, Write and Close are reached
-	stream   []byte
-	off      int
-}
-
-func (l *loopConn) Read(p []byte) (int, error) {
-	if l.off == len(l.stream) {
-		l.off = 0
-	}
-	n := copy(p, l.stream[l.off:])
-	l.off += n
-	return n, nil
-}
-func (l *loopConn) Write(p []byte) (int, error) { return len(p), nil }
-func (l *loopConn) Close() error                { return nil }
-
 // TestReceivePathAllocs pins what a frame costs a listener from socket
 // buffer to extractor: nothing for a frame addressed to someone else, one
 // block (the owned payloads) for one addressed to it.
@@ -527,10 +383,7 @@ func TestReceivePathAllocs(t *testing.T) {
 		for seq := uint64(1); seq <= 64; seq++ {
 			stream = wire.AppendMessageFrame(stream, ownedMsg(tc.to, seq, 2, byte(seq)))
 		}
-		conn, err := daemon.NewConn(&loopConn{stream: stream}, me)
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := connOver(t, me, stream, true)
 		c, err := New(Config{ClientID: me, Queries: []query.Query{query.Range(1, geom.R(0, 0, 10, 10))}})
 		if err != nil {
 			t.Fatal(err)
@@ -565,10 +418,7 @@ func TestLastFrameIsReceiveStamp(t *testing.T) {
 	for seq := uint64(1); seq <= 64; seq++ {
 		stream = wire.AppendMessageFrame(stream, ownedMsg(me+int(seq%2), seq, 2, byte(seq)))
 	}
-	conn, err := daemon.NewConn(&loopConn{stream: stream}, me)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := connOver(t, me, stream, true)
 	c, err := New(Config{ClientID: me, Queries: []query.Query{query.Range(1, geom.R(0, 0, 10, 10))}})
 	if err != nil {
 		t.Fatal(err)
@@ -590,7 +440,7 @@ func TestLastFrameIsReceiveStamp(t *testing.T) {
 // BenchmarkReceive is a listener's whole cost per frame, from the
 // connection's read buffer through the clock, the sequence bookkeeping
 // and extraction: one Next plus handle per op over an endless in-memory
-// stream, for the frame shapes of daemon's BenchmarkConnNext. An
+// stream, for the frame shapes of BenchmarkConnNext. An
 // unaddressed frame allocates nothing (TestReceivePathAllocs).
 func BenchmarkReceive(b *testing.B) {
 	const me = 3
@@ -617,10 +467,7 @@ func BenchmarkReceive(b *testing.B) {
 				}
 				stream = wire.AppendMessageFrame(stream, m)
 			}
-			conn, err := daemon.NewConn(&loopConn{stream: stream}, me)
-			if err != nil {
-				b.Fatal(err)
-			}
+			conn := connOver(b, me, stream, true)
 			c, err := New(Config{ClientID: me, Queries: []query.Query{query.Range(1, geom.R(0, 0, 10, 10))}})
 			if err != nil {
 				b.Fatal(err)

@@ -32,16 +32,16 @@
 package relay
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
-	"qsub/internal/daemon"
+	"qsub/internal/admin"
 	"qsub/internal/fanout"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
@@ -59,15 +59,16 @@ type Config struct {
 	RelayID int
 	// Channels restricts the upstream subscription to these channels;
 	// nil subscribes every channel, which is also what lets downstream
-	// clients be assigned anywhere.
+	// clients be assigned anywhere. New refuses a channel below 0 or past
+	// what a RelaySub frame holds.
 	Channels []int
 
 	// SubscriberBuffer is the per-downstream-session frame queue depth
-	// (default daemon.DefaultSubscriberBuffer). A session whose queue
+	// (default fanout.DefaultSubscriberBuffer). A session whose queue
 	// fills is evicted, exactly like a slow consumer on the root daemon.
 	SubscriberBuffer int
 	// WriteTimeout bounds each downstream flush and upstream control
-	// write (default daemon.DefaultWriteTimeout).
+	// write (default fanout.DefaultWriteTimeout).
 	WriteTimeout time.Duration
 
 	// MinBackoff/MaxBackoff/MaxAttempts/JitterSeed shape the upstream
@@ -90,6 +91,7 @@ type Config struct {
 // Relay is a running relay tier process.
 type Relay struct {
 	cfg     Config
+	mask    []uint64 // cfg.Channels as the RelaySub bitmask
 	metrics *metrics.Catalog
 	// hub is the connection engine: every downstream session — a direct
 	// client or a downstream relay — and the client registry (see
@@ -109,6 +111,8 @@ type Relay struct {
 	// as many channels as the upstream network has, so nil before the
 	// first RelayAck. Written by the upstream read loop only.
 	net *multicast.Network
+	// feed reads the upstream link; the upstream loop's alone.
+	feed *netclient.Conn
 }
 
 // New builds a relay; Run starts it.
@@ -116,11 +120,17 @@ func New(cfg Config) (*Relay, error) {
 	if cfg.Upstream == "" {
 		return nil, errors.New("relay: no upstream address configured")
 	}
+	for _, ch := range cfg.Channels {
+		// RelaySub: a word count, then one 8-byte word per 64 channels.
+		if ch < 0 || 4+8*(ch/64+1) > wire.MaxFrameSize {
+			return nil, fmt.Errorf("relay: channel %d is out of range", ch)
+		}
+	}
 	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = daemon.DefaultSubscriberBuffer
+		cfg.SubscriberBuffer = fanout.DefaultSubscriberBuffer
 	}
 	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = daemon.DefaultWriteTimeout
+		cfg.WriteTimeout = fanout.DefaultWriteTimeout
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string) (net.Conn, error) {
@@ -130,13 +140,47 @@ func New(cfg Config) (*Relay, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewCatalog(0)
 	}
-	r := &Relay{cfg: cfg, metrics: cfg.Metrics}
+	r := &Relay{cfg: cfg, mask: wire.ChannelMask(cfg.Channels...), metrics: cfg.Metrics}
 	r.hub = fanout.NewHub(cfg.Metrics, func() int64 { return time.Now().UnixNano() }, r.logf, link{r})
 	return r, nil
 }
 
 // Metrics returns the relay's instrument catalog (never nil).
 func (r *Relay) Metrics() *metrics.Catalog { return r.metrics }
+
+// Status collects the relay's /statusz document: the document a root
+// serves — channel count, session count, laggards, metrics snapshot —
+// with no plan (relays do not plan) and the Relay stanza, so qsubtop
+// pointed at a relay shows the upstream link. A relay has no publish
+// cycle to hang the lag sweep on, so the fleet lag gauges are refreshed
+// here, by the reader.
+func (r *Relay) Status() admin.Status {
+	r.hub.UpdateLagWatermarks()
+	st := admin.Status{
+		Sessions: r.hub.Len(),
+		Laggards: r.hub.TopLaggards(admin.StatusLaggards),
+		Metrics:  r.metrics.Snapshot(),
+		Build:    admin.ReadBuild(),
+	}
+	info := &admin.RelayInfo{Upstream: r.cfg.Upstream, Clients: r.hub.Clients()}
+	r.mu.Lock()
+	info.Hop, info.Connected = r.hop, r.connected
+	if r.connects > 0 {
+		info.Reconnects = uint64(r.connects - 1)
+	}
+	if r.net != nil {
+		st.Channels = r.net.Channels()
+	}
+	info.Channels = len(wire.MaskChannels(r.mask, st.Channels))
+	r.mu.Unlock()
+	st.Relay = info
+	return st
+}
+
+// AdminMux builds the relay's admin HTTP handler, the one a root serves.
+func (r *Relay) AdminMux() *http.ServeMux {
+	return admin.NewMux(r.Status, r.metrics.Registry, r.logf)
+}
 
 func (r *Relay) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
@@ -216,13 +260,13 @@ func (r *Relay) connectUpstream() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(conn, wire.TypeHello,
-		wire.MarshalHello(wire.Hello{ClientID: r.cfg.RelayID})); err != nil {
-		conn.Close()
+	// The feed is read like a subscriber's session; the relay writes on
+	// conn itself (send: write deadlines; no Bye at shutdown).
+	if r.feed, err = netclient.NewConn(conn, r.cfg.RelayID); err != nil {
 		return nil, err
 	}
 	if err := wire.WriteFrame(conn, wire.TypeRelaySub,
-		wire.MarshalRelaySub(wire.RelaySub{Mask: wire.ChannelMask(r.cfg.Channels...)})); err != nil {
+		wire.MarshalRelaySub(wire.RelaySub{Mask: r.mask})); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -263,11 +307,8 @@ func (r *Relay) serveUpstream(conn net.Conn) error {
 			}
 		}
 	}()
-	br := bufio.NewReaderSize(conn, 32<<10)
-	var rbuf []byte
 	for {
-		ft, payload, err := wire.ReadFrameAppend(rbuf[:0], br)
-		rbuf = payload
+		ft, payload, err := r.feed.ReadFrame()
 		if err != nil {
 			return err
 		}

@@ -264,6 +264,10 @@ func TestRelayByteExactFanout(t *testing.T) {
 		}
 		cycle(true)
 	}
+	// An answer frame larger than the feed's 32 KiB read buffer takes the
+	// reader's other branch; its bytes must come through as exactly.
+	rel.Insert(geom.Pt(100, 100), bytes.Repeat([]byte("L"), 40<<10))
+	cycle(true)
 
 	if got := root.Metrics().RelaySessions.Load(); got != 1 {
 		t.Errorf("root reports %d relay sessions, want 1", got)
@@ -348,7 +352,7 @@ func TestRelayMultiHopExactness(t *testing.T) {
 }
 
 // TestRelayedAnswerSurvivesLaterFrames: the receive path's borrow rule
-// (daemon.Conn.Next) holds for a client behind a relay. Its answer
+// (netclient.Conn.Next) holds for a client behind a relay. Its answer
 // arrives in the first cycle; twenty delta cycles then carry several
 // read buffers' worth of another client's tuples past it, and the answer
 // it extracted still equals the query run on the relation.

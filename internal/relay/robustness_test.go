@@ -197,7 +197,7 @@ func TestRelayMoveUnderBacklog(t *testing.T) {
 					qs = append(qs, query.Range(query.ID(k+1), geom.RectWH(x+float64(k*12), y+float64(k*9), 50, 50)))
 				}
 				nc, err := netclient.New(netclient.Config{Addr: addr, ClientID: i + 1, Queries: qs,
-					OnEvent: func(ev daemon.Event) {
+					OnEvent: func(ev netclient.Event) {
 						if ev.Assigned != nil {
 							cmu.Lock()
 							channels[i] = append(channels[i], ev.Assigned.Channel)
@@ -254,7 +254,7 @@ func TestRelayMoveUnderBacklog(t *testing.T) {
 			// one and moves clients; the cycle that carries the moves
 			// also carries new tuples for everyone.
 			for c := 0; c < 8; c++ {
-				conn, err := daemon.Dial(ln.Addr().String(), 100+c)
+				conn, err := netclient.Dial(ln.Addr().String(), 100+c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -535,4 +535,27 @@ func TestRelayAdminSurface(t *testing.T) {
 		return st.Laggards[0].SeqLag == 0 && st.Metrics.Gauges["qsub_session_max_seq_lag"] == 0 &&
 			st.Metrics.Gauges["qsub_session_max_queue_depth"] == 0
 	})
+
+	// The relay stanza counts the upstream channels the relay's list
+	// selects: a duplicate once, a channel past the upstream's count not
+	// at all.
+	_, root8 := startRoot(t, 8)
+	masked, _, _ := startRelay(t, Config{Upstream: root8, RelayID: 1 << 30, Channels: []int{0, 0, 2, 99}, Logf: t.Logf})
+	if st := masked.Status(); st.Channels != 8 || st.Relay.Channels != 2 {
+		t.Errorf("relay over channels {0, 0, 2, 99} of 8 reports %d of %d channels, want 2 of 8", st.Relay.Channels, st.Channels)
+	}
+}
+
+// TestRelayRefusesChannelsOutOfRange: New refuses a channel list the
+// upstream subscription cannot carry — a negative channel, which the
+// mask would skip and so subscribe every channel, or one whose RelaySub
+// frame would pass wire.MaxFrameSize — instead of dialing with it.
+func TestRelayRefusesChannelsOutOfRange(t *testing.T) {
+	// The first channel whose mask needs more words than a frame holds.
+	tooHigh := (wire.MaxFrameSize - 4) / 8 * 64
+	for _, channels := range [][]int{{-1}, {0, -3}, {tooHigh}, {1, 4000000000}} {
+		if _, err := New(Config{Upstream: "127.0.0.1:1", Channels: channels}); err == nil {
+			t.Errorf("New accepted channels %v", channels)
+		}
+	}
 }
