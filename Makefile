@@ -125,20 +125,24 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayCtl -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/netclient -fuzz FuzzConnReadFrame -fuzztime 30s
+	$(GO) test ./internal/client -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/relation -fuzz FuzzRankTable -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
 
 # The CI fuzz leg: the answer-frame decoder (held to its field-by-field
-# oracle), the frame reader, and the live reader every client and relay
-# parses its upstream with (netclient.Conn, held to the frame reader):
+# oracle), the frame reader, the live reader every client and relay
+# parses its upstream with (netclient.Conn, held to the frame reader),
+# and the extractor's id-ordered views (held to the map-based oracle):
 # every listener's per-frame path and the first bytes any peer controls.
-# The live reader's inputs run past its 32 KiB buffer and minimizing one
-# takes seconds, so minimization is capped to leave the 15 s exploring.
+# The live reader's inputs run past its 32 KiB buffer and an extractor
+# input is a whole message stream, so minimizing one takes seconds and
+# minimization is capped to leave the 15 s exploring.
 fuzz-short:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzUnmarshalMessage$$' -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s
 	$(GO) test ./internal/netclient -run '^$$' -fuzz '^FuzzConnReadFrame$$' -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/client -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 15s -fuzzminimizetime 1s
 
 # Root-module non-test Go lines: the one count every CHANGES.md entry and
 # ROADMAP re-anchor cites. The benchmark module and the benchmark's build

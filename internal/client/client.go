@@ -8,10 +8,13 @@
 package client
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"qsub/internal/geom"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
@@ -58,17 +61,180 @@ type QueryStats struct {
 }
 
 // entry is one subscription's extractor state: the query, its accumulated
-// answer, its stats, and the per-message scratch counters Handle folds
-// into the stats after each extraction pass. Entries live in a slice
+// answer, its stats, and the per-message scratch Handle folds into the
+// view and the stats after each extraction pass. Entries live in a slice
 // sorted by query id, so the per-tuple hot loop touches contiguous
-// structs instead of hashing into three parallel maps.
+// structs.
 type entry struct {
-	q      query.Query
-	answer map[uint64]relation.Tuple
+	q query.Query
+	// rect is q.Region when that is a rectangle (isRect), the common
+	// case, tested without the interface call.
+	rect   geom.Rect
+	isRect bool
+	view   view
 	stats  QueryStats
-	// Per-message scratch, always zeroed between Handle calls.
-	scratchBytes   int
-	scratchTouched bool
+	// Per-message scratch, always reset between Handle calls: the
+	// indices into the message's tuples this query kept, in message
+	// order, and their bytes.
+	run          []int32
+	scratchBytes int
+}
+
+// setQuery sets the entry's query and its rectangle fast path.
+func (e *entry) setQuery(q query.Query) {
+	e.q = q
+	e.rect, e.isRect = q.Region.(geom.Rect)
+}
+
+// view is one query's accumulated answer: its tuples in ascending id
+// order, each removed one tombstoned in place until tombstones make up
+// more than half of the view, when it compacts. Publish ships tuples in
+// id order and assigns ids rising, so a message's matches usually extend
+// the view at its end; the rules below keep every message O(m log m + the
+// part of the view it spans) for m matches, whatever their order:
+//
+//   - merge takes a message's matches as one run: appended when it starts
+//     past the last id, merged linearly otherwise (ids already present
+//     overwritten in place, then the absent ones placed from the back),
+//     sorted once only when the message was out of order;
+//   - remove is a binary search and a tombstone;
+//   - Answer is one copy, with no sort.
+type view struct {
+	tuples []relation.Tuple
+	// dead is parallel to tuples once the view has seen a removal since
+	// it last compacted, and nil before: a view nothing was removed from
+	// carries no tombstone slice.
+	dead  []bool
+	ndead int
+}
+
+// live returns the number of tuples in the answer.
+func (v *view) live() int { return len(v.tuples) - v.ndead }
+
+// remove tombstones the tuple with the given id, if the view holds it.
+func (v *view) remove(id uint64) {
+	i, ok := slices.BinarySearchFunc(v.tuples, id, func(t relation.Tuple, id uint64) int { return cmp.Compare(t.ID, id) })
+	if !ok || v.dead != nil && v.dead[i] {
+		return
+	}
+	if v.dead == nil {
+		v.dead = make([]bool, len(v.tuples))
+	}
+	v.dead[i] = true
+	v.ndead++
+	if 2*v.ndead > len(v.tuples) {
+		v.compact()
+	}
+}
+
+// compact drops the tombstoned slots, keeping id order.
+func (v *view) compact() {
+	n := 0
+	for i, t := range v.tuples {
+		if !v.dead[i] {
+			v.tuples[n] = t
+			n++
+		}
+	}
+	clear(v.tuples[n:]) // release the dropped payloads
+	v.tuples = v.tuples[:n]
+	v.dead = nil
+	v.ndead = 0
+}
+
+// merge folds src[k] for every k of run into the view; run must be
+// strictly rising in id (see sortRun). A tuple whose id the view holds
+// replaces it, reviving it if it was removed.
+func (v *view) merge(src []relation.Tuple, run []int32) {
+	n := len(v.tuples)
+	if n == 0 || src[run[0]].ID > v.tuples[n-1].ID {
+		v.tuples = slices.Grow(v.tuples, len(run))
+		for _, k := range run {
+			v.tuples = append(v.tuples, src[k])
+		}
+		if v.dead != nil {
+			v.dead = append(v.dead, make([]bool, len(run))...)
+		}
+		return
+	}
+	// Overwrite the ids the view holds and count the absent ones, from
+	// where the run's first id lands.
+	fresh := 0
+	i := sort.Search(n, func(i int) bool { return v.tuples[i].ID >= src[run[0]].ID })
+	for _, k := range run {
+		t := src[k]
+		for i < n && v.tuples[i].ID < t.ID {
+			i++
+		}
+		if i == n || v.tuples[i].ID != t.ID {
+			fresh++
+			continue
+		}
+		v.tuples[i] = t
+		if v.dead != nil && v.dead[i] {
+			v.dead[i] = false
+			v.ndead--
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	// Place the absent ones from the back, shifting the view's tail.
+	v.tuples = append(v.tuples, make([]relation.Tuple, fresh)...)
+	tombs := v.dead != nil
+	if tombs {
+		v.dead = append(v.dead, make([]bool, fresh)...)
+	}
+	i, w := n-1, n+fresh-1
+	for j := len(run) - 1; j >= 0; j-- {
+		t := src[run[j]]
+		for i >= 0 && v.tuples[i].ID > t.ID {
+			v.tuples[w] = v.tuples[i]
+			if tombs {
+				v.dead[w] = v.dead[i]
+			}
+			i--
+			w--
+		}
+		if i >= 0 && v.tuples[i].ID == t.ID {
+			continue // overwritten above
+		}
+		v.tuples[w] = t
+		if tombs {
+			v.dead[w] = false
+		}
+		w--
+	}
+}
+
+// sortRun returns the run of indices into src ordered by strictly rising
+// tuple id. A run already in that order, the one publish sends, is
+// returned as is after one check; otherwise it is sorted once by id and
+// message position, and of equal ids only the last in the message stays,
+// as the last write won in a map.
+func sortRun(src []relation.Tuple, run []int32) []int32 {
+	rising := true
+	for k := 1; k < len(run) && rising; k++ {
+		rising = src[run[k-1]].ID < src[run[k]].ID
+	}
+	if rising {
+		return run
+	}
+	slices.SortFunc(run, func(a, b int32) int {
+		if c := cmp.Compare(src[a].ID, src[b].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	n := 0
+	for k, x := range run {
+		if k+1 < len(run) && src[run[k+1]].ID == src[x].ID {
+			continue
+		}
+		run[n] = x
+		n++
+	}
+	return run[:n]
 }
 
 // Client consumes one subscription and maintains answers per query.
@@ -137,13 +303,14 @@ func (c *Client) find(id query.ID) int {
 // re-registering a query always has.
 func (c *Client) addQueryLocked(q query.Query) {
 	if i := c.find(q.ID); i >= 0 {
-		c.entries[i].q = q
+		c.entries[i].setQuery(q)
 		return
 	}
 	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].q.ID > q.ID })
 	c.entries = append(c.entries, entry{})
 	copy(c.entries[i+1:], c.entries[i:])
-	c.entries[i] = entry{q: q, answer: make(map[uint64]relation.Tuple)}
+	c.entries[i] = entry{}
+	c.entries[i].setQuery(q)
 }
 
 // AddQuery registers an additional subscription query.
@@ -221,27 +388,30 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) (gap bool) 
 	for _, removed := range msg.Removed {
 		for _, ei := range resolved {
 			if ei >= 0 {
-				delete(c.entries[ei].answer, removed)
+				c.entries[ei].view.remove(removed)
 			}
 		}
 	}
 
 	relevant := 0
 	var kept uint64
-	for _, t := range msg.Tuples {
+	for k, t := range msg.Tuples {
 		used := false
 		for _, ei := range resolved {
 			if ei < 0 {
 				continue
 			}
 			e := &c.entries[ei]
-			if !e.q.Region.Contains(t.Pos) {
+			if e.isRect {
+				if !e.rect.Contains(t.Pos) {
+					continue
+				}
+			} else if !e.q.Region.Contains(t.Pos) {
 				continue
 			}
 			used = true
-			e.answer[t.ID] = t
+			e.run = append(e.run, int32(k))
 			e.scratchBytes += t.Size()
-			e.scratchTouched = true
 		}
 		if used {
 			relevant += t.Size()
@@ -256,12 +426,13 @@ func (c *Client) HandleAt(msg *multicast.Message, nowUnixNano int64) (gap bool) 
 			continue
 		}
 		e := &c.entries[ei]
-		if e.scratchTouched {
+		if len(e.run) > 0 {
+			e.view.merge(msg.Tuples, sortRun(msg.Tuples, e.run))
+			e.run = e.run[:0]
 			e.stats.Messages++
 			e.stats.BytesReceived += e.scratchBytes
-			e.stats.Tuples = len(e.answer)
+			e.stats.Tuples = e.view.live()
 			e.scratchBytes = 0
-			e.scratchTouched = false
 		}
 	}
 	c.stats.RelevantBytes += relevant
@@ -284,8 +455,8 @@ func (c *Client) Consume(sub *multicast.Subscription) {
 	}
 }
 
-// Answer returns the accumulated answer for the query, sorted by tuple
-// id.
+// Answer returns a copy of the accumulated answer for the query, sorted
+// by tuple id.
 func (c *Client) Answer(id query.ID) []relation.Tuple {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -293,12 +464,16 @@ func (c *Client) Answer(id query.ID) []relation.Tuple {
 	if i < 0 {
 		return []relation.Tuple{}
 	}
-	m := c.entries[i].answer
-	out := make([]relation.Tuple, 0, len(m))
-	for _, t := range m {
-		out = append(out, t)
+	v := &c.entries[i].view
+	out := make([]relation.Tuple, 0, v.live())
+	if v.ndead == 0 {
+		return append(out, v.tuples...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	for k, t := range v.tuples {
+		if !v.dead[k] {
+			out = append(out, t)
+		}
+	}
 	return out
 }
 
@@ -329,6 +504,6 @@ func (c *Client) QueryStatsFor(id query.ID) QueryStats {
 		return QueryStats{}
 	}
 	qs := c.entries[i].stats
-	qs.Tuples = len(c.entries[i].answer)
+	qs.Tuples = c.entries[i].view.live()
 	return qs
 }

@@ -1,8 +1,10 @@
 package client
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -154,42 +156,204 @@ func randomMessages(seed int64, n int) []multicast.Message {
 	return msgs
 }
 
-// TestHandleMatchesReference pins the slice-based extractor byte-identical
-// to the map-based oracle: same Stats, same per-query stats, same
-// accumulated answers. The client keeps no object cache, so the one leg
-// is the uncached one, named as such.
-func TestHandleMatchesReference(t *testing.T) {
-	t.Run("cache=false", func(t *testing.T) {
-		qs := []query.Query{
-			query.Range(1, geom.R(0, 0, 60, 60)),
-			query.Range(2, geom.R(30, 30, 90, 90)), // overlaps q1
-			query.Range(3, geom.R(0, 0, 100, 100)),
-			query.Range(4, geom.R(50, 0, 100, 50)),
+// hostileMessages builds a deterministic stream that drives every rule
+// of the id-ordered views: tuples in rising, falling and shuffled id
+// order, ids repeated within one message (the last copy must win, so
+// every copy carries its own payload), removals of ids never seen,
+// re-adds of removed ids, and removal bursts that push views past the
+// compaction threshold.
+func hostileMessages(seed int64, n int) []multicast.Message {
+	rng := rand.New(rand.NewSource(seed))
+	var msgs []multicast.Message
+	var removed []uint64
+	next := uint64(1)
+	for i := 0; i < n; i++ {
+		var tuples []relation.Tuple
+		add := func(id uint64) {
+			tuples = append(tuples, relation.Tuple{
+				ID:      id,
+				Pos:     geom.Pt(rng.Float64()*100, rng.Float64()*100),
+				Payload: []byte{byte(i), byte(len(tuples))},
+			})
 		}
-		c := New(7, qs...)
-		ref := newRef(7, qs...)
-		for i, msg := range randomMessages(31, 400) {
-			c.Handle(msg)
-			ref.handle(msg)
-			if c.Stats() != ref.stats {
-				t.Fatalf("message %d: stats diverged:\n got %+v\nwant %+v", i, c.Stats(), ref.stats)
+		var gone []uint64
+		switch i % 6 {
+		case 0: // rising past every id seen: the append path
+			for k := rng.Intn(30); k > 0; k-- {
+				add(next)
+				next++
 			}
+		case 1: // falling, over old and new ids
+			for k := rng.Intn(30); k > 0; k-- {
+				add(next + 10 - uint64(rng.Intn(int(next)+10)))
+			}
+			slices.SortFunc(tuples, func(a, b relation.Tuple) int { return -cmp.Compare(a.ID, b.ID) })
+		case 2: // shuffled, with repeats
+			for k := rng.Intn(30); k > 0; k-- {
+				add(1 + uint64(rng.Intn(int(next))))
+				if rng.Intn(3) == 0 {
+					add(tuples[rng.Intn(len(tuples))].ID)
+				}
+			}
+		case 3: // a removal burst, plus ids never assigned
+			for k := 0; k < int(next)*2/3; k++ {
+				gone = append(gone, 1+uint64(rng.Intn(int(next))))
+			}
+			gone = append(gone, next+1000, 0)
+			removed = append(removed, gone...)
+		case 4: // re-adds of removed ids, in removal order
+			for k := 0; k < len(removed) && k < 25; k++ {
+				add(removed[rng.Intn(len(removed))])
+			}
+		case 5: // removals and re-adds of one id in the same message
+			if next > 1 {
+				id := 1 + uint64(rng.Intn(int(next-1)))
+				gone = append(gone, id)
+				add(id)
+			}
+		}
+		ids := []query.ID{}
+		for q := 1; q <= 5; q++ { // id 5 is never subscribed
+			if rng.Intn(3) != 0 {
+				ids = append(ids, query.ID(q))
+			}
+		}
+		msgs = append(msgs, multicast.Message{
+			Seq: uint64(i + 1), Tuples: tuples, Removed: gone,
+			Header: []multicast.HeaderEntry{{ClientID: 7, QueryIDs: ids}},
+		})
+	}
+	return msgs
+}
+
+// refQueries are the subscriptions of the reference legs: overlapping
+// rectangles, one covering everything, and a fourth query that is a
+// rectangle or, where hull is set, a hull (the extractor's non-rectangle
+// path).
+func refQueries(hull bool) []query.Query {
+	qs := []query.Query{
+		query.Range(1, geom.R(0, 0, 60, 60)),
+		query.Range(2, geom.R(30, 30, 90, 90)), // overlaps q1
+		query.Range(3, geom.R(0, 0, 100, 100)),
+		query.Range(4, geom.R(50, 0, 100, 50)),
+	}
+	if hull {
+		qs[3] = query.Query{ID: 4, Region: geom.ConvexHull([]geom.Point{geom.Pt(50, 0), geom.Pt(100, 10), geom.Pt(70, 60)})}
+	}
+	return qs
+}
+
+// checkAgainstRef handles msgs with client 7 subscribed to qs and with
+// the oracle and fails at the first message after which Stats, a query's
+// stats or a query's answer differ. It reports whether any view
+// compacted.
+func checkAgainstRef(t testing.TB, qs []query.Query, msgs []multicast.Message) (compacted bool) {
+	t.Helper()
+	c := New(7, qs...)
+	ref := newRef(7, qs...)
+	for i, msg := range msgs {
+		before := make([]int, len(c.entries))
+		for k := range c.entries {
+			before[k] = len(c.entries[k].view.tuples)
+		}
+		c.Handle(msg)
+		ref.handle(msg)
+		for k := range c.entries {
+			compacted = compacted || len(c.entries[k].view.tuples) < before[k]
+		}
+		if c.Stats() != ref.stats {
+			t.Fatalf("message %d: stats diverged:\n got %+v\nwant %+v", i, c.Stats(), ref.stats)
 		}
 		for _, q := range qs {
 			if got, want := c.QueryStatsFor(q.ID), ref.queryStatsFor(q.ID); got != want {
-				t.Fatalf("query %d stats: got %+v, want %+v", q.ID, got, want)
+				t.Fatalf("message %d, query %d stats: got %+v, want %+v", i, q.ID, got, want)
 			}
 			if got, want := c.Answer(q.ID), ref.answer(q.ID); !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d answers diverged (%d vs %d tuples)", q.ID, len(got), len(want))
+				t.Fatalf("message %d, query %d answers diverged (%d vs %d tuples)", i, q.ID, len(got), len(want))
 			}
+		}
+	}
+	return compacted
+}
+
+// TestHandleMatchesReference pins the view-based extractor byte-identical
+// to the map-based oracle: same Stats, same per-query stats, same
+// accumulated answers after every message. The client keeps no object
+// cache, so the first leg is the uncached one, named as such; the second
+// feeds the views every order and removal pattern they must survive.
+func TestHandleMatchesReference(t *testing.T) {
+	t.Run("cache=false", func(t *testing.T) {
+		checkAgainstRef(t, refQueries(false), randomMessages(31, 400))
+	})
+	t.Run("hostile", func(t *testing.T) {
+		if !checkAgainstRef(t, refQueries(true), hostileMessages(40, 300)) {
+			t.Fatal("no view crossed the compaction threshold")
 		}
 	})
 }
 
+// fuzzMessages decodes arbitrary bytes into a message stream for
+// FuzzHandle, a few bytes per field: ids from a small range so tuples
+// collide, removals and repeats, any order, sequence gaps, and
+// unaddressed messages.
+func fuzzMessages(data []byte) []multicast.Message {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	var msgs []multicast.Message
+	seq := uint64(0)
+	for len(data) > 0 {
+		flags := next()
+		seq += 1 + uint64(flags>>6)
+		hdr := []multicast.HeaderEntry{{ClientID: 99, QueryIDs: []query.ID{1}}}
+		if flags&0x20 == 0 {
+			ids := []query.ID{}
+			for q := 0; q < 5; q++ { // id 5 is never subscribed
+				if flags&(1<<q) != 0 {
+					ids = append(ids, query.ID(q+1))
+				}
+			}
+			hdr = append(hdr, multicast.HeaderEntry{ClientID: 7, QueryIDs: ids})
+		}
+		msg := multicast.Message{Seq: seq, Header: hdr}
+		for k := next() % 24; k > 0; k-- {
+			id := uint64(next() % 48)
+			pos := next()
+			msg.Tuples = append(msg.Tuples, relation.Tuple{
+				ID:      id,
+				Pos:     geom.Pt(float64(pos&15)*6.5, float64(pos>>4)*6.5),
+				Payload: []byte{byte(len(msgs)), byte(k)},
+			})
+		}
+		for k := next() % 8; k > 0; k-- {
+			msg.Removed = append(msg.Removed, uint64(next()%48))
+		}
+		msgs = append(msgs, msg)
+	}
+	return msgs
+}
+
+// FuzzHandle holds the extractor to the map-based oracle on arbitrary
+// message streams: answers, per-query stats and client stats must match
+// after every message.
+func FuzzHandle(f *testing.F) {
+	f.Add([]byte{0x0f, 3, 1, 0x11, 2, 0x22, 3, 0x33, 0})
+	f.Add([]byte{0x03, 4, 9, 0x10, 7, 0x20, 5, 0x30, 9, 0x40, 2, 9, 5, 0x0f, 1, 9, 0x41, 0})
+	f.Add([]byte{0x1f, 6, 40, 1, 30, 2, 20, 3, 10, 4, 5, 5, 1, 6, 7, 40, 30, 20, 10, 5, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstRef(t, refQueries(true), fuzzMessages(data))
+	})
+}
+
 // TestHandleSteadyStateAllocs pins the extractor's allocation behavior:
-// handling an addressed message with warm answer maps allocates only for
-// genuinely new answer-map entries, and a filtered message allocates
-// nothing.
+// handling an addressed message whose tuples the views already hold
+// allocates nothing (only growing a view or its scratch run allocates),
+// and a filtered message allocates nothing.
 func TestHandleSteadyStateAllocs(t *testing.T) {
 	qs := []query.Query{
 		query.Range(1, geom.R(0, 0, 100, 100)),
@@ -198,7 +362,7 @@ func TestHandleSteadyStateAllocs(t *testing.T) {
 	c := New(7, qs...)
 	msgs := randomMessages(5, 4)
 	for _, m := range msgs {
-		c.Handle(m) // warm: resolve scratch + answer maps populated
+		c.Handle(m) // warm: resolve scratch, runs and views populated
 	}
 	filtered := multicast.Message{Seq: 10000, Tuples: msgs[0].Tuples,
 		Header: []multicast.HeaderEntry{{ClientID: 99, QueryIDs: []query.ID{1}}}}
@@ -207,9 +371,9 @@ func TestHandleSteadyStateAllocs(t *testing.T) {
 	}
 	addressed := multicast.Message{Seq: 20000, Tuples: msgs[0].Tuples,
 		Header: []multicast.HeaderEntry{{ClientID: 7, QueryIDs: []query.ID{1, 2}}}}
-	c.Handle(addressed) // populate the answer maps for these tuples
+	c.Handle(addressed) // put these tuples in the views
 	if allocs := testing.AllocsPerRun(100, func() { c.Handle(addressed) }); allocs != 0 {
-		t.Fatalf("addressed message with warm maps: %v allocs/op, want 0", allocs)
+		t.Fatalf("addressed message with warm views: %v allocs/op, want 0", allocs)
 	}
 
 	// The same pins must hold with extractor metrics enabled: the
@@ -257,16 +421,25 @@ func benchMessage(nTuples int, addressed bool) (multicast.Message, []query.Query
 	return multicast.Message{Channel: 0, Seq: 1, Tuples: tuples, Header: hdr}, qs
 }
 
-// BenchmarkClientHandle measures the extractor on addressed and filtered
-// messages.
+// BenchmarkClientHandle measures the extractor on one 500-tuple message:
+// addressed to views that already hold its tuples, filtered, and into
+// empty views (fresh, the shape of a cycle that starts from a new
+// population) with the tuples in publish's rising id order and, as a
+// hostile frame would send them, falling.
 func BenchmarkClientHandle(b *testing.B) {
-	for _, mode := range []string{"addressed", "filtered"} {
+	for _, mode := range []string{"addressed", "filtered", "fresh", "descending"} {
 		b.Run(mode+"/tuples=500", func(b *testing.B) {
-			msg, qs := benchMessage(500, mode == "addressed")
+			msg, qs := benchMessage(500, mode != "filtered")
+			if mode == "descending" {
+				slices.Reverse(msg.Tuples)
+			}
 			c := New(7, qs...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if mode == "fresh" || mode == "descending" {
+					c = New(7, qs...)
+				}
 				msg.Seq = uint64(i + 1)
 				c.Handle(msg)
 			}

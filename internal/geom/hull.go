@@ -79,8 +79,12 @@ func (pg Polygon) Area() float64 {
 
 // Contains reports whether the point lies inside or on the boundary of the
 // convex polygon. Degenerate polygons contain only their own vertices and,
-// for two-vertex polygons, the segment between them.
+// for two-vertex polygons, the segment between them. A point with a NaN
+// coordinate lies in no polygon, as in no rectangle.
 func (pg Polygon) Contains(p Point) bool {
+	if p.X != p.X || p.Y != p.Y {
+		return false
+	}
 	switch len(pg) {
 	case 0:
 		return false

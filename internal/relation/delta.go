@@ -2,7 +2,6 @@ package relation
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -120,20 +119,27 @@ func (d *DeltaIndex) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 		}
 		return buf
 	}
+	// Cells are visited in row order, not id order: collect the matching
+	// slots and gather them in slot order, which is id order.
+	sp := slotPool.Get().(*[]int32)
+	slots := (*sp)[:0]
+	q, isRect := region.(geom.Rect)
 	i0, i1, j0, j1 := g.cellRange(br)
-	start := len(buf)
 	for j := j0; j <= j1; j++ {
-		for i := i0; i <= i1; i++ {
-			for _, k := range g.cell(i, j) {
-				if t := d.inserted[k]; region.Contains(t.Pos) {
-					buf = append(buf, t)
+		for _, k := range g.items[g.start[j*g.nx+i0]:g.start[j*g.nx+i1+1]] {
+			if p := d.inserted[k].Pos; isRect {
+				if !q.Contains(p) {
+					continue
 				}
+			} else if !region.Contains(p) {
+				continue
 			}
+			slots = append(slots, k)
 		}
 	}
-	// Cells were visited in row order, not id order; restore id order on
-	// the appended tail only (entries already in buf are untouched).
-	slices.SortFunc(buf[start:], byID)
+	buf = gatherSlots(buf, d.inserted, slots)
+	*sp = slots
+	slotPool.Put(sp)
 	return buf
 }
 

@@ -17,10 +17,13 @@ type gridIndex struct {
 }
 
 // gridEntry is one tuple of a cell. It repeats the tuple's position and
-// size so a size probe filters a cell without leaving the cell's memory.
+// size so a probe filters a cell without leaving the cell's memory, and
+// reads a tuple only once it matched. idx is the tuple's slot in
+// Relation.tuples (a relation holds fewer than 2^31); slot order is id
+// order.
 type gridEntry struct {
 	pos  geom.Point
-	idx  int
+	idx  int32
 	size int
 }
 
@@ -79,7 +82,7 @@ func (g *grid) cellRange(br geom.Rect) (i0, i1, j0, j1 int) {
 
 // insert registers the tuple stored at slot idx at position p; size is its
 // transmission size (Tuple.Size).
-func (g *gridIndex) insert(idx int, p geom.Point, size int) {
+func (g *gridIndex) insert(idx int32, p geom.Point, size int) {
 	i, j := g.cellXY(p)
 	g.cells[j*g.nx+i] = append(g.cells[j*g.nx+i], gridEntry{pos: p, idx: idx, size: size})
 	g.addBytes(i, j, size)
@@ -118,19 +121,6 @@ func (g *gridIndex) blockBytes(i0, i1, j0, j1 int) int {
 		return 0
 	}
 	return g.prefixBytes(i1+1, j1+1) - g.prefixBytes(i0, j1+1) - g.prefixBytes(i1+1, j0) + g.prefixBytes(i0, j0)
-}
-
-// candidates invokes fn for every slot in the cells br touches: every slot
-// whose position may lie in br, and more.
-func (g *gridIndex) candidates(br geom.Rect, fn func(idx int)) {
-	i0, i1, j0, j1 := g.cellRange(br)
-	for j := j0; j <= j1; j++ {
-		for i := i0; i <= i1; i++ {
-			for _, e := range g.cells[j*g.nx+i] {
-				fn(e.idx)
-			}
-		}
-	}
 }
 
 // cellLists is a grid in counting-sort (CSR) layout: cell c files the

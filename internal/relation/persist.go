@@ -160,20 +160,16 @@ func ReadSnapshot(r io.Reader, nx, ny int) (*Relation, error) {
 
 // restore re-inserts a persisted tuple keeping its original id, advancing
 // the id allocator to it. The id must exceed every id restored before it:
-// Delta and InsertedSince binary-search the tuples by id, and a repeated
-// id would count a tuple live twice and leave a slot Delete cannot reach.
+// Delta, InsertedSince and Delete binary-search the tuples by id, every
+// search returns slot order as id order, and a repeated id would count a
+// tuple live twice and leave a slot Delete cannot reach.
 func (r *Relation) restore(t Tuple) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t.ID <= r.nextID {
 		return fmt.Errorf("%w: tuple id %d does not follow id %d", ErrBadSnapshot, t.ID, r.nextID)
 	}
-	idx := len(r.tuples)
-	r.tuples = append(r.tuples, t)
-	r.dead = append(r.dead, false)
-	r.byID[t.ID] = idx
-	r.live++
-	r.index.insert(idx, t.Pos, t.Size())
+	r.push(t)
 	r.nextID = t.ID
 	return nil
 }

@@ -43,9 +43,8 @@ type Relation struct {
 	mu     sync.RWMutex
 	bounds geom.Rect
 	index  *gridIndex
-	tuples []Tuple
-	dead   []bool         // tombstones, parallel to tuples
-	byID   map[uint64]int // live tuple id -> slot
+	tuples []Tuple // ascending id, tombstoned slots included
+	dead   []bool  // tombstones, parallel to tuples
 	live   int
 	delLog []deletion
 	nextID uint64
@@ -75,7 +74,6 @@ func New(bounds geom.Rect, nx, ny int) (*Relation, error) {
 	return &Relation{
 		bounds: bounds,
 		index:  newGridIndex(bounds, nx, ny),
-		byID:   make(map[uint64]int),
 	}, nil
 }
 
@@ -106,29 +104,32 @@ func (r *Relation) Insert(pos geom.Point, payload []byte) uint64 {
 	defer r.mu.Unlock()
 	r.nextID++
 	id := r.nextID
-	idx := len(r.tuples)
-	t := Tuple{ID: id, Pos: pos, Payload: payload}
+	r.push(Tuple{ID: id, Pos: pos, Payload: payload})
+	return id
+}
+
+// push appends t, whose id exceeds every stored id, as a live tuple and
+// files it in the index. Caller must hold the write lock.
+func (r *Relation) push(t Tuple) {
+	r.index.insert(int32(len(r.tuples)), t.Pos, t.Size())
 	r.tuples = append(r.tuples, t)
 	r.dead = append(r.dead, false)
-	r.byID[id] = idx
 	r.live++
-	r.index.insert(idx, pos, t.Size())
-	return id
 }
 
 // Delete removes the tuple with the given id, reporting whether it
 // existed. Deleted slots become tombstones (skipped by searches and
 // excluded from snapshots; writing and reloading a snapshot compacts
 // them) and the deletion is journaled so delta dissemination can ship
-// removal notices (§11 dynamic scenario).
+// removal notices (§11 dynamic scenario). The slot is found by binary
+// search: the store is id-ascending, tombstones included.
 func (r *Relation) Delete(id uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx, ok := r.byID[id]
-	if !ok {
+	idx, ok := slices.BinarySearchFunc(r.tuples, id, func(t Tuple, id uint64) int { return cmp.Compare(t.ID, id) })
+	if !ok || r.dead[idx] {
 		return false
 	}
-	delete(r.byID, id)
 	r.dead[idx] = true
 	r.live--
 	t := r.tuples[idx]
@@ -172,27 +173,47 @@ func (r *Relation) Search(region geom.Region) []Tuple {
 // SearchAppend appends all tuples whose position lies inside the region
 // to buf, in ascending id order, and returns the extended slice. Passing
 // a reused buffer (buf[:0]) lets per-worker dissemination loops avoid
-// allocating a fresh result slice per query set; only the appended tail
-// is sorted, so entries already in buf are left untouched.
+// allocating a fresh result slice per query set; entries already in buf
+// are left untouched.
+//
+// The index entries carry each tuple's position, so the probe collects
+// the matching slots, sorts those 4-byte slots and reads only the
+// matching tuples: slot order is id order (see gatherSlots).
 func (r *Relation) SearchAppend(region geom.Region, buf []Tuple) []Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	start := len(buf)
-	r.scan(region, func(t Tuple) { buf = append(buf, t) })
-	slices.SortFunc(buf[start:], byID)
+	sp := slotPool.Get().(*[]int32)
+	slots := (*sp)[:0]
+	r.match(region, func(e *gridEntry) { slots = append(slots, e.idx) })
+	buf = gatherSlots(buf, r.tuples, slots)
+	*sp = slots
+	slotPool.Put(sp)
 	return buf
 }
 
-// byID orders tuples by ascending id. Ids are unique, so every sort by it
-// is total and no stable sort is needed.
-func byID(a, b Tuple) int { return cmp.Compare(a.ID, b.ID) }
+// slotPool recycles the slot scratch of SearchAppend across probes and
+// publish workers.
+var slotPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// gatherSlots sorts slots and appends tuples[s] for each to buf. Slot
+// order is id order because every store it indexes is id-ascending:
+// Relation.tuples (ids are assigned rising, restore refuses a falling
+// one, Compact keeps the order) and DeltaIndex.inserted (a tail of it).
+func gatherSlots(buf, tuples []Tuple, slots []int32) []Tuple {
+	slices.Sort(slots)
+	buf = slices.Grow(buf, len(slots))
+	for _, s := range slots {
+		buf = append(buf, tuples[s])
+	}
+	return buf
+}
 
 // Count returns the number of tuples inside the region.
 func (r *Relation) Count(region geom.Region) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	n := 0
-	r.scan(region, func(Tuple) { n++ })
+	r.match(region, func(*gridEntry) { n++ })
 	return n
 }
 
@@ -221,10 +242,12 @@ func (r *Relation) SizeBytes(region geom.Region) int {
 // interior cell is inside q. The boundary cells of the grid, which also
 // hold the tuples outside the relation's bounds, are never interior
 // because the first and last column and row are clamped into the grid.
+// A rectangle with a NaN bound contains no point, and its interior cells
+// must not be counted either.
 func (r *Relation) SizeBytesRect(q geom.Rect) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if q.Empty() {
+	if !(q.MinX <= q.MaxX && q.MinY <= q.MaxY) {
 		return 0
 	}
 	g := r.index
@@ -249,29 +272,42 @@ func (r *Relation) SizeBytesRect(q geom.Rect) int {
 }
 
 // scanBytes sums the sizes of the tuples inside the region by scanning
-// the index candidates. Caller must hold at least a read lock.
+// the index entries. Caller must hold at least a read lock.
 func (r *Relation) scanBytes(region geom.Region) int {
 	n := 0
-	r.scan(region, func(t Tuple) { n += t.Size() })
+	r.match(region, func(e *gridEntry) { n += e.size })
 	return n
 }
 
-// scan invokes fn for every tuple inside the region. Caller must hold at
-// least a read lock.
-func (r *Relation) scan(region geom.Region, fn func(Tuple)) {
+// match invokes fn for every live index entry inside the region, cell by
+// cell: the filter reads the entry's own position and the slot's
+// tombstone, never the tuple. A rectangle, the common region, is tested
+// without the interface call. Caller must hold at least a read lock.
+func (r *Relation) match(region geom.Region, fn func(*gridEntry)) {
 	br := region.BoundingRect()
 	if br.Empty() {
 		return
 	}
-	r.index.candidates(br, func(idx int) {
-		if r.dead[idx] {
-			return
+	q, isRect := region.(geom.Rect)
+	g := r.index
+	i0, i1, j0, j1 := g.cellRange(br)
+	for j := j0; j <= j1; j++ {
+		for _, cell := range g.cells[j*g.nx+i0 : j*g.nx+i1+1] {
+			for k := range cell {
+				e := &cell[k]
+				if isRect {
+					if !q.Contains(e.pos) {
+						continue
+					}
+				} else if !region.Contains(e.pos) {
+					continue
+				}
+				if !r.dead[e.idx] {
+					fn(e)
+				}
+			}
 		}
-		t := r.tuples[idx]
-		if region.Contains(t.Pos) {
-			fn(t)
-		}
-	})
+	}
 }
 
 // All returns a copy of every live tuple in insertion order.
@@ -333,11 +369,9 @@ func (r *Relation) Compact() {
 	index := newGridIndex(r.index.bounds, r.index.nx, r.index.ny)
 	r.tuples = tuples
 	r.dead = make([]bool, len(tuples))
-	r.byID = make(map[uint64]int, len(tuples))
 	r.delLog = nil
 	for i, t := range tuples {
-		r.byID[t.ID] = i
-		index.insert(i, t.Pos, t.Size())
+		index.insert(int32(i), t.Pos, t.Size())
 	}
 	r.index = index
 }

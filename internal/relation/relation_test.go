@@ -157,6 +157,13 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				if i%3 == 0 {
 					rel.Count(geom.R(0, 0, 50, 50))
+					ts := rel.Search(geom.R(0, 0, 50, 50))
+					for k := 1; k < len(ts); k++ {
+						if ts[k-1].ID >= ts[k].ID {
+							t.Errorf("Search under concurrent inserts: ids %d, %d out of order", ts[k-1].ID, ts[k].ID)
+							return
+						}
+					}
 				} else {
 					rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), nil)
 				}
