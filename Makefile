@@ -49,8 +49,9 @@ bench-pair:
 # size path with its pooled solver workspace: fast enough for a pre-push
 # hook, strict enough to catch data races in the per-shard worker pool,
 # the budget's atomic step accounting, the engines two concurrent climbs
-# take from one pool and the singleton-pair table their in-place group
-# solves read at once, the disjoint-pair bound's sets, and the NaN-region
+# take from one pool, the candidate pair lists their in-place group solves
+# seed from at once (RankTable, PairLists) and the group cache both climbs
+# fill (GroupCache), the disjoint-pair bound's sets, and the NaN-region
 # refusal in front of all of them. The Parallel alternative adds the
 # determinism tests, which run the parallel solvers at GOMAXPROCS 1 to 8
 # and compare the plans. The publish round's matchers ride along: the
@@ -60,7 +61,7 @@ bench-pair:
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish' \
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|PairLists|GroupCache|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:
@@ -135,6 +136,9 @@ fuzz:
 # parses its upstream with (netclient.Conn, held to the frame reader),
 # and the extractor's id-ordered views (held to the map-based oracle):
 # every listener's per-frame path and the first bytes any peer controls.
+# Then the rank table every exact plan sizes its merged sets with (held to
+# SizeBytesRect, and its rank-rectangle unions to MergedSize of the member
+# list).
 # The live reader's inputs run past its 32 KiB buffer and an extractor
 # input is a whole message stream, so minimizing one takes seconds and
 # minimization is capped to leave the 15 s exploring.
@@ -143,6 +147,7 @@ fuzz-short:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s
 	$(GO) test ./internal/netclient -run '^$$' -fuzz '^FuzzConnReadFrame$$' -fuzztime 15s -fuzzminimizetime 1s
 	$(GO) test ./internal/client -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 15s -fuzzminimizetime 1s
+	$(GO) test ./internal/relation -run '^$$' -fuzz '^FuzzRankTable$$' -fuzztime 15s
 
 # Root-module non-test Go lines: the one count every CHANGES.md entry and
 # ROADMAP re-anchor cites. The benchmark module and the benchmark's build

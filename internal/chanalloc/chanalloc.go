@@ -167,7 +167,7 @@ func ChannelCost(p *Problem, clients []int) (float64, core.Plan) {
 	if len(qs) == 0 {
 		return 0, nil
 	}
-	model, merger := channelModel(p, len(clients)), p.merger()
+	model, merger := channelModel(p.Inst.Model, len(clients)), p.merger()
 	var plan core.Plan
 	if pm, ok := merger.(core.PairMerge); ok {
 		plan = pm.GroupPlan(p.Inst, qs, model)
@@ -190,10 +190,17 @@ func ChannelCost(p *Problem, clients []int) (float64, core.Plan) {
 // listeners: the per-merged-query constant is K_M + K_6·listeners, because
 // clients only filter the messages of the channel they listen to, which is
 // what couples channel allocation to merging (§7.2).
-func channelModel(p *Problem, listeners int) cost.Model {
-	m := p.Inst.Model
+func channelModel(m cost.Model, listeners int) cost.Model {
 	m.KM += m.K6 * float64(listeners)
 	return m
+}
+
+// MaxChannelKM is the largest K_M of a channel model on an instance under
+// model with the given number of clients, each channel having one to all
+// of them as listeners: what the instance's CacheSizes must admit for the
+// allocator's group solves.
+func MaxChannelKM(model cost.Model, clients int) float64 {
+	return max(channelModel(model, 1).KM, channelModel(model, clients).KM)
 }
 
 // Cost returns the total cost of an allocation: the sum over channels of

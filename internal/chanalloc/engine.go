@@ -16,6 +16,7 @@ package chanalloc
 // heuristic strategies over the same Problem, share it too.
 
 import (
+	"slices"
 	"sync"
 
 	"qsub/internal/core"
@@ -26,25 +27,28 @@ import (
 // mirroring cost.Memo: a small power of two so the shard pick is a mask.
 const cacheShards = 16
 
-// smallKey identifies a client group on instances of at most 64 queries:
-// the single bitset word plus the listener count.
-type smallKey struct {
+// groupKey identifies a client group by its listener count and, on
+// instances of at most 64 queries, its one bitset word; past that by the
+// hash of its words, which the entries filed under the key then tell
+// apart (groupEntry).
+type groupKey struct {
 	word  uint64
 	count int
 }
 
-// largeKey is the multi-word fallback: the bitset words encoded as a
-// string (see cost.Memo's large path) plus the listener count.
-type largeKey struct {
-	words string
-	count int
+// groupEntry is one cached group of a multi-word instance: its own copy
+// of the bitset words and its cost.
+type groupEntry struct {
+	words cost.QSet
+	v     float64
 }
 
 // groupCache memoizes per-channel merged costs behind sharded
 // mutex-guarded maps, safe for the parallel multi-start workers. Two
 // goroutines racing on the same uncached group may both solve it, which
 // is harmless: the merging algorithms are deterministic, so both compute
-// the same value.
+// the same value. A lookup allocates nothing, whatever the instance's
+// size.
 type groupCache struct {
 	words  int
 	shards [cacheShards]cacheShard
@@ -52,60 +56,64 @@ type groupCache struct {
 
 type cacheShard struct {
 	mu    sync.RWMutex
-	small map[smallKey]float64
-	large map[largeKey]float64
+	small map[groupKey]float64
+	large map[groupKey][]groupEntry
 }
 
 func newGroupCache(words int) *groupCache {
 	gc := &groupCache{words: words}
 	for s := range gc.shards {
 		if words == 1 {
-			gc.shards[s].small = make(map[smallKey]float64)
+			gc.shards[s].small = make(map[groupKey]float64)
 		} else {
-			gc.shards[s].large = make(map[largeKey]float64)
+			gc.shards[s].large = make(map[groupKey][]groupEntry)
 		}
 	}
 	return gc
 }
 
-// shardOf picks the shard for a group, mixing the listener count into the
-// bitset hash so groups differing only in listeners still spread.
-func (gc *groupCache) shardOf(qs cost.QSet, count int) *cacheShard {
-	return &gc.shards[(qs.Hash()+uint64(count)*0x9E3779B97F4A7C15)&(cacheShards-1)]
+// key returns the shard and key of a group, mixing the listener count
+// into the bitset hash so groups differing only in listeners still
+// spread.
+func (gc *groupCache) key(qs cost.QSet, count int) (*cacheShard, groupKey) {
+	h := qs.Hash()
+	k := groupKey{word: h, count: count}
+	if gc.words == 1 {
+		k.word = qs[0]
+	}
+	return &gc.shards[(h+uint64(count)*0x9E3779B97F4A7C15)&(cacheShards-1)], k
 }
 
 func (gc *groupCache) get(qs cost.QSet, count int) (float64, bool) {
-	sh := gc.shardOf(qs, count)
+	sh, k := gc.key(qs, count)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if gc.words == 1 {
-		v, ok := sh.small[smallKey{word: qs[0], count: count}]
+		v, ok := sh.small[k]
 		return v, ok
 	}
-	v, ok := sh.large[largeKey{words: qsetString(qs), count: count}]
-	return v, ok
+	for _, e := range sh.large[k] {
+		if slices.Equal(e.words, qs) {
+			return e.v, true
+		}
+	}
+	return 0, false
 }
 
 func (gc *groupCache) put(qs cost.QSet, count int, v float64) {
-	sh := gc.shardOf(qs, count)
+	sh, k := gc.key(qs, count)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if gc.words == 1 {
-		sh.small[smallKey{word: qs[0], count: count}] = v
+		sh.small[k] = v
 		return
 	}
-	sh.large[largeKey{words: qsetString(qs), count: count}] = v
-}
-
-// qsetString encodes the bitset words as a map-hashable string key.
-func qsetString(qs cost.QSet) string {
-	buf := make([]byte, 8*len(qs))
-	for wi, w := range qs {
-		for b := 0; b < 8; b++ {
-			buf[8*wi+b] = byte(w >> uint(8*b))
+	for _, e := range sh.large[k] {
+		if slices.Equal(e.words, qs) {
+			return // a racing solve of the same group got here first
 		}
 	}
-	return string(buf)
+	sh.large[k] = append(sh.large[k], groupEntry{words: slices.Clone(qs), v: v})
 }
 
 // engine holds the per-Problem solver state: one client-query bitset per
@@ -224,7 +232,7 @@ func solveGroupCost(p *Problem, members []int, listeners int) float64 {
 	if len(members) == 0 {
 		return 0
 	}
-	model := channelModel(p, listeners)
+	model := channelModel(p.Inst.Model, listeners)
 	merger := p.merger()
 	if pm, ok := merger.(core.PairMerge); ok {
 		return pm.GroupCost(p.Inst, members, model) + p.Inst.Model.KD

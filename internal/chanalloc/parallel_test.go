@@ -10,6 +10,7 @@ package chanalloc
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -244,4 +245,56 @@ func TestGroupCostCacheCutsSolves(t *testing.T) {
 	}
 	t.Logf("merge-size probes: engine %d, uncached oracle %d (%.1fx)",
 		engine, uncached, float64(uncached)/float64(engine))
+}
+
+// TestGroupCacheLargeKey pins the group cache past one bitset word: on a
+// problem of 130 queries (three words) every group comes back under its
+// own queries and listener count and under no other, a lookup allocates
+// nothing, hit or miss, and an entry filed under the same hash key for
+// other words is told apart by its words.
+func TestGroupCacheLargeKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := randomProblem(rng, 130, 40, 3, testModel)
+	ctx := p.newCtx()
+	type group struct {
+		qs    cost.QSet
+		count int
+	}
+	var stored []group
+	for c := 0; c+1 < len(p.Clients); c += 2 {
+		clients := []int{c, c + 1}
+		qs := slices.Clone(ctx.unionOf(clients))
+		v := ctx.groupCostClients(clients)
+		if got := uncachedCost(p, clients); got != v {
+			t.Fatalf("clients %v: cached engine %v, uncached %v", clients, v, got)
+		}
+		stored = append(stored, group{qs, len(clients)})
+	}
+	gc := ctx.eng.cache
+	for i, g := range stored {
+		want, ok := gc.get(g.qs, g.count)
+		if !ok {
+			t.Fatalf("group %d was stored and is not found", i)
+		}
+		if _, ok := gc.get(g.qs, g.count+1); ok {
+			t.Fatalf("group %d is found under another listener count", i)
+		}
+		other := slices.Clone(g.qs)
+		other[1] ^= 1 // query 64, in the second word
+		if _, ok := gc.get(other, g.count); ok {
+			t.Fatalf("group %d with one query more or less is found", i)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { gc.get(g.qs, g.count); gc.get(other, g.count) }); allocs != 0 {
+			t.Fatalf("a lookup made %v allocations, want 0", allocs)
+		}
+		// A decoy filed first under the same key must be passed over.
+		sh, k := gc.key(g.qs, g.count)
+		sh.large[k] = append([]groupEntry{{words: other, v: -1}}, sh.large[k]...)
+		if got, ok := gc.get(g.qs, g.count); !ok || got != want {
+			t.Fatalf("group %d behind a decoy: %v, %v; want %v", i, got, ok, want)
+		}
+		if got, ok := gc.get(other, g.count); ok && got != -1 {
+			t.Fatalf("the decoy's own words find %v", got)
+		}
+	}
 }

@@ -20,11 +20,12 @@ type probeExact struct{ relation.Exact }
 
 // TestRankTableGroupSolvesMatchProbePath runs the §8.2 heuristic over the
 // same clients twice: on an instance sized from the rank table, whose
-// per-channel groups are solved in place on pooled engines reading the
-// singleton-pair table, and on one sized by estimator probes behind a
-// memo. Allocation, cost and per-channel plans must agree to the bit, at
-// GOMAXPROCS 1 and with BestOfBoth's two climbs reading the shared pair
-// table concurrently (the -race leg).
+// per-channel groups are solved in place on pooled engines seeding from
+// the instance's candidate pairs (built for every listener count a channel
+// can have), and on one sized by estimator probes behind a memo, whose
+// solves seed from every pair. Allocation, cost and per-channel plans must
+// agree to the bit, at GOMAXPROCS 1 and with BestOfBoth's two climbs
+// reading the shared candidate lists concurrently (the -race leg).
 func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 	model := cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -47,7 +48,7 @@ func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 		problem := func(est relation.Estimator) (*Problem, *metrics.Counter) {
 			inst := core.NewGeomInstance(model, qs, query.BoundingRect{}, est)
 			misses := new(metrics.Counter)
-			inst.CacheSizes(nil, nil, misses)
+			inst.CacheSizes(nil, MaxChannelKM(model, len(clients)), nil, misses)
 			return &Problem{Inst: inst, Clients: clients, Channels: 3, Merger: core.PairMerge{}}, misses
 		}
 		exact := relation.Exact{Rel: rel}
@@ -78,6 +79,25 @@ func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 			}
 			if gotPlans, wantPlans := Plans(got, alloc), Plans(want, wantAlloc); !reflect.DeepEqual(gotPlans, wantPlans) {
 				t.Fatalf("seed %d GOMAXPROCS %d: plans differ:\n%v\n%v", seed, procsN, gotPlans, wantPlans)
+			}
+		}
+	}
+}
+
+// TestMaxChannelKM checks the bound a channel allocator's instance builds
+// its candidate pairs for: the largest K_M of a channel with one to all
+// clients listening, whichever sign K_6 has.
+func TestMaxChannelKM(t *testing.T) {
+	for _, c := range []struct {
+		k6, want float64
+	}{{3, 10 + 3*20}, {0, 10}, {-3, 10 - 3}} {
+		m := cost.Model{KM: 10, KT: 2, KU: 1, K6: c.k6}
+		if got := MaxChannelKM(m, 20); got != c.want {
+			t.Errorf("K6 %v: MaxChannelKM = %v, want %v", c.k6, got, c.want)
+		}
+		for listeners := 1; listeners <= 20; listeners++ {
+			if km := channelModel(m, listeners).KM; km > MaxChannelKM(m, 20) {
+				t.Errorf("K6 %v: %d listeners charge K_M %v past the bound", c.k6, listeners, km)
 			}
 		}
 	}

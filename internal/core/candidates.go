@@ -88,20 +88,37 @@ func (h CandidateHeap) siftDown(i int) {
 }
 
 // Pairs generates the candidate pairs a greedy seeds its heap with, each
-// unordered pair once as (a, b) with a < b, in ascending order of a.
-// Without a NeighborIndex they are the full i<j triangle of n items in
-// lexicographic order. With one, they are the pairs inside each item's ±k
-// curve window, partners in curve order: the window relation is
-// symmetric, so keeping only b > a still yields each pair once, and at
-// k ≥ n it yields exactly the triangle's pairs. Every pair is charged one
-// budget step before it is handed out; when the budget trips the
-// generator stops for good, leaving the caller a partial seed.
+// unordered pair once as (a, b) with a < b, in ascending order of a. It
+// has three sources:
+//
+//   - the full i<j triangle of n items, in lexicographic order;
+//   - with a NeighborIndex, the pairs inside each item's ±k curve window,
+//     partners in curve order: the window relation is symmetric, so
+//     keeping only b > a still yields each pair once, and at k ≥ n it
+//     yields exactly the triangle's pairs;
+//   - with a pair-merge group's candidate lists (pairCands), the pairs of
+//     the group that the lists name, partners in instance order.
+//
+// Every pair is charged one budget step before it is handed out; when the
+// budget trips the generator stops for good, leaving the caller a partial
+// seed.
 type Pairs struct {
 	n, k   int
 	ni     *NeighborIndex
+	cands  pairCands // the third source when cands.lists is set
 	budget *Budget
 	a      int // current first endpoint
-	r, hi  int // next and last partner position of a: a rank in ni, or b itself
+	r, hi  int // next and last partner position of a: a rank in ni, a list position in cands, or b itself
+}
+
+// pairCands reads an instance's candidate lists for a group of its
+// queries: local item a is query global[a], and local[q] is the local item
+// of query q, or -1 outside the group (both nil when the group is the
+// whole instance).
+type pairCands struct {
+	lists  *pairLists
+	global []int
+	local  []int32
 }
 
 // NewPairs returns the generator over n items: the ±k windows of ni, or
@@ -115,9 +132,14 @@ func NewPairs(n int, ni *NeighborIndex, k int, budget *Budget) Pairs {
 func (g *Pairs) Next() (a, b int, ok bool) {
 	for {
 		for g.r <= g.hi {
-			b = g.r
-			if g.ni != nil {
+			switch b = g.r; {
+			case g.ni != nil:
 				b = g.ni.order[g.r]
+			case g.cands.lists != nil:
+				b = int(g.cands.lists.partners[g.r])
+				if g.cands.local != nil {
+					b = int(g.cands.local[b])
+				}
 			}
 			g.r++
 			if b <= g.a {
@@ -132,10 +154,17 @@ func (g *Pairs) Next() (a, b int, ok bool) {
 		if g.a++; g.a >= g.n {
 			return 0, 0, false
 		}
-		if g.ni == nil {
-			g.r, g.hi = g.a+1, g.n-1
-		} else {
+		switch {
+		case g.ni != nil:
 			g.r, g.hi = g.ni.window(g.a, g.k)
+		case g.cands.lists != nil:
+			q := g.a
+			if g.cands.global != nil {
+				q = g.cands.global[q]
+			}
+			g.r, g.hi = int(g.cands.lists.start[q]), int(g.cands.lists.start[q+1])-1
+		default:
+			g.r, g.hi = g.a+1, g.n-1
 		}
 	}
 }

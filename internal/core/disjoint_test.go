@@ -50,10 +50,10 @@ func (w boundWorld) instances(model cost.Model) (on, off *Instance, onMiss, offM
 	on = NewGeomInstance(model, qs, query.BoundingRect{}, est)
 	inWindow := len(qs) >= tableMinQueries && len(qs) <= tableMaxQueries
 	if !inWindow {
-		on.CacheSizes(nil, nil, onMiss)
+		on.CacheSizes(nil, 0, nil, onMiss)
 	}
 	off = NewGeomInstance(model, qs, query.BoundingRect{}, offEst)
-	off.CacheSizes(nil, nil, offMiss)
+	off.CacheSizes(nil, 0, nil, offMiss)
 	off.Sizer = cost.Func{SizeFn: off.Sizer.Size, MergedFn: off.Sizer.MergedSize}
 	return on, off, onMiss, offMiss
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"qsub/internal/cost"
@@ -110,15 +111,15 @@ func geomSizer(qs []query.Query, proc query.MergeProcedure, est relation.Estimat
 // probe scans the border ring of one candidate rectangle, a fixed share
 // of those tuples, so the number of probes that pay for the pass does not
 // depend on the relation's size, and an exact PairMerge asks for at least
-// n(n-1)/2. Measured for one such solve on the plan-paper relation
-// (BenchmarkRankTableCrossover; EXPERIMENTS.md, "Channel groups solved in
-// place"), probes are cheaper below 12 queries, tie with the table at 12
-// on 20k tuples and lose there on 100k, and the table wins from 16 on
-// with both. The upper end bounds the table's
-// memory: 2n cuts per axis are at most (2n+1)² prefix sums of 8 bytes,
-// 2 MiB at n = 256, plus n² singleton-pair sizes of 8 bytes, 512 KiB —
-// and past that size the planners prune candidates to O(n·k) probes or
-// shard.
+// n(n-1)/2 of them (on the table, it sizes each pair once, to list the
+// pairs that can merge). Measured for one such solve on the plan-paper
+// relation (BenchmarkRankTableCrossover; EXPERIMENTS.md, "Channel groups
+// solved in place"), probes are cheaper below 12 queries, tie with the
+// table at 12 on 20k tuples and lose there on 100k, and the table wins
+// from 16 on with both. The upper end bounds the table's memory: 2n cuts
+// per axis are at most (2n+1)² prefix sums of 8 bytes, 2 MiB at n = 256,
+// plus at most n² candidate partners of 4 bytes, 256 KiB — and past that
+// size the planners prune candidates to O(n·k) probes or shard.
 const (
 	tableMinQueries = 16
 	tableMaxQueries = 256
@@ -173,41 +174,92 @@ func (s *rectSizer) rankTable() *relation.RankTable {
 // tableSizer is an instance's sizer once CacheSizes has built the rank
 // table: single and merged sizes both come from the table, so they
 // describe one moment of the relation, and nothing is probed, locked or
-// looked up in a map. pairs[i*n+j], i < j, is the merged size of queries
-// i and j, read once from the table: most of a pair-merge solve's probes
-// are of two singletons, and channel allocation re-solves overlapping
-// groups hundreds of times per plan, so the engines read those from here
-// (see pmEngine.probe). The entries below the diagonal stay zero.
+// looked up in a map. The pair-merge engines size a set by the union of
+// its members' rank rectangles (see pmEngine.probe) and seed a solve from
+// cands, the instance's singleton pairs that can merge.
 type tableSizer struct {
 	*relation.RankTable
-	pairs   []float64
+	cands   *pairLists
 	lookups *metrics.Counter // fed by the pair-merge engines, see pmEngine.release
+}
+
+// pairLists are the candidate partners of every query of a table-sized
+// instance: the queries j with PairDelta(model, 1, Size(i), 1, Size(j),
+// MergedSize{i, j}) > 0 under the instance's K_T and K_U and the largest
+// K_M any solve on the instance can be asked about (kmax). They are
+// symmetric and in ascending order, partners of query i being
+// partners[start[i]:start[i+1]].
+//
+// A solve under a model with those K_T and K_U and a K_M ≤ kmax seeds its
+// heap from the lists instead of from every pair (see pmEngine.solve), and
+// pushes exactly what the full seed pushes: the Δ-cost is (K_M + a) + b
+// for terms a and b that do not depend on K_M, and floating-point addition
+// is monotone, so a pair with Δ > 0 at some K_M has Δ > 0 at kmax.
+type pairLists struct {
+	kt, ku, kmax float64
+	start        []int32
+	partners     []int32
+}
+
+// newPairLists reads every singleton pair's merged size from the table
+// once and keeps the pairs that can merge under model with K_M raised to
+// kmax, when kmax is the larger.
+func newPairLists(t *relation.RankTable, n int, model cost.Model, kmax float64) *pairLists {
+	kmax = max(kmax, model.KM)
+	top := model
+	top.KM = kmax
+	l := &pairLists{kt: model.KT, ku: model.KU, kmax: kmax, start: make([]int32, n+1)}
+	var pairs []int32 // (i, j), i < j, in lexicographic order
+	for i := 0; i < n; i++ {
+		ri, si := t.Rect(i), t.Size(i)
+		for j := i + 1; j < n; j++ {
+			if cost.PairDelta(top, 1, si, 1, t.Size(j), t.BlockSize(ri.Union(t.Rect(j)))) > 0 {
+				pairs = append(pairs, int32(i), int32(j))
+				l.start[i+1]++
+				l.start[j+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		l.start[i+1] += l.start[i]
+	}
+	// Filling in lexicographic order lists each query's smaller partners
+	// before its larger ones, both ascending.
+	l.partners = make([]int32, len(pairs))
+	next := slices.Clone(l.start[:n])
+	for k := 0; k < len(pairs); k += 2 {
+		i, j := pairs[k], pairs[k+1]
+		l.partners[next[i]], l.partners[next[j]] = j, i
+		next[i]++
+		next[j]++
+	}
+	return l
+}
+
+// admits reports whether a solve under model may seed from the lists.
+func (l *pairLists) admits(model cost.Model) bool {
+	return model.KT == l.kt && model.KU == l.ku && model.KM <= l.kmax
 }
 
 // CacheSizes makes merged sizes cheap to ask for again, for a caller about
 // to run a solver on the instance. An instance whose merged sizes can come
-// from a rank table gets the table and its singleton-pair sizes, built
-// now; any other gets a cost.Memo around its sizer. sizes, when not nil,
-// holds the single sizes the caller has already probed from the same
-// estimator at the same moment (NaN where it has not), and the memo takes
-// it over instead of probing them again (cost.NewMemoSizes); a table
-// ignores it. The counters may be nil. hits counts the merged sizes
-// answered without an estimator probe — per lookup by a memo, per solve by
-// the pair-merge engines on a table (other solvers' table lookups go
-// uncounted) — and misses the probes, which a table never makes.
-func (inst *Instance) CacheSizes(sizes []float64, hits, misses *metrics.Counter) {
+// from a rank table gets the table and its candidate pairs, built now; any
+// other gets a cost.Memo around its sizer. kmax is the largest K_M a solve
+// on the instance is asked about, 0 when every solve uses the instance's
+// own model (a channel allocator's group solves charge more per merged
+// query; chanalloc.MaxChannelKM); a solve asked about a larger K_M seeds
+// from every pair. sizes, when not nil, holds the single sizes the caller
+// has already probed from the same estimator at the same moment (NaN where
+// it has not), and the memo takes it over instead of probing them again
+// (cost.NewMemoSizes); a table ignores it. The counters may be nil. hits
+// counts the merged sizes answered without an estimator probe — per lookup
+// by a memo, per solve by the pair-merge engines on a table (other
+// solvers' table lookups go uncounted) — and misses the probes, which a
+// table never makes.
+func (inst *Instance) CacheSizes(sizes []float64, kmax float64, hits, misses *metrics.Counter) {
 	if rs, ok := inst.Sizer.(*rectSizer); ok {
 		if t := rs.rankTable(); t != nil {
-			n := inst.N
-			pairs := make([]float64, n*n)
-			set := []int{0, 0}
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					set[0], set[1] = i, j
-					pairs[i*n+j] = t.MergedSize(set)
-				}
-			}
-			inst.Sizer = tableSizer{RankTable: t, pairs: pairs, lookups: hits}
+			inst.Sizer = tableSizer{RankTable: t, cands: newPairLists(t, inst.N, inst.Model, kmax), lookups: hits}
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/relation"
 )
 
 // QSet is the bitset query-set representation shared across the solver
@@ -24,10 +25,11 @@ type QSet = cost.QSet
 // The paper keeps the deltas in a Profit Table and scans it for the best
 // pair every iteration. This engine keeps them in the shared
 // CandidateHeap instead, seeded from the shared Pairs generator with
-// every positive pair delta: popping the top yields the best live pair in
-// O(log n), entries referencing merged-away sets are discarded as they
-// surface (lazy invalidation), and a merge pushes only the new set's
-// deltas against the survivors. One iteration is O(n log n) instead of
+// every positive pair delta (on a rank table, from the candidate pairs
+// that hold all of them; see pairLists): popping the top yields the best
+// live pair in O(log n), entries referencing merged-away sets are
+// discarded as they surface (lazy invalidation), and a merge pushes only
+// the new set's deltas against the survivors. One iteration is O(n log n) instead of
 // the table's O(n²), and probe unions run through a reused scratch buffer
 // instead of allocating a fresh []int per delta. Equal deltas pop by
 // smaller set ids, the order in which the paper's scan meets the
@@ -126,15 +128,16 @@ func (pm PairMerge) run(inst *Instance, members []int, model cost.Model) *pmEngi
 
 // hSet is one set during the heap-driven merge: its member bitset, member
 // count, cached merged size and, when the engine applies the disjoint
-// bound, the bounding rectangle of its members. Sets are identified by a
-// stable id (index into the sets slice); merging two sets retires both ids
-// and appends a new one, which is what makes stale heap entries
-// detectable.
+// bound, the bounding rectangle of its members, or on a rank table the
+// union of their rank rectangles. Sets are identified by a stable id
+// (index into the sets slice); merging two sets retires both ids and
+// appends a new one, which is what makes stale heap entries detectable.
 type hSet struct {
 	qs     QSet
 	count  int
 	merged float64
 	rect   geom.Rect
+	rr     relation.RankRect
 }
 
 // pmEngine is the working state of one heap-driven merge — the sets, their
@@ -153,9 +156,10 @@ type pmEngine struct {
 	model  cost.Model
 	global []int // the caller's members; nil for the identity
 	n      int
-	// pairs is the instance's table of singleton-pair merged sizes (see
-	// tableSizer), nil when its sizer has none.
-	pairs []float64
+	// table and cands are the instance's rank table and candidate pairs
+	// (see tableSizer), nil when its sizer is another.
+	table *relation.RankTable
+	cands *pairLists
 	// rects are the instance's query rectangles when the disjoint bound
 	// applies (see probe), nil otherwise.
 	rects []geom.Rect
@@ -167,9 +171,10 @@ type pmEngine struct {
 	words []uint64 // bitset of set id is words[id*w : (id+1)*w], w words per set
 	w     int
 
-	scratch []int        // probe unions; member lists in plan and cost
-	first   []int        // plan and cost: first[q] is the alive set whose smallest member is q, or -1
+	scratch []int        // probe unions; member lists in cost
+	first   []int        // plan and cost: the alive sets in normalized order
 	centers []geom.Point // a pruned group solve's centers
+	local   []int32      // a group's candidate seed: local[q] is the local index of query q, -1 outside the group and between solves
 
 	// Pruned solve only: the live set owning each query, the per-merge
 	// dedupe marks and their epoch (see startNeighbors), and the merged
@@ -201,9 +206,9 @@ func startEngine(inst *Instance, members []int, model cost.Model) *pmEngine {
 		n = len(members)
 	}
 	e.inst, e.model, e.global, e.n = inst, model, members, n
-	e.pairs, e.rects = nil, nil
+	e.table, e.cands, e.rects = nil, nil, nil
 	if ts, ok := inst.Sizer.(tableSizer); ok {
-		e.pairs = ts.pairs
+		e.table, e.cands = ts.RankTable, ts.cands
 	} else if model.KT >= 0 && model.KU >= 0 {
 		// The bound needs PairDelta non-increasing in the merged size.
 		e.rects = disjointRects(inst.Sizer)
@@ -218,9 +223,16 @@ func startEngine(inst *Instance, members []int, model cost.Model) *pmEngine {
 	for i := range e.sets {
 		qs := e.qset(i)
 		qs.Add(i)
-		e.sets[i] = hSet{qs: qs, count: 1, merged: inst.Sizer.Size(e.id(i))}
-		if e.rects != nil {
-			e.sets[i].rect = e.rects[e.id(i)]
+		// Field by field: rect and rr are read only on their own paths.
+		s := &e.sets[i]
+		s.qs, s.count = qs, 1
+		switch q := e.id(i); {
+		case e.table != nil:
+			s.merged, s.rr = e.table.Size(q), e.table.Rect(q)
+		case e.rects != nil:
+			s.merged, s.rect = inst.Sizer.Size(q), e.rects[q]
+		default:
+			s.merged = inst.Sizer.Size(q)
 		}
 		e.alive[i] = true
 	}
@@ -241,7 +253,7 @@ func (e *pmEngine) release() {
 	if ts, ok := e.inst.Sizer.(tableSizer); ok {
 		ts.lookups.Add(e.probes)
 	}
-	e.inst, e.global, e.pairs, e.rects = nil, nil, nil, nil
+	e.inst, e.global, e.table, e.cands, e.rects = nil, nil, nil, nil, nil
 	pmEngines.Put(e)
 }
 
@@ -268,9 +280,10 @@ func (e *pmEngine) appendIDs(buf []int, qs QSet) []int {
 
 func (e *pmEngine) qset(id int) QSet { return e.words[id*e.w : (id+1)*e.w : (id+1)*e.w] }
 
-// probe computes the Δ-cost and merged size of merging sets a and b. Two
-// singletons read their merged size from the pair table when there is
-// one. Otherwise the member sets are disjoint, so the union's indices are
+// probe computes the Δ-cost and merged size of merging sets a and b. On a
+// rank table the merged size is the block of the union of the two sets'
+// rank rectangles: what MergedSize of the member list returns, read in
+// O(1). Otherwise the member sets are disjoint, so the union's indices are
 // the two index lists concatenated into the reused scratch buffer; Sizer
 // implementations must not retain the slice (none do).
 //
@@ -289,12 +302,8 @@ func (e *pmEngine) probe(a, b int) (d, rm float64) {
 		}
 	}
 	e.probes++
-	if e.pairs != nil && a < e.n && b < e.n {
-		i, j := e.id(a), e.id(b)
-		if i > j {
-			i, j = j, i
-		}
-		rm = e.pairs[i*e.inst.N+j]
+	if e.table != nil {
+		rm = e.table.BlockSize(sa.rr.Union(sb.rr))
 	} else {
 		e.scratch = e.appendIDs(e.scratch[:0], sa.qs)
 		e.scratch = e.appendIDs(e.scratch, sb.qs)
@@ -311,8 +320,9 @@ func (e *pmEngine) merge(top Candidate) int {
 	qs := e.qset(id)
 	copy(qs, e.sets[top.A].qs)
 	qs.Or(e.sets[top.B].qs)
-	e.sets = append(e.sets, hSet{qs: qs, count: e.sets[top.A].count + e.sets[top.B].count, merged: top.Size,
-		rect: e.sets[top.A].rect.Union(e.sets[top.B].rect)})
+	sa, sb := &e.sets[top.A], &e.sets[top.B]
+	e.sets = append(e.sets, hSet{qs: qs, count: sa.count + sb.count, merged: top.Size,
+		rect: sa.rect.Union(sb.rect), rr: sa.rr.Union(sb.rr)})
 	e.alive[top.A], e.alive[top.B] = false, false
 	e.alive = append(e.alive, true)
 	e.live--
@@ -334,11 +344,10 @@ func (e *pmEngine) pop() (Candidate, bool) {
 	return top, e.alive[top.A] && e.alive[top.B]
 }
 
-// normalized calls fn with the members of every alive set as instance
-// indices, each set in ascending local order and the sets ordered by their
-// smallest local member: the order of Plan.Normalize on the local plan.
-// The slice is scratch, valid during the call.
-func (e *pmEngine) normalized(fn func(set []int)) {
+// normalized returns the ids of the alive sets ordered by their smallest
+// local member: the set order of Plan.Normalize on the local plan, each
+// set's members then read in ascending local order. The slice is scratch.
+func (e *pmEngine) normalized() []int {
 	e.first = grown(e.first, e.n)
 	for q := range e.first {
 		e.first[q] = -1
@@ -348,12 +357,13 @@ func (e *pmEngine) normalized(fn func(set []int)) {
 			e.first[e.sets[id].qs.First()] = id
 		}
 	}
+	ids := e.first[:0]
 	for _, id := range e.first {
 		if id >= 0 {
-			e.scratch = e.appendIDs(e.scratch[:0], e.sets[id].qs)
-			fn(e.scratch)
+			ids = append(ids, id)
 		}
 	}
+	return ids
 }
 
 // plan materializes the alive sets as a plan in memory of its own: one
@@ -361,11 +371,11 @@ func (e *pmEngine) normalized(fn func(set []int)) {
 func (e *pmEngine) plan() Plan {
 	plan := make(Plan, 0, e.live)
 	block := make([]int, 0, e.n)
-	e.normalized(func(set []int) {
+	for _, id := range e.normalized() {
 		at := len(block)
-		block = append(block, set...)
+		block = e.appendIDs(block, e.sets[id].qs)
 		plan = append(plan, block[at:len(block):len(block)])
-	})
+	}
 	return plan
 }
 
@@ -373,15 +383,17 @@ func (e *pmEngine) plan() Plan {
 // the same set costs in the same order, without building the plan.
 func (e *pmEngine) cost() float64 {
 	total := 0.0
-	e.normalized(func(set []int) {
-		total += cost.SetCost(e.model, e.inst.Sizer, set)
-	})
+	for _, id := range e.normalized() {
+		e.scratch = e.appendIDs(e.scratch[:0], e.sets[id].qs)
+		total += cost.SetCost(e.model, e.inst.Sizer, e.scratch)
+	}
 	return total
 }
 
 // solve is the merge loop: seed the heap with every positive pair delta
-// the generator yields (the full triangle, or the ±k windows of ni), then
-// pop the best live pair, merge it, and push the new set's deltas.
+// the generator yields (the full triangle, the ±k windows of ni, or the
+// pairs of the instance's candidate lists), then pop the best live pair,
+// merge it, and push the new set's deltas.
 //
 // Non-positive deltas can never become the best move (entries are
 // immutable), so they are dropped instead of occupying heap slots. A
@@ -396,12 +408,31 @@ func (e *pmEngine) cost() float64 {
 // only on the multiset of pushes before each pop. At k < n the solve
 // explores a subset of the candidates, trading a few percent of plan
 // quality for the quadratic term.
+//
+// The candidate lists hold every singleton pair with a positive delta
+// (see pairLists), so seeding from them pushes what the triangle pushes,
+// and by the argument above the solve pops what the triangle's does. Merged
+// sets are probed against every survivor, as before: a pair of sets can
+// gain from merging where no two of their members do. Only an unpruned,
+// unbudgeted solve seeds from the lists: a budget is charged per pair
+// handed out, and a budgeted solve stops where the triangle's would.
 func (e *pmEngine) solve(ni *NeighborIndex, k int) {
 	budget := e.inst.Budget
 	pairs := NewPairs(e.n, ni, k, budget)
+	if ni == nil && budget == nil && e.cands != nil && e.cands.admits(e.model) {
+		pairs.cands = pairCands{lists: e.cands, global: e.global}
+		if e.global != nil {
+			pairs.cands.local = e.localIndex()
+		}
+	}
 	for a, b, ok := pairs.Next(); ok; a, b, ok = pairs.Next() {
 		if d, rm := e.probe(a, b); d > 0 {
 			e.heap = append(e.heap, Candidate{Profit: d, Size: rm, A: a, B: b})
+		}
+	}
+	if pairs.cands.local != nil {
+		for _, q := range e.global {
+			e.local[q] = -1
 		}
 	}
 	e.heap.Init()
@@ -424,6 +455,22 @@ func (e *pmEngine) solve(ni *NeighborIndex, k int) {
 			e.pushNeighbors(ni, k, id)
 		}
 	}
+}
+
+// localIndex returns e.local with the group's queries mapped to their
+// local indices, every other entry -1; solve resets the group's entries
+// after the seed.
+func (e *pmEngine) localIndex() []int32 {
+	if n := e.inst.N; len(e.local) < n {
+		e.local = make([]int32, n)
+		for q := range e.local {
+			e.local[q] = -1
+		}
+	}
+	for i, q := range e.global {
+		e.local[q] = int32(i)
+	}
+	return e.local
 }
 
 // pushSurvivors pushes the new set's deltas against every live set.

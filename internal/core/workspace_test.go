@@ -155,14 +155,36 @@ func rankTableWorld(rng *rand.Rand, rel *relation.Relation, n int) []query.Query
 // instance probes for every merged size, never building a table.
 type probeExact struct{ relation.Exact }
 
+// tableLookups is what a pair-merge solve of members on a rank table counts
+// as lookups, given the merges it made: one per singleton pair of the group
+// with a positive Δ-cost under model, sized on the probe path (the pairs
+// the table's candidate lists name, for lists built at model's K_M), and
+// one per survivor of each merge, which the merged set is probed against.
+func tableLookups(probe *Instance, model cost.Model, members []int, merges int) uint64 {
+	n, lookups := len(members), 0
+	for a, i := range members {
+		for _, j := range members[a+1:] {
+			if singletonDelta(probe, model, i, j) > 0 {
+				lookups++
+			}
+		}
+	}
+	for m := 1; m <= merges; m++ {
+		lookups += n - m - 1
+	}
+	return uint64(lookups)
+}
+
 // TestRankTableInstance checks who gets a rank table and that it changes
 // no size: inside the window CacheSizes installs the table, outside it and
 // on polygons a memo; every sampled subset sizes
 // the same as on the probe path, and so does a sub-instance's; a pair-merge
-// solve, of the whole instance or of a group, reports its lookups once, as
-// hits, and no miss.
+// solve, of the whole instance or of a group, probes the estimator for no
+// merged size and reports its lookups once, as hits: one per candidate
+// pair of its queries and one per merge probe (tableLookups).
 func TestRankTableInstance(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
+	model := cost.Model{KM: 8000, KT: 9, KU: 4}
 	for _, tc := range []struct {
 		name  string
 		rel   *relation.Relation
@@ -178,11 +200,11 @@ func TestRankTableInstance(t *testing.T) {
 			rng := rand.New(rand.NewSource(63))
 			qs := rankTableWorld(rng, tc.rel, tc.n)
 			exact := relation.Exact{Rel: tc.rel}
-			probe := NewGeomInstance(paperModel, qs, query.BoundingRect{}, probeExact{exact})
+			probe := NewGeomInstance(model, qs, query.BoundingRect{}, probeExact{exact})
 
 			// Left alone, an instance builds nothing for single sizes
 			// and, inside the window, the table on the first merged one.
-			lazy := NewGeomInstance(paperModel, qs, query.BoundingRect{}, exact)
+			lazy := NewGeomInstance(model, qs, query.BoundingRect{}, exact)
 			rs := lazy.Sizer.(*rectSizer)
 			lazy.InitialCost()
 			if rs.table != nil {
@@ -195,9 +217,9 @@ func TestRankTableInstance(t *testing.T) {
 				t.Fatalf("after the first merged size: table %v, want %v", rs.table != nil, tc.table)
 			}
 
-			inst := NewGeomInstance(paperModel, qs, query.BoundingRect{}, exact)
+			inst := NewGeomInstance(model, qs, query.BoundingRect{}, exact)
 			var hits, misses metrics.Counter
-			inst.CacheSizes(nil, &hits, &misses)
+			inst.CacheSizes(nil, 0, &hits, &misses)
 			if _, ok := inst.Sizer.(tableSizer); ok != tc.table {
 				t.Fatalf("CacheSizes installed %T, want a table: %v", inst.Sizer, tc.table)
 			}
@@ -219,19 +241,25 @@ func TestRankTableInstance(t *testing.T) {
 			if !tc.table {
 				return
 			}
-			if hits.Load() < uint64(tc.n*(tc.n-1)/2) || misses.Load() != 0 {
-				t.Fatalf("a solve of %d queries on the table counted %d hits, %d misses", tc.n, hits.Load(), misses.Load())
+			all := make([]int, tc.n)
+			for i := range all {
+				all[i] = i
+			}
+			if got, want := hits.Load(), tableLookups(probe, model, all, tc.n-len(plan)); got != want || misses.Load() != 0 || len(plan) == tc.n {
+				t.Fatalf("a solve of %d queries into %d sets on the table counted %d lookups and %d estimator probes, want %d lookups and no probe",
+					tc.n, len(plan), got, misses.Load(), want)
 			}
 			before := hits.Load()
-			members := []int{5, 2, 9}
+			members := []int{5, 2, 9, 14, 0, 11, 7, 3}
 			if got, want := inst.Sub(members).Sizer.MergedSize([]int{0, 2}), probe.Sizer.MergedSize([]int{5, 9}); got != want {
 				t.Fatalf("sub-instance MergedSize = %v, probe path %v", got, want)
 			}
-			if got, want := (PairMerge{}).GroupCost(inst, members, paperModel), (PairMerge{}).GroupCost(probe, members, paperModel); got != want {
+			if got, want := (PairMerge{}).GroupCost(inst, members, model), (PairMerge{}).GroupCost(probe, members, model); got != want {
 				t.Fatalf("group cost on the table %v, probe path %v", got, want)
 			}
-			if hits.Load() != before+3 {
-				t.Fatalf("a 3-query group solve on the table counted %d lookups, want its 3 pair probes", hits.Load()-before)
+			merges := len(members) - len((PairMerge{}).GroupPlan(probe, members, model))
+			if got, want := hits.Load()-before, tableLookups(probe, model, members, merges); got != want || merges == 0 {
+				t.Fatalf("a group solve of %d queries with %d merges on the table counted %d lookups, want %d", len(members), merges, got, want)
 			}
 		})
 	}
@@ -243,7 +271,7 @@ func TestRankTableInstance(t *testing.T) {
 		qs[i] = query.Query{ID: query.ID(i + 1), Region: hull}
 	}
 	inst := NewGeomInstance(paperModel, qs, query.BoundingRect{}, relation.Exact{Rel: relation.MustNew(bounds, 8, 8)})
-	inst.CacheSizes(nil, nil, nil)
+	inst.CacheSizes(nil, 0, nil, nil)
 	if _, ok := inst.Sizer.(*cost.Memo); !ok {
 		t.Fatalf("polygon instance got %T", inst.Sizer)
 	}
@@ -283,7 +311,7 @@ func BenchmarkRankTableCrossover(b *testing.B) {
 						if path == "table" {
 							rs.rel = rel
 						}
-						inst.CacheSizes(nil, nil, nil)
+						inst.CacheSizes(nil, 0, nil, nil)
 						PairMerge{}.Solve(inst)
 					}
 				})

@@ -140,7 +140,7 @@ func TestDeltaIndexSnapshotIsolation(t *testing.T) {
 	for _, t2 := range rel.InsertedSince(mark)[:5] {
 		rel.Delete(t2.ID)
 	}
-	rel.Compact()
+	rel.Compact(rel.MaxID())
 	nAfter := len(di.SearchAppend(geom.R(0, 0, 100, 100), nil))
 	if nBefore != nAfter {
 		t.Fatalf("snapshot changed after relation mutations: %d -> %d", nBefore, nAfter)

@@ -30,16 +30,24 @@ type RankTable struct {
 	// prefix[j*stride+i] is the live bytes of pieces [0, i) × [0, j).
 	prefix []int64
 	stride int
-	rects  []rankRect
+	rects  []RankRect
 }
 
-// rankRect is one rectangle in rank space: the prefix columns and rows
-// that bracket it, its bytes being the block [x0, x1) × [y0, y1). An empty
-// rectangle is noRankRect, which a union of rankRects skips as
-// geom.Rect.Union skips an empty rectangle.
-type rankRect struct{ x0, x1, y0, y1 int32 }
+// RankRect is a rectangle in a table's rank space: the prefix columns and
+// rows that bracket it, its bytes being the block [x0, x1) × [y0, y1). The
+// bounding rectangle of a set of the table's rectangles is the Union of
+// their RankRects, in any order and grouping, so a caller that keeps the
+// union of a growing set sizes it with one BlockSize instead of a pass
+// over its members. An empty rectangle is noRankRect, which a union skips
+// as geom.Rect.Union skips an empty rectangle.
+type RankRect struct{ x0, x1, y0, y1 int32 }
 
-var noRankRect = rankRect{x0: math.MaxInt32, x1: -1, y0: math.MaxInt32, y1: -1}
+var noRankRect = RankRect{x0: math.MaxInt32, x1: -1, y0: math.MaxInt32, y1: -1}
+
+// Union returns the rank rectangle bounding r and o.
+func (r RankRect) Union(o RankRect) RankRect {
+	return RankRect{x0: min(r.x0, o.x0), x1: max(r.x1, o.x1), y0: min(r.y0, o.y0), y1: max(r.y1, o.y1)}
+}
 
 // NewRankTable builds the table of the rectangles over the relation's
 // live tuples, in one pass over the grid cells under the rectangles'
@@ -63,14 +71,14 @@ func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 	slices.Sort(ys)
 	xs, ys = slices.Compact(xs), slices.Compact(ys)
 
-	t := &RankTable{stride: len(xs) + 1, rects: make([]rankRect, len(rects))}
+	t := &RankTable{stride: len(xs) + 1, rects: make([]RankRect, len(rects))}
 	t.prefix = make([]int64, t.stride*(len(ys)+1))
 	for i, q := range rects {
 		if q.Empty() {
 			t.rects[i] = noRankRect
 			continue
 		}
-		t.rects[i] = rankRect{
+		t.rects[i] = RankRect{
 			x0: int32(rankOf(xs, q.MinX)), x1: int32(upperRank(xs, q.MaxX)),
 			y0: int32(rankOf(ys, q.MinY)), y1: int32(upperRank(ys, q.MaxY)),
 		}
@@ -153,12 +161,14 @@ func newRankAxis(coords []float64) rankAxis {
 	slots := slotsPerCoord * len(coords)
 	a := rankAxis{coords: coords, min: coords[0], first: make([]int32, slots+1)}
 	a.scale = float64(slots) / (coords[len(coords)-1] - coords[0])
-	k := 0
-	for s := range a.first {
-		a.first[s] = int32(k)
-		for k < len(coords) && a.slot(coords[k]) <= s {
-			k++
+	s := 0
+	for k, c := range coords {
+		for last := a.slot(c); s <= last; s++ {
+			a.first[s] = int32(k)
 		}
+	}
+	for ; s < len(a.first); s++ {
+		a.first[s] = int32(len(coords))
 	}
 	return a
 }
@@ -182,21 +192,24 @@ func (a *rankAxis) piece(v float64) int {
 }
 
 // Size returns the size in bytes of rectangle i.
-func (t *RankTable) Size(i int) float64 { return t.block(t.rects[i]) }
+func (t *RankTable) Size(i int) float64 { return t.BlockSize(t.rects[i]) }
+
+// Rect returns rectangle i in rank space.
+func (t *RankTable) Rect(i int) RankRect { return t.rects[i] }
 
 // MergedSize returns the size in bytes of the bounding rectangle of the
 // rectangles in set; it does not retain set.
 func (t *RankTable) MergedSize(set []int) float64 {
 	u := noRankRect
 	for _, q := range set {
-		r := t.rects[q]
-		u.x0, u.x1 = min(u.x0, r.x0), max(u.x1, r.x1)
-		u.y0, u.y1 = min(u.y0, r.y0), max(u.y1, r.y1)
+		u = u.Union(t.rects[q])
 	}
-	return t.block(u)
+	return t.BlockSize(u)
 }
 
-func (t *RankTable) block(r rankRect) float64 {
+// BlockSize returns the size in bytes of a rank rectangle of the table:
+// of a rectangle, or of a union of them.
+func (t *RankTable) BlockSize(r RankRect) float64 {
 	if r.x0 > r.x1 {
 		return 0 // nothing but empty rectangles
 	}

@@ -159,7 +159,7 @@ func TestRankTableMatchesSizeBytesRect(t *testing.T) {
 				}
 				ids = ids[len(ids)/5:]
 				if round == 3 {
-					rel.Compact()
+					rel.Compact(rel.MaxID())
 				}
 
 				for i := range rects {
@@ -213,7 +213,9 @@ func fuzzNudge(v float64, k int) float64 {
 // FuzzRankTable decodes a rectangle list and a tuple list from the input
 // (two bytes per rectangle, one per tuple, a nibble per coordinate) and
 // checks every singleton, every pair and the whole list against
-// SizeBytesRect. Reversed edges give empty rectangles, equal ones
+// SizeBytesRect, and the rank-rectangle union path (RankRect.Union and
+// BlockSize, folded pairwise, as prefixes and as prefix ∪ suffix) against
+// MergedSize of the member list. Reversed edges give empty rectangles, equal ones
 // zero-width rectangles, and every odd rectangle has its zero edges at −0;
 // tuple coordinates are nudged by fuzzNudge; a tuple byte's neighbour
 // decides whether it is deleted again.
@@ -266,10 +268,32 @@ func FuzzRankTable(f *testing.F) {
 				if got, want := table.MergedSize([]int{i, j}), float64(rel.SizeBytesRect(a.Union(b))); got != want {
 					t.Fatalf("MergedSize(%d, %d) = %v, SizeBytesRect(%v) = %v", i, j, got, a.Union(b), want)
 				}
+				if got, want := table.BlockSize(table.Rect(j).Union(table.Rect(i))), table.MergedSize([]int{i, j}); got != want {
+					t.Fatalf("BlockSize(Rect(%d) ∪ Rect(%d)) = %v, MergedSize = %v", j, i, got, want)
+				}
 			}
 		}
 		if got, want := table.MergedSize(all), float64(rel.SizeBytesRect(whole)); got != want {
 			t.Fatalf("MergedSize(all) = %v, SizeBytesRect(%v) = %v", got, whole, want)
+		}
+		// The union path grows sets as a pair-merge solve does: every
+		// prefix of the list folded one rectangle at a time, and the
+		// prefix joined with the suffix folded from the other end, must
+		// size as MergedSize of the member list.
+		suffix := make([]RankRect, len(rects)+1)
+		suffix[len(rects)] = noRankRect
+		for i := len(rects) - 1; i >= 0; i-- {
+			suffix[i] = table.Rect(i).Union(suffix[i+1])
+		}
+		u := noRankRect
+		for i := range rects {
+			u = u.Union(table.Rect(i))
+			if got, want := table.BlockSize(u), table.MergedSize(all[:i+1]); got != want {
+				t.Fatalf("BlockSize of rects[:%d] folded = %v, MergedSize = %v", i+1, got, want)
+			}
+			if got, want := table.BlockSize(u.Union(suffix[i+1])), table.MergedSize(all); got != want {
+				t.Fatalf("BlockSize of rects[:%d] ∪ rects[%d:] = %v, MergedSize(all) = %v", i+1, i+1, got, want)
+			}
 		}
 	})
 }

@@ -354,12 +354,17 @@ func (r *Relation) MaxID() uint64 {
 }
 
 // Compact rebuilds the relation's storage and index without tombstones,
-// reclaiming the space of deleted tuples and clearing the deletion
-// journal. Ids and the watermark are preserved. Compact takes the write
-// lock for its whole duration.
-func (r *Relation) Compact() {
+// reclaiming the space of deleted tuples, and drops the deletion journal's
+// entries at or below the retention mark: DeletedSince answers exactly as
+// before for every watermark at or above mark. A caller passes the oldest
+// watermark a pending delta may still ask about, MaxID when there is none.
+// Ids and the watermark are preserved. Compact takes the write lock for
+// its whole duration.
+func (r *Relation) Compact(mark uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	first := sort.Search(len(r.delLog), func(i int) bool { return r.delLog[i].seq > mark })
+	r.delLog = slices.Clone(r.delLog[first:])
 	tuples := make([]Tuple, 0, r.live)
 	for i, t := range r.tuples {
 		if !r.dead[i] {
@@ -369,7 +374,6 @@ func (r *Relation) Compact() {
 	index := newGridIndex(r.index.bounds, r.index.nx, r.index.ny)
 	r.tuples = tuples
 	r.dead = make([]bool, len(tuples))
-	r.delLog = nil
 	for i, t := range tuples {
 		index.insert(int32(i), t.Pos, t.Size())
 	}

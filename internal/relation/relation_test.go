@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -386,7 +387,7 @@ func TestCompactDropsTombstones(t *testing.T) {
 	}
 	before := rel.Search(testBounds)
 	mark := rel.MaxID()
-	rel.Compact()
+	rel.Compact(rel.MaxID())
 	after := rel.Search(testBounds)
 	if len(before) != len(after) {
 		t.Fatalf("Compact changed search results: %d vs %d", len(before), len(after))
@@ -406,5 +407,52 @@ func TestCompactDropsTombstones(t *testing.T) {
 	id := rel.Insert(geom.Pt(50, 50), nil)
 	if !rel.Delete(id) {
 		t.Fatal("delete after compact failed")
+	}
+}
+
+// TestCompactKeepsJournalAboveMark compacts mid-period: inserts and
+// deletes interleave, Compact runs with a retention mark in the middle of
+// the journal, and DeletedSince must answer identically before and after
+// for every watermark from the mark up, the ones between two deletes and
+// between a delete and an insert included. Deletes after the compaction
+// journal on top of the kept entries.
+func TestCompactKeepsJournalAboveMark(t *testing.T) {
+	// build replays one seeded stream of inserts and deletes.
+	build := func() *Relation {
+		rel := MustNew(testBounds, 4, 4)
+		rng := rand.New(rand.NewSource(16))
+		var live []uint64
+		for i := 0; i < 400; i++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				k := rng.Intn(len(live))
+				rel.Delete(live[k])
+				live = append(live[:k], live[k+1:]...)
+				continue
+			}
+			live = append(live, rel.Insert(geom.Pt(rng.Float64()*100, rng.Float64()*100), []byte("j")))
+		}
+		return rel
+	}
+	top := build().MaxID()
+	for _, mark := range []uint64{0, top / 3, top / 2, top - 1, top} {
+		r := build()
+		want := make(map[uint64][]Tuple)
+		for m := mark; m <= top; m++ {
+			want[m] = r.DeletedSince(m)
+		}
+		r.Compact(mark)
+		for m := mark; m <= top; m++ {
+			if got := r.DeletedSince(m); !reflect.DeepEqual(got, want[m]) {
+				t.Fatalf("mark %d: DeletedSince(%d) after Compact = %d tuples, before %d", mark, m, len(got), len(want[m]))
+			}
+		}
+		if got := r.DeletedSince(0); !reflect.DeepEqual(got, want[mark]) {
+			t.Fatalf("mark %d: the journal kept %d entries, want the %d above the mark", mark, len(got), len(want[mark]))
+		}
+		id := r.Insert(geom.Pt(5, 5), nil)
+		r.Delete(id)
+		if got := r.DeletedSince(mark); len(got) != len(want[mark])+1 || got[len(got)-1].ID != id {
+			t.Fatalf("mark %d: a delete after Compact journals %v", mark, tupleIDs(got))
+		}
 	}
 }

@@ -143,7 +143,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			t.Run(stage+"/"+name, func(t *testing.T) { checkSearch(t, r, region) })
 		}
 	}
-	rel.Compact()
+	rel.Compact(rel.MaxID())
 	for name, region := range regions {
 		t.Run("compacted/"+name, func(t *testing.T) { checkSearch(t, rel, region) })
 	}
@@ -219,7 +219,7 @@ func TestDeleteFindsSlotByID(t *testing.T) {
 		}
 	}
 	check("live", rel, b, c)
-	rel.Compact()
+	rel.Compact(rel.MaxID())
 	check("compacted", rel, b, c)
 	if !rel.Delete(c) || rel.Delete(c) {
 		t.Fatal("compacted relation: delete, then double delete, of the last tuple")

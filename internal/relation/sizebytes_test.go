@@ -162,7 +162,7 @@ func TestSizeBytesRectMatchesScan(t *testing.T) {
 				}
 				checkSizes(t, rel, rng, nx, "after deletes")
 
-				rel.Compact()
+				rel.Compact(rel.MaxID())
 				checkSizes(t, rel, rng, nx, "after Compact")
 
 				more := insertVaried(rng, 300, nx, rel.Insert)

@@ -222,6 +222,14 @@ func TestRankTablePlansEqualProbePath(t *testing.T) {
 // the table's build) and returns the same cycle. On the memo fallback the
 // climbs still race to fill the shared memo and may both probe a set, so
 // only an upper bound on its misses holds: that defect stays open there.
+//
+// Table lookups are counted per group solve: one per candidate pair of
+// the group and one per merge probe, and core's TestRankTableInstance
+// pins that sum. Here every heap pop is of an entry pushed after one
+// lookup, so lookups bound pops from above. Which group solves the two
+// climbs duplicate is theirs to race on at GOMAXPROCS 2, so 20 more Plans
+// run at GOMAXPROCS 1, where the climbs run one after the other on one
+// cache, and there the lookups of every Plan must also be equal.
 func TestRankTableProbeCountsRepeat(t *testing.T) {
 	cat := metrics.NewCatalog(3)
 	scfg := paperConfig(shard.Config{})
@@ -231,11 +239,16 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 	cfg.Seed = 3
 	subscribePairs(t, s, nil, workload.MustNewGenerator(cfg).Queries(48))
 	var first *Cycle
-	for run := 0; run < 20; run++ {
-		hits, misses := cat.MemoHits.Load(), cat.MemoMisses.Load()
+	serial := uint64(0)
+	for run := 0; run < 40; run++ {
+		hits, misses, pops := cat.MemoHits.Load(), cat.MemoMisses.Load(), cat.SolverHeapPops.Load()
 		var cy *Cycle
 		var err error
-		procs.At(2, func() { cy, err = s.Plan() })
+		n := 2
+		if run >= 20 {
+			n = 1
+		}
+		procs.At(n, func() { cy, err = s.Plan() })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,10 +259,17 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 		if got := cat.MemoMisses.Load() - misses; got != 0 {
 			t.Fatalf("run %d: %d estimator probes for merged sizes on the table path", run, got)
 		}
-		// The engines report per solve; how many group solves the two
-		// climbs duplicate is theirs to race on, so hits only have a floor.
-		if got := cat.MemoHits.Load() - hits; got < 48*47/2 {
-			t.Fatalf("run %d: %d table lookups counted, fewer than one exact pair-merge seed", run, got)
+		lookups, popped := cat.MemoHits.Load()-hits, cat.SolverHeapPops.Load()-pops
+		if popped == 0 || lookups < popped {
+			t.Fatalf("run %d: %d table lookups counted for %d heap pops", run, lookups, popped)
+		}
+		if n == 1 {
+			if serial == 0 {
+				serial = lookups
+			}
+			if lookups != serial {
+				t.Fatalf("run %d at GOMAXPROCS 1: %d table lookups, the first such run %d", run, lookups, serial)
+			}
 		}
 	}
 }
@@ -281,4 +301,31 @@ func BenchmarkPlanPaper(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPlanPaperCounts is BenchmarkPlanPaper with the server's metric
+// catalog attached. Per Plan it reports the channel-group solves
+// (group-cache misses) and hits, the merged sizes read from the rank
+// table (the pairs probed: table lookups, counted per solve) and the
+// merges. Run it at -cpu 1: at GOMAXPROCS 2 the two climbs of BestOfBoth
+// may both solve one group, and the counts then vary from run to run.
+func BenchmarkPlanPaperCounts(b *testing.B) {
+	cat := metrics.NewCatalog(3)
+	scfg := paperConfig(shard.Config{})
+	scfg.Metrics = cat
+	s := paperServer(b, 3, 20000, scfg, nil)
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 3
+	subscribePairs(b, s, nil, workload.MustNewGenerator(cfg).Queries(48))
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		if _, err := s.Plan(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(cat.AllocGroupCacheMisses.Load())/n, "solves/op")
+	b.ReportMetric(float64(cat.AllocGroupCacheHits.Load())/n, "cache-hits/op")
+	b.ReportMetric(float64(cat.MemoHits.Load())/n, "lookups/op")
+	b.ReportMetric(float64(cat.SolverMerges.Load())/n, "merges/op")
 }

@@ -417,11 +417,17 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 	// dozens of times, and the parallel solvers probe the same unions
 	// from several goroutines. The table or memo behind them is built
 	// fresh per Plan call because the estimator reflects the current
-	// relation contents.
+	// relation contents. With more than one channel and client, channel
+	// allocation solves groups under its per-channel models.
+	allocate := s.net.Channels() > 1 && len(clients) > 1
+	kmax := 0.0
+	if allocate {
+		kmax = chanalloc.MaxChannelKM(s.cfg.Model, len(clients))
+	}
 	if cat != nil {
-		inst.CacheSizes(nil, cat.MemoHits, cat.MemoMisses)
+		inst.CacheSizes(nil, kmax, cat.MemoHits, cat.MemoMisses)
 	} else {
-		inst.CacheSizes(nil, nil, nil)
+		inst.CacheSizes(nil, kmax, nil, nil)
 	}
 	cy := &Cycle{
 		Queries:       qs,
@@ -431,7 +437,7 @@ func (s *Server) plan(snap snapshot) (*Cycle, error) {
 		InitialCost:   inst.InitialCost(),
 	}
 
-	if s.net.Channels() == 1 || len(clients) == 1 {
+	if !allocate {
 		for _, id := range clients {
 			cy.ClientChannel[id] = 0
 		}

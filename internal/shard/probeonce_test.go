@@ -26,7 +26,7 @@ type opaqueSizer struct{ cost.Sizer }
 // the original member queries.
 func solveFresh(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
 	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
-	inst.CacheSizes(nil, nil, nil)
+	inst.CacheSizes(nil, 0, nil, nil)
 	inst.Sizer = opaqueSizer{inst.Sizer}
 	inst.Budget = p.Budget
 	plan := algo.Solve(inst)

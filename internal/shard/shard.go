@@ -547,7 +547,7 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 // instance; otherwise they are sized from the original member queries.
 func solveShard(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Problem) {
 	inst := core.NewGeomInstance(t.model, t.queries, proc, p.Estimator)
-	inst.CacheSizes(t.sizes, p.MemoHits, p.MemoMisses)
+	inst.CacheSizes(t.sizes, 0, p.MemoHits, p.MemoMisses)
 	inst.Budget = p.Budget
 	inst.Metrics = p.Metrics
 	plan := algo.Solve(inst)
