@@ -48,11 +48,12 @@ bench-pair:
 # neighbor-pruned/anytime/incremental solver paths and the rank-table
 # size path with its pooled solver workspace: fast enough for a pre-push
 # hook, strict enough to catch data races in the per-shard worker pool,
-# the budget's atomic step accounting, the engines two concurrent climbs
-# take from one pool, the candidate pair lists their in-place group solves
-# seed from at once (RankTable, PairLists) and the group cache both climbs
-# fill (GroupCache), the disjoint-pair bound's sets, and the NaN-region
-# refusal in front of all of them. The Parallel alternative adds the
+# the budget's atomic step accounting, the engines concurrent shard and
+# component solves take from one pool, the candidate pair lists and rank
+# tables they read (RankTable, PairLists), the grid lay-out two
+# concurrent rank-table builds may both find due while searches and size
+# probes read the cells (LayOut), the disjoint-pair bound's sets, and the
+# NaN-region refusal in front of all of them. The Parallel alternative adds the
 # determinism tests, which run the parallel solvers at GOMAXPROCS 1 to 8
 # and compare the plans. The publish round's matchers ride along: the
 # per-cycle region index built once under concurrent publishes, the
@@ -61,7 +62,7 @@ bench-pair:
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|PairLists|GroupCache|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish' \
+	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|PairLists|GroupCache|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish|LayOut' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:

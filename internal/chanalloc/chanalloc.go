@@ -12,8 +12,8 @@
 // best-of-both and parallel multi-start variants evaluated in Fig 18.
 //
 // All allocators run on a shared engine (see engine.go): client groups
-// are cost.QSet bitsets, per-channel merged costs are memoized in a
-// sharded group-cost cache keyed by (query union, listener count), the
+// are cost.QSet bitsets, per-channel merged costs are memoized in one
+// group-cost cache keyed by (query union, listener count), the
 // Fig 14 greedy selects pairs through the candidate heap and pair
 // generator of internal/core (the ones Pair Merging uses), and hill
 // climbing evaluates a move by recomputing only the two touched channels
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
@@ -56,6 +55,10 @@ type AllocMetrics struct {
 // optimum and all heuristic strategies on one Problem). Treat a Problem
 // as immutable once any allocator has run: changing Inst, Clients or
 // Merger afterwards would leave stale cached costs behind.
+//
+// A Problem is used from one goroutine: the allocators run their climbs
+// one after the other on the caller's goroutine, and the cache they
+// share takes no lock. Allocate concurrently over separate Problems.
 type Problem struct {
 	Inst     *core.Instance
 	Clients  [][]int
@@ -75,10 +78,7 @@ type Problem struct {
 	// uninstrumented. Set before the first allocator call.
 	Metrics *AllocMetrics
 
-	engOnce sync.Once
-	eng     *engine
-
-	niOnce   sync.Once
+	eng      *engine
 	clientNI *core.NeighborIndex
 }
 
@@ -90,20 +90,21 @@ func (p *Problem) clientIndex() *core.NeighborIndex {
 	if p.Neighbors <= 0 || len(p.Inst.Centers) != p.Inst.N || len(p.Clients) == 0 {
 		return nil
 	}
-	p.niOnce.Do(func() {
-		centers := make([]geom.Point, len(p.Clients))
-		for c, qs := range p.Clients {
-			var sum geom.Point
-			for _, q := range qs {
-				sum.X += p.Inst.Centers[q].X
-				sum.Y += p.Inst.Centers[q].Y
-			}
-			if len(qs) > 0 {
-				centers[c] = geom.Point{X: sum.X / float64(len(qs)), Y: sum.Y / float64(len(qs))}
-			}
+	if p.clientNI != nil {
+		return p.clientNI
+	}
+	centers := make([]geom.Point, len(p.Clients))
+	for c, qs := range p.Clients {
+		var sum geom.Point
+		for _, q := range qs {
+			sum.X += p.Inst.Centers[q].X
+			sum.Y += p.Inst.Centers[q].Y
 		}
-		p.clientNI = core.NewNeighborIndex(centers)
-	})
+		if len(qs) > 0 {
+			centers[c] = geom.Point{X: sum.X / float64(len(qs)), Y: sum.Y / float64(len(qs))}
+		}
+	}
+	p.clientNI = core.NewNeighborIndex(centers)
 	return p.clientNI
 }
 

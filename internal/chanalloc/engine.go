@@ -1,8 +1,8 @@
 package chanalloc
 
-// This file is the channel-allocation engine substrate: a sharded,
-// concurrency-safe group-cost cache (the chanalloc analogue of cost.Memo)
-// plus per-goroutine evaluation contexts with reusable scratch buffers.
+// This file is the channel-allocation engine substrate: a group-cost
+// cache (the chanalloc analogue of cost.Memo) plus evaluation contexts
+// with reusable scratch buffers.
 //
 // A channel's cost depends only on (the union of its clients' query
 // sets, the number of listening clients): the query union determines the
@@ -14,18 +14,17 @@ package chanalloc
 // full merge solve. The cache lives on the Problem (built lazily), so
 // the Fig 18/19 drivers, which run the exhaustive optimum and all three
 // heuristic strategies over the same Problem, share it too.
+//
+// Every allocator runs its climbs one after the other on the calling
+// goroutine, so the cache is a plain map pair with no lock: a Problem is
+// used from one goroutine (see Problem).
 
 import (
 	"slices"
-	"sync"
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
 )
-
-// cacheShards is the number of independently locked cache segments,
-// mirroring cost.Memo: a small power of two so the shard pick is a mask.
-const cacheShards = 16
 
 // groupKey identifies a client group by its listener count and, on
 // instances of at most 64 queries, its one bitset word; past that by the
@@ -43,56 +42,37 @@ type groupEntry struct {
 	v     float64
 }
 
-// groupCache memoizes per-channel merged costs behind sharded
-// mutex-guarded maps, safe for the parallel multi-start workers. Two
-// goroutines racing on the same uncached group may both solve it, which
-// is harmless: the merging algorithms are deterministic, so both compute
-// the same value. A lookup allocates nothing, whatever the instance's
-// size.
+// groupCache memoizes per-channel merged costs: small on instances of one
+// bitset word, large past that. A lookup allocates nothing, whatever the
+// instance's size. It is not safe for concurrent use.
 type groupCache struct {
-	words  int
-	shards [cacheShards]cacheShard
-}
-
-type cacheShard struct {
-	mu    sync.RWMutex
+	words int
 	small map[groupKey]float64
 	large map[groupKey][]groupEntry
 }
 
 func newGroupCache(words int) *groupCache {
-	gc := &groupCache{words: words}
-	for s := range gc.shards {
-		if words == 1 {
-			gc.shards[s].small = make(map[groupKey]float64)
-		} else {
-			gc.shards[s].large = make(map[groupKey][]groupEntry)
-		}
+	if words == 1 {
+		return &groupCache{words: words, small: make(map[groupKey]float64)}
 	}
-	return gc
+	return &groupCache{words: words, large: make(map[groupKey][]groupEntry)}
 }
 
-// key returns the shard and key of a group, mixing the listener count
-// into the bitset hash so groups differing only in listeners still
-// spread.
-func (gc *groupCache) key(qs cost.QSet, count int) (*cacheShard, groupKey) {
-	h := qs.Hash()
-	k := groupKey{word: h, count: count}
+// key returns the key a group is filed under.
+func (gc *groupCache) key(qs cost.QSet, count int) groupKey {
 	if gc.words == 1 {
-		k.word = qs[0]
+		return groupKey{word: qs[0], count: count}
 	}
-	return &gc.shards[(h+uint64(count)*0x9E3779B97F4A7C15)&(cacheShards-1)], k
+	return groupKey{word: qs.Hash(), count: count}
 }
 
 func (gc *groupCache) get(qs cost.QSet, count int) (float64, bool) {
-	sh, k := gc.key(qs, count)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	k := gc.key(qs, count)
 	if gc.words == 1 {
-		v, ok := sh.small[k]
+		v, ok := gc.small[k]
 		return v, ok
 	}
-	for _, e := range sh.large[k] {
+	for _, e := range gc.large[k] {
 		if slices.Equal(e.words, qs) {
 			return e.v, true
 		}
@@ -100,20 +80,14 @@ func (gc *groupCache) get(qs cost.QSet, count int) (float64, bool) {
 	return 0, false
 }
 
+// put files a group the cache does not hold yet.
 func (gc *groupCache) put(qs cost.QSet, count int, v float64) {
-	sh, k := gc.key(qs, count)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	k := gc.key(qs, count)
 	if gc.words == 1 {
-		sh.small[k] = v
+		gc.small[k] = v
 		return
 	}
-	for _, e := range sh.large[k] {
-		if slices.Equal(e.words, qs) {
-			return // a racing solve of the same group got here first
-		}
-	}
-	sh.large[k] = append(sh.large[k], groupEntry{words: slices.Clone(qs), v: v})
+	gc.large[k] = append(gc.large[k], groupEntry{words: slices.Clone(qs), v: v})
 }
 
 // engine holds the per-Problem solver state: one client-query bitset per
@@ -126,24 +100,25 @@ type engine struct {
 
 // engine returns the Problem's lazily built engine state.
 func (p *Problem) engine() *engine {
-	p.engOnce.Do(func() {
-		eng := &engine{qsets: make([]cost.QSet, len(p.Clients))}
-		for c, qs := range p.Clients {
-			s := cost.NewQSet(p.Inst.N)
-			for _, q := range qs {
-				s.Add(q)
-			}
-			eng.qsets[c] = s
+	if p.eng != nil {
+		return p.eng
+	}
+	eng := &engine{qsets: make([]cost.QSet, len(p.Clients))}
+	for c, qs := range p.Clients {
+		s := cost.NewQSet(p.Inst.N)
+		for _, q := range qs {
+			s.Add(q)
 		}
-		eng.cache = newGroupCache(cost.QSetWords(p.Inst.N))
-		p.eng = eng
-	})
-	return p.eng
+		eng.qsets[c] = s
+	}
+	eng.cache = newGroupCache(cost.QSetWords(p.Inst.N))
+	p.eng = eng
+	return eng
 }
 
-// evalCtx is one goroutine's evaluation context: a pointer to the shared
+// evalCtx is one climb's evaluation context: a pointer to the shared
 // engine plus private scratch buffers, so group-cost probes allocate
-// nothing on the steady path. Each multi-start worker owns one.
+// nothing on the steady path.
 type evalCtx struct {
 	p       *Problem
 	eng     *engine

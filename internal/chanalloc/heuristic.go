@@ -3,7 +3,7 @@ package chanalloc
 // This file implements the §8.2 heuristic: the greedy pairwise initial
 // distribution of Fig 14, the hill-climbing reallocation loop, and the
 // strategies compared in Fig 18 (smart init, random init, best-of-both,
-// and the parallel multi-start extension).
+// and the multi-start extension).
 //
 // Both phases run on the engine of engine.go: pairing gains and move
 // probes resolve through the shared group-cost cache, the Fig 14 greedy
@@ -13,9 +13,7 @@ package chanalloc
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"qsub/internal/core"
 )
@@ -181,8 +179,8 @@ const (
 	RandomInit
 	// BestOfBoth runs both seeds and keeps the cheaper result.
 	BestOfBoth
-	// MultiStartInit runs the smart seed plus seven random seeds on a
-	// bounded worker pool and keeps the cheapest local minimum.
+	// MultiStartInit runs the smart seed plus seven random seeds and
+	// keeps the cheapest local minimum.
 	MultiStartInit
 )
 
@@ -209,80 +207,44 @@ const multiStartRestarts = 8
 
 // MultiStart runs multiStartRestarts hill climbs — the first from the
 // Fig 14 smart distribution, the rest from independent random
-// distributions — on a bounded worker pool and returns the cheapest local
+// distributions — one after the other, and returns the cheapest local
 // minimum.
 //
 // Each restart derives its RNG from (seed, restart index) via splitmix64
 // and the winner is chosen by (cost, restart index), so a fixed seed
 // yields the same allocation at any GOMAXPROCS — the same contract as
 // core.DirectedSearch. All restarts share the Problem's group-cost
-// cache, so a group probed by one restart is a lookup for every other.
+// cache, so a group probed by one restart is a lookup for every later one.
 func MultiStart(p *Problem, seed int64) (Allocation, float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err
 	}
-	t := multiStartRestarts
-	allocs := make([]Allocation, t)
-	costs := make([]float64, t)
-	runOne := func(run int) {
+	ctx := p.newCtx()
+	var best Allocation
+	bestCost := math.Inf(1)
+	for run := 0; run < multiStartRestarts; run++ {
 		// Anytime mode: once the budget trips, later restarts are
-		// skipped (nil allocation, +Inf cost — never the winner).
-		// Restart 0 always runs, so a complete allocation is
+		// skipped. Restart 0 always runs, so a complete allocation is
 		// guaranteed even when the budget expires immediately.
 		if run > 0 && p.Inst.Budget.Exhausted() {
-			costs[run] = math.Inf(1)
-			return
+			break
 		}
-		ctx := p.newCtx()
 		var start Allocation
 		if run == 0 {
 			start = initialDistributionCtx(ctx)
 		} else {
 			start = randomDistribution(p, restartRNG(seed, run).Intn)
 		}
-		allocs[run] = hillClimbCtx(ctx, start)
-		costs[run] = costCtx(ctx, allocs[run])
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > t {
-		workers = t
-	}
-	if workers <= 1 {
-		for run := 0; run < t; run++ {
-			runOne(run)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for run := range next {
-					runOne(run)
-				}
-			}()
-		}
-		for run := 0; run < t; run++ {
-			next <- run
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Deterministic winner: lowest cost, earliest restart on ties —
-	// independent of which worker finished first.
-	best := 0
-	for run := 1; run < t; run++ {
-		if costs[run] < costs[best] {
-			best = run
+		a := hillClimbCtx(ctx, start)
+		// Lowest cost wins, the earliest restart on ties.
+		if c := costCtx(ctx, a); best == nil || c < bestCost {
+			best, bestCost = a, c
 		}
 	}
 	if am := p.Metrics; am != nil {
-		am.Restarts.Add(uint64(t))
+		am.Restarts.Add(uint64(multiStartRestarts))
 	}
-	return allocs[best], costs[best], nil
+	return best, bestCost, nil
 }
 
 // Heuristic runs the §8.2 algorithm with the chosen strategy and returns
@@ -307,35 +269,15 @@ func Heuristic(p *Problem, s Strategy, seed int64) (Allocation, float64, error) 
 	}
 }
 
-// bestOfBoth runs the smart-init and random-init climbs — concurrently
-// when GOMAXPROCS allows two workers — and keeps the cheaper result,
-// preferring the smart seed on exact ties (the sequential tie rule).
+// bestOfBoth runs the smart-init climb and then the random-init climb,
+// both over the Problem's one group cache, and keeps the cheaper result,
+// the smart seed on exact ties.
 func bestOfBoth(p *Problem, seed int64) (Allocation, float64, error) {
-	var a1, a2 Allocation
-	var c1, c2 float64
-	run1 := func() {
-		ctx := p.newCtx()
-		a1 = hillClimbCtx(ctx, initialDistributionCtx(ctx))
-		c1 = costCtx(ctx, a1)
-	}
-	run2 := func() {
-		ctx := p.newCtx()
-		a2 = hillClimbCtx(ctx, RandomDistribution(p, seed))
-		c2 = costCtx(ctx, a2)
-	}
-	if runtime.GOMAXPROCS(0) >= 2 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run2()
-		}()
-		run1()
-		wg.Wait()
-	} else {
-		run1()
-		run2()
-	}
+	ctx := p.newCtx()
+	a1 := hillClimbCtx(ctx, initialDistributionCtx(ctx))
+	c1 := costCtx(ctx, a1)
+	a2 := hillClimbCtx(ctx, RandomDistribution(p, seed))
+	c2 := costCtx(ctx, a2)
 	if c1 <= c2 {
 		return a1, c1, nil
 	}

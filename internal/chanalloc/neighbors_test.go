@@ -10,8 +10,8 @@ import (
 
 // twinProblems builds two identical allocation problems over one random
 // workload, differing only in the Neighbors setting, so pruned and
-// full-table runs can be compared head to head. (Problems hold a
-// sync.Once for the client index and cannot be copied.)
+// full-table runs can be compared head to head. (A copied Problem would
+// share the original's lazily built client index and group cache.)
 func twinProblems(rng *rand.Rand, nQueries, nClients, channels, neighbors int) (full, pruned *Problem) {
 	rects := make([]geom.Rect, nQueries)
 	for i := range rects {

@@ -3,10 +3,10 @@ package chanalloc
 // Equivalence and determinism tests for the channel-allocation engine:
 // the heap-driven greedy and cached delta-cost climb must produce
 // bit-identical allocations to the oracles of oracle_test.go (the paper's
-// table scan and uncached channel costs), fixed-seed multi-start must be
-// invariant under GOMAXPROCS (which sizes the worker pools), and the
-// group-cost cache must cut merge solves by the margin the engine
-// promises.
+// table scan and uncached channel costs), fixed-seed multi-start and
+// best-of-both must be invariant under GOMAXPROCS (the climbs run in
+// sequence, so nothing may depend on it), and the group-cost cache must
+// cut merge solves by the margin the engine promises.
 
 import (
 	"math/rand"
@@ -21,7 +21,7 @@ import (
 )
 
 // variant clones the Problem's inputs into a fresh Problem (fresh
-// cache); Problems carry a sync.Once so they cannot be copied by value.
+// cache); a Problem copied by value would share the original's cache.
 func variant(p *Problem) *Problem {
 	return &Problem{
 		Inst:     p.Inst,
@@ -162,8 +162,9 @@ func TestMultiStartParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestBestOfBothParallelismInvariance checks the concurrent two-climb
-// path agrees with the sequential one, including its tie rule.
+// TestBestOfBothParallelismInvariance checks that BestOfBoth, whose two
+// climbs run in sequence on one cache, answers the same at GOMAXPROCS 1
+// and 4, including its tie rule.
 func TestBestOfBothParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 4; trial++ {
@@ -177,10 +178,10 @@ func TestBestOfBothParallelismInvariance(t *testing.T) {
 		}
 		procs.At(4, func() { gotA, gotC, err = Heuristic(variant(base), BestOfBoth, int64(trial)) })
 		if err != nil {
-			t.Fatalf("BestOfBoth parallel: %v", err)
+			t.Fatalf("BestOfBoth GOMAXPROCS 4: %v", err)
 		}
 		if gotC != wantC || !allocsEqual(gotA, wantA) {
-			t.Fatalf("BestOfBoth parallel = %v cost %v, sequential = %v cost %v",
+			t.Fatalf("BestOfBoth GOMAXPROCS 4 = %v cost %v, GOMAXPROCS 1 = %v cost %v",
 				gotA, gotC, wantA, wantC)
 		}
 	}
@@ -288,8 +289,8 @@ func TestGroupCacheLargeKey(t *testing.T) {
 			t.Fatalf("a lookup made %v allocations, want 0", allocs)
 		}
 		// A decoy filed first under the same key must be passed over.
-		sh, k := gc.key(g.qs, g.count)
-		sh.large[k] = append([]groupEntry{{words: other, v: -1}}, sh.large[k]...)
+		k := gc.key(g.qs, g.count)
+		gc.large[k] = append([]groupEntry{{words: other, v: -1}}, gc.large[k]...)
 		if got, ok := gc.get(g.qs, g.count); !ok || got != want {
 			t.Fatalf("group %d behind a decoy: %v, %v; want %v", i, got, ok, want)
 		}

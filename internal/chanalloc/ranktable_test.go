@@ -24,8 +24,9 @@ type probeExact struct{ relation.Exact }
 // the instance's candidate pairs (built for every listener count a channel
 // can have), and on one sized by estimator probes behind a memo, whose
 // solves seed from every pair. Allocation, cost and per-channel plans must
-// agree to the bit, at GOMAXPROCS 1 and with BestOfBoth's two climbs
-// reading the shared candidate lists concurrently (the -race leg).
+// agree to the bit, at GOMAXPROCS 1 and 2. BestOfBoth's two climbs run in
+// sequence, so the GOMAXPROCS-2 leg has no concurrent climb to race; it
+// keeps the equivalence check.
 func TestRankTableGroupSolvesMatchProbePath(t *testing.T) {
 	model := cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}
 	for seed := int64(1); seed <= 4; seed++ {

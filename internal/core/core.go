@@ -223,8 +223,7 @@ func (s subSizer) Size(i int) float64 { return s.inner.Size(s.members[i]) }
 // subScratch pools the translated index sets of MergedSize. A probe cannot
 // keep one on its stack, because the inner Sizer is an interface and the
 // slice escapes into the call, and sub-instances are solved concurrently
-// (Clustering components, the two climbs of channel allocation's
-// BestOfBoth), so the scratch is pooled, not a field.
+// (Clustering components), so the scratch is pooled, not a field.
 var subScratch = sync.Pool{New: func() any {
 	buf := make([]int, 0, 32)
 	return &buf

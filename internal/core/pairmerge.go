@@ -248,8 +248,8 @@ func (e *pmEngine) release() {
 		sm.Merges.Add(e.merges)
 	}
 	// A table sizer has its lookups counted here, once per solve, from
-	// the engine's own count: a shared counter bumped per lookup by the
-	// two concurrent climbs of BestOfBoth cost more than the lookups.
+	// the engine's own count: an atomic counter bumped per lookup would
+	// cost more than the lookups.
 	if ts, ok := e.inst.Sizer.(tableSizer); ok {
 		ts.lookups.Add(e.probes)
 	}

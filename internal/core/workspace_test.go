@@ -99,8 +99,8 @@ func TestWorkspacePlansDoNotAliasPool(t *testing.T) {
 
 // TestInstanceSubMergedSizeDoesNotAllocate pins the pooled translation
 // buffer of a sub-instance: a probe allocates nothing, from several
-// goroutines at once (Clustering components and BestOfBoth's climbs solve
-// sub-instances concurrently) and for sets longer than the pooled
+// goroutines at once (Clustering components solve sub-instances
+// concurrently) and for sets longer than the pooled
 // capacity once the pool has grown.
 func TestInstanceSubMergedSizeDoesNotAllocate(t *testing.T) {
 	inst := randomInstance(rand.New(rand.NewSource(9)), 80, paperModel)

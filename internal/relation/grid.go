@@ -10,10 +10,17 @@ import "qsub/internal/geom"
 // summed Tuple.Size of each cell's live tuples, updated in O(log nx · log
 // ny) by insert and remove, so the bytes of any block of whole cells cost
 // four prefix sums instead of a tuple scan.
+//
+// Each cell is its own slice, but after layOut the cells share one
+// backing array in cell order, so a row-major walk over a block of cells
+// reads memory in order. An insert into a cell with spare capacity lands
+// in place; a full cell moves out alone, through append.
 type gridIndex struct {
 	grid
-	cells [][]gridEntry
-	bytes []int // Fenwick tree, row-major: node (x, y), 1-based, at (y-1)*nx + x-1
+	cells   [][]gridEntry
+	bytes   []int // Fenwick tree, row-major: node (x, y), 1-based, at (y-1)*nx + x-1
+	entries int   // entries filed, tombstones included
+	laidOut int   // entries at the last layOut; 0 when never laid out
 }
 
 // gridEntry is one tuple of a cell. It repeats the tuple's position and
@@ -29,6 +36,58 @@ type gridEntry struct {
 
 func newGridIndex(bounds geom.Rect, nx, ny int) *gridIndex {
 	return &gridIndex{grid: grid{bounds: bounds, nx: nx, ny: ny}, cells: make([][]gridEntry, nx*ny), bytes: make([]int, nx*ny)}
+}
+
+// newLaidOutGridIndex files tuples, slot k holding tuples[k], in one
+// counting-sort pass: each cell gets exactly its entries, in slot order,
+// in one backing array in cell order, the layout layOut makes.
+func newLaidOutGridIndex(bounds geom.Rect, nx, ny int, tuples []Tuple) *gridIndex {
+	g := newGridIndex(bounds, nx, ny)
+	start := make([]int, len(g.cells)+1)
+	for _, t := range tuples {
+		i, j := g.cellXY(t.Pos)
+		start[j*nx+i+1]++
+		g.addBytes(i, j, t.Size())
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	arena := make([]gridEntry, len(tuples))
+	for c := range g.cells {
+		g.cells[c] = arena[start[c]:start[c]:start[c+1]]
+	}
+	for k, t := range tuples {
+		i, j := g.cellXY(t.Pos)
+		c := j*nx + i
+		g.cells[c] = append(g.cells[c], gridEntry{pos: t.Pos, idx: int32(k), size: t.Size()})
+	}
+	g.entries, g.laidOut = len(tuples), len(tuples)
+	return g
+}
+
+// layOut moves every cell into one new backing array in cell order, each
+// keeping its entries, their order and its capacity, so a cell with spare
+// room still takes inserts in place.
+func (g *gridIndex) layOut() {
+	total := 0
+	for _, cell := range g.cells {
+		total += cap(cell)
+	}
+	arena := make([]gridEntry, total)
+	off := 0
+	for c, cell := range g.cells {
+		n := copy(arena[off:], cell)
+		g.cells[c] = arena[off : off+n : off+cap(cell)]
+		off += cap(cell)
+	}
+	g.laidOut = g.entries
+}
+
+// layOutDue reports that the entries have at least doubled since the last
+// layOut, or were never laid out: laying out then costs a copy amortized
+// against the growth.
+func (g *gridIndex) layOutDue() bool {
+	return g.entries > 0 && g.entries >= 2*g.laidOut
 }
 
 // grid maps the plane onto a uniform nx × ny array of cells laid over
@@ -85,6 +144,7 @@ func (g *grid) cellRange(br geom.Rect) (i0, i1, j0, j1 int) {
 func (g *gridIndex) insert(idx int32, p geom.Point, size int) {
 	i, j := g.cellXY(p)
 	g.cells[j*g.nx+i] = append(g.cells[j*g.nx+i], gridEntry{pos: p, idx: idx, size: size})
+	g.entries++
 	g.addBytes(i, j, size)
 }
 

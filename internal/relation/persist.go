@@ -120,8 +120,9 @@ func readTupleRecord(r io.Reader) (Tuple, error) {
 }
 
 // ReadSnapshot restores a relation from a snapshot stream, using an
-// nx × ny grid index. It refuses a stream whose tuple ids are not
-// positive and strictly rising, as the relation assigns them.
+// nx × ny grid index, laid out once the last tuple is in. It refuses a
+// stream whose tuple ids are not positive and strictly rising, as the
+// relation assigns them.
 func ReadSnapshot(r io.Reader, nx, ny int) (*Relation, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -155,6 +156,7 @@ func ReadSnapshot(r io.Reader, nx, ny int) (*Relation, error) {
 			return nil, fmt.Errorf("relation: snapshot record %d: %w", i, err)
 		}
 	}
+	rel.index.layOut() // nothing else holds rel yet
 	return rel, nil
 }
 

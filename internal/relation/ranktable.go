@@ -53,6 +53,11 @@ func (r RankRect) Union(o RankRect) RankRect {
 // live tuples, in one pass over the grid cells under the rectangles'
 // bounding box and under one read lock. It returns nil when it cannot
 // answer exactly as SizeBytesRect does: a rectangle has a NaN coordinate.
+//
+// The build is the one walk over the grid that lays it out first when a
+// layout is due (see rlockLaidOut): it reads every entry under a box of
+// cells, so the relation's largest reader pays for, and gains most from,
+// the cells sharing one backing array.
 func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 	xs := make([]float64, 0, 2*len(rects))
 	ys := make([]float64, 0, 2*len(rects))
@@ -84,7 +89,7 @@ func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 		}
 	}
 
-	r.mu.RLock()
+	r.rlockLaidOut()
 	defer r.mu.RUnlock()
 	if len(xs) == 0 {
 		return t // nothing but empty rectangles
@@ -113,6 +118,23 @@ func (r *Relation) NewRankTable(rects []geom.Rect) *RankTable {
 		}
 	}
 	return t
+}
+
+// rlockLaidOut takes the read lock, first laying the grid out under the
+// write lock when the layout is due. Concurrent builds may all see it due;
+// the first to get the write lock lays out and the others find it done.
+func (r *Relation) rlockLaidOut() {
+	r.mu.RLock()
+	if !r.index.layOutDue() {
+		return
+	}
+	r.mu.RUnlock()
+	r.mu.Lock()
+	if r.index.layOutDue() {
+		r.index.layOut()
+	}
+	r.mu.Unlock()
+	r.mu.RLock()
 }
 
 // appendCuts appends the cuts of the closed interval [lo, hi]: lo and the

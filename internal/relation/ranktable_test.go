@@ -218,7 +218,10 @@ func fuzzNudge(v float64, k int) float64 {
 // MergedSize of the member list. Reversed edges give empty rectangles, equal ones
 // zero-width rectangles, and every odd rectangle has its zero edges at −0;
 // tuple coordinates are nudged by fuzzNudge; a tuple byte's neighbour
-// decides whether it is deleted again.
+// decides whether it is deleted again. Tables are built between the
+// writes too (after every tuple byte ≡ 3 mod 4), so some builds lay the
+// grid out and later writes land in a laid-out grid; sizes are checked
+// against a twin relation that never lays out.
 func FuzzRankTable(f *testing.F) {
 	f.Add([]byte{4, 0x36, 0x38, 0x6a, 0x8c, 0x33, 0x77, 0x11, 0x36, 0x6a, 0x38, 0xff, 0x00})
 	f.Add([]byte{2, 0x0f, 0x0f, 0xc3, 0x3c, 0x44, 0xcc})
@@ -243,59 +246,84 @@ func FuzzRankTable(f *testing.F) {
 				MinY: edge(data[1] >> 4), MaxY: edge(data[1] & 15),
 			})
 		}
-		rel := MustNew(testBounds, 8, 8)
+		// rel builds a table now and then between its writes, which lays
+		// its grid out whenever the entries have doubled; twin takes the
+		// same writes, never builds one and stays as Insert filed it.
+		rel, twin := MustNew(testBounds, 8, 8), MustNew(testBounds, 8, 8)
 		for k, b := range data {
 			p := geom.Pt(fuzzNudge(fuzzCoords[b>>4], k), fuzzNudge(fuzzCoords[b&15], k/4))
 			id := rel.Insert(p, make([]byte, k%5))
+			twin.Insert(p, make([]byte, k%5))
 			if k+1 < len(data) && data[k+1]%4 == 0 {
 				rel.Delete(id)
+				twin.Delete(id)
+			}
+			if b%4 == 3 {
+				checkFuzzTable(t, rel, twin, rects)
 			}
 		}
-		table := rel.NewRankTable(rects)
-		if table == nil {
-			t.Fatalf("no table for %v", rects)
-		}
-		checkPieces(t, table, len(rects))
-		all := make([]int, len(rects))
-		whole := geom.EmptyRect()
-		for i, a := range rects {
-			all[i] = i
-			whole = whole.Union(a)
-			if got, want := table.Size(i), float64(rel.SizeBytesRect(a)); got != want {
-				t.Fatalf("Size(%d) = %v, SizeBytesRect(%v) = %v", i, got, a, want)
-			}
-			for j, b := range rects[:i] {
-				if got, want := table.MergedSize([]int{i, j}), float64(rel.SizeBytesRect(a.Union(b))); got != want {
-					t.Fatalf("MergedSize(%d, %d) = %v, SizeBytesRect(%v) = %v", i, j, got, a.Union(b), want)
-				}
-				if got, want := table.BlockSize(table.Rect(j).Union(table.Rect(i))), table.MergedSize([]int{i, j}); got != want {
-					t.Fatalf("BlockSize(Rect(%d) ∪ Rect(%d)) = %v, MergedSize = %v", j, i, got, want)
-				}
-			}
-		}
-		if got, want := table.MergedSize(all), float64(rel.SizeBytesRect(whole)); got != want {
-			t.Fatalf("MergedSize(all) = %v, SizeBytesRect(%v) = %v", got, whole, want)
-		}
-		// The union path grows sets as a pair-merge solve does: every
-		// prefix of the list folded one rectangle at a time, and the
-		// prefix joined with the suffix folded from the other end, must
-		// size as MergedSize of the member list.
-		suffix := make([]RankRect, len(rects)+1)
-		suffix[len(rects)] = noRankRect
-		for i := len(rects) - 1; i >= 0; i-- {
-			suffix[i] = table.Rect(i).Union(suffix[i+1])
-		}
-		u := noRankRect
-		for i := range rects {
-			u = u.Union(table.Rect(i))
-			if got, want := table.BlockSize(u), table.MergedSize(all[:i+1]); got != want {
-				t.Fatalf("BlockSize of rects[:%d] folded = %v, MergedSize = %v", i+1, got, want)
-			}
-			if got, want := table.BlockSize(u.Union(suffix[i+1])), table.MergedSize(all); got != want {
-				t.Fatalf("BlockSize of rects[:%d] ∪ rects[%d:] = %v, MergedSize(all) = %v", i+1, i+1, got, want)
-			}
-		}
+		checkFuzzTable(t, rel, twin, rects)
 	})
+}
+
+// checkFuzzTable builds rel's table of rects and checks every singleton,
+// every pair and the whole list against SizeBytesRect of the unlaid twin,
+// rel's own SizeBytesRect against the twin's, and the rank-rectangle union
+// path against MergedSize of the member list.
+func checkFuzzTable(t *testing.T, rel, twin *Relation, rects []geom.Rect) {
+	t.Helper()
+	size := func(q geom.Rect) float64 {
+		t.Helper()
+		want := twin.SizeBytesRect(q)
+		if got := rel.SizeBytesRect(q); got != want {
+			t.Fatalf("SizeBytesRect(%v) = %d, unlaid twin %d", q, got, want)
+		}
+		return float64(want)
+	}
+	table := rel.NewRankTable(rects)
+	if table == nil {
+		t.Fatalf("no table for %v", rects)
+	}
+	checkPieces(t, table, len(rects))
+	all := make([]int, len(rects))
+	whole := geom.EmptyRect()
+	for i, a := range rects {
+		all[i] = i
+		whole = whole.Union(a)
+		if got, want := table.Size(i), size(a); got != want {
+			t.Fatalf("Size(%d) = %v, SizeBytesRect(%v) = %v", i, got, a, want)
+		}
+		for j, b := range rects[:i] {
+			if got, want := table.MergedSize([]int{i, j}), size(a.Union(b)); got != want {
+				t.Fatalf("MergedSize(%d, %d) = %v, SizeBytesRect(%v) = %v", i, j, got, a.Union(b), want)
+			}
+			if got, want := table.BlockSize(table.Rect(j).Union(table.Rect(i))), table.MergedSize([]int{i, j}); got != want {
+				t.Fatalf("BlockSize(Rect(%d) ∪ Rect(%d)) = %v, MergedSize = %v", j, i, got, want)
+			}
+		}
+	}
+	if got, want := table.MergedSize(all), size(whole); got != want {
+		t.Fatalf("MergedSize(all) = %v, SizeBytesRect(%v) = %v", got, whole, want)
+	}
+	// The union path grows sets as a pair-merge solve does: every
+	// prefix of the list folded one rectangle at a time, and the
+	// prefix joined with the suffix folded from the other end, must
+	// size as MergedSize of the member list.
+	suffix := make([]RankRect, len(rects)+1)
+	suffix[len(rects)] = noRankRect
+	for i := len(rects) - 1; i >= 0; i-- {
+		suffix[i] = table.Rect(i).Union(suffix[i+1])
+	}
+	u := noRankRect
+	for i := range rects {
+		u = u.Union(table.Rect(i))
+		if got, want := table.BlockSize(u), table.MergedSize(all[:i+1]); got != want {
+			t.Fatalf("BlockSize of rects[:%d] folded = %v, MergedSize = %v", i+1, got, want)
+		}
+		if got, want := table.BlockSize(u.Union(suffix[i+1])), table.MergedSize(all); got != want {
+			t.Fatalf("BlockSize of rects[:%d] ∪ rects[%d:] = %v, MergedSize(all) = %v", i+1, i+1, got, want)
+		}
+	}
 }
 
 var tableSink *RankTable

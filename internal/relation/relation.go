@@ -354,7 +354,8 @@ func (r *Relation) MaxID() uint64 {
 }
 
 // Compact rebuilds the relation's storage and index without tombstones,
-// reclaiming the space of deleted tuples, and drops the deletion journal's
+// reclaiming the space of deleted tuples (the index comes back laid out,
+// see gridIndex), and drops the deletion journal's
 // entries at or below the retention mark: DeletedSince answers exactly as
 // before for every watermark at or above mark. A caller passes the oldest
 // watermark a pending delta may still ask about, MaxID when there is none.
@@ -371,11 +372,7 @@ func (r *Relation) Compact(mark uint64) {
 			tuples = append(tuples, t)
 		}
 	}
-	index := newGridIndex(r.index.bounds, r.index.nx, r.index.ny)
 	r.tuples = tuples
 	r.dead = make([]bool, len(tuples))
-	for i, t := range tuples {
-		index.insert(int32(i), t.Pos, t.Size())
-	}
-	r.index = index
+	r.index = newLaidOutGridIndex(r.index.bounds, r.index.nx, r.index.ny, tuples)
 }

@@ -215,21 +215,19 @@ func TestRankTablePlansEqualProbePath(t *testing.T) {
 	}
 }
 
-// TestRankTableProbeCountsRepeat pins the determinism the table buys. On
-// the plan-paper configuration at GOMAXPROCS 2 the two climbs of
-// BestOfBoth run concurrently; on the table they share nothing they
-// write, so a Plan makes the same estimator probes every time (none past
-// the table's build) and returns the same cycle. On the memo fallback the
-// climbs still race to fill the shared memo and may both probe a set, so
-// only an upper bound on its misses holds: that defect stays open there.
+// TestRankTableProbeCountsRepeat pins the determinism the table and the
+// single-goroutine allocator buy. On the plan-paper configuration a Plan
+// makes the same estimator probes every time (none past the table's
+// build) and returns the same cycle, 20 times at GOMAXPROCS 2 and 20 at
+// GOMAXPROCS 1.
 //
 // Table lookups are counted per group solve: one per candidate pair of
 // the group and one per merge probe, and core's TestRankTableInstance
 // pins that sum. Here every heap pop is of an entry pushed after one
-// lookup, so lookups bound pops from above. Which group solves the two
-// climbs duplicate is theirs to race on at GOMAXPROCS 2, so 20 more Plans
-// run at GOMAXPROCS 1, where the climbs run one after the other on one
-// cache, and there the lookups of every Plan must also be equal.
+// lookup, so lookups bound pops from above. BestOfBoth runs its two
+// climbs one after the other on one group cache at any GOMAXPROCS, so
+// which groups get solved does not depend on scheduling, and every one of
+// the 40 Plans must make the same lookups.
 func TestRankTableProbeCountsRepeat(t *testing.T) {
 	cat := metrics.NewCatalog(3)
 	scfg := paperConfig(shard.Config{})
@@ -239,7 +237,7 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 	cfg.Seed = 3
 	subscribePairs(t, s, nil, workload.MustNewGenerator(cfg).Queries(48))
 	var first *Cycle
-	serial := uint64(0)
+	var firstLookups uint64
 	for run := 0; run < 40; run++ {
 		hits, misses, pops := cat.MemoHits.Load(), cat.MemoMisses.Load(), cat.SolverHeapPops.Load()
 		var cy *Cycle
@@ -263,13 +261,11 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 		if popped == 0 || lookups < popped {
 			t.Fatalf("run %d: %d table lookups counted for %d heap pops", run, lookups, popped)
 		}
-		if n == 1 {
-			if serial == 0 {
-				serial = lookups
-			}
-			if lookups != serial {
-				t.Fatalf("run %d at GOMAXPROCS 1: %d table lookups, the first such run %d", run, lookups, serial)
-			}
+		if run == 0 {
+			firstLookups = lookups
+		}
+		if lookups != firstLookups {
+			t.Fatalf("run %d at GOMAXPROCS %d: %d table lookups, run 0 %d", run, n, lookups, firstLookups)
 		}
 	}
 }
@@ -277,6 +273,8 @@ func TestRankTableProbeCountsRepeat(t *testing.T) {
 // TestPlanPaperAllocs pins the allocation budget of one Server.Plan on the
 // plan-paper world: channel allocation solves its groups in place on
 // pooled engines, so what is left is the plan's own state and results.
+// A Plan makes 610 allocations at GOMAXPROCS 1 and 2; the ceiling leaves
+// room for the runtime and the platform.
 func TestPlanPaperAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -288,6 +286,8 @@ func TestPlanPaperAllocs(t *testing.T) {
 		}
 	}); allocs > 1000 {
 		t.Fatalf("Plan made %v allocations, want at most 1000", allocs)
+	} else {
+		t.Logf("Plan made %v allocations", allocs)
 	}
 }
 
@@ -307,8 +307,8 @@ func BenchmarkPlanPaper(b *testing.B) {
 // catalog attached. Per Plan it reports the channel-group solves
 // (group-cache misses) and hits, the merged sizes read from the rank
 // table (the pairs probed: table lookups, counted per solve) and the
-// merges. Run it at -cpu 1: at GOMAXPROCS 2 the two climbs of BestOfBoth
-// may both solve one group, and the counts then vary from run to run.
+// merges. The counts are the same at any -cpu: BestOfBoth's two climbs
+// run one after the other on one group cache.
 func BenchmarkPlanPaperCounts(b *testing.B) {
 	cat := metrics.NewCatalog(3)
 	scfg := paperConfig(shard.Config{})

@@ -151,7 +151,10 @@ func NewClient(id int, qs ...Query) *Client { return client.New(id, qs...) }
 
 // Channel allocation.
 type (
-	// AllocProblem is one channel allocation instance.
+	// AllocProblem is one channel allocation instance. It caches the
+	// group costs every allocator run over it computes, without a lock:
+	// use one AllocProblem from one goroutine, and separate ones to
+	// allocate in parallel.
 	AllocProblem = chanalloc.Problem
 	// Allocation maps clients to channels.
 	Allocation = chanalloc.Allocation
