@@ -44,8 +44,8 @@ PAIRS ?= 10
 bench-pair:
 	bash scripts/benchpair.sh $(BASE) $(HEAD) $(WORKLOAD) -seed $(SEED) -pairs $(PAIRS)
 
-# Focused vet + race leg for the sharded planning pipeline plus the
-# neighbor-pruned/anytime/incremental solver paths and the rank-table
+# Focused vet + race leg for the planning pipeline (its replans
+# included) plus the neighbor-pruned/anytime solver paths and the rank-table
 # size path with its pooled solver workspace: fast enough for a pre-push
 # hook, strict enough to catch data races in the per-shard worker pool,
 # the budget's atomic step accounting, the engines concurrent shard and
@@ -62,7 +62,7 @@ bench-pair:
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'Neighbor|Budget|Incremental|Replan|RankTable|Workspace|GroupSolve|PairLists|GroupCache|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish|LayOut' \
+	$(GO) test -race -run 'Neighbor|Budget|Replan|RankTable|Workspace|GroupSolve|PairLists|GroupCache|InstanceSub|DisjointBound|NaNRegion|Parallel|RegionIndex|DeltaIndex|DeltaPublish|BruteForce|ConcurrentPublish|LayOut' \
 		./internal/core ./internal/chanalloc ./internal/server ./internal/relation
 
 build:

@@ -251,27 +251,6 @@ func BenchmarkClustering(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalAdd compares incremental plan maintenance (§11)
-// against a full re-merge on each arrival.
-func BenchmarkIncrementalAdd(b *testing.B) {
-	const n = 50
-	inst := benchInstance(n, 3)
-	base := core.PairMerge{}.Solve(&core.Instance{
-		N: n - 1, Model: inst.Model, Sizer: inst.Sizer, Overlap: inst.Overlap,
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			inc := core.NewIncremental(inst, base)
-			inc.Add(n - 1)
-		}
-	})
-	b.Run("full-remerge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.PairMerge{}.Solve(inst)
-		}
-	})
-}
-
 // --- §3.2 merge procedures ----------------------------------------------
 
 // BenchmarkMergeProcedures compares the three Fig 5 procedures on the

@@ -58,8 +58,8 @@ func main() {
 		subsFile  = flag.String("subs", "", "restore subscriptions from this file at start; save to it on SIGINT/SIGTERM")
 		feed      = flag.Int("feed", 0, "insert this many new objects per cycle (continuous-feed mode)")
 		admin     = flag.String("admin", "", "serve the admin endpoint (/metrics, /healthz, /statusz, /debug/pprof) on this address")
-		shardBits = flag.Int("shards", 0, "plan with the sharded pipeline using this many Morton prefix bits (2^bits shards; 0 with -aggregate=false disables sharding)")
-		aggregate = flag.Bool("aggregate", false, "collapse covered/near-duplicate subscriptions before solving (sharded pipeline)")
+		shardBits = flag.Int("shards", 0, "Morton prefix bits of the planner's shard key (2^bits shards per channel, balanced across channels by traffic; 0 plans each channel as one shard after §8 channel allocation)")
+		aggregate = flag.Bool("aggregate", false, "collapse covered/near-duplicate subscriptions before solving")
 
 		upstream      = flag.String("upstream", "", "run as a relay tier feeding from this upstream daemon (or relay) address instead of serving a database")
 		relayID       = flag.Int("relay-id", 1<<30, "client id the relay introduces its upstream feed session with (shares the client id space)")
@@ -118,7 +118,6 @@ func main() {
 		Model:    cost.Model{KM: *km, KT: *kt, KU: *ku, K6: *k6},
 		Strategy: chanalloc.BestOfBoth,
 		Sharding: shard.Config{
-			Enabled:   *shardBits > 0 || *aggregate,
 			ShardBits: *shardBits,
 			Aggregate: *aggregate,
 		},

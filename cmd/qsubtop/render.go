@@ -107,8 +107,8 @@ func render(prev, cur *admin.Status, elapsed time.Duration, topN int) string {
 			if rec.WritePending {
 				write = "pending"
 			}
-			// solved/reused tasks of the sharded planner, "-" when the
-			// cycle ran no sharded plan.
+			// solved/reused tasks of the planner, "-" when the cycle ran
+			// no plan.
 			shards := "-"
 			if rec.ShardsSolved+rec.ShardsReused > 0 {
 				shards = fmt.Sprintf("%d/%d", rec.ShardsSolved, rec.ShardsReused)

@@ -128,11 +128,12 @@ type CycleRecord struct {
 	// it returns (server.PlanInfo), as it does ShardsSolved and
 	// ShardsReused.
 	Mode string `json:"mode"`
-	// Sharded marks plans produced by the sharded pipeline.
+	// Sharded marks cycles whose plan split some channel's queries into
+	// more than one shard (server.PlanInfo.Sharded).
 	Sharded bool `json:"sharded,omitempty"`
 	// Delta marks delta-publish cycles.
 	Delta bool `json:"delta,omitempty"`
-	// ShardsSolved and ShardsReused count the sharded planner's
+	// ShardsSolved and ShardsReused count the planner's
 	// (channel, shard) tasks solved by this cycle's plan and taken over
 	// from the previous one.
 	ShardsSolved int `json:"shardsSolved,omitempty"`

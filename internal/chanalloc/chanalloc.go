@@ -28,7 +28,6 @@ import (
 
 	"qsub/internal/core"
 	"qsub/internal/cost"
-	"qsub/internal/geom"
 	"qsub/internal/metrics"
 )
 
@@ -65,47 +64,11 @@ type Problem struct {
 	Channels int
 	Merger   core.Algorithm
 
-	// Neighbors, when positive, restricts the Fig 14 greedy's candidate
-	// pairs to each client's ±Neighbors window on a Z-order curve over
-	// client centroids (the mean of Inst.Centers over the client's
-	// queries). Requires Inst.Centers; without centers the full pair
-	// table is used. At Neighbors ≥ len(Clients) the window covers every
-	// pair, reproducing the exact greedy. When Merger is nil, the
-	// default per-channel PairMerge inherits the value too.
-	Neighbors int
-
 	// Metrics optionally instruments the allocators; nil runs
 	// uninstrumented. Set before the first allocator call.
 	Metrics *AllocMetrics
 
-	eng      *engine
-	clientNI *core.NeighborIndex
-}
-
-// clientIndex returns the Z-order neighbor index over client centroids
-// (mean of the instance centers of each client's queries), built lazily
-// on first use. It returns nil — disabling pruning — when Neighbors is
-// off, the instance has no centers, or there are no clients.
-func (p *Problem) clientIndex() *core.NeighborIndex {
-	if p.Neighbors <= 0 || len(p.Inst.Centers) != p.Inst.N || len(p.Clients) == 0 {
-		return nil
-	}
-	if p.clientNI != nil {
-		return p.clientNI
-	}
-	centers := make([]geom.Point, len(p.Clients))
-	for c, qs := range p.Clients {
-		var sum geom.Point
-		for _, q := range qs {
-			sum.X += p.Inst.Centers[q].X
-			sum.Y += p.Inst.Centers[q].Y
-		}
-		if len(qs) > 0 {
-			centers[c] = geom.Point{X: sum.X / float64(len(qs)), Y: sum.Y / float64(len(qs))}
-		}
-	}
-	p.clientNI = core.NewNeighborIndex(centers)
-	return p.clientNI
+	eng *engine
 }
 
 // Validate reports whether the problem is well-formed.
@@ -131,7 +94,7 @@ func (p *Problem) Validate() error {
 
 func (p *Problem) merger() core.Algorithm {
 	if p.Merger == nil {
-		return core.PairMerge{Neighbors: p.Neighbors}
+		return core.PairMerge{}
 	}
 	return p.Merger
 }

@@ -32,11 +32,8 @@ import (
 // Unlike Pair Merging, every gain enters the heap and a pop never pushes:
 // Fig 14 pairs clients until the table is empty regardless of sign.
 //
-// With Problem.Neighbors set (and instance centers available) the pairs
-// are pruned to each client's ±k Z-order window over client centroids —
-// O(n·k) gain probes instead of O(n²) — and the leftover round-robin pass
-// guarantees a complete allocation regardless of how much the window (or
-// an exhausted budget) cut away.
+// The leftover round-robin pass guarantees a complete allocation however
+// many pairs an exhausted budget cut away.
 func initialDistributionCtx(ctx *evalCtx) Allocation {
 	p := ctx.p
 	n := len(p.Clients)
@@ -50,13 +47,8 @@ func initialDistributionCtx(ctx *evalCtx) Allocation {
 		pair[0] = c
 		single[c] = ctx.groupCostClients(pair[:1])
 	}
-	ni := p.clientIndex()
-	size := n * (n - 1) / 2
-	if ni != nil {
-		size = n * min(p.Neighbors, n)
-	}
-	h := make(core.CandidateHeap, 0, size)
-	pairs := core.NewPairs(n, ni, p.Neighbors, p.Inst.Budget)
+	h := make(core.CandidateHeap, 0, n*(n-1)/2)
+	pairs := core.NewPairs(n, nil, 0, p.Inst.Budget)
 	for a, b, ok := pairs.Next(); ok; a, b, ok = pairs.Next() {
 		pair[0], pair[1] = a, b
 		joint := ctx.groupCostClients(pair[:2])

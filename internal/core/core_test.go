@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"qsub/internal/cost"
@@ -459,173 +458,6 @@ func TestPlanHelpers(t *testing.T) {
 	}
 	if a.Equal(Plan{{0, 1, 2}}) {
 		t.Fatal("different plans should not compare equal")
-	}
-}
-
-func TestIncrementalAddMatchesValidPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	model := paperModel
-	// Start from 5 queries, add 3 more one at a time.
-	rects := make([]geom.Rect, 0, 8)
-	for i := 0; i < 8; i++ {
-		x, y := rng.Float64()*50, rng.Float64()*50
-		rects = append(rects, geom.RectWH(x, y, rng.Float64()*10+1, rng.Float64()*10+1))
-	}
-	instAll := geomInstance(model, rects)
-	inst5 := geomInstance(model, rects[:5])
-	inst5.N = 5
-	start := PairMerge{}.Solve(inst5)
-	inc := NewIncremental(instAll, start)
-	for q := 5; q < 8; q++ {
-		inc.Add(q)
-		if !inc.Plan().IsPartition(q + 1) {
-			t.Fatalf("after Add(%d): plan %v is not a partition", q, inc.Plan())
-		}
-	}
-	// The incremental plan must not be worse than no merging at all.
-	if inc.Cost() > instAll.InitialCost()+1e-9 {
-		t.Fatalf("incremental cost %g exceeds initial cost %g", inc.Cost(), instAll.InitialCost())
-	}
-}
-
-func TestIncrementalRemove(t *testing.T) {
-	inst := fig6Instance(paperModel)
-	inc := NewIncremental(inst, Plan{{0, 1, 2}})
-	if !inc.Remove(1) {
-		t.Fatal("Remove should find query 1")
-	}
-	plan := inc.Plan()
-	seen := map[int]bool{}
-	for _, set := range plan {
-		for _, q := range set {
-			if q == 1 {
-				t.Fatalf("query 1 still present in %v", plan)
-			}
-			seen[q] = true
-		}
-	}
-	if !seen[0] || !seen[2] {
-		t.Fatalf("queries 0 and 2 must survive, plan %v", plan)
-	}
-	if inc.Remove(99) {
-		t.Fatal("Remove of unknown query should report false")
-	}
-}
-
-func TestIncrementalTracksFullRemerge(t *testing.T) {
-	// Adding queries one by one should stay close to a full PairMerge
-	// re-run: never worse than 2× the full-re-merge improvement.
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 5; trial++ {
-		n := 10
-		rects := make([]geom.Rect, n)
-		for i := range rects {
-			x, y := rng.Float64()*40, rng.Float64()*40
-			rects[i] = geom.RectWH(x, y, rng.Float64()*10+1, rng.Float64()*10+1)
-		}
-		inst := geomInstance(paperModel, rects)
-		inc := NewIncremental(inst, Plan{})
-		for q := 0; q < n; q++ {
-			inc.Add(q)
-		}
-		full := inst.Cost(PairMerge{}.Solve(inst))
-		initial := inst.InitialCost()
-		incCost := inc.Cost()
-		if incCost > initial+1e-9 {
-			t.Fatalf("incremental cost %g exceeds initial %g", incCost, initial)
-		}
-		// Guard against pathological regressions: the incremental
-		// plan keeps at least half of the full re-merge's savings.
-		if initial-full > 1e-9 && (initial-incCost) < 0.5*(initial-full) {
-			t.Fatalf("incremental saves %g, full re-merge saves %g",
-				initial-incCost, initial-full)
-		}
-	}
-}
-
-func TestIncrementalChurnQualityVsRemerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	const total, live = 60, 40
-	rects := make([]geom.Rect, total)
-	for i := range rects {
-		// Three clusters so merging has real savings to preserve.
-		cx, cy := float64(i%3)*60, float64(i%3)*60
-		rects[i] = geom.RectWH(cx+rng.Float64()*30, cy+rng.Float64()*30,
-			rng.Float64()*12+2, rng.Float64()*12+2)
-	}
-	inst := geomInstance(paperModel, rects)
-
-	active := map[int]bool{}
-	inc := NewIncremental(inst, Plan{})
-	for q := 0; q < live; q++ {
-		inc.Add(q)
-		active[q] = true
-	}
-	next := live
-
-	checkAgainstRemerge := func(batch int) {
-		plan := inc.Plan()
-		seen := map[int]bool{}
-		for _, set := range plan {
-			for _, q := range set {
-				if !active[q] {
-					t.Fatalf("batch %d: plan contains inactive query %d", batch, q)
-				}
-				if seen[q] {
-					t.Fatalf("batch %d: query %d appears twice", batch, q)
-				}
-				seen[q] = true
-			}
-		}
-		if len(seen) != len(active) {
-			t.Fatalf("batch %d: plan covers %d of %d active queries", batch, len(seen), len(active))
-		}
-
-		// Full re-merge over the active set: same geometry remapped to a
-		// fresh instance, so costs are directly comparable.
-		var ids []int
-		for q := range active {
-			ids = append(ids, q)
-		}
-		sort.Ints(ids)
-		sub := make([]geom.Rect, len(ids))
-		for i, q := range ids {
-			sub[i] = rects[q]
-		}
-		subInst := geomInstance(paperModel, sub)
-		full := subInst.Cost(PairMerge{}.Solve(subInst))
-		initial := subInst.InitialCost()
-		got := inc.Cost()
-		if got > initial+1e-9 {
-			t.Fatalf("batch %d: incremental cost %g exceeds no-merge cost %g", batch, got, initial)
-		}
-		if initial-full > 1e-9 && (initial-got) < 0.5*(initial-full) {
-			t.Fatalf("batch %d: incremental keeps %g of the %g full re-merge savings (bound: half)",
-				batch, initial-got, initial-full)
-		}
-	}
-
-	checkAgainstRemerge(0)
-	for batch := 1; batch <= 4 && next < total; batch++ {
-		// Remove 5 random active queries, then add 5 fresh ones.
-		var ids []int
-		for q := range active {
-			ids = append(ids, q)
-		}
-		sort.Ints(ids)
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		for _, q := range ids[:5] {
-			if !inc.Remove(q) {
-				t.Fatalf("batch %d: Remove(%d) found nothing", batch, q)
-			}
-			delete(active, q)
-		}
-		for k := 0; k < 5 && next < total; k++ {
-			inc.Add(next)
-			active[next] = true
-			next++
-		}
-		checkAgainstRemerge(batch)
 	}
 }
 

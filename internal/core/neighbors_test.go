@@ -250,152 +250,6 @@ func TestSolversValidUnderExhaustedBudget(t *testing.T) {
 	}
 }
 
-// TestIncrementalChurnSoak runs 1000 add/remove events through the
-// incremental maintainer (neighbor-scoped repair enabled) and checks the
-// plan against a full PairMerge re-merge every 100 events: always a
-// valid partition of the live set, never worse than no merging, and
-// keeping at least half of the full re-merge's savings.
-func TestIncrementalChurnSoak(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const total, live, events = 160, 100, 1000
-	rects := make([]geom.Rect, total)
-	for i := range rects {
-		cx, cy := float64(i%4)*70, float64((i/4)%4)*70
-		rects[i] = geom.RectWH(cx+rng.Float64()*35, cy+rng.Float64()*35,
-			rng.Float64()*10+2, rng.Float64()*10+2)
-	}
-	inst := geomInstance(paperModel, rects)
-	inst.Centers = centersOf(rects)
-
-	active := map[int]bool{}
-	inc := NewIncremental(inst, Plan{})
-	inc.SetNeighbors(8)
-	for q := 0; q < live; q++ {
-		inc.Add(q)
-		active[q] = true
-	}
-
-	check := func(event int) {
-		plan := inc.Plan()
-		seen := map[int]bool{}
-		activeRects := make([]geom.Rect, 0, len(active))
-		activeIdx := make([]int, 0, len(active))
-		for q := range active {
-			activeIdx = append(activeIdx, q)
-		}
-		for _, set := range plan {
-			for _, q := range set {
-				if !active[q] {
-					t.Fatalf("event %d: inactive query %d in plan", event, q)
-				}
-				if seen[q] {
-					t.Fatalf("event %d: query %d twice", event, q)
-				}
-				seen[q] = true
-			}
-		}
-		if len(seen) != len(active) {
-			t.Fatalf("event %d: plan covers %d of %d live queries", event, len(seen), len(active))
-		}
-		// Full re-merge over the live set as the quality oracle.
-		remap := make(map[int]int, len(activeIdx))
-		for li, q := range activeIdx {
-			activeRects = append(activeRects, rects[q])
-			remap[q] = li
-		}
-		sub := geomInstance(paperModel, activeRects)
-		fullCost := sub.Cost(PairMerge{}.Solve(sub))
-		initial := sub.InitialCost()
-		local := make(Plan, 0, len(plan))
-		for _, set := range plan {
-			ls := make([]int, len(set))
-			for i, q := range set {
-				ls[i] = remap[q]
-			}
-			local = append(local, ls)
-		}
-		incCost := sub.Cost(local)
-		if incCost > initial+1e-9 {
-			t.Fatalf("event %d: incremental cost %g worse than initial %g", event, incCost, initial)
-		}
-		if initial-fullCost > 1e-9 && initial-incCost < 0.5*(initial-fullCost) {
-			t.Fatalf("event %d: incremental saves %g, full re-merge saves %g",
-				event, initial-incCost, initial-fullCost)
-		}
-	}
-
-	for ev := 1; ev <= events; ev++ {
-		if rng.Intn(2) == 0 && len(active) > live/2 {
-			// Remove a random live query.
-			var victim int
-			k := rng.Intn(len(active))
-			for q := range active {
-				if k == 0 {
-					victim = q
-					break
-				}
-				k--
-			}
-			if !inc.Remove(victim) {
-				t.Fatalf("event %d: Remove(%d) failed", ev, victim)
-			}
-			delete(active, victim)
-		} else {
-			// Add a random inactive query.
-			q := rng.Intn(total)
-			for active[q] {
-				q = (q + 1) % total
-			}
-			inc.Add(q)
-			active[q] = true
-		}
-		if ev%100 == 0 {
-			check(ev)
-		}
-	}
-}
-
-// TestIncrementalWarmChurnAllocs pins the steady-state allocation
-// behavior of the churn path: once scratch buffers and the bitset
-// freelist are warm, one remove/add cycle allocates nothing.
-func TestIncrementalWarmChurnAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
-	rng := rand.New(rand.NewSource(13))
-	rects := randomRects(rng, 40, 70)
-	inst := geomInstance(paperModel, rects)
-	inst.Centers = centersOf(rects)
-	inc := NewIncremental(inst, Plan{})
-	inc.SetNeighbors(6)
-	for q := 0; q < 40; q++ {
-		inc.Add(q)
-	}
-	// Warm the freelist and scratch buffers.
-	inc.Remove(17)
-	inc.Add(17)
-	allocs := testing.AllocsPerRun(100, func() {
-		inc.Remove(17)
-		inc.Add(17)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm churn cycle allocates %v times, want 0", allocs)
-	}
-}
-
-// Cost returns the current plan's total cost from the per-set caches.
-func (inc *Incremental) Cost() float64 {
-	total := 0.0
-	for i := range inc.sets {
-		total += inc.sets[i].cost
-	}
-	return total
-}
-
-// Converged reports whether the instance's budget (if any) still has
-// room; a false return means the last repair was cut short.
-func (inc *Incremental) Converged() bool { return inc.inst.Budget.Converged() }
-
 // Converged is the solver-result reading of the flag: true when the
 // solve ran to natural completion (no limit tripped), false when the
 // returned plan is a best-so-far cut short by the budget.

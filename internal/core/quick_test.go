@@ -137,47 +137,3 @@ func TestPairMergeTerminatesOnAdversarialSizes(t *testing.T) {
 		}
 	}
 }
-
-func TestIncrementalNeverInvalidOnRandomOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	inst := randomAbstractInstance(rng, 20, cost.Model{KM: 200, KT: 1, KU: 0.5})
-	inc := NewIncremental(inst, Plan{})
-	present := map[int]bool{}
-	var order []int
-	for op := 0; op < 60; op++ {
-		if len(order) == 0 || (len(order) < 20 && rng.Intn(2) == 0) {
-			// Add the next unused query.
-			for q := 0; q < 20; q++ {
-				if !present[q] {
-					inc.Add(q)
-					present[q] = true
-					order = append(order, q)
-					break
-				}
-			}
-		} else {
-			i := rng.Intn(len(order))
-			q := order[i]
-			if !inc.Remove(q) {
-				t.Fatalf("Remove(%d) failed for present query", q)
-			}
-			present[q] = false
-			order = append(order[:i], order[i+1:]...)
-		}
-		// Validate: plan covers exactly the present queries, once each.
-		seen := map[int]int{}
-		for _, set := range inc.Plan() {
-			for _, q := range set {
-				seen[q]++
-			}
-		}
-		for q, p := range present {
-			if p && seen[q] != 1 {
-				t.Fatalf("op %d: query %d appears %d times", op, q, seen[q])
-			}
-			if !p && seen[q] != 0 {
-				t.Fatalf("op %d: removed query %d still present", op, q)
-			}
-		}
-	}
-}

@@ -46,13 +46,13 @@ var movedElsewhere = map[string]string{
 // catalog registers is written by the code it describes. One direct
 // session and one relayed session go through a plan, a churn replan, a
 // delta publish with inserts and deletes, a Refresh and a redial that
-// supersedes, once under each planner qsubd runs (unsharded on two
-// channels, sharded on one); then every registered name must be non-zero
+// supersedes, once under each planner configuration qsubd runs (one shard
+// on two channels, four shards on one); then every registered name must be non-zero
 // on the root or the relay, except those movedElsewhere names.
 func TestEveryInstrumentMoves(t *testing.T) {
 	var snaps []*metrics.Snapshot
 	snaps = append(snaps, catalogRun(t, 2, shard.Config{})...)
-	snaps = append(snaps, catalogRun(t, 1, shard.Config{Enabled: true, ShardBits: 2})...)
+	snaps = append(snaps, catalogRun(t, 1, shard.Config{ShardBits: 2})...)
 
 	moved := map[string]bool{}
 	for _, s := range snaps {

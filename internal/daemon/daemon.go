@@ -324,7 +324,6 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 		Cycle:         d.ledger.begin(),
 		StartUnixNano: d.clockNano(),
 		Mode:          "cached",
-		Sharded:       d.srv.ShardingEnabled(),
 		Delta:         delta,
 	}
 	d.planMu.Lock()
@@ -396,6 +395,7 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 		}
 		d.metrics.SessionsMoved.Add(uint64(rec.SessionsMoved))
 	}
+	rec.Sharded = cy.Info.Sharded
 
 	// Gap recovery turns a delta cycle into full answers once, so
 	// reconnected or message-lossy clients rebuild complete state.

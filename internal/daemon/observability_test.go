@@ -3,13 +3,18 @@ package daemon
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"qsub/internal/admin"
+	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/netclient"
 	"qsub/internal/query"
+	"qsub/internal/relation"
+	"qsub/internal/server"
+	"qsub/internal/shard"
 )
 
 // runObservedCycles connects n clients, runs one full cycle and two
@@ -219,5 +224,62 @@ func TestStatuszAndBuildinfo(t *testing.T) {
 	}
 	if bi.GoVersion == "" || bi.GOMAXPROCS <= 0 || bi.NumCPU <= 0 {
 		t.Errorf("implausible build info: %+v", bi)
+	}
+}
+
+// TestStatuszShardedFollowsPlan: a ledger record is marked sharded when
+// its cycle's plan split a channel's queries into more than one shard,
+// which is what the planner did with the subscriptions, not what the
+// configuration allows. With four shards configured, queries in every
+// quadrant make a sharded plan, a cycle without a replan carries that
+// plan's mark, and once only one quadrant is subscribed the plan is one
+// shard and the mark goes.
+func TestStatuszShardedFollowsPlan(t *testing.T) {
+	rel := relation.MustNew(geom.R(0, 0, 1000, 1000), 10, 10)
+	for x := 50.0; x < 1000; x += 100 {
+		rel.Insert(geom.Pt(x, x), []byte("obj"))
+	}
+	d, err := New(rel, 1, server.Config{
+		Model:    cost.Model{KM: 500, KT: 1, KU: 1, K6: 5},
+		Sharding: shard.Config{ShardBits: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	corners := []geom.Rect{geom.R(0, 0, 100, 100), geom.R(900, 0, 1000, 100), geom.R(0, 900, 100, 1000), geom.R(900, 900, 1000, 1000)}
+	for i, r := range corners {
+		if err := d.srv.Subscribe(i+1, query.Range(1, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded := func() []bool {
+		rr := httptest.NewRecorder()
+		d.AdminMux().ServeHTTP(rr, httptest.NewRequest("GET", "/statusz", nil))
+		var st admin.Status
+		if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+			t.Fatalf("statusz decode: %v", err)
+		}
+		var out []bool
+		for _, rec := range st.RecentCycles {
+			out = append(out, rec.Sharded)
+		}
+		return out
+	}
+	d.markDirty()
+	for k := 0; k < 2; k++ {
+		if _, err := d.RunCycle(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 2; id <= len(corners); id++ {
+		d.srv.Release(id)
+	}
+	d.markDirty()
+	if _, err := d.RunCycle(false); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sharded(), []bool{true, true, false}; !slices.Equal(got, want) {
+		t.Fatalf("/statusz sharded marks %v, want %v (planned, cached, replanned on one quadrant)", got, want)
 	}
 }

@@ -98,7 +98,6 @@ func RunSharding(cfg ShardingConfig) ([]ShardingRow, error) {
 				Algorithm: core.PairMerge{Neighbors: cfg.Neighbors},
 				Budget:    core.NewBudget(cfg.Budget, 0),
 				Config: shard.Config{
-					Enabled:   true,
 					ShardBits: bits,
 					Aggregate: cfg.Aggregate,
 				},

@@ -210,7 +210,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Model: cost.Model{KM: 0, KT: 1, KU: 1, K6: 0},
 		Seed:  1,
 		// Sharded planning keeps the one-off plan fast at 10k+ queries.
-		Sharding: shard.Config{Enabled: true, ShardBits: 8},
+		Sharding: shard.Config{ShardBits: 8},
 	})
 	if err != nil {
 		return nil, err

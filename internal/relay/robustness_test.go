@@ -142,7 +142,7 @@ func TestRelayMoveUnderBacklog(t *testing.T) {
 			}
 			root, err := daemon.New(rel, 4, server.Config{
 				Model:    cost.Model{KM: 500, KT: 1, KU: 1, K6: 2},
-				Sharding: shard.Config{Enabled: true, ShardBits: 4, Aggregate: true},
+				Sharding: shard.Config{ShardBits: 4, Aggregate: true},
 			})
 			if err != nil {
 				t.Fatal(err)

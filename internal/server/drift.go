@@ -69,10 +69,10 @@ func (m *DriftMonitor) Reset() {
 
 // EstimatedTransmitBytes returns the plan's predicted payload volume per
 // full publish: the sum of the estimated sizes of every merged region in
-// the cycle. Use it as the estimate input to a DriftMonitor. The sharded
-// planner already sized those regions task by task and its sum is
-// returned as is; otherwise the regions the cycle merged for publishing
-// are sized in channel and set order.
+// the cycle. Use it as the estimate input to a DriftMonitor. The planner
+// already sized those regions task by task and its sum is returned as
+// is; for a cycle Plan or Replan did not build, the regions the cycle
+// merged for publishing are sized in channel and set order.
 func (s *Server) EstimatedTransmitBytes(cy *Cycle) float64 {
 	if cy.shard != nil {
 		return cy.shard.TransmitBytes

@@ -125,7 +125,7 @@ func TestPlanIdenticalWithScanEstimator(t *testing.T) {
 	scan := func(rel *relation.Relation) relation.Estimator { return scanExact{rel} }
 	for name, sharding := range map[string]shard.Config{
 		"single":  {},
-		"sharded": {Enabled: true, ShardBits: 2, Aggregate: true},
+		"sharded": {ShardBits: 2, Aggregate: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			fast := paperWorld(t, 24, 3, 20000, sharding, nil)

@@ -30,14 +30,14 @@ const (
 
 var (
 	oracleModel    = cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}
-	oracleSharding = shard.Config{Enabled: true, ShardBits: 4, Aggregate: true}
+	oracleSharding = shard.Config{ShardBits: 4, Aggregate: true}
 )
 
 // churnOracle drives one server through seeded subscription and relation
 // churn and mirrors the registry, so every check can be made from the
 // outside.
 type churnOracle struct {
-	t    *testing.T
+	t    testing.TB
 	rng  *rand.Rand
 	gen  *workload.Generator
 	rel  *relation.Relation
@@ -47,7 +47,7 @@ type churnOracle struct {
 	next int      // next client id to join
 }
 
-func newChurnOracle(t *testing.T, seed int64, cat *metrics.Catalog) *churnOracle {
+func newChurnOracle(t testing.TB, seed int64, sharding shard.Config, cat *metrics.Catalog) *churnOracle {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.Seed, cfg.SF, cfg.DupF = seed, 0.02, 0.2
@@ -62,7 +62,7 @@ func newChurnOracle(t *testing.T, seed int64, cat *metrics.Catalog) *churnOracle
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
-	o.s, err = New(o.rel, net, Config{Model: oracleModel, Sharding: oracleSharding, Metrics: cat})
+	o.s, err = New(o.rel, net, Config{Model: oracleModel, Sharding: sharding, Metrics: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,110 +201,152 @@ func (o *churnOracle) currentCost(cy *Cycle) float64 {
 	return total
 }
 
-// TestReplanChurnOracle replays 200 rounds of seeded churn — swaps,
+// TestReplanChurnOracle replays rounds of seeded churn — swaps,
 // subscribes, unsubscribes, clients joining and leaving, relation inserts
 // and deletes in between — through Replan on the churn-sharded
-// configuration. Every round the cycle must hold against the registry,
-// keep every client that was already there on its channel unless the
-// plan was a full one, and report the mode the quarter rule dictates
-// (changes accumulated since the last full plan); every 10th round a
-// fresh Plan of the same subscriptions prices the inherited plans, and
-// over the run they must cost within 1% of it under current sizes.
+// configuration (16 shards, aggregation) and at one shard without
+// aggregation, the daemon's default. Every round the cycle must hold
+// against the registry, keep every client that was already there on its
+// channel unless the plan was a full one, and report the mode the quarter
+// rule dictates (changes accumulated since the last full plan) and, at
+// one shard, a changed client set (there is no shard → channel map to
+// place a joined client under); every 10th round a fresh Plan of the same
+// subscriptions prices the inherited plans, and over the run they must
+// cost within 1% of it under current sizes.
+//
+// At one shard a full plan is §8's allocation of 100 clients, about 0.4 s
+// (4 s under -race), and most rounds change the client set, so that leg
+// runs 40 rounds (10 under -short and -race), not 200, and under -race
+// only at GOMAXPROCS 4: with one worker the pool has nothing to race.
 func TestReplanChurnOracle(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		procs.At(par, func() {
-			cat := metrics.NewCatalog(oracleChannels)
-			o := newChurnOracle(t, 7, cat)
-			prev, err := o.s.Replan(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.check(prev)
-			if prev.Info.Mode != ModeFull || prev.Info.ShardsReused != 0 || prev.Info.ShardsSolved == 0 {
-				t.Fatalf("Replan(nil) reports %+v, want a full plan", prev.Info)
-			}
-			accumulated, fulls, incrementals := 0, 0, 0
-			var inherited, fresh float64
-			for round := 1; round <= 200; round++ {
-				before := o.keys()
-				for k := 0; k < 2+o.rng.Intn(6); k++ {
-					o.churn()
-				}
-				changed := 0 // entries added plus entries removed
-				after := o.keys()
-				for k := range after {
-					if !before[k] {
-						changed++
-					}
-				}
-				for k := range before {
-					if !after[k] {
-						changed++
-					}
-				}
-				o.insert(200)
-				o.delete(50)
-
-				cy, err := o.s.Replan(prev)
+	oneShardRounds, oneShardProcs := 40, []int{1, 4}
+	if testing.Short() || raceEnabled {
+		oneShardRounds = 10
+	}
+	if raceEnabled {
+		oneShardProcs = []int{4}
+	}
+	for _, tc := range []struct {
+		name     string
+		sharding shard.Config
+		rounds   int
+		procs    []int
+	}{
+		{"shards=16", oracleSharding, 200, []int{1, 4}},
+		{"shards=1", shard.Config{}, oneShardRounds, oneShardProcs},
+	} {
+		oneShard := tc.sharding.ShardBits == 0
+		for _, par := range tc.procs {
+			procs.At(par, func() {
+				cat := metrics.NewCatalog(oracleChannels)
+				o := newChurnOracle(t, 7, tc.sharding, cat)
+				prev, err := o.s.Replan(nil)
 				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
+					t.Fatal(err)
 				}
-				o.check(cy)
-				if changed == 0 {
-					if cy != prev {
-						t.Fatalf("round %d: nothing changed, yet Replan built a new cycle", round)
+				o.check(prev)
+				if prev.Info.Mode != ModeFull || prev.Info.ShardsReused != 0 || prev.Info.ShardsSolved == 0 {
+					t.Fatalf("%s: Replan(nil) reports %+v, want a full plan", tc.name, prev.Info)
+				}
+				accumulated, fulls, incrementals := 0, 0, 0
+				var inherited, fresh float64
+				for round := 1; round <= tc.rounds; round++ {
+					before := o.keys()
+					clientsBefore := len(o.subs)
+					for k := 0; k < 2+o.rng.Intn(6); k++ {
+						o.churn()
 					}
-					continue
-				}
-				wantMode := ModeIncremental
-				if accumulated += changed; 4*accumulated > len(prev.Queries) {
-					wantMode, accumulated = ModeFull, 0
-				}
-				if cy.Info.Mode != wantMode {
-					t.Fatalf("round %d: mode %q, want %q (%d changes since the last full plan of %d queries)",
-						round, cy.Info.Mode, wantMode, accumulated, len(prev.Queries))
-				}
-				if cy.Info.Mode == ModeFull {
-					fulls++
-					if cy.Info.ShardsReused != 0 {
-						t.Fatalf("round %d: full plan reused %d tasks", round, cy.Info.ShardsReused)
-					}
-				} else {
-					incrementals++
-					if cy.Info.ShardsReused < cy.Info.ShardsSolved {
-						t.Fatalf("round %d: %d tasks solved, only %d reused after %d changes", round, cy.Info.ShardsSolved, cy.Info.ShardsReused, changed)
-					}
-					for id, ch := range prev.ClientChannel {
-						if now, still := cy.ClientChannel[id]; still && now != ch {
-							t.Fatalf("round %d: client %d moved from channel %d to %d", round, id, ch, now)
+					changed := 0 // entries added plus entries removed
+					after := o.keys()
+					for k := range after {
+						if !before[k] {
+							changed++
 						}
 					}
-				}
-				if round%10 == 0 {
-					oracle, err := o.s.Plan()
-					if err != nil {
-						t.Fatal(err)
+					for k := range before {
+						if !after[k] {
+							changed++
+						}
 					}
-					inherited += o.currentCost(cy)
-					fresh += o.currentCost(oracle)
+					// Clients only join with fresh ids and leave whole, so a
+					// changed client set shows in one of the two ways.
+					clientsChanged := len(o.subs) != clientsBefore
+					for id := range prev.ClientChannel {
+						if _, still := o.subs[id]; !still {
+							clientsChanged = true
+						}
+					}
+					o.insert(200)
+					o.delete(50)
+
+					cy, err := o.s.Replan(prev)
+					if err != nil {
+						t.Fatalf("%s round %d: %v", tc.name, round, err)
+					}
+					o.check(cy)
+					if changed == 0 {
+						if cy != prev {
+							t.Fatalf("%s round %d: nothing changed, yet Replan built a new cycle", tc.name, round)
+						}
+						continue
+					}
+					wantMode := ModeIncremental
+					if accumulated += changed; 4*accumulated > len(prev.Queries) || oneShard && clientsChanged {
+						wantMode, accumulated = ModeFull, 0
+					}
+					if cy.Info.Mode != wantMode {
+						t.Fatalf("%s round %d: mode %q, want %q (%d changes since the last full plan of %d queries, client set changed %v)",
+							tc.name, round, cy.Info.Mode, wantMode, accumulated, len(prev.Queries), clientsChanged)
+					}
+					if cy.Info.Mode == ModeFull {
+						fulls++
+						if cy.Info.ShardsReused != 0 {
+							t.Fatalf("%s round %d: full plan reused %d tasks", tc.name, round, cy.Info.ShardsReused)
+						}
+					} else {
+						incrementals++
+						// A channel's one task is dirty only if one of its
+						// queries changed; many shards per channel reuse
+						// most tasks.
+						if oneShard && cy.Info.ShardsSolved > changed || !oneShard && cy.Info.ShardsReused < cy.Info.ShardsSolved {
+							t.Fatalf("%s round %d: %d tasks solved, %d reused after %d changes",
+								tc.name, round, cy.Info.ShardsSolved, cy.Info.ShardsReused, changed)
+						}
+						for id, ch := range prev.ClientChannel {
+							if now, still := cy.ClientChannel[id]; still && now != ch {
+								t.Fatalf("%s round %d: client %d moved from channel %d to %d", tc.name, round, id, ch, now)
+							}
+						}
+					}
+					if round%10 == 0 {
+						oracle, err := o.s.Plan()
+						if err != nil {
+							t.Fatal(err)
+						}
+						inherited += o.currentCost(cy)
+						fresh += o.currentCost(oracle)
+					}
+					prev = cy
 				}
-				prev = cy
-			}
-			if fulls == 0 || incrementals < 5*fulls {
-				t.Fatalf("%d full and %d incremental replans: the quarter rule should fire now and then, not mostly", fulls, incrementals)
-			}
-			if inherited > 1.01*fresh {
-				t.Fatalf("GOMAXPROCS %d: inherited plans cost %.0f under current sizes, fresh plans %.0f (+%.2f%%, bound 1%%)",
-					par, inherited, fresh, 100*(inherited/fresh-1))
-			}
-			t.Logf("GOMAXPROCS %d: %d full, %d incremental; inherited/fresh cost %.4f", par, fulls, incrementals, inherited/fresh)
-			if got := cat.PlanShardsReused.Load(); got == 0 || cat.PlanShardsSolved.Load() == 0 {
-				t.Fatalf("shard counters did not move: solved %d, reused %d", cat.PlanShardsSolved.Load(), got)
-			}
-			if got := cat.PlansIncremental.Load(); got != uint64(incrementals) {
-				t.Fatalf("PlansIncremental = %d, %d incremental replans ran", got, incrementals)
-			}
-		})
+				// Most rounds change the client set at one shard, so there
+				// both modes must merely occur.
+				if fulls == 0 || incrementals == 0 || !oneShard && incrementals < 5*fulls {
+					t.Fatalf("%s: %d full and %d incremental replans: the quarter rule should fire now and then, not mostly",
+						tc.name, fulls, incrementals)
+				}
+				if inherited > 1.01*fresh {
+					t.Fatalf("%s GOMAXPROCS %d: inherited plans cost %.0f under current sizes, fresh plans %.0f (+%.2f%%, bound 1%%)",
+						tc.name, par, inherited, fresh, 100*(inherited/fresh-1))
+				}
+				t.Logf("%s GOMAXPROCS %d: %d full, %d incremental; inherited/fresh cost %.4f", tc.name, par, fulls, incrementals, inherited/fresh)
+				if got := cat.PlanShardsReused.Load(); got == 0 || cat.PlanShardsSolved.Load() == 0 {
+					t.Fatalf("%s: shard counters did not move: solved %d, reused %d", tc.name, cat.PlanShardsSolved.Load(), got)
+				}
+				if got := cat.PlansIncremental.Load(); got != uint64(incrementals) {
+					t.Fatalf("%s: PlansIncremental = %d, %d incremental replans ran", tc.name, got, incrementals)
+				}
+			})
+		}
 	}
 }
 
@@ -313,7 +355,7 @@ func TestReplanChurnOracle(t *testing.T) {
 // for another channel count, or one that carries no planner result to
 // inherit from, is replanned in full and reported so.
 func TestReplanShardedEscalations(t *testing.T) {
-	o := newChurnOracle(t, 9, nil)
+	o := newChurnOracle(t, 9, oracleSharding, nil)
 	cy, err := o.s.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -373,9 +415,8 @@ func TestReplanShardedEscalations(t *testing.T) {
 // TestEstimatedTransmitBytesSharded pins the value EstimatedTransmitBytes
 // hands the drift monitor to the one a recomputation gets by merging and
 // sizing every set again, after a full plan and after an incremental
-// replan on a frozen relation: on the sharded path, which carries the
-// planner's own sum, and on the unsharded one, which sizes the regions of
-// the cycle's publish schedule.
+// replan on a frozen relation: on the churn-sharded configuration and at
+// one shard, where the sum is over §8's per-channel plans.
 func TestEstimatedTransmitBytesSharded(t *testing.T) {
 	recompute := func(cy *Cycle, rel *relation.Relation) float64 {
 		total := 0.0
@@ -386,7 +427,7 @@ func TestEstimatedTransmitBytesSharded(t *testing.T) {
 		}
 		return total
 	}
-	o := newChurnOracle(t, 3, nil)
+	o := newChurnOracle(t, 3, oracleSharding, nil)
 	cy, err := o.s.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -418,10 +459,10 @@ func TestEstimatedTransmitBytesSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := s.EstimatedTransmitBytes(cy), recompute(cy, rel); got != want {
-		t.Fatalf("unsharded full plan: estimate %v, recomputed %v", got, want)
+		t.Fatalf("one-shard full plan: estimate %v, recomputed %v", got, want)
 	}
-	// One client swaps a subscription: same client set, so the unsharded
-	// multi-channel replan repairs locally.
+	// One client swaps a subscription: same client set, so the one-shard
+	// multi-channel replan re-solves the owner's channel.
 	owner := cy.Owners[0]
 	if !s.Unsubscribe(owner, cy.Queries[0].ID) {
 		t.Fatal("unsubscribe failed")
@@ -434,9 +475,9 @@ func TestEstimatedTransmitBytesSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cy2.Info.Mode != ModeIncremental {
-		t.Fatalf("unsharded replan reports %+v, want an incremental one", cy2.Info)
+		t.Fatalf("one-shard replan reports %+v, want an incremental one", cy2.Info)
 	}
 	if got, want := s.EstimatedTransmitBytes(cy2), recompute(cy2, rel); got != want {
-		t.Fatalf("unsharded incremental replan: estimate %v, recomputed %v", got, want)
+		t.Fatalf("one-shard incremental replan: estimate %v, recomputed %v", got, want)
 	}
 }

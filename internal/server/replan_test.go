@@ -87,8 +87,8 @@ func TestReplanSingleChannelChurn(t *testing.T) {
 }
 
 // TestReplanMultiChannelKeepsAssignment pins the multi-channel
-// incremental path: with a stable client set, churned queries are
-// spliced onto their owner's existing channel and every other client
+// incremental replan at one shard: with a stable client set, churned
+// queries are planned on their owner's existing channel and every client
 // keeps its assignment.
 func TestReplanMultiChannelKeepsAssignment(t *testing.T) {
 	rel, net := buildWorld(t, 3, 400, 2)

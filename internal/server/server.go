@@ -43,18 +43,17 @@ type Config struct {
 	// Estimator predicts answer sizes (default relation.Exact over the
 	// server's relation).
 	Estimator relation.Estimator
-	// Strategy picks the channel allocation heuristic when the network
-	// has more than one channel.
+	// Strategy picks §8's channel allocation heuristic, which places
+	// the clients of a plan at one shard on more than one channel.
 	Strategy chanalloc.Strategy
 	// Seed drives the randomized pieces (random-init allocation); a
 	// fixed Seed plans the same cycle at any GOMAXPROCS.
 	Seed int64
-	// Sharding selects the sharded planning pipeline (internal/shard):
-	// subscription aggregation, Morton-sharded concurrent solving, and
-	// traffic-weighted channel balancing. Disabled by default; with
-	// Sharding.Enabled, ShardBits == 0 and Aggregate == false the
-	// pipeline is bit-identical to the unsharded single-channel plan
-	// (the equivalence ablation pins this).
+	// Sharding configures the planning pipeline (internal/shard) every
+	// plan runs through: subscription aggregation and Morton-sharded
+	// concurrent solving, with traffic-weighted channel balancing beyond
+	// one shard. The zero value plans each channel as one shard after
+	// §8's channel allocation.
 	Sharding shard.Config
 	// Metrics optionally instruments the whole stack the server drives:
 	// memo hit rates, solver and allocator work, plan/publish latency,
@@ -106,10 +105,6 @@ func New(rel *relation.Relation, net *multicast.Network, cfg Config) (*Server, e
 
 // Relation returns the server's relation (for loading data).
 func (s *Server) Relation() *relation.Relation { return s.rel }
-
-// ShardingEnabled reports whether plans run through the sharded
-// pipeline — the cycle ledger labels plan stages with it.
-func (s *Server) ShardingEnabled() bool { return s.cfg.Sharding.Enabled }
 
 // Subscribe registers queries for a client. Query ids must be unique per
 // client. A region with a NaN coordinate refuses the whole call before
@@ -220,9 +215,9 @@ type Cycle struct {
 	// Info says how Plan or Replan obtained this cycle.
 	Info PlanInfo
 
-	// What the next Replan inherits: the sharded planner's result (nil
-	// on the unsharded path), and the subscription changes absorbed since
-	// the last full plan (the quarter rule's count).
+	// What the next Replan inherits: the planner's result, and the
+	// subscription changes absorbed since the last full plan (the quarter
+	// rule's count).
 	shard *shard.Result
 	churn int
 
@@ -253,10 +248,12 @@ const (
 // itself, with the info of the plan that built it.)
 type PlanInfo struct {
 	Mode string
-	// ShardsSolved and ShardsReused count the sharded planner's
-	// (channel, shard) tasks solved this time and taken over from the
-	// previous cycle; both are 0 on the unsharded path.
+	// ShardsSolved and ShardsReused count the planner's (channel, shard)
+	// tasks solved this time and taken over from the previous cycle.
 	ShardsSolved, ShardsReused int
+	// Sharded reports that the plan split some channel's queries into
+	// more than one shard.
+	Sharded bool
 }
 
 // msgPlan precomputes the cycle-invariant parts of one published message:
@@ -398,101 +395,16 @@ func (s *Server) Plan() (*Cycle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.plan(snap)
+	return s.plan(snap, nil, 0)
 }
 
-// plan is the full plan of a snapshot: nothing is inherited.
-func (s *Server) plan(snap snapshot) (*Cycle, error) {
-	if s.cfg.Sharding.Enabled {
-		return s.planSharded(snap, nil, 0)
-	}
-	clients, qs := snap.clients, snap.qs
-	start := time.Now()
-	cat := s.cfg.Metrics
-
-	inst := core.NewGeomInstance(s.cfg.Model, qs, s.cfg.Procedure, s.cfg.Estimator)
-	inst.Metrics = s.solverMetrics()
-	// Merged sizes are asked for again and again within one plan: the
-	// channel-allocation hill climb re-merges overlapping client subsets
-	// dozens of times, and the parallel solvers probe the same unions
-	// from several goroutines. The table or memo behind them is built
-	// fresh per Plan call because the estimator reflects the current
-	// relation contents. With more than one channel and client, channel
-	// allocation solves groups under its per-channel models.
-	allocate := s.net.Channels() > 1 && len(clients) > 1
-	kmax := 0.0
-	if allocate {
-		kmax = chanalloc.MaxChannelKM(s.cfg.Model, len(clients))
-	}
-	if cat != nil {
-		inst.CacheSizes(nil, kmax, cat.MemoHits, cat.MemoMisses)
-	} else {
-		inst.CacheSizes(nil, kmax, nil, nil)
-	}
-	cy := &Cycle{
-		Queries:       qs,
-		Owners:        snap.owners,
-		ClientChannel: make(map[int]int, len(clients)),
-		ChannelPlans:  make([]core.Plan, s.net.Channels()),
-		InitialCost:   inst.InitialCost(),
-	}
-
-	if !allocate {
-		for _, id := range clients {
-			cy.ClientChannel[id] = 0
-		}
-		plan := s.cfg.Algorithm.Solve(inst)
-		cy.ChannelPlans[0] = plan
-		cy.EstimatedCost = inst.Cost(plan)
-		return s.finishPlan(start, cy, PlanInfo{Mode: ModeFull}), nil
-	}
-
-	prob := &chanalloc.Problem{
-		Inst:     inst,
-		Clients:  snap.clientQueryIdx,
-		Channels: s.net.Channels(),
-		Merger:   s.cfg.Algorithm,
-	}
-	if cat != nil {
-		prob.Metrics = &chanalloc.AllocMetrics{
-			Restarts:         cat.AllocRestarts,
-			GroupCacheHits:   cat.AllocGroupCacheHits,
-			GroupCacheMisses: cat.AllocGroupCacheMisses,
-		}
-	}
-	alloc, total, err := chanalloc.Heuristic(prob, s.cfg.Strategy, s.cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("server: channel allocation: %w", err)
-	}
-	for ci, ch := range alloc {
-		cy.ClientChannel[clients[ci]] = ch
-	}
-	for ch, plan := range chanalloc.Plans(prob, alloc) {
-		cy.ChannelPlans[ch] = plan
-	}
-	cy.EstimatedCost = total
-	// The no-merging baseline must be charged under the same channel
-	// allocation (including per-listener filtering), or the comparison
-	// would mix §4 and §7 cost models.
-	noMerge := &chanalloc.Problem{
-		Inst:     inst,
-		Clients:  snap.clientQueryIdx,
-		Channels: s.net.Channels(),
-		Merger:   core.NoMerge{},
-	}
-	cy.InitialCost = chanalloc.Cost(noMerge, alloc)
-	return s.finishPlan(start, cy, PlanInfo{Mode: ModeFull}), nil
-}
-
-// planSharded plans a snapshot through the sharded pipeline:
-// aggregation, Morton-sharded concurrent solving and traffic-weighted
-// channel balancing, all inside internal/shard. The resulting cycle has
-// the same invariants as the global path (every query in exactly one
-// plan set, on its owner's channel), so publish-plan materialization
-// applies unchanged. With prev set it is an incremental replan (see
-// shard.Plan) that has absorbed churn subscription changes since the last
-// full plan.
-func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, error) {
+// plan plans a snapshot through the planning pipeline (shard.Plan):
+// channel allocation — §8's heuristic at one shard, traffic-weighted
+// shard balancing beyond — then aggregation, Morton-sharded concurrent
+// solving and the stitch. With prev set it is an incremental replan (see
+// shard.Plan) that has absorbed churn subscription changes since the
+// last full plan.
+func (s *Server) plan(snap snapshot, prev *Cycle, churn int) (*Cycle, error) {
 	start := time.Now()
 	prob := &shard.Problem{
 		Queries:   snap.qs,
@@ -503,6 +415,8 @@ func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, err
 		Procedure: s.cfg.Procedure,
 		Estimator: s.cfg.Estimator,
 		Algorithm: s.cfg.Algorithm,
+		Strategy:  s.cfg.Strategy,
+		Seed:      s.cfg.Seed,
 		Metrics:   s.solverMetrics(),
 		Config:    s.cfg.Sharding,
 	}
@@ -512,10 +426,15 @@ func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, err
 	if cat := s.cfg.Metrics; cat != nil {
 		prob.MemoHits = cat.MemoHits
 		prob.MemoMisses = cat.MemoMisses
+		prob.AllocMetrics = &chanalloc.AllocMetrics{
+			Restarts:         cat.AllocRestarts,
+			GroupCacheHits:   cat.AllocGroupCacheHits,
+			GroupCacheMisses: cat.AllocGroupCacheMisses,
+		}
 	}
 	res, err := shard.Plan(prob)
 	if err != nil {
-		return nil, fmt.Errorf("server: sharded planning: %w", err)
+		return nil, fmt.Errorf("server: planning: %w", err)
 	}
 	cy := &Cycle{
 		Queries:       snap.qs,
@@ -529,9 +448,17 @@ func (s *Server) planSharded(snap snapshot, prev *Cycle, churn int) (*Cycle, err
 	for ci, id := range snap.clients {
 		cy.ClientChannel[id] = res.ClientChannel[ci]
 	}
-	// What the planner did decides the mode, not what was asked of it: it
-	// ignores a previous result it cannot inherit from.
+	// What the planner did decides the info, not what was asked of it: it
+	// ignores a previous result it cannot inherit from, and a channel's
+	// queries may all fall in one shard.
 	info := PlanInfo{Mode: ModeFull, ShardsReused: res.Stats.Reused, ShardsSolved: res.Stats.Shards - res.Stats.Reused}
+	used := 0
+	for _, plan := range res.ChannelPlans {
+		if len(plan) > 0 {
+			used++
+		}
+	}
+	info.Sharded = res.Stats.Shards > used
 	if res.Stats.Incremental {
 		info.Mode = ModeIncremental
 		cy.churn = churn

@@ -542,7 +542,7 @@ func TestFullPublishBetweenDeltasShipsRemovals(t *testing.T) {
 }
 
 // TestValidateCycleOnAllPlans runs the structural oracle on every plan
-// shape — 1 and 3 channels, the unsharded and the sharded planner, a full
+// shape — 1 and 3 channels, one shard and four with aggregation, a full
 // Plan and a Replan after churn — and pins the partition of §4 on the
 // publish schedule as well: each (owner, query id) appears in exactly one
 // message header of the cycle, so its client extracts it from exactly one
@@ -572,8 +572,8 @@ func TestValidateCycleOnAllPlans(t *testing.T) {
 	}
 	for _, channels := range []int{1, 3} {
 		for name, sharding := range map[string]shard.Config{
-			"unsharded": {},
-			"sharded":   {Enabled: true, ShardBits: 2, Aggregate: true},
+			"one-shard": {},
+			"sharded":   {ShardBits: 2, Aggregate: true},
 		} {
 			stage := fmt.Sprintf("channels=%d %s", channels, name)
 			rel, net := buildWorld(t, channels, 800, int64(channels))
@@ -590,7 +590,7 @@ func TestValidateCycleOnAllPlans(t *testing.T) {
 			}
 			check(stage+" plan", s, cy, channels)
 			// Churn inside the quarter rule on a stable client set, so
-			// every path repairs the previous cycle.
+			// every configuration inherits from the previous cycle.
 			s.Unsubscribe(0, qs[0].ID)
 			s.Unsubscribe(1, qs[1].ID)
 			for i, q := range qs[36:] {

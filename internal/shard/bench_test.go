@@ -47,7 +47,7 @@ func BenchmarkShardPlan(b *testing.B) {
 					Model:     cost.DefaultModel(),
 					Estimator: testEstimator(),
 					Algorithm: core.PairMerge{},
-					Config:    Config{Enabled: true, ShardBits: tc.bits, Aggregate: true},
+					Config:    Config{ShardBits: tc.bits, Aggregate: true},
 				}
 				if _, err := Plan(p); err != nil {
 					b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkShardPlanMultiChannel(b *testing.B) {
 			Model:     cost.DefaultModel(),
 			Estimator: testEstimator(),
 			Algorithm: core.PairMerge{},
-			Config:    Config{Enabled: true, ShardBits: 6, Aggregate: true},
+			Config:    Config{ShardBits: 6, Aggregate: true},
 		}
 		if _, err := Plan(p); err != nil {
 			b.Fatal(err)

@@ -159,7 +159,7 @@ func TestPlanProbesEachRectangleOnce(t *testing.T) {
 			var misses metrics.Counter
 			p := &Problem{
 				Channels: 4, Model: cost.Model{KM: 500, KT: 1, KU: 1, K6: 2}, Estimator: est,
-				Config: Config{Enabled: true, ShardBits: 3, Aggregate: aggregate}, MemoMisses: &misses,
+				Config: Config{ShardBits: 3, Aggregate: aggregate}, MemoMisses: &misses,
 			}
 			if round%2 == 1 {
 				p.Prev = prev

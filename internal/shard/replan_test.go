@@ -16,7 +16,7 @@ import (
 )
 
 // churnConfig is the churn-sharded planner configuration.
-var churnConfig = Config{Enabled: true, ShardBits: 4, Aggregate: true}
+var churnConfig = Config{ShardBits: 4, Aggregate: true}
 
 // population is a seeded, churning subscription registry: client id →
 // subscriptions, flattened into Problems in the server's canonical order

@@ -19,13 +19,11 @@ import (
 	"qsub/internal/relation"
 )
 
-// Config selects the sharded planning pipeline's policies. The zero
-// value disables the pipeline entirely (the server falls back to the
-// global solve).
+// Config selects the planning pipeline's policies. The zero value plans
+// each channel as one shard without aggregation: on one channel the global
+// solve, on more §8's channel allocation (see Plan).
 type Config struct {
-	// Enabled turns the pipeline on. With Enabled, ShardBits == 0 and
-	// Aggregate == false, the pipeline reduces to the global solve and
-	// produces bit-identical plans (the unsharded-equivalence ablation).
+	// Deprecated: Enabled is read nowhere; every plan runs the pipeline.
 	Enabled bool
 	// ShardBits is the number of Morton-code prefix bits used as the
 	// shard key: representatives are partitioned into up to 2^ShardBits
@@ -57,9 +55,8 @@ func (c Config) shards() int {
 	return 1 << uint(b)
 }
 
-// Problem is one sharded planning instance: the flattened query list,
-// the client → query-index partition, and the policies the server's
-// global path would have used for the same cycle.
+// Problem is one planning instance: the flattened query list, the
+// client → query-index partition, and the server's policies.
 type Problem struct {
 	// Queries is the flattened subscription list; plans index into it.
 	Queries []query.Query
@@ -77,6 +74,13 @@ type Problem struct {
 	// Algorithm is the per-shard merging algorithm (default
 	// core.PairMerge).
 	Algorithm core.Algorithm
+	// Strategy and Seed drive §8's channel allocation
+	// (chanalloc.Heuristic), which places the clients of a plan at one
+	// shard on more than one channel; AllocMetrics optionally
+	// instruments it.
+	Strategy     chanalloc.Strategy
+	Seed         int64
+	AllocMetrics *chanalloc.AllocMetrics
 	// Budget optionally bounds solver work across all shards (anytime
 	// mode): every per-shard solve shares it, so a deadline caps the
 	// whole pipeline, not each shard. Nil means unlimited.
@@ -96,7 +100,8 @@ type Problem struct {
 	// and only the (channel, shard) tasks whose input changed are solved
 	// again (see Plan). Prev must come from a Plan under the same
 	// policies (Config, Procedure, Algorithm); a different channel or
-	// shard count is planned in full.
+	// shard count, and at one shard on more than one channel a changed
+	// client set, is planned in full.
 	Prev *Result
 
 	Config Config
@@ -114,8 +119,8 @@ type Stats struct {
 	// Shards is the number of non-empty (channel, shard) tasks.
 	Shards int
 	// Incremental reports that the plan inherited from Problem.Prev. It
-	// is false without Prev and with a Prev of another channel or shard
-	// count, which is ignored: the allocation is new and every task solved.
+	// is false without Prev and with a Prev it cannot inherit from, which
+	// is ignored: the allocation is new and every task solved.
 	Incremental bool
 	// Reused counts the tasks an incremental replan took over from
 	// Problem.Prev unsolved; the other Shards − Reused were solved.
@@ -152,6 +157,30 @@ type Result struct {
 	shardChannel  []int
 	clientChannel map[int]int
 	sized         map[geom.Rect]float64
+}
+
+// inheritable reports whether a replan on channels and numShards, of the
+// clients ids, can keep r's allocation: the same channel count and, on
+// more than one channel, r's shard → channel map for the same shard count
+// or, at one shard, where §8 placed the clients and a joined one has no
+// shard to follow, the same client set.
+func (r *Result) inheritable(ids []int, channels, numShards int) bool {
+	switch {
+	case len(r.ChannelPlans) != channels:
+		return false
+	case channels == 1:
+		return true
+	case numShards > 1:
+		return len(r.shardChannel) == numShards
+	case r.shardChannel != nil || len(r.clientChannel) != len(ids):
+		return false
+	}
+	for _, id := range ids {
+		if _, ok := r.clientChannel[id]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // taskKey names one task across plans: a channel and a Z-order cell.
@@ -201,15 +230,27 @@ func (s *solved) matches(t *task) bool {
 	return s != nil && t.rects != nil && s.model == t.model && slices.Equal(s.rects, t.rects)
 }
 
-// Plan runs the pipeline: aggregate → shard → solve → stitch. It is
-// deterministic for a fixed problem at any GOMAXPROCS: shards are
+// Plan runs the pipeline: allocate → aggregate → shard → solve → stitch.
+// It is deterministic for a fixed problem at any GOMAXPROCS: shards are
 // solved independently on per-shard memoized sizers and stitched in
 // shard-index order.
 //
+// On more than one channel, clients are allocated first. At one shard
+// that is §8's chanalloc.Heuristic under Problem.Strategy and Seed on one
+// instance over every query: merging and allocation are decided together.
+// Without aggregation the allocation's per-channel plans are the tasks'
+// outcomes, EstimatedCost is its total and InitialCost its no-merge cost
+// (chanalloc.Cost under core.NoMerge), with nothing solved again. With
+// more shards, shards are balanced across channels by traffic weight
+// (LPT) and each client follows the channels holding the majority of its
+// subscribed weight.
+//
 // With Problem.Prev set it replans incrementally. Clients known to Prev
 // keep their channel and a joined client follows the majority of its
-// weight under Prev's shard → channel map; aggregation and sharding are
-// rebuilt from the current subscriptions; a task whose signature (its
+// weight under Prev's shard → channel map (at one shard on more than one
+// channel there is no such map, and a changed client set is planned in
+// full); aggregation and sharding are rebuilt from the current
+// subscriptions; a task whose signature (its
 // K6-adjusted model and its representative rectangles, in order) equals
 // that of Prev's task for the same channel and cell takes over that
 // task's plan, cost and transmit bytes, with the members expanded from
@@ -264,22 +305,32 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 	bytesFollowRects := boundsOnly || !p.Config.Aggregate
 	numShards := p.Config.shards()
 	prev := p.Prev
-	if prev != nil && (len(prev.ChannelPlans) != channels || channels > 1 && len(prev.shardChannel) != numShards) {
+	if prev != nil && !prev.inheritable(p.ClientIDs, channels, numShards) {
 		prev = nil
 	}
 	incremental := prev != nil
 	if !incremental {
 		prev = &Result{} // nothing to inherit: every lookup below misses
 	}
+	var alloc *allocation
+	if channels > 1 && numShards == 1 && !incremental {
+		var err error
+		if alloc, err = allocate(p, channels, proc, algo); err != nil {
+			return nil, err
+		}
+	}
 
-	// Workload geometry shared by every stage: query bounding rects and
-	// the global bounds normalizing every Morton code, so shard cells
-	// are identical across channels.
-	rects := make([]geom.Rect, n)
+	// Workload geometry beyond one shard: query bounding rects and the
+	// global bounds normalizing every Morton code, so shard cells are
+	// identical across channels.
+	var rects []geom.Rect
 	bounds := geom.EmptyRect()
-	for i, q := range p.Queries {
-		rects[i] = q.Region.BoundingRect()
-		bounds = bounds.Union(rects[i])
+	if numShards > 1 {
+		rects = make([]geom.Rect, n)
+		for i, q := range p.Queries {
+			rects[i] = q.Region.BoundingRect()
+			bounds = bounds.Union(rects[i])
+		}
 	}
 
 	// Singleton sizes drive channel balancing and the no-merge
@@ -294,6 +345,8 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 		r, isRect := q.Region.(geom.Rect)
 		size, known := prev.sized[r]
 		switch {
+		case alloc != nil:
+			size, probed[i] = alloc.prob.Inst.Sizer.Size(i), true
 		case isRect && known:
 		case isRect && rs != nil:
 			size, probed[i] = rs.SizeBytesRect(r), true
@@ -315,12 +368,13 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 	}
 
 	// Stage 0 — channel assignment. One channel trivially takes every
-	// client. Otherwise shards are balanced across channels by traffic
-	// weight (LPT) and each client follows the channels holding the
-	// majority of its subscribed weight, so the per-channel solves below
-	// stay client-disjoint (a client listens to exactly one channel). A
-	// replan keeps the previous shard → channel map and every known
-	// client's channel, so only a joined client is placed.
+	// client. Otherwise a client takes the channel §8 allocated it at one
+	// shard, or else follows the channels holding the majority of its
+	// subscribed weight under the LPT shard → channel map, so the
+	// per-channel solves below stay client-disjoint (a client listens to
+	// exactly one channel). A replan keeps the previous shard → channel
+	// map and every known client's channel, so only a joined client is
+	// placed.
 	listeners := make([]int, channels)
 	chQIdx := make([][]int, channels)
 	if channels == 1 {
@@ -331,24 +385,29 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 		}
 		chQIdx[0] = all
 	} else {
-		shardOf := make([]int, n)
-		for i := range p.Queries {
-			shardOf[i] = rectShard(rects[i], bounds, p.Config.ShardBits)
-		}
-		shardChannel := prev.shardChannel
-		if shardChannel == nil {
-			shardWeight := make([]float64, numShards)
+		var shardOf, shardChannel []int
+		if numShards > 1 {
+			shardOf = make([]int, n)
 			for i := range p.Queries {
-				shardWeight[shardOf[i]] += sizes[i]
+				shardOf[i] = rectShard(rects[i], bounds, p.Config.ShardBits)
 			}
-			shardChannel = chanalloc.BalanceWeights(shardWeight, channels)
+			shardChannel = prev.shardChannel
+			if shardChannel == nil {
+				shardWeight := make([]float64, numShards)
+				for i := range p.Queries {
+					shardWeight[shardOf[i]] += sizes[i]
+				}
+				shardChannel = chanalloc.BalanceWeights(shardWeight, channels)
+			}
+			res.shardChannel = shardChannel
 		}
-		res.shardChannel = shardChannel
 		res.clientChannel = make(map[int]int, len(p.Clients))
 		chWeight := make([]float64, channels)
 		for ci, qs := range p.Clients {
 			best, kept := 0, false
-			if incremental {
+			if alloc != nil {
+				best, kept = alloc.channel[ci], true
+			} else if incremental {
 				best, kept = prev.clientChannel[p.ClientIDs[ci]]
 			}
 			if !kept {
@@ -379,12 +438,31 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 	}
 
 	// Stages 1–2 — per-channel aggregation and sharding, flattened into
-	// one task list; the tasks the previous result does not answer go to
-	// the worker pool.
-	var tasks []task
+	// one task list; the tasks that neither the previous result nor the
+	// allocation answers go to the worker pool.
+	var allocPlans []core.Plan
+	if alloc != nil && !p.Config.Aggregate {
+		allocPlans = chanalloc.Plans(alloc.prob, alloc.channel)
+	}
+	tasks := make([]task, 0, channels)
 	var unsolved []int
 	for ch := 0; ch < channels; ch++ {
 		if len(chQIdx[ch]) == 0 {
+			continue
+		}
+		model := p.Model
+		if channels > 1 {
+			// Per-listener filtering charge, mirroring
+			// chanalloc.ChannelCost's coupling of allocation to merging.
+			model.KM += model.K6 * float64(listeners[ch])
+		}
+		if allocPlans != nil {
+			tasks = append(tasks, allocTask(ch, chQIdx[ch], model, allocPlans[ch], alloc.prob.Inst, proc, p))
+			if t := &tasks[len(tasks)-1]; t.rects != nil && !p.Budget.Exhausted() {
+				res.tasks[t.key] = t.out
+			}
+			res.Stats.Reps += len(chQIdx[ch])
+			res.Stats.MaxShardReps = max(res.Stats.MaxShardReps, len(chQIdx[ch]))
 			continue
 		}
 		chQueries := make([]query.Query, len(chQIdx[ch]))
@@ -406,13 +484,6 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 		}
 		res.Stats.Reps += len(agg.Reps)
 		res.Stats.Collapsed += agg.Collapsed
-
-		model := p.Model
-		if channels > 1 {
-			// Per-listener filtering charge, mirroring
-			// chanalloc.ChannelCost's coupling of allocation to merging.
-			model.KM += model.K6 * float64(listeners[ch])
-		}
 
 		groups, cells := shardReps(agg.Reps, bounds, p.Config.ShardBits)
 		for gi, repIdx := range groups {
@@ -504,7 +575,11 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 	}
 	for ti := range tasks {
 		t := &tasks[ti]
-		res.ChannelPlans[t.key.ch] = append(res.ChannelPlans[t.key.ch], t.plan...)
+		if res.ChannelPlans[t.key.ch] == nil {
+			res.ChannelPlans[t.key.ch] = t.plan // a channel's first task: its plan is the task's own copy
+		} else {
+			res.ChannelPlans[t.key.ch] = append(res.ChannelPlans[t.key.ch], t.plan...)
+		}
 		res.EstimatedCost += t.out.cost
 		res.TransmitBytes += t.out.bytes
 	}
@@ -514,6 +589,10 @@ func plan(p *Problem, solve func(*task, query.MergeProcedure, core.Algorithm, *P
 				res.EstimatedCost += p.Model.KD
 			}
 		}
+	}
+	if allocPlans != nil {
+		res.EstimatedCost, res.InitialCost = alloc.cost, alloc.initialCost()
+		return res, nil
 	}
 
 	// The no-merging baseline under the same channel assignment (the
@@ -552,12 +631,83 @@ func solveShard(t *task, proc query.MergeProcedure, algo core.Algorithm, p *Prob
 	inst.Metrics = p.Metrics
 	plan := algo.Solve(inst)
 	t.plan = expand(plan, t.memberSets)
-	t.out = &solved{model: t.model, rects: t.rects, plan: plan, cost: inst.Cost(plan)}
+	t.settle(plan, plan, inst, proc, p)
+}
+
+// allocTask is channel ch's one task at one shard without aggregation,
+// which §8's allocation has solved: its representatives are the
+// channel's queries qs in index order, and plan is the allocation's plan
+// for the channel, over the queries of inst.
+func allocTask(ch int, qs []int, model cost.Model, plan core.Plan, inst *core.Instance, proc query.MergeProcedure, p *Problem) task {
+	t := task{key: taskKey{ch, 0}, model: model, rects: make([]geom.Rect, len(qs)), plan: plan}
+	for j, q := range qs {
+		if r, ok := p.Queries[q].Region.(geom.Rect); !ok {
+			t.rects = nil
+		} else if t.rects != nil {
+			t.rects[j] = r
+		}
+	}
+	local, members := make(core.Plan, len(plan)), make([]int, 0, len(qs))
+	for si, set := range plan {
+		for _, q := range set {
+			j, _ := slices.BinarySearch(qs, q)
+			members = append(members, j)
+		}
+		local[si] = members[len(members)-len(set):]
+	}
+	t.settle(local, plan, inst, proc, p)
+	return t
+}
+
+// settle records the outcome of a task whose plan over the original
+// queries is set: local is that plan over the task's representatives,
+// and sized the same plan in the query indices of inst, which prices it
+// under the task's model.
+func (t *task) settle(local, sized core.Plan, inst *core.Instance, proc query.MergeProcedure, p *Problem) {
+	t.out = &solved{model: t.model, rects: t.rects, plan: local, cost: cost.PlanCost(t.model, inst.Sizer, sized)}
 	if _, boundsOnly := proc.(query.BoundingRect); boundsOnly && t.rects != nil {
-		t.out.bytes = cost.TransmitSize(inst.Sizer, plan)
+		t.out.bytes = cost.TransmitSize(inst.Sizer, sized)
 	} else {
 		t.out.bytes = transmitBytes(t.plan, p.Queries, proc, p.Estimator)
 	}
+}
+
+// allocation is §8's channel allocation of a plan at one shard on more
+// than one channel, over one instance of every query: what the server
+// planned before every plan ran the pipeline.
+type allocation struct {
+	prob    *chanalloc.Problem
+	channel chanalloc.Allocation
+	cost    float64
+}
+
+// allocate runs chanalloc.Heuristic over the problem's clients. The
+// instance admits the per-channel models of one to all clients listening
+// (chanalloc.MaxChannelKM).
+func allocate(p *Problem, channels int, proc query.MergeProcedure, algo core.Algorithm) (*allocation, error) {
+	inst := core.NewGeomInstance(p.Model, p.Queries, proc, p.Estimator)
+	inst.Budget = p.Budget
+	inst.Metrics = p.Metrics
+	inst.CacheSizes(nil, chanalloc.MaxChannelKM(p.Model, len(p.Clients)), p.MemoHits, p.MemoMisses)
+	a := &allocation{prob: &chanalloc.Problem{
+		Inst:     inst,
+		Clients:  p.Clients,
+		Channels: channels,
+		Merger:   algo,
+		Metrics:  p.AllocMetrics,
+	}}
+	var err error
+	if a.channel, a.cost, err = chanalloc.Heuristic(a.prob, p.Strategy, p.Seed); err != nil {
+		return nil, fmt.Errorf("shard: channel allocation: %w", err)
+	}
+	return a, nil
+}
+
+// initialCost is the no-merging cost under the allocation, per-listener
+// filtering and per-channel maintenance included.
+func (a *allocation) initialCost() float64 {
+	noMerge := &chanalloc.Problem{Inst: a.prob.Inst, Clients: a.prob.Clients, Channels: a.prob.Channels, Merger: core.NoMerge{}}
+	return chanalloc.Cost(noMerge, a.channel)
 }
 
 // transmitBytes predicts the payload of one full publish of the plan's

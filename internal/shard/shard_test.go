@@ -34,9 +34,9 @@ func testProblem(n, p, channels int, cfg Config, algo core.Algorithm) (*Problem,
 	}, qs
 }
 
-// globalSolve mirrors the server's unsharded single-channel path
-// exactly: memoized geometric instance, one Algorithm.Solve, plan cost
-// and singleton baseline from the same sizer.
+// globalSolve is the global single-channel solve: memoized geometric
+// instance, one Algorithm.Solve, plan cost and singleton baseline from
+// the same sizer.
 func globalSolve(p *Problem) (core.Plan, float64, float64) {
 	inst := core.NewGeomInstance(p.Model, p.Queries, query.BoundingRect{}, p.Estimator)
 	memo := cost.NewMemo(inst.Sizer, inst.N)
@@ -51,7 +51,7 @@ func globalSolve(p *Problem) (core.Plan, float64, float64) {
 func TestPlanUnshardedEquivalence(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.PairMerge{}, core.DirectedSearch{Seed: 42, T: 4}} {
 		for _, n := range []int{1, 17, 120} {
-			p, _ := testProblem(n, 5, 1, Config{Enabled: true}, algo)
+			p, _ := testProblem(n, 5, 1, Config{}, algo)
 			res, err := Plan(p)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", algo.Name(), n, err)
@@ -80,7 +80,7 @@ func TestPlanUnshardedEquivalence(t *testing.T) {
 // a fixed problem yields the identical Result at any GOMAXPROCS, which
 // sizes the shard pool and the DirectedSearch restarts inside it.
 func TestPlanDeterministicAcrossParallelism(t *testing.T) {
-	cfg := Config{Enabled: true, ShardBits: 4, Aggregate: true}
+	cfg := Config{ShardBits: 4, Aggregate: true}
 	base, _ := testProblem(600, 24, 3, cfg, core.DirectedSearch{Seed: 7, T: 2})
 	var want *Result
 	for _, par := range []int{1, 2, 4, 8} {
@@ -109,9 +109,9 @@ func TestPlanExactCover(t *testing.T) {
 		n, p, channels int
 		cfg            Config
 	}{
-		{200, 10, 1, Config{Enabled: true, ShardBits: 3, Aggregate: true}},
-		{500, 25, 4, Config{Enabled: true, ShardBits: 5, Aggregate: true}},
-		{300, 12, 2, Config{Enabled: true, ShardBits: 0, Aggregate: false}},
+		{200, 10, 1, Config{ShardBits: 3, Aggregate: true}},
+		{500, 25, 4, Config{ShardBits: 5, Aggregate: true}},
+		{300, 12, 2, Config{ShardBits: 0, Aggregate: false}},
 	} {
 		p, _ := testProblem(tc.n, tc.p, tc.channels, tc.cfg, core.PairMerge{})
 		res, err := Plan(p)
@@ -179,7 +179,7 @@ func TestPlanAggregationReducesWork(t *testing.T) {
 		Channels:  2,
 		Model:     cost.DefaultModel(),
 		Estimator: testEstimator(),
-		Config:    Config{Enabled: true, ShardBits: 4, Aggregate: true},
+		Config:    Config{ShardBits: 4, Aggregate: true},
 	}
 	res, err := Plan(p)
 	if err != nil {

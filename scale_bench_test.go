@@ -13,7 +13,7 @@ import (
 // candidate stage seeded from the Z-order neighbor index, PairMerge at
 // n=2000 should land in the same wall-clock band as the full O(n²)
 // profit table at n=200. Run the matrix with
-// `go test -run '^$' -bench 'SolverScale|ReplanChurn' .`.
+// `go test -run '^$' -bench SolverScale .`.
 
 // BenchmarkSolverScaleFull is the exactness oracle: the full candidate
 // table across the scaling range. Quadratic by construction — the n=2000
@@ -62,28 +62,4 @@ func BenchmarkSolverScaleBudget(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkReplanChurn compares churn-incremental plan maintenance
-// (§11) against a full pruned re-merge at planning scale: one removal
-// plus one arrival per iteration, the daemon's steady-state cycle.
-func BenchmarkReplanChurn(b *testing.B) {
-	const n = 1000
-	inst := benchInstance(n, 11)
-	base := core.PairMerge{Neighbors: 16}.Solve(inst)
-	b.Run("incremental", func(b *testing.B) {
-		inc := core.NewIncremental(inst, base)
-		inc.SetNeighbors(16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := i % n
-			inc.Remove(q)
-			inc.Add(q)
-		}
-	})
-	b.Run("full-remerge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.PairMerge{Neighbors: 16}.Solve(inst)
-		}
-	})
 }
