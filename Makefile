@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair check cover experiments fuzz fuzz-short loadtest loc clean
+.PHONY: all build test vet race race-delivery bench bench-smoke bench-pair check cover experiments golden fuzz fuzz-short loadtest loc clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -13,15 +13,15 @@ all: build test
 
 # The full pre-merge gate: build, vet and the race-enabled test suite
 # (the parallel solvers make -race load-bearing, not optional), plus a
-# smoke run of the sharded planning pipeline through the simulator and of
-# the repo benchmark. The benchmark is its own module, so a root-module
-# API change that breaks it is only caught by vetting it here.
+# smoke run of the repo benchmark. The benchmark is its own module, so a
+# root-module API change that breaks it is only caught by vetting it
+# here. The race suite skips the experiment-table golden test; `make
+# golden` runs it.
 check: bench-smoke
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) vet -C benchmark ./...
 	$(GO) test -race ./...
-	$(GO) run ./cmd/qsubsim -exp sharding -shards 16 -aggregate
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is its own module, so
 # `go test ./...` never sees it: its tests check that BENCHMARK.json still
@@ -118,6 +118,12 @@ loadtest:
 # Regenerates every table and figure (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/qsubsim -exp all -trials 200
+
+# Diffs `make experiments`' output, timing cells masked, against
+# cmd/qsubsim/testdata/experiments.golden (~25 s; skipped under -race).
+# `go test ./cmd/qsubsim -update` rewrites the file.
+golden:
+	$(GO) test -count=1 -run '^TestExperimentsGolden$$' ./cmd/qsubsim
 
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalMessage -fuzztime 30s

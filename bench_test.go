@@ -13,7 +13,6 @@ import (
 	"qsub/internal/cost"
 	"qsub/internal/experiment"
 	"qsub/internal/geom"
-	"qsub/internal/interval"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
@@ -448,40 +447,6 @@ func BenchmarkMulticastFanout(b *testing.B) {
 
 // --- additional heuristics and substrates --------------------------------
 
-// BenchmarkAnneal measures the simulated-annealing refinement.
-func BenchmarkAnneal(b *testing.B) {
-	for _, n := range []int{10, 25} {
-		inst := benchInstance(n, int64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Anneal{Steps: 2000, Seed: 1}.Solve(inst)
-			}
-		})
-	}
-}
-
-// BenchmarkZOrderSweep measures the space-filling-curve heuristic.
-func BenchmarkZOrderSweep(b *testing.B) {
-	for _, n := range []int{25, 100} {
-		wl := workload.DefaultConfig()
-		wl.DF = 70
-		wl.Seed = int64(n)
-		gen := workload.MustNewGenerator(wl)
-		qs := gen.Queries(n)
-		inst := core.NewGeomInstance(
-			cost.Model{KM: 64000, KT: 1, KU: 0.5},
-			qs, query.BoundingRect{},
-			relation.Uniform{Density: 0.05, BytesPerTuple: 32},
-		)
-		algo := core.ZOrderSweep{Queries: qs}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				algo.Solve(inst)
-			}
-		})
-	}
-}
-
 // BenchmarkAlgoComparison reports P(optimal) for the whole heuristic
 // suite on the calibrated regime.
 func BenchmarkAlgoComparison(b *testing.B) {
@@ -500,29 +465,6 @@ func BenchmarkAlgoComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkIntervalDP measures the O(n²) contiguous interval DP against
-// PairMerge on the same 1-D instances.
-func BenchmarkIntervalDP(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	ivs := make([]interval.Interval, 200)
-	for i := range ivs {
-		lo := rng.Float64() * 1000
-		ivs[i] = interval.Interval{Lo: lo, Hi: lo + rng.Float64()*30}
-	}
-	model := cost.Model{KM: 50, KT: 1, KU: 1}
-	b.Run("interval-dp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			interval.MergeContiguous(model, ivs, 1)
-		}
-	})
-	inst := interval.Instance(model, ivs, 1)
-	b.Run("pair-merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.PairMerge{}.Solve(inst)
-		}
-	})
-}
-
 // BenchmarkEstimatorAblation reports the true-cost ratios of planning
 // with each size estimator on skewed data.
 func BenchmarkEstimatorAblation(b *testing.B) {
@@ -539,25 +481,6 @@ func BenchmarkEstimatorAblation(b *testing.B) {
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.AvgTrueCostRatio, "cost-ratio-"+r.Name)
-	}
-}
-
-// BenchmarkSplitQueries measures the §11 query-splitting refinement.
-func BenchmarkSplitQueries(b *testing.B) {
-	wl := workload.DefaultConfig()
-	wl.CF = 0.9
-	wl.SF = 0.5
-	wl.DF = 30
-	wl.Seed = 9
-	gen := workload.MustNewGenerator(wl)
-	qs := gen.Queries(20)
-	model := cost.Model{KM: 20000, KT: 1, KU: 0.1}
-	est := relation.Uniform{Density: 0.05, BytesPerTuple: 32}
-	inst := core.NewGeomInstance(model, qs, query.BoundingRect{}, est)
-	base := core.PairMerge{}.Solve(inst)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SplitQueries(model, qs, query.BoundingRect{}, est, base)
 	}
 }
 

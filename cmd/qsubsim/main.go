@@ -8,11 +8,16 @@
 //	qsubsim -exp fig16 -trials 500      # a bigger merging sweep
 //	qsubsim -exp fig18 -clients 7 -channels 3
 //	qsubsim -exp appendix1
+//
+// `qsubsim -exp all -trials 200` (make experiments) is checked against
+// testdata/experiments.golden by this package's test.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -22,215 +27,228 @@ import (
 	"qsub/internal/metrics"
 )
 
-// csvDir, when set, receives one CSV file per experiment series.
-var csvDir string
-
-// writeCSV writes one series to csvDir/name.csv when -csv is set.
-func writeCSV(name string, write func(f *os.File) error) {
-	if csvDir == "" {
-		return
+func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fmt.Fprintln(os.Stderr, "qsubsim:", err)
+		os.Exit(1)
 	}
-	path := filepath.Join(csvDir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("(raw data written to %s)\n", path)
 }
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment to run: fig16, fig17, fig18, fig19, appendix1, estimators, algos, scaling, sharding, replan, interval, split, all")
-		trials   = flag.Int("trials", 0, "trials per configuration (0 = experiment default)")
-		minQ     = flag.Int("minq", 3, "minimum query count for the merging sweep")
-		maxQ     = flag.Int("maxq", 12, "maximum query count for the merging sweep")
-		clients  = flag.Int("clients", 6, "clients for the channel allocation experiment")
-		channels = flag.Int("channels", 3, "channels for the channel allocation experiment")
-		qpc      = flag.Int("qpc", 2, "queries per client for the channel allocation experiment")
-		seed     = flag.Int64("seed", 1, "base workload seed")
-		dumpMet  = flag.Bool("metrics", false, "dump solver instrumentation (Prometheus text format) after the run")
-		shards   = flag.Int("shards", 0, "shard count for the sharding experiment (0 = sweep 1, 4, 16; rounded up to a power of two)")
-		aggr     = flag.Bool("aggregate", true, "enable subscription aggregation in the sharding experiment")
-		budget   = flag.Duration("budget", 0, "anytime planning budget per sharding cell; best-so-far plan at the deadline (0 = unlimited)")
-		neigh    = flag.Int("neighbors", 0, "prune merge candidates to each query's k nearest Z-order neighbors (0 = exact full table)")
-	)
-	flag.StringVar(&csvDir, "csv", "", "also write raw series as CSV files into this directory")
-	flag.Parse()
+// run parses args and writes the selected experiments' tables to w.
+func run(w io.Writer, args []string) error {
+	r := runner{w: w}
+	fs := flag.NewFlagSet("qsubsim", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run: fig16, fig17, fig18, fig19, appendix1, estimators, algos, scaling, sharding, replan, all")
+	fs.IntVar(&r.trials, "trials", 0, "trials per configuration (0 = experiment default)")
+	fs.IntVar(&r.minQ, "minq", 3, "minimum query count for the merging sweep")
+	fs.IntVar(&r.maxQ, "maxq", 12, "maximum query count for the merging sweep")
+	fs.IntVar(&r.clients, "clients", 6, "clients for the channel allocation experiment")
+	fs.IntVar(&r.channels, "channels", 3, "channels for the channel allocation experiment")
+	fs.IntVar(&r.qpc, "qpc", 2, "queries per client for the channel allocation experiment")
+	fs.Int64Var(&r.seed, "seed", 1, "base workload seed")
+	dumpMet := fs.Bool("metrics", false, "dump solver instrumentation (Prometheus text format) after the run")
+	fs.IntVar(&r.shards, "shards", 0, "shard count for the sharding experiment (0 = sweep 1, 4, 16; rounded up to a power of two)")
+	fs.BoolVar(&r.aggregate, "aggregate", true, "enable subscription aggregation in the sharding experiment")
+	fs.DurationVar(&r.budget, "budget", 0, "anytime planning budget per sharding cell; best-so-far plan at the deadline (0 = unlimited)")
+	fs.IntVar(&r.neighbors, "neighbors", 0, "prune merge candidates to each query's k nearest Z-order neighbors (0 = exact full table)")
+	fs.StringVar(&r.csvDir, "csv", "", "also write raw series as CSV files into this directory")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dumpMet {
 		// Channel-indexed vecs stay empty (the simulator never
 		// publishes); solver and allocator counters are what matter here.
 		experiment.Metrics = metrics.NewCatalog(0)
 	}
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fatal(err)
+	if r.csvDir != "" {
+		if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
+			return err
 		}
 	}
 
+	var selected []func() error
 	switch *exp {
 	case "fig16", "fig17", "merge":
-		runMerge(*trials, *minQ, *maxQ, *seed)
+		selected = []func() error{r.merge}
 	case "fig18", "fig19", "channel":
-		runChannel(*trials, *clients, *channels, *qpc, *seed)
+		selected = []func() error{r.channel}
 	case "appendix1":
-		runAppendix1()
+		selected = []func() error{r.appendix1}
 	case "estimators":
-		runEstimators(*trials, *seed)
+		selected = []func() error{r.estimators}
 	case "algos":
-		runAlgos(*trials, *seed)
+		selected = []func() error{r.algos}
 	case "scaling":
-		runScaling()
+		selected = []func() error{r.scaling}
 	case "sharding":
-		runSharding(*shards, *aggr, *budget, *neigh)
+		selected = []func() error{r.sharding}
 	case "replan":
-		runReplan()
-	case "interval":
-		runInterval(*trials)
-	case "split":
-		runSplit(*trials)
+		selected = []func() error{r.replan}
 	case "all":
-		runAppendix1()
-		fmt.Println()
-		runMerge(*trials, *minQ, *maxQ, *seed)
-		fmt.Println()
-		runChannel(*trials, *clients, *channels, *qpc, *seed)
-		fmt.Println()
-		runEstimators(*trials, *seed)
-		fmt.Println()
-		runAlgos(*trials, *seed)
-		fmt.Println()
-		runScaling()
-		fmt.Println()
-		runSharding(*shards, *aggr, *budget, *neigh)
-		fmt.Println()
-		runReplan()
-		fmt.Println()
-		runInterval(*trials)
-		fmt.Println()
-		runSplit(*trials)
+		selected = []func() error{r.appendix1, r.merge, r.channel, r.estimators, r.algos, r.scaling, r.sharding, r.replan}
 	default:
-		fmt.Fprintf(os.Stderr, "qsubsim: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", *exp)
+	}
+	for i, e := range selected {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := e(); err != nil {
+			return err
+		}
 	}
 
 	if *dumpMet {
-		fmt.Println()
-		fmt.Println("# solver instrumentation")
-		if err := experiment.Metrics.Registry.WritePrometheus(os.Stdout); err != nil {
-			fatal(err)
-		}
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "# solver instrumentation")
+		return experiment.Metrics.Registry.WritePrometheus(w)
 	}
+	return nil
 }
 
-func runMerge(trials, minQ, maxQ int, seed int64) {
-	cfg := experiment.DefaultMergeConfig()
-	if trials > 0 {
-		cfg.Trials = trials
+// runner renders experiments to w with the parameters its flags set and,
+// when csvDir is set, also writes each series' raw data there.
+type runner struct {
+	w                      io.Writer
+	csvDir                 string
+	trials, minQ, maxQ     int
+	clients, channels, qpc int
+	seed                   int64
+	shards, neighbors      int
+	aggregate              bool
+	budget                 time.Duration
+}
+
+// writeCSV writes one series to csvDir/name.csv when -csv is set.
+func (r runner) writeCSV(name string, write func(f io.Writer) error) error {
+	if r.csvDir == "" {
+		return nil
 	}
-	cfg.MinQueries = minQ
-	cfg.MaxQueries = maxQ
-	cfg.Workload.Seed = seed
-	fmt.Printf("Figures 16+17: pair merging vs exhaustive optimum (paper: 97%% optimal, 0.63%% distance)\n")
-	fmt.Printf("workload: cf=%.2f sf=%.2f df=%.0f; model: K_M=%g K_T=%g K_U=%g; trials=%d\n",
+	path := filepath.Join(r.csvDir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(r.w, "(raw data written to %s)\n", path)
+	return nil
+}
+
+func (r runner) merge() error {
+	cfg := experiment.DefaultMergeConfig()
+	if r.trials > 0 {
+		cfg.Trials = r.trials
+	}
+	cfg.MinQueries = r.minQ
+	cfg.MaxQueries = r.maxQ
+	cfg.Workload.Seed = r.seed
+	fmt.Fprintf(r.w, "Figures 16+17: pair merging vs exhaustive optimum (paper: 97%% optimal, 0.63%% distance)\n")
+	fmt.Fprintf(r.w, "workload: cf=%.2f sf=%.2f df=%.0f; model: K_M=%g K_T=%g K_U=%g; trials=%d\n",
 		cfg.Workload.CF, cfg.Workload.SF, cfg.Workload.DF,
 		cfg.Model.KM, cfg.Model.KT, cfg.Model.KU, cfg.Trials)
 	rows, err := experiment.RunMergeOptimality(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatMergeTable(rows))
-	writeCSV("fig16_17_merge", func(f *os.File) error { return experiment.WriteMergeCSV(f, rows) })
+	fmt.Fprint(r.w, experiment.FormatMergeTable(rows))
+	return r.writeCSV("fig16_17_merge", func(f io.Writer) error { return experiment.WriteMergeCSV(f, rows) })
 }
 
-func runChannel(trials, clients, channels, qpc int, seed int64) {
+func (r runner) channel() error {
 	cfg := experiment.DefaultChannelConfig()
-	if trials > 0 {
-		cfg.Trials = trials
+	if r.trials > 0 {
+		cfg.Trials = r.trials
 	}
-	cfg.Clients = clients
-	cfg.Channels = channels
-	cfg.QueriesPerClient = qpc
-	cfg.Workload.Seed = seed
-	fmt.Printf("Figures 18+19: channel allocation heuristics vs exhaustive optimum\n")
-	fmt.Printf("(paper: smart 81.8%%, random 85.5%%, best-of-both 88.6%% optimal; 0.17%% distance)\n")
-	fmt.Printf("clients=%d channels=%d queries/client=%d; model: K_M=%g K_T=%g K_U=%g K6=%g; trials=%d\n",
+	cfg.Clients = r.clients
+	cfg.Channels = r.channels
+	cfg.QueriesPerClient = r.qpc
+	cfg.Workload.Seed = r.seed
+	fmt.Fprintf(r.w, "Figures 18+19: channel allocation heuristics vs exhaustive optimum\n")
+	fmt.Fprintf(r.w, "(paper: smart 81.8%%, random 85.5%%, best-of-both 88.6%% optimal; 0.17%% distance)\n")
+	fmt.Fprintf(r.w, "clients=%d channels=%d queries/client=%d; model: K_M=%g K_T=%g K_U=%g K6=%g; trials=%d\n",
 		cfg.Clients, cfg.Channels, cfg.QueriesPerClient,
 		cfg.Model.KM, cfg.Model.KT, cfg.Model.KU, cfg.Model.K6, cfg.Trials)
 	rows, err := experiment.RunChannelAllocation(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatChannelTable(rows))
-	writeCSV("fig18_19_channel", func(f *os.File) error { return experiment.WriteChannelCSV(f, rows) })
+	fmt.Fprint(r.w, experiment.FormatChannelTable(rows))
+	return r.writeCSV("fig18_19_channel", func(f io.Writer) error { return experiment.WriteChannelCSV(f, rows) })
 }
 
-func runEstimators(trials int, seed int64) {
+func (r runner) estimators() error {
 	cfg := experiment.DefaultEstimatorConfig()
-	if trials > 0 {
-		cfg.Trials = trials
+	if r.trials > 0 {
+		cfg.Trials = r.trials
 	}
-	cfg.Workload.Seed = seed
-	fmt.Println("Estimator ablation: true-cost penalty of planning with approximate size(q)")
-	fmt.Printf("tuples=%d queries=%d trials=%d histogram=%dx%d\n",
+	cfg.Workload.Seed = r.seed
+	fmt.Fprintln(r.w, "Estimator ablation: true-cost penalty of planning with approximate size(q)")
+	fmt.Fprintf(r.w, "tuples=%d queries=%d trials=%d histogram=%dx%d\n",
 		cfg.Tuples, cfg.Queries, cfg.Trials, cfg.HistogramGrid, cfg.HistogramGrid)
 	rows, err := experiment.RunEstimatorAblation(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatEstimatorTable(rows))
-	writeCSV("estimators", func(f *os.File) error { return experiment.WriteEstimatorCSV(f, rows) })
+	fmt.Fprint(r.w, experiment.FormatEstimatorTable(rows))
+	return r.writeCSV("estimators", func(f io.Writer) error { return experiment.WriteEstimatorCSV(f, rows) })
 }
 
-func runAlgos(trials int, seed int64) {
+func (r runner) algos() error {
 	cfg := experiment.DefaultAlgoConfig()
-	if trials > 0 {
-		cfg.Trials = trials
+	if r.trials > 0 {
+		cfg.Trials = r.trials
 	}
-	cfg.Workload.Seed = seed
-	fmt.Printf("Algorithm comparison: heuristics vs the Partition optimum (n=%d, trials=%d)\n",
+	cfg.Workload.Seed = r.seed
+	fmt.Fprintf(r.w, "Algorithm comparison: heuristics vs the Partition optimum (n=%d, trials=%d)\n",
 		cfg.Queries, cfg.Trials)
 	rows, err := experiment.RunAlgoComparison(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatAlgoTable(rows))
-	writeCSV("algos", func(f *os.File) error { return experiment.WriteAlgoCSV(f, rows) })
+	fmt.Fprint(r.w, experiment.FormatAlgoTable(rows))
+	return r.writeCSV("algos", func(f io.Writer) error { return experiment.WriteAlgoCSV(f, rows) })
 }
 
-func runScaling() {
-	fmt.Println("Duplicate-subscription scaling (§1): n identical queries, merged vs standard service")
+func (r runner) scaling() error {
+	fmt.Fprintln(r.w, "Duplicate-subscription scaling (§1): n identical queries, merged vs standard service")
 	rows, err := experiment.RunScaling(experiment.DefaultScalingConfig())
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatScalingTable(rows))
+	fmt.Fprint(r.w, experiment.FormatScalingTable(rows))
+	return nil
 }
 
-func runSharding(shards int, aggregate bool, budget time.Duration, neighbors int) {
+func (r runner) sharding() error {
 	cfg := experiment.DefaultShardingConfig()
-	cfg.Aggregate = aggregate
-	cfg.Budget = budget
-	cfg.Neighbors = neighbors
-	if shards > 0 {
+	cfg.Aggregate = r.aggregate
+	cfg.Budget = r.budget
+	cfg.Neighbors = r.neighbors
+	if r.shards > 0 {
 		bits := 0
-		for 1<<bits < shards {
+		for 1<<bits < r.shards {
 			bits++
 		}
 		cfg.ShardBits = []int{bits}
 	}
-	fmt.Printf("Sharded planning scaling: aggregate %v, shards %v, %d%% near-duplicate workload\n",
+	fmt.Fprintf(r.w, "Sharded planning scaling: aggregate %v, shards %v, %d%% near-duplicate workload\n",
 		cfg.Aggregate, shardCounts(cfg.ShardBits), int(cfg.DupF*100))
 	rows, err := experiment.RunSharding(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatShardingTable(rows))
-	writeCSV("sharding", func(f *os.File) error { return experiment.WriteShardingCSV(f, rows) })
+	fmt.Fprint(r.w, experiment.FormatShardingTable(rows))
+	return r.writeCSV("sharding", func(f io.Writer) error { return experiment.WriteShardingCSV(f, rows) })
 }
 
 func shardCounts(bits []int) []int {
@@ -241,59 +259,20 @@ func shardCounts(bits []int) []int {
 	return out
 }
 
-func runReplan() {
+func (r runner) replan() error {
 	cfg := experiment.DefaultReplanConfig()
-	fmt.Printf("Re-planning policy ablation under churn (%d periods, %d inserts/period into a hotspot)\n",
+	fmt.Fprintf(r.w, "Re-planning policy ablation under churn (%d periods, %d inserts/period into a hotspot)\n",
 		cfg.Periods, cfg.ChurnPerPeriod)
 	rows, err := experiment.RunReplanAblation(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatReplanTable(rows))
+	fmt.Fprint(r.w, experiment.FormatReplanTable(rows))
+	return nil
 }
 
-func runInterval(trials int) {
-	cfg := experiment.DefaultIntervalConfig()
-	if trials > 0 {
-		cfg.Trials = trials
-	}
-	fmt.Printf("1-D interval specialization: contiguous DP vs generic algorithms (n=%d, proper families, trials=%d)\n",
-		cfg.Intervals, cfg.Trials)
-	rows, err := experiment.RunIntervalComparison(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(experiment.FormatIntervalTable(rows))
-}
-
-func runSplit(trials int) {
-	cfg := experiment.DefaultSplitConfig()
-	if trials > 0 {
-		cfg.Trials = trials
-	}
-	fmt.Printf("Query splitting (§11): coverage-based transmission elimination (n=%d, trials=%d)\n",
-		cfg.Queries, cfg.Trials)
-	fmt.Println("tiled sectors (splitting's target regime):")
-	res, err := experiment.RunSplitMeasurement(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(experiment.FormatSplitResult(res))
-	cfg.Tiled = false
-	fmt.Println("random clustered workload:")
-	res, err = experiment.RunSplitMeasurement(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(experiment.FormatSplitResult(res))
-}
-
-func runAppendix1() {
-	fmt.Println("Appendix 1: the 3-query example of Fig 6 (merge-all optimal, no pair beneficial)")
-	fmt.Print(experiment.FormatAppendix1(experiment.Appendix1(cost.DefaultModel(), 1)))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qsubsim:", err)
-	os.Exit(1)
+func (r runner) appendix1() error {
+	fmt.Fprintln(r.w, "Appendix 1: the 3-query example of Fig 6 (merge-all optimal, no pair beneficial)")
+	fmt.Fprint(r.w, experiment.FormatAppendix1(experiment.Appendix1(cost.DefaultModel(), 1)))
+	return nil
 }

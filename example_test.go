@@ -271,16 +271,3 @@ func ExamplePairMerge() {
 	// greedy:  [[0] [1] [2]] cost 75
 	// optimal: [[0 1 2]] cost 74
 }
-
-// ExampleMergeIntervals shows the 1-D specialization on the paper's
-// introduction example.
-func ExampleMergeIntervals() {
-	ivs := []qsub.Interval{
-		{Lo: 2, Hi: 40}, // σ(2≤A≤40)R
-		{Lo: 3, Hi: 41}, // σ(3≤A≤41)R
-	}
-	plan := qsub.MergeIntervals(qsub.Model{KM: 100, KT: 1, KU: 1}, ivs, 1)
-	fmt.Printf("merged into %d query set(s): %v\n", len(plan.Plan), plan.Plan)
-	// Output:
-	// merged into 1 query set(s): [[0 1]]
-}

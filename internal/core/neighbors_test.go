@@ -7,6 +7,7 @@ import (
 
 	"qsub/internal/cost"
 	"qsub/internal/geom"
+	"qsub/internal/morton"
 	"qsub/internal/query"
 	"qsub/internal/relation"
 	"qsub/internal/workload"
@@ -261,4 +262,21 @@ func (b *Budget) Steps() int64 {
 		return 0
 	}
 	return b.steps.Load()
+}
+
+// TestInterleaveBits pins the bit spreading under the Z-order codes the
+// neighbor pruning sorts query centers by.
+func TestInterleaveBits(t *testing.T) {
+	if got := morton.Interleave(0); got != 0 {
+		t.Fatalf("Interleave(0) = %d", got)
+	}
+	if got := morton.Interleave(1); got != 1 {
+		t.Fatalf("Interleave(1) = %d", got)
+	}
+	if got := morton.Interleave(0b11); got != 0b101 {
+		t.Fatalf("Interleave(0b11) = %b", got)
+	}
+	if got := morton.Interleave(0xFFFF); got != 0x5555555555555555&((1<<32)-1) {
+		t.Fatalf("Interleave(0xFFFF) = %x", got)
+	}
 }

@@ -64,7 +64,6 @@ func TestAbstractInstancesAlgorithmEnvelope(t *testing.T) {
 		for _, algo := range []Algorithm{
 			PairMerge{},
 			DirectedSearch{T: 4, Seed: int64(trial)},
-			Anneal{Steps: 300, Seed: int64(trial)},
 			Clustering{},
 		} {
 			plan := algo.Solve(inst)

@@ -55,22 +55,16 @@ func RunAlgoComparison(cfg AlgoConfig) ([]AlgoResult, error) {
 	}
 	est := estimator()
 	type entry struct {
-		algo    func(qs []query.Query) core.Algorithm
+		algo    core.Algorithm
 		name    string
 		optimal int
 		dist    float64
 		elapsed time.Duration
 	}
 	entries := []*entry{
-		{name: "pair-merge", algo: func([]query.Query) core.Algorithm { return core.PairMerge{} }},
-		{name: "directed-search", algo: func([]query.Query) core.Algorithm {
-			return core.DirectedSearch{T: 8, Seed: 1}
-		}},
-		{name: "clustering", algo: func([]query.Query) core.Algorithm {
-			return core.Clustering{ExactThreshold: 8}
-		}},
-		{name: "anneal", algo: func([]query.Query) core.Algorithm { return core.Anneal{Steps: 2000, Seed: 1} }},
-		{name: "zorder-sweep", algo: func(qs []query.Query) core.Algorithm { return core.ZOrderSweep{Queries: qs} }},
+		{name: "pair-merge", algo: core.PairMerge{}},
+		{name: "directed-search", algo: core.DirectedSearch{T: 8, Seed: 1}},
+		{name: "clustering", algo: core.Clustering{ExactThreshold: 8}},
 	}
 
 	for trial := 0; trial < cfg.Trials; trial++ {
@@ -85,9 +79,8 @@ func RunAlgoComparison(cfg AlgoConfig) ([]AlgoResult, error) {
 		optimal := inst.Cost(core.Partition{}.Solve(inst))
 		initial := inst.InitialCost()
 		for _, e := range entries {
-			algo := e.algo(qs)
 			start := time.Now()
-			plan := algo.Solve(inst)
+			plan := e.algo.Solve(inst)
 			e.elapsed += time.Since(start)
 			c := inst.Cost(plan)
 			if c <= optimal*(1+optEps)+optEps {
@@ -115,7 +108,7 @@ func FormatAlgoTable(rows []AlgoResult) string {
 	fmt.Fprintf(&b, "%-16s %-14s %-16s %-12s\n", "algorithm", "P(optimal)", "avg distance", "time/solve")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-16s %-14.1f %-16.4f %-12s\n",
-			r.Name, r.ProbOptimal*100, r.AvgDistance*100, r.AvgRuntime.Round(time.Microsecond))
+			r.Name, r.ProbOptimal*100, r.AvgDistance*100, Timing("%v", r.AvgRuntime.Round(time.Microsecond)))
 	}
 	return b.String()
 }

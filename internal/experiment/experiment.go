@@ -29,6 +29,14 @@ func estimator() relation.Estimator {
 	return relation.Uniform{Density: 0.05, BytesPerTuple: 32}
 }
 
+// Timing renders one wall-clock cell of a results table: v printed with
+// verb. Timing cells are the only cells that differ between two runs of
+// one seed. Every table writer renders them through Timing and nothing
+// else does, so a caller that replaces it masks exactly those cells
+// (cmd/qsubsim's golden test does). Not safe to change while a table is
+// being rendered.
+var Timing = func(verb string, v any) string { return fmt.Sprintf(verb, v) }
+
 // MergeConfig parameterizes the Fig 16/17 experiment.
 type MergeConfig struct {
 	// Workload generates the query sets; its Seed is advanced per trial.

@@ -283,8 +283,8 @@ func TestAlgoComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
 		if r.ProbOptimal < 0 || r.ProbOptimal > 1 {
@@ -295,7 +295,7 @@ func TestAlgoComparison(t *testing.T) {
 		}
 	}
 	tbl := FormatAlgoTable(rows)
-	for _, name := range []string{"pair-merge", "anneal", "zorder-sweep"} {
+	for _, name := range []string{"pair-merge", "directed-search", "clustering"} {
 		if !strings.Contains(tbl, name) {
 			t.Fatalf("table missing %s:\n%s", name, tbl)
 		}
@@ -393,8 +393,8 @@ func TestCSVWriters(t *testing.T) {
 	if err := WriteAlgoCSV(&buf, arows); err != nil {
 		t.Fatal(err)
 	}
-	if records, _ := csv.NewReader(&buf).ReadAll(); len(records) != 6 {
-		t.Fatalf("algo CSV has %d records, want 6", len(records))
+	if records, _ := csv.NewReader(&buf).ReadAll(); len(records) != 4 {
+		t.Fatalf("algo CSV has %d records, want 4", len(records))
 	}
 
 	erows := []EstimatorResult{{Name: "exact", AvgTrueCostRatio: 1, MaxTrueCostRatio: 1}}
@@ -492,36 +492,6 @@ func TestReplanValidation(t *testing.T) {
 	}
 }
 
-func TestIntervalComparison(t *testing.T) {
-	cfg := DefaultIntervalConfig()
-	cfg.Trials = 40
-	rows, err := RunIntervalComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]IntervalRow{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	// On proper families the DP is exact — 100% optimal.
-	if dp := byName["interval-dp"]; dp.ProbOptimal != 1 || dp.AvgDistance > 1e-9 {
-		t.Fatalf("interval DP should be exact on proper families: %+v", dp)
-	}
-	// Improper families may break contiguity; the DP still never errors.
-	cfg.Proper = false
-	if _, err := RunIntervalComparison(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntervalComparisonValidation(t *testing.T) {
-	cfg := DefaultIntervalConfig()
-	cfg.Intervals = 30
-	if _, err := RunIntervalComparison(cfg); err == nil {
-		t.Fatal("infeasible interval count should be rejected")
-	}
-}
-
 func TestConfidenceIntervals(t *testing.T) {
 	if got := binomialCI(0.5, 100); math.Abs(got-0.098) > 0.001 {
 		t.Fatalf("binomialCI(0.5, 100) = %g, want ~0.098", got)
@@ -552,30 +522,5 @@ func TestConfidenceIntervals(t *testing.T) {
 	}
 	if !strings.Contains(FormatMergeTable(rows), "±") {
 		t.Fatal("table should show confidence intervals")
-	}
-}
-
-func TestSplitMeasurement(t *testing.T) {
-	cfg := DefaultSplitConfig()
-	cfg.Trials = 20
-	res, err := RunSplitMeasurement(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrialsWithDrops == 0 {
-		t.Fatal("tiled workloads should produce covered queries")
-	}
-	if res.AvgDropped <= 0.2 {
-		t.Fatalf("tiled mode should drop spanning queries with some regularity: %+v", res)
-	}
-	if res.AvgSavings < 0 {
-		t.Fatalf("split made things worse on average: %+v", res)
-	}
-	if !strings.Contains(FormatSplitResult(res), "eliminated") {
-		t.Fatal("format missing fields")
-	}
-	cfg.Trials = 0
-	if _, err := RunSplitMeasurement(cfg); err == nil {
-		t.Fatal("zero trials should be rejected")
 	}
 }

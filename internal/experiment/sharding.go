@@ -131,8 +131,8 @@ func FormatShardingTable(rows []ShardingRow) string {
 	fmt.Fprintf(&b, "%-8s %-8s %-8s %-10s %-10s %-14s %-10s\n",
 		"n", "shards", "reps", "collapsed", "plan (s)", "plan cost", "savings")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8d %-8d %-8d %-10d %-10.3f %-14.0f %.1fx\n",
-			r.N, r.Shards, r.Reps, r.Collapsed, r.PlanSeconds, r.EstimatedCost, r.Savings)
+		fmt.Fprintf(&b, "%-8d %-8d %-8d %-10d %-10s %-14.0f %.1fx\n",
+			r.N, r.Shards, r.Reps, r.Collapsed, Timing("%.3f", r.PlanSeconds), r.EstimatedCost, r.Savings)
 	}
 	return b.String()
 }

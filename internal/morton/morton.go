@@ -1,10 +1,9 @@
 // Package morton provides space-filling-curve (Z-order) codes in k
 // dimensions. Coordinates are normalized into a bounding box and
 // quantized to Bits-per-axis integers whose bits are interleaved, so
-// points close in space are close on the curve. The machinery was
-// factored out of the 2-D zorder sweep heuristic so that the sharded
-// planning pipeline, the sweep, and k-dimensional workloads share one
-// shard key.
+// points close in space are close on the curve. The sharded planning
+// pipeline's shard key and the merge solvers' Z-order neighbor pruning
+// share it.
 //
 // A code uses k·Bits of the returned uint64 (most significant bit of
 // the interleaving first within those bits), so prefixes of a code are
@@ -14,8 +13,7 @@
 package morton
 
 // Bits is the per-axis quantization resolution. 16 bits per axis keeps
-// codes of up to 4 dimensions inside a uint64 and matches the historic
-// zorder sweep resolution.
+// codes of up to 4 dimensions inside a uint64.
 const Bits = 16
 
 // MaxDims is the largest dimensionality a single uint64 code supports
@@ -53,8 +51,8 @@ func Interleave(v uint32) uint64 {
 }
 
 // Code2 interleaves two normalized 16-bit coordinates into a 32-bit
-// Morton code (x in the even bits, y in the odd bits), the historic
-// zorder-sweep key.
+// Morton code (x in the even bits, y in the odd bits): the 2-D key of
+// the shard pipeline and of the neighbor pruning.
 func Code2(x, y uint32) uint64 {
 	return Interleave(x) | Interleave(y)<<1
 }

@@ -68,22 +68,32 @@ func TestCodeGenericMatchesSlow(t *testing.T) {
 
 // TestPrefixPartitions checks that prefixes split the unit square into
 // the expected quadrants: the top 2 bits of a 2-D code are (y_hi, x_hi).
+// In one dimension the code is the coordinate itself
+// (TestCodeGenericMatchesSlow), so the 2-bit prefixes are the axis'
+// quarters in order: every prefix shard of a 1-D key is a contiguous run
+// of the sorted coordinates.
 func TestPrefixPartitions(t *testing.T) {
-	lo := []float64{0, 0}
-	hi := []float64{1, 1}
 	cases := []struct {
-		x, y float64
+		p    []float64
 		want int
 	}{
-		{0.1, 0.1, 0}, // low x, low y
-		{0.9, 0.1, 1}, // high x, low y
-		{0.1, 0.9, 2}, // low x, high y
-		{0.9, 0.9, 3}, // high x, high y
+		{[]float64{0.1, 0.1}, 0}, // low x, low y
+		{[]float64{0.9, 0.1}, 1}, // high x, low y
+		{[]float64{0.1, 0.9}, 2}, // low x, high y
+		{[]float64{0.9, 0.9}, 3}, // high x, high y
+		{[]float64{0.1}, 0},
+		{[]float64{0.3}, 1},
+		{[]float64{0.6}, 2},
+		{[]float64{0.9}, 3},
 	}
 	for _, c := range cases {
-		code := CodePoint([]float64{c.x, c.y}, lo, hi)
-		if got := Prefix(code, 2, 2); got != c.want {
-			t.Fatalf("Prefix of (%g, %g) = %d, want %d", c.x, c.y, got, c.want)
+		k := len(c.p)
+		lo, hi := make([]float64, k), make([]float64, k)
+		for d := range hi {
+			hi[d] = 1
+		}
+		if got := Prefix(CodePoint(c.p, lo, hi), k, 2); got != c.want {
+			t.Fatalf("Prefix of %v = %d, want %d", c.p, got, c.want)
 		}
 	}
 }

@@ -83,10 +83,9 @@ func (c Config) Validate() error {
 
 // Generator produces queries and client subscriptions from a Config.
 type Generator struct {
-	cfg            Config
-	rng            *rand.Rand
-	nextID         query.ID
-	driftX, driftY float64
+	cfg    Config
+	rng    *rand.Rand
+	nextID query.ID
 }
 
 // NewGenerator validates the configuration and returns a generator.
@@ -195,8 +194,8 @@ func (g *Generator) queryAt(center geom.Point) query.Query {
 
 func (g *Generator) uniformPoint() geom.Point {
 	return geom.Pt(
-		g.clampX(g.cfg.DB.MinX+g.rng.Float64()*g.cfg.DB.Width()+g.driftX),
-		g.clampY(g.cfg.DB.MinY+g.rng.Float64()*g.cfg.DB.Height()+g.driftY),
+		g.clampX(g.cfg.DB.MinX+g.rng.Float64()*g.cfg.DB.Width()),
+		g.clampY(g.cfg.DB.MinY+g.rng.Float64()*g.cfg.DB.Height()),
 	)
 }
 
@@ -218,15 +217,6 @@ func (g *Generator) clampY(y float64) float64 {
 		return g.cfg.DB.MaxY
 	}
 	return y
-}
-
-// Drift moves every subsequent cluster origin by the given offset per
-// cluster draw, modelling mobile hotspots (a battlefield front moving
-// across the map). It affects both Queries and Points generated after the
-// call.
-func (g *Generator) Drift(dx, dy float64) {
-	g.driftX += dx
-	g.driftY += dy
 }
 
 // Points generates n tuple positions with the same clustered/uniform mix

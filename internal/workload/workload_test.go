@@ -298,26 +298,3 @@ func TestQueriesUniqueIDsAcrossCalls(t *testing.T) {
 		}
 	}
 }
-
-func TestDriftShiftsHotspots(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CF = 1
-	cfg.SF = 1
-	cfg.DF = 10
-	g := MustNewGenerator(cfg)
-	before := g.Points(100)
-	g.Drift(400, 0)
-	after := g.Points(100)
-	mean := func(pts []geom.Point) float64 {
-		s := 0.0
-		for _, p := range pts {
-			s += p.X
-		}
-		return s / float64(len(pts))
-	}
-	// The drifted generation's mean X shifts right (clamped at the DB
-	// edge, so the shift is visible but bounded).
-	if mean(after) <= mean(before) {
-		t.Fatalf("drift should shift hotspots right: before %g, after %g", mean(before), mean(after))
-	}
-}

@@ -42,7 +42,6 @@ import (
 	"qsub/internal/core"
 	"qsub/internal/cost"
 	"qsub/internal/geom"
-	"qsub/internal/interval"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/relation"
@@ -199,18 +198,4 @@ func DefaultWorkload() WorkloadConfig { return workload.DefaultConfig() }
 // NewWorkload validates the configuration and returns a generator.
 func NewWorkload(cfg WorkloadConfig) (*WorkloadGenerator, error) {
 	return workload.NewGenerator(cfg)
-}
-
-// One-dimensional interval subscriptions (the §1 introduction example).
-type (
-	// Interval is a closed 1-D range subscription.
-	Interval = interval.Interval
-	// IntervalPlan is the result of the contiguous interval DP.
-	IntervalPlan = interval.Plan
-)
-
-// MergeIntervals computes the cheapest contiguous-run partition of 1-D
-// range subscriptions in O(n²); exact for proper (non-nested) families.
-func MergeIntervals(model Model, ivs []Interval, density float64) IntervalPlan {
-	return interval.MergeContiguous(model, ivs, density)
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"qsub/internal/geom"
-	"qsub/internal/interval"
 	"qsub/internal/multicast"
 )
 
@@ -194,19 +193,6 @@ func drain(sub *multicast.Subscription) []multicast.Message {
 		if !ok {
 			return out
 		}
-	}
-}
-
-// TestFacadeIntervals exercises the 1-D exports.
-func TestFacadeIntervals(t *testing.T) {
-	ivs := []Interval{{Lo: 2, Hi: 40}, {Lo: 3, Hi: 41}}
-	p := MergeIntervals(Model{KM: 100, KT: 1, KU: 1}, ivs, 1)
-	if len(p.Plan) != 1 {
-		t.Fatalf("intro intervals should merge, got %v", p.Plan)
-	}
-	inst := interval.Instance(Model{KM: 100, KT: 1, KU: 1}, ivs, 1)
-	if got := inst.Cost(p.Plan); got != p.Cost {
-		t.Fatalf("facade instance cost %g != DP cost %g", got, p.Cost)
 	}
 }
 
